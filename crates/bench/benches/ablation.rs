@@ -2,8 +2,6 @@
 //!
 //! * cache-budget sweep — how much budget the reuse benefits need,
 //! * eviction-policy sweep including the abandoned Hybrid strategy,
-//! * eviction-watermark sweep (batched eviction hysteresis, an
-//!   implementation choice this reproduction adds on top of the paper),
 //! * unmarking on/off — the compiler-assistance pollution ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -42,35 +40,11 @@ fn bench_policy_sweep(c: &mut Criterion) {
             policy,
             compiler_assist: false,
             budget_bytes: budget,
-            eviction_watermark: 0.98,
             ..LimaConfig::lima()
         };
         g.bench_function(format!("{policy:?}"), |b| {
             b.iter(|| run_pipeline(&p, &config))
         });
-    }
-    g.finish();
-}
-
-fn bench_watermark_sweep(c: &mut Criterion) {
-    // Pollution-heavy workload: every op cached, constant eviction churn.
-    let p = pipelines::minibatch_micro(6_000, 78, 16, 1);
-    let mut g = c.benchmark_group("ablation_watermark");
-    g.sample_size(10);
-    for watermark in [0.5f64, 0.8, 0.98] {
-        let config = LimaConfig {
-            budget_bytes: 4 * 1024 * 1024,
-            eviction_watermark: watermark,
-            compiler_assist: false,
-            multilevel: false,
-            spill: false,
-            ..LimaConfig::lima()
-        };
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("{watermark}")),
-            &watermark,
-            |b, _| b.iter(|| run_pipeline(&p, &config)),
-        );
     }
     g.finish();
 }
@@ -95,7 +69,6 @@ criterion_group!(
     benches,
     bench_budget_sweep,
     bench_policy_sweep,
-    bench_watermark_sweep,
     bench_unmarking
 );
 criterion_main!(benches);

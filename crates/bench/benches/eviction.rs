@@ -21,8 +21,7 @@ fn bench_fig8a_policies(c: &mut Criterion) {
         Config::LimaCostSize,
         Config::LimaInfinite,
     ] {
-        let mut config = cfg.to_config(budget);
-        config.eviction_watermark = 0.98;
+        let config = cfg.to_config(budget);
         g.bench_function(cfg.label(), |b| b.iter(|| run_pipeline(&p, &config)));
     }
     g.finish();

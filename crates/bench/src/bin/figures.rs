@@ -199,8 +199,7 @@ fn fig8a() {
         Config::LimaCostSize,
         Config::LimaInfinite,
     ] {
-        let mut cfg = c.to_config(budget);
-        cfg.eviction_watermark = 0.98; // strict Table-1 eviction order
+        let cfg = c.to_config(budget);
         let t = median(time_pipeline(&p, &cfg, 2));
         out.push((c.label().to_string(), vec![secs(t)]));
     }
@@ -235,10 +234,8 @@ fn fig8b() {
         Config::LimaDagHeight,
         Config::LimaInfinite,
     ] {
-        let mut cfg_mb = c.to_config(mb_budget);
-        cfg_mb.eviction_watermark = 0.98;
-        let mut cfg_sl = c.to_config(sl_budget);
-        cfg_sl.eviction_watermark = 0.98;
+        let cfg_mb = c.to_config(mb_budget);
+        let cfg_sl = c.to_config(sl_budget);
         out.push((
             c.label().to_string(),
             vec![

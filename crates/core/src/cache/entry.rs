@@ -2,9 +2,11 @@
 //! placeholder, cache status, measured computation time, access statistics,
 //! and the lineage-trace height used by the DAG-Height policy.
 
+use crate::cache::eviction::QueueKey;
 use crate::lineage::item::LinKey;
 use lima_matrix::Value;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Lifecycle state of a cache entry.
 #[derive(Debug, Clone)]
@@ -22,9 +24,16 @@ pub enum EntryState {
     Evicted,
 }
 
-/// A cache entry; the key (lineage trace) lives in the cache map.
+/// A cache entry, stored in the cache map under (a clone of) its own key.
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
+    /// The lineage trace this entry caches; the eviction index files the
+    /// entry under this key, and its item id breaks queue-position ties.
+    pub key: LinKey,
+    /// Where the [`crate::cache::eviction::EvictionIndex`] currently files
+    /// this entry (resident queue or shell queue); `None` when unfiled.
+    /// Owned by the index — nothing else writes it.
+    pub slot: Option<QueueKey>,
     /// Current state.
     pub state: EntryState,
     /// Measured computation time of the cached object in nanoseconds.
@@ -64,9 +73,12 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
-    /// New placeholder entry.
-    pub fn computing(height: u32, now: u64) -> Self {
+    /// New placeholder entry for `key`.
+    pub fn computing(key: LinKey, now: u64) -> Self {
+        let height = key.0.height();
         CacheEntry {
+            key,
+            slot: None,
             state: EntryState::Computing,
             compute_ns: 0,
             height,
@@ -81,6 +93,29 @@ impl CacheEntry {
             credited_ns: 0,
             children: Vec::new(),
         }
+    }
+
+    /// Makes `value` this entry's resident value: state, size and group tag.
+    pub fn install(&mut self, value: &Value) {
+        self.size = value.size_in_bytes();
+        self.group = value_group(value);
+        self.state = EntryState::Cached(value.clone());
+    }
+
+    /// The savings a hit may credit (each computed nanosecond at most once)
+    /// when this entry alone decides it: nothing once credited, its whole
+    /// cost when no constituent entries were computed inside it. `None` for
+    /// a not-yet-credited composite, whose constituents must be consulted.
+    pub fn own_hit_credit(&mut self) -> Option<u64> {
+        if self.credited {
+            return Some(0);
+        }
+        if !self.children.is_empty() {
+            return None;
+        }
+        self.credited = true;
+        self.credited_ns = self.compute_ns;
+        Some(self.compute_ns)
     }
 
     /// True when a value is immediately available in memory.
@@ -111,16 +146,37 @@ impl CacheEntry {
     }
 }
 
+/// Identity tag grouping entries that cache the same underlying object
+/// (multi-level entries). 0 means "untagged".
+fn value_group(v: &Value) -> usize {
+    match v {
+        Value::Matrix(m) => Arc::as_ptr(m) as usize,
+        Value::List(l) => Arc::as_ptr(l) as usize,
+        Value::Scalar(_) => 0,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lineage::item::LineageItem;
+
+    /// Placeholder for a chain of `height` unary ops over a literal.
+    fn computing(height: u32, now: u64) -> CacheEntry {
+        let mut item = LineageItem::literal("f:0");
+        for _ in 0..height {
+            item = LineageItem::op("exp", vec![item]);
+        }
+        CacheEntry::computing(LinKey(item), now)
+    }
 
     #[test]
     fn placeholder_lifecycle_flags() {
-        let e = CacheEntry::computing(3, 17);
+        let e = computing(3, 17);
         assert!(e.is_computing());
         assert!(!e.is_resident());
         assert!(!e.is_spilled());
+        assert!(e.slot.is_none());
         assert_eq!(e.misses, 1);
         assert_eq!(e.height, 3);
         assert_eq!(e.last_access, 17);
@@ -128,7 +184,7 @@ mod tests {
 
     #[test]
     fn cost_size_score_prefers_expensive_small_hot_entries() {
-        let mut cheap_big = CacheEntry::computing(1, 0);
+        let mut cheap_big = computing(1, 0);
         cheap_big.state = EntryState::Cached(Value::f64(0.0));
         cheap_big.compute_ns = 1_000;
         cheap_big.size = 1_000_000;
@@ -144,7 +200,7 @@ mod tests {
 
     #[test]
     fn score_handles_zero_size() {
-        let e = CacheEntry::computing(0, 0);
+        let e = computing(0, 0);
         assert!(e.cost_size_score().is_finite());
     }
 }

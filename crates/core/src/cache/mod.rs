@@ -10,22 +10,23 @@ pub mod persist;
 pub mod rewrites;
 pub mod spill;
 
-use crate::config::{LimaConfig, ReuseMode};
+use crate::config::{EvictionPolicy, LimaConfig, ReuseMode};
 use crate::governor::ResourceGovernor;
 use crate::interrupt::{Interrupt, InterruptKind};
-use crate::lineage::item::{LinKey, LinRef};
+use crate::lineage::item::{FxBuildHasher, LinKey, LinRef};
 use crate::obs::{EventKind, Obs};
 use crate::resilience::{Attempt, CircuitBreaker, RetryPolicy};
 use crate::stats::LimaStats;
 use costs::IoCostModel;
 use entry::{CacheEntry, EntryState};
+use eviction::EvictionIndex;
 use lima_matrix::Value;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use persist::PersistentCacheStore;
 use spill::SpillStore;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -82,7 +83,8 @@ impl Reservation {
     /// Stores the computed value with its measured computation time.
     pub fn fulfill(mut self, value: &Value, compute_ns: u64) {
         self.done = true;
-        self.cache.fulfill(&self.key, value, compute_ns);
+        self.cache
+            .fulfill(&self.key, value, compute_ns, Admission::Reserved);
     }
 
     /// Abandons the placeholder (e.g. the computation failed).
@@ -142,12 +144,48 @@ impl ItemCost {
     }
 }
 
+/// The entry map: keys hash by their memoized, already mixed lineage hash.
+type EntryMap = HashMap<LinKey, CacheEntry, FxBuildHasher>;
+
 struct CacheState {
-    map: HashMap<LinKey, CacheEntry>,
-    resident_bytes: usize,
-    /// Bytes currently held in spill files (accounted by the governor as the
-    /// spill-buffer category).
-    spilled_bytes: usize,
+    map: EntryMap,
+    /// Eviction queue, shell queue, group counts and byte/entry counters
+    /// over `map`, kept in step with every entry change (see
+    /// [`EvictionIndex`] for the invariants).
+    index: EvictionIndex,
+    /// Probes currently blocked on a placeholder. Checked under the lock by
+    /// whoever resolves a placeholder, so the `notify_all` futex call is
+    /// only paid when somebody is actually waiting.
+    waiters: usize,
+    /// Observer invoked (outside the cache lock) after each locally computed
+    /// value is admitted — the replication tap. Deliberately *not* fired for
+    /// startup-recovered entries or values applied via
+    /// [`LineageCache::put_replicated`], so replicas never echo records back.
+    put_watcher: Option<PutWatcher>,
+}
+
+impl CacheState {
+    fn insert(&mut self, mut entry: CacheEntry) {
+        self.index.add(&mut entry);
+        self.map.insert(entry.key.clone(), entry);
+    }
+
+    fn remove(&mut self, key: &LinKey) {
+        if let Some(mut entry) = self.map.remove(key) {
+            self.index.remove(&mut entry);
+        }
+    }
+}
+
+/// Where a value handed to [`LineageCache::fulfill`] comes from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Admission {
+    /// The holder of a [`Reservation`] computed it.
+    Reserved,
+    /// A direct [`LineageCache::put`]: the entry may not exist yet.
+    Put,
+    /// [`LineageCache::put_replicated`]: as `Put`, without the put watcher.
+    Replicated,
 }
 
 /// The LIMA lineage cache. Cheap to share (`Arc`); all methods are
@@ -197,11 +235,6 @@ pub struct LineageCache {
     /// is non-zero. Gates admissions, rewrites, and spilling by pressure
     /// level and is kept in sync with resident/spilled byte counts.
     governor: Option<Arc<ResourceGovernor>>,
-    /// Observer invoked (outside the cache lock) after each locally computed
-    /// value is admitted — the replication tap. Deliberately *not* fired for
-    /// startup-recovered entries or values applied via
-    /// [`Self::put_replicated`], so replicas never echo records back.
-    put_watcher: Mutex<Option<PutWatcher>>,
 }
 
 /// Callback fired after a locally computed `(lineage, value, compute_ns)`
@@ -214,9 +247,10 @@ impl std::fmt::Debug for LineageCache {
         let st = self.state.lock();
         write!(
             f,
-            "LineageCache {{ entries: {}, resident_bytes: {} }}",
+            "LineageCache {{ entries: {}, live: {}, resident_bytes: {} }}",
             st.map.len(),
-            st.resident_bytes
+            st.index.live_entries(),
+            st.index.resident_bytes()
         )
     }
 }
@@ -270,15 +304,17 @@ impl LineageCache {
             g
         });
         let (limit, cooldown) = (config.spill_failure_limit, config.breaker_cooldown_ms);
+        let index = EvictionIndex::new(config.policy);
         let mut cache = LineageCache {
             config,
             stats,
             io: IoCostModel::new(),
             spill_store,
             state: Mutex::new(CacheState {
-                map: HashMap::new(),
-                resident_bytes: 0,
-                spilled_bytes: 0,
+                map: HashMap::default(),
+                index,
+                waiters: 0,
+                put_watcher: None,
             }),
             cond: Condvar::new(),
             clock: AtomicU64::new(1),
@@ -287,7 +323,6 @@ impl LineageCache {
             persist_breaker: CircuitBreaker::new(limit, cooldown),
             disk_full_noted: AtomicBool::new(false),
             governor,
-            put_watcher: Mutex::new(None),
         };
         if let Some((store, report)) = persist_store {
             LimaStats::add(&cache.stats.persist_recovered, report.recovered);
@@ -307,16 +342,13 @@ impl LineageCache {
                 if size > cache.config.budget_bytes {
                     continue; // respect the memory budget; stays on disk
                 }
-                let now = cache.tick();
-                let mut entry = CacheEntry::computing(e.root.height(), now);
-                entry.state = EntryState::Cached(e.value);
-                entry.size = size;
+                let mut entry = CacheEntry::computing(key, cache.tick());
+                entry.install(&e.value);
                 entry.misses = 0;
                 entry.compute_ns = e.compute_ns;
                 entry.persist_id = Some(e.persist_id);
                 entry.from_persist = true;
-                st.resident_bytes += size;
-                st.map.insert(key, entry);
+                st.insert(entry);
             }
             cache.enforce_budget(&mut st);
             drop(st);
@@ -364,23 +396,39 @@ impl LineageCache {
     /// Pushes current byte accounting into the governor (no-op without one).
     fn sync_governor(&self, st: &CacheState) {
         if let Some(g) = &self.governor {
-            g.set_cache_bytes(st.resident_bytes);
-            g.set_spill_bytes(st.spilled_bytes);
+            g.set_cache_bytes(st.index.resident_bytes());
+            g.set_spill_bytes(st.index.spilled_bytes());
+        }
+    }
+
+    /// Releases the state lock and wakes the probes blocked on a
+    /// placeholder, if there are any. The waiter count is read under the
+    /// lock: a probe that starts waiting later sees the resolved entry.
+    fn unlock_and_wake(&self, st: MutexGuard<'_, CacheState>) {
+        let waiting = st.waiters > 0;
+        drop(st);
+        if waiting {
+            self.cond.notify_all();
         }
     }
 
     /// Number of entries currently holding a resident or spilled value.
     pub fn live_entries(&self) -> usize {
-        let st = self.state.lock();
-        st.map
-            .values()
-            .filter(|e| e.is_resident() || e.is_spilled())
-            .count()
+        self.state.lock().index.live_entries()
     }
 
     /// Bytes of values resident in memory.
     pub fn resident_bytes(&self) -> usize {
-        self.state.lock().resident_bytes
+        self.state.lock().index.resident_bytes()
+    }
+
+    /// Diagnostic self-check (tests, tooling): recomputes by a full scan of
+    /// the entry map what the eviction index maintains incrementally —
+    /// queues, counters, group counts, and the next victim against the
+    /// scan-based [`eviction::pick_victim`] — and reports the first mismatch.
+    pub fn verify_index(&self) -> Result<(), String> {
+        let st = self.state.lock();
+        st.index.verify(st.map.values())
     }
 
     /// Per-lineage-item cost attribution: the `top_k` most expensive entries
@@ -429,7 +477,8 @@ impl LineageCache {
     }
 
     /// Counts a hit by kind and credits `credit_ns` (computed by
-    /// [`take_hit_credit`] under the state lock) to `saved_compute_ns`.
+    /// [`CacheEntry::own_hit_credit`] or [`composite_hit_credit`] under the
+    /// state lock) to `saved_compute_ns`.
     /// Unlike the old accounting — which credited the entry's full
     /// `compute_ns` on *every* hit, double-counting composite entries and
     /// their constituents — each computed nanosecond is now credited at most
@@ -554,34 +603,38 @@ impl LineageCache {
         }
         LimaStats::bump(&self.stats.probes);
         let key = LinKey(item.clone());
-        let height = item.height();
         // Total placeholder-wait bound for this probe: armed on the first
         // Computing encounter and not reset by wake-ups for other entries.
         let mut wait_deadline: Option<Instant> = None;
         // `placeholder_waits` counts probes that blocked, not wait slices.
         let mut counted_wait = false;
         let interrupt = interrupt.filter(|i| i.is_armed());
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
         loop {
             let now = self.tick();
+            let st = &mut *guard;
             let Some(e) = st.map.get_mut(&key) else {
                 if !self.admissions_open() {
                     LimaStats::bump(&self.stats.governor_admission_rejects);
                     return Ok(None);
                 }
-                st.map
-                    .insert(key.clone(), CacheEntry::computing(height, now));
-                drop(st);
+                st.insert(CacheEntry::computing(key.clone(), now));
+                drop(guard);
                 return Ok(Some(self.reserve(key)));
             };
             match &e.state {
                 EntryState::Cached(v) => {
                     let value = v.clone();
+                    st.index.touch(e, |e| {
+                        e.hits += 1;
+                        e.last_access = now;
+                    });
                     let from_persist = e.from_persist;
-                    e.hits += 1;
-                    e.last_access = now;
-                    let credit = take_hit_credit(&mut st.map, &key);
-                    drop(st);
+                    let credit = match e.own_hit_credit() {
+                        Some(credit) => credit,
+                        None => composite_hit_credit(&mut st.map, &key),
+                    };
+                    drop(guard);
                     if from_persist {
                         LimaStats::bump(&self.stats.persist_hits);
                     }
@@ -593,60 +646,65 @@ impl LineageCache {
                 }
                 EntryState::Spilled { path, bytes } => {
                     // Restore under a placeholder so concurrent probes wait
-                    // instead of double-reading the file.
+                    // instead of double-reading the file. Either way the
+                    // spill file is gone afterwards (restore deletes it on
+                    // success; a failed file is abandoned).
                     let (path, bytes) = (path.clone(), *bytes);
-                    e.state = EntryState::Computing;
-                    drop(st);
+                    st.index.update(e, |e| e.state = EntryState::Computing);
+                    drop(guard);
                     let restore_t0 = self.obs().map(|o| o.now_ns());
                     let restored = self.timed_restore(&path, bytes);
-                    st = self.state.lock();
-                    // Either way the spill file is gone (restore deletes it
-                    // on success; a failed file is abandoned).
-                    st.spilled_bytes = st.spilled_bytes.saturating_sub(bytes);
+                    guard = self.state.lock();
+                    let st = &mut *guard;
+                    LimaStats::bump(match restored {
+                        Ok(_) => &self.stats.restores,
+                        Err(_) => &self.stats.restore_failures,
+                    });
+                    // Entry vanished (a concurrent clear): treat as a miss.
+                    let Some(e) = st.map.get_mut(&key) else {
+                        continue;
+                    };
                     match restored {
                         Ok(value) => {
-                            LimaStats::bump(&self.stats.restores);
-                            let size = value.size_in_bytes();
-                            if let Some(e) = st.map.get_mut(&key) {
-                                e.state = EntryState::Cached(value.clone());
-                                e.size = size;
+                            st.index.update(e, |e| {
+                                e.install(&value);
                                 e.hits += 1;
                                 e.last_access = self.tick();
-                                let from_persist = e.from_persist;
-                                let credit = take_hit_credit(&mut st.map, &key);
-                                st.resident_bytes += size;
-                                self.enforce_budget(&mut st);
-                                drop(st);
-                                self.cond.notify_all();
-                                if from_persist {
-                                    LimaStats::bump(&self.stats.persist_hits);
-                                }
-                                self.count_hit(item, credit);
-                                if let (Some(o), Some(t0)) = (self.obs(), restore_t0) {
-                                    o.record_span(
-                                        EventKind::SpillRestore,
-                                        item.opcode(),
-                                        item.id(),
-                                        t0,
-                                        bytes as u64,
-                                        0,
-                                    );
-                                }
-                                return Ok(Some(Probe::Hit(value)));
+                            });
+                            let from_persist = e.from_persist;
+                            let credit = match e.own_hit_credit() {
+                                Some(credit) => credit,
+                                None => composite_hit_credit(&mut st.map, &key),
+                            };
+                            self.enforce_budget(st);
+                            self.unlock_and_wake(guard);
+                            if from_persist {
+                                LimaStats::bump(&self.stats.persist_hits);
                             }
-                            // Entry vanished (should not happen); treat as miss.
-                            continue;
+                            self.count_hit(item, credit);
+                            if let (Some(o), Some(t0)) = (self.obs(), restore_t0) {
+                                o.record_span(
+                                    EventKind::SpillRestore,
+                                    item.opcode(),
+                                    item.id(),
+                                    t0,
+                                    bytes as u64,
+                                    0,
+                                );
+                            }
+                            return Ok(Some(Probe::Hit(value)));
                         }
                         Err(_) => {
                             // Missing or corrupt spill file: degrade to a
                             // miss so the caller recomputes.
-                            LimaStats::bump(&self.stats.restore_failures);
-                            if let Some(e) = st.map.get_mut(&key) {
+                            st.index.update(e, |e| {
                                 e.state = EntryState::Evicted;
                                 e.misses += 1;
+                            });
+                            self.sync_governor(st);
+                            if st.waiters > 0 {
+                                self.cond.notify_all();
                             }
-                            self.sync_governor(&st);
-                            self.cond.notify_all();
                             continue;
                         }
                     }
@@ -676,30 +734,35 @@ impl LineageCache {
                         (true, None) => Some(INTERRUPT_WAIT_SLICE),
                         (false, r) => r,
                     };
+                    guard.waiters += 1;
                     match slice {
                         None => {
-                            self.cond.wait(&mut st);
+                            self.cond.wait(&mut guard);
                         }
                         Some(d) => {
-                            let _ = self.cond.wait_for(&mut st, d);
+                            let _ = self.cond.wait_for(&mut guard, d);
                         }
                     }
+                    guard.waiters -= 1;
                     if let Some(intr) = interrupt {
                         intr.check()?;
                     }
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         // Re-check under the lock: the fulfiller may have won
                         // the race against the timeout.
+                        let st = &mut *guard;
                         if let Some(e) = st.map.get_mut(&key) {
                             if e.is_computing() {
                                 // Presume the fulfiller dead and take over
                                 // the computation; should it fulfil after
-                                // all, it overwrites with the same value
+                                // all, its value replaces the takeover's
                                 // (identical lineage), which is benign.
                                 LimaStats::bump(&self.stats.placeholder_timeouts);
-                                e.misses += 1;
-                                e.last_access = self.tick();
-                                drop(st);
+                                st.index.update(e, |e| {
+                                    e.misses += 1;
+                                    e.last_access = self.tick();
+                                });
+                                drop(guard);
                                 return Ok(Some(self.reserve(key)));
                             }
                         }
@@ -711,14 +774,19 @@ impl LineageCache {
                 }
                 EntryState::Evicted => {
                     // Evicted shell: misses raise the entry's future score.
-                    e.misses += 1;
-                    e.last_access = now;
-                    if !self.admissions_open() {
+                    let open = self.admissions_open();
+                    st.index.update(e, |e| {
+                        e.misses += 1;
+                        e.last_access = now;
+                        if open {
+                            e.state = EntryState::Computing;
+                        }
+                    });
+                    if !open {
                         LimaStats::bump(&self.stats.governor_admission_rejects);
                         return Ok(None);
                     }
-                    e.state = EntryState::Computing;
-                    drop(st);
+                    drop(guard);
                     return Ok(Some(self.reserve(key)));
                 }
             }
@@ -769,8 +837,9 @@ impl LineageCache {
     /// *not* created and computing entries are not waited on.
     pub fn peek(&self, item: &LinRef) -> Option<Value> {
         let key = LinKey(item.clone());
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
         let now = self.tick();
+        let st = &mut *guard;
         let e = st.map.get_mut(&key)?;
         match &e.state {
             EntryState::Cached(v) => {
@@ -778,46 +847,48 @@ impl LineageCache {
                 if e.from_persist {
                     LimaStats::bump(&self.stats.persist_hits);
                 }
-                e.hits += 1;
-                e.last_access = now;
+                st.index.touch(e, |e| {
+                    e.hits += 1;
+                    e.last_access = now;
+                });
                 Some(value)
             }
             EntryState::Spilled { path, bytes } => {
                 let (path, bytes) = (path.clone(), *bytes);
-                e.state = EntryState::Computing;
-                drop(st);
+                st.index.update(e, |e| e.state = EntryState::Computing);
+                drop(guard);
                 let restored = self.timed_restore(&path, bytes);
-                let mut st = self.state.lock();
-                st.spilled_bytes = st.spilled_bytes.saturating_sub(bytes);
+                let mut guard = self.state.lock();
+                let st = &mut *guard;
                 let e = st.map.get_mut(&key)?;
                 match restored {
                     Ok(value) => {
                         LimaStats::bump(&self.stats.restores);
-                        let size = value.size_in_bytes();
-                        e.state = EntryState::Cached(value.clone());
-                        e.size = size;
-                        e.hits += 1;
-                        e.last_access = self.tick();
-                        st.resident_bytes += size;
-                        self.enforce_budget(&mut st);
-                        drop(st);
-                        self.cond.notify_all();
+                        st.index.update(e, |e| {
+                            e.install(&value);
+                            e.hits += 1;
+                            e.last_access = self.tick();
+                        });
+                        self.enforce_budget(st);
+                        self.unlock_and_wake(guard);
                         Some(value)
                     }
                     Err(_) => {
                         // Degrade to a miss; waiters on the placeholder wake
                         // and recompute.
                         LimaStats::bump(&self.stats.restore_failures);
-                        e.state = EntryState::Evicted;
-                        e.misses += 1;
-                        self.sync_governor(&st);
-                        drop(st);
-                        self.cond.notify_all();
+                        st.index.update(e, |e| {
+                            e.state = EntryState::Evicted;
+                            e.misses += 1;
+                        });
+                        self.sync_governor(st);
+                        self.unlock_and_wake(guard);
                         None
                     }
                 }
             }
             EntryState::Computing | EntryState::Evicted => {
+                // Not a queue input: shells queue by `last_access` alone.
                 e.misses += 1;
                 None
             }
@@ -827,37 +898,28 @@ impl LineageCache {
     /// Directly stores a value (used by compensation plans that want their
     /// probe item cached after partial reuse, and by tests).
     pub fn put(self: &Arc<Self>, item: &LinRef, value: &Value, compute_ns: u64) {
-        self.put_inner(item, value, compute_ns, true);
+        self.put_inner(item, value, compute_ns, Admission::Put);
     }
 
     /// [`Self::put`] for values received from a replica peer: identical
     /// admission, but the put watcher is *not* fired, so applied records are
     /// never re-enqueued for replication (no echo loops between members).
     pub fn put_replicated(self: &Arc<Self>, item: &LinRef, value: &Value, compute_ns: u64) {
-        self.put_inner(item, value, compute_ns, false);
+        self.put_inner(item, value, compute_ns, Admission::Replicated);
     }
 
-    fn put_inner(self: &Arc<Self>, item: &LinRef, value: &Value, compute_ns: u64, notify: bool) {
+    fn put_inner(&self, item: &LinRef, value: &Value, compute_ns: u64, how: Admission) {
         if !self.reusable(item) {
             LimaStats::bump(&self.stats.rejected_puts);
             return;
         }
-        let key = LinKey(item.clone());
-        let height = item.height();
-        {
-            let mut st = self.state.lock();
-            let now = self.tick();
-            st.map
-                .entry(key.clone())
-                .or_insert_with(|| CacheEntry::computing(height, now));
-        }
-        self.fulfill_inner(&key, value, compute_ns, notify);
+        self.fulfill(&LinKey(item.clone()), value, compute_ns, how);
     }
 
     /// Installs (or clears) the post-admission observer. Replaces any
     /// previous watcher; recovered-at-startup entries never fire it.
     pub fn set_put_watcher(&self, watcher: Option<PutWatcher>) {
-        *self.put_watcher.lock() = watcher;
+        self.state.lock().put_watcher = watcher;
     }
 
     /// True when the cache holds `item`'s value, resident or spilled.
@@ -923,44 +985,63 @@ impl LineageCache {
         out
     }
 
-    fn fulfill(&self, key: &LinKey, value: &Value, compute_ns: u64) {
-        self.fulfill_inner(key, value, compute_ns, true);
-    }
-
-    fn fulfill_inner(&self, key: &LinKey, value: &Value, compute_ns: u64, notify: bool) {
+    /// Installs a computed value under `key` in one critical section:
+    /// statistics, admission (or rejection to a shell), eviction down to the
+    /// budget, and the wake-up of probes blocked on the placeholder.
+    fn fulfill(&self, key: &LinKey, value: &Value, compute_ns: u64, how: Admission) {
         let children = self.composite_on_fulfill(key);
         let size = value.size_in_bytes();
         let admit = size <= self.effective_budget()
             && size >= self.config.min_entry_bytes
             && self.governor_admits(size);
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         let now = self.tick();
+        if how != Admission::Reserved && !st.map.contains_key(key) {
+            st.insert(CacheEntry::computing(key.clone(), now));
+        }
         let mut persistable = false;
         if let Some(e) = st.map.get_mut(key) {
-            e.compute_ns = e.compute_ns.max(compute_ns);
-            e.last_access = now;
-            for c in children {
-                if !e.children.contains(&c) {
-                    e.children.push(c);
+            st.index.update(e, |e| {
+                // An entry that already holds a value (a put on a resident
+                // key, a replicated put racing a local one, a late fulfiller
+                // after a placeholder takeover) has it replaced: `update`
+                // takes the old value out of the byte counts, and its spill
+                // file goes with it.
+                if let (EntryState::Spilled { path, .. }, Some(store)) =
+                    (&e.state, &self.spill_store)
+                {
+                    store.discard(path);
                 }
-            }
+                e.compute_ns = e.compute_ns.max(compute_ns);
+                e.last_access = now;
+                for c in children {
+                    if !e.children.contains(&c) {
+                        e.children.push(c);
+                    }
+                }
+                if admit {
+                    e.install(value);
+                } else {
+                    e.state = EntryState::Evicted;
+                    e.size = 0;
+                }
+            });
             if admit {
-                e.state = EntryState::Cached(value.clone());
-                e.size = size;
-                e.group = value_group(value);
                 persistable = e.persist_id.is_none();
-                st.resident_bytes += size;
                 LimaStats::bump(&self.stats.puts);
-                self.enforce_budget(&mut st);
+                self.enforce_budget(st);
             } else {
-                e.state = EntryState::Evicted;
-                e.size = 0;
                 LimaStats::bump(&self.stats.rejected_puts);
+                self.prune_shells(st);
             }
         }
-        self.sync_governor(&st);
-        drop(st);
-        self.cond.notify_all();
+        self.sync_governor(st);
+        let watcher = match how {
+            Admission::Reserved | Admission::Put if admit => st.put_watcher.clone(),
+            _ => None,
+        };
+        self.unlock_and_wake(guard);
         if let Some(o) = self.obs() {
             o.record_instant(
                 EventKind::CacheFulfill,
@@ -973,11 +1054,8 @@ impl LineageCache {
         if persistable {
             self.persist_entry(key, value, compute_ns);
         }
-        if admit && notify {
-            let watcher = self.put_watcher.lock().clone();
-            if let Some(w) = watcher {
-                w(&key.0, value, compute_ns);
-            }
+        if let Some(w) = watcher {
+            w(&key.0, value, compute_ns);
         }
     }
 
@@ -1165,164 +1243,143 @@ impl LineageCache {
 
     fn abort(&self, key: &LinKey) {
         self.composite_on_abort(key);
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         if let Some(e) = st.map.get_mut(key) {
             if e.is_computing() {
-                e.state = EntryState::Evicted;
+                st.index.update(e, |e| e.state = EntryState::Evicted);
             }
         }
-        drop(st);
-        self.cond.notify_all();
+        self.unlock_and_wake(guard);
     }
 
-    /// Evicts (spill or delete) until the resident size fits the budget.
-    ///
-    /// Eviction is batched: one pass scores all resident entries under the
-    /// active policy (paper Table 1), sorts ascending, and evicts in order
-    /// until the resident size drops below a hysteresis watermark slightly
-    /// under the budget. This keeps high-pollution workloads (e.g. the Fig 6
-    /// mini-batch probe configuration) from degrading into an O(n²) scan per
-    /// inserted entry, while preserving the per-policy eviction *order*.
+    /// Evicts (spill or delete) the lowest-scoring resident entry under the
+    /// active policy (paper Table 1), one at a time, until the resident size
+    /// fits the budget. The victim comes off the head of the eviction index
+    /// in O(log n); only the ablation-only Hybrid policy, whose score is
+    /// normalised over the current resident set, scans for it.
     fn enforce_budget(&self, st: &mut CacheState) {
         let budget = self.effective_budget();
-        if st.resident_bytes <= budget {
-            self.sync_governor(st);
-            return;
-        }
-        let watermark = (budget as f64 * self.config.eviction_watermark.clamp(0.0, 1.0)) as usize;
-        let norms =
-            eviction::Norms::collect(st.map.values().filter(|e| e.is_resident() && e.size > 0));
-        let mut scored: Vec<(LinKey, f64, u64)> = st
-            .map
-            .iter()
-            .filter(|(_, e)| e.is_resident() && e.size > 0)
-            .map(|(k, e)| {
-                (
-                    k.clone(),
-                    eviction::score(self.config.policy, e, &norms),
-                    e.last_access,
-                )
-            })
-            .collect();
-        scored.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.2.cmp(&b.2))
-        });
-        // Group deferral bookkeeping: entries caching the same object defer
-        // spilling until the whole group is evicted (paper §4.3).
-        let mut group_counts: HashMap<usize, usize> = HashMap::new();
-        for e in st.map.values() {
-            if e.is_resident() && e.group != 0 {
-                *group_counts.entry(e.group).or_default() += 1;
-            }
-        }
-        for (vkey, _, _) in scored {
-            if st.resident_bytes <= watermark {
-                break;
-            }
-            let Some(e) = st.map.get_mut(&vkey) else {
-                continue;
+        while st.index.resident_bytes() > budget {
+            let victim = match self.config.policy {
+                EvictionPolicy::Hybrid => eviction::pick_victim(
+                    EvictionPolicy::Hybrid,
+                    st.map
+                        .values()
+                        .filter(|e| e.is_resident() && e.size > 0)
+                        .map(|e| (&e.key, e)),
+                ),
+                _ => st.index.victim(),
             };
-            let group = e.group;
-            let shared = group != 0 && group_counts.get(&group).copied().unwrap_or(0) > 1;
-            if group != 0 {
-                if let Some(c) = group_counts.get_mut(&group) {
-                    *c = c.saturating_sub(1);
-                }
+            let Some(victim) = victim.cloned() else { break };
+            if !self.evict(st, &victim) {
+                break; // not resident after all: never spin under the lock
             }
-            let size = e.size;
-            let compute_ns = e.compute_ns;
-            let value = match std::mem::replace(&mut e.state, EntryState::Evicted) {
-                EntryState::Cached(v) => v,
-                other => {
-                    e.state = other;
-                    continue;
-                }
-            };
-            e.size = 0;
-            st.resident_bytes = st.resident_bytes.saturating_sub(size);
-            // At governor level L3+ eviction degrades to delete-only: spill
-            // files are themselves governed memory/disk pressure.
-            if !shared && self.admissions_open() {
-                if let Some(store) = &self.spill_store {
-                    if self.io.worth_spilling(size, compute_ns) {
-                        match self.spill_breaker.allow() {
-                            Attempt::Rejected => {}
-                            verdict => {
-                                if verdict == Attempt::Probe {
-                                    LimaStats::bump(&self.stats.breaker_probes);
-                                }
-                                let t0 = Instant::now();
-                                let spill_t0 = self.obs().map(|o| o.now_ns());
-                                match store.spill(&value) {
-                                    Ok(Some((path, bytes))) => {
-                                        self.spill_breaker.record_success();
-                                        self.io
-                                            .observe_write(bytes, t0.elapsed().as_nanos() as u64);
-                                        LimaStats::bump(&self.stats.spills);
-                                        LimaStats::add(&self.stats.spill_bytes, bytes as u64);
-                                        st.spilled_bytes += bytes;
-                                        if let (Some(o), Some(ot0)) = (self.obs(), spill_t0) {
-                                            o.record_span(
-                                                EventKind::SpillWrite,
-                                                vkey.0.opcode(),
-                                                vkey.0.id(),
-                                                ot0,
-                                                bytes as u64,
-                                                0,
-                                            );
-                                        }
-                                        if let Some(e) = st.map.get_mut(&vkey) {
-                                            e.state = EntryState::Spilled { path, bytes };
-                                        }
-                                        continue;
-                                    }
-                                    // Non-matrix values are simply not
-                                    // spillable; no breaker feedback.
-                                    Ok(None) => {}
-                                    // Write failure: fall back to delete-
-                                    // eviction and feed the circuit breaker.
-                                    Err(_) => {
-                                        LimaStats::bump(&self.stats.spill_failures);
-                                        self.spill_breaker.record_failure();
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            LimaStats::bump(&self.stats.evictions);
         }
         self.prune_shells(st);
         self.sync_governor(st);
     }
 
-    /// Bounds bookkeeping growth: evicted shells retain reuse statistics
-    /// (their misses can raise scores, Fig 8a), but unbounded shell growth
-    /// would make every eviction scan slower. Keep at most 4× the number of
-    /// live entries, dropping the least-recently-accessed shells.
-    fn prune_shells(&self, st: &mut CacheState) {
-        let live = st
-            .map
-            .values()
-            .filter(|e| !matches!(e.state, EntryState::Evicted))
-            .count();
-        let max_shells = (live * 4).max(4096);
-        let shells = st.map.len() - live;
-        if shells <= max_shells {
-            return;
+    /// Takes `key`'s value out of memory: to a spill file when that pays off,
+    /// otherwise dropped, leaving a shell. False when `key` holds no resident
+    /// value.
+    fn evict(&self, st: &mut CacheState, key: &LinKey) -> bool {
+        let Some(e) = st.map.get_mut(key) else {
+            return false;
+        };
+        let EntryState::Cached(value) = &e.state else {
+            return false;
+        };
+        // Entries caching the same object defer spilling until the last of
+        // the group leaves (paper §4.3). At governor level L3+ eviction
+        // degrades to delete-only: spill files are themselves governed
+        // memory/disk pressure.
+        let shared = e.group != 0 && st.index.group_size(e.group) > 1;
+        let spilled = if !shared && self.admissions_open() {
+            self.try_spill(key, value, e.size, e.compute_ns)
+        } else {
+            None
+        };
+        if spilled.is_none() {
+            LimaStats::bump(&self.stats.evictions);
         }
-        let mut shell_keys: Vec<(LinKey, u64)> = st
-            .map
-            .iter()
-            .filter(|(_, e)| matches!(e.state, EntryState::Evicted))
-            .map(|(k, e)| (k.clone(), e.last_access))
-            .collect();
-        shell_keys.sort_by_key(|(_, t)| *t);
-        for (k, _) in shell_keys.into_iter().take(shells - max_shells) {
-            st.map.remove(&k);
+        st.index.update(e, |e| {
+            e.state = match spilled {
+                Some((path, bytes)) => EntryState::Spilled { path, bytes },
+                None => EntryState::Evicted,
+            };
+            e.size = 0;
+        });
+        true
+    }
+
+    /// Writes an eviction victim to the spill store when recomputing it would
+    /// cost more than reading it back, the store accepts the value kind, and
+    /// the spill circuit breaker lets the write through.
+    fn try_spill(
+        &self,
+        key: &LinKey,
+        value: &Value,
+        size: usize,
+        compute_ns: u64,
+    ) -> Option<(PathBuf, usize)> {
+        let store = self.spill_store.as_ref()?;
+        if !self.io.worth_spilling(size, compute_ns) {
+            return None;
+        }
+        match self.spill_breaker.allow() {
+            Attempt::Rejected => return None,
+            Attempt::Probe => LimaStats::bump(&self.stats.breaker_probes),
+            Attempt::Allowed => {}
+        }
+        let t0 = Instant::now();
+        let spill_t0 = self.obs().map(|o| o.now_ns());
+        match store.spill(value) {
+            Ok(Some((path, bytes))) => {
+                self.spill_breaker.record_success();
+                self.io.observe_write(bytes, t0.elapsed().as_nanos() as u64);
+                LimaStats::bump(&self.stats.spills);
+                LimaStats::add(&self.stats.spill_bytes, bytes as u64);
+                if let (Some(o), Some(ot0)) = (self.obs(), spill_t0) {
+                    o.record_span(
+                        EventKind::SpillWrite,
+                        key.0.opcode(),
+                        key.0.id(),
+                        ot0,
+                        bytes as u64,
+                        0,
+                    );
+                }
+                Some((path, bytes))
+            }
+            // Non-matrix values are simply not spillable; no breaker
+            // feedback.
+            Ok(None) => None,
+            // Write failure: fall back to delete-eviction and feed the
+            // circuit breaker.
+            Err(_) => {
+                LimaStats::bump(&self.stats.spill_failures);
+                self.spill_breaker.record_failure();
+                None
+            }
+        }
+    }
+
+    /// Bounds bookkeeping growth: evicted shells retain reuse statistics
+    /// (their misses can raise scores, Fig 8a), but are kept to at most 4×
+    /// the number of other entries (and at least 4096), dropping the
+    /// least-recently-accessed shells off the head of the shell queue.
+    fn prune_shells(&self, st: &mut CacheState) {
+        loop {
+            let shells = st.index.shell_count();
+            let max_shells = ((st.map.len() - shells) * 4).max(4096);
+            if shells <= max_shells {
+                return;
+            }
+            let Some(oldest) = st.index.oldest_shell().cloned() else {
+                return;
+            };
+            st.remove(&oldest);
         }
     }
 
@@ -1338,7 +1395,8 @@ impl LineageCache {
     /// persistence enabled, each durable entry gets an eviction tombstone so
     /// a later process does not recover cleared state.
     pub fn clear(&self) {
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         if let Some(store) = &self.spill_store {
             for e in st.map.values() {
                 if let EntryState::Spilled { path, .. } = &e.state {
@@ -1356,12 +1414,10 @@ impl LineageCache {
             }
         }
         st.map.clear();
-        st.resident_bytes = 0;
-        st.spilled_bytes = 0;
-        self.sync_governor(&st);
-        drop(st);
+        st.index = EvictionIndex::new(self.config.policy);
+        self.sync_governor(st);
+        self.unlock_and_wake(guard);
         self.drain_compaction_counters();
-        self.cond.notify_all();
     }
 }
 
@@ -1376,7 +1432,7 @@ impl LineageCache {
 /// composite's first hit credits its own cost, which the composite then
 /// subtracts. Must run under the cache state lock.
 #[allow(clippy::mutable_key_type)] // OnceLock caches never change Hash/Eq
-fn take_hit_credit(map: &mut HashMap<LinKey, CacheEntry>, key: &LinKey) -> u64 {
+fn composite_hit_credit(map: &mut EntryMap, key: &LinKey) -> u64 {
     let (compute_ns, children) = match map.get_mut(key) {
         Some(e) if !e.credited => {
             e.credited = true;
@@ -1404,16 +1460,6 @@ fn take_hit_credit(map: &mut HashMap<LinKey, CacheEntry>, key: &LinKey) -> u64 {
         e.credited_ns = credit;
     }
     credit
-}
-
-/// Identity tag grouping entries that cache the same underlying object
-/// (multi-level entries). 0 means "untagged".
-fn value_group(v: &Value) -> usize {
-    match v {
-        Value::Matrix(m) => Arc::as_ptr(m) as usize,
-        Value::List(l) => Arc::as_ptr(l) as usize,
-        Value::Scalar(_) => 0,
-    }
 }
 
 #[cfg(test)]
@@ -1791,6 +1837,148 @@ mod tests {
         assert_eq!(cache.resident_bytes(), 0);
     }
 
+    /// Sum of `size` over resident entries, by scanning the map.
+    fn scanned_resident_bytes(cache: &LineageCache) -> usize {
+        let st = cache.state.lock();
+        st.map
+            .values()
+            .filter(|e| e.is_resident())
+            .map(|e| e.size)
+            .sum()
+    }
+
+    /// Regression: fulfilling an entry that already held a value added the
+    /// new size on top of the old one, so `resident_bytes` drifted upward
+    /// with every repeated put and the cache evicted early.
+    #[test]
+    fn repeated_puts_on_one_key_replace_instead_of_accumulating() {
+        let cache = LineageCache::new(cfg(1 << 20));
+        let item = mk_item("ba+*", "X");
+        for n in [10, 20, 10] {
+            cache.put(&item, &mat(n), 1_000);
+            assert_eq!(cache.resident_bytes(), mat(n).size_in_bytes());
+            assert_eq!(cache.resident_bytes(), scanned_resident_bytes(&cache));
+            cache.verify_index().unwrap();
+        }
+        assert_eq!(cache.live_entries(), 1);
+        assert_eq!(LimaStats::get(&cache.stats().puts), 3);
+        assert_eq!(LimaStats::get(&cache.stats().evictions), 0);
+        // A replicated put racing the local one lands on the same entry.
+        cache.put_replicated(&mk_item("ba+*", "X"), &mat(10), 1_000);
+        assert_eq!(cache.resident_bytes(), scanned_resident_bytes(&cache));
+        assert_eq!(cache.live_entries(), 1);
+    }
+
+    #[test]
+    fn late_fulfiller_after_takeover_replaces_the_takeover_value() {
+        let config = LimaConfig {
+            placeholder_timeout_ms: 20,
+            ..cfg(1 << 20)
+        };
+        let cache = LineageCache::new(config);
+        let item = mk_item("ba+*", "X");
+        let slow = match cache.acquire(&item).unwrap() {
+            Probe::Reserved(r) => r,
+            _ => panic!(),
+        };
+        // The second probe times out on the placeholder and takes over.
+        match cache.acquire(&item).unwrap() {
+            Probe::Reserved(r) => r.fulfill(&mat(8), 10),
+            Probe::Hit(_) => panic!("placeholder cannot hit"),
+        }
+        assert_eq!(LimaStats::get(&cache.stats().placeholder_timeouts), 1);
+        // The presumed-dead fulfiller finishes after all.
+        slow.fulfill(&mat(8), 10);
+        assert_eq!(cache.resident_bytes(), mat(8).size_in_bytes());
+        assert_eq!(cache.live_entries(), 1);
+        cache.verify_index().unwrap();
+    }
+
+    #[test]
+    fn put_over_a_spilled_entry_discards_the_spill_file() {
+        let cache = LineageCache::new(LimaConfig {
+            budget_bytes: 100_000,
+            spill: true,
+            ..LimaConfig::default()
+        });
+        let hot = mk_item("ba+*", "hot");
+        cache.put(&hot, &mat(100), 60_000_000_000);
+        cache.put(&mk_item("ba+*", "filler"), &mat(90), 120_000_000_000);
+        assert_eq!(LimaStats::get(&cache.stats().spills), 1);
+        let spill_file = {
+            let st = cache.state.lock();
+            assert!(st.index.spilled_bytes() > 0);
+            match &st.map[&LinKey(hot.clone())].state {
+                EntryState::Spilled { path, .. } => path.clone(),
+                other => panic!("expected a spilled entry, found {other:?}"),
+            }
+        };
+        assert!(spill_file.exists());
+        // A fresh value for the spilled key supersedes the file.
+        cache.put(&hot, &mat(20), 60_000_000_000);
+        assert!(!spill_file.exists());
+        assert_eq!(cache.state.lock().index.spilled_bytes(), 0);
+        assert_eq!(cache.resident_bytes(), scanned_resident_bytes(&cache));
+        assert_eq!(LimaStats::get(&cache.stats().restores), 0);
+        cache.verify_index().unwrap();
+    }
+
+    #[test]
+    fn shells_are_pruned_oldest_first_past_the_cap() {
+        // Every put is rejected (larger than the budget), leaving a shell.
+        let cache = LineageCache::new(cfg(64));
+        let first = mk_item("ba+*", "s0");
+        for i in 0..4_200 {
+            cache.put(&mk_item("ba+*", &format!("s{i}")), &mat(4), 10);
+        }
+        let st = cache.state.lock();
+        assert_eq!(st.index.shell_count(), 4_096);
+        assert_eq!(st.map.len(), 4_096);
+        assert!(!st.map.contains_key(&LinKey(first)));
+        assert!(st.map.contains_key(&LinKey(mk_item("ba+*", "s4199"))));
+        st.index.verify(st.map.values()).unwrap();
+    }
+
+    #[test]
+    fn counters_answer_live_entries_and_debug_without_a_scan() {
+        let cache = LineageCache::new(cfg(170_000));
+        for i in 0..3 {
+            cache.put(
+                &mk_item("ba+*", &format!("X{i}")),
+                &mat(100),
+                1_000 * (i + 1),
+            );
+        }
+        // Two fit; the third put evicted the cheapest to a shell.
+        assert_eq!(cache.live_entries(), 2);
+        let shown = format!("{cache:?}");
+        assert!(shown.contains("entries: 3"), "{shown}");
+        assert!(shown.contains("live: 2"), "{shown}");
+        assert!(shown.contains(&format!("resident_bytes: {}", cache.resident_bytes())));
+        cache.verify_index().unwrap();
+    }
+
+    #[test]
+    fn no_notify_is_needed_when_nobody_waits_and_waiters_are_counted() {
+        let cache = LineageCache::new(cfg(1 << 20));
+        let item = mk_item("ba+*", "X");
+        let r = match cache.acquire(&item).unwrap() {
+            Probe::Reserved(r) => r,
+            _ => panic!(),
+        };
+        assert_eq!(cache.state.lock().waiters, 0);
+        let c2 = Arc::clone(&cache);
+        let it = mk_item("ba+*", "X");
+        let waiter = std::thread::spawn(move || matches!(c2.acquire(&it), Some(Probe::Hit(_))));
+        // The waiter registers under the lock before it parks.
+        while cache.state.lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+        r.fulfill(&mat(4), 10);
+        assert!(waiter.join().unwrap());
+        assert_eq!(cache.state.lock().waiters, 0);
+    }
+
     fn persist_dir(tag: &str) -> std::path::PathBuf {
         let d =
             std::env::temp_dir().join(format!("lima-cache-persist-{tag}-{}", std::process::id()));
@@ -2117,9 +2305,6 @@ mod tests {
             spill: true,
             spill_failure_limit: 1,
             breaker_cooldown_ms: 50,
-            // Strict eviction: exactly one entry overflows per fill, so the
-            // second overflow is the post-cooldown probe.
-            eviction_watermark: 1.0,
             faults: Some(Arc::clone(&inj)),
             ..LimaConfig::default()
         };
@@ -2131,6 +2316,8 @@ mod tests {
                 _ => panic!("fresh key"),
             }
         };
+        // Exactly one entry overflows per fill, so the second overflow is the
+        // post-cooldown probe.
         fill("a", 60_000_000_000);
         fill("b", 120_000_000_000); // evicts "a" → injected failure → open
         assert!(cache.spill_disabled());

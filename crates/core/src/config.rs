@@ -78,11 +78,6 @@ pub struct LimaConfig {
     /// objects smaller than this many bytes are not worth caching as
     /// individual entries (placeholder pressure); 0 disables the floor.
     pub min_entry_bytes: usize,
-    /// Batch-eviction hysteresis: eviction stops once the resident size
-    /// drops below `budget × watermark`. Values near 1.0 evict exactly to
-    /// the budget (strict Table-1 semantics, O(n) scan per overflow); lower
-    /// values amortize scans for pollution-heavy workloads.
-    pub eviction_watermark: f64,
     /// Upper bound (milliseconds) a probe blocks on another thread's
     /// placeholder before assuming the fulfiller died and taking over the
     /// computation itself. 0 waits forever (the pre-hardening behaviour).
@@ -165,7 +160,6 @@ impl Default for LimaConfig {
             compiler_assist: true,
             cacheable_opcodes: None,
             min_entry_bytes: 0,
-            eviction_watermark: 0.8,
             placeholder_timeout_ms: 60_000,
             spill_failure_limit: 3,
             breaker_cooldown_ms: 5_000,
@@ -280,12 +274,7 @@ impl LimaConfig {
     pub fn is_cacheable(&self, op: &str) -> bool {
         match &self.cacheable_opcodes {
             Some(set) => set.contains(op),
-            None => {
-                crate::opcodes::default_cacheable().contains(&op)
-                    || op.starts_with(crate::opcodes::FUSED_PREFIX)
-                    || op.starts_with(crate::opcodes::FCALL)
-                    || op.starts_with(crate::opcodes::BCALL)
-            }
+            None => crate::opcodes::opcode_info(op).cacheable,
         }
     }
 }

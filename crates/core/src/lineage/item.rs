@@ -329,6 +329,17 @@ impl LineageItem {
         if let Some(h) = self.height.get() {
             return *h;
         }
+        // Fast path, as for hashing: a freshly traced instruction sits on
+        // inputs that were measured when they were probed, so its height
+        // follows without a traversal stack (no allocation per cache probe).
+        let known = self
+            .inputs
+            .iter()
+            .try_fold(0, |max, i| Some(max.max(i.height.get()? + 1)));
+        if let Some(h) = known {
+            let _ = self.height.set(h);
+            return h;
+        }
         let mut stack: Vec<LinRef> = vec![Arc::clone(self)];
         while let Some(top) = stack.last() {
             if top.height.get().is_some() {
@@ -461,15 +472,41 @@ pub fn hash_batch(roots: &[LinRef]) -> usize {
     hashed
 }
 
+/// True when `a` and `b` are the same kind of node with equal opcode and
+/// data over pointer-identical inputs: the shape of an instruction re-traced
+/// over the same live variables, and enough to call them equal without
+/// looking below.
+fn same_node_over_same_inputs(a: &LineageItem, b: &LineageItem) -> bool {
+    let same_kind = match (&a.kind, &b.kind) {
+        (LineageKind::Op, LineageKind::Op) | (LineageKind::Literal, LineageKind::Literal) => true,
+        (LineageKind::Placeholder(x), LineageKind::Placeholder(y)) => x == y,
+        (LineageKind::Dedup(p), LineageKind::Dedup(q)) => Arc::ptr_eq(p, q),
+        _ => false,
+    };
+    same_kind
+        && a.opcode == b.opcode
+        && a.data == b.data
+        && a.inputs.len() == b.inputs.len()
+        && a.inputs
+            .iter()
+            .zip(b.inputs.iter())
+            .all(|(x, y)| Arc::ptr_eq(x, y))
+}
+
 /// Structural equality of two lineage DAGs, resolving dedup items on demand.
 /// Iterative with a memo set of already-matched node pairs; cheap hash
-/// pruning short-circuits the common mismatch case.
+/// pruning short-circuits the common mismatch case, and roots that already
+/// match over pointer-identical inputs are answered without any traversal
+/// state (the cache-probe hot path allocates nothing for them).
 pub fn lineage_eq(a: &LinRef, b: &LinRef) -> bool {
     if Arc::ptr_eq(a, b) {
         return true;
     }
     if a.hash_value() != b.hash_value() {
         return false;
+    }
+    if same_node_over_same_inputs(a, b) {
+        return true;
     }
     let mut matched: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
     let mut stack: Vec<(LinRef, LinRef)> = vec![(Arc::clone(a), Arc::clone(b))];
@@ -638,6 +675,36 @@ mod tests {
         // Input order matters (ordered list of inputs).
         let c = LineageItem::op("+", vec![y, x]);
         assert!(!lineage_eq(&a, &c));
+    }
+
+    #[test]
+    fn shallow_fast_path_agrees_with_the_full_walk() {
+        let x = LineageItem::op_with_data("read", "X.csv", vec![]);
+        let y = LineageItem::op_with_data("read", "y.csv", vec![]);
+        // Re-traced over the same input objects: equal.
+        let a = LineageItem::op_with_data("rightIndex", "1 8 1 4", vec![x.clone()]);
+        let b = LineageItem::op_with_data("rightIndex", "1 8 1 4", vec![x.clone()]);
+        assert!(same_node_over_same_inputs(&a, &b));
+        assert!(lineage_eq(&a, &b));
+        // Same inputs, other data / opcode / arity: unequal either way.
+        let c = LineageItem::op_with_data("rightIndex", "9 16 1 4", vec![x.clone()]);
+        assert!(!same_node_over_same_inputs(&a, &c));
+        assert!(!lineage_eq(&a, &c));
+        let p = LineageItem::op("+", vec![x.clone(), y.clone()]);
+        let q = LineageItem::op("-", vec![x.clone(), y.clone()]);
+        assert!(!same_node_over_same_inputs(&p, &q));
+        assert!(!lineage_eq(&p, &q));
+        // Structurally equal inputs that are different objects: the fast
+        // path declines, the walk still finds them equal.
+        let x2 = LineageItem::op_with_data("read", "X.csv", vec![]);
+        let d = LineageItem::op_with_data("rightIndex", "1 8 1 4", vec![x2]);
+        assert!(!same_node_over_same_inputs(&a, &d));
+        assert!(lineage_eq(&a, &d));
+        // Placeholders compare by slot even with no inputs to tell apart.
+        assert!(!same_node_over_same_inputs(
+            &LineageItem::placeholder(0),
+            &LineageItem::placeholder(1)
+        ));
     }
 
     #[test]

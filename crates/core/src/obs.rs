@@ -592,6 +592,7 @@ impl Json {
 }
 
 struct JsonParser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -733,10 +734,10 @@ impl<'a> JsonParser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    match rest.chars().next() {
+                    // Consume one UTF-8 character. `pos` only ever advances
+                    // by whole characters, so it sits on a boundary of the
+                    // already-validated input: no re-validation of the rest.
+                    match self.input.get(self.pos..).and_then(|r| r.chars().next()) {
                         Some(c) => {
                             s.push(c);
                             self.pos += c.len_utf8();
@@ -769,6 +770,7 @@ impl<'a> JsonParser<'a> {
 /// Parses a JSON document (objects, arrays, strings, f64 numbers).
 pub fn parse_json(input: &str) -> Result<Json, String> {
     let mut p = JsonParser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -996,6 +998,26 @@ mod tests {
         assert_eq!(summary.instants, 1);
         assert_eq!(summary.with_lineage, 3);
         check_span_nesting(&summary).unwrap();
+    }
+
+    /// Regression: string scanning re-validated the rest of the input as
+    /// UTF-8 for every character, so a 1 MB trace took seconds to validate.
+    #[test]
+    fn large_trace_validates_in_linear_time() {
+        let obs = Obs::with_capacity(8_192);
+        for i in 0..7_000u64 {
+            obs.record(ev(EventKind::Instr, "ba+*·µs", 10 * i, 5, i + 1));
+        }
+        let json = obs.chrome_trace();
+        assert!(json.len() > 500_000);
+        let t0 = std::time::Instant::now();
+        let summary = validate_chrome_trace(&json).unwrap();
+        let elapsed = t0.elapsed();
+        assert_eq!(summary.total_events, 7_000);
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "7 000 events took {elapsed:?} to validate"
+        );
     }
 
     #[test]

@@ -255,9 +255,12 @@ pub const OPCODE_TABLE: &[(&str, OpcodeInfo)] = &{
 };
 
 fn table_lookup(op: &str) -> Option<OpcodeInfo> {
+    use crate::lineage::item::FxBuildHasher;
     use std::collections::HashMap;
     use std::sync::OnceLock;
-    static INDEX: OnceLock<HashMap<&'static str, OpcodeInfo>> = OnceLock::new();
+    // On every cache probe and put: a word-at-a-time hash of a short,
+    // program-internal string, not SipHash.
+    static INDEX: OnceLock<HashMap<&'static str, OpcodeInfo, FxBuildHasher>> = OnceLock::new();
     INDEX
         .get_or_init(|| OPCODE_TABLE.iter().copied().collect())
         .get(op)

@@ -87,7 +87,6 @@ fn eviction_pressure_with_concurrent_probes_is_safe() {
     let cache = LineageCache::new(LimaConfig {
         budget_bytes: 200_000, // a handful of 50x50 matrices
         spill: false,
-        eviction_watermark: 0.9,
         ..LimaConfig::lima()
     });
     crossbeam::thread::scope(|s| {

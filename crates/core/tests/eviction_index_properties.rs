@@ -1,0 +1,171 @@
+//! Differential property tests for the cache's incrementally maintained
+//! eviction index.
+//!
+//! 1. Over random put / hit / shell-miss / peek / restore / clear sequences
+//!    under LRU, DAG-Height and Cost&Size, `LineageCache::verify_index` must
+//!    hold after every step: it rebuilds queues, counters and group counts by
+//!    scanning the map and checks the index's victim against the scan-based
+//!    `eviction::pick_victim` (which production code no longer uses for these
+//!    policies). The budget must hold after every step too.
+//! 2. Entries caching one shared object defer spilling until the last of the
+//!    group leaves memory.
+
+use lima_core::cache::Probe;
+use lima_core::lineage::item::{LinRef, LineageItem};
+use lima_core::{EvictionPolicy, LimaConfig, LimaStats, LineageCache};
+use lima_matrix::{DenseMatrix, Value};
+use proptest::collection::vec;
+use proptest::prelude::*;
+
+const KEYS: usize = 16;
+const BUDGET: usize = 40_000;
+
+/// Key `k`: a chain of `k % 5 + 1` ops, so DAG-Height has heights to order.
+/// Built fresh per call — probes are structurally equal to, not the same
+/// objects as, the cached keys.
+fn key(k: usize) -> LinRef {
+    let mut item = LineageItem::op_with_data("read", format!("X{k}"), vec![]);
+    for _ in 0..=(k % 5) {
+        item = LineageItem::op("exp", vec![item]);
+    }
+    item
+}
+
+/// 520 B .. 8 KB: a handful fit the budget, so most puts evict.
+fn value(size_class: usize) -> Value {
+    let n = [8, 16, 24, 32][size_class % 4];
+    Value::matrix(DenseMatrix::filled(n, n, 1.0))
+}
+
+/// The last cost makes an entry worth spilling, so later probes restore it.
+fn cost(cost_class: usize) -> u64 {
+    [0, 1_000, 1_000_000, 60_000_000_000][cost_class % 4]
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Probe; on a miss either fulfil or abort (a shell miss).
+    Probe {
+        k: usize,
+        size: usize,
+        cost: usize,
+        abort: bool,
+    },
+    /// Direct put, possibly over a resident or spilled entry.
+    Put {
+        k: usize,
+        size: usize,
+        cost: usize,
+    },
+    Peek(usize),
+    Clear,
+}
+
+/// Half probes, a quarter puts, a quarter peeks, and a rare clear.
+fn arb_op() -> impl Strategy<Value = Op> {
+    (0u8..40, 0..KEYS, 0usize..4, 0usize..4, any::<bool>()).prop_map(
+        |(kind, k, size, cost, abort)| match kind {
+            0..=19 => Op::Probe {
+                k,
+                size,
+                cost,
+                abort,
+            },
+            20..=29 => Op::Put { k, size, cost },
+            30..=38 => Op::Peek(k),
+            _ => Op::Clear,
+        },
+    )
+}
+
+fn arb_policy() -> impl Strategy<Value = EvictionPolicy> {
+    prop_oneof![
+        Just(EvictionPolicy::Lru),
+        Just(EvictionPolicy::DagHeight),
+        Just(EvictionPolicy::CostSize),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn index_agrees_with_a_full_scan_after_every_step(
+        policy in arb_policy(),
+        ops in vec(arb_op(), 1..120),
+    ) {
+        let cache = LineageCache::new(LimaConfig {
+            policy,
+            budget_bytes: BUDGET,
+            spill: true,
+            ..LimaConfig::lima()
+        });
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Probe { k, size, cost: c, abort } => match cache.acquire(&key(k)) {
+                    Some(Probe::Hit(_)) => {}
+                    Some(Probe::Reserved(r)) if abort => r.abort(),
+                    Some(Probe::Reserved(r)) => r.fulfill(&value(size), cost(c)),
+                    None => prop_assert!(false, "exp is cacheable"),
+                },
+                Op::Put { k, size, cost: c } => cache.put(&key(k), &value(size), cost(c)),
+                Op::Peek(k) => drop(cache.peek(&key(k))),
+                Op::Clear => cache.clear(),
+            }
+            if let Err(why) = cache.verify_index() {
+                prop_assert!(false, "{:?}, step {} ({:?}): {}", policy, step, op, why);
+            }
+            prop_assert!(
+                cache.resident_bytes() <= BUDGET,
+                "{:?}, step {} ({:?}): {} resident bytes over the budget",
+                policy, step, op, cache.resident_bytes()
+            );
+        }
+    }
+
+    #[test]
+    fn a_group_spills_only_when_its_last_member_leaves(
+        policy in arb_policy(),
+        members in 2usize..6,
+    ) {
+        // One matrix cached under `members` keys (an operation and the
+        // functions returning it), each worth spilling on its own.
+        let shared = Value::matrix(DenseMatrix::filled(40, 40, 1.0));
+        let size = shared.size_in_bytes();
+        let cache = LineageCache::new(LimaConfig {
+            policy,
+            budget_bytes: members * size + size / 2,
+            spill: true,
+            ..LimaConfig::lima()
+        });
+        let group: Vec<LinRef> = (0..members).map(|m| key(4 + 5 * m)).collect();
+        for item in &group {
+            cache.put(item, &shared, 60_000_000_000);
+        }
+        prop_assert_eq!(cache.live_entries(), members);
+        let group_ids: Vec<u64> = group.iter().map(|i| i.id()).collect();
+        let resident_members = || {
+            cache
+                .cost_report(usize::MAX)
+                .iter()
+                .filter(|row| row.resident && group_ids.contains(&row.lineage_id))
+                .count()
+        };
+        // Fillers outrank the group under every policy (newer, shallower,
+        // costlier) and are strings, which the spill store does not take.
+        let filler = Value::str(&"x".repeat(size));
+        let mut spills_before = 0;
+        for f in 0..(2 * members) {
+            let item = LineageItem::op_with_data("read", format!("filler{f}"), vec![]);
+            cache.put(&LineageItem::op("exp", vec![item]), &filler, u64::MAX / 4);
+            let spills = LimaStats::get(&cache.stats().spills);
+            if spills > spills_before {
+                prop_assert_eq!(resident_members(), 0, "spilled with members still resident");
+            }
+            spills_before = spills;
+            prop_assert!(cache.verify_index().is_ok());
+        }
+        prop_assert_eq!(resident_members(), 0);
+        prop_assert_eq!(LimaStats::get(&cache.stats().spills), 1);
+    }
+}

@@ -280,7 +280,7 @@ fn op_of(i: &Instr) -> LintOp {
         } else {
             class.max(classify_opcode(&opcode))
         },
-        opcode,
+        opcode: opcode.into_owned(),
         no_cache: i.no_cache,
         has_outputs: !i.outputs.is_empty(),
         span: i.span,

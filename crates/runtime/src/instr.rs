@@ -6,6 +6,7 @@ use crate::fused::FusedSpec;
 use lima_matrix::ops::{AggFn, BinOp, TsmmSide, UnOp};
 use lima_matrix::rand_gen::RandDist;
 use lima_matrix::ScalarValue;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// An instruction operand: a live variable or an inline literal.
@@ -175,55 +176,79 @@ pub enum Op {
     Fused(Arc<FusedSpec>),
 }
 
+/// The aggregate opcodes as static strings, one row per family (what
+/// `lima_core::opcodes::{full_agg, col_agg, row_agg}` would format).
+const FULL_AGG: [&str; 6] = ["uasum", "uamean", "uamin", "uamax", "uasumsq", "uavar"];
+const COL_AGG: [&str; 6] = [
+    "uacsum", "uacmean", "uacmin", "uacmax", "uacsumsq", "uacvar",
+];
+const ROW_AGG: [&str; 6] = [
+    "uarsum", "uarmean", "uarmin", "uarmax", "uarsumsq", "uarvar",
+];
+
+fn agg_opcode(family: &[&'static str; 6], f: AggFn) -> &'static str {
+    let f = match f {
+        AggFn::Sum => 0,
+        AggFn::Mean => 1,
+        AggFn::Min => 2,
+        AggFn::Max => 3,
+        AggFn::SumSq => 4,
+        AggFn::Var => 5,
+    };
+    family[f]
+}
+
 impl Op {
     /// The opcode string recorded in lineage items. Must stay in sync with
-    /// `lima_core::opcodes` so partial-reuse probes match.
-    pub fn opcode(&self) -> String {
+    /// `lima_core::opcodes` so partial-reuse probes match. Borrowed for every
+    /// operation the per-instruction traced path sees; only a function call
+    /// builds its `fcall:<name>` string.
+    pub fn opcode(&self) -> Cow<'_, str> {
         use lima_core::opcodes as oc;
-        match self {
-            Op::Binary(b) => b.opcode().to_string(),
-            Op::Unary(u) => u.opcode().to_string(),
-            Op::MatMult => oc::MATMULT.into(),
-            Op::Tsmm(_) => oc::TSMM.into(),
-            Op::Transpose => oc::TRANSPOSE.into(),
-            Op::Cbind => oc::CBIND.into(),
-            Op::Rbind => oc::RBIND.into(),
-            Op::RightIndex => oc::RIGHT_INDEX.into(),
-            Op::LeftIndex => oc::LEFT_INDEX.into(),
-            Op::SelectCols => "selectCols".into(),
-            Op::SelectRows => "selectRows".into(),
-            Op::Fill => oc::MATRIX_FILL.into(),
-            Op::Rand(_) => oc::RAND.into(),
-            Op::Sample => oc::SAMPLE.into(),
-            Op::Seq => oc::SEQ.into(),
-            Op::Read => oc::READ.into(),
-            Op::Write => "write".into(),
-            Op::FullAgg(f) => oc::full_agg(f.name()),
-            Op::ColAgg(f) => oc::col_agg(f.name()),
-            Op::RowAgg(f) => oc::row_agg(f.name()),
-            Op::RowIndexMax => oc::ROW_INDEX_MAX.into(),
-            Op::Solve => oc::SOLVE.into(),
-            Op::Diag => oc::DIAG.into(),
-            Op::Eigen => oc::EIGEN.into(),
-            Op::Order => oc::ORDER.into(),
-            Op::Rev => oc::REV.into(),
-            Op::Table => oc::TABLE.into(),
-            Op::Nrow => oc::NROW.into(),
-            Op::Ncol => oc::NCOL.into(),
-            Op::CastScalar => oc::CAST_SCALAR.into(),
-            Op::CastMatrix => oc::CAST_MATRIX.into(),
-            Op::Reshape => oc::RESHAPE.into(),
-            Op::ListNew => oc::LIST.into(),
-            Op::ListGet => oc::LIST_GET.into(),
-            Op::Assign => "assign".into(),
-            Op::Print => "print".into(),
-            Op::Concat => oc::CONCAT.into(),
-            Op::Rmvar => "rmvar".into(),
-            Op::Mvvar => "mvvar".into(),
-            Op::LineageOf => "lineage".into(),
-            Op::FCall(name) => format!("{}:{name}", oc::FCALL),
-            Op::Fused(spec) => spec.opcode.clone(),
-        }
+        Cow::Borrowed(match self {
+            Op::Binary(b) => b.opcode(),
+            Op::Unary(u) => u.opcode(),
+            Op::MatMult => oc::MATMULT,
+            Op::Tsmm(_) => oc::TSMM,
+            Op::Transpose => oc::TRANSPOSE,
+            Op::Cbind => oc::CBIND,
+            Op::Rbind => oc::RBIND,
+            Op::RightIndex => oc::RIGHT_INDEX,
+            Op::LeftIndex => oc::LEFT_INDEX,
+            Op::SelectCols => oc::SELECT_COLS,
+            Op::SelectRows => oc::SELECT_ROWS,
+            Op::Fill => oc::MATRIX_FILL,
+            Op::Rand(_) => oc::RAND,
+            Op::Sample => oc::SAMPLE,
+            Op::Seq => oc::SEQ,
+            Op::Read => oc::READ,
+            Op::Write => "write",
+            Op::FullAgg(f) => agg_opcode(&FULL_AGG, *f),
+            Op::ColAgg(f) => agg_opcode(&COL_AGG, *f),
+            Op::RowAgg(f) => agg_opcode(&ROW_AGG, *f),
+            Op::RowIndexMax => oc::ROW_INDEX_MAX,
+            Op::Solve => oc::SOLVE,
+            Op::Diag => oc::DIAG,
+            Op::Eigen => oc::EIGEN,
+            Op::Order => oc::ORDER,
+            Op::Rev => oc::REV,
+            Op::Table => oc::TABLE,
+            Op::Nrow => oc::NROW,
+            Op::Ncol => oc::NCOL,
+            Op::CastScalar => oc::CAST_SCALAR,
+            Op::CastMatrix => oc::CAST_MATRIX,
+            Op::Reshape => oc::RESHAPE,
+            Op::ListNew => oc::LIST,
+            Op::ListGet => oc::LIST_GET,
+            Op::Assign => "assign",
+            Op::Print => "print",
+            Op::Concat => oc::CONCAT,
+            Op::Rmvar => "rmvar",
+            Op::Mvvar => "mvvar",
+            Op::LineageOf => "lineage",
+            Op::FCall(name) => return Cow::Owned(format!("{}:{name}", oc::FCALL)),
+            Op::Fused(spec) => &spec.opcode,
+        })
     }
 
     /// True for operations with side effects that must never be skipped or
@@ -320,6 +345,19 @@ mod tests {
         assert_eq!(Op::FullAgg(AggFn::Mean).opcode(), "uamean");
         assert_eq!(Op::Binary(BinOp::Add).opcode(), "+");
         assert_eq!(Op::FCall("lm".into()).opcode(), "fcall:lm");
+        use lima_core::opcodes::{col_agg, full_agg, row_agg};
+        for f in [
+            AggFn::Sum,
+            AggFn::Mean,
+            AggFn::Min,
+            AggFn::Max,
+            AggFn::SumSq,
+            AggFn::Var,
+        ] {
+            assert_eq!(Op::FullAgg(f).opcode(), full_agg(f.name()));
+            assert_eq!(Op::ColAgg(f).opcode(), col_agg(f.name()));
+            assert_eq!(Op::RowAgg(f).opcode(), row_agg(f.name()));
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use lima_matrix::{DenseMatrix, ScalarValue, Value};
 
 fn bad(op: &Op, msg: impl Into<String>) -> RuntimeError {
     RuntimeError::BadOperands {
-        op: op.opcode(),
+        op: op.opcode().into_owned(),
         msg: msg.into(),
     }
 }

@@ -157,7 +157,6 @@ fn spilled_entries_survive_and_restore_through_pipelines() {
     // pipeline that re-probes it later.
     let mut config = LimaConfig::lima();
     config.budget_bytes = 512 * 1024;
-    config.eviction_watermark = 0.95;
     let p = lima_algos::pipelines::eviction_phases(128, 6, 4, 8, 4);
     let base = lima_algos::run_script(&p.script, &LimaConfig::base(), &p.input_refs()).unwrap();
     let lima = lima_algos::run_script(&p.script, &config, &p.input_refs()).unwrap();

@@ -118,7 +118,6 @@ fn parfor_workers_share_the_cache_safely() {
 fn eviction_under_pressure_preserves_correctness() {
     let mut config = LimaConfig::lima();
     config.budget_bytes = 64 * 1024; // absurdly small: constant eviction
-    config.eviction_watermark = 0.9;
     let p = lima_algos::pipelines::pcalm(400, 12, &[2, 4, 6], 3);
     let base = run_script(&p.script, &LimaConfig::base(), &p.input_refs()).unwrap();
     let lima = run_script(&p.script, &config, &p.input_refs()).unwrap();
