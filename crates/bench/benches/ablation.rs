@@ -1,7 +1,7 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
 //! * cache-budget sweep — how much budget the reuse benefits need,
-//! * eviction-policy sweep including the abandoned Hybrid strategy,
+//! * eviction-policy sweep,
 //! * unmarking on/off — the compiler-assistance pollution ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -34,7 +34,6 @@ fn bench_policy_sweep(c: &mut Criterion) {
         EvictionPolicy::Lru,
         EvictionPolicy::DagHeight,
         EvictionPolicy::CostSize,
-        EvictionPolicy::Hybrid,
     ] {
         let config = LimaConfig {
             policy,

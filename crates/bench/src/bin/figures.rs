@@ -578,10 +578,6 @@ fn tab1() {
                 "Cost&Size".to_string(),
                 vec!["(rh+rm)*c(o)/s(o)".to_string()],
             ),
-            (
-                "Hybrid*".to_string(),
-                vec!["0.5*recency + 0.5*utility (abandoned in the paper)".to_string()],
-            ),
         ],
     );
 }

@@ -32,9 +32,6 @@ pub enum Config {
     LimaDagHeight,
     /// Cost & Size eviction (the default policy, spelled explicitly).
     LimaCostSize,
-    /// Hybrid (weighted) eviction — the strategy the paper abandoned (§4.3),
-    /// kept for the ablation study.
-    LimaHybrid,
     /// Effectively unlimited cache (the hypothetical `Infinite` policy).
     LimaInfinite,
     /// Coarse-grained reuse baseline (HELIX/CO-style): only whole function
@@ -59,7 +56,6 @@ impl Config {
         Config::LimaLru,
         Config::LimaDagHeight,
         Config::LimaCostSize,
-        Config::LimaHybrid,
         Config::LimaInfinite,
         Config::Coarse,
         Config::CseG,
@@ -79,7 +75,6 @@ impl Config {
             Config::LimaLru => "LRU",
             Config::LimaDagHeight => "DAG-Height",
             Config::LimaCostSize => "C&S",
-            Config::LimaHybrid => "Hybrid",
             Config::LimaInfinite => "Infinite",
             Config::Coarse => "Coarse",
             Config::CseG => "CSE-G",
@@ -127,11 +122,6 @@ impl Config {
             },
             Config::LimaCostSize => LimaConfig {
                 policy: EvictionPolicy::CostSize,
-                compiler_assist: false,
-                ..LimaConfig::lima()
-            },
-            Config::LimaHybrid => LimaConfig {
-                policy: EvictionPolicy::Hybrid,
                 compiler_assist: false,
                 ..LimaConfig::lima()
             },

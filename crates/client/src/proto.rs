@@ -21,7 +21,9 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 use lima_core::{Diagnostic, Label, Severity, Span};
-use lima_matrix::{DenseMatrix, ScalarValue, Value};
+pub use lima_matrix::codec::fnv1a;
+use lima_matrix::codec::{decode_body, encode_body};
+use lima_matrix::Value;
 use std::io::{Read, Write};
 
 /// Frame magic: `"LMD1"`.
@@ -33,16 +35,6 @@ pub const TRAILER_BYTES: usize = 8;
 /// Default cap on a frame payload; oversized frames are rejected with a
 /// typed error before any allocation happens.
 pub const MAX_FRAME_BYTES: usize = 32 * 1024 * 1024;
-
-/// FNV-1a 64-bit hash (same construction as the spill/persist formats).
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Typed failure classes carried in error responses. The same codes drive
 /// `limac`/`limad` process exit codes, so scripts and CI can distinguish a
@@ -285,7 +277,7 @@ impl ReplRecord {
     pub fn checksum(lineage: &str, value: &Value) -> u64 {
         let mut buf = BytesMut::new();
         put_str(&mut buf, lineage);
-        put_value(&mut buf, value);
+        encode_body(&mut buf, value);
         fnv1a(&buf)
     }
 
@@ -495,61 +487,9 @@ fn get_diag(buf: &mut &[u8]) -> Option<Diagnostic> {
     })
 }
 
-/// Appends a value in the wire encoding. Lists are not wire-transportable;
-/// they encode as tag 2 (absent) so a response can still mention them.
-fn put_value(buf: &mut BytesMut, value: &Value) {
-    match value {
-        Value::Matrix(m) => {
-            buf.put_u8(0);
-            buf.put_u64(m.rows() as u64);
-            buf.put_u64(m.cols() as u64);
-            for &v in m.data() {
-                buf.put_f64(v);
-            }
-        }
-        Value::Scalar(s) => {
-            buf.put_u8(1);
-            put_str(buf, &s.lineage_literal());
-        }
-        Value::List(_) => buf.put_u8(2),
-    }
-}
-
-fn get_value(buf: &mut &[u8]) -> Option<Option<Value>> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    match buf.get_u8() {
-        0 => {
-            if buf.remaining() < 16 {
-                return None;
-            }
-            let rows = buf.get_u64() as usize;
-            let cols = buf.get_u64() as usize;
-            let n = rows.checked_mul(cols)?;
-            if buf.remaining() < n.checked_mul(8)? {
-                return None;
-            }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(buf.get_f64());
-            }
-            DenseMatrix::new(rows, cols, data)
-                .ok()
-                .map(|m| Some(Value::matrix(m)))
-        }
-        1 => {
-            let lit = get_str(buf)?;
-            ScalarValue::from_lineage_literal(&lit).map(|s| Some(Value::Scalar(s)))
-        }
-        2 => Some(None),
-        _ => None,
-    }
-}
-
 fn put_record(buf: &mut BytesMut, r: &ReplRecord) {
     put_str(buf, &r.lineage);
-    put_value(buf, &r.value);
+    encode_body(buf, &r.value);
     buf.put_u64(r.compute_ns);
     buf.put_u64(r.check);
 }
@@ -557,7 +497,7 @@ fn put_record(buf: &mut BytesMut, r: &ReplRecord) {
 fn get_record(buf: &mut &[u8]) -> Option<ReplRecord> {
     let lineage = get_str(buf)?;
     // Tag-2 (list/absent) values never replicate: structural violation here.
-    let value = get_value(buf)??;
+    let value = decode_body(buf)??;
     if buf.remaining() < 16 {
         return None;
     }
@@ -769,7 +709,7 @@ impl Response {
                 buf.put_u32(values.len() as u32);
                 for (name, value) in values {
                     put_str(&mut buf, name);
-                    put_value(&mut buf, value);
+                    encode_body(&mut buf, value);
                 }
                 buf.put_u32(stdout.len() as u32);
                 for line in stdout {
@@ -785,7 +725,7 @@ impl Response {
                 match value {
                     Some(v) => {
                         buf.put_u8(1);
-                        put_value(&mut buf, v);
+                        encode_body(&mut buf, v);
                     }
                     None => buf.put_u8(0),
                 }
@@ -863,7 +803,7 @@ impl Response {
                     let name = get_str(&mut p)?;
                     // Tag-2 (non-transportable) outputs decode as absent and
                     // are skipped rather than failing the whole response.
-                    if let Some(v) = get_value(&mut p)? {
+                    if let Some(v) = decode_body(&mut p)? {
                         values.push((name, v));
                     }
                 }
@@ -895,7 +835,7 @@ impl Response {
                 }
                 match p.get_u8() {
                     0 => Response::Fetched(None),
-                    1 => Response::Fetched(get_value(&mut p)?),
+                    1 => Response::Fetched(decode_body(&mut p)?),
                     _ => return None,
                 }
             }
@@ -1054,6 +994,7 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> std::io::Result<(u8,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lima_matrix::DenseMatrix;
 
     fn round_trip_req(req: Request) {
         let (kind, payload) = req.encode();

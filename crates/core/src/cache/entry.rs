@@ -8,6 +8,18 @@ use lima_matrix::Value;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// Which file holds an evicted value. A cached value has at most one on-disk
+/// copy: an entry the persistent store already wrote is never spilled again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DiskCopy {
+    /// A file this process spilled to its scratch directory; a restore (or a
+    /// superseding put) deletes it.
+    Scratch(PathBuf),
+    /// The persistent store's `values/v<id>.val`; a restore leaves it in
+    /// place.
+    Durable(u64),
+}
+
 /// Lifecycle state of a cache entry.
 #[derive(Debug, Clone)]
 pub enum EntryState {
@@ -16,8 +28,10 @@ pub enum EntryState {
     Computing,
     /// Value resident in memory.
     Cached(Value),
-    /// Value evicted to disk; restorable.
-    Spilled { path: PathBuf, bytes: usize },
+    /// Value evicted from memory with a copy on disk; restorable. `bytes`
+    /// is what a restore reads: the scratch file's length, or the value's
+    /// in-memory size for a durable copy.
+    Spilled { copy: DiskCopy, bytes: usize },
     /// Shell: value dropped, statistics retained so future misses can raise
     /// the entry's eviction score again (paper Fig 8(a): P2 entries get
     /// evicted, their scores increase due to misses, and they get reused).

@@ -7,56 +7,21 @@
 //! | Cost & Size | `(r_h + r_m) · c(o) / s(o)`                 |
 //!
 //! Victims come from the [`EvictionIndex`], which keeps resident entries in
-//! score order as they change; the scan-based [`pick_victim`] remains for
-//! the batch-normalised Hybrid policy and as the oracle the index is tested
-//! against.
+//! score order as they change; the scan-based [`pick_victim`] remains as the
+//! oracle the index is tested against.
 
-use crate::cache::entry::{CacheEntry, EntryState};
+use crate::cache::entry::{CacheEntry, DiskCopy, EntryState};
 use crate::config::EvictionPolicy;
 use crate::lineage::item::{FxBuildHasher, LinKey};
 use std::collections::{BTreeMap, HashMap};
 
-/// Normalization context for policies that mix heterogeneous signals
-/// (currently only Hybrid). Computed once per eviction batch.
-#[derive(Debug, Clone, Copy)]
-pub struct Norms {
-    pub max_access: u64,
-    pub max_cost_size: f64,
-}
-
-impl Default for Norms {
-    fn default() -> Self {
-        Norms {
-            max_access: 1,
-            max_cost_size: 1.0,
-        }
-    }
-}
-
-impl Norms {
-    /// Collects normalization bounds from a candidate set.
-    pub fn collect<'a>(entries: impl Iterator<Item = &'a CacheEntry>) -> Norms {
-        let mut n = Norms::default();
-        for e in entries {
-            n.max_access = n.max_access.max(e.last_access);
-            n.max_cost_size = n.max_cost_size.max(e.cost_size_score());
-        }
-        n
-    }
-}
-
 /// Eviction score of an entry under a policy; the entry with the **lowest**
 /// score is evicted first.
-pub fn score(policy: EvictionPolicy, entry: &CacheEntry, norms: &Norms) -> f64 {
+pub fn score(policy: EvictionPolicy, entry: &CacheEntry) -> f64 {
     match policy {
         EvictionPolicy::Lru => entry.last_access as f64,
         EvictionPolicy::DagHeight => 1.0 / f64::from(entry.height.max(1)),
         EvictionPolicy::CostSize => entry.cost_size_score(),
-        EvictionPolicy::Hybrid => {
-            let recency = entry.last_access as f64 / norms.max_access.max(1) as f64;
-            let utility = entry.cost_size_score() / norms.max_cost_size.max(f64::MIN_POSITIVE);
-            0.5 * recency + 0.5 * utility
-        }
     }
 }
 
@@ -66,11 +31,9 @@ pub fn pick_victim<'a, K>(
     policy: EvictionPolicy,
     candidates: impl Iterator<Item = (K, &'a CacheEntry)>,
 ) -> Option<K> {
-    let all: Vec<(K, &CacheEntry)> = candidates.collect();
-    let norms = Norms::collect(all.iter().map(|(_, e)| *e));
     let mut best: Option<(K, f64, u64)> = None;
-    for (key, entry) in all {
-        let s = score(policy, entry, &norms);
+    for (key, entry) in candidates {
+        let s = score(policy, entry);
         let replace = match &best {
             None => true,
             Some((_, bs, ba)) => s < *bs || (s == *bs && entry.last_access < *ba),
@@ -105,7 +68,7 @@ impl QueueKey {
 /// Table 1 score as bits that order like the score. Scores are finite and
 /// non-negative, where IEEE-754 bit patterns are monotone.
 fn score_bits(policy: EvictionPolicy, e: &CacheEntry) -> u64 {
-    score(policy, e, &Norms::default()).max(0.0).to_bits()
+    score(policy, e).max(0.0).to_bits()
 }
 
 /// Incrementally maintained bookkeeping over the cache's entry map, so that
@@ -114,12 +77,13 @@ fn score_bits(policy: EvictionPolicy, e: &CacheEntry) -> u64 {
 /// Invariants (checked by [`EvictionIndex::verify`]), for every map entry
 /// `e` whenever the cache lock is released:
 ///
-/// * `e` is in the resident queue iff it is `Cached` with `size > 0` and the
-///   policy is not Hybrid, filed under its current score, `last_access` and
-///   key id; `e` is in the shell queue iff it is `Evicted`, filed under its
-///   `last_access`; `e.slot` is that queue key, `None` otherwise.
+/// * `e` is in the resident queue iff it is `Cached` with `size > 0`, filed
+///   under its current score, `last_access` and key id; `e` is in the shell
+///   queue iff it is `Evicted`, filed under its `last_access`; `e.slot` is
+///   that queue key, `None` otherwise.
 /// * `resident_bytes` / `spilled_bytes` are the sums of `size` over `Cached`
-///   and of spill-file bytes over `Spilled` entries; `live` counts both.
+///   and of scratch-file bytes over `Spilled` entries (a durable copy is the
+///   persistent store's, not spill space); `live` counts both states.
 /// * `groups[g]` is the number of `Cached` entries tagged `g != 0`.
 ///
 /// They hold because every change to an entry's state or to a score input
@@ -176,9 +140,11 @@ impl EvictionIndex {
                     *self.groups.entry(e.group).or_default() += 1;
                 }
             }
-            EntryState::Spilled { bytes, .. } => {
+            EntryState::Spilled { copy, bytes } => {
                 self.live += 1;
-                self.spilled_bytes += bytes;
+                if let DiskCopy::Scratch(_) = copy {
+                    self.spilled_bytes += bytes;
+                }
             }
             EntryState::Computing | EntryState::Evicted => {}
         }
@@ -199,9 +165,11 @@ impl EvictionIndex {
                     }
                 }
             }
-            EntryState::Spilled { bytes, .. } => {
+            EntryState::Spilled { copy, bytes } => {
                 self.live = self.live.saturating_sub(1);
-                self.spilled_bytes = self.spilled_bytes.saturating_sub(*bytes);
+                if let DiskCopy::Scratch(_) = copy {
+                    self.spilled_bytes = self.spilled_bytes.saturating_sub(*bytes);
+                }
             }
             EntryState::Computing | EntryState::Evicted => {}
         }
@@ -209,9 +177,7 @@ impl EvictionIndex {
 
     fn file(&mut self, e: &mut CacheEntry) {
         let (queue, score) = match &e.state {
-            EntryState::Cached(_) if e.size > 0 && self.policy != EvictionPolicy::Hybrid => {
-                (&mut self.resident, score_bits(self.policy, e))
-            }
+            EntryState::Cached(_) if e.size > 0 => (&mut self.resident, score_bits(self.policy, e)),
             EntryState::Evicted => (&mut self.shells, 0),
             _ => return,
         };
@@ -230,8 +196,7 @@ impl EvictionIndex {
     }
 
     /// The resident entry with the lowest score (ties: oldest access), in
-    /// O(log n). Always `None` under Hybrid, whose batch-normalised score
-    /// has no stable order to maintain — use [`pick_victim`] there.
+    /// O(log n).
     pub fn victim(&self) -> Option<&LinKey> {
         self.resident.first_key_value().map(|(_, k)| k)
     }
@@ -256,7 +221,7 @@ impl EvictionIndex {
         self.resident_bytes
     }
 
-    /// Bytes held in spill files.
+    /// Bytes held in scratch spill files.
     pub fn spilled_bytes(&self) -> usize {
         self.spilled_bytes
     }
@@ -305,24 +270,22 @@ impl EvictionIndex {
                 counters(&want)
             ));
         }
-        if self.policy != EvictionPolicy::Hybrid {
-            let position = |e: &CacheEntry| (score_bits(self.policy, e), e.last_access);
-            let oracle = pick_victim(
-                self.policy,
-                entries
-                    .filter(|e| e.is_resident() && e.size > 0)
-                    .map(|e| (position(e), e)),
-            );
-            let head = self
-                .resident
-                .keys()
-                .next()
-                .map(|s| (s.score, s.last_access));
-            if head != oracle {
-                return Err(format!(
-                    "index victim {head:?}, pick_victim says {oracle:?}"
-                ));
-            }
+        let position = |e: &CacheEntry| (score_bits(self.policy, e), e.last_access);
+        let oracle = pick_victim(
+            self.policy,
+            entries
+                .filter(|e| e.is_resident() && e.size > 0)
+                .map(|e| (position(e), e)),
+        );
+        let head = self
+            .resident
+            .keys()
+            .next()
+            .map(|s| (s.score, s.last_access));
+        if head != oracle {
+            return Err(format!(
+                "index victim {head:?}, pick_victim says {oracle:?}"
+            ));
         }
         Ok(())
     }
@@ -375,12 +338,7 @@ mod tests {
         );
         assert_eq!(victim, Some("deep"));
         // Height 0 does not divide by zero.
-        assert!(score(
-            EvictionPolicy::DagHeight,
-            &entry(1, 1, 0, 0, 0),
-            &Norms::default()
-        )
-        .is_finite());
+        assert!(score(EvictionPolicy::DagHeight, &entry(1, 1, 0, 0, 0)).is_finite());
     }
 
     #[test]
@@ -403,26 +361,6 @@ mod tests {
             vec![("a", &a), ("b", &b)].into_iter(),
         );
         assert_eq!(victim, Some("a"));
-    }
-
-    #[test]
-    fn hybrid_balances_recency_and_utility() {
-        // Same cost/size: the older entry is evicted. Same age: the cheaper
-        // entry is evicted.
-        let old = entry(1_000, 100, 1, 2, 1);
-        let new = entry(1_000, 100, 1, 9, 1);
-        let victim = pick_victim(
-            EvictionPolicy::Hybrid,
-            vec![("old", &old), ("new", &new)].into_iter(),
-        );
-        assert_eq!(victim, Some("old"));
-        let cheap = entry(10, 100, 1, 5, 1);
-        let costly = entry(1_000_000, 100, 1, 5, 1);
-        let victim = pick_victim(
-            EvictionPolicy::Hybrid,
-            vec![("cheap", &cheap), ("costly", &costly)].into_iter(),
-        );
-        assert_eq!(victim, Some("cheap"));
     }
 
     /// A resident entry with its own key (the index files entries by key).
@@ -495,16 +433,6 @@ mod tests {
         index.update(&mut b, |e| e.state = EntryState::Evicted);
         assert_eq!(index.group_size(7), 0);
         index.verify([&a, &b].into_iter()).unwrap();
-    }
-
-    #[test]
-    fn hybrid_keeps_no_resident_queue() {
-        let mut index = EvictionIndex::new(EvictionPolicy::Hybrid);
-        let mut a = keyed("a", 10, 1);
-        index.add(&mut a);
-        assert_eq!(index.victim(), None);
-        assert_eq!(index.resident_bytes(), 100);
-        index.verify([&a].into_iter()).unwrap();
     }
 
     #[test]

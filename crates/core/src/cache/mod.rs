@@ -10,7 +10,7 @@ pub mod persist;
 pub mod rewrites;
 pub mod spill;
 
-use crate::config::{EvictionPolicy, LimaConfig, ReuseMode};
+use crate::config::{LimaConfig, ReuseMode};
 use crate::governor::ResourceGovernor;
 use crate::interrupt::{Interrupt, InterruptKind};
 use crate::lineage::item::{FxBuildHasher, LinKey, LinRef};
@@ -18,7 +18,7 @@ use crate::obs::{EventKind, Obs};
 use crate::resilience::{Attempt, CircuitBreaker, RetryPolicy};
 use crate::stats::LimaStats;
 use costs::IoCostModel;
-use entry::{CacheEntry, EntryState};
+use entry::{CacheEntry, DiskCopy, EntryState};
 use eviction::EvictionIndex;
 use lima_matrix::Value;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -26,10 +26,15 @@ use persist::PersistentCacheStore;
 use spill::SpillStore;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Bounded retries (jittered exponential backoff from [`PERSIST_RETRY_BASE_MS`],
+/// doubling per retry) for a transient durable-write error before it counts
+/// against the persist breaker.
+const PERSIST_RETRY_ATTEMPTS: u32 = 2;
+const PERSIST_RETRY_BASE_MS: u64 = 1;
 
 /// Wait-slice granularity while blocked on a placeholder with an interrupt
 /// armed: cancellation/deadline is noticed within this bound even when no
@@ -162,17 +167,56 @@ struct CacheState {
     /// startup-recovered entries or values applied via
     /// [`LineageCache::put_replicated`], so replicas never echo records back.
     put_watcher: Option<PutWatcher>,
+    /// Manifest ID → key of the entry whose `persist_id` it is, so IDs the
+    /// persistent store reports gone (quarantined, or tombstoned to fit its
+    /// disk budget) are un-mapped without a scan of `map`.
+    durable: HashMap<u64, LinKey>,
 }
 
 impl CacheState {
     fn insert(&mut self, mut entry: CacheEntry) {
+        if let Some(id) = entry.persist_id {
+            self.durable.insert(id, entry.key.clone());
+        }
         self.index.add(&mut entry);
         self.map.insert(entry.key.clone(), entry);
     }
 
     fn remove(&mut self, key: &LinKey) {
         if let Some(mut entry) = self.map.remove(key) {
+            if let Some(id) = entry.persist_id {
+                self.durable.remove(&id);
+            }
             self.index.remove(&mut entry);
+        }
+    }
+
+    /// Un-maps durable copies the persistent store no longer has. A value
+    /// still in memory stays valid, and with the ID cleared a later fulfill
+    /// persists it again; an entry whose only copy was the durable file
+    /// becomes a shell.
+    fn forget_durable(&mut self, ids: &[u64]) {
+        for id in ids {
+            let Some(key) = self.durable.remove(id) else {
+                continue;
+            };
+            let Some(e) = self.map.get_mut(&key) else {
+                continue;
+            };
+            if e.persist_id != Some(*id) {
+                continue; // a later durable write superseded this ID
+            }
+            self.index.update(e, |e| {
+                e.persist_id = None;
+                e.from_persist = false;
+                if let EntryState::Spilled {
+                    copy: DiskCopy::Durable(_),
+                    ..
+                } = e.state
+                {
+                    e.state = EntryState::Evicted;
+                }
+            });
         }
     }
 }
@@ -274,15 +318,9 @@ impl LineageCache {
                     budget_bytes: config.persist_budget_bytes,
                     compact_min_bytes: config.persist_compact_min_bytes,
                     compact_factor: config.persist_compact_factor,
-                    quarantine_max_age_secs: config.persist_quarantine_max_age_secs,
                     repair: config.repair.clone(),
-                    repair_retry: RetryPolicy::new(
-                        config.persist_retry_attempts,
-                        config.persist_retry_base_ms,
-                        0,
-                    ),
-                    repair_budget: config.persist_repair_budget,
                     faults: config.faults.clone(),
+                    ..persist::PersistOptions::default()
                 },
             )
             .map(|(store, entries, report)| {
@@ -315,6 +353,7 @@ impl LineageCache {
                 index,
                 waiters: 0,
                 put_watcher: None,
+                durable: HashMap::new(),
             }),
             cond: Condvar::new(),
             clock: AtomicU64::new(1),
@@ -425,9 +464,17 @@ impl LineageCache {
     /// Diagnostic self-check (tests, tooling): recomputes by a full scan of
     /// the entry map what the eviction index maintains incrementally —
     /// queues, counters, group counts, and the next victim against the
-    /// scan-based [`eviction::pick_victim`] — and reports the first mismatch.
+    /// scan-based [`eviction::pick_victim`] — checks that every `persist_id`
+    /// is mapped back to its entry, and reports the first mismatch.
     pub fn verify_index(&self) -> Result<(), String> {
         let st = self.state.lock();
+        for e in st.map.values() {
+            if let Some(id) = e.persist_id {
+                if st.durable.get(&id) != Some(&e.key) {
+                    return Err(format!("persist id {id} of {:?} is not mapped", e.key.0));
+                }
+            }
+        }
         st.index.verify(st.map.values())
     }
 
@@ -644,70 +691,25 @@ impl LineageCache {
                     }
                     return Ok(Some(Probe::Hit(value)));
                 }
-                EntryState::Spilled { path, bytes } => {
-                    // Restore under a placeholder so concurrent probes wait
-                    // instead of double-reading the file. Either way the
-                    // spill file is gone afterwards (restore deletes it on
-                    // success; a failed file is abandoned).
-                    let (path, bytes) = (path.clone(), *bytes);
-                    st.index.update(e, |e| e.state = EntryState::Computing);
-                    drop(guard);
-                    let restore_t0 = self.obs().map(|o| o.now_ns());
-                    let restored = self.timed_restore(&path, bytes);
-                    guard = self.state.lock();
-                    let st = &mut *guard;
-                    LimaStats::bump(match restored {
-                        Ok(_) => &self.stats.restores,
-                        Err(_) => &self.stats.restore_failures,
-                    });
-                    // Entry vanished (a concurrent clear): treat as a miss.
-                    let Some(e) = st.map.get_mut(&key) else {
+                EntryState::Spilled { .. } => {
+                    let (relocked, restored) = self.restore(guard, &key);
+                    guard = relocked;
+                    let Some(value) = restored else {
+                        // Degraded to a miss: wake the probes that waited on
+                        // the restore; the next turn of the loop reserves.
+                        if guard.waiters > 0 {
+                            self.cond.notify_all();
+                        }
                         continue;
                     };
-                    match restored {
-                        Ok(value) => {
-                            st.index.update(e, |e| {
-                                e.install(&value);
-                                e.hits += 1;
-                                e.last_access = self.tick();
-                            });
-                            let from_persist = e.from_persist;
-                            let credit = match e.own_hit_credit() {
-                                Some(credit) => credit,
-                                None => composite_hit_credit(&mut st.map, &key),
-                            };
-                            self.enforce_budget(st);
-                            self.unlock_and_wake(guard);
-                            if from_persist {
-                                LimaStats::bump(&self.stats.persist_hits);
-                            }
-                            self.count_hit(item, credit);
-                            if let (Some(o), Some(t0)) = (self.obs(), restore_t0) {
-                                o.record_span(
-                                    EventKind::SpillRestore,
-                                    item.opcode(),
-                                    item.id(),
-                                    t0,
-                                    bytes as u64,
-                                    0,
-                                );
-                            }
-                            return Ok(Some(Probe::Hit(value)));
-                        }
-                        Err(_) => {
-                            // Missing or corrupt spill file: degrade to a
-                            // miss so the caller recomputes.
-                            st.index.update(e, |e| {
-                                e.state = EntryState::Evicted;
-                                e.misses += 1;
-                            });
-                            self.sync_governor(st);
-                            if st.waiters > 0 {
-                                self.cond.notify_all();
-                            }
-                            continue;
-                        }
+                    let from_persist = guard.map.get(&key).is_some_and(|e| e.from_persist);
+                    let credit = composite_hit_credit(&mut guard.map, &key);
+                    self.unlock_and_wake(guard);
+                    if from_persist {
+                        LimaStats::bump(&self.stats.persist_hits);
                     }
+                    self.count_hit(item, credit);
+                    return Ok(Some(Probe::Hit(value)));
                 }
                 EntryState::Computing => {
                     if !counted_wait {
@@ -793,17 +795,81 @@ impl LineageCache {
         }
     }
 
-    /// Restores a spilled value, folding the measured read time into the I/O
-    /// model. A missing spill store reports as a restore failure instead of
-    /// panicking.
-    fn timed_restore(&self, path: &Path, bytes: usize) -> std::io::Result<Value> {
-        let store = self.spill_store.as_ref().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::NotFound, "spill store unavailable")
-        })?;
+    /// Brings the spilled entry `key` back into memory — the one restore
+    /// path, shared by [`Self::acquire`] and [`Self::peek`]. The file is read
+    /// outside the lock under a placeholder, so concurrent probes wait
+    /// instead of double-reading it, and the measured read time feeds the
+    /// I/O model. On success the entry is resident again with the hit booked
+    /// and the budget re-enforced. On failure (missing, corrupt or
+    /// unreadable file) it is a shell with a miss booked, so the caller
+    /// degrades to a miss and the value is recomputed; a durable copy that
+    /// failed is un-mapped, so the recomputed value persists again. Returns
+    /// the re-taken lock; `None` also when `key` is not spilled (any more).
+    fn restore<'a>(
+        &'a self,
+        mut guard: MutexGuard<'a, CacheState>,
+        key: &LinKey,
+    ) -> (MutexGuard<'a, CacheState>, Option<Value>) {
+        let st = &mut *guard;
+        let Some(e) = st.map.get_mut(key) else {
+            return (guard, None);
+        };
+        let EntryState::Spilled { copy, bytes } = &e.state else {
+            return (guard, None);
+        };
+        let (copy, bytes) = (copy.clone(), *bytes);
+        st.index.update(e, |e| e.state = EntryState::Computing);
+        drop(guard);
+
+        let span_t0 = self.obs().map(|o| o.now_ns());
         let t0 = Instant::now();
-        let restored = store.restore(path);
+        let restored = match (&copy, &self.spill_store, &self.persist_store) {
+            (DiskCopy::Scratch(path), Some(store), _) => store.restore(path),
+            (DiskCopy::Durable(id), _, Some(store)) => store.read(*id),
+            _ => Err(std::io::ErrorKind::NotFound.into()),
+        };
         self.io.observe_read(bytes, t0.elapsed().as_nanos() as u64);
-        restored
+
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        LimaStats::bump(match restored {
+            Ok(_) => &self.stats.restores,
+            Err(_) => &self.stats.restore_failures,
+        });
+        let Ok(value) = restored else {
+            if let DiskCopy::Durable(id) = copy {
+                st.forget_durable(&[id]);
+            }
+            if let Some(e) = st.map.get_mut(key) {
+                st.index.update(e, |e| {
+                    e.state = EntryState::Evicted;
+                    e.misses += 1;
+                });
+            }
+            self.sync_governor(st);
+            return (guard, None);
+        };
+        // Entry vanished (a concurrent clear): a miss.
+        let Some(e) = st.map.get_mut(key) else {
+            return (guard, None);
+        };
+        st.index.update(e, |e| {
+            e.install(&value);
+            e.hits += 1;
+            e.last_access = self.tick();
+        });
+        self.enforce_budget(st);
+        if let (Some(o), Some(t0)) = (self.obs(), span_t0) {
+            o.record_span(
+                EventKind::SpillRestore,
+                key.0.opcode(),
+                key.0.id(),
+                t0,
+                bytes as u64,
+                0,
+            );
+        }
+        (guard, Some(value))
     }
 
     /// True when this item's output qualifies for cache interaction.
@@ -853,39 +919,10 @@ impl LineageCache {
                 });
                 Some(value)
             }
-            EntryState::Spilled { path, bytes } => {
-                let (path, bytes) = (path.clone(), *bytes);
-                st.index.update(e, |e| e.state = EntryState::Computing);
-                drop(guard);
-                let restored = self.timed_restore(&path, bytes);
-                let mut guard = self.state.lock();
-                let st = &mut *guard;
-                let e = st.map.get_mut(&key)?;
-                match restored {
-                    Ok(value) => {
-                        LimaStats::bump(&self.stats.restores);
-                        st.index.update(e, |e| {
-                            e.install(&value);
-                            e.hits += 1;
-                            e.last_access = self.tick();
-                        });
-                        self.enforce_budget(st);
-                        self.unlock_and_wake(guard);
-                        Some(value)
-                    }
-                    Err(_) => {
-                        // Degrade to a miss; waiters on the placeholder wake
-                        // and recompute.
-                        LimaStats::bump(&self.stats.restore_failures);
-                        st.index.update(e, |e| {
-                            e.state = EntryState::Evicted;
-                            e.misses += 1;
-                        });
-                        self.sync_governor(st);
-                        self.unlock_and_wake(guard);
-                        None
-                    }
-                }
+            EntryState::Spilled { .. } => {
+                let (guard, restored) = self.restore(guard, &key);
+                self.unlock_and_wake(guard);
+                restored
             }
             EntryState::Computing | EntryState::Evicted => {
                 // Not a queue input: shells queue by `last_access` alone.
@@ -991,9 +1028,7 @@ impl LineageCache {
     fn fulfill(&self, key: &LinKey, value: &Value, compute_ns: u64, how: Admission) {
         let children = self.composite_on_fulfill(key);
         let size = value.size_in_bytes();
-        let admit = size <= self.effective_budget()
-            && size >= self.config.min_entry_bytes
-            && self.governor_admits(size);
+        let admit = size <= self.effective_budget() && self.governor_admits(size);
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let now = self.tick();
@@ -1006,10 +1041,15 @@ impl LineageCache {
                 // An entry that already holds a value (a put on a resident
                 // key, a replicated put racing a local one, a late fulfiller
                 // after a placeholder takeover) has it replaced: `update`
-                // takes the old value out of the byte counts, and its spill
-                // file goes with it.
-                if let (EntryState::Spilled { path, .. }, Some(store)) =
-                    (&e.state, &self.spill_store)
+                // takes the old value out of the byte counts, and its scratch
+                // spill file goes with it (a durable copy is the store's).
+                if let (
+                    EntryState::Spilled {
+                        copy: DiskCopy::Scratch(path),
+                        ..
+                    },
+                    Some(store),
+                ) = (&e.state, &self.spill_store)
                 {
                     store.discard(path);
                 }
@@ -1098,11 +1138,7 @@ impl LineageCache {
         // Transient I/O errors get bounded jittered-backoff retries before
         // they count against the breaker; injected crash points latch
         // `crashed()` and are never retried.
-        let policy = RetryPolicy::new(
-            self.config.persist_retry_attempts,
-            self.config.persist_retry_base_ms,
-            self.tick(),
-        );
+        let policy = RetryPolicy::new(PERSIST_RETRY_ATTEMPTS, PERSIST_RETRY_BASE_MS, self.tick());
         let persist_t0 = self.obs().map(|o| o.now_ns());
         let (result, retries) = policy.run(
             |_| store.usable(),
@@ -1116,7 +1152,10 @@ impl LineageCache {
                 self.persist_breaker.record_success();
                 LimaStats::bump(&self.stats.persist_writes);
                 LimaStats::add(&self.stats.persist_bytes, outcome.bytes);
-                LimaStats::add(&self.stats.persist_tombstones, outcome.evicted);
+                LimaStats::add(
+                    &self.stats.persist_tombstones,
+                    outcome.evicted_ids.len() as u64,
+                );
                 if let (Some(o), Some(t0)) = (self.obs(), persist_t0) {
                     o.record_span(
                         EventKind::PersistWrite,
@@ -1127,10 +1166,15 @@ impl LineageCache {
                         0,
                     );
                 }
-                let mut st = self.state.lock();
+                let mut guard = self.state.lock();
+                let st = &mut *guard;
                 if let Some(e) = st.map.get_mut(key) {
                     e.persist_id = Some(outcome.id);
+                    st.durable.insert(outcome.id, key.clone());
                 }
+                // Files tombstoned to fit the disk budget are gone: their
+                // entries must persist again once recomputed.
+                st.forget_durable(&outcome.evicted_ids);
             }
             Ok(None) => {} // value kind not persisted (lists)
             Err(_) => {
@@ -1215,18 +1259,7 @@ impl LineageCache {
             LimaStats::bump(&self.stats.scrub_passes);
         }
         if !out.quarantined_ids.is_empty() {
-            // Un-map quarantined persist IDs: the in-memory value (when still
-            // resident) remains valid, and clearing the ID lets a later
-            // fulfill re-persist a recomputed copy.
-            let mut st = self.state.lock();
-            for e in st.map.values_mut() {
-                if let Some(id) = e.persist_id {
-                    if out.quarantined_ids.contains(&id) {
-                        e.persist_id = None;
-                        e.from_persist = false;
-                    }
-                }
-            }
+            self.state.lock().forget_durable(&out.quarantined_ids);
         }
         self.drain_compaction_counters();
         Some(out)
@@ -1256,22 +1289,13 @@ impl LineageCache {
     /// Evicts (spill or delete) the lowest-scoring resident entry under the
     /// active policy (paper Table 1), one at a time, until the resident size
     /// fits the budget. The victim comes off the head of the eviction index
-    /// in O(log n); only the ablation-only Hybrid policy, whose score is
-    /// normalised over the current resident set, scans for it.
+    /// in O(log n).
     fn enforce_budget(&self, st: &mut CacheState) {
         let budget = self.effective_budget();
         while st.index.resident_bytes() > budget {
-            let victim = match self.config.policy {
-                EvictionPolicy::Hybrid => eviction::pick_victim(
-                    EvictionPolicy::Hybrid,
-                    st.map
-                        .values()
-                        .filter(|e| e.is_resident() && e.size > 0)
-                        .map(|e| (&e.key, e)),
-                ),
-                _ => st.index.victim(),
+            let Some(victim) = st.index.victim().cloned() else {
+                break;
             };
-            let Some(victim) = victim.cloned() else { break };
             if !self.evict(st, &victim) {
                 break; // not resident after all: never spin under the lock
             }
@@ -1280,9 +1304,10 @@ impl LineageCache {
         self.sync_governor(st);
     }
 
-    /// Takes `key`'s value out of memory: to a spill file when that pays off,
-    /// otherwise dropped, leaving a shell. False when `key` holds no resident
-    /// value.
+    /// Takes `key`'s value out of memory: left to its one on-disk copy when
+    /// restoring that pays off (the durable file if the entry has one, else a
+    /// scratch spill file written now), otherwise dropped, leaving a shell.
+    /// False when `key` holds no resident value.
     fn evict(&self, st: &mut CacheState, key: &LinKey) -> bool {
         let Some(e) = st.map.get_mut(key) else {
             return false;
@@ -1295,17 +1320,19 @@ impl LineageCache {
         // degrades to delete-only: spill files are themselves governed
         // memory/disk pressure.
         let shared = e.group != 0 && st.index.group_size(e.group) > 1;
-        let spilled = if !shared && self.admissions_open() {
-            self.try_spill(key, value, e.size, e.compute_ns)
+        let on_disk = if !shared && self.admissions_open() {
+            self.try_spill(key, value, e.size, e.compute_ns, e.persist_id)
         } else {
             None
         };
-        if spilled.is_none() {
+        // `spills` counts scratch writes; everything else left memory
+        // without one.
+        if !matches!(on_disk, Some((DiskCopy::Scratch(_), _))) {
             LimaStats::bump(&self.stats.evictions);
         }
         st.index.update(e, |e| {
-            e.state = match spilled {
-                Some((path, bytes)) => EntryState::Spilled { path, bytes },
+            e.state = match on_disk {
+                Some((copy, bytes)) => EntryState::Spilled { copy, bytes },
                 None => EntryState::Evicted,
             };
             e.size = 0;
@@ -1313,19 +1340,26 @@ impl LineageCache {
         true
     }
 
-    /// Writes an eviction victim to the spill store when recomputing it would
-    /// cost more than reading it back, the store accepts the value kind, and
-    /// the spill circuit breaker lets the write through.
+    /// Decides whether an eviction victim keeps an on-disk copy: spilling is
+    /// on, the value is a matrix, and recomputing it would cost more than
+    /// reading it back. A victim the persistent store already holds is left
+    /// to that file and nothing is written — a value has at most one on-disk
+    /// copy; any other is written to the spill store when the spill circuit
+    /// breaker lets the write through.
     fn try_spill(
         &self,
         key: &LinKey,
         value: &Value,
         size: usize,
         compute_ns: u64,
-    ) -> Option<(PathBuf, usize)> {
+        persist_id: Option<u64>,
+    ) -> Option<(DiskCopy, usize)> {
         let store = self.spill_store.as_ref()?;
-        if !self.io.worth_spilling(size, compute_ns) {
+        if !matches!(value, Value::Matrix(_)) || !self.io.worth_spilling(size, compute_ns) {
             return None;
+        }
+        if let Some(id) = persist_id {
+            return Some((DiskCopy::Durable(id), size));
         }
         match self.spill_breaker.allow() {
             Attempt::Rejected => return None,
@@ -1350,10 +1384,8 @@ impl LineageCache {
                         0,
                     );
                 }
-                Some((path, bytes))
+                Some((DiskCopy::Scratch(path), bytes))
             }
-            // Non-matrix values are simply not spillable; no breaker
-            // feedback.
             Ok(None) => None,
             // Write failure: fall back to delete-eviction and feed the
             // circuit breaker.
@@ -1399,7 +1431,11 @@ impl LineageCache {
         let st = &mut *guard;
         if let Some(store) = &self.spill_store {
             for e in st.map.values() {
-                if let EntryState::Spilled { path, .. } = &e.state {
+                if let EntryState::Spilled {
+                    copy: DiskCopy::Scratch(path),
+                    ..
+                } = &e.state
+                {
                     store.discard(path);
                 }
             }
@@ -1414,6 +1450,7 @@ impl LineageCache {
             }
         }
         st.map.clear();
+        st.durable.clear();
         st.index = EvictionIndex::new(self.config.policy);
         self.sync_governor(st);
         self.unlock_and_wake(guard);
@@ -1467,6 +1504,7 @@ mod tests {
     use super::*;
     use crate::lineage::item::LineageItem;
     use lima_matrix::DenseMatrix;
+    use std::path::Path;
 
     fn cfg(budget: usize) -> LimaConfig {
         LimaConfig {
@@ -1894,24 +1932,45 @@ mod tests {
         cache.verify_index().unwrap();
     }
 
-    #[test]
-    fn put_over_a_spilled_entry_discards_the_spill_file() {
-        let cache = LineageCache::new(LimaConfig {
+    /// A 100 kB cache in which the costly `hot` entry has just been pushed
+    /// out of memory by an even costlier one; durable when `persist` names
+    /// a directory.
+    fn cache_with_hot_on_disk(persist: Option<&Path>) -> (Arc<LineageCache>, LinRef) {
+        let config = LimaConfig {
             budget_bytes: 100_000,
             spill: true,
             ..LimaConfig::default()
+        };
+        let cache = LineageCache::new(match persist {
+            Some(dir) => config.with_persistence(dir),
+            None => config,
         });
         let hot = mk_item("ba+*", "hot");
         cache.put(&hot, &mat(100), 60_000_000_000);
         cache.put(&mk_item("ba+*", "filler"), &mat(90), 120_000_000_000);
+        (cache, hot)
+    }
+
+    /// Where `item`'s evicted value lives on disk.
+    fn disk_copy(cache: &LineageCache, item: &LinRef) -> DiskCopy {
+        match &cache.state.lock().map[&LinKey(item.clone())].state {
+            EntryState::Spilled { copy, .. } => copy.clone(),
+            other => panic!("expected a spilled entry, found {other:?}"),
+        }
+    }
+
+    fn spill_dir_files(cache: &LineageCache) -> usize {
+        let dir = cache.spill_store.as_ref().unwrap().dir();
+        std::fs::read_dir(dir).unwrap().count()
+    }
+
+    #[test]
+    fn put_over_a_spilled_entry_discards_the_spill_file() {
+        let (cache, hot) = cache_with_hot_on_disk(None);
         assert_eq!(LimaStats::get(&cache.stats().spills), 1);
-        let spill_file = {
-            let st = cache.state.lock();
-            assert!(st.index.spilled_bytes() > 0);
-            match &st.map[&LinKey(hot.clone())].state {
-                EntryState::Spilled { path, .. } => path.clone(),
-                other => panic!("expected a spilled entry, found {other:?}"),
-            }
+        assert!(cache.state.lock().index.spilled_bytes() > 0);
+        let DiskCopy::Scratch(spill_file) = disk_copy(&cache, &hot) else {
+            panic!("without persistence the copy is a scratch file");
         };
         assert!(spill_file.exists());
         // A fresh value for the spilled key supersedes the file.
@@ -1921,6 +1980,112 @@ mod tests {
         assert_eq!(cache.resident_bytes(), scanned_resident_bytes(&cache));
         assert_eq!(LimaStats::get(&cache.stats().restores), 0);
         cache.verify_index().unwrap();
+
+        // The durable copy of an entry is the store's: a re-put leaves it.
+        let dir = persist_dir("reput");
+        let (cache, hot) = cache_with_hot_on_disk(Some(&dir));
+        let DiskCopy::Durable(id) = disk_copy(&cache, &hot) else {
+            panic!("a persisted entry is left to its durable file");
+        };
+        let value_file = dir.join("values").join(format!("v{id}.val"));
+        cache.put(&hot, &mat(20), 60_000_000_000);
+        assert!(value_file.exists());
+        assert_eq!(cache.resident_bytes(), scanned_resident_bytes(&cache));
+        assert_eq!(LimaStats::get(&cache.stats().persist_writes), 2);
+        cache.verify_index().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn durable_entries_are_never_spilled_and_restore_from_their_value_file() {
+        let dir = persist_dir("onecopy");
+        let (cache, hot) = cache_with_hot_on_disk(Some(&dir));
+        // Evicting the durable entry wrote nothing.
+        let DiskCopy::Durable(id) = disk_copy(&cache, &hot) else {
+            panic!("a persisted entry is left to its durable file");
+        };
+        assert_eq!(LimaStats::get(&cache.stats().spills), 0);
+        assert_eq!(LimaStats::get(&cache.stats().spill_bytes), 0);
+        assert_eq!(LimaStats::get(&cache.stats().evictions), 1);
+        assert_eq!(spill_dir_files(&cache), 0);
+        assert_eq!(cache.state.lock().index.spilled_bytes(), 0);
+        assert_eq!(cache.live_entries(), 2);
+        cache.verify_index().unwrap();
+        // A hit reads `values/v<id>.val` and leaves it in place.
+        let value_file = dir.join("values").join(format!("v{id}.val"));
+        match cache.acquire(&hot).unwrap() {
+            Probe::Hit(v) => assert!(v.approx_eq(&mat(100), 0.0)),
+            Probe::Reserved(_) => panic!("expected a restore hit"),
+        }
+        assert_eq!(LimaStats::get(&cache.stats().restores), 1);
+        assert!(value_file.exists());
+        assert_eq!(LimaStats::get(&cache.stats().persist_writes), 2);
+        cache.verify_index().unwrap();
+        drop(cache);
+
+        // The same after a restart: recovery reads both values, evicts down
+        // to the budget, and the overflow stays where it already is.
+        let cache = LineageCache::new(LimaConfig {
+            budget_bytes: 100_000,
+            ..LimaConfig::default().with_persistence(&dir)
+        });
+        assert_eq!(LimaStats::get(&cache.stats().persist_recovered), 2);
+        assert_eq!(cache.live_entries(), 2);
+        assert_eq!(LimaStats::get(&cache.stats().spills), 0);
+        assert_eq!(spill_dir_files(&cache), 0);
+        for (tag, n) in [("hot", 100), ("filler", 90)] {
+            match cache.acquire(&mk_item("ba+*", tag)).unwrap() {
+                Probe::Hit(v) => assert!(v.approx_eq(&mat(n), 0.0)),
+                Probe::Reserved(_) => panic!("{tag} must hit after the restart"),
+            }
+        }
+        assert_eq!(LimaStats::get(&cache.stats().persist_hits), 2);
+        assert!(LimaStats::get(&cache.stats().restores) >= 1);
+        assert_eq!(LimaStats::get(&cache.stats().persist_writes), 0);
+        assert!(value_file.exists());
+        cache.verify_index().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lost_or_damaged_durable_copy_degrades_to_a_miss_and_persists_again() {
+        for damage in ["deleted", "bit-flipped", "quarantined"] {
+            let dir = persist_dir(damage);
+            let (cache, hot) = cache_with_hot_on_disk(Some(&dir));
+            let DiskCopy::Durable(id) = disk_copy(&cache, &hot) else {
+                panic!("a persisted entry is left to its durable file");
+            };
+            let value_file = dir.join("values").join(format!("v{id}.val"));
+            if damage == "deleted" {
+                std::fs::remove_file(&value_file).unwrap();
+            } else {
+                spill::corrupt_file(&value_file, 7).unwrap();
+            }
+            // A scrub pass that finds the damage first un-maps the entry, so
+            // the probe below never attempts the read.
+            let failed_reads = if damage == "quarantined" {
+                assert_eq!(cache.scrub_step(0).unwrap().quarantined_ids, vec![id]);
+                assert_eq!(cache.live_entries(), 1);
+                0
+            } else {
+                1
+            };
+            match cache.acquire(&hot).unwrap() {
+                Probe::Reserved(r) => r.fulfill(&mat(100), 60_000_000_000),
+                Probe::Hit(_) => panic!("{damage}: a lost copy must not produce a value"),
+            }
+            assert_eq!(
+                LimaStats::get(&cache.stats().restore_failures),
+                failed_reads
+            );
+            assert_eq!(LimaStats::get(&cache.stats().restores), 0);
+            // The recomputed value went to disk again, under a new id.
+            assert_eq!(LimaStats::get(&cache.stats().persist_writes), 3);
+            let new_id = cache.state.lock().map[&LinKey(hot.clone())].persist_id;
+            assert!(new_id.is_some_and(|n| n != id), "{damage}: {new_id:?}");
+            cache.verify_index().unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

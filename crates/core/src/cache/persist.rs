@@ -4,7 +4,8 @@
 //! reconstruction of intermediates (§3); this module makes the reuse cache
 //! itself survive process death *and at-rest corruption*. A
 //! [`PersistentCacheStore`] pairs a generational *manifest WAL* with a
-//! directory of checksummed *value files*:
+//! directory of checksummed *value files* (the file form of
+//! [`lima_matrix::codec`], which the spill store and the wire share):
 //!
 //! ```text
 //! <persist_dir>/manifest.<gen>.wal      append-only record log (active = highest gen)
@@ -69,19 +70,17 @@ use crate::lineage::item::LinRef;
 use crate::lineage::serialize::{deserialize_lineage, serialize_lineage};
 use crate::resilience::{RetryBudget, RetryPolicy};
 use bytes::{Buf, BufMut, BytesMut};
-use lima_matrix::{DenseMatrix, ScalarValue, Value};
+use lima_matrix::codec::{self, fnv1a};
+use lima_matrix::Value;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Value-file magic: "LIMV".
-const VALUE_MAGIC: u32 = 0x4C49_4D56;
-const VALUE_VERSION: u32 = 1;
 /// WAL record kinds.
 const REC_PUT: u8 = 1;
 const REC_TOMBSTONE: u8 = 2;
@@ -92,16 +91,6 @@ const MAX_RECORD_BYTES: usize = 256 * 1024 * 1024;
 /// prefix + (kind u8, id u64, compute_ns u64, value_bytes u64, lin_len u32)
 /// + u64 checksum trailer.
 const PUT_RECORD_OVERHEAD: u64 = 4 + 29 + 8;
-
-/// FNV-1a 64-bit hash (same construction as the spill format).
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Path of generation `generation`'s manifest under `dir`.
 fn manifest_path(dir: &Path, generation: u64) -> PathBuf {
@@ -239,14 +228,16 @@ pub struct RecoveryReport {
 }
 
 /// Outcome of a successful [`PersistentCacheStore::persist`] call.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct PersistOutcome {
     /// Manifest ID assigned to the entry.
     pub id: u64,
     /// Bytes written to the value file.
     pub bytes: u64,
-    /// Entries tombstoned to keep the store inside its disk budget.
-    pub evicted: u64,
+    /// Manifest IDs tombstoned to keep the store inside its disk budget
+    /// (callers un-map their cache entries, as for
+    /// [`ScrubOutcome::quarantined_ids`]).
+    pub evicted_ids: Vec<u64>,
 }
 
 /// Outcome of a WAL compaction.
@@ -482,7 +473,7 @@ impl PersistentCacheStore {
                 drop_ids.push(id);
                 continue;
             }
-            let (value, value_bytes) = match read_value_file(&path) {
+            let (value, value_bytes) = match codec::read_file(&path) {
                 Ok(v) => (v, rec.value_bytes),
                 Err(_) => match attempt_repair(&opts, &repair_budget, &root, &path) {
                     Some((v, nb)) => {
@@ -719,7 +710,7 @@ impl PersistentCacheStore {
         compute_ns: u64,
     ) -> std::io::Result<Option<PersistOutcome>> {
         self.dead()?;
-        let Some(encoded) = encode_value(value) else {
+        let Some(encoded) = codec::encode_file(value) else {
             return Ok(None);
         };
         let lineage = serialize_lineage(root);
@@ -776,7 +767,7 @@ impl PersistentCacheStore {
 
         // Disk budget: tombstone the oldest entries (FIFO by manifest ID)
         // until the new entry fits.
-        let mut evicted = 0u64;
+        let mut evicted_ids = Vec::new();
         if self.opts.budget_bytes > 0 {
             while st.total_bytes > self.opts.budget_bytes && st.live.len() > 1 {
                 let (old, bytes, lin) = {
@@ -793,7 +784,7 @@ impl PersistentCacheStore {
                 st.total_bytes -= bytes;
                 st.live_record_bytes = st.live_record_bytes.saturating_sub(rec_len(&lin));
                 let _ = fs::remove_file(self.value_path(old));
-                evicted += 1;
+                evicted_ids.push(old);
             }
         }
 
@@ -802,8 +793,15 @@ impl PersistentCacheStore {
         Ok(Some(PersistOutcome {
             id,
             bytes: encoded.len() as u64,
-            evicted,
+            evicted_ids,
         }))
+    }
+
+    /// Reads entry `id`'s committed value file, verifying its checksum. The
+    /// file stays in place: it is the entry's one on-disk copy. A file that
+    /// was tombstoned, quarantined or damaged since reads as an error.
+    pub fn read(&self, id: u64) -> std::io::Result<Value> {
+        codec::read_file(&self.value_path(id))
     }
 
     /// Appends an eviction tombstone for `id` and deletes its value file.
@@ -941,7 +939,7 @@ impl PersistentCacheStore {
             let path = self.value_path(id);
             out.entries += 1;
             out.bytes += vb;
-            if read_value_file(&path).is_ok() {
+            if codec::read_file(&path).is_ok() {
                 continue;
             }
             out.corrupt += 1;
@@ -1015,7 +1013,7 @@ fn attempt_repair(
         opts.repair_retry
             .run_budgeted(Some(budget), |_e: &String| true, || hook.repair(root));
     let value = res.ok()?;
-    let encoded = encode_value(&value)?;
+    let encoded = codec::encode_file(&value)?;
     write_value_atomic(path, &encoded).ok()?;
     Some((value, encoded.len() as u64))
 }
@@ -1186,90 +1184,6 @@ fn parse_payload(mut p: &[u8]) -> Option<Record> {
             Some(Record::Tombstone { id })
         }
         _ => None,
-    }
-}
-
-/// Serializes a value into the checksummed value-file format. Lists are not
-/// persisted (`None`).
-fn encode_value(value: &Value) -> Option<Vec<u8>> {
-    let mut buf = BytesMut::new();
-    buf.put_u32(VALUE_MAGIC);
-    buf.put_u32(VALUE_VERSION);
-    match value {
-        Value::Matrix(m) => {
-            buf.put_u8(0);
-            buf.put_u64(m.rows() as u64);
-            buf.put_u64(m.cols() as u64);
-            for &v in m.data() {
-                buf.put_f64(v);
-            }
-        }
-        Value::Scalar(s) => {
-            buf.put_u8(1);
-            let lit = s.lineage_literal();
-            buf.put_u32(lit.len() as u32);
-            buf.put_slice(lit.as_bytes());
-        }
-        Value::List(_) => return None,
-    }
-    let checksum = fnv1a(&buf);
-    buf.put_u64(checksum);
-    Some(buf.to_vec())
-}
-
-/// Reads and verifies a value file written by [`encode_value`].
-fn read_value_file(path: &Path) -> std::io::Result<Value> {
-    let mut raw = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut raw)?;
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    if raw.len() < 9 + 8 {
-        return Err(bad("value file too short"));
-    }
-    let (body, trailer) = raw.split_at(raw.len() - 8);
-    let mut t = trailer;
-    if fnv1a(body) != t.get_u64() {
-        return Err(bad("value file checksum mismatch"));
-    }
-    let mut buf = body;
-    if buf.get_u32() != VALUE_MAGIC {
-        return Err(bad("bad value file magic"));
-    }
-    let version = buf.get_u32();
-    if version != VALUE_VERSION {
-        return Err(bad(&format!("unsupported value format version {version}")));
-    }
-    match buf.get_u8() {
-        0 => {
-            if buf.remaining() < 16 {
-                return Err(bad("truncated matrix header"));
-            }
-            let rows = buf.get_u64() as usize;
-            let cols = buf.get_u64() as usize;
-            if rows.checked_mul(cols).and_then(|n| n.checked_mul(8)) != Some(buf.remaining()) {
-                return Err(bad("truncated matrix value file"));
-            }
-            let mut data = Vec::with_capacity(rows * cols);
-            for _ in 0..rows * cols {
-                data.push(buf.get_f64());
-            }
-            DenseMatrix::new(rows, cols, data)
-                .map(Value::matrix)
-                .map_err(|e| bad(&e.to_string()))
-        }
-        1 => {
-            if buf.remaining() < 4 {
-                return Err(bad("truncated scalar header"));
-            }
-            let len = buf.get_u32() as usize;
-            if buf.remaining() != len {
-                return Err(bad("truncated scalar value file"));
-            }
-            let lit = std::str::from_utf8(buf).map_err(|_| bad("scalar not UTF-8"))?;
-            ScalarValue::from_lineage_literal(lit)
-                .map(Value::Scalar)
-                .ok_or_else(|| bad("bad scalar literal"))
-        }
-        other => Err(bad(&format!("unknown value tag {other}"))),
     }
 }
 
@@ -1480,7 +1394,7 @@ pub fn fsck(dir: &Path) -> FsckReport {
             report.findings.push(FsckFinding::MissingValue { id: *id });
             continue;
         }
-        match read_value_file(&path) {
+        match codec::read_file(&path) {
             Ok(_) => {
                 if lineage_ok {
                     report.live_entries += 1;
@@ -1523,6 +1437,7 @@ pub fn fsck(dir: &Path) -> FsckReport {
 mod tests {
     use super::*;
     use crate::lineage::item::{lineage_eq, LineageItem};
+    use lima_matrix::DenseMatrix;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -1774,11 +1689,17 @@ mod tests {
         // of 1200 holds two.
         let (store, _, _) = PersistentCacheStore::open(&dir, 1200, None).unwrap();
         let a = store.persist(&item("A"), &mat(8), 10).unwrap().unwrap();
-        assert_eq!(a.evicted, 0);
+        assert!(a.evicted_ids.is_empty());
         let b = store.persist(&item("B"), &mat(8), 20).unwrap().unwrap();
-        assert_eq!(b.evicted, 0);
+        assert!(b.evicted_ids.is_empty());
         let c = store.persist(&item("C"), &mat(8), 30).unwrap().unwrap();
-        assert_eq!(c.evicted, 1, "oldest entry tombstoned to fit the budget");
+        assert_eq!(
+            c.evicted_ids,
+            vec![a.id],
+            "oldest entry tombstoned to fit the budget"
+        );
+        assert!(store.read(a.id).is_err(), "a tombstoned file is gone");
+        assert!(store.read(b.id).unwrap().approx_eq(&mat(8), 0.0));
         assert_eq!(store.live_entries(), 2);
         drop(store);
         let (_s, rec, rep) = open(&dir);
@@ -1847,27 +1768,6 @@ mod tests {
         fs::write(&path, b"file").unwrap();
         assert!(PersistentCacheStore::open(&path, 0, None).is_none());
         fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn value_file_single_byte_corruption_is_always_detected() {
-        let dir = tmp_dir("valcorrupt");
-        let (store, _, _) = open(&dir);
-        let id = store.persist(&item("A"), &mat(3), 10).unwrap().unwrap().id;
-        let path = dir.join("values").join(format!("v{id}.val"));
-        let clean = fs::read(&path).unwrap();
-        for pos in 0..clean.len() {
-            let mut damaged = clean.clone();
-            damaged[pos] ^= 0x20;
-            fs::write(&path, &damaged).unwrap();
-            assert!(
-                read_value_file(&path).is_err(),
-                "corruption at byte {pos} went undetected"
-            );
-        }
-        fs::write(&path, &clean).unwrap();
-        assert!(read_value_file(&path).is_ok());
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     // -- compaction ---------------------------------------------------------
@@ -2134,7 +2034,7 @@ mod tests {
         assert_eq!(out.corrupt, 1);
         assert_eq!(out.repaired, 1);
         assert_eq!(out.quarantined, 0);
-        assert!(read_value_file(&victim).unwrap().approx_eq(&mat(4), 0.0));
+        assert!(codec::read_file(&victim).unwrap().approx_eq(&mat(4), 0.0));
         assert_eq!(store.live_entries(), 1);
         // A clean follow-up pass finds nothing.
         let out2 = store.scrub_chunk(0).unwrap();

@@ -46,10 +46,6 @@ pub enum EvictionPolicy {
     DagHeight,
     /// Cost & Size (default): evict minimal `(r_h + r_m) · c(o) / s(o)`.
     CostSize,
-    /// Hybrid (weighted recency + cost/size). The paper abandoned this in
-    /// favour of the parameter-free Cost&Size policy (§4.3); it is kept here
-    /// for the ablation study.
-    Hybrid,
 }
 
 /// Top-level LIMA configuration handed to the runtime and the cache.
@@ -74,10 +70,6 @@ pub struct LimaConfig {
     pub compiler_assist: bool,
     /// Opcodes whose outputs qualify for caching; `None` uses the default set.
     pub cacheable_opcodes: Option<HashSet<String>>,
-    /// Objects larger than the whole budget are never cached; additionally,
-    /// objects smaller than this many bytes are not worth caching as
-    /// individual entries (placeholder pressure); 0 disables the floor.
-    pub min_entry_bytes: usize,
     /// Upper bound (milliseconds) a probe blocks on another thread's
     /// placeholder before assuming the fulfiller died and taking over the
     /// computation itself. 0 waits forever (the pre-hardening behaviour).
@@ -92,13 +84,6 @@ pub struct LimaConfig {
     /// milliseconds (success closes the breaker again). 0 restores the old
     /// latch-open-forever behaviour.
     pub breaker_cooldown_ms: u64,
-    /// Bounded retries (with jittered exponential backoff) for transient
-    /// persist I/O errors before they count against the breaker. 0 disables
-    /// retrying.
-    pub persist_retry_attempts: u32,
-    /// Base backoff delay (milliseconds) before the first persist retry;
-    /// doubles per retry.
-    pub persist_retry_base_ms: u64,
     /// Process-wide memory budget governed by the
     /// [`crate::governor::ResourceGovernor`] degradation ladder (resident
     /// cache bytes + session live variables + spill buffers). 0 disables
@@ -120,12 +105,6 @@ pub struct LimaConfig {
     /// Auto-compact the manifest WAL into a fresh generation when it exceeds
     /// the live-record footprint by this factor; 0 disables auto-compaction.
     pub persist_compact_factor: u64,
-    /// Quarantined (corrupt) persist files older than this many seconds are
-    /// garbage-collected at startup recovery; 0 keeps them forever.
-    pub persist_quarantine_max_age_secs: u64,
-    /// Global token budget bounding how many lineage-driven repairs a flaky
-    /// disk can trigger (see [`crate::resilience::RetryBudget`]).
-    pub persist_repair_budget: u64,
     /// Recomputes corrupt persisted values from their serialized lineage
     /// (scrub- and recovery-time repair). The runtime installs its
     /// reconstruction-based hook automatically when persistence is enabled;
@@ -159,20 +138,15 @@ impl Default for LimaConfig {
             spill: true,
             compiler_assist: true,
             cacheable_opcodes: None,
-            min_entry_bytes: 0,
             placeholder_timeout_ms: 60_000,
             spill_failure_limit: 3,
             breaker_cooldown_ms: 5_000,
-            persist_retry_attempts: 2,
-            persist_retry_base_ms: 1,
             governor_budget_bytes: 0,
             persist_enabled: false,
             persist_dir: None,
             persist_budget_bytes: 1 << 30,
             persist_compact_min_bytes: 64 * 1024,
             persist_compact_factor: 4,
-            persist_quarantine_max_age_secs: 86_400,
-            persist_repair_budget: 64,
             repair: None,
             faults: None,
             obs: None,

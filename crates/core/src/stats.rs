@@ -63,13 +63,15 @@ define_stats! {
     puts,
     /// Values rejected by the cache (non-cacheable, over budget, ...).
     rejected_puts,
-    /// Entries evicted by deletion.
+    /// Entries evicted without a spill write: dropped to a shell, or left to
+    /// the copy the persistent store already holds.
     evictions,
-    /// Entries evicted by spilling to disk.
+    /// Entries evicted by writing a file to the scratch spill directory.
     spills,
-    /// Spilled entries restored from disk on a hit.
+    /// Evicted entries read back from disk on a hit (scratch spill file or
+    /// durable value file).
     restores,
-    /// Bytes written by spilling.
+    /// Bytes written to the scratch spill directory.
     spill_bytes,
     /// Nanoseconds of compute time saved by reuse. Each computed nanosecond
     /// is credited at most once: an entry credits on its first hit only, and
@@ -80,7 +82,7 @@ define_stats! {
     compensation_ns,
     /// Spill writes that failed (entry fell back to delete-eviction).
     spill_failures,
-    /// Spilled entries whose restore failed (missing/corrupt file); the
+    /// Evicted entries whose restore failed (missing/corrupt file); the
     /// probe degraded to a miss and the value was recomputed.
     restore_failures,
     /// Placeholder waits that timed out and took over the computation from a

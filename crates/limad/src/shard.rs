@@ -12,9 +12,9 @@
 //! scripts from different tenants land on the same shard and cross-tenant
 //! lineage reuse works), probes and fetches hash the lineage trace itself.
 
-use lima_client::proto::fnv1a;
 use lima_core::lineage::LinRef;
 use lima_core::{LimaConfig, LimaStats, LineageCache, ResourceGovernor};
+use lima_matrix::codec::fnv1a;
 use lima_runtime::SessionPool;
 use std::path::Path;
 use std::sync::Arc;

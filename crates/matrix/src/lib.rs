@@ -11,6 +11,7 @@
 //! discipline LIMA relies on ("immutable files/RDDs", paper §3.4).
 
 pub mod backend;
+pub mod codec;
 pub mod dense;
 pub mod error;
 pub mod frame;

@@ -3,7 +3,7 @@
 //! ```text
 //! limac run <script.dml> [options]       execute a script
 //!     --config base|lt|ltd|lima          LIMA configuration (default lima)
-//!     --policy lru|dag-height|cost-size|hybrid
+//!     --policy lru|dag-height|cost-size
 //!     --budget-mb <N>                    cache budget (default 512)
 //!     --dedup                            enable lineage deduplication
 //!     --no-compiler-assist               disable §4.4 rewrites/unmarking
@@ -127,7 +127,6 @@ fn parse_run_options(args: &[String]) -> Result<(String, LimaConfig, RunFlags), 
                     "lru" => EvictionPolicy::Lru,
                     "dag-height" => EvictionPolicy::DagHeight,
                     "cost-size" => EvictionPolicy::CostSize,
-                    "hybrid" => EvictionPolicy::Hybrid,
                     other => return Err(format!("unknown policy '{other}'")),
                 };
             }

@@ -175,9 +175,9 @@ fn serial_parfor_panic_is_isolated_and_loop_var_scoped() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Spill a matrix, flip one arbitrary byte of the file, restore: the
-    /// result is always a clean error — never a silently wrong matrix and
-    /// never a panic.
+    /// Spill a matrix, flip one arbitrary byte of the file, restore through
+    /// the store: always a clean error, never a panic. (That *every* flip of
+    /// the file form is caught is the codec's own property test.)
     #[test]
     fn single_byte_spill_corruption_always_yields_clean_error(
         (rows, cols) in (1usize..9, 1usize..9),
@@ -189,22 +189,12 @@ proptest! {
             ((seed as usize + i * cols + j) % 97) as f64 * 0.375 - 18.0
         });
         let store = SpillStore::new().unwrap();
-        let (path, bytes) = store.spill(&Value::matrix(m.clone())).unwrap().unwrap();
+        let (path, bytes) = store.spill(&Value::matrix(m)).unwrap().unwrap();
         let mut raw = std::fs::read(&path).unwrap();
         prop_assert_eq!(raw.len(), bytes);
         let pos = pos_sel % raw.len();
         raw[pos] ^= mask;
         std::fs::write(&path, &raw).unwrap();
-        match store.restore(&path) {
-            Err(_) => {} // corruption detected: the cache degrades to a miss
-            Ok(v) => {
-                // Safety net: an undetected corruption may never change the
-                // restored data (with a nonzero XOR mask this cannot pass).
-                prop_assert!(
-                    v.as_matrix().unwrap().approx_eq(&m, 0.0),
-                    "corrupt spill file restored to a wrong matrix"
-                );
-            }
-        }
+        prop_assert!(store.restore(&path).is_err());
     }
 }

@@ -438,3 +438,57 @@ fn probabilistic_crash_schedule_stays_consistent() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Regression (stale durable id): when the store tombstones its oldest value
+/// files to fit `persist_budget_bytes`, the owning cache entries must forget
+/// their `persist_id` — otherwise, once evicted and recomputed, they are never
+/// written again and are missing after the next restart.
+#[test]
+fn entry_tombstoned_by_the_disk_budget_persists_again_when_recomputed() {
+    use lima_core::cache::Probe;
+    use lima_core::lineage::item::LineageItem;
+
+    let dir = tmp_dir("stale-id");
+    let item = |seed: &str| {
+        LineageItem::op(
+            "ba+*",
+            vec![LineageItem::op_with_data("read", seed, vec![])],
+        )
+    };
+    let value = Value::matrix(DenseMatrix::from_fn(8, 8, |i, j| (i * 8 + j) as f64));
+    let config = LimaConfig {
+        // Memory holds three values, evicted oldest-first; the disk holds
+        // two (an 8x8 value file is 545 bytes).
+        policy: EvictionPolicy::Lru,
+        budget_bytes: 3 * value.size_in_bytes(),
+        persist_budget_bytes: 1200,
+        ..LimaConfig::lima().with_persistence(&dir)
+    };
+    {
+        let cache = LineageCache::new(config.clone());
+        // The third put tombstones A's value file; the fourth evicts A from
+        // memory (too cheap to be worth a spill file).
+        for seed in ["A", "B", "C", "D"] {
+            cache.put(&item(seed), &value, 100);
+        }
+        assert_eq!(LimaStats::get(&cache.stats().persist_writes), 4);
+        assert_eq!(LimaStats::get(&cache.stats().persist_tombstones), 2);
+        match cache.acquire(&item("A")).expect("cacheable") {
+            Probe::Reserved(r) => r.fulfill(&value, 100),
+            Probe::Hit(_) => panic!("A was evicted"),
+        }
+        assert_eq!(
+            LimaStats::get(&cache.stats().persist_writes),
+            5,
+            "the recomputed A must be written again"
+        );
+    }
+    let cache = LineageCache::new(config);
+    assert_eq!(LimaStats::get(&cache.stats().persist_recovered), 2);
+    match cache.acquire(&item("A")).expect("cacheable") {
+        Probe::Hit(v) => assert!(v.approx_eq(&value, 0.0)),
+        Probe::Reserved(_) => panic!("A must be recovered after the restart"),
+    }
+    assert_eq!(LimaStats::get(&cache.stats().persist_hits), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
