@@ -11,13 +11,222 @@
 //! distinct paths of a body have patches, per-iteration tracing can stop —
 //! only the taken path and the seeds are recorded.
 
-use crate::lineage::item::{hash_parts, LinRef, LineageItem, LineageKind};
+use crate::lineage::item::{
+    hash_parts, hash_prefix, FxBuildHasher, FxHasher, LinRef, LineageItem, LineageKind,
+};
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::Hasher;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 static NEXT_PATCH_ID: AtomicU64 = AtomicU64::new(1);
+
+/// A value inside a compiled patch body: a placeholder input slot, or the
+/// result of an earlier plan node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanRef {
+    /// Placeholder slot, bound to the dedup item's input of that index.
+    Slot(u32),
+    /// A plan node by index (see [`PatchPlan::node_item`]); always smaller
+    /// than the referencing node's own index.
+    Node(u32),
+}
+
+/// One non-placeholder node of a patch body.
+#[derive(Debug)]
+struct PlanNode {
+    /// The body item: opcode, data and kind of this node.
+    item: LinRef,
+    /// This node's inputs, as a range of `PatchPlan::args`.
+    args: Range<usize>,
+    /// Hash state after opcode, data and input count.
+    prefix: FxHasher,
+}
+
+/// One output of a compiled patch.
+#[derive(Debug)]
+pub struct PlanRoot {
+    value: PlanRef,
+    reach: Box<[u32]>,
+    slots: Box<[u32]>,
+}
+
+impl PlanRoot {
+    /// Where the output's value comes from.
+    pub fn value(&self) -> PlanRef {
+        self.value
+    }
+
+    /// The plan nodes this output depends on, ascending (so inputs come
+    /// before their consumers).
+    pub fn reach(&self) -> &[u32] {
+        &self.reach
+    }
+
+    /// The placeholder slots this output depends on, ascending.
+    pub fn slots(&self) -> &[u32] {
+        &self.slots
+    }
+}
+
+/// A patch body compiled for repeated evaluation: the non-placeholder nodes
+/// of all outputs in post-order, each with its inputs resolved to a slot or
+/// an earlier node. Hashing, expansion and program reconstruction of a dedup
+/// item are each one pass over `reach` of the output's root with a flat
+/// value array indexed by node, instead of a traversal of the body DAG.
+#[derive(Debug)]
+pub struct PatchPlan {
+    nodes: Vec<PlanNode>,
+    args: Vec<PlanRef>,
+    /// Parallel to [`DedupPatch::roots`].
+    roots: Vec<PlanRoot>,
+}
+
+impl PatchPlan {
+    fn compile(roots: &[(String, LinRef)]) -> Self {
+        let mut nodes: Vec<PlanNode> = Vec::new();
+        let mut args: Vec<PlanRef> = Vec::new();
+        let mut done: HashMap<u64, PlanRef, FxBuildHasher> = HashMap::default();
+        let mut stack: Vec<&LinRef> = Vec::new();
+        for (_, root) in roots {
+            stack.push(root);
+            while let Some(&top) = stack.last() {
+                if done.contains_key(&top.id()) {
+                    stack.pop();
+                    continue;
+                }
+                if let LineageKind::Placeholder(slot) = top.kind() {
+                    done.insert(top.id(), PlanRef::Slot(*slot));
+                    stack.pop();
+                    continue;
+                }
+                let before = stack.len();
+                stack.extend(top.inputs().iter().filter(|i| !done.contains_key(&i.id())));
+                if stack.len() > before {
+                    continue;
+                }
+                let first = args.len();
+                args.extend(top.inputs().iter().filter_map(|i| done.get(&i.id())));
+                done.insert(top.id(), PlanRef::Node(nodes.len() as u32));
+                nodes.push(PlanNode {
+                    item: Arc::clone(top),
+                    args: first..args.len(),
+                    prefix: hash_prefix(top.opcode(), top.data(), top.inputs().len()),
+                });
+                stack.pop();
+            }
+        }
+        let mut plan = PatchPlan {
+            nodes,
+            args,
+            roots: Vec::new(),
+        };
+        plan.roots = roots
+            .iter()
+            .map(|(_, root)| {
+                // Every root was compiled by the loop above.
+                let value = done.get(&root.id()).copied().unwrap_or(PlanRef::Slot(0));
+                plan.closure_of(value)
+            })
+            .collect();
+        plan
+    }
+
+    /// The nodes and slots `value` depends on.
+    fn closure_of(&self, value: PlanRef) -> PlanRoot {
+        let mut needed = vec![false; self.nodes.len()];
+        let mut slots: Vec<u32> = Vec::new();
+        let mut stack = vec![value];
+        while let Some(r) = stack.pop() {
+            match r {
+                PlanRef::Slot(s) => slots.push(s),
+                PlanRef::Node(i) => {
+                    if let Some(seen) = needed.get_mut(i as usize) {
+                        if !std::mem::replace(seen, true) {
+                            stack.extend_from_slice(self.node_args(i));
+                        }
+                    }
+                }
+            }
+        }
+        slots.sort_unstable();
+        slots.dedup();
+        PlanRoot {
+            value,
+            reach: (0u32..)
+                .zip(&needed)
+                .filter_map(|(i, n)| n.then_some(i))
+                .collect(),
+            slots: slots.into(),
+        }
+    }
+
+    /// Number of plan nodes (placeholders are not nodes).
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True for a patch whose outputs are all bare placeholders.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// The body item behind node `i` (opcode, data, kind).
+    pub fn node_item(&self, i: u32) -> Option<&LinRef> {
+        self.nodes.get(i as usize).map(|n| &n.item)
+    }
+
+    /// The inputs of node `i`, in operand order.
+    pub fn node_args(&self, i: u32) -> &[PlanRef] {
+        self.nodes
+            .get(i as usize)
+            .and_then(|n| self.args.get(n.args.clone()))
+            .unwrap_or(&[])
+    }
+
+    /// The compiled output at `index` of [`DedupPatch::roots`].
+    pub fn root(&self, index: usize) -> Option<&PlanRoot> {
+        self.roots.get(index)
+    }
+
+    /// Evaluates the nodes `root` reaches, in order, into `vals` (one cell
+    /// per plan node) and returns the root's value. `slot` supplies the value
+    /// bound to a placeholder; `node` computes a node from the values of its
+    /// inputs.
+    fn eval<T: Clone + Default>(
+        &self,
+        root: &PlanRoot,
+        vals: &mut Vec<T>,
+        slot: impl Fn(u32) -> T,
+        mut node: impl FnMut(&PlanNode, &mut dyn Iterator<Item = T>) -> T,
+    ) -> T {
+        vals.clear();
+        vals.resize(self.nodes.len(), T::default());
+        let get = |vals: &[T], r: &PlanRef| match *r {
+            PlanRef::Slot(s) => slot(s),
+            PlanRef::Node(j) => vals.get(j as usize).cloned().unwrap_or_default(),
+        };
+        for &i in root.reach.iter() {
+            let Some(n) = self.nodes.get(i as usize) else {
+                continue;
+            };
+            let v = node(n, &mut self.node_args(i).iter().map(|r| get(vals, r)));
+            if let Some(cell) = vals.get_mut(i as usize) {
+                *cell = v;
+            }
+        }
+        get(vals, &root.value)
+    }
+}
+
+thread_local! {
+    /// Node-hash array of [`DedupPatch::hash_output`], kept per thread so
+    /// hashing a dedup item allocates nothing.
+    static HASH_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A deduplicated lineage patch: one distinct control path through a loop or
 /// function body, with placeholder leaves for the body inputs.
@@ -32,6 +241,8 @@ pub struct DedupPatch {
     num_inputs: usize,
     /// Output variable name → patch-body root.
     roots: Vec<(String, LinRef)>,
+    /// The body compiled on first use (see [`PatchPlan`]).
+    plan: OnceLock<PatchPlan>,
 }
 
 impl DedupPatch {
@@ -49,6 +260,7 @@ impl DedupPatch {
             path_key,
             num_inputs,
             roots,
+            plan: OnceLock::new(),
         })
     }
 
@@ -77,12 +289,22 @@ impl DedupPatch {
         &self.roots
     }
 
+    /// Position of a named output in [`Self::roots`].
+    pub fn root_index(&self, output: &str) -> Option<usize> {
+        self.roots.iter().position(|(name, _)| name == output)
+    }
+
     /// Root for a named output.
     pub fn root(&self, output: &str) -> Option<&LinRef> {
         self.roots
             .iter()
             .find(|(name, _)| name == output)
             .map(|(_, r)| r)
+    }
+
+    /// The compiled body, built on first use.
+    pub fn plan(&self) -> &PatchPlan {
+        self.plan.get_or_init(|| PatchPlan::compile(&self.roots))
     }
 
     /// Total number of nodes across all patch roots (patch dictionary size).
@@ -101,81 +323,64 @@ impl DedupPatch {
     /// This makes a dedup item hash identically to its expansion, which is
     /// what lets deduplicated and plain traces match (paper §3.2).
     pub fn parametric_hash(&self, output: &str, env: &[u64]) -> u64 {
-        let root = match self.root(output) {
-            Some(r) => r,
+        self.hash_output(output, |slot| env.get(slot).copied())
+    }
+
+    /// [`Self::parametric_hash`] with the environment given as a lookup, so
+    /// a dedup item hashes straight off its inputs.
+    pub(crate) fn hash_output(&self, output: &str, env: impl Fn(usize) -> Option<u64>) -> u64 {
+        let plan = self.plan();
+        let Some(root) = self.root_index(output).and_then(|i| plan.root(i)) else {
             // Unknown output: fall back to a tagged hash so lookups still
             // terminate deterministically.
-            None => return hash_parts("dedup-miss", Some(output), env),
+            return hash_parts("dedup-miss", Some(output), &[]);
         };
-        let mut memo: HashMap<u64, u64> = HashMap::new();
-        let mut stack: Vec<LinRef> = vec![root.clone()];
-        while let Some(top) = stack.last() {
-            if memo.contains_key(&top.id()) {
-                stack.pop();
-                continue;
+        let slot = |s: u32| {
+            env(s as usize).unwrap_or_else(|| hash_parts("ph-unbound", None, &[u64::from(s)]))
+        };
+        let node = |node: &PlanNode, inputs: &mut dyn Iterator<Item = u64>| {
+            let mut h = node.prefix;
+            for ih in inputs {
+                h.write_u64(ih);
             }
-            if let LineageKind::Placeholder(slot) = top.kind() {
-                let h = env
-                    .get(*slot as usize)
-                    .copied()
-                    .unwrap_or_else(|| hash_parts("ph-unbound", None, &[u64::from(*slot)]));
-                memo.insert(top.id(), h);
-                stack.pop();
-                continue;
-            }
-            let pending: Vec<LinRef> = top
-                .inputs()
-                .iter()
-                .filter(|i| !memo.contains_key(&i.id()))
-                .cloned()
-                .collect();
-            if pending.is_empty() {
-                let ih: Vec<u64> = top
-                    .inputs()
-                    .iter()
-                    .map(|i| memo.get(&i.id()).copied().unwrap_or(0))
-                    .collect();
-                let h = hash_parts(top.opcode(), top.data(), &ih);
-                memo.insert(top.id(), h);
-                stack.pop();
-            } else {
-                stack.extend(pending);
-            }
-        }
-        memo[&root.id()]
+            h.finish()
+        };
+        // `env` may hash an input that never was (then itself a dedup item,
+        // back in here): that nested call gets an array of its own.
+        HASH_SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+            Ok(mut vals) => plan.eval(root, &mut vals, slot, node),
+            Err(_) => plan.eval(root, &mut Vec::new(), slot, node),
+        })
     }
 
     /// Materializes the `output` root with placeholders substituted by the
-    /// given input items (used by equality resolution and reconstruction).
+    /// given input items (used by equality resolution and verification).
     pub fn expand(&self, output: &str, inputs: &[LinRef]) -> LinRef {
-        let root = match self.root(output) {
-            Some(r) => r.clone(),
-            None => return LineageItem::op_with_data("dedup-miss", output, inputs.to_vec()),
+        let plan = self.plan();
+        let Some(root) = self.root_index(output).and_then(|i| plan.root(i)) else {
+            return LineageItem::op_with_data("dedup-miss", output, inputs.to_vec());
         };
-        let order = root.topo_order();
-        let mut rebuilt: HashMap<u64, LinRef> = HashMap::new();
-        for node in order {
-            let new = match node.kind() {
-                LineageKind::Placeholder(slot) => inputs
-                    .get(*slot as usize)
+        let slot = |s: u32| {
+            Some(
+                inputs
+                    .get(s as usize)
                     .cloned()
-                    .unwrap_or_else(|| node.clone()),
-                LineageKind::Literal => node.clone(),
-                _ => {
-                    let ins: Vec<LinRef> = node
-                        .inputs()
-                        .iter()
-                        .map(|i| rebuilt[&i.id()].clone())
-                        .collect();
-                    match node.data() {
-                        Some(d) => LineageItem::op_with_data(node.opcode(), d, ins),
-                        None => LineageItem::op(node.opcode(), ins),
-                    }
+                    .unwrap_or_else(|| LineageItem::placeholder(s)),
+            )
+        };
+        let expanded = plan.eval(root, &mut Vec::new(), slot, |node, ins| {
+            let item = &node.item;
+            Some(match (item.kind(), item.data()) {
+                (LineageKind::Literal, _) => Arc::clone(item),
+                (_, Some(d)) => {
+                    LineageItem::op_with_data(item.opcode(), d, ins.flatten().collect())
                 }
-            };
-            rebuilt.insert(node.id(), new);
-        }
-        rebuilt[&root.id()].clone()
+                (_, None) => LineageItem::op(item.opcode(), ins.flatten().collect()),
+            })
+        });
+        // `eval` yields a bound slot or a node it just built; `None` would
+        // need a root outside the plan, which `compile` never produces.
+        expanded.unwrap_or_else(|| LineageItem::op_with_data("dedup-miss", output, inputs.to_vec()))
     }
 }
 
@@ -412,6 +617,87 @@ mod tests {
         let d1 = LineageItem::dedup(patch.clone(), "o", vec![x.clone(), s1]);
         let d2 = LineageItem::dedup(patch, "o", vec![x, s2]);
         assert!(!lineage_eq(&d1, &d2));
+    }
+
+    /// Two outputs over a shared product, one literal, and an output that is
+    /// a bare placeholder: `q = (in0 * in1) + 2`, `r = (in0 * in1) - in2`,
+    /// `same = in1`.
+    fn two_output_patch() -> Arc<DedupPatch> {
+        let ph = |s| LineageItem::placeholder(s);
+        let prod = LineageItem::op("*", vec![ph(0), ph(1)]);
+        let q = LineageItem::op("+", vec![prod.clone(), LineageItem::literal("f:2")]);
+        let r = LineageItem::op("-", vec![prod, ph(2)]);
+        DedupPatch::new(
+            "loop:two",
+            0,
+            3,
+            vec![("q".into(), q), ("r".into(), r), ("same".into(), ph(1))],
+        )
+    }
+
+    #[test]
+    fn plan_lists_what_each_output_depends_on() {
+        let patch = two_output_patch();
+        let plan = patch.plan();
+        // prod, literal, q, r — placeholders are not nodes.
+        assert_eq!(plan.len(), 4);
+        let root = |name| plan.root(patch.root_index(name).unwrap()).unwrap();
+        let (q, r, same) = (root("q"), root("r"), root("same"));
+        assert_eq!((q.reach().len(), q.slots()), (3, &[0u32, 1][..]));
+        assert_eq!((r.reach().len(), r.slots()), (2, &[0u32, 1, 2][..]));
+        assert_eq!((same.reach().len(), same.slots()), (0, &[1u32][..]));
+        assert_eq!(same.value(), PlanRef::Slot(1));
+        // The shared product is one node, reached by both outputs, and every
+        // node only reads slots and earlier nodes.
+        let shared = q.reach().iter().filter(|n| r.reach().contains(n));
+        assert_eq!(shared.count(), 1);
+        for n in 0..plan.len() as u32 {
+            for arg in plan.node_args(n) {
+                assert!(
+                    matches!(arg, PlanRef::Slot(_)) || matches!(arg, PlanRef::Node(j) if *j < n)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_output_hashes_and_compares_as_its_expansion() {
+        let patch = two_output_patch();
+        let inputs = vec![leaf("A"), leaf("B"), leaf("C")];
+        for (name, _) in patch.roots() {
+            let item = LineageItem::dedup(patch.clone(), name, inputs.clone());
+            let expanded = patch.expand(name, &inputs);
+            assert_eq!(item.hash_value(), expanded.hash_value(), "output {name}");
+            assert!(lineage_eq(&item, &expanded), "output {name}");
+        }
+        let plain_q = LineageItem::op(
+            "+",
+            vec![
+                LineageItem::op("*", vec![leaf("A"), leaf("B")]),
+                LineageItem::literal("f:2"),
+            ],
+        );
+        assert!(lineage_eq(&patch.expand("q", &inputs), &plain_q));
+        assert!(Arc::ptr_eq(&patch.expand("same", &inputs), &inputs[1]));
+    }
+
+    #[test]
+    fn malformed_uses_do_not_panic_in_hash_or_expand() {
+        let patch = two_output_patch();
+        // Too few inputs: the missing slot hashes as unbound and expands to
+        // a placeholder; an unknown output gets its tagged fallback.
+        let short = vec![leaf("A"), leaf("B")];
+        let item = LineageItem::dedup(patch.clone(), "r", short.clone());
+        assert_eq!(
+            item.hash_value(),
+            patch.parametric_hash("r", &[short[0].hash_value(), short[1].hash_value()])
+        );
+        assert_eq!(patch.expand("r", &short).dag_size(), 5);
+        assert_eq!(patch.expand("nope", &short).opcode(), "dedup-miss");
+        assert_ne!(
+            patch.parametric_hash("nope", &[1, 2]),
+            patch.parametric_hash("none", &[1, 2])
+        );
     }
 
     #[test]

@@ -20,14 +20,19 @@
 //! ```
 
 use crate::lineage::dedup::DedupPatch;
-use crate::lineage::item::{LinRef, LineageItem, LineageKind};
-use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::sync::Arc;
+use crate::lineage::item::{FxBuildHasher, LinRef, LineageItem, LineageKind};
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
+use std::sync::{Arc, OnceLock};
 
-/// Escapes a token so it contains no whitespace or backslashes.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` escaped so that it contains no whitespace or backslashes.
+fn push_escaped(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| matches!(b, b'\\' | b'\n' | b' ' | b'\t')) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -37,11 +42,13 @@ fn escape(s: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
-/// Reverses [`escape`].
-fn unescape(s: &str) -> Result<String, String> {
+/// Reverses [`push_escaped`]; borrows when the token holds no escape.
+fn unescape(s: &str) -> Result<Cow<'_, str>, String> {
+    if !s.contains('\\') {
+        return Ok(Cow::Borrowed(s));
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -57,47 +64,77 @@ fn unescape(s: &str) -> Result<String, String> {
             other => return Err(format!("bad escape \\{other:?}")),
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
-fn write_item_line(out: &mut String, item: &LineageItem, patch_idx: &HashMap<u64, usize>) {
-    match item.kind() {
-        LineageKind::Literal => {
-            let _ = writeln!(
-                out,
-                "({}) L {}",
-                item.id(),
-                escape(item.data().unwrap_or(""))
-            );
+/// Appends `v` in decimal. The formatting machinery costs more than the
+/// digits, and a log line is mostly ids (as a replayed program is mostly
+/// numbered temporaries: the runtime names them with this too).
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        if let Some(b) = buf.get_mut(at) {
+            *b = b'0' + (v % 10) as u8;
         }
-        LineageKind::Placeholder(slot) => {
-            let _ = writeln!(out, "({}) P {}", item.id(), slot);
-        }
-        LineageKind::Dedup(patch) => {
-            let idx = patch_idx[&patch.patch_id()];
-            let _ = write!(
-                out,
-                "({}) D {} {}",
-                item.id(),
-                idx,
-                escape(item.data().unwrap_or(""))
-            );
-            for i in item.inputs() {
-                let _ = write!(out, " ({})", i.id());
-            }
-            let _ = writeln!(out);
-        }
-        LineageKind::Op => {
-            let _ = write!(out, "({}) I {}", item.id(), escape(item.opcode()));
-            for i in item.inputs() {
-                let _ = write!(out, " ({})", i.id());
-            }
-            if let Some(d) = item.data() {
-                let _ = write!(out, " ;{}", escape(d));
-            }
-            let _ = writeln!(out);
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
+    if let Some(Ok(digits)) = buf.get(at..).map(std::str::from_utf8) {
+        out.push_str(digits);
+    }
+}
+
+fn push_ref(out: &mut String, lead: &str, id: u64) {
+    out.push_str(lead);
+    push_u64(out, id);
+    out.push(')');
+}
+
+fn write_item_line(
+    out: &mut String,
+    item: &LineageItem,
+    patch_idx: &HashMap<u64, usize, FxBuildHasher>,
+) {
+    push_ref(out, "(", item.id());
+    match item.kind() {
+        LineageKind::Literal => {
+            out.push_str(" L ");
+            push_escaped(out, item.data().unwrap_or(""));
+        }
+        LineageKind::Placeholder(slot) => {
+            out.push_str(" P ");
+            push_u64(out, u64::from(*slot));
+        }
+        LineageKind::Dedup(patch) => {
+            out.push_str(" D ");
+            // `serialize_lineage` indexes every patch of the DAG first.
+            push_u64(
+                out,
+                patch_idx.get(&patch.patch_id()).copied().unwrap_or(0) as u64,
+            );
+            out.push(' ');
+            push_escaped(out, item.data().unwrap_or(""));
+            for i in item.inputs() {
+                push_ref(out, " (", i.id());
+            }
+        }
+        LineageKind::Op => {
+            out.push_str(" I ");
+            push_escaped(out, item.opcode());
+            for i in item.inputs() {
+                push_ref(out, " (", i.id());
+            }
+            if let Some(d) = item.data() {
+                out.push_str(" ;");
+                push_escaped(out, d);
+            }
+        }
+    }
+    out.push('\n');
 }
 
 /// Serializes a lineage DAG (with its patch dictionary) into a lineage log.
@@ -116,45 +153,51 @@ pub fn serialize_lineage(root: &LinRef) -> String {
     let order = root.topo_order();
     // Collect referenced patches (patch bodies contain no dedup items, so one
     // level suffices).
-    let mut patches: Vec<Arc<DedupPatch>> = Vec::new();
-    let mut patch_idx: HashMap<u64, usize> = HashMap::new();
+    let mut patches: Vec<&Arc<DedupPatch>> = Vec::new();
+    let mut patch_idx: HashMap<u64, usize, FxBuildHasher> = HashMap::default();
     for item in &order {
         if let LineageKind::Dedup(p) = item.kind() {
-            if let std::collections::hash_map::Entry::Vacant(e) = patch_idx.entry(p.patch_id()) {
-                e.insert(patches.len());
-                patches.push(p.clone());
-            }
+            patch_idx.entry(p.patch_id()).or_insert_with(|| {
+                patches.push(p);
+                patches.len() - 1
+            });
         }
     }
-    let mut out = String::new();
-    let empty = HashMap::new();
+    // A line is about 30 bytes (benchmark README, `log_bytes_per_item`).
+    let mut out = String::with_capacity(order.len() * 32);
+    let no_patches = HashMap::default();
     for (idx, patch) in patches.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "::patch {} {} {} {}",
-            idx,
-            escape(patch.block_key()),
-            patch.path_key(),
-            patch.num_inputs()
-        );
+        out.push_str("::patch ");
+        push_u64(&mut out, idx as u64);
+        out.push(' ');
+        push_escaped(&mut out, patch.block_key());
+        out.push(' ');
+        push_u64(&mut out, patch.path_key());
+        out.push(' ');
+        push_u64(&mut out, patch.num_inputs() as u64);
+        out.push('\n');
         // Serialize the union of all root bodies once, memoized across roots.
-        let mut emitted: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        let mut emitted: HashSet<u64, FxBuildHasher> = HashSet::default();
         for (_, proot) in patch.roots() {
             for item in proot.topo_order() {
                 if emitted.insert(item.id()) {
-                    write_item_line(&mut out, &item, &empty);
+                    write_item_line(&mut out, &item, &no_patches);
                 }
             }
         }
         for (name, proot) in patch.roots() {
-            let _ = writeln!(out, "::root {} ({})", escape(name), proot.id());
+            out.push_str("::root ");
+            push_escaped(&mut out, name);
+            push_ref(&mut out, " (", proot.id());
+            out.push('\n');
         }
-        let _ = writeln!(out, "::endpatch");
+        out.push_str("::endpatch\n");
     }
     for item in &order {
         write_item_line(&mut out, item, &patch_idx);
     }
-    let _ = writeln!(out, "::out ({})", root.id());
+    push_ref(&mut out, "::out (", root.id());
+    out.push('\n');
     out
 }
 
@@ -165,6 +208,62 @@ fn parse_ref(tok: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("expected (id), got '{tok}'"))?
         .parse::<u64>()
         .map_err(|e| format!("bad id '{tok}': {e}"))
+}
+
+/// Takes exactly `N` tokens: `None` when there are fewer or more. (Public for
+/// the runtime, which splits the data payloads of replayed items with it.)
+pub fn take_exact<'a, const N: usize>(
+    toks: &mut impl Iterator<Item = &'a str>,
+) -> Option<[&'a str; N]> {
+    let mut out = [""; N];
+    for slot in out.iter_mut() {
+        *slot = toks.next()?;
+    }
+    toks.next().is_none().then_some(out)
+}
+
+/// Hasher of the id → item map of [`deserialize_lineage`]. Its keys are read
+/// from the log, so a crafted log must not be able to steer them into one
+/// bucket: multiply-shift with an odd multiplier drawn once per process is
+/// 2-universal on the *top* bits of the product, and `reverse_bits` moves
+/// those to the low end, where the table takes its bucket index from. One
+/// multiplication per lookup instead of a SipHash round trip.
+#[derive(Clone, Copy)]
+struct LogIdHasher {
+    mul: u64,
+    hash: u64,
+}
+
+impl Hasher for LogIdHasher {
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.hash ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.hash = v.wrapping_mul(self.mul).reverse_bits();
+    }
+}
+
+impl BuildHasher for LogIdHasher {
+    type Hasher = LogIdHasher;
+
+    fn build_hasher(&self) -> LogIdHasher {
+        *self
+    }
+}
+
+fn log_id_hasher() -> LogIdHasher {
+    static MUL: OnceLock<u64> = OnceLock::new();
+    LogIdHasher {
+        mul: *MUL.get_or_init(|| RandomState::new().hash_one(0u64) | 1),
+        hash: 0,
+    }
 }
 
 /// Parse error from [`deserialize_lineage`]: what went wrong and where.
@@ -217,7 +316,7 @@ fn excerpt(line: &str) -> String {
 /// Deserializes a lineage log back into a lineage DAG, rebuilding the patch
 /// dictionary. Returns the root item.
 pub fn deserialize_lineage(log: &str) -> Result<LinRef, LineageParseError> {
-    let mut items: HashMap<u64, LinRef> = HashMap::new();
+    let mut items: HashMap<u64, LinRef, LogIdHasher> = HashMap::with_hasher(log_id_hasher());
     let mut patches: HashMap<usize, Arc<DedupPatch>> = HashMap::new();
     // In-progress patch state: (idx, block_key, path_key, num_inputs, roots).
     type PatchState = (usize, String, u64, usize, Vec<(String, LinRef)>);
@@ -233,27 +332,25 @@ pub fn deserialize_lineage(log: &str) -> Result<LinRef, LineageParseError> {
             line: lineno + 1,
             message: format!("{msg}: '{}'", excerpt(line)),
         };
-        let toks: Vec<&str> = line.split(' ').collect();
-        match toks[0] {
+        let mut toks = line.split(' ');
+        let head = toks.next().unwrap_or("");
+        match head {
             "::patch" => {
-                if toks.len() != 5 {
-                    return Err(err("malformed ::patch"));
-                }
-                let idx = toks[1].parse().map_err(|_| err("bad patch idx"))?;
-                let key = unescape(toks[2]).map_err(|e| err(&e))?;
-                let path = toks[3].parse().map_err(|_| err("bad path key"))?;
-                let n = toks[4].parse().map_err(|_| err("bad num inputs"))?;
+                let [idx, key, path, n] =
+                    take_exact(&mut toks).ok_or_else(|| err("malformed ::patch"))?;
+                let idx = idx.parse().map_err(|_| err("bad patch idx"))?;
+                let key = unescape(key).map_err(|e| err(&e))?.into_owned();
+                let path = path.parse().map_err(|_| err("bad path key"))?;
+                let n = n.parse().map_err(|_| err("bad num inputs"))?;
                 cur_patch = Some((idx, key, path, n, Vec::new()));
             }
             "::root" => {
                 let (_, _, _, _, roots) = cur_patch
                     .as_mut()
                     .ok_or_else(|| err("::root outside patch"))?;
-                if toks.len() != 3 {
-                    return Err(err("malformed ::root"));
-                }
-                let name = unescape(toks[1]).map_err(|e| err(&e))?;
-                let id = parse_ref(toks[2]).map_err(|e| err(&e))?;
+                let [name, id] = take_exact(&mut toks).ok_or_else(|| err("malformed ::root"))?;
+                let name = unescape(name).map_err(|e| err(&e))?.into_owned();
+                let id = parse_ref(id).map_err(|e| err(&e))?;
                 let item = items.get(&id).ok_or_else(|| err("unknown root id"))?;
                 roots.push((name, item.clone()));
             }
@@ -264,27 +361,26 @@ pub fn deserialize_lineage(log: &str) -> Result<LinRef, LineageParseError> {
                 patches.insert(idx, DedupPatch::new(key, path, n, roots));
             }
             "::out" => {
-                if toks.len() != 2 {
-                    return Err(err("malformed ::out"));
-                }
-                let id = parse_ref(toks[1]).map_err(|e| err(&e))?;
+                let [id] = take_exact(&mut toks).ok_or_else(|| err("malformed ::out"))?;
+                let id = parse_ref(id).map_err(|e| err(&e))?;
                 out_root = Some(items.get(&id).ok_or_else(|| err("unknown out id"))?.clone());
             }
             _ => {
                 // Item line: (id) KIND ...
-                if toks.len() < 2 {
-                    return Err(err("malformed item"));
-                }
-                let id = parse_ref(toks[0]).map_err(|e| err(&e))?;
-                let item = match toks[1] {
+                let kind = toks.next().ok_or_else(|| err("malformed item"))?;
+                let id = parse_ref(head).map_err(|e| err(&e))?;
+                let input = |tok: &str| -> Result<LinRef, LineageParseError> {
+                    let iid = parse_ref(tok).map_err(|e| err(&e))?;
+                    items.get(&iid).cloned().ok_or_else(|| err("unknown input"))
+                };
+                let item = match kind {
                     "L" => {
-                        let data =
-                            unescape(toks.get(2).copied().unwrap_or("")).map_err(|e| err(&e))?;
+                        let data = unescape(toks.next().unwrap_or("")).map_err(|e| err(&e))?;
                         LineageItem::literal(data)
                     }
                     "P" => {
                         let slot: u32 = toks
-                            .get(2)
+                            .next()
                             .and_then(|t| t.parse().ok())
                             .ok_or_else(|| err("bad placeholder slot"))?;
                         // Inside a patch body, a slot must address one of the
@@ -299,20 +395,16 @@ pub fn deserialize_lineage(log: &str) -> Result<LinRef, LineageParseError> {
                         LineageItem::placeholder(slot)
                     }
                     "D" => {
-                        if toks.len() < 4 {
+                        let (Some(pidx), Some(output)) = (toks.next(), toks.next()) else {
                             return Err(err("malformed dedup item"));
-                        }
-                        let pidx: usize = toks[2].parse().map_err(|_| err("bad patch idx"))?;
-                        let output = unescape(toks[3]).map_err(|e| err(&e))?;
+                        };
+                        let pidx: usize = pidx.parse().map_err(|_| err("bad patch idx"))?;
+                        let output = unescape(output).map_err(|e| err(&e))?;
                         let patch = patches.get(&pidx).ok_or_else(|| err("unknown patch"))?;
                         if patch.root(&output).is_none() {
                             return Err(err(&format!("unknown patch output '{output}'")));
                         }
-                        let mut ins = Vec::new();
-                        for tok in &toks[4..] {
-                            let iid = parse_ref(tok).map_err(|e| err(&e))?;
-                            ins.push(items.get(&iid).ok_or_else(|| err("unknown input"))?.clone());
-                        }
+                        let ins = toks.map(input).collect::<Result<Vec<_>, _>>()?;
                         if ins.len() != patch.num_inputs() {
                             return Err(err(&format!(
                                 "dedup item has {} inputs, patch expects {}",
@@ -323,20 +415,14 @@ pub fn deserialize_lineage(log: &str) -> Result<LinRef, LineageParseError> {
                         LineageItem::dedup(patch.clone(), &output, ins)
                     }
                     "I" => {
-                        if toks.len() < 3 {
-                            return Err(err("malformed op item"));
-                        }
-                        let opcode = unescape(toks[2]).map_err(|e| err(&e))?;
+                        let opcode = toks.next().ok_or_else(|| err("malformed op item"))?;
+                        let opcode = unescape(opcode).map_err(|e| err(&e))?;
                         let mut ins = Vec::new();
-                        let mut data: Option<String> = None;
-                        for tok in &toks[3..] {
-                            if let Some(rest) = tok.strip_prefix(';') {
-                                data = Some(unescape(rest).map_err(|e| err(&e))?);
-                            } else {
-                                let iid = parse_ref(tok).map_err(|e| err(&e))?;
-                                ins.push(
-                                    items.get(&iid).ok_or_else(|| err("unknown input"))?.clone(),
-                                );
+                        let mut data: Option<Cow<'_, str>> = None;
+                        for tok in toks {
+                            match tok.strip_prefix(';') {
+                                Some(rest) => data = Some(unescape(rest).map_err(|e| err(&e))?),
+                                None => ins.push(input(tok)?),
                             }
                         }
                         match data {

@@ -17,10 +17,12 @@
 //!   bodies.
 //! * **Hash/equality coherence** — a dedup item hashes identically to its
 //!   expansion (the property that lets deduplicated and plain traces compare
-//!   equal, paper §3.2).
+//!   equal, paper §3.2). Both sides are functions of the patch output alone
+//!   (the inputs enter only as opaque hashes), so the check runs once per
+//!   `(patch, output)`, on the first item that uses it.
 
 use crate::lineage::dedup::DedupPatch;
-use crate::lineage::item::{LinRef, LineageKind};
+use crate::lineage::item::{FxBuildHasher, LinRef, LineageKind};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -94,10 +96,14 @@ fn verr(node: Option<u64>, kind: VerifyErrorKind, message: impl Into<String>) ->
 /// interpreter's debug-mode hook relies on this being O(new nodes)).
 #[derive(Debug, Default)]
 pub struct Verifier {
-    /// id → structural hash of the node already verified under that id.
-    seen: HashMap<u64, u64>,
+    /// id → structural hash of the node already verified under that id
+    /// (ids come from this process' own counter, never from a log).
+    seen: HashMap<u64, u64, FxBuildHasher>,
     /// Patch ids whose bodies have been verified.
     patches_done: HashSet<u64>,
+    /// `(patch id, output index)` pairs whose hash/expansion coherence has
+    /// been checked.
+    coherent: HashSet<(u64, usize)>,
     /// `(block_key, path_key)` → (patch_id, body signature).
     path_index: HashMap<(String, u64), (u64, u64)>,
 }
@@ -122,8 +128,8 @@ impl Verifier {
         root: &LinRef,
         patch_bound: Option<usize>,
     ) -> Result<(), VerifyError> {
-        let mut stack: Vec<(LinRef, Option<usize>)> = vec![(Arc::clone(root), patch_bound)];
-        while let Some((node, patch_bound)) = stack.pop() {
+        let mut stack: Vec<&LinRef> = vec![root];
+        while let Some(node) = stack.pop() {
             let h = node.hash_value();
             match self.seen.get(&node.id()) {
                 Some(prev) if *prev == h => continue,
@@ -156,15 +162,10 @@ impl Verifier {
                     }
                     Some(_) => {}
                 },
-                LineageKind::Dedup(patch) => {
-                    let patch = Arc::clone(patch);
-                    self.check_dedup_node(&node, &patch)?;
-                }
+                LineageKind::Dedup(patch) => self.check_dedup_node(node, patch)?,
                 LineageKind::Literal | LineageKind::Op => {}
             }
-            for input in node.inputs() {
-                stack.push((Arc::clone(input), patch_bound));
-            }
+            stack.extend(node.inputs());
         }
         Ok(())
     }
@@ -187,13 +188,13 @@ impl Verifier {
             ));
         }
         let output = node.data().unwrap_or("");
-        if patch.root(output).is_none() {
+        let Some(output_idx) = patch.root_index(output) else {
             return Err(verr(
                 Some(node.id()),
                 VerifyErrorKind::UnknownPatchOutput,
                 format!("patch '{}' defines no output '{output}'", patch.block_key()),
             ));
-        }
+        };
         if self.patches_done.insert(patch.patch_id()) {
             // Verify the patch body once — eagerly, so a malformed body is
             // reported as its own violation rather than surfacing as a
@@ -228,18 +229,21 @@ impl Verifier {
         }
         // Hash/equality coherence: the dedup item must hash exactly as its
         // expansion does, otherwise cache probes on deduplicated traces stop
-        // matching plain traces.
-        let expanded = node.resolve();
-        if node.hash_value() != expanded.hash_value() {
-            return Err(verr(
-                Some(node.id()),
-                VerifyErrorKind::HashIncoherence,
-                format!(
-                    "dedup item hash {:#x} != expansion hash {:#x}",
-                    node.hash_value(),
-                    expanded.hash_value()
-                ),
-            ));
+        // matching plain traces. The expansion is built for this check only
+        // and dropped: pinning one in every item would undo the dedup.
+        if self.coherent.insert((patch.patch_id(), output_idx)) {
+            let expanded = patch.expand(output, node.inputs());
+            if node.hash_value() != expanded.hash_value() {
+                return Err(verr(
+                    Some(node.id()),
+                    VerifyErrorKind::HashIncoherence,
+                    format!(
+                        "dedup item hash {:#x} != expansion hash {:#x}",
+                        node.hash_value(),
+                        expanded.hash_value()
+                    ),
+                ));
+            }
         }
         Ok(())
     }

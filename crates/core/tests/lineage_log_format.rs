@@ -114,3 +114,61 @@ fn format_is_line_oriented_and_reorderable_ids() {
     let root = deserialize_lineage(log).expect("sparse ids parse");
     assert_eq!(root.dag_size(), 2);
 }
+
+/// One two-output patch over shared body nodes, a placeholder output, a
+/// literal with spaces, `;data` payloads and two dedup items of one
+/// iteration. WALs and replication frames persist this text, so the line
+/// order (depth-first, last input first) and every token are pinned; the
+/// expected log was dumped from the serializer as it stood before the
+/// allocation-free writer replaced it.
+#[test]
+fn golden_two_output_patch_trace() {
+    let p0 = LineageItem::placeholder(0);
+    let p1 = LineageItem::placeholder(1);
+    let lit = LineageItem::literal("s:two words");
+    let prod = LineageItem::op("ba+*", vec![p0.clone(), p1.clone()]);
+    let slice = LineageItem::op_with_data("rightIndex", "0 3 0 0", vec![prod.clone()]);
+    let q = LineageItem::op("+", vec![slice, lit]);
+    let r = LineageItem::op("*", vec![prod, p1.clone()]);
+    let patch = DedupPatch::new(
+        "loop:3 x",
+        5,
+        2,
+        vec![("q".into(), q), ("r".into(), r), ("same".into(), p1)],
+    );
+    let g = leaf("dir with spaces/G.csv");
+    let seed = LineageItem::literal("i:42");
+    let start = LineageItem::op_with_data("rand", "4 1 uniform 0 1 1", vec![seed]);
+    let inputs = vec![g, start];
+    let dq = LineageItem::dedup(patch.clone(), "q", inputs.clone());
+    let dr = LineageItem::dedup(patch.clone(), "r", inputs.clone());
+    let ds = LineageItem::dedup(patch, "same", inputs);
+    let root = LineageItem::op("cbind", vec![dq, dr, ds]);
+    let log = canonicalize(&serialize_lineage(&root));
+    assert_eq!(log, GOLDEN_TWO_OUTPUT);
+    let back = deserialize_lineage(&serialize_lineage(&root)).expect("golden log parses");
+    assert_eq!(canonicalize(&serialize_lineage(&back)), GOLDEN_TWO_OUTPUT);
+}
+
+const GOLDEN_TWO_OUTPUT: &str = "\
+::patch 0 loop:3\\sx 5 2
+(1) L s:two\\swords
+(2) P 1
+(3) P 0
+(4) I ba+* (3) (2)
+(5) I rightIndex (4) ;0\\s3\\s0\\s0
+(6) I + (5) (1)
+(7) I * (4) (2)
+::root q (6)
+::root r (7)
+::root same (2)
+::endpatch
+(8) L i:42
+(9) I rand (8) ;4\\s1\\suniform\\s0\\s1\\s1
+(10) I read ;dir\\swith\\sspaces/G.csv
+(11) D 0 same (10) (9)
+(12) D 0 r (10) (9)
+(13) D 0 q (10) (9)
+(14) I cbind (13) (12) (11)
+::out (14)
+";

@@ -16,6 +16,7 @@ use crate::backend;
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 use std::any::Any;
+use std::sync::OnceLock;
 
 /// Rows per parallel panel; below this GEMM stays single-threaded.
 pub(crate) const PAR_ROW_THRESHOLD: usize = 256;
@@ -25,12 +26,17 @@ pub(crate) const PAR_FLOP_THRESHOLD: usize = 2_000_000;
 const BLOCK_K: usize = 64;
 
 /// Number of worker threads for parallel kernels (physical parallelism capped
-/// at 8 to stay deterministic-ish on CI machines).
+/// at 8 to stay deterministic-ish on CI machines). Resolved once per process:
+/// the probe behind it reads the affinity mask and cgroup files, which cost
+/// more than a small product, and every GEMM/tsmm dispatch asks.
 pub fn kernel_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(8)
+    })
 }
 
 /// Sparsity threshold below which the left operand is converted to CSR and

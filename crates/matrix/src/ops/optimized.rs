@@ -48,6 +48,12 @@ pub(crate) fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
         return Ok(out);
     }
     let parallel = gemm_parallel(m, n, k);
+    if n == 1 {
+        run_row_panels(&mut out, parallel, |panel, row0, _| {
+            gemv_panel(a, b.data(), panel, row0)
+        })?;
+        return Ok(out);
+    }
     let kc = kc_block(n, k);
     let mut k0 = 0;
     while k0 < k {
@@ -60,6 +66,44 @@ pub(crate) fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
         k0 += kb;
     }
     Ok(out)
+}
+
+/// Matrix–vector product for output rows `row0..row0 + out_panel.len()`. For
+/// a single output column the packed micro-kernel would compute NR lanes to
+/// keep one, after transposing A into its slab; here A is read in place and
+/// each output element is one dot product over ascending k (Reference's
+/// order), with eight rows' chains interleaved — then four, two, one for the
+/// tail — so the adds of one row do not wait on each other's latency.
+fn gemv_panel(a: &DenseMatrix, x: &[f64], out_panel: &mut [f64], row0: usize) {
+    let (head, tail) = gemv_rows::<8>(a, x, out_panel, row0);
+    let (head, tail) = gemv_rows::<4>(a, x, tail, head);
+    let (head, tail) = gemv_rows::<2>(a, x, tail, head);
+    gemv_rows::<1>(a, x, tail, head);
+}
+
+/// Fills `out` in blocks of `R` rows starting at row `row0` of `a`; returns
+/// the first row not covered and the cells left for a smaller block size.
+fn gemv_rows<'o, const R: usize>(
+    a: &DenseMatrix,
+    x: &[f64],
+    out: &'o mut [f64],
+    row0: usize,
+) -> (usize, &'o mut [f64]) {
+    let mut i = row0;
+    let mut blocks = out.chunks_exact_mut(R);
+    for block in &mut blocks {
+        // Same length as `x`, visibly: no bounds check per product.
+        let rows: [&[f64]; R] = std::array::from_fn(|r| &a.row(i + r)[..x.len()]);
+        let mut acc = [0.0f64; R];
+        for (kk, &xv) in x.iter().enumerate() {
+            for (s, row) in acc.iter_mut().zip(&rows) {
+                *s += row[kk] * xv;
+            }
+        }
+        block.copy_from_slice(&acc);
+        i += R;
+    }
+    (i, blocks.into_remainder())
 }
 
 /// Shared-dimension block size: targets a packed B block of ~1MB (half the

@@ -160,6 +160,44 @@ fn gemm_bit_exact_on_tile_boundary_shapes() {
     }
 }
 
+/// Matrix–vector (`m×k · k×1`) takes the Optimized engine's unpacked path
+/// and vector–matrix (`1×k · k×n`) its single-row tail: both around the
+/// 8-row interleave and the 4/8-wide tile edges, with operands from all-zero
+/// through dense (Reference skips zero terms, Optimized adds them).
+#[test]
+fn gemm_bit_exact_on_vector_shapes() {
+    let dims = [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 67];
+    for &m in &dims {
+        for &k in &[1usize, 2, 3, 5, 8, 13, 64, 67] {
+            for density in [0u64, 30, 500, 1000] {
+                let a = det(m, k, 51, density);
+                let x = det(k, 1, 52, density.max(500));
+                assert_bits_eq(
+                    &OPT.gemm(&a, &x).unwrap(),
+                    &REF.gemm(&a, &x).unwrap(),
+                    &format!("gemm {m}x{k} . {k}x1 density {density}"),
+                );
+                let row = det(1, k, 53, density);
+                let b = det(k, m, 54, density.max(500));
+                assert_bits_eq(
+                    &OPT.gemm(&row, &b).unwrap(),
+                    &REF.gemm(&row, &b).unwrap(),
+                    &format!("gemm 1x{k} . {k}x{m} density {density}"),
+                );
+            }
+        }
+    }
+    // Degenerate: no shared dimension, no rows.
+    for (m, k) in [(5usize, 0usize), (0, 5), (0, 0)] {
+        let (a, x) = (det(m, k, 1, 1000), det(k, 1, 2, 1000));
+        assert_bits_eq(
+            &OPT.gemm(&a, &x).unwrap(),
+            &REF.gemm(&a, &x).unwrap(),
+            &format!("gemm {m}x{k} . {k}x1"),
+        );
+    }
+}
+
 /// Above the parallel-GEMM threshold both backends split work across row
 /// panels; the join order is shared, so parity must still be bit-exact.
 #[test]
@@ -172,6 +210,29 @@ fn gemm_bit_exact_above_parallel_threshold() {
         &REF.gemm(&a, &b).unwrap(),
         "gemm parallel 160x160x160",
     );
+    // Matrix–vector above the threshold: row panels of the unpacked path.
+    let (a, x) = (det(8_200, 256, 9, 900), det(256, 1, 10, 1000));
+    assert_bits_eq(
+        &OPT.gemm(&a, &x).unwrap(),
+        &REF.gemm(&a, &x).unwrap(),
+        "gemm parallel 8200x256 . 256x1",
+    );
+}
+
+/// The worker count is resolved once per process: every call, on every
+/// thread, sees the same value (kernels on different threads must agree on
+/// the row-panel partition), within the cap.
+#[test]
+fn kernel_threads_is_stable_across_calls_and_threads() {
+    use lima_matrix::ops::kernel_threads;
+    let first = kernel_threads();
+    assert!((1..=8).contains(&first));
+    assert_eq!(kernel_threads(), first);
+    let seen: Vec<usize> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4).map(|_| s.spawn(kernel_threads)).collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(seen, vec![first; 4]);
 }
 
 /// `matmult` dispatch parity: the CSR-vs-dense routing decision comes from

@@ -28,14 +28,6 @@ use lima_matrix::{DenseMatrix, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Default worker cap (matches the matrix-kernel thread cap).
-fn default_degree() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_parfor(
     var: &str,
@@ -63,7 +55,8 @@ pub(crate) fn execute_parfor(
         return Ok(());
     }
     let workers = degree
-        .unwrap_or_else(default_degree)
+        // Default worker cap: the matrix-kernel thread cap.
+        .unwrap_or_else(lima_matrix::ops::kernel_threads)
         .max(1)
         .min(iterations.len());
 
@@ -288,12 +281,6 @@ mod tests {
         merge_noninitial(&mut acc, &init, &w1);
         merge_noninitial(&mut acc, &init, &w2);
         assert_eq!(acc.data(), &[1.0, 0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn default_degree_is_bounded() {
-        let d = default_degree();
-        assert!((1..=8).contains(&d));
     }
 
     #[test]

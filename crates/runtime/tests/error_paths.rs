@@ -332,3 +332,95 @@ fn rmvar_and_mvvar_bookkeeping() {
     assert!(!ctx.symtab.contains_key("tmp1"));
     assert!(!ctx.symtab.contains_key("tmp2"));
 }
+
+/// A lineage log is outside input (`limac recompute`, scrub repair and
+/// anti-entropy repair replay logs a peer or an editor wrote): an item whose
+/// data payload is empty, short, over-long or not numeric must come back as
+/// `RuntimeError::Reconstruct`, whatever the opcode — never as a panic.
+#[test]
+fn malformed_data_payloads_are_reconstruct_errors() {
+    use lima_core::lineage::LineageItem;
+    use lima_core::opcodes as oc;
+    use lima_runtime::reconstruct::recompute;
+
+    let x = || LineageItem::op_with_data(oc::READ, "X", vec![]);
+    let seed = || LineageItem::literal("i:7");
+    let list = || LineageItem::op(oc::LIST, vec![x()]);
+    // (opcode, lineage inputs, a well-formed payload, malformed payloads)
+    type Case = (
+        &'static str,
+        Vec<lima_core::LinRef>,
+        &'static str,
+        &'static [&'static str],
+    );
+    let cases: Vec<Case> = vec![
+        (
+            oc::MATRIX_FILL,
+            vec![],
+            "1.5 2 2",
+            &["", "1.5 2", "a 2 2", "1 2 3 4"],
+        ),
+        (
+            oc::RAND,
+            vec![seed()],
+            "2 2 uniform 0 1 1",
+            &[
+                "",
+                "2 2 uniform 0 1",
+                "2 2 cauchy 0 1 1",
+                "x 2 uniform 0 1 1",
+            ],
+        ),
+        (
+            oc::SAMPLE,
+            vec![seed()],
+            "4 2",
+            &["", "4", "four 2", "4 2 1"],
+        ),
+        (oc::SEQ, vec![], "1 4 1", &["", "1 4", "1 to 4", "1 4 1 1"]),
+        (
+            oc::RIGHT_INDEX,
+            vec![x()],
+            "0 1 0 1",
+            &["", "0 1 0", "0 1 0 b", "0 1 0 1 0"],
+        ),
+        (
+            oc::LEFT_INDEX,
+            vec![x(), x()],
+            "0 0",
+            &["", "0", "0 z", "0 0 0"],
+        ),
+        (oc::RESHAPE, vec![x()], "1 4", &["", "4", "1 four", "1 2 2"]),
+        (oc::LIST_GET, vec![list()], "0", &["", "zero", "0 0", "1e3"]),
+    ];
+    let recompute_with = |opcode: &str, inputs: &[lima_core::LinRef], data: &str| {
+        let root = LineageItem::op_with_data(opcode, data, inputs.to_vec());
+        let mut ctx = ExecutionContext::new(LimaConfig::base());
+        ctx.data
+            .register("X", Value::matrix(DenseMatrix::filled(2, 2, 1.0)));
+        recompute(&root, &mut ctx)
+    };
+    for (opcode, inputs, good, malformed) in &cases {
+        if let Err(e) = recompute_with(opcode, inputs, good) {
+            panic!("{opcode} with '{good}' must replay: {e}");
+        }
+        for data in *malformed {
+            match recompute_with(opcode, inputs, data) {
+                Err(RuntimeError::Reconstruct(_)) => {}
+                Err(other) => panic!("{opcode} with '{data}': expected Reconstruct, got {other:?}"),
+                Ok(_) => panic!("{opcode} with '{data}' must not replay"),
+            }
+        }
+        // The payload names its lineage inputs by position: one too few is
+        // an error as well, not an out-of-range index.
+        if let Some((_, fewer)) = inputs.split_last() {
+            assert!(
+                matches!(
+                    recompute_with(opcode, fewer, good),
+                    Err(RuntimeError::Reconstruct(_))
+                ),
+                "{opcode} with an input missing"
+            );
+        }
+    }
+}
