@@ -24,9 +24,9 @@
 //! environment variable (the CI contract); every trigger decision is a pure
 //! function of the seed, so a failing run replays bit-identically.
 //!
-//! `--bench-out PATH` writes one JSON record per seed (p50/p99 latency,
-//! availability %, anti-entropy convergence time, hedges won) for the CI
-//! artifact trail.
+//! Each seed prints one summary line to stdout (p50/p99 latency and, where
+//! the scenario has them, availability %, anti-entropy convergence time and
+//! hedges won); the verdict is the exit code.
 //!
 //! Exit codes: 0 success, 1 invariant violation, 2 usage error.
 
@@ -39,7 +39,6 @@ use lima_core::{LimaConfig, LimaStats};
 use limad::{LimadConfig, ReplOptions, ReplicaGroup, Server, ShardState};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -110,7 +109,6 @@ struct Args {
     shards: usize,
     seeds: Vec<u64>,
     p99_cap_ms: u64,
-    bench_out: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -119,7 +117,6 @@ fn parse_args() -> Result<Args, String> {
     let mut shards = 4usize;
     let mut seed: Option<u64> = None;
     let mut p99_cap_ms = 10_000u64;
-    let mut bench_out: Option<PathBuf> = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         let mut need = |name: &str| argv.next().ok_or(format!("{name} needs a value"));
@@ -136,7 +133,6 @@ fn parse_args() -> Result<Args, String> {
             "--p99-cap-ms" => {
                 p99_cap_ms = need("--p99-cap-ms")?.parse().map_err(|e| format!("{e}"))?;
             }
-            "--bench-out" => bench_out = Some(PathBuf::from(need("--bench-out")?)),
             other => return Err(format!("unknown option '{other}'")),
         }
     }
@@ -161,7 +157,6 @@ fn parse_args() -> Result<Args, String> {
         shards,
         seeds,
         p99_cap_ms,
-        bench_out,
     })
 }
 
@@ -314,51 +309,33 @@ struct TrafficReport {
     typed_errors: usize,
 }
 
-/// One seed's bench row for `--bench-out`. Scenarios that have no
-/// anti-entropy phase or hedging leave those fields at zero.
-struct BenchRecord {
-    seed: u64,
-    p50_ms: u64,
-    p99_ms: u64,
-    availability_pct: f64,
-    convergence_ms: u64,
-    hedges_won: u64,
-}
-
-impl BenchRecord {
-    fn from_report(seed: u64, report: &TrafficReport) -> BenchRecord {
-        let mut sorted = report.latencies_ms.clone();
-        sorted.sort_unstable();
-        let total = report.latencies_ms.len().max(1);
-        BenchRecord {
-            seed,
-            p50_ms: percentile(&sorted, 0.50),
-            p99_ms: percentile(&sorted, 0.99),
-            availability_pct: 100.0 * (total - report.typed_errors) as f64 / total as f64,
-            convergence_ms: 0,
-            hedges_won: 0,
+impl TrafficReport {
+    /// The two invariants every traffic phase must keep: every returned
+    /// value equals the baseline and nothing failed hard.
+    fn clean(&self, phase: &str) -> Result<(), String> {
+        if let Some(first) = self.mismatches.first() {
+            let n = self.mismatches.len();
+            return Err(format!("{phase}: {n} baseline mismatches, first: {first}"));
         }
+        if let Some(first) = self.hard_errors.first() {
+            let n = self.hard_errors.len();
+            return Err(format!("{phase}: {n} hard errors, first: {first}"));
+        }
+        Ok(())
     }
-}
 
-/// Hand-rolled JSON (no serde in the tree): one object per seed under a
-/// top-level fault tag.
-fn bench_json(fault: Fault, records: &[BenchRecord]) -> String {
-    let rows: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"seed\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-                 \"availability_pct\": {:.2}, \"convergence_ms\": {}, \"hedges_won\": {}}}",
-                r.seed, r.p50_ms, r.p99_ms, r.availability_pct, r.convergence_ms, r.hedges_won
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"fault\": \"{}\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        fault.as_str(),
-        rows.join(",\n")
-    )
+    /// `(p50 ms, p99 ms, availability %)` of the run; typed overload and
+    /// deadline refusals count against availability.
+    fn summary(&self) -> (u64, u64, f64) {
+        let mut sorted = self.latencies_ms.clone();
+        sorted.sort_unstable();
+        let total = sorted.len().max(1);
+        (
+            percentile(&sorted, 0.50),
+            percentile(&sorted, 0.99),
+            100.0 * (total - self.typed_errors) as f64 / total as f64,
+        )
+    }
 }
 
 /// Drives `sessions` zipf-sampled submits from `WORKERS` client threads
@@ -574,7 +551,7 @@ fn await_convergence(group: &ReplicaGroup, timeout: Duration) -> Result<u64, Str
 
 /// One seeded run of the steady-state scenarios (everything but
 /// crash-restart). Returns an error string on any invariant violation.
-fn run_steady(args: &Args, seed: u64) -> Result<BenchRecord, String> {
+fn run_steady(args: &Args, seed: u64) -> Result<(), String> {
     let scripts = corpus(seed);
     let baseline = baseline_for(&scripts)?;
 
@@ -591,23 +568,8 @@ fn run_steady(args: &Args, seed: u64) -> Result<BenchRecord, String> {
     let report = drive_traffic(&server, &scripts, &baseline, args.sessions, seed);
     let wall = t0.elapsed();
 
-    if !report.mismatches.is_empty() {
-        return Err(format!(
-            "{} baseline mismatches, first: {}",
-            report.mismatches.len(),
-            report.mismatches[0]
-        ));
-    }
-    if !report.hard_errors.is_empty() {
-        return Err(format!(
-            "{} hard errors, first: {}",
-            report.hard_errors.len(),
-            report.hard_errors[0]
-        ));
-    }
-    let mut sorted = report.latencies_ms.clone();
-    sorted.sort_unstable();
-    let (p50, p99) = (percentile(&sorted, 0.50), percentile(&sorted, 0.99));
+    report.clean("traffic")?;
+    let (p50, p99, _) = report.summary();
     if p99 > args.p99_cap_ms {
         return Err(format!("p99 {p99}ms exceeds cap {}ms", args.p99_cap_ms));
     }
@@ -622,7 +584,7 @@ fn run_steady(args: &Args, seed: u64) -> Result<BenchRecord, String> {
         report.typed_errors,
         wall.as_millis()
     );
-    Ok(BenchRecord::from_report(seed, &report))
+    Ok(())
 }
 
 /// Crash-restart: phase 1 persists under injected crash points (the WAL
@@ -650,16 +612,7 @@ fn run_crash_restart(args: &Args, seed: u64) -> Result<(), String> {
     })
     .map_err(|e| format!("phase-1 start: {e}"))?;
     let report = drive_traffic(&first, &scripts, &baseline, args.sessions, seed);
-    if !report.mismatches.is_empty() {
-        return Err(format!(
-            "phase 1: {} baseline mismatches under torn WAL, first: {}",
-            report.mismatches.len(),
-            report.mismatches[0]
-        ));
-    }
-    if !report.hard_errors.is_empty() {
-        return Err(format!("phase 1: hard error: {}", report.hard_errors[0]));
-    }
+    report.clean("phase 1")?;
     let writes: u64 = first
         .shards()
         .iter()
@@ -689,15 +642,7 @@ fn run_crash_restart(args: &Args, seed: u64) -> Result<(), String> {
         return Err("phase 2: no shard recovered WAL entries".into());
     }
     let report = drive_traffic(&second, &scripts, &baseline, args.sessions, seed ^ 0xC0DE);
-    if !report.mismatches.is_empty() {
-        return Err(format!(
-            "phase 2: recovered values diverge from baseline: {}",
-            report.mismatches[0]
-        ));
-    }
-    if !report.hard_errors.is_empty() {
-        return Err(format!("phase 2: hard error: {}", report.hard_errors[0]));
-    }
+    report.clean("phase 2")?;
     let persist_hits: u64 = second
         .shards()
         .iter()
@@ -815,12 +760,7 @@ fn run_corrupt_at_rest(args: &Args, seed: u64) -> Result<(), String> {
     .map_err(|e| format!("server start: {e}"))?;
 
     let report = drive_traffic(&server, &scripts, &baseline, args.sessions, seed);
-    if !report.mismatches.is_empty() {
-        return Err(format!("warm-up mismatch: {}", report.mismatches[0]));
-    }
-    if !report.hard_errors.is_empty() {
-        return Err(format!("warm-up hard error: {}", report.hard_errors[0]));
-    }
+    report.clean("warm-up")?;
     let writes: u64 = server
         .shards()
         .iter()
@@ -874,12 +814,7 @@ fn run_corrupt_at_rest(args: &Args, seed: u64) -> Result<(), String> {
     // The healed cache must keep serving baseline-equal values with no
     // unexplained misses (every repaired entry is still resident).
     let report = drive_traffic(&server, &scripts, &baseline, args.sessions, seed ^ 0xBEEF);
-    if !report.mismatches.is_empty() {
-        return Err(format!("post-repair mismatch: {}", report.mismatches[0]));
-    }
-    if !report.hard_errors.is_empty() {
-        return Err(format!("post-repair hard error: {}", report.hard_errors[0]));
-    }
+    report.clean("post-repair")?;
     let repairs: u64 = server
         .shards()
         .iter()
@@ -918,12 +853,7 @@ fn run_corrupt_restart(args: &Args, seed: u64) -> Result<(), String> {
     })
     .map_err(|e| format!("phase-1 start: {e}"))?;
     let report = drive_traffic(&first, &scripts, &baseline, args.sessions, seed);
-    if !report.mismatches.is_empty() {
-        return Err(format!("phase 1 mismatch: {}", report.mismatches[0]));
-    }
-    if !report.hard_errors.is_empty() {
-        return Err(format!("phase 1 hard error: {}", report.hard_errors[0]));
-    }
+    report.clean("phase 1")?;
     let writes: u64 = first
         .shards()
         .iter()
@@ -982,12 +912,7 @@ fn run_corrupt_restart(args: &Args, seed: u64) -> Result<(), String> {
         ));
     }
     let report = drive_traffic(&second, &scripts, &baseline, args.sessions, seed ^ 0xC0DE);
-    if !report.mismatches.is_empty() {
-        return Err(format!("phase 2 mismatch: {}", report.mismatches[0]));
-    }
-    if !report.hard_errors.is_empty() {
-        return Err(format!("phase 2 hard error: {}", report.hard_errors[0]));
-    }
+    report.clean("phase 2")?;
     let persist_hits: u64 = second
         .shards()
         .iter()
@@ -1012,7 +937,7 @@ fn run_corrupt_restart(args: &Args, seed: u64) -> Result<(), String> {
 /// ~60%. Health-gated failover must absorb the outage with zero hard errors
 /// and zero baseline mismatches, and anti-entropy must refill the restarted
 /// (memory-only, therefore empty) member until both keyspaces match.
-fn run_replica_kill(args: &Args, seed: u64) -> Result<BenchRecord, String> {
+fn run_replica_kill(args: &Args, seed: u64) -> Result<(), String> {
     let scripts = corpus(seed);
     let baseline = baseline_for(&scripts)?;
     let mut group = ReplicaGroup::start(&group_config(args.shards), 2)
@@ -1030,44 +955,27 @@ fn run_replica_kill(args: &Args, seed: u64) -> Result<BenchRecord, String> {
     if let Some(e) = restart_err {
         return Err(format!("member 0 restart: {e}"));
     }
-    if !report.mismatches.is_empty() {
-        return Err(format!(
-            "{} baseline mismatches across the kill, first: {}",
-            report.mismatches.len(),
-            report.mismatches[0]
-        ));
-    }
-    if !report.hard_errors.is_empty() {
-        return Err(format!(
-            "{} client-visible failures across the kill, first: {}",
-            report.hard_errors.len(),
-            report.hard_errors[0]
-        ));
-    }
+    report.clean("across the kill")?;
     let convergence_ms = await_convergence(&group, Duration::from_secs(30))?;
-    let mut record = BenchRecord::from_report(seed, &report);
-    record.convergence_ms = convergence_ms;
-    if record.p99_ms > args.p99_cap_ms {
-        return Err(format!(
-            "p99 {}ms exceeds cap {}ms",
-            record.p99_ms, args.p99_cap_ms
-        ));
+    let (p50, p99, availability) = report.summary();
+    if p99 > args.p99_cap_ms {
+        return Err(format!("p99 {p99}ms exceeds cap {}ms", args.p99_cap_ms));
     }
     scrape_replicated(group.get(1).expect("member 1 never killed"), 0)?;
     println!(
-        "chaos: seed={seed} fault=replica-kill sessions={sessions} ok p50={}ms p99={}ms \
-         availability={:.2}% typed_errors={} convergence={convergence_ms}ms",
-        record.p50_ms, record.p99_ms, record.availability_pct, report.typed_errors
+        "chaos: seed={seed} fault=replica-kill sessions={sessions} ok p50={p50}ms p99={p99}ms \
+         availability={availability:.2}% typed_errors={} convergence={convergence_ms}ms",
+        report.typed_errors
     );
     group.shutdown();
-    Ok(record)
+    Ok(())
 }
 
 /// Partition: phase A replicates normally, then both members' replication
 /// machinery is paused (writes dropped, anti-entropy stalled) while phase B
 /// drives a *fresh* corpus into member 0 only — the members diverge with no
 /// client-visible failures. Lifting the partition must reconverge them.
-fn run_partition(args: &Args, seed: u64) -> Result<BenchRecord, String> {
+fn run_partition(args: &Args, seed: u64) -> Result<(), String> {
     let scripts_a = corpus(seed);
     let baseline_a = baseline_for(&scripts_a)?;
     let scripts_b = corpus(seed ^ 0xD1FF);
@@ -1078,13 +986,7 @@ fn run_partition(args: &Args, seed: u64) -> Result<BenchRecord, String> {
     let half = (args.sessions / 2).max(1);
 
     let report_a = drive_replicated(&addrs, &scripts_a, &baseline_a, half, seed, |_| {});
-    if !report_a.mismatches.is_empty() || !report_a.hard_errors.is_empty() {
-        return Err(format!(
-            "healthy phase failed: {:?} {:?}",
-            report_a.mismatches.first(),
-            report_a.hard_errors.first()
-        ));
-    }
+    report_a.clean("healthy phase")?;
 
     let member0 = group.get(0).expect("member 0 live");
     let member1 = group.get(1).expect("member 1 live");
@@ -1094,13 +996,7 @@ fn run_partition(args: &Args, seed: u64) -> Result<BenchRecord, String> {
     repl1.pause(true);
 
     let report_b = drive_replicated(&addrs, &scripts_b, &baseline_b, half, seed ^ 0xFEED, |_| {});
-    if !report_b.mismatches.is_empty() || !report_b.hard_errors.is_empty() {
-        return Err(format!(
-            "partitioned phase failed: {:?} {:?}",
-            report_b.mismatches.first(),
-            report_b.hard_errors.first()
-        ));
-    }
+    report_b.clean("partitioned phase")?;
     let dropped_sends = LimaStats::get(&member0.server_stats().repl_send_failures);
     if dropped_sends == 0 {
         return Err("partition dropped no outbound replication; it proved nothing".into());
@@ -1120,25 +1016,19 @@ fn run_partition(args: &Args, seed: u64) -> Result<BenchRecord, String> {
         typed_errors: report_a.typed_errors + report_b.typed_errors,
     };
     all.latencies_ms.extend(report_b.latencies_ms);
-    let mut record = BenchRecord::from_report(seed, &all);
-    record.convergence_ms = convergence_ms;
-    if record.p99_ms > args.p99_cap_ms {
-        return Err(format!(
-            "p99 {}ms exceeds cap {}ms",
-            record.p99_ms, args.p99_cap_ms
-        ));
+    let (p50, p99, availability) = all.summary();
+    if p99 > args.p99_cap_ms {
+        return Err(format!("p99 {p99}ms exceeds cap {}ms", args.p99_cap_ms));
     }
     scrape_replicated(member0, 1)?;
     println!(
-        "chaos: seed={seed} fault=partition sessions={} ok p50={}ms p99={}ms \
-         availability={:.2}% dropped_sends={dropped_sends} convergence={convergence_ms}ms",
-        half * 2,
-        record.p50_ms,
-        record.p99_ms,
-        record.availability_pct
+        "chaos: seed={seed} fault=partition sessions={} ok p50={p50}ms p99={p99}ms \
+         availability={availability:.2}% dropped_sends={dropped_sends} \
+         convergence={convergence_ms}ms",
+        half * 2
     );
     group.shutdown();
-    Ok(record)
+    Ok(())
 }
 
 /// Hedge: member 0 stalls [`lima_core::faults::SLOW_SHARD_DELAY_MS`] on every
@@ -1146,7 +1036,7 @@ fn run_partition(args: &Args, seed: u64) -> Result<BenchRecord, String> {
 /// every read eats the stall unless the hedge leg rescues it. The hedged
 /// p99 must stay near the healthy baseline — far below the stall — and at
 /// least one hedge must actually win.
-fn run_hedge(args: &Args, seed: u64) -> Result<BenchRecord, String> {
+fn run_hedge(args: &Args, seed: u64) -> Result<(), String> {
     const FETCHES: usize = 80;
     let p = 1 + mix_seed(seed) % 7;
     let script = format!("X = matrix({p}, 60, 10);\nG = t(X) %*% X;\ns = sum(G);\n");
@@ -1193,7 +1083,6 @@ fn run_hedge(args: &Args, seed: u64) -> Result<BenchRecord, String> {
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    let convergence_ms = t0.elapsed().as_millis() as u64;
 
     // Healthy baseline: reads pinned to the fast member, no hedging.
     let mut healthy = LimadClient::new(&addrs[1], "hedge-base", ClientOptions::default());
@@ -1261,16 +1150,8 @@ fn run_hedge(args: &Args, seed: u64) -> Result<BenchRecord, String> {
          hedged_p50={p50}ms hedged_p99={p99}ms hedges_fired={} hedges_won={}",
         stats.hedges_fired, stats.hedges_won
     );
-    let record = BenchRecord {
-        seed,
-        p50_ms: p50,
-        p99_ms: p99,
-        availability_pct: 100.0,
-        convergence_ms,
-        hedges_won: stats.hedges_won,
-    };
     group.shutdown();
-    Ok(record)
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -1280,42 +1161,26 @@ fn main() -> ExitCode {
             eprintln!(
                 "chaos: {e}\nusage: chaos [--fault none|conn-drop|slow-shard|crash-restart\
                  |corrupt-at-rest|corrupt-restart|replica-kill|partition|hedge|all] \
-                 [--sessions N] [--shards N] [--seed S] [--p99-cap-ms MS] [--bench-out PATH]"
+                 [--sessions N] [--shards N] [--seed S] [--p99-cap-ms MS]"
             );
             return ExitCode::from(2);
         }
     };
     let t0 = Instant::now();
-    let mut records = Vec::with_capacity(args.seeds.len());
     for &seed in &args.seeds {
         let result = match args.fault {
-            Fault::CrashRestart => run_crash_restart(&args, seed).map(|()| None),
-            Fault::CorruptAtRest => run_corrupt_at_rest(&args, seed).map(|()| None),
-            Fault::CorruptRestart => run_corrupt_restart(&args, seed).map(|()| None),
-            Fault::ReplicaKill => run_replica_kill(&args, seed).map(Some),
-            Fault::Partition => run_partition(&args, seed).map(Some),
-            Fault::Hedge => run_hedge(&args, seed).map(Some),
-            _ => run_steady(&args, seed).map(Some),
+            Fault::CrashRestart => run_crash_restart(&args, seed),
+            Fault::CorruptAtRest => run_corrupt_at_rest(&args, seed),
+            Fault::CorruptRestart => run_corrupt_restart(&args, seed),
+            Fault::ReplicaKill => run_replica_kill(&args, seed),
+            Fault::Partition => run_partition(&args, seed),
+            Fault::Hedge => run_hedge(&args, seed),
+            _ => run_steady(&args, seed),
         };
-        match result {
-            Ok(Some(record)) => records.push(record),
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("chaos: FAIL seed={seed} fault={}: {e}", args.fault.as_str());
-                return ExitCode::from(1);
-            }
-        }
-    }
-    if let Some(path) = &args.bench_out {
-        if let Err(e) = std::fs::write(path, bench_json(args.fault, &records)) {
-            eprintln!("chaos: cannot write bench output {}: {e}", path.display());
+        if let Err(e) = result {
+            eprintln!("chaos: FAIL seed={seed} fault={}: {e}", args.fault.as_str());
             return ExitCode::from(1);
         }
-        println!(
-            "chaos: wrote {} bench record(s) to {}",
-            records.len(),
-            path.display()
-        );
     }
     println!(
         "chaos: all {} seed(s) passed fault={} in {}ms",

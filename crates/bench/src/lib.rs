@@ -1,6 +1,6 @@
-//! Benchmark harness utilities shared by the `figures` binary and the
-//! Criterion benches: LIMA configuration presets matching the paper's
-//! experiment labels, timing helpers, and table formatting.
+//! Harness utilities of the `figures` binary: LIMA configuration presets
+//! matching the paper's experiment labels, timing helpers, and table
+//! formatting.
 
 use lima_algos::pipelines::Pipeline;
 use lima_algos::runner::{run_script, RunResult};

@@ -267,8 +267,8 @@ pub struct LineageCache {
     /// `config.spill_failure_limit` consecutive failures, probes once per
     /// `config.breaker_cooldown_ms` window.
     spill_breaker: CircuitBreaker,
-    /// Crash-safe durable store; present when `config.persist_enabled` and
-    /// the persist directory was usable.
+    /// Crash-safe durable store; present when `config.persist_dir` is set
+    /// and the directory was usable.
     persist_store: Option<PersistentCacheStore>,
     /// Half-open breaker over durable writes; shares the spill limit and
     /// cooldown.
@@ -311,8 +311,8 @@ impl LineageCache {
             None
         };
         let mut recovered = Vec::new();
-        let persist_store = match (&config.persist_enabled, &config.persist_dir) {
-            (true, Some(dir)) => PersistentCacheStore::open_with(
+        let persist_store = config.persist_dir.as_ref().and_then(|dir| {
+            PersistentCacheStore::open_with(
                 dir,
                 persist::PersistOptions {
                     budget_bytes: config.persist_budget_bytes,
@@ -326,9 +326,8 @@ impl LineageCache {
             .map(|(store, entries, report)| {
                 recovered = entries;
                 (store, report)
-            }),
-            _ => None,
-        };
+            })
+        });
         let stats = Arc::new(LimaStats::new());
         let governor = (config.governor_budget_bytes > 0).then(|| {
             let g = ResourceGovernor::new(

@@ -341,26 +341,10 @@ impl std::fmt::Debug for PersistentCacheStore {
 }
 
 impl PersistentCacheStore {
-    /// Opens (or creates) the store rooted at `dir` with default options;
-    /// see [`PersistentCacheStore::open_with`].
-    pub fn open(
-        dir: &Path,
-        budget_bytes: u64,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Option<(Self, Vec<RecoveredEntry>, RecoveryReport)> {
-        Self::open_with(
-            dir,
-            PersistOptions {
-                budget_bytes,
-                faults,
-                ..PersistOptions::default()
-            },
-        )
-    }
-
     /// Opens (or creates) the store rooted at `dir`, running the recovery
-    /// pass. Returns `None` when the directory is unusable — the caller
-    /// degrades to a memory-only cache, never an error.
+    /// pass: [`examine`] the directory read-only, then apply what it found.
+    /// Returns `None` when the directory is unusable — the caller degrades
+    /// to a memory-only cache, never an error.
     pub fn open_with(
         dir: &Path,
         opts: PersistOptions,
@@ -371,73 +355,76 @@ impl PersistentCacheStore {
         fs::create_dir_all(&quarantine_dir).ok()?;
         let mut report = RecoveryReport::default();
 
-        // Generation discovery. In-flight compaction temps were never
+        let mut entries = Vec::new();
+        let exam = examine(dir, |e| entries.push(e));
+        let generation = exam.generation.unwrap_or(0);
+        let manifest = manifest_path(dir, generation);
+        let legacy = dir.join("manifest.wal");
+        if exam.generation.is_none() && legacy.exists() {
+            // Migrate a pre-generational store in place.
+            fs::rename(&legacy, &manifest).ok()?;
+        }
+        report.generation = generation;
+
+        // Directory-level findings. In-flight compaction temps were never
         // committed (single-writer store), so they are always safe to
         // delete; of the committed generations only the highest is live —
         // the rename that created it was the commit point, and anything
         // lower (including a pre-generational `manifest.wal`) is a
         // superseded snapshot whose entries the new generation carries.
-        let mut gens: Vec<u64> = Vec::new();
-        let mut legacy = false;
-        if let Ok(entries) = fs::read_dir(dir) {
-            for e in entries.flatten() {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                if name == "manifest.wal" {
-                    legacy = true;
-                    continue;
-                }
-                if name.starts_with("manifest.") && name.ends_with(".wal.tmp") {
-                    if fs::remove_file(e.path()).is_ok() {
-                        report.stale_tmp_gcd += 1;
-                    }
-                    continue;
-                }
-                if let Some(g) = name
-                    .strip_prefix("manifest.")
-                    .and_then(|s| s.strip_suffix(".wal"))
-                    .and_then(|s| s.parse::<u64>().ok())
-                {
-                    gens.push(g);
-                }
-            }
-        }
-        gens.sort_unstable();
-        let generation = match gens.split_last() {
-            Some((&active, stale)) => {
-                for &g in stale {
-                    if fs::remove_file(manifest_path(dir, g)).is_ok() {
-                        report.stale_generations_removed += 1;
-                    }
-                }
-                if legacy && fs::remove_file(dir.join("manifest.wal")).is_ok() {
-                    report.stale_generations_removed += 1;
-                }
-                active
-            }
-            None => {
-                if legacy {
-                    // Migrate a pre-generational store in place.
-                    fs::rename(dir.join("manifest.wal"), manifest_path(dir, 0)).ok()?;
-                }
-                0
+        // Quarantined files age out so a crash loop cannot leak disk.
+        let quarantine_cutoff = match opts.quarantine_max_age_secs {
+            0 => None,
+            secs => std::time::SystemTime::now().checked_sub(Duration::from_secs(secs)),
+        };
+        let gc = |path: &Path, gcd: &mut u64| {
+            if fs::remove_file(path).is_ok() {
+                *gcd += 1;
             }
         };
-        report.generation = generation;
-        let manifest = manifest_path(dir, generation);
-        let (puts, torn_offset, max_id) = scan_manifest(&manifest);
-
-        // Truncate the torn tail so no partially written record is ever
-        // visible to a later scan (or appended over mid-record).
-        if let Some(off) = torn_offset {
-            report.torn_tail_truncated = true;
-            let f = fs::OpenOptions::new().write(true).open(&manifest).ok()?;
-            f.set_len(off).ok()?;
-            let _ = f.sync_all();
+        for finding in &exam.findings {
+            match finding {
+                FsckFinding::StaleTmp { name } => gc(&dir.join(name), &mut report.stale_tmp_gcd),
+                FsckFinding::StaleGeneration { generation } => gc(
+                    &manifest_path(dir, *generation),
+                    &mut report.stale_generations_removed,
+                ),
+                FsckFinding::StaleLegacyManifest => {
+                    gc(&legacy, &mut report.stale_generations_removed)
+                }
+                // Truncate the torn tail so no partially written record is
+                // ever visible to a later scan (or appended over mid-record).
+                FsckFinding::TornTail { offset } => {
+                    report.torn_tail_truncated = true;
+                    let f = fs::OpenOptions::new().write(true).open(&manifest).ok()?;
+                    f.set_len(*offset).ok()?;
+                    let _ = f.sync_all();
+                }
+                // Temp files and value files with no committed record.
+                FsckFinding::OrphanFile { name } => {
+                    gc(&values_dir.join(name), &mut report.orphans_gcd)
+                }
+                FsckFinding::Quarantined { name } => {
+                    let path = quarantine_dir.join(name);
+                    let aged = quarantine_cutoff.is_some_and(|cutoff| {
+                        fs::metadata(&path)
+                            .and_then(|m| m.modified())
+                            .is_ok_and(|t| t <= cutoff)
+                    });
+                    if aged {
+                        gc(&path, &mut report.quarantine_gcd);
+                    }
+                }
+                // Per-entry findings are applied through the verdicts below.
+                FsckFinding::MissingValue { .. }
+                | FsckFinding::CorruptValue { .. }
+                | FsckFinding::BadLineage { .. } => {}
+            }
         }
 
-        // Validate surviving entries: lineage must parse, the parsed DAG must
-        // satisfy the lineage invariants, and the value file must verify. A
+        // Per-entry verdicts. An entry without a verified root is dropped: a
+        // structurally invalid DAG would poison cache probes (its hash can
+        // collide with a legitimate trace without ever comparing equal). A
         // value that fails verification is not lost — its lineage is the
         // replica, and the repair hook recomputes it; only unrepairable
         // entries are quarantined and tombstoned.
@@ -447,51 +434,29 @@ impl PersistentCacheStore {
         let mut total_bytes = 0u64;
         let mut live_record_bytes = 0u64;
         let mut drop_ids: Vec<u64> = Vec::new();
-        for (id, rec) in puts {
+        for e in entries {
+            let (id, rec) = (e.id, e.rec);
             let path = values_dir.join(format!("v{id}.val"));
-            let root = match deserialize_lineage(&rec.lineage) {
-                Ok(r) => r,
-                Err(_) => {
-                    report.dropped += 1;
-                    if quarantine_file(&quarantine_dir, &path).is_some() {
-                        report.quarantined += 1;
+            let kept = match (e.root, e.value) {
+                (Some(root), Some(value)) => Some((root, value, rec.value_bytes)),
+                (Some(root), None) => {
+                    let fixed = attempt_repair(&opts, &repair_budget, &root, &path);
+                    match fixed {
+                        Some(_) => report.repaired += 1,
+                        None if opts.repair.is_some() => report.repair_failures += 1,
+                        None => {}
                     }
-                    drop_ids.push(id);
-                    continue;
+                    fixed.map(|(value, bytes)| (root, value, bytes))
                 }
+                (None, _) => None,
             };
-            // A structurally invalid DAG would poison cache probes (its hash
-            // can collide with a legitimate trace without ever comparing
-            // equal); drop the entry rather than repopulate from it. Scope is
-            // per entry: distinct programs sharing a store may reuse block
-            // keys, which must not read as cross-entry patch conflicts.
-            if crate::lineage::verify::verify_dag(&root).is_err() {
+            let Some((root, value, value_bytes)) = kept else {
                 report.dropped += 1;
                 if quarantine_file(&quarantine_dir, &path).is_some() {
                     report.quarantined += 1;
                 }
                 drop_ids.push(id);
                 continue;
-            }
-            let (value, value_bytes) = match codec::read_file(&path) {
-                Ok(v) => (v, rec.value_bytes),
-                Err(_) => match attempt_repair(&opts, &repair_budget, &root, &path) {
-                    Some((v, nb)) => {
-                        report.repaired += 1;
-                        (v, nb)
-                    }
-                    None => {
-                        report.dropped += 1;
-                        if opts.repair.is_some() {
-                            report.repair_failures += 1;
-                        }
-                        if quarantine_file(&quarantine_dir, &path).is_some() {
-                            report.quarantined += 1;
-                        }
-                        drop_ids.push(id);
-                        continue;
-                    }
-                },
             };
             live_record_bytes += rec_len(&rec.lineage);
             total_bytes += value_bytes;
@@ -512,41 +477,6 @@ impl PersistentCacheStore {
         }
         report.recovered = recovered.len() as u64;
 
-        // Garbage-collect orphans: temp files and value files with no
-        // committed manifest record.
-        if let Ok(entries) = fs::read_dir(&values_dir) {
-            for e in entries.flatten() {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                let committed = name
-                    .strip_prefix('v')
-                    .and_then(|s| s.strip_suffix(".val"))
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .is_some_and(|id| live.contains_key(&id));
-                if !committed && fs::remove_file(e.path()).is_ok() {
-                    report.orphans_gcd += 1;
-                }
-            }
-        }
-
-        // Age out quarantined files so a crash loop cannot leak disk.
-        if opts.quarantine_max_age_secs > 0 {
-            let cutoff = std::time::SystemTime::now()
-                .checked_sub(Duration::from_secs(opts.quarantine_max_age_secs));
-            if let (Some(cutoff), Ok(entries)) = (cutoff, fs::read_dir(&quarantine_dir)) {
-                for e in entries.flatten() {
-                    let aged = e
-                        .metadata()
-                        .and_then(|m| m.modified())
-                        .map(|t| t <= cutoff)
-                        .unwrap_or(false);
-                    if aged && fs::remove_file(e.path()).is_ok() {
-                        report.quarantine_gcd += 1;
-                    }
-                }
-            }
-        }
-
         let mut wal = fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -555,10 +485,7 @@ impl PersistentCacheStore {
         // Tombstone dropped entries so the next recovery does not re-scan,
         // re-repair, or re-quarantine them.
         for id in drop_ids {
-            let mut payload = BytesMut::new();
-            payload.put_u8(REC_TOMBSTONE);
-            payload.put_u64(id);
-            let _ = wal.write_all(&frame_record(&payload));
+            let _ = wal.write_all(&tombstone_record(id));
         }
         let _ = wal.sync_data();
         let wal_bytes = fs::metadata(&manifest).map(|m| m.len()).unwrap_or(0);
@@ -577,7 +504,7 @@ impl PersistentCacheStore {
                     total_bytes,
                     scrub_cursor: 0,
                 }),
-                next_id: AtomicU64::new(max_id + 1),
+                next_id: AtomicU64::new(exam.max_id + 1),
                 opts,
                 repair_budget,
                 crashed: AtomicBool::new(false),
@@ -821,10 +748,7 @@ impl PersistentCacheStore {
     }
 
     fn append_tombstone(&self, st: &mut StoreState, id: u64) -> std::io::Result<()> {
-        let mut payload = BytesMut::new();
-        payload.put_u8(REC_TOMBSTONE);
-        payload.put_u64(id);
-        let record = frame_record(&payload);
+        let record = tombstone_record(id);
         self.guarded_write(&mut st.wal, &record)?;
         self.guarded_sync(&st.wal, false)?;
         st.wal_bytes += record.len() as u64;
@@ -967,9 +891,9 @@ impl PersistentCacheStore {
         // truncated at open, and appends are whole frames); every live
         // record is resident, so compacting into a fresh generation is a
         // full repair.
-        let raw = fs::read(manifest_path(&self.root, st.generation)).unwrap_or_default();
-        out.bytes += raw.len() as u64;
-        if !wal_is_clean(&raw) {
+        let scan = scan_manifest(&manifest_path(&self.root, st.generation));
+        out.bytes += scan.bytes;
+        if scan.torn.is_some() {
             out.corrupt += 1;
             self.compact_locked(&mut st)?;
             out.wal_repaired = true;
@@ -1066,6 +990,14 @@ fn put_record(id: u64, compute_ns: u64, value_bytes: u64, lineage: &str) -> Vec<
     frame_record(&payload)
 }
 
+/// Builds a framed `Tombstone` record.
+fn tombstone_record(id: u64) -> Vec<u8> {
+    let mut payload = BytesMut::new();
+    payload.put_u8(REC_TOMBSTONE);
+    payload.put_u64(id);
+    frame_record(&payload)
+}
+
 /// Size a framed `Put` record for `lineage` occupies in the WAL.
 fn rec_len(lineage: &str) -> u64 {
     PUT_RECORD_OVERHEAD + lineage.len() as u64
@@ -1077,72 +1009,62 @@ struct PutRec {
     lineage: String,
 }
 
-/// Scans the manifest, returning surviving puts (tombstones applied), the
-/// byte offset of a torn tail (if any), and the highest manifest ID seen.
-fn scan_manifest(path: &Path) -> (BTreeMap<u64, PutRec>, Option<u64>, u64) {
-    let mut puts: BTreeMap<u64, PutRec> = BTreeMap::new();
-    let mut max_id = 0u64;
-    let raw = match fs::read(path) {
-        Ok(r) => r,
-        Err(_) => return (puts, None, 0),
-    };
-    let mut off = 0usize;
-    let torn = loop {
-        if off == raw.len() {
-            break None; // clean end
-        }
-        let rest = &raw[off..];
-        if rest.len() < 4 {
-            break Some(off as u64);
-        }
-        let len = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        if len > MAX_RECORD_BYTES || rest.len() < 4 + len + 8 {
-            break Some(off as u64);
-        }
-        let payload = &rest[4..4 + len];
-        let mut trailer = &rest[4 + len..4 + len + 8];
-        if fnv1a(payload) != trailer.get_u64() {
-            break Some(off as u64);
-        }
-        match parse_payload(payload) {
-            Some(Record::Put { id, rec }) => {
-                max_id = max_id.max(id);
-                puts.insert(id, rec);
-            }
-            Some(Record::Tombstone { id }) => {
-                max_id = max_id.max(id);
-                puts.remove(&id);
-            }
-            // Checksummed but semantically malformed (unknown kind, bad
-            // lengths): written by a future/corrupted writer — stop here.
-            None => break Some(off as u64),
-        }
-        off += 4 + len + 8;
-    };
-    (puts, torn, max_id)
+/// One front-to-back walk of a manifest file.
+struct ManifestScan {
+    /// Surviving puts (tombstones applied).
+    puts: BTreeMap<u64, PutRec>,
+    /// Offset of the first frame that is partial, fails its checksum or does
+    /// not parse; `None` when the file ends exactly on a frame boundary.
+    torn: Option<u64>,
+    /// Highest manifest ID seen.
+    max_id: u64,
+    /// Size of the file.
+    bytes: u64,
 }
 
-/// Structural walk of a WAL image: true when every frame checksums and
-/// parses and the file ends exactly on a frame boundary.
-fn wal_is_clean(raw: &[u8]) -> bool {
+/// The one WAL frame walker: recovery and `fsck` read its puts and torn
+/// offset through [`examine`]; the scrubber asks only whether `torn` is set.
+fn scan_manifest(path: &Path) -> ManifestScan {
+    let raw = fs::read(path).unwrap_or_default();
+    let mut scan = ManifestScan {
+        puts: BTreeMap::new(),
+        torn: None,
+        max_id: 0,
+        bytes: raw.len() as u64,
+    };
     let mut off = 0usize;
     while off < raw.len() {
-        let rest = &raw[off..];
-        if rest.len() < 4 {
-            return false;
+        let frame = raw.get(off..).and_then(|rest| {
+            let len = u32::from_be_bytes(*rest.first_chunk::<4>()?) as usize;
+            if len > MAX_RECORD_BYTES {
+                return None;
+            }
+            let payload = rest.get(4..4 + len)?;
+            let mut trailer = rest.get(4 + len..4 + len + 8)?;
+            if fnv1a(payload) != trailer.get_u64() {
+                return None;
+            }
+            // Checksummed but semantically malformed (unknown kind, bad
+            // lengths) means a future or corrupted writer: stop there too.
+            Some((parse_payload(payload)?, 4 + len + 8))
+        });
+        let Some((rec, frame_len)) = frame else {
+            scan.torn = Some(off as u64);
+            break;
+        };
+        match rec {
+            Record::Put { id, rec } => {
+                scan.max_id = scan.max_id.max(id);
+                scan.puts.insert(id, rec);
+            }
+            Record::Tombstone { id } => {
+                scan.max_id = scan.max_id.max(id);
+                scan.puts.remove(&id);
+            }
         }
-        let len = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        if len > MAX_RECORD_BYTES || rest.len() < 4 + len + 8 {
-            return false;
-        }
-        let payload = &rest[4..4 + len];
-        let mut trailer = &rest[4 + len..4 + len + 8];
-        if fnv1a(payload) != trailer.get_u64() || parse_payload(payload).is_none() {
-            return false;
-        }
-        off += 4 + len + 8;
+        off += frame_len;
     }
-    true
+    scan
 }
 
 enum Record {
@@ -1234,6 +1156,9 @@ pub enum FsckFinding {
         /// The superseded generation.
         generation: u64,
     },
+    /// A pre-generational `manifest.wal` superseded by a committed
+    /// generation.
+    StaleLegacyManifest,
     /// A file previously quarantined by the scrubber (informational).
     Quarantined {
         /// File name.
@@ -1279,6 +1204,9 @@ impl FsckFinding {
             FsckFinding::StaleGeneration { generation } => {
                 format!("stale-generation: manifest.{generation}.wal is superseded")
             }
+            FsckFinding::StaleLegacyManifest => {
+                "stale-generation: manifest.wal is superseded".to_string()
+            }
             FsckFinding::Quarantined { name } => {
                 format!("quarantined: quarantine/{name}")
             }
@@ -1307,130 +1235,172 @@ impl FsckReport {
     }
 }
 
-/// Read-only offline verification of a persist directory: WAL framing,
-/// value checksums, lineage parse/DAG checks, and orphan/debris detection.
-/// Never writes; safe to run against a live store's directory (results may
-/// be stale) or a cold one.
+/// Read-only offline verification of a persist directory: [`examine`]'s
+/// findings plus a count of the entries that verify. Never writes; safe to
+/// run against a live store's directory (results may be stale) or a cold one.
 pub fn fsck(dir: &Path) -> FsckReport {
-    let mut report = FsckReport::default();
     let values_dir = dir.join("values");
-    let quarantine_dir = dir.join("quarantine");
+    let (mut live_entries, mut live_bytes) = (0u64, 0u64);
+    let exam = examine(dir, |e| {
+        if e.root.is_some() && e.value.is_some() {
+            live_entries += 1;
+            live_bytes += fs::metadata(values_dir.join(format!("v{}.val", e.id)))
+                .map(|m| m.len())
+                .unwrap_or(0);
+        }
+    });
+    FsckReport {
+        generation: exam.generation,
+        live_entries,
+        live_bytes,
+        findings: exam.findings,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The store examiner: what a healthy directory looks like, defined once.
+// Recovery applies its findings, `fsck` renders them.
+// ---------------------------------------------------------------------------
+
+/// One committed entry as [`examine`] found it.
+struct Examined {
+    id: u64,
+    rec: PutRec,
+    /// The parsed lineage root; `None` under a `BadLineage` finding.
+    root: Option<LinRef>,
+    /// The verified value; `None` under a `MissingValue` or `CorruptValue`
+    /// finding.
+    value: Option<Value>,
+}
+
+/// Directory-level result of [`examine`].
+struct Examination {
+    /// Highest committed generation; `None` for a fresh or pre-generational
+    /// directory, whose manifest (if any) is `manifest.wal`.
+    generation: Option<u64>,
+    /// Highest manifest ID in the active WAL.
+    max_id: u64,
+    /// Everything wrong or noteworthy, in scan order.
+    findings: Vec<FsckFinding>,
+}
+
+/// Examines a persist directory without writing to it: generation
+/// discovery, the active WAL's framing, every committed entry's lineage
+/// (parse + DAG invariants, scoped per entry: distinct programs sharing a
+/// store may reuse block keys, which must not read as cross-entry patch
+/// conflicts) and value file (checksum), then debris in `values/` and the
+/// contents of `quarantine/`. Each committed entry is handed to `visit`
+/// with its verdict as soon as it is checked, so a caller that only counts
+/// never holds more than one value.
+fn examine(dir: &Path, mut visit: impl FnMut(Examined)) -> Examination {
+    let mut findings = Vec::new();
+    let values_dir = dir.join("values");
 
     let mut gens: Vec<u64> = Vec::new();
     let mut legacy = false;
-    if let Ok(entries) = fs::read_dir(dir) {
-        for e in entries.flatten() {
-            let name = e.file_name();
-            let name = name.to_string_lossy().into_owned();
-            if name == "manifest.wal" {
-                legacy = true;
-                continue;
-            }
-            if name.starts_with("manifest.") && name.ends_with(".wal.tmp") {
-                report.findings.push(FsckFinding::StaleTmp { name });
-                continue;
-            }
-            if let Some(g) = name
-                .strip_prefix("manifest.")
-                .and_then(|s| s.strip_suffix(".wal"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                gens.push(g);
-            }
+    for name in file_names(dir) {
+        if name == "manifest.wal" {
+            legacy = true;
+        } else if name.starts_with("manifest.") && name.ends_with(".wal.tmp") {
+            findings.push(FsckFinding::StaleTmp { name });
+        } else if let Some(g) = name
+            .strip_prefix("manifest.")
+            .and_then(|s| s.strip_suffix(".wal"))
+            .and_then(|s| s.parse::<u64>().ok())
+        {
+            gens.push(g);
         }
     }
     gens.sort_unstable();
-    let manifest = match gens.split_last() {
-        Some((&active, stale)) => {
-            for &g in stale {
-                report
-                    .findings
-                    .push(FsckFinding::StaleGeneration { generation: g });
-            }
+    let generation = gens.pop();
+    findings.extend(
+        gens.iter()
+            .map(|&generation| FsckFinding::StaleGeneration { generation }),
+    );
+    let manifest = match generation {
+        Some(active) => {
             if legacy {
-                // A pre-generational manifest superseded by a committed
-                // generation switch.
-                report.findings.push(FsckFinding::OrphanFile {
-                    name: "manifest.wal".to_string(),
-                });
+                findings.push(FsckFinding::StaleLegacyManifest);
             }
-            report.generation = Some(active);
             manifest_path(dir, active)
         }
-        None => {
-            report.generation = None;
-            dir.join("manifest.wal")
-        }
+        None => dir.join("manifest.wal"),
     };
 
-    let (puts, torn, _max_id) = scan_manifest(&manifest);
-    if let Some(offset) = torn {
-        report.findings.push(FsckFinding::TornTail { offset });
+    let scan = scan_manifest(&manifest);
+    if let Some(offset) = scan.torn {
+        findings.push(FsckFinding::TornTail { offset });
     }
-    let mut committed: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-    for (id, rec) in &puts {
-        committed.insert(*id);
-        let lineage_ok = match deserialize_lineage(&rec.lineage) {
-            Ok(root) => match crate::lineage::verify::verify_dag(&root) {
-                Ok(()) => true,
-                Err(e) => {
-                    report.findings.push(FsckFinding::BadLineage {
-                        id: *id,
-                        detail: e.to_string(),
-                    });
-                    false
-                }
-            },
-            Err(e) => {
-                report.findings.push(FsckFinding::BadLineage {
-                    id: *id,
-                    detail: e.to_string(),
-                });
-                false
+    let committed: Vec<u64> = scan.puts.keys().copied().collect();
+    for (id, rec) in scan.puts {
+        let root = match verified_root(&rec.lineage) {
+            Ok(root) => Some(root),
+            Err(detail) => {
+                findings.push(FsckFinding::BadLineage { id, detail });
+                None
             }
         };
         let path = values_dir.join(format!("v{id}.val"));
-        if !path.exists() {
-            report.findings.push(FsckFinding::MissingValue { id: *id });
-            continue;
-        }
-        match codec::read_file(&path) {
-            Ok(_) => {
-                if lineage_ok {
-                    report.live_entries += 1;
-                    report.live_bytes += fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        let value = if !path.exists() {
+            findings.push(FsckFinding::MissingValue { id });
+            None
+        } else {
+            match codec::read_file(&path) {
+                Ok(value) => Some(value),
+                Err(e) => {
+                    let detail = e.to_string();
+                    findings.push(FsckFinding::CorruptValue { id, detail });
+                    None
                 }
             }
-            Err(e) => {
-                report.findings.push(FsckFinding::CorruptValue {
-                    id: *id,
-                    detail: e.to_string(),
-                });
-            }
-        }
+        };
+        visit(Examined {
+            id,
+            rec,
+            root,
+            value,
+        });
     }
 
-    if let Ok(entries) = fs::read_dir(&values_dir) {
-        for e in entries.flatten() {
-            let name = e.file_name();
-            let name = name.to_string_lossy().into_owned();
-            let is_committed = name
-                .strip_prefix('v')
-                .and_then(|s| s.strip_suffix(".val"))
-                .and_then(|s| s.parse::<u64>().ok())
-                .is_some_and(|id| committed.contains(&id));
-            if !is_committed {
-                report.findings.push(FsckFinding::OrphanFile { name });
-            }
+    for name in file_names(&values_dir) {
+        let is_committed = name
+            .strip_prefix('v')
+            .and_then(|s| s.strip_suffix(".val"))
+            .and_then(|s| s.parse::<u64>().ok())
+            .is_some_and(|id| committed.binary_search(&id).is_ok());
+        if !is_committed {
+            findings.push(FsckFinding::OrphanFile { name });
         }
     }
-    if let Ok(entries) = fs::read_dir(&quarantine_dir) {
-        for e in entries.flatten() {
-            let name = e.file_name().to_string_lossy().into_owned();
-            report.findings.push(FsckFinding::Quarantined { name });
-        }
+    findings.extend(
+        file_names(&dir.join("quarantine"))
+            .into_iter()
+            .map(|name| FsckFinding::Quarantined { name }),
+    );
+    Examination {
+        generation,
+        max_id: scan.max_id,
+        findings,
     }
-    report
+}
+
+/// Parses a serialized lineage and checks the DAG invariants.
+fn verified_root(lineage: &str) -> Result<LinRef, String> {
+    let root = deserialize_lineage(lineage).map_err(|e| e.to_string())?;
+    crate::lineage::verify::verify_dag(&root).map_err(|e| e.to_string())?;
+    Ok(root)
+}
+
+/// File names directly under `dir` (empty when it cannot be read).
+fn file_names(dir: &Path) -> Vec<String> {
+    fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .flatten()
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .collect()
+        })
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -1461,8 +1431,78 @@ mod tests {
         Value::matrix(DenseMatrix::from_fn(n, n, |i, j| (i * n + j) as f64 * 0.5))
     }
 
-    fn open(dir: &Path) -> (PersistentCacheStore, Vec<RecoveredEntry>, RecoveryReport) {
-        PersistentCacheStore::open(dir, 0, None).expect("store opens")
+    type Opened = (PersistentCacheStore, Vec<RecoveredEntry>, RecoveryReport);
+
+    /// Opens `dir` and checks examiner ≡ recovery on the way: `fsck` taken
+    /// *before* recovery predicts the [`RecoveryReport`] finding for
+    /// finding, and `fsck` taken *after* sees a directory with no damage and
+    /// no debris left. Every test in this module that reopens a store —
+    /// healthy, torn, corrupted, crashed mid-protocol — goes through here.
+    fn open_opts(dir: &Path, opts: PersistOptions) -> Opened {
+        let before = fsck(dir);
+        let opened = PersistentCacheStore::open_with(dir, opts).expect("store opens");
+        let rep = &opened.2;
+        let count = |pred: fn(&FsckFinding) -> bool| {
+            before.findings.iter().filter(|f| pred(f)).count() as u64
+        };
+        assert_eq!(
+            rep.torn_tail_truncated,
+            count(|f| matches!(f, FsckFinding::TornTail { .. })) == 1
+        );
+        assert_eq!(
+            rep.orphans_gcd,
+            count(|f| matches!(f, FsckFinding::OrphanFile { .. }))
+        );
+        assert_eq!(
+            rep.stale_tmp_gcd,
+            count(|f| matches!(f, FsckFinding::StaleTmp { .. }))
+        );
+        assert_eq!(
+            rep.stale_generations_removed,
+            count(|f| matches!(
+                f,
+                FsckFinding::StaleGeneration { .. } | FsckFinding::StaleLegacyManifest
+            ))
+        );
+        let damaged: std::collections::BTreeSet<u64> = before
+            .findings
+            .iter()
+            .filter_map(|f| match f {
+                FsckFinding::BadLineage { id, .. }
+                | FsckFinding::CorruptValue { id, .. }
+                | FsckFinding::MissingValue { id } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rep.dropped + rep.repaired, damaged.len() as u64);
+        assert_eq!(
+            rep.recovered + rep.dropped,
+            before.live_entries + damaged.len() as u64
+        );
+        assert_eq!(rep.generation, before.generation.unwrap_or(0));
+
+        let after = fsck(dir);
+        assert_eq!(after.generation, Some(rep.generation));
+        assert_eq!(after.live_entries, rep.recovered);
+        let leftover: Vec<_> = after
+            .findings
+            .iter()
+            .filter(|f| !matches!(f, FsckFinding::Quarantined { .. }))
+            .collect();
+        assert!(leftover.is_empty(), "recovery left behind: {leftover:?}");
+        opened
+    }
+
+    fn open(dir: &Path) -> Opened {
+        open_opts(dir, PersistOptions::default())
+    }
+
+    fn open_faulty(dir: &Path, faults: Arc<FaultInjector>) -> Opened {
+        let opts = PersistOptions {
+            faults: Some(faults),
+            ..PersistOptions::default()
+        };
+        open_opts(dir, opts)
     }
 
     /// Flips one byte near the middle of a file.
@@ -1687,7 +1727,11 @@ mod tests {
         let dir = tmp_dir("budget");
         // Each 8x8 matrix encodes to 9 + 16 + 512 + 8 = 545 bytes; a budget
         // of 1200 holds two.
-        let (store, _, _) = PersistentCacheStore::open(&dir, 1200, None).unwrap();
+        let opts = PersistOptions {
+            budget_bytes: 1200,
+            ..PersistOptions::default()
+        };
+        let (store, _, _) = open_opts(&dir, opts);
         let a = store.persist(&item("A"), &mat(8), 10).unwrap().unwrap();
         assert!(a.evicted_ids.is_empty());
         let b = store.persist(&item("B"), &mat(8), 20).unwrap().unwrap();
@@ -1713,7 +1757,7 @@ mod tests {
         let dir = tmp_dir("crashwal");
         let inj = Arc::new(FaultInjector::new(0).fail_at(FaultSite::PersistWalAppend, &[1]));
         {
-            let (store, _, _) = PersistentCacheStore::open(&dir, 0, Some(inj)).unwrap();
+            let (store, _, _) = open_faulty(&dir, inj);
             store.persist(&item("A"), &mat(3), 10).unwrap().unwrap();
             assert!(store.persist(&item("B"), &mat(3), 20).is_err());
             assert!(store.crashed());
@@ -1735,7 +1779,7 @@ mod tests {
         let dir = tmp_dir("crashcommit");
         let inj = Arc::new(FaultInjector::new(0).fail_at(FaultSite::PersistCommit, &[1]));
         {
-            let (store, _, _) = PersistentCacheStore::open(&dir, 0, Some(inj)).unwrap();
+            let (store, _, _) = open_faulty(&dir, inj);
             store.persist(&item("A"), &mat(3), 10).unwrap().unwrap();
             assert!(store.persist(&item("B"), &mat(3), 20).is_err());
         }
@@ -1752,7 +1796,7 @@ mod tests {
         let dir = tmp_dir("crashrename");
         let inj = Arc::new(FaultInjector::new(0).fail_at(FaultSite::PersistRename, &[0]));
         {
-            let (store, _, _) = PersistentCacheStore::open(&dir, 0, Some(inj)).unwrap();
+            let (store, _, _) = open_faulty(&dir, inj);
             assert!(store.persist(&item("A"), &mat(3), 10).is_err());
         }
         let (_s, rec, rep) = open(&dir);
@@ -1766,7 +1810,7 @@ mod tests {
         // A file where the directory should be.
         let path = tmp_dir("notadir");
         fs::write(&path, b"file").unwrap();
-        assert!(PersistentCacheStore::open(&path, 0, None).is_none());
+        assert!(PersistentCacheStore::open_with(&path, PersistOptions::default()).is_none());
         fs::remove_file(&path).unwrap();
     }
 
@@ -1821,7 +1865,7 @@ mod tests {
             compact_factor: 2,
             ..PersistOptions::default()
         };
-        let (store, _, _) = PersistentCacheStore::open_with(&dir, opts).unwrap();
+        let (store, _, _) = open_opts(&dir, opts);
         let mut ids = Vec::new();
         for i in 0..12 {
             let o = store
@@ -1853,7 +1897,7 @@ mod tests {
         }
         let inj = Arc::new(FaultInjector::new(0).fail_at(FaultSite::PersistCompactWrite, &[0]));
         {
-            let (store, _, _) = PersistentCacheStore::open(&dir, 0, Some(inj)).unwrap();
+            let (store, _, _) = open_faulty(&dir, inj);
             assert!(store.compact().is_err());
             assert!(store.crashed());
         }
@@ -1881,7 +1925,7 @@ mod tests {
         // complete but never committed.
         let inj = Arc::new(FaultInjector::new(0).fail_at(FaultSite::PersistCompactSwitch, &[0]));
         {
-            let (store, _, _) = PersistentCacheStore::open(&dir, 0, Some(inj)).unwrap();
+            let (store, _, _) = open_faulty(&dir, inj);
             assert!(store.compact().is_err());
         }
         assert!(dir.join("manifest.1.wal.tmp").exists());
@@ -1907,7 +1951,7 @@ mod tests {
         // disk at the moment of death.
         let inj = Arc::new(FaultInjector::new(0).fail_at(FaultSite::PersistCompactSwitch, &[1]));
         {
-            let (store, _, _) = PersistentCacheStore::open(&dir, 0, Some(inj)).unwrap();
+            let (store, _, _) = open_faulty(&dir, inj);
             assert!(store.compact().is_err());
         }
         assert!(
@@ -1955,7 +1999,7 @@ mod tests {
             store.persist(&item("A"), &mat(3), 10).unwrap().unwrap();
         }
         let inj = Arc::new(FaultInjector::new(0).fail_at(FaultSite::DiskFull, &[0]));
-        let (store, rec, _) = PersistentCacheStore::open(&dir, 0, Some(inj)).unwrap();
+        let (store, rec, _) = open_faulty(&dir, inj);
         assert_eq!(rec.len(), 1);
         let err = store.persist(&item("B"), &mat(3), 20).unwrap_err();
         assert_eq!(err.raw_os_error(), Some(28), "surfaces as ENOSPC");
@@ -1978,7 +2022,7 @@ mod tests {
     fn fsync_failure_degrades_store_to_memory_only() {
         let dir = tmp_dir("fsyncfail");
         let inj = Arc::new(FaultInjector::new(0).fail_at(FaultSite::FsyncFail, &[0]));
-        let (store, _, _) = PersistentCacheStore::open(&dir, 0, Some(inj)).unwrap();
+        let (store, _, _) = open_faulty(&dir, inj);
         assert!(store.persist(&item("A"), &mat(3), 10).is_err());
         assert_eq!(store.degrade_reason(), Some(DegradeReason::FsyncFailed));
         assert!(!store.usable());
@@ -2026,7 +2070,7 @@ mod tests {
             repair: Some(RepairHook::new(|_root| Ok(mat(4)))),
             ..PersistOptions::default()
         };
-        let (store, _, _) = PersistentCacheStore::open_with(&dir, opts).unwrap();
+        let (store, _, _) = open_opts(&dir, opts);
         let a = store.persist(&item("A"), &mat(4), 10).unwrap().unwrap();
         let victim = dir.join("values").join(format!("v{}.val", a.id));
         flip_byte(&victim);
@@ -2049,7 +2093,7 @@ mod tests {
             repair: Some(RepairHook::new(|_root| Err("no data source".to_string()))),
             ..PersistOptions::default()
         };
-        let (store, _, _) = PersistentCacheStore::open_with(&dir, opts).unwrap();
+        let (store, _, _) = open_opts(&dir, opts);
         let a = store.persist(&item("A"), &mat(4), 10).unwrap().unwrap();
         flip_byte(&dir.join("values").join(format!("v{}.val", a.id)));
         let out = store.scrub_chunk(0).unwrap();
@@ -2125,7 +2169,7 @@ mod tests {
             repair: Some(RepairHook::new(|_root| Ok(mat(4)))),
             ..PersistOptions::default()
         };
-        let (_s, rec, rep) = PersistentCacheStore::open_with(&dir, opts).unwrap();
+        let (_s, rec, rep) = open_opts(&dir, opts);
         assert_eq!(rep.recovered, 1);
         assert_eq!(rep.repaired, 1);
         assert_eq!(rep.dropped, 0);
@@ -2146,7 +2190,7 @@ mod tests {
             repair: Some(RepairHook::new(|_root| Err("unreplayable".to_string()))),
             ..PersistOptions::default()
         };
-        let (_s, rec, rep) = PersistentCacheStore::open_with(&dir, opts).unwrap();
+        let (_s, rec, rep) = open_opts(&dir, opts);
         assert!(rec.is_empty());
         assert_eq!(rep.dropped, 1);
         assert_eq!(rep.repair_failures, 1);
@@ -2167,7 +2211,7 @@ mod tests {
             quarantine_max_age_secs: 0,
             ..PersistOptions::default()
         };
-        let (_s, _, rep) = PersistentCacheStore::open_with(&dir, opts).unwrap();
+        let (_s, _, rep) = open_opts(&dir, opts);
         assert_eq!(rep.quarantine_gcd, 0);
         assert!(qfile.exists());
         // A 1-second horizon collects it once it has aged past that.
@@ -2176,7 +2220,7 @@ mod tests {
             quarantine_max_age_secs: 1,
             ..PersistOptions::default()
         };
-        let (_s, _, rep) = PersistentCacheStore::open_with(&dir, opts).unwrap();
+        let (_s, _, rep) = open_opts(&dir, opts);
         assert_eq!(rep.quarantine_gcd, 1);
         assert!(!qfile.exists());
         fs::remove_dir_all(&dir).unwrap();
@@ -2247,7 +2291,11 @@ mod tests {
             assert!(!f.render().is_empty());
         }
         // fsck is read-only: a second pass sees the same state.
-        assert_eq!(fsck(&dir).findings.len(), rep.findings.len());
+        assert_eq!(fsck(&dir).findings, rep.findings);
+        // Recovery applies exactly what fsck reported (checked by `open`).
+        let (_s, rec, recovery) = open(&dir);
+        assert_eq!(rec.len(), 1);
+        assert_eq!((recovery.dropped, recovery.quarantined), (2, 1));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2259,8 +2307,10 @@ mod tests {
             store.persist(&item("A"), &mat(3), 10).unwrap().unwrap();
             store.compact().unwrap();
         }
-        // Resurrect a stale generation file alongside the committed one.
+        // Resurrect a stale generation file and a pre-generational manifest
+        // alongside the committed one.
         fs::write(dir.join("manifest.0.wal"), b"").unwrap();
+        fs::write(dir.join("manifest.wal"), b"").unwrap();
         // Append a bad-lineage record to the active generation.
         {
             let mut payload = BytesMut::new();
@@ -2284,11 +2334,16 @@ mod tests {
             .findings
             .iter()
             .any(|f| matches!(f, FsckFinding::StaleGeneration { generation: 0 })));
+        assert!(rep.findings.contains(&FsckFinding::StaleLegacyManifest));
         assert!(rep
             .findings
             .iter()
             .any(|f| matches!(f, FsckFinding::BadLineage { id: 500, .. })));
         assert!(rep.has_corruption());
+        let (_s, rec, recovery) = open(&dir);
+        assert_eq!(rec.len(), 1);
+        assert_eq!(recovery.stale_generations_removed, 2);
+        assert!(!dir.join("manifest.wal").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

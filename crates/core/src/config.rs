@@ -89,10 +89,8 @@ pub struct LimaConfig {
     /// cache bytes + session live variables + spill buffers). 0 disables
     /// governance entirely (no governor is constructed).
     pub governor_budget_bytes: usize,
-    /// Durably persist reuse-cache entries across process restarts. Requires
-    /// `persist_dir`; without one the flag is ignored.
-    pub persist_enabled: bool,
-    /// Directory holding the persistent manifest WAL and value files. The
+    /// Directory holding the persistent manifest WAL and value files;
+    /// reuse-cache entries are durably persisted there iff it is set. The
     /// same directory can be reopened by a later process to warm-start the
     /// cache. An unusable directory degrades to an empty cache, never an
     /// error.
@@ -142,7 +140,6 @@ impl Default for LimaConfig {
             spill_failure_limit: 3,
             breaker_cooldown_ms: 5_000,
             governor_budget_bytes: 0,
-            persist_enabled: false,
             persist_dir: None,
             persist_budget_bytes: 1 << 30,
             persist_compact_min_bytes: 64 * 1024,
@@ -216,7 +213,6 @@ impl LimaConfig {
     /// process pointing at the same directory recovers the surviving entries
     /// on startup.
     pub fn with_persistence(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.persist_enabled = true;
         self.persist_dir = Some(dir.into());
         self
     }

@@ -18,6 +18,7 @@ pub mod diag;
 pub mod faults;
 pub mod governor;
 pub mod interrupt;
+pub mod json;
 pub mod lineage;
 pub mod obs;
 pub mod opcodes;

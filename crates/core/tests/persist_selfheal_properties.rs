@@ -1,15 +1,20 @@
 //! Property tests for the self-healing persistence layer.
 //!
-//! Two families:
+//! Three families:
 //! 1. **Compaction equivalence**: for a random WAL history (puts, tombstones,
 //!    optionally a torn tail), compacting and then recovering yields exactly
 //!    the same live set as replaying the original uncompacted WAL.
 //! 2. **Scrub precision**: over a store whose value files are randomly
 //!    bit-flipped, a full scrub pass (with repair disabled) quarantines
 //!    exactly the flipped entries — no false positives, no survivors.
+//! 3. **Examiner ≡ recovery**: every reopen in this file checks that `fsck`
+//!    taken before recovery predicts the recovery report and that `fsck`
+//!    taken after finds nothing left to do; a dedicated property drives that
+//!    over random combinations of at-rest damage and debris.
 
 use lima_core::cache::persist::{PersistOptions, PersistentCacheStore};
 use lima_core::lineage::item::{lineage_eq, LinRef, LineageItem};
+use lima_core::{fsck, FsckFinding};
 use lima_matrix::Value;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -41,7 +46,8 @@ fn root_for(index: usize, v: f64) -> LinRef {
 /// tests (the put index), so it identifies entries across restarts even
 /// though lineage intern IDs differ per deserialization.
 fn open_plain(dir: &Path) -> (PersistentCacheStore, BTreeMap<u64, (LinRef, f64)>) {
-    let (store, entries, _report) = PersistentCacheStore::open_with(
+    let before = fsck(dir);
+    let (store, entries, report) = PersistentCacheStore::open_with(
         dir,
         PersistOptions {
             compact_factor: 0, // only explicit compact() in these tests
@@ -49,6 +55,50 @@ fn open_plain(dir: &Path) -> (PersistentCacheStore, BTreeMap<u64, (LinRef, f64)>
         },
     )
     .expect("store must open");
+
+    // Examiner ≡ recovery: what fsck saw is what recovery did, and nothing
+    // is left for a second look.
+    let count =
+        |pred: fn(&FsckFinding) -> bool| before.findings.iter().filter(|f| pred(f)).count() as u64;
+    assert_eq!(
+        report.torn_tail_truncated,
+        count(|f| matches!(f, FsckFinding::TornTail { .. })) == 1
+    );
+    assert_eq!(
+        report.orphans_gcd,
+        count(|f| matches!(f, FsckFinding::OrphanFile { .. }))
+    );
+    assert_eq!(
+        report.stale_tmp_gcd,
+        count(|f| matches!(f, FsckFinding::StaleTmp { .. }))
+    );
+    assert_eq!(
+        report.stale_generations_removed,
+        count(|f| matches!(
+            f,
+            FsckFinding::StaleGeneration { .. } | FsckFinding::StaleLegacyManifest
+        ))
+    );
+    let damaged: BTreeSet<u64> = before
+        .findings
+        .iter()
+        .filter_map(|f| match f {
+            FsckFinding::BadLineage { id, .. }
+            | FsckFinding::CorruptValue { id, .. }
+            | FsckFinding::MissingValue { id } => Some(*id),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(report.dropped + report.repaired, damaged.len() as u64);
+    assert_eq!(report.recovered, before.live_entries + report.repaired);
+    let after = fsck(dir);
+    assert!(!after.has_corruption(), "after: {:?}", after.findings);
+    assert_eq!(after.live_entries, report.recovered);
+    assert!(after
+        .findings
+        .iter()
+        .all(|f| matches!(f, FsckFinding::Quarantined { .. })));
+
     let live: BTreeMap<u64, (LinRef, f64)> = entries
         .iter()
         .map(|e| {
@@ -264,6 +314,91 @@ proptest! {
         for (i, (recovered_root, _)) in &live {
             prop_assert!(lineage_eq(recovered_root, expected[i]));
         }
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// What happens to one committed entry's value file before the reopen.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    None,
+    Flip,
+    Delete,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Over any mix of at-rest damage (flipped and deleted value files, a
+    /// torn WAL tail) and debris (orphan values, in-flight temps, a stale
+    /// generation), `fsck` before recovery predicts the recovery report and
+    /// recovery serves exactly the undamaged entries — `open_plain` asserts
+    /// the former, this body the latter.
+    #[test]
+    fn fsck_predicts_recovery_over_random_damage(
+        values in vec(0u32..1000, 1..10),
+        damage in vec(prop_oneof![
+            Just(Damage::None), Just(Damage::None), Just(Damage::Flip), Just(Damage::Delete)
+        ], 10),
+        torn in any::<bool>(),
+        debris in any::<bool>(),
+        compacted in any::<bool>(),
+    ) {
+        let dir = scratch("examine");
+        let mut ids = Vec::new();
+        {
+            let (store, _) = open_plain(&dir);
+            for (i, raw) in values.iter().enumerate() {
+                let v = f64::from(*raw) / 8.0;
+                let out = store
+                    .persist(&root_for(i, v), &Value::f64(v), i as u64)
+                    .expect("persist")
+                    .expect("scalars are persistable");
+                ids.push(out.id);
+            }
+            if compacted {
+                store.compact().expect("compact");
+            }
+        }
+
+        let mut intact: Vec<u64> = Vec::new();
+        for (i, id) in ids.iter().enumerate() {
+            let path = dir.join("values").join(format!("v{id}.val"));
+            match damage[i] {
+                Damage::None => intact.push(i as u64),
+                Damage::Flip => {
+                    let mut raw = std::fs::read(&path).expect("read value file");
+                    let at = raw.len() / 2;
+                    raw[at] ^= 0x10;
+                    std::fs::write(&path, &raw).expect("rewrite value file");
+                }
+                Damage::Delete => std::fs::remove_file(&path).expect("delete value file"),
+            }
+        }
+        if torn {
+            use std::io::Write as _;
+            let mut wal = std::fs::OpenOptions::new()
+                .append(true)
+                .open(active_manifest(&dir))
+                .expect("open wal");
+            wal.write_all(&[0, 0, 0, 40, 1, 2]).expect("append");
+        }
+        if debris {
+            std::fs::write(dir.join("values").join("v9999.val"), b"orphan").expect("orphan");
+            std::fs::write(dir.join("values").join("v9998.tmp"), b"in-flight").expect("tmp");
+            std::fs::write(dir.join("manifest.77.wal.tmp"), b"torn compaction").expect("tmp");
+            if compacted {
+                std::fs::write(dir.join("manifest.0.wal"), b"").expect("stale generation");
+            }
+        }
+
+        let (_store, live) = open_plain(&dir);
+        prop_assert_eq!(live.keys().copied().collect::<Vec<u64>>(), intact);
+        // A second reopen finds a clean directory (and `open_plain` checks
+        // that fsck agrees).
+        let (_store, again) = open_plain(&dir);
+        prop_assert_eq!(again.len(), live.len());
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -69,7 +69,6 @@ impl CacheShard {
     pub fn new(index: usize, template: &LimaConfig, persist_root: Option<&Path>) -> Self {
         let mut config = template.clone();
         if let Some(root) = persist_root {
-            config.persist_enabled = true;
             config.persist_dir = Some(root.join(format!("shard-{index}")));
         }
         let pool = SessionPool::new(config.clone());
@@ -115,7 +114,7 @@ impl CacheShard {
         let Some(cache) = self.cache() else {
             return ShardState::Cold;
         };
-        if !self.config.persist_enabled || self.config.persist_dir.is_none() {
+        if self.config.persist_dir.is_none() {
             return ShardState::Cold;
         }
         if !cache.persist_active() {

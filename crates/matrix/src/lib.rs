@@ -14,6 +14,7 @@ pub mod backend;
 pub mod codec;
 pub mod dense;
 pub mod error;
+pub mod forkjoin;
 pub mod frame;
 pub mod io;
 pub mod ops;

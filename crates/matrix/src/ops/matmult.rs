@@ -15,7 +15,7 @@
 use crate::backend;
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
-use std::any::Any;
+use crate::forkjoin::fork_join;
 use std::sync::OnceLock;
 
 /// Rows per parallel panel; below this GEMM stays single-threaded.
@@ -98,17 +98,6 @@ pub fn tsmm(x: &DenseMatrix, side: TsmmSide) -> Result<DenseMatrix> {
 // Shared parallel scaffolding (both backends)
 // ---------------------------------------------------------------------------
 
-/// Renders a worker panic payload into a human-readable message.
-pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_string()
-    }
-}
-
 /// Shared GEMM parallelization decision; both backends must agree so the
 /// row-panel partition (and therefore the output) is identical.
 pub(crate) fn gemm_parallel(m: usize, n: usize, k: usize) -> bool {
@@ -117,9 +106,8 @@ pub(crate) fn gemm_parallel(m: usize, n: usize, k: usize) -> bool {
 
 /// Runs `panel(out_chunk, row0, rows)` over row panels of `out`, in parallel
 /// when requested. Each output row is written by exactly one worker, so the
-/// partition never changes the computed values. Worker panics are joined
-/// explicitly and surfaced as [`MatrixError::WorkerPanic`] instead of
-/// unwinding through the scope (which would re-raise and abort the caller).
+/// partition never changes the computed values. A worker panic surfaces as
+/// [`MatrixError::WorkerPanic`] (the first one, by panel order).
 pub(crate) fn run_row_panels<F>(out: &mut DenseMatrix, parallel: bool, panel: F) -> Result<()>
 where
     F: Fn(&mut [f64], usize, usize) + Sync,
@@ -131,34 +119,16 @@ where
         return Ok(());
     }
     let chunk = m.div_ceil(threads);
-    let data = out.data_mut();
-    let scoped: crossbeam::thread::Result<Result<()>> = crossbeam::thread::scope(|s| {
-        let panel = &panel;
-        let mut handles = Vec::new();
-        for (t, out_chunk) in data.chunks_mut(chunk * n).enumerate() {
-            let row0 = t * chunk;
-            handles.push(s.spawn(move |_| {
-                let rows = out_chunk.len() / n;
-                panel(out_chunk, row0, rows);
-            }));
-        }
-        // Join every worker: an unjoined panicked child would re-raise
-        // through the scope and take the whole process down.
-        let mut first_panic: Option<String> = None;
-        for h in handles {
-            if let Err(p) = h.join() {
-                first_panic.get_or_insert_with(|| panic_message(p));
-            }
-        }
-        match first_panic {
-            Some(msg) => Err(MatrixError::WorkerPanic(msg)),
-            None => Ok(()),
-        }
-    });
-    match scoped {
-        Ok(r) => r,
-        Err(p) => Err(MatrixError::WorkerPanic(panic_message(p))),
-    }
+    let panel = &panel;
+    fork_join(
+        out.data_mut()
+            .chunks_mut(chunk * n)
+            .enumerate()
+            .map(|(t, out_chunk)| move || panel(out_chunk, t * chunk, out_chunk.len() / n)),
+    )
+    .into_iter()
+    .collect::<std::result::Result<(), String>>()
+    .map_err(MatrixError::WorkerPanic)
 }
 
 /// Shared `tsmm` left-side driver: stripes the rows of `X` across workers,
@@ -178,41 +148,20 @@ where
         // Each worker accumulates a partial Gram matrix over a row stripe;
         // partials are summed afterwards. This mirrors SystemDS' parallel tsmm.
         let chunk = m.div_ceil(threads);
-        let scoped: crossbeam::thread::Result<Result<Vec<Vec<f64>>>> =
-            crossbeam::thread::scope(|s| {
-                let gram = &gram;
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(m);
-                    if lo >= hi {
-                        break;
-                    }
-                    handles.push(s.spawn(move |_| {
-                        let mut acc = vec![0.0f64; n * n];
-                        gram(x, lo, hi, &mut acc);
-                        acc
-                    }));
-                }
-                let mut partials = Vec::with_capacity(handles.len());
-                let mut first_panic: Option<String> = None;
-                for h in handles {
-                    match h.join() {
-                        Ok(acc) => partials.push(acc),
-                        Err(p) => {
-                            first_panic.get_or_insert_with(|| panic_message(p));
-                        }
-                    }
-                }
-                match first_panic {
-                    Some(msg) => Err(MatrixError::WorkerPanic(msg)),
-                    None => Ok(partials),
-                }
-            });
-        let partials = match scoped {
-            Ok(r) => r?,
-            Err(p) => return Err(MatrixError::WorkerPanic(panic_message(p))),
-        };
+        let gram = &gram;
+        let stripes = (0..threads)
+            .map(|t| (t * chunk, ((t + 1) * chunk).min(m)))
+            .take_while(|(lo, hi)| lo < hi);
+        let partials = fork_join(stripes.map(|(lo, hi)| {
+            move || {
+                let mut acc = vec![0.0f64; n * n];
+                gram(x, lo, hi, &mut acc);
+                acc
+            }
+        }))
+        .into_iter()
+        .collect::<std::result::Result<Vec<Vec<f64>>, String>>()
+        .map_err(MatrixError::WorkerPanic)?;
         let out_data = out.data_mut();
         for p in partials {
             for (o, v) in out_data.iter_mut().zip(p) {
@@ -452,15 +401,23 @@ mod tests {
         // Drive run_row_panels directly with a panicking panel across the
         // parallel path; the panic must come back as MatrixError::WorkerPanic.
         let mut out = DenseMatrix::zeros(512, 8);
-        let r = run_row_panels(&mut out, true, |_panel, row0, _rows| {
+        let r = run_row_panels(&mut out, true, |panel, row0, _rows| {
             if row0 > 0 {
-                panic!("injected kernel fault");
+                panic!("injected kernel fault at row {row0}");
             }
+            panel.fill(1.0);
         });
+        // The first panic by panel order, payload text intact.
+        let chunk = 512usize.div_ceil(kernel_threads());
         match r {
-            Err(MatrixError::WorkerPanic(msg)) => assert!(msg.contains("injected")),
+            Err(MatrixError::WorkerPanic(msg)) => {
+                assert_eq!(msg, format!("injected kernel fault at row {chunk}"))
+            }
             other => panic!("expected WorkerPanic, got {other:?}"),
         }
+        // The healthy sibling was joined, not abandoned: its panel is written.
+        assert!(out.data()[..chunk * 8].iter().all(|v| *v == 1.0));
+        assert!(out.data()[chunk * 8..].iter().all(|v| *v == 0.0));
         // Serial path with a healthy panel still succeeds.
         let mut out = DenseMatrix::zeros(4, 4);
         assert!(run_row_panels(&mut out, false, |_p, _r0, _rs| {}).is_ok());

@@ -24,6 +24,7 @@ use crate::program::{Block, Program};
 use lima_core::faults::FaultSite;
 use lima_core::lineage::item::{LinRef, LineageItem};
 use lima_core::{EventKind, LimaStats};
+use lima_matrix::forkjoin::{fork_join, panic_message};
 use lima_matrix::{DenseMatrix, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -93,7 +94,7 @@ pub(crate) fn execute_parfor(
             Ok(r) => r,
             Err(payload) => {
                 LimaStats::bump(&ctx.stats.worker_panics);
-                Err(RuntimeError::WorkerPanic(panic_message(payload)))
+                Err(RuntimeError::WorkerPanic(panic_message(payload.as_ref())))
             }
         };
     }
@@ -108,87 +109,71 @@ pub(crate) fn execute_parfor(
     // Set by the first failing worker; siblings stop at their next iteration
     // boundary instead of computing results that will be discarded.
     let cancel = AtomicBool::new(false);
-    let outs: Vec<Result<WorkerOut>> = crossbeam::thread::scope(|s| {
-        let cancel = &cancel;
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let lo = w * chunk;
-            let hi = ((w + 1) * chunk).min(iterations.len());
-            if lo >= hi {
-                break;
-            }
-            let iters = iterations[lo..hi].to_vec();
-            let mut wctx = ctx.fork_worker();
-            let stats = std::sync::Arc::clone(&wctx.stats);
-            let var = var.to_string();
-            let results = results.to_vec();
-            handles.push(s.spawn(move |_| -> Result<WorkerOut> {
-                let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<WorkerOut> {
-                    let n_iters = iters.len() as u64;
-                    let obs = wctx.config.obs.clone().filter(|o| o.enabled());
-                    let obs_t0 = obs.as_ref().map(|o| o.now_ns());
-                    for i in iters {
-                        if cancel.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Session cancellation/deadline stops every worker at
-                        // its next iteration boundary; the error unwinds
-                        // through the sibling-cancel path below.
-                        wctx.check_interrupt()?;
-                        maybe_inject_panic(&wctx, i);
-                        wctx.set(var.clone(), Value::i64(i));
-                        execute_blocks(body, program, &mut wctx)?;
+    let cancel = &cancel;
+    let outs = fork_join(iterations.chunks(chunk).enumerate().map(|(w, iters)| {
+        let iters = iters.to_vec();
+        let mut wctx = ctx.fork_worker();
+        let stats = std::sync::Arc::clone(&wctx.stats);
+        let var = var.to_string();
+        let results = results.to_vec();
+        move || -> Result<WorkerOut> {
+            let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<WorkerOut> {
+                let n_iters = iters.len() as u64;
+                let obs = wctx.config.obs.clone().filter(|o| o.enabled());
+                let obs_t0 = obs.as_ref().map(|o| o.now_ns());
+                for i in iters {
+                    if cancel.load(Ordering::Relaxed) {
+                        break;
                     }
-                    if let (Some(o), Some(t0)) = (&obs, obs_t0) {
-                        o.record_span(EventKind::ParforWorker, "parfor", 0, t0, w as u64, n_iters);
-                    }
-                    let results = results
-                        .iter()
-                        .map(|r| {
-                            (
-                                r.clone(),
-                                wctx.symtab.get(r).cloned(),
-                                wctx.lineage.get(r).cloned(),
-                            )
-                        })
-                        .collect();
-                    Ok(WorkerOut {
-                        results,
-                        stdout: std::mem::take(&mut wctx.stdout),
-                    })
-                }));
-                match outcome {
-                    Ok(Ok(out)) => Ok(out),
-                    Ok(Err(e)) => {
-                        cancel.store(true, Ordering::Relaxed);
-                        Err(e)
-                    }
-                    Err(payload) => {
-                        // The unwind already dropped the worker's context and
-                        // with it any held cache reservations (their Drop
-                        // aborts the placeholders, waking blocked waiters).
-                        cancel.store(true, Ordering::Relaxed);
-                        LimaStats::bump(&stats.worker_panics);
-                        Err(RuntimeError::WorkerPanic(panic_message(payload)))
-                    }
+                    // Session cancellation/deadline stops every worker at
+                    // its next iteration boundary; the error unwinds
+                    // through the sibling-cancel path below.
+                    wctx.check_interrupt()?;
+                    maybe_inject_panic(&wctx, i);
+                    wctx.set(var.clone(), Value::i64(i));
+                    execute_blocks(body, program, &mut wctx)?;
                 }
+                if let (Some(o), Some(t0)) = (&obs, obs_t0) {
+                    o.record_span(EventKind::ParforWorker, "parfor", 0, t0, w as u64, n_iters);
+                }
+                let results = results
+                    .iter()
+                    .map(|r| {
+                        (
+                            r.clone(),
+                            wctx.symtab.get(r).cloned(),
+                            wctx.lineage.get(r).cloned(),
+                        )
+                    })
+                    .collect();
+                Ok(WorkerOut {
+                    results,
+                    stdout: std::mem::take(&mut wctx.stdout),
+                })
             }));
+            match outcome {
+                Ok(Ok(out)) => Ok(out),
+                Ok(Err(e)) => {
+                    cancel.store(true, Ordering::Relaxed);
+                    Err(e)
+                }
+                Err(payload) => {
+                    // The unwind already dropped the worker's context and
+                    // with it any held cache reservations (their Drop
+                    // aborts the placeholders, waking blocked waiters).
+                    cancel.store(true, Ordering::Relaxed);
+                    LimaStats::bump(&stats.worker_panics);
+                    Err(RuntimeError::WorkerPanic(panic_message(payload.as_ref())))
+                }
+            }
         }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(payload) => Err(RuntimeError::WorkerPanic(panic_message(payload))),
-            })
-            .collect()
-    })
-    .map_err(|payload| RuntimeError::WorkerPanic(panic_message(payload)))?;
+    }));
 
     // Propagate the first failure by worker index — deterministic regardless
     // of which worker failed first in wall-clock time.
     let mut worker_outs = Vec::with_capacity(outs.len());
     for o in outs {
-        worker_outs.push(o?);
+        worker_outs.push(o.map_err(RuntimeError::WorkerPanic)??);
     }
 
     // Merge results: cells differing from the initial value win (SystemDS'
@@ -246,18 +231,6 @@ fn maybe_inject_panic(ctx: &ExecutionContext, iteration: i64) {
     }
 }
 
-/// Renders a panic payload (usually a `&str` or `String`) for
-/// [`RuntimeError::WorkerPanic`].
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// Copies every cell of `worker` that differs from `init` into `acc`.
 fn merge_noninitial(acc: &mut DenseMatrix, init: &DenseMatrix, worker: &DenseMatrix) {
     let (a, i, w) = (acc.data_mut(), init.data(), worker.data());
@@ -281,15 +254,5 @@ mod tests {
         merge_noninitial(&mut acc, &init, &w1);
         merge_noninitial(&mut acc, &init, &w2);
         assert_eq!(acc.data(), &[1.0, 0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn panic_messages_extract_common_payloads() {
-        let p = std::panic::catch_unwind(|| panic!("static str")).unwrap_err();
-        assert_eq!(panic_message(p), "static str");
-        let p = std::panic::catch_unwind(|| panic!("formatted {}", 7)).unwrap_err();
-        assert_eq!(panic_message(p), "formatted 7");
-        let p = std::panic::catch_unwind(|| std::panic::panic_any(42i32)).unwrap_err();
-        assert_eq!(panic_message(p), "opaque panic payload");
     }
 }

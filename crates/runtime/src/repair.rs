@@ -14,6 +14,7 @@ use crate::reconstruct::recompute;
 use lima_core::cache::persist::RepairHook;
 use lima_core::config::LimaConfig;
 use lima_core::lineage::LinRef;
+use lima_matrix::forkjoin::panic_message;
 use lima_matrix::Value;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -48,17 +49,10 @@ fn repair_once(root: &LinRef, data: &Arc<DataRegistry>) -> Result<Value, String>
     }));
     match out {
         Ok(r) => r,
-        Err(panic) => Err(panic_message(panic.as_ref())),
-    }
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        format!("repair panicked: {s}")
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        format!("repair panicked: {s}")
-    } else {
-        "repair panicked".to_string()
+        Err(panic) => Err(format!(
+            "repair panicked: {}",
+            panic_message(panic.as_ref())
+        )),
     }
 }
 
@@ -66,7 +60,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// is enabled and no hook was set explicitly. Returns the (possibly updated)
 /// config.
 pub fn with_default_repair(config: LimaConfig, data: &Arc<DataRegistry>) -> LimaConfig {
-    if config.persist_enabled && config.repair.is_none() {
+    if config.persist_dir.is_some() && config.repair.is_none() {
         config.with_repair(registry_repairer(Arc::clone(data)))
     } else {
         config

@@ -29,6 +29,7 @@ use crate::interp::execute_program;
 use crate::program::Program;
 use lima_core::interrupt::{CancelToken, Interrupt, InterruptKind};
 use lima_core::{EventKind, LimaConfig, LimaStats, LineageCache, ResourceGovernor};
+use lima_matrix::forkjoin::panic_message;
 use lima_matrix::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,14 +171,7 @@ impl SessionHandle {
     pub fn join(self) -> Result<SessionOutcome> {
         match self.join.join() {
             Ok(r) => r,
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_string());
-                Err(RuntimeError::WorkerPanic(msg))
-            }
+            Err(payload) => Err(RuntimeError::WorkerPanic(panic_message(payload.as_ref()))),
         }
     }
 }

@@ -18,7 +18,7 @@
 //! u64s); CI runs several seeds so the crash schedule varies per PR.
 
 use lima::prelude::*;
-use lima_core::cache::persist::PersistentCacheStore;
+use lima_core::cache::persist::{PersistOptions, PersistentCacheStore};
 use lima_core::faults::{FaultInjector, FaultSite, PERSIST_CRASH_POINTS};
 use lima_matrix::Value;
 use std::path::PathBuf;
@@ -130,7 +130,8 @@ fn crash_at_every_point_recovers_consistent_reconstructable_subset() {
                 // "Next process": recovery must hand back a consistent
                 // subset, repairing whatever the crash left behind.
                 let (store, recovered, report) =
-                    PersistentCacheStore::open(&dir, 0, None).expect("dir is usable");
+                    PersistentCacheStore::open_with(&dir, PersistOptions::default())
+                        .expect("dir is usable");
                 assert_eq!(
                     store.live_entries(),
                     recovered.len(),
@@ -160,7 +161,8 @@ fn crash_at_every_point_recovers_consistent_reconstructable_subset() {
                 // Recovery is idempotent: a second reopen finds a clean store
                 // with the same entry count and nothing left to repair.
                 let (_s2, recovered2, report2) =
-                    PersistentCacheStore::open(&dir, 0, None).expect("dir is usable");
+                    PersistentCacheStore::open_with(&dir, PersistOptions::default())
+                        .expect("dir is usable");
                 assert_eq!(recovered2.len(), recovered.len(), "{tag}: not idempotent");
                 assert!(!report2.torn_tail_truncated, "{tag}: torn tail resurfaced");
                 assert_eq!(report2.orphans_gcd, 0, "{tag}: orphans resurfaced");
@@ -253,7 +255,8 @@ fn compaction_crash_matrix_recovers_and_strictly_reclaims() {
                 drop(run);
 
                 let (store, recovered, report) =
-                    PersistentCacheStore::open(&dir, 0, None).expect("dir is usable");
+                    PersistentCacheStore::open_with(&dir, PersistOptions::default())
+                        .expect("dir is usable");
                 assert_eq!(
                     store.live_entries(),
                     recovered.len(),
@@ -271,7 +274,8 @@ fn compaction_crash_matrix_recovers_and_strictly_reclaims() {
                 drop(store);
 
                 let (_s2, recovered2, report2) =
-                    PersistentCacheStore::open(&dir, 0, None).expect("dir is usable");
+                    PersistentCacheStore::open_with(&dir, PersistOptions::default())
+                        .expect("dir is usable");
                 assert_eq!(recovered2.len(), recovered.len(), "{tag}: not idempotent");
                 assert_eq!(report2.stale_tmp_gcd, 0, "{tag}: stale tmps resurfaced");
                 assert_eq!(
@@ -433,7 +437,8 @@ fn probabilistic_crash_schedule_stays_consistent() {
         drop(run);
 
         let (_store, recovered, _report) =
-            PersistentCacheStore::open(&dir, 0, None).expect("dir is usable");
+            PersistentCacheStore::open_with(&dir, PersistOptions::default())
+                .expect("dir is usable");
         assert_reconstructs_to_baseline(&recovered, &inputs, &format!("prob seed={seed}"));
         let _ = std::fs::remove_dir_all(&dir);
     }
