@@ -278,6 +278,7 @@ fn scrape_with(server: &Server, needles: &[&str]) -> Result<(), String> {
         "lima_total_hits",
         "lima_srv_requests",
         "limad_shard_state{shard=\"0\"}",
+        "limad_shard_program_cache_hits{shard=\"0\"}",
     ]
     .iter()
     .chain(needles)

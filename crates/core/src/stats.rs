@@ -176,6 +176,14 @@ define_stats! {
     srv_quota_rejects,
     /// Connections torn by injected `ConnDrop` faults (chaos testing).
     srv_conn_drops,
+    /// Submits served a compiled program from the shard's program cache.
+    program_cache_hits,
+    /// Submits that compiled their script (first sight, evicted, or a script
+    /// too heavy to cache).
+    program_cache_misses,
+    /// Compiled programs evicted from a program cache, least recently used
+    /// first, to stay under its weight cap.
+    program_cache_evictions,
     /// Committed records enqueued for asynchronous replication to followers.
     repl_enqueued,
     /// Records dropped instead of enqueued/sent: replication queue full or
@@ -281,7 +289,8 @@ impl LimaStats {
              governor: degrades={} recovers={} admission_rejects={} alloc_failures={} \
              persist_retries={} breaker_probes={}\n\
              session: started={} completed={} cancelled={} deadline_exceeded={} rejected={}\n\
-             service: requests={} malformed={} sheds={} quota_rejects={} conn_drops={}\n\
+             service: requests={} malformed={} sheds={} quota_rejects={} conn_drops={} \
+             program_cache_hits={} misses={} evictions={}\n\
              repl:    enqueued={} queue_drops={} sent={} send_failures={} applied={} \
              rejected={} repaired={} ae_rounds={} ae_pulled={}\n\
              time:    saved_compute={:.3}s compensation={:.3}s",
@@ -343,6 +352,9 @@ impl LimaStats {
             Self::get(&self.srv_sheds),
             Self::get(&self.srv_quota_rejects),
             Self::get(&self.srv_conn_drops),
+            Self::get(&self.program_cache_hits),
+            Self::get(&self.program_cache_misses),
+            Self::get(&self.program_cache_evictions),
             Self::get(&self.repl_enqueued),
             Self::get(&self.repl_queue_drops),
             Self::get(&self.repl_sent),

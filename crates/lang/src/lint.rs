@@ -16,7 +16,8 @@ use lima_analysis::ClassSource;
 use lima_core::opcodes::{classify_opcode, OpClass};
 use lima_core::{sort_diagnostics, Diagnostic, LimaConfig, Span};
 use lima_runtime::compiler::instr_class_source;
-use lima_runtime::{Block, ExprProg, Instr, Program};
+use lima_runtime::program::walk_blocks;
+use lima_runtime::{Block, Instr, Program};
 
 /// Parses, lowers, compiles, and lints a script. Parse/lowering/analysis
 /// errors come back as diagnostics (`L0001`–`L0100`) alongside any lint
@@ -230,41 +231,9 @@ fn stmts_to_events(stmts: &[Stmt]) -> Vec<LintEvent> {
 // ------------------------------------------- lowered program → model parts
 
 fn collect_spanned_sources(blocks: &[Block], out: &mut Vec<(ClassSource, Option<Span>)>) {
-    let expr = |e: &ExprProg, out: &mut Vec<(ClassSource, Option<Span>)>| {
-        out.extend(e.instrs.iter().map(|i| (instr_class_source(i), i.span)));
-    };
-    for b in blocks {
-        match b {
-            Block::Basic { instrs, .. } => {
-                out.extend(instrs.iter().map(|i| (instr_class_source(i), i.span)));
-            }
-            Block::If {
-                pred,
-                then_body,
-                else_body,
-                ..
-            } => {
-                expr(pred, out);
-                collect_spanned_sources(then_body, out);
-                collect_spanned_sources(else_body, out);
-            }
-            Block::For {
-                from, to, by, body, ..
-            }
-            | Block::ParFor {
-                from, to, by, body, ..
-            } => {
-                expr(from, out);
-                expr(to, out);
-                expr(by, out);
-                collect_spanned_sources(body, out);
-            }
-            Block::While { pred, body, .. } => {
-                expr(pred, out);
-                collect_spanned_sources(body, out);
-            }
-        }
-    }
+    walk_blocks(blocks, &mut |b| {
+        out.extend(b.own_instrs().map(|i| (instr_class_source(i), i.span)));
+    });
 }
 
 fn op_of(i: &Instr) -> LintOp {
@@ -288,39 +257,7 @@ fn op_of(i: &Instr) -> LintOp {
 }
 
 fn collect_ops(blocks: &[Block], out: &mut Vec<LintOp>) {
-    let expr = |e: &ExprProg, out: &mut Vec<LintOp>| {
-        out.extend(e.instrs.iter().map(op_of));
-    };
-    for b in blocks {
-        match b {
-            Block::Basic { instrs, .. } => out.extend(instrs.iter().map(op_of)),
-            Block::If {
-                pred,
-                then_body,
-                else_body,
-                ..
-            } => {
-                expr(pred, out);
-                collect_ops(then_body, out);
-                collect_ops(else_body, out);
-            }
-            Block::For {
-                from, to, by, body, ..
-            }
-            | Block::ParFor {
-                from, to, by, body, ..
-            } => {
-                expr(from, out);
-                expr(to, out);
-                expr(by, out);
-                collect_ops(body, out);
-            }
-            Block::While { pred, body, .. } => {
-                expr(pred, out);
-                collect_ops(body, out);
-            }
-        }
-    }
+    walk_blocks(blocks, &mut |b| out.extend(b.own_instrs().map(op_of)));
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! (the `define_stats!` macro guarantees one shared declaration order) into
 //! one fresh block, renders the standard Prometheus text exposition, and
 //! appends a `limad_shard_state{shard="i"}` gauge per shard so dashboards
-//! can see a degraded shard at a glance.
+//! can see a degraded shard at a glance, and the shard's program-cache
+//! counters (`limad_shard_program_cache_*`) so a miss-heavy script mix is
+//! visible per shard.
 //!
 //! The endpoint is a deliberately tiny hand-rolled HTTP/1.0 responder: one
 //! request line, one response, close. No external dependency, no keep-alive.
@@ -51,6 +53,26 @@ pub(crate) fn metrics_text(inner: &Inner) -> String {
             shard.index(),
             shard.state().as_gauge()
         ));
+    }
+    out.push_str(
+        "# HELP limad_shard_program_cache Per-shard compiled-program cache: submits served \
+         from it, submits that compiled, LRU evictions, and the weight held (retained \
+         instructions; script text at its byte-equivalent).\n\
+         # TYPE limad_shard_program_cache gauge\n",
+    );
+    for shard in inner.shards.iter() {
+        let stats = shard.stats();
+        let i = shard.index();
+        for (name, value) in [
+            ("hits", LimaStats::get(&stats.program_cache_hits)),
+            ("misses", LimaStats::get(&stats.program_cache_misses)),
+            ("evictions", LimaStats::get(&stats.program_cache_evictions)),
+            ("instructions", shard.program_cache_weight() as u64),
+        ] {
+            out.push_str(&format!(
+                "limad_shard_program_cache_{name}{{shard=\"{i}\"}} {value}\n"
+            ));
+        }
     }
     out.push_str(
         "# HELP limad_scrub Per-shard integrity-scrubber progress and self-healing outcomes.\n\

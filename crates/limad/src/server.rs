@@ -17,6 +17,10 @@
 //! * **Deadlines** propagate from the wire into the session's cooperative
 //!   deadline; an expired session returns `DeadlineExceeded`, a cancelled
 //!   one `Cancelled`.
+//! * **Sessions run on their connection's thread**, on a program taken from
+//!   the shard's program cache (compiled on first sight only). A session
+//!   that panics is caught by the pool and answered as a typed `Runtime`
+//!   error; the connection serves its next request.
 //! * **Chaos hooks**: the configured fault injector's `ConnDrop` site tears
 //!   the connection instead of writing a response; `SlowShard` (keyed by
 //!   shard index) stalls one shard's dispatch so tail-latency and
@@ -32,7 +36,6 @@ use lima_client::proto::{
 use lima_core::faults::{FaultSite, SLOW_SHARD_DELAY_MS};
 use lima_core::interrupt::CancelToken;
 use lima_core::{LimaConfig, LimaStats, PressureLevel};
-use lima_lang::compile_script;
 use lima_runtime::{RuntimeError, SessionOptions};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -122,16 +125,16 @@ pub(crate) struct Inner {
 /// (success, typed error, panic unwind) releases its quota slot.
 struct QuotaSlot<'a> {
     inner: &'a Inner,
-    tenant: String,
+    tenant: &'a str,
 }
 
 impl Drop for QuotaSlot<'_> {
     fn drop(&mut self) {
         let mut tenants = self.inner.tenants.lock();
-        if let Some(count) = tenants.get_mut(&self.tenant) {
+        if let Some(count) = tenants.get_mut(self.tenant) {
             *count = count.saturating_sub(1);
             if *count == 0 {
-                tenants.remove(&self.tenant);
+                tenants.remove(self.tenant);
             }
         }
     }
@@ -294,11 +297,11 @@ impl Inner {
             drop(tenants);
             QuotaSlot {
                 inner: self,
-                tenant: tenant.to_string(),
+                tenant,
             }
         };
 
-        let shard = self.shards.route_script(script);
+        let (shard, script_hash) = self.shards.route_script(script);
         self.maybe_stall(shard);
 
         // Shed before compiling: at L3 the shard's cache admits nothing new,
@@ -314,8 +317,8 @@ impl Inner {
             }
         }
 
-        let program = match compile_script(script, shard.config()) {
-            Ok(p) => Arc::new(p),
+        let program = match shard.program(script_hash, script) {
+            Ok(p) => p,
             Err(e) => return compile_err(&e),
         };
 
@@ -334,11 +337,7 @@ impl Inner {
             .with_timeout(Duration::from_millis(deadline));
         opts.seed = seed;
 
-        let outcome = match shard.pool().spawn(program, opts) {
-            Ok(handle) => handle.join(),
-            Err(e) => return self.map_runtime_error(e),
-        };
-        match outcome {
+        match shard.pool().run(&program, opts) {
             Ok(outcome) => {
                 let mut values = Vec::with_capacity(outputs.len());
                 for name in outputs {

@@ -1,7 +1,7 @@
 //! End-to-end service tests: wire round-trips, cross-tenant reuse, typed
 //! interrupt errors, malformed-frame isolation, quotas, shedding, metrics.
 
-use lima_client::proto::{write_frame, ErrorCode, MAX_FRAME_BYTES};
+use lima_client::proto::{read_frame, write_frame, ErrorCode, Request, Response, MAX_FRAME_BYTES};
 use lima_client::{ClientOptions, LimadClient, SubmitOptions};
 use lima_core::lineage::serialize_lineage;
 use lima_core::resilience::RetryPolicy;
@@ -12,6 +12,7 @@ use lima_runtime::{execute_program, ExecutionContext};
 use limad::{LimadConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn start(cfg: LimadConfig) -> Server {
@@ -140,6 +141,163 @@ fn cancel_interrupts_a_running_session() {
     // Cancelling a finished/unknown session reports found=false, no error.
     assert!(!killer.cancel(1).unwrap());
     assert!(!killer.cancel(999).unwrap());
+}
+
+/// One request and its response over an already open socket.
+fn roundtrip(stream: &mut TcpStream, id: u64, req: &Request) -> Response {
+    let (kind, payload) = req.encode();
+    write_frame(stream, kind, id, &payload).unwrap();
+    let (kind, got, payload) = read_frame(stream, MAX_FRAME_BYTES).unwrap();
+    assert_eq!(got, id, "response answers another request");
+    Response::decode(kind, &payload).expect("decodable response")
+}
+
+fn submit_request(tenant: &str, script: &str) -> Request {
+    Request::Submit {
+        tenant: tenant.into(),
+        script: script.into(),
+        seed: None,
+        outputs: vec!["s".into()],
+        deadline_ms: 0,
+    }
+}
+
+/// Sessions run on the connection's own thread, so a panic inside one must
+/// stop at the pool: typed answer, the same socket serves on, and nothing
+/// the submit held (quota slot, cancel-registry entry) stays behind.
+#[test]
+fn a_panicking_session_answers_typed_and_its_connection_serves_on() {
+    let server = start(LimadConfig {
+        tenant_max_sessions: 1,
+        ..LimadConfig::default()
+    });
+    for shard in server.shards().iter() {
+        let cache = shard.cache().expect("LIMA template has a cache");
+        cache.set_put_watcher(Some(Arc::new(|_, _, _| panic!("watcher boom"))));
+    }
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    match roundtrip(&mut stream, 1, &submit_request("alice", GRAM_SCRIPT)) {
+        Response::Error(e) => {
+            assert_eq!(e.code, ErrorCode::Runtime, "got {e:?}");
+            assert!(e.msg.contains("watcher boom"), "got {e:?}");
+        }
+        other => panic!("a panicking session must answer a typed error, got {other:?}"),
+    }
+
+    for shard in server.shards().iter() {
+        shard.cache().unwrap().set_put_watcher(None);
+    }
+    // Same socket, same tenant at a quota of one: the slot came back.
+    match roundtrip(&mut stream, 2, &submit_request("alice", GRAM_SCRIPT)) {
+        Response::Submitted { values, .. } => {
+            assert_eq!(values, vec![("s".to_string(), Value::f64(GRAM_SUM))]);
+        }
+        other => panic!("the connection must serve on, got {other:?}"),
+    }
+    // Session ids count from 1: the panicked session is no longer registered.
+    match roundtrip(&mut stream, 3, &Request::Cancel { session: 1 }) {
+        Response::Cancelled { found } => assert!(!found, "registry entry leaked"),
+        other => panic!("got {other:?}"),
+    }
+    let started: u64 = server
+        .shards()
+        .iter()
+        .map(|s| LimaStats::get(&s.stats().sessions_started))
+        .sum();
+    assert_eq!(started, 2);
+}
+
+#[test]
+fn shutdown_cancels_a_session_running_on_its_connection_thread() {
+    let server = start(LimadConfig::default());
+    let addr = server.addr().to_string();
+    let shards: Vec<_> = server.shards().iter().cloned().collect();
+    let submitter = std::thread::spawn(move || {
+        let mut c = LimadClient::new(&addr, "alice", ClientOptions::default());
+        c.submit(&slow_script(), &outputs(&["s"]))
+    });
+    let started = || -> u64 {
+        shards
+            .iter()
+            .map(|s| LimaStats::get(&s.stats().sessions_started))
+            .sum()
+    };
+    while started() == 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let t0 = Instant::now();
+    server.shutdown();
+    let err = submitter.join().unwrap().unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::Cancelled), "got {err}");
+    assert!(
+        t0.elapsed() < Duration::from_secs(10),
+        "shutdown waited out the session instead of cancelling it"
+    );
+    let cancelled: u64 = shards
+        .iter()
+        .map(|s| LimaStats::get(&s.stats().sessions_cancelled))
+        .sum();
+    assert_eq!(cancelled, 1);
+}
+
+/// Every completing script this file submits, plus one that ships a
+/// function library and prints: the second and third submit of each run a
+/// program from the cache and must answer the very bytes the first, freshly
+/// compiled one did.
+#[test]
+fn cached_programs_answer_the_same_bytes_as_fresh_compiles() {
+    let corpus = [
+        (GRAM_SCRIPT.to_string(), vec!["s", "G"]),
+        (
+            "Y = matrix(4, 7, 7);\nh = sum(Y %*% Y);\n".to_string(),
+            vec!["h", "Y"],
+        ),
+        ("s = 1;".to_string(), vec!["s"]),
+        (
+            // Ships two functions and calls one: the cached program is pruned.
+            "fit = function(X, y, reg) return (B) {\n\
+               B = solve(t(X) %*% X + diag(matrix(reg, ncol(X), 1)), t(X) %*% y);\n\
+             }\n\
+             unused = function(X) return (r) { r = fit(X, X[, 1], 1); }\n\
+             X = rand(rows=60, cols=6, min=0, max=1, seed=11);\n\
+             y = rand(rows=60, cols=1, min=0, max=1, seed=12);\n\
+             beta = fit(X, y, 0.01);\ns = sum(beta);\nprint(\"s=\" + s);\n"
+                .to_string(),
+            vec!["s", "beta"],
+        ),
+    ];
+    let server = start(LimadConfig::default());
+    let bytes = |done: &lima_client::Submitted| -> Vec<Vec<u8>> {
+        done.values
+            .iter()
+            .map(|(_, v)| lima_matrix::codec::encode_file(v).expect("wire-transportable"))
+            .collect()
+    };
+    for (script, outs) in &corpus {
+        let fresh = client(&server, "alice")
+            .submit(script, &outputs(outs))
+            .unwrap();
+        for tenant in ["alice", "bob"] {
+            let cached = client(&server, tenant)
+                .submit(script, &outputs(outs))
+                .unwrap();
+            assert_eq!(bytes(&cached), bytes(&fresh), "values of {script}");
+            assert_eq!(cached.stdout, fresh.stdout, "stdout of {script}");
+        }
+    }
+    let count = |f: fn(&LimaStats) -> &std::sync::atomic::AtomicU64| -> u64 {
+        server
+            .shards()
+            .iter()
+            .map(|s| LimaStats::get(f(&s.stats())))
+            .sum()
+    };
+    assert_eq!(count(|s| &s.program_cache_misses), corpus.len() as u64);
+    assert_eq!(count(|s| &s.program_cache_hits), 2 * corpus.len() as u64);
+    assert_eq!(count(|s| &s.program_cache_evictions), 0);
 }
 
 #[test]
@@ -299,6 +457,22 @@ fn metrics_served_over_wire_and_http() {
     assert!(text.contains("lima_srv_requests"), "wire metrics:\n{text}");
     assert!(text.contains("limad_shard_state{shard=\"0\"}"));
     assert!(text.contains("lima_sessions_completed"));
+    // One submit so far: one compile, and its program is retained.
+    assert!(text.contains("lima_program_cache_misses 1\n"), "{text}");
+    let (shard, _) = server.shards().route_script(GRAM_SCRIPT);
+    let i = shard.index();
+    for line in [
+        format!("limad_shard_program_cache_hits{{shard=\"{i}\"}} 0\n"),
+        format!("limad_shard_program_cache_misses{{shard=\"{i}\"}} 1\n"),
+        format!("limad_shard_program_cache_evictions{{shard=\"{i}\"}} 0\n"),
+        format!(
+            "limad_shard_program_cache_instructions{{shard=\"{i}\"}} {}\n",
+            shard.program_cache_weight()
+        ),
+    ] {
+        assert!(text.contains(&line), "missing {line:?} in\n{text}");
+    }
+    assert!(shard.program_cache_weight() > 0);
 
     // The same text over plain HTTP/1.0.
     let mut http = TcpStream::connect(server.metrics_addr()).unwrap();

@@ -27,7 +27,7 @@ fn script_for_shard(server: &Server, shard: usize) -> String {
             "X = matrix(2, 30, {});\ns = sum(X) + {salt};\n",
             3 + salt % 5
         );
-        if server.shards().route_script(&script).index() == shard {
+        if server.shards().route_script(&script).0.index() == shard {
             return script;
         }
     }

@@ -19,7 +19,7 @@
 
 use crate::instr::{Instr, Op, Operand};
 use crate::lva;
-use crate::program::{Block, ExprProg, Program};
+use crate::program::{walk_blocks, walk_blocks_mut, Block, ExprProg, Program};
 use lima_analysis::{
     check_parfor_writes, solve_call_graph, Affine, ClassSource, ParforViolation, ResultWrite,
 };
@@ -114,38 +114,15 @@ fn assign_ids(program: &mut Program) {
 }
 
 fn assign_ids_blocks(blocks: &mut [Block], next: &mut u64) {
-    for b in blocks {
-        match b {
-            Block::Basic { id, .. } => {
-                *id = *next;
-                *next += 1;
-            }
-            Block::If {
-                id,
-                then_body,
-                else_body,
-                ..
-            } => {
-                *id = *next;
-                *next += 1;
-                assign_ids_blocks(then_body, next);
-                assign_ids_blocks(else_body, next);
-            }
-            Block::For { id, body, .. } | Block::While { id, body, .. } => {
-                *id = *next;
-                *next += 1;
-                assign_ids_blocks(body, next);
-            }
-            Block::ParFor {
-                id, body, results, ..
-            } => {
-                *id = *next;
-                *next += 1;
-                assign_ids_blocks(body, next);
-                let _ = results;
-            }
-        }
-    }
+    walk_blocks_mut(blocks, &mut |b| {
+        let (Block::Basic { id, .. }
+        | Block::If { id, .. }
+        | Block::For { id, .. }
+        | Block::While { id, .. }
+        | Block::ParFor { id, .. }) = b;
+        *id = *next;
+        *next += 1;
+    });
 }
 
 // ------------------------------------------------------------- determinism
@@ -175,39 +152,9 @@ fn has_explicit_seed(i: &Instr) -> bool {
 }
 
 fn collect_class_sources(blocks: &[Block], out: &mut Vec<ClassSource>) {
-    let expr = |e: &ExprProg, out: &mut Vec<ClassSource>| {
-        out.extend(e.instrs.iter().map(instr_class_source));
-    };
-    for b in blocks {
-        match b {
-            Block::Basic { instrs, .. } => out.extend(instrs.iter().map(instr_class_source)),
-            Block::If {
-                pred,
-                then_body,
-                else_body,
-                ..
-            } => {
-                expr(pred, out);
-                collect_class_sources(then_body, out);
-                collect_class_sources(else_body, out);
-            }
-            Block::For {
-                from, to, by, body, ..
-            }
-            | Block::ParFor {
-                from, to, by, body, ..
-            } => {
-                expr(from, out);
-                expr(to, out);
-                expr(by, out);
-                collect_class_sources(body, out);
-            }
-            Block::While { pred, body, .. } => {
-                expr(pred, out);
-                collect_class_sources(body, out);
-            }
-        }
-    }
+    walk_blocks(blocks, &mut |b| {
+        out.extend(b.own_instrs().map(instr_class_source));
+    });
 }
 
 /// Join of the classes of all instructions in `blocks`, given per-function
@@ -289,39 +236,23 @@ fn functions_on_call_cycles(bodies: &HashMap<String, Vec<ClassSource>>) -> HashS
 }
 
 fn mark_block_determinism(blocks: &mut [Block], classes: &HashMap<String, OpClass>) {
-    for b in blocks {
-        match b {
-            Block::For {
-                body,
-                deterministic,
-                ..
-            }
-            | Block::While {
-                body,
-                deterministic,
-                ..
-            } => {
-                *deterministic = blocks_class(body, classes) == OpClass::Deterministic;
-                mark_block_determinism(body, classes);
-            }
-            Block::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                mark_block_determinism(then_body, classes);
-                mark_block_determinism(else_body, classes);
-            }
-            Block::ParFor { body, results, .. } => {
-                // Also fill parfor result variables: variables written in the
-                // body that exist before the loop — approximated as writes
-                // that are also live-in (carried) or left-indexed results.
-                *results = parfor_results(body);
-                mark_block_determinism(body, classes);
-            }
-            Block::Basic { .. } => {}
+    walk_blocks_mut(blocks, &mut |b| match b {
+        Block::For {
+            body,
+            deterministic,
+            ..
         }
-    }
+        | Block::While {
+            body,
+            deterministic,
+            ..
+        } => *deterministic = blocks_class(body, classes) == OpClass::Deterministic,
+        // Also fill parfor result variables: variables written in the body
+        // that exist before the loop — approximated as writes that are also
+        // live-in (carried) or left-indexed results.
+        Block::ParFor { body, results, .. } => *results = parfor_results(body),
+        Block::Basic { .. } | Block::If { .. } => {}
+    });
 }
 
 /// Result variables of a parfor body: variables updated via left-indexing or
@@ -599,97 +530,62 @@ fn analyze_dedup(program: &mut Program) {
         analyze_dedup_blocks(&mut f.body);
         // Function dedup: last-level bodies (no loops, no calls) only.
         if body_is_last_level(&f.body) {
-            let branches = assign_branch_ids(&mut f.body, 0);
-            f.dedup_ok = branches <= 63;
-            if !f.dedup_ok {
-                clear_branch_ids(&mut f.body);
-            }
+            f.dedup_ok = assign_dedup_branches(&mut f.body);
         }
     }
 }
 
 fn analyze_dedup_blocks(blocks: &mut [Block]) {
-    for b in blocks {
-        match b {
-            Block::For { body, dedup_ok, .. } | Block::While { body, dedup_ok, .. } => {
-                if body_is_last_level(body) {
-                    let branches = assign_branch_ids(body, 0);
-                    *dedup_ok = branches <= 63;
-                    if !*dedup_ok {
-                        clear_branch_ids(body);
-                    }
-                } else {
-                    analyze_dedup_blocks(body);
-                }
+    walk_blocks_mut(blocks, &mut |b| {
+        if let Block::For { body, dedup_ok, .. } | Block::While { body, dedup_ok, .. } = b {
+            if body_is_last_level(body) {
+                *dedup_ok = assign_dedup_branches(body);
             }
-            Block::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                analyze_dedup_blocks(then_body);
-                analyze_dedup_blocks(else_body);
-            }
-            Block::ParFor { body, .. } => analyze_dedup_blocks(body),
-            Block::Basic { .. } => {}
         }
+    });
+}
+
+/// Numbers the branches of a last-level body; false, with the ids taken back,
+/// when there are more than the 63 a path bitvector holds.
+fn assign_dedup_branches(body: &mut [Block]) -> bool {
+    let fits = assign_branch_ids(body) <= 63;
+    if !fits {
+        clear_branch_ids(body);
     }
+    fits
 }
 
 /// Last-level body: only basic blocks and conditionals, and no function
 /// calls (paper: "functions that do not contain loops or other function
 /// calls", and last-level loops).
 pub fn body_is_last_level(blocks: &[Block]) -> bool {
-    blocks.iter().all(|b| match b {
-        Block::Basic { instrs, .. } => !instrs.iter().any(|i| matches!(i.op, Op::FCall(_))),
-        Block::If {
-            pred,
-            then_body,
-            else_body,
-            ..
-        } => {
-            !pred.instrs.iter().any(|i| matches!(i.op, Op::FCall(_)))
-                && body_is_last_level(then_body)
-                && body_is_last_level(else_body)
-        }
-        _ => false,
-    })
+    let mut last_level = true;
+    walk_blocks(blocks, &mut |b| {
+        last_level &= matches!(b, Block::Basic { .. } | Block::If { .. })
+            && !b.own_instrs().any(|i| matches!(i.op, Op::FCall(_)));
+    });
+    last_level
 }
 
 /// Assigns branch IDs depth-first (paper §3.2); returns the number of
 /// branches.
-fn assign_branch_ids(blocks: &mut [Block], mut next: u32) -> u32 {
-    for b in blocks {
-        if let Block::If {
-            branch_id,
-            then_body,
-            else_body,
-            ..
-        } = b
-        {
+fn assign_branch_ids(blocks: &mut [Block]) -> u32 {
+    let mut next = 0;
+    walk_blocks_mut(blocks, &mut |b| {
+        if let Block::If { branch_id, .. } = b {
             *branch_id = Some(next);
             next += 1;
-            next = assign_branch_ids(then_body, next);
-            next = assign_branch_ids(else_body, next);
         }
-    }
+    });
     next
 }
 
 fn clear_branch_ids(blocks: &mut [Block]) {
-    for b in blocks {
-        if let Block::If {
-            branch_id,
-            then_body,
-            else_body,
-            ..
-        } = b
-        {
+    walk_blocks_mut(blocks, &mut |b| {
+        if let Block::If { branch_id, .. } = b {
             *branch_id = None;
-            clear_branch_ids(then_body);
-            clear_branch_ids(else_body);
         }
-    }
+    });
 }
 
 /// Computes the live-out variable sets that receive dedup items (paper:
@@ -779,28 +675,17 @@ fn unmark_loop_carried(program: &mut Program, unmarked: &mut u64) {
 }
 
 fn unmark_blocks(blocks: &mut [Block], unmarked: &mut u64) {
-    for b in blocks {
-        match b {
-            Block::For { body, .. } | Block::While { body, .. } | Block::ParFor { body, .. } => {
-                let carried: HashSet<String> = {
-                    let li = lva::live_in(body);
-                    let ws = lva::writes(body);
-                    li.into_iter().filter(|v| ws.contains(v)).collect()
-                };
-                unmark_tainted(body, &carried, unmarked);
-                unmark_blocks(body, unmarked);
-            }
-            Block::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                unmark_blocks(then_body, unmarked);
-                unmark_blocks(else_body, unmarked);
-            }
-            Block::Basic { .. } => {}
+    walk_blocks_mut(blocks, &mut |b| {
+        if let Block::For { body, .. } | Block::While { body, .. } | Block::ParFor { body, .. } = b
+        {
+            let carried: HashSet<String> = {
+                let li = lva::live_in(body);
+                let ws = lva::writes(body);
+                li.into_iter().filter(|v| ws.contains(v)).collect()
+            };
+            unmark_tainted(body, &carried, unmarked);
         }
-    }
+    });
 }
 
 /// Unmarks instructions (transitively) depending on loop-carried variables:
@@ -817,59 +702,35 @@ fn unmark_tainted(blocks: &mut [Block], carried: &HashSet<String>, unmarked: &mu
 }
 
 fn taint_pass(blocks: &[Block], tainted: &mut HashSet<String>) {
-    for b in blocks {
-        match b {
-            Block::Basic { instrs, .. } => {
-                for i in instrs {
-                    if i.reads().any(|r| tainted.contains(r)) {
-                        for w in i.writes() {
-                            tainted.insert(w.to_string());
-                        }
-                    }
+    walk_blocks(blocks, &mut |b| {
+        let Block::Basic { instrs, .. } = b else {
+            return;
+        };
+        for i in instrs {
+            if i.reads().any(|r| tainted.contains(r)) {
+                for w in i.writes() {
+                    tainted.insert(w.to_string());
                 }
             }
-            Block::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                taint_pass(then_body, tainted);
-                taint_pass(else_body, tainted);
-            }
-            Block::For { body, .. } | Block::While { body, .. } | Block::ParFor { body, .. } => {
-                taint_pass(body, tainted);
-            }
         }
-    }
+    });
 }
 
 fn apply_unmark(blocks: &mut [Block], tainted: &HashSet<String>, unmarked: &mut u64) {
-    for b in blocks {
-        match b {
-            Block::Basic { instrs, .. } => {
-                for i in instrs {
-                    if !i.no_cache
-                        && (i.reads().any(|r| tainted.contains(r))
-                            || i.writes().any(|w| tainted.contains(w)))
-                    {
-                        i.no_cache = true;
-                        *unmarked += 1;
-                    }
-                }
-            }
-            Block::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                apply_unmark(then_body, tainted, unmarked);
-                apply_unmark(else_body, tainted, unmarked);
-            }
-            Block::For { body, .. } | Block::While { body, .. } | Block::ParFor { body, .. } => {
-                apply_unmark(body, tainted, unmarked);
+    walk_blocks_mut(blocks, &mut |b| {
+        let Block::Basic { instrs, .. } = b else {
+            return;
+        };
+        for i in instrs {
+            if !i.no_cache
+                && (i.reads().any(|r| tainted.contains(r))
+                    || i.writes().any(|w| tainted.contains(w)))
+            {
+                i.no_cache = true;
+                *unmarked += 1;
             }
         }
-    }
+    });
 }
 
 // ------------------------------------------------------- reuse-aware rewrite
@@ -887,24 +748,13 @@ fn rewrite_tsmm_cbind(program: &mut Program) {
 }
 
 fn rewrite_blocks(blocks: &mut [Block]) {
-    for b in blocks {
-        match b {
-            Block::For { body, .. } | Block::While { body, .. } | Block::ParFor { body, .. } => {
-                let writes: HashSet<String> = lva::writes(body).into_iter().collect();
-                rewrite_in_loop(body, &writes);
-                rewrite_blocks(body);
-            }
-            Block::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                rewrite_blocks(then_body);
-                rewrite_blocks(else_body);
-            }
-            Block::Basic { .. } => {}
+    walk_blocks_mut(blocks, &mut |b| {
+        if let Block::For { body, .. } | Block::While { body, .. } | Block::ParFor { body, .. } = b
+        {
+            let writes: HashSet<String> = lva::writes(body).into_iter().collect();
+            rewrite_in_loop(body, &writes);
         }
-    }
+    });
 }
 
 fn rewrite_in_loop(blocks: &mut [Block], loop_writes: &HashSet<String>) {
@@ -991,22 +841,11 @@ fn rewrite_speculative_projection(program: &mut Program) {
 }
 
 fn speculative_blocks(blocks: &mut [Block]) {
-    for b in blocks {
-        match b {
-            Block::Basic { id, instrs } => rewrite_projection_in_block(*id, instrs),
-            Block::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                speculative_blocks(then_body);
-                speculative_blocks(else_body);
-            }
-            Block::For { body, .. } | Block::While { body, .. } | Block::ParFor { body, .. } => {
-                speculative_blocks(body);
-            }
+    walk_blocks_mut(blocks, &mut |b| {
+        if let Block::Basic { id, instrs } = b {
+            rewrite_projection_in_block(*id, instrs);
         }
-    }
+    });
 }
 
 fn rewrite_projection_in_block(id: u64, instrs: &mut Vec<Instr>) {

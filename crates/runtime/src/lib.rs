@@ -34,4 +34,4 @@ pub use instr::{Instr, Op, Operand};
 pub use interp::execute_program;
 pub use program::{Block, ExprProg, Function, Program};
 pub use repair::lineage_repairer;
-pub use session::{SessionCtl, SessionHandle, SessionOptions, SessionOutcome, SessionPool};
+pub use session::{SessionCtl, SessionOptions, SessionOutcome, SessionPool};

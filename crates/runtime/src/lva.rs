@@ -4,7 +4,7 @@
 //! `live_in` is conservative: a variable counts as an input if any execution
 //! path may read it before the block definitely writes it.
 
-use crate::program::Block;
+use crate::program::{walk_blocks, Block};
 use std::collections::BTreeSet;
 
 /// Variables possibly read before being definitely written in `blocks`,
@@ -27,52 +27,11 @@ pub fn collect_reads(blocks: &[Block]) -> std::collections::BTreeSet<String> {
 }
 
 fn collect_reads_into(blocks: &[Block], out: &mut std::collections::BTreeSet<String>) {
-    let expr = |e: &crate::program::ExprProg, out: &mut std::collections::BTreeSet<String>| {
-        for i in &e.instrs {
-            for r in i.reads() {
-                out.insert(r.to_string());
-            }
-        }
-        if let Some(v) = e.result.as_var() {
-            out.insert(v.to_string());
-        }
-    };
-    for b in blocks {
-        match b {
-            Block::Basic { instrs, .. } => {
-                for i in instrs {
-                    for r in i.reads() {
-                        out.insert(r.to_string());
-                    }
-                }
-            }
-            Block::If {
-                pred,
-                then_body,
-                else_body,
-                ..
-            } => {
-                expr(pred, out);
-                collect_reads_into(then_body, out);
-                collect_reads_into(else_body, out);
-            }
-            Block::For {
-                from, to, by, body, ..
-            }
-            | Block::ParFor {
-                from, to, by, body, ..
-            } => {
-                expr(from, out);
-                expr(to, out);
-                expr(by, out);
-                collect_reads_into(body, out);
-            }
-            Block::While { pred, body, .. } => {
-                expr(pred, out);
-                collect_reads_into(body, out);
-            }
-        }
-    }
+    walk_blocks(blocks, &mut |b| {
+        out.extend(b.own_instrs().flat_map(|i| i.reads()).map(str::to_string));
+        let results = b.header().filter_map(|e| e.result.as_var());
+        out.extend(results.map(str::to_string));
+    });
 }
 
 /// All variables possibly written by `blocks`, sorted.
@@ -170,65 +129,12 @@ fn scan_expr(
 }
 
 fn collect_writes(blocks: &[Block], out: &mut BTreeSet<String>) {
-    for block in blocks {
-        match block {
-            Block::Basic { instrs, .. } => {
-                for i in instrs {
-                    for w in i.writes() {
-                        out.insert(w.to_string());
-                    }
-                }
-            }
-            Block::If {
-                pred,
-                then_body,
-                else_body,
-                ..
-            } => {
-                for i in &pred.instrs {
-                    for w in i.writes() {
-                        out.insert(w.to_string());
-                    }
-                }
-                collect_writes(then_body, out);
-                collect_writes(else_body, out);
-            }
-            Block::For {
-                var,
-                body,
-                from,
-                to,
-                by,
-                ..
-            }
-            | Block::ParFor {
-                var,
-                body,
-                from,
-                to,
-                by,
-                ..
-            } => {
-                out.insert(var.clone());
-                for e in [from, to, by] {
-                    for i in &e.instrs {
-                        for w in i.writes() {
-                            out.insert(w.to_string());
-                        }
-                    }
-                }
-                collect_writes(body, out);
-            }
-            Block::While { pred, body, .. } => {
-                for i in &pred.instrs {
-                    for w in i.writes() {
-                        out.insert(w.to_string());
-                    }
-                }
-                collect_writes(body, out);
-            }
+    walk_blocks(blocks, &mut |b| {
+        if let Block::For { var, .. } | Block::ParFor { var, .. } = b {
+            out.insert(var.clone());
         }
-    }
+        out.extend(b.own_instrs().flat_map(|i| i.writes()).map(str::to_string));
+    });
 }
 
 #[cfg(test)]

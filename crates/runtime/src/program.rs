@@ -3,8 +3,8 @@
 //! registry. Control flow and variable scoping are handled by the runtime
 //! itself, not a host language.
 
-use crate::instr::{Instr, Operand};
-use std::collections::HashMap;
+use crate::instr::{Instr, Op, Operand};
+use std::collections::{HashMap, HashSet};
 
 /// A tiny straight-line expression program: instructions plus the operand
 /// holding the result. Used for `if`/`while` predicates and loop bounds,
@@ -192,6 +192,81 @@ impl Block {
             | Block::ParFor { id, .. } => *id,
         }
     }
+
+    /// Header expressions of a control-flow block in evaluation order
+    /// (`pred`; `from`, `to`, `by`); a basic block has none.
+    pub fn header(&self) -> impl Iterator<Item = &ExprProg> {
+        let exprs = match self {
+            Block::Basic { .. } => [None, None, None],
+            Block::If { pred, .. } | Block::While { pred, .. } => [Some(pred), None, None],
+            Block::For { from, to, by, .. } | Block::ParFor { from, to, by, .. } => {
+                [Some(from), Some(to), Some(by)]
+            }
+        };
+        exprs.into_iter().flatten()
+    }
+
+    /// The instructions the block evaluates itself: a basic block's sequence
+    /// or a control-flow block's header expressions, in evaluation order.
+    pub fn own_instrs(&self) -> impl Iterator<Item = &Instr> {
+        let basic: &[Instr] = match self {
+            Block::Basic { instrs, .. } => instrs,
+            _ => &[],
+        };
+        basic.iter().chain(self.header().flat_map(|e| &e.instrs))
+    }
+
+    /// Child block lists in source order (`then` before `else`).
+    pub fn children(&self) -> [&[Block]; 2] {
+        match self {
+            Block::Basic { .. } => [&[], &[]],
+            Block::If {
+                then_body,
+                else_body,
+                ..
+            } => [then_body, else_body],
+            Block::For { body, .. } | Block::While { body, .. } | Block::ParFor { body, .. } => {
+                [body, &[]]
+            }
+        }
+    }
+
+    /// [`Block::children`], mutably.
+    pub fn children_mut(&mut self) -> [&mut [Block]; 2] {
+        match self {
+            Block::Basic { .. } => [&mut [], &mut []],
+            Block::If {
+                then_body,
+                else_body,
+                ..
+            } => [then_body, else_body],
+            Block::For { body, .. } | Block::While { body, .. } | Block::ParFor { body, .. } => {
+                [body, &mut []]
+            }
+        }
+    }
+}
+
+/// Pre-order walk over `blocks` and everything nested in them: a block is
+/// visited before its children, children in source order. This is the order
+/// block ids are assigned in, so passes built on it agree with them.
+pub fn walk_blocks<'a>(blocks: &'a [Block], visit: &mut impl FnMut(&'a Block)) {
+    for b in blocks {
+        visit(b);
+        for children in b.children() {
+            walk_blocks(children, visit);
+        }
+    }
+}
+
+/// [`walk_blocks`] with mutable access to each block.
+pub fn walk_blocks_mut(blocks: &mut [Block], visit: &mut impl FnMut(&mut Block)) {
+    for b in blocks {
+        visit(b);
+        for children in b.children_mut() {
+            walk_blocks_mut(children, visit);
+        }
+    }
 }
 
 /// A script-level function (paper Example 1: `gridSearch`, `lm`, `lmDS`, ...).
@@ -260,6 +335,41 @@ impl Program {
     /// Registers a function.
     pub fn add_function(&mut self, f: Function) {
         self.functions.insert(f.name.clone(), f);
+    }
+
+    /// Drops every function the body cannot reach through static
+    /// [`Op::FCall`] names (the only way the interpreter looks one up).
+    /// Nothing else changes — block ids, analysis flags and the compile
+    /// report stay as compiled — so the pruned program executes, traces and
+    /// reuses exactly like the full one; it just holds less memory.
+    pub fn retain_reachable(&mut self) {
+        let mut reachable = HashSet::new();
+        let mut pending: Vec<&[Block]> = vec![&self.body];
+        while let Some(blocks) = pending.pop() {
+            walk_blocks(blocks, &mut |b| {
+                for i in b.own_instrs() {
+                    let Op::FCall(name) = &i.op else { continue };
+                    if let Some(f) = self.functions.get(name) {
+                        if reachable.insert(name.clone()) {
+                            pending.push(&f.body);
+                        }
+                    }
+                }
+            });
+        }
+        self.functions.retain(|name, _| reachable.contains(name));
+        self.functions.shrink_to_fit();
+    }
+
+    /// Instructions held by the body and every registered function (header
+    /// expressions included): the unit a program's memory is weighed in.
+    pub fn instr_count(&self) -> usize {
+        let mut n = 0;
+        let bodies = self.functions.values().map(|f| &f.body);
+        for blocks in std::iter::once(&self.body).chain(bodies) {
+            walk_blocks(blocks, &mut |b| n += b.own_instrs().count());
+        }
+        n
     }
 }
 

@@ -1,9 +1,17 @@
 //! Resource-governed concurrent sessions over one shared reuse cache.
 //!
-//! A [`SessionPool`] executes compiled programs concurrently against a single
+//! A [`SessionPool`] executes compiled programs against a single
 //! [`LineageCache`], so lineage-keyed entries computed by one session are
 //! reused by its peers (the paper's process-wide cache sharing across script
 //! invocations, §4.4 — made explicit and failure-safe here).
+//!
+//! A session runs on the thread that calls [`SessionPool::run`]: the pool
+//! owns no threads. Concurrency is the caller's — `limad` calls `run` from
+//! each connection thread, tests from `std::thread::scope` — and a caller
+//! that wants to cancel a running session hands its own [`CancelToken`] in
+//! through [`SessionOptions::with_token`]. A panic inside a session is caught
+//! at the `run` boundary and returned as [`RuntimeError::WorkerPanic`]; the
+//! calling thread and the pool stay usable.
 //!
 //! Every session carries a [`CancelToken`] plus an optional deadline. Both
 //! are checked *cooperatively*: at instruction boundaries, at parfor
@@ -32,6 +40,7 @@ use lima_core::{EventKind, LimaConfig, LimaStats, LineageCache, ResourceGovernor
 use lima_matrix::forkjoin::panic_message;
 use lima_matrix::Value;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -75,7 +84,7 @@ impl SessionCtl {
     }
 }
 
-/// Per-session options for [`SessionPool::spawn`].
+/// Per-session options for [`SessionPool::run`].
 #[derive(Default)]
 pub struct SessionOptions {
     /// Relative deadline; the session fails with
@@ -141,43 +150,8 @@ impl SessionOutcome {
     }
 }
 
-/// Handle to an in-flight session.
-#[derive(Debug)]
-pub struct SessionHandle {
-    id: u64,
-    token: Arc<CancelToken>,
-    join: std::thread::JoinHandle<Result<SessionOutcome>>,
-}
-
-impl SessionHandle {
-    /// Pool-unique session id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The session's cancellation token.
-    pub fn token(&self) -> &Arc<CancelToken> {
-        &self.token
-    }
-
-    /// Requests cooperative cancellation; the session fails with
-    /// [`RuntimeError::Cancelled`] at its next checkpoint.
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
-    /// Waits for the session. A panicked session thread surfaces as
-    /// [`RuntimeError::WorkerPanic`], never a pool-wide abort.
-    pub fn join(self) -> Result<SessionOutcome> {
-        match self.join.join() {
-            Ok(r) => r,
-            Err(payload) => Err(RuntimeError::WorkerPanic(panic_message(payload.as_ref()))),
-        }
-    }
-}
-
-/// Executes compiled programs as concurrent sessions over one shared cache,
-/// data registry, and statistics block. See the module docs.
+/// Executes compiled programs as sessions over one shared cache, data
+/// registry, and statistics block. See the module docs.
 pub struct SessionPool {
     config: LimaConfig,
     cache: Option<Arc<LineageCache>>,
@@ -234,9 +208,11 @@ impl SessionPool {
         Arc::clone(&self.data)
     }
 
-    /// Admits and starts a session on its own thread. Fails immediately with
-    /// [`RuntimeError::ResourceExhausted`] when the governor sits at L4.
-    pub fn spawn(&self, program: Arc<Program>, opts: SessionOptions) -> Result<SessionHandle> {
+    /// Admits a session and executes it on the calling thread. Fails
+    /// immediately with [`RuntimeError::ResourceExhausted`] when the governor
+    /// sits at L4; a panic inside the session surfaces as
+    /// [`RuntimeError::WorkerPanic`], never an unwinding caller.
+    pub fn run(&self, program: &Program, opts: SessionOptions) -> Result<SessionOutcome> {
         if let Some(g) = self.governor() {
             if !g.sessions_enabled() {
                 LimaStats::bump(&self.stats.sessions_rejected);
@@ -247,92 +223,76 @@ impl SessionPool {
             }
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let token = opts.token.unwrap_or_default();
-        let deadline = opts.timeout.map(|t| Instant::now() + t);
+        let ctl = SessionCtl::new(
+            opts.token.unwrap_or_default(),
+            opts.timeout.map(|t| Instant::now() + t),
+        );
         LimaStats::bump(&self.stats.sessions_started);
-
-        let config = self.config.clone();
-        let cache = self.cache.clone();
-        let data = Arc::clone(&self.data);
-        let stats = Arc::clone(&self.stats);
-        let tok = Arc::clone(&token);
-        let inputs = opts.inputs;
-        let seed = opts.seed;
-        let join = std::thread::Builder::new()
-            .name(format!("lima-session-{id}"))
-            .spawn(move || {
-                run_session(
-                    id, &program, inputs, seed, config, cache, data, &stats, tok, deadline,
-                )
-            })
-            .map_err(|e| RuntimeError::Io(e.to_string()))?;
-        Ok(SessionHandle { id, token, join })
+        // The context is built and dropped inside the guarded call, so an
+        // unwinding session releases its placeholder reservations exactly as
+        // a failing one does.
+        catch_unwind(AssertUnwindSafe(|| {
+            self.run_session(id, program, opts.inputs, opts.seed, ctl)
+        }))
+        .unwrap_or_else(|payload| Err(RuntimeError::WorkerPanic(panic_message(payload.as_ref()))))
     }
 
-    /// Convenience: spawn one session and wait for it.
-    pub fn run(&self, program: Arc<Program>, opts: SessionOptions) -> Result<SessionOutcome> {
-        self.spawn(program, opts)?.join()
+    fn run_session(
+        &self,
+        id: u64,
+        program: &Program,
+        inputs: Vec<(String, Value)>,
+        seed: Option<u64>,
+        ctl: SessionCtl,
+    ) -> Result<SessionOutcome> {
+        let t0 = Instant::now();
+        let mut ctx = ExecutionContext::with_cache(self.config.clone(), self.cache.clone());
+        ctx.data = Arc::clone(&self.data);
+        ctx.stats = Arc::clone(&self.stats);
+        ctx.session = Some(ctl);
+        ctx.usage = ctx
+            .cache
+            .as_ref()
+            .and_then(|c| c.governor())
+            .map(SessionUsage::new);
+        if let Some(s) = seed {
+            ctx.reset_seed_counter(s);
+        }
+        for (name, value) in inputs {
+            ctx.data.register(name.clone(), value.clone());
+            ctx.set(name, value);
+        }
+        let obs = ctx.config.obs.clone().filter(|o| o.enabled());
+        let obs_t0 = obs.as_ref().map(|o| {
+            o.record_instant(EventKind::SessionStart, "session", 0, id, 0);
+            o.now_ns()
+        });
+        let result = execute_program(program, &mut ctx);
+        match &result {
+            Ok(()) => LimaStats::bump(&self.stats.sessions_completed),
+            Err(RuntimeError::Cancelled) => LimaStats::bump(&self.stats.sessions_cancelled),
+            Err(RuntimeError::DeadlineExceeded) => {
+                LimaStats::bump(&self.stats.sessions_deadline_exceeded)
+            }
+            Err(_) => {}
+        }
+        if let (Some(o), Some(t0)) = (&obs, obs_t0) {
+            let outcome = match &result {
+                Ok(()) => "completed",
+                Err(RuntimeError::Cancelled) => "cancelled",
+                Err(RuntimeError::DeadlineExceeded) => "deadline",
+                Err(_) => "failed",
+            };
+            o.record_span(EventKind::SessionEnd, outcome, 0, t0, id, 0);
+        }
+        result?;
+        Ok(SessionOutcome {
+            id,
+            values: std::mem::take(&mut ctx.symtab),
+            stdout: std::mem::take(&mut ctx.stdout),
+            elapsed: t0.elapsed(),
+        })
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_session(
-    id: u64,
-    program: &Program,
-    inputs: Vec<(String, Value)>,
-    seed: Option<u64>,
-    config: LimaConfig,
-    cache: Option<Arc<LineageCache>>,
-    data: Arc<DataRegistry>,
-    stats: &Arc<LimaStats>,
-    token: Arc<CancelToken>,
-    deadline: Option<Instant>,
-) -> Result<SessionOutcome> {
-    let t0 = Instant::now();
-    let mut ctx = ExecutionContext::with_cache(config, cache);
-    ctx.data = data;
-    ctx.stats = Arc::clone(stats);
-    ctx.session = Some(SessionCtl::new(token, deadline));
-    ctx.usage = ctx
-        .cache
-        .as_ref()
-        .and_then(|c| c.governor())
-        .map(SessionUsage::new);
-    if let Some(s) = seed {
-        ctx.reset_seed_counter(s);
-    }
-    for (name, value) in inputs {
-        ctx.data.register(name.clone(), value.clone());
-        ctx.set(name, value);
-    }
-    let obs = ctx.config.obs.clone().filter(|o| o.enabled());
-    let obs_t0 = obs.as_ref().map(|o| {
-        o.record_instant(EventKind::SessionStart, "session", 0, id, 0);
-        o.now_ns()
-    });
-    let result = execute_program(program, &mut ctx);
-    match &result {
-        Ok(()) => LimaStats::bump(&stats.sessions_completed),
-        Err(RuntimeError::Cancelled) => LimaStats::bump(&stats.sessions_cancelled),
-        Err(RuntimeError::DeadlineExceeded) => LimaStats::bump(&stats.sessions_deadline_exceeded),
-        Err(_) => {}
-    }
-    if let (Some(o), Some(t0)) = (&obs, obs_t0) {
-        let outcome = match &result {
-            Ok(()) => "completed",
-            Err(RuntimeError::Cancelled) => "cancelled",
-            Err(RuntimeError::DeadlineExceeded) => "deadline",
-            Err(_) => "failed",
-        };
-        o.record_span(EventKind::SessionEnd, outcome, 0, t0, id, 0);
-    }
-    result?;
-    Ok(SessionOutcome {
-        id,
-        values: std::mem::take(&mut ctx.symtab),
-        stdout: std::mem::take(&mut ctx.stdout),
-        elapsed: t0.elapsed(),
-    })
 }
 
 // Pool behaviour is exercised in `crates/runtime/tests/sessions.rs`: unit

@@ -10,8 +10,8 @@ use lima_runtime::{Program, RuntimeError, SessionOptions, SessionPool};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn compile(src: &str, config: &LimaConfig) -> Arc<Program> {
-    Arc::new(lima_lang::compile_script(src, config).expect("compile"))
+fn compile(src: &str, config: &LimaConfig) -> Program {
+    lima_lang::compile_script(src, config).expect("compile")
 }
 
 fn x(rows: usize, cols: usize) -> Value {
@@ -26,13 +26,10 @@ fn sessions_share_reuse_across_the_pool() {
     let pool = SessionPool::new(config.clone());
     let p = compile("G = t(X) %*% X; s = sum(G);", &config);
     let r1 = pool
-        .run(
-            Arc::clone(&p),
-            SessionOptions::new().with_input("X", x(40, 8)),
-        )
+        .run(&p, SessionOptions::new().with_input("X", x(40, 8)))
         .unwrap();
     let r2 = pool
-        .run(p, SessionOptions::new().with_input("X", x(40, 8)))
+        .run(&p, SessionOptions::new().with_input("X", x(40, 8)))
         .unwrap();
     assert_eq!(
         r1.value("s").as_f64().unwrap(),
@@ -53,7 +50,7 @@ fn pre_cancelled_session_fails_typed_without_poisoning_peers() {
     token.cancel();
     let err = pool
         .run(
-            Arc::clone(&p),
+            &p,
             SessionOptions::new()
                 .with_token(token)
                 .with_input("X", x(40, 8)),
@@ -63,7 +60,7 @@ fn pre_cancelled_session_fails_typed_without_poisoning_peers() {
     assert_eq!(LimaStats::get(&pool.stats().sessions_cancelled), 1);
     // The shared cache stays fully usable for peers.
     let ok = pool
-        .run(p, SessionOptions::new().with_input("X", x(40, 8)))
+        .run(&p, SessionOptions::new().with_input("X", x(40, 8)))
         .unwrap();
     assert!(ok.value("s").as_f64().unwrap() > 0.0);
 }
@@ -79,7 +76,7 @@ fn expired_deadline_fails_typed() {
         &config,
     );
     let err = pool
-        .run(p, SessionOptions::new().with_timeout(Duration::ZERO))
+        .run(&p, SessionOptions::new().with_timeout(Duration::ZERO))
         .unwrap_err();
     assert!(matches!(err, RuntimeError::DeadlineExceeded), "got {err}");
     assert_eq!(LimaStats::get(&pool.stats().sessions_deadline_exceeded), 1);
@@ -96,16 +93,21 @@ fn governor_at_l4_rejects_admission_with_typed_error() {
     let g = pool.governor().expect("governor configured");
     g.adjust_session_bytes(2000); // pressure 2.0 → L4
     let p = compile("s = 1;", &config);
-    let err = pool.spawn(p, SessionOptions::new()).unwrap_err();
+    let err = pool.run(&p, SessionOptions::new()).unwrap_err();
     match err {
         RuntimeError::ResourceExhausted(msg) => assert!(msg.contains("L4"), "msg: {msg}"),
         other => panic!("expected ResourceExhausted, got {other}"),
     }
     assert_eq!(LimaStats::get(&pool.stats().sessions_rejected), 1);
+    assert_eq!(
+        LimaStats::get(&pool.stats().sessions_started),
+        0,
+        "a refused admission is not a started session"
+    );
     // Pressure drains → admissions resume.
     g.adjust_session_bytes(-2000);
     let p = compile("s = 1;", &config);
-    assert!(pool.run(p, SessionOptions::new()).is_ok());
+    assert!(pool.run(&p, SessionOptions::new()).is_ok());
 }
 
 #[test]
@@ -115,7 +117,7 @@ fn no_reuse_pool_still_runs_sessions() {
     assert!(pool.cache().is_none());
     let p = compile("s = sum(X);", &config);
     let r = pool
-        .run(p, SessionOptions::new().with_input("X", x(3, 3)))
+        .run(&p, SessionOptions::new().with_input("X", x(3, 3)))
         .unwrap();
     assert!(r.value("s").as_f64().unwrap() > 0.0);
     assert_eq!(LimaStats::get(&pool.stats().sessions_completed), 1);
@@ -130,10 +132,45 @@ fn cancelling_a_running_session_recovers_quickly() {
         "acc = 0; for (i in 1:2000000) { acc = acc + i; } s = acc;",
         &config,
     );
-    let h = pool.spawn(p, SessionOptions::new()).unwrap();
-    std::thread::sleep(Duration::from_millis(20));
-    h.cancel();
-    let err = h.join().unwrap_err();
+    let token = CancelToken::new();
+    let err = std::thread::scope(|scope| {
+        let session =
+            scope.spawn(|| pool.run(&p, SessionOptions::new().with_token(Arc::clone(&token))));
+        // Cancel only once the session is certainly executing.
+        while LimaStats::get(&pool.stats().sessions_started) == 0 {
+            std::thread::yield_now();
+        }
+        token.cancel();
+        session.join().expect("run never unwinds").unwrap_err()
+    });
     assert!(matches!(err, RuntimeError::Cancelled), "got {err}");
     assert_eq!(LimaStats::get(&pool.stats().sessions_cancelled), 1);
+}
+
+/// A session runs on its caller's thread, so a panic inside it (here: the
+/// cache's put watcher, which fires on the session's own stack) must stop at
+/// `run`: typed error, caller alive, pool and cache usable.
+#[test]
+fn a_panicking_session_returns_worker_panic_to_its_caller() {
+    let config = LimaConfig::lima();
+    let pool = SessionPool::new(config.clone());
+    let cache = pool.cache().expect("LIMA pools have a cache");
+    cache.set_put_watcher(Some(Arc::new(|_, _, _| panic!("watcher boom"))));
+    let p = compile("G = t(X) %*% X; s = sum(G);", &config);
+    let err = pool
+        .run(&p, SessionOptions::new().with_input("X", x(40, 8)))
+        .unwrap_err();
+    match err {
+        RuntimeError::WorkerPanic(msg) => assert!(msg.contains("watcher boom"), "msg: {msg}"),
+        other => panic!("expected WorkerPanic, got {other}"),
+    }
+
+    cache.set_put_watcher(None);
+    let ok = pool
+        .run(&p, SessionOptions::new().with_input("X", x(40, 8)))
+        .expect("the pool outlives a panicked session");
+    assert!(ok.value("s").as_f64().unwrap() > 0.0);
+    let stats = pool.stats();
+    assert_eq!(LimaStats::get(&stats.sessions_started), 2);
+    assert_eq!(LimaStats::get(&stats.sessions_completed), 1);
 }

@@ -67,8 +67,8 @@ pub mod prelude {
     pub use lima_matrix::{BackendKind, DenseMatrix, KernelBackend, ScalarValue, Value};
     pub use lima_runtime::reconstruct::{recompute, reconstruct};
     pub use lima_runtime::{
-        execute_program, ExecutionContext, RuntimeError, SessionHandle, SessionOptions,
-        SessionOutcome, SessionPool,
+        execute_program, ExecutionContext, RuntimeError, SessionOptions, SessionOutcome,
+        SessionPool,
     };
     pub use limad::{LimadConfig, ReplOptions, ReplicaGroup, Server, ShardState};
 }

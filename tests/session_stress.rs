@@ -57,8 +57,27 @@ fn grid_script() -> String {
     )
 }
 
-fn compile_arc(src: &str, config: &LimaConfig) -> Arc<lima_runtime::Program> {
-    Arc::new(compile_script(src, config).expect("script compiles"))
+fn compile(src: &str, config: &LimaConfig) -> lima_runtime::Program {
+    compile_script(src, config).expect("script compiles")
+}
+
+/// `n` sessions of `program` at once, one scoped thread each (the pool owns
+/// no threads), joined in order.
+fn run_concurrently(
+    pool: &SessionPool,
+    program: &lima_runtime::Program,
+    n: usize,
+    opts: impl Fn() -> SessionOptions + Sync,
+) -> Vec<Result<SessionOutcome, RuntimeError>> {
+    std::thread::scope(|scope| {
+        let sessions: Vec<_> = (0..n)
+            .map(|_| scope.spawn(|| pool.run(program, opts())))
+            .collect();
+        sessions
+            .into_iter()
+            .map(|s| s.join().expect("run catches session panics"))
+            .collect()
+    })
 }
 
 /// Cross-counter consistency: the derived hit total equals the sum of the
@@ -126,19 +145,13 @@ fn concurrent_sessions_match_baseline_under_fault_matrix() {
         .with_faults(Arc::clone(&inj));
 
         let pool = SessionPool::new(config.clone());
-        let program = compile_arc(&src, &config);
+        let program = compile(&src, &config);
         let t0 = Instant::now();
-        let handles: Vec<SessionHandle> = (0..4)
-            .map(|_| {
-                pool.spawn(
-                    Arc::clone(&program),
-                    SessionOptions::new().with_input("X", x.clone()),
-                )
-                .unwrap()
-            })
-            .collect();
-        for h in handles {
-            let out = h.join().unwrap_or_else(|e| {
+        let outcomes = run_concurrently(&pool, &program, 4, || {
+            SessionOptions::new().with_input("X", x.clone())
+        });
+        for outcome in outcomes {
+            let out = outcome.unwrap_or_else(|e| {
                 panic!("seed {seed}: session must complete under faults, got: {e}")
             });
             let got = out.value("s").as_f64().unwrap();
@@ -167,11 +180,8 @@ fn concurrent_sessions_match_baseline_under_fault_matrix() {
         // workload on the same pool may add to any counter but can never
         // subtract (lost updates under the fault matrix would show up here).
         let before = stats.snapshot();
-        pool.run(
-            Arc::clone(&program),
-            SessionOptions::new().with_input("X", x.clone()),
-        )
-        .unwrap_or_else(|e| panic!("seed {seed}: rerun on warmed pool failed: {e}"));
+        pool.run(&program, SessionOptions::new().with_input("X", x.clone()))
+            .unwrap_or_else(|e| panic!("seed {seed}: rerun on warmed pool failed: {e}"));
         let after = stats.snapshot();
         assert_counters_monotone(&before, &after, &format!("seed {seed}"));
         assert_stats_consistent(&stats, &format!("seed {seed} (rerun)"));
@@ -202,19 +212,13 @@ fn worker_panics_fail_typed_and_leave_the_pool_usable() {
         }
         .with_faults(Arc::clone(&inj));
         let pool = SessionPool::new(config.clone());
-        let program = compile_arc(&src, &config);
+        let program = compile(&src, &config);
 
-        let handles: Vec<SessionHandle> = (0..3)
-            .map(|_| {
-                pool.spawn(
-                    Arc::clone(&program),
-                    SessionOptions::new().with_input("X", input(20, 6, seed)),
-                )
-                .unwrap()
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
+        let outcomes = run_concurrently(&pool, &program, 3, || {
+            SessionOptions::new().with_input("X", input(20, 6, seed))
+        });
+        for outcome in outcomes {
+            match outcome {
                 Err(RuntimeError::WorkerPanic(msg)) => {
                     assert!(msg.contains("injected fault"), "seed {seed}: {msg}")
                 }
@@ -224,11 +228,11 @@ fn worker_panics_fail_typed_and_leave_the_pool_usable() {
 
         // The panics dropped their reservations; a panic-free script over the
         // same pool completes well inside the 30s placeholder timeout.
-        let clean = compile_arc("t = sum(X) + sum(t(X) %*% X);", &config);
+        let clean = compile("t = sum(X) + sum(t(X) %*% X);", &config);
         let t0 = Instant::now();
         let ok = pool
             .run(
-                clean,
+                &clean,
                 SessionOptions::new().with_input("X", input(20, 6, seed)),
             )
             .unwrap_or_else(|e| panic!("seed {seed}: clean session must pass: {e}"));
@@ -261,27 +265,28 @@ fn expired_session_mid_kernel_frees_placeholders_for_peers() {
     }
     .with_backend(BackendKind::Reference);
     let pool = SessionPool::new(config.clone());
-    let program = compile_arc(src, &config);
+    let program = compile(src, &config);
 
     let t0 = Instant::now();
-    let doomed = pool
-        .spawn(
-            Arc::clone(&program),
-            SessionOptions::new()
-                .with_input("X", x.clone())
-                .with_timeout(Duration::from_millis(30)),
-        )
-        .unwrap();
-    let peer = pool
-        .spawn(program, SessionOptions::new().with_input("X", x))
-        .unwrap();
+    let (doomed, peer) = std::thread::scope(|scope| {
+        let doomed = scope.spawn(|| {
+            pool.run(
+                &program,
+                SessionOptions::new()
+                    .with_input("X", x.clone())
+                    .with_timeout(Duration::from_millis(30)),
+            )
+        });
+        let peer = pool.run(&program, SessionOptions::new().with_input("X", x.clone()));
+        (doomed.join().expect("run catches session panics"), peer)
+    });
 
-    match doomed.join() {
+    match doomed {
         Err(RuntimeError::DeadlineExceeded) => {}
         Ok(_) => panic!("the 30ms deadline must fire inside the 640x640 matmult"),
         Err(other) => panic!("expected DeadlineExceeded, got {other}"),
     }
-    let out = peer.join().expect("peer session must complete");
+    let out = peer.expect("peer session must complete");
     let got = out.value("s").as_f64().unwrap();
     assert!(
         (got - expect).abs() <= 1e-9 * expect.abs().max(1.0),
@@ -324,13 +329,10 @@ fn governor_walks_the_ladder_down_and_back_up_under_alloc_faults() {
     .with_governor(256 * 1024)
     .with_faults(Arc::clone(&inj));
     let pool = SessionPool::new(config.clone());
-    let program = compile_arc(&src, &config);
+    let program = compile(&src, &config);
 
     let out = pool
-        .run(
-            Arc::clone(&program),
-            SessionOptions::new().with_input("X", x.clone()),
-        )
+        .run(&program, SessionOptions::new().with_input("X", x.clone()))
         .expect("the governor degrades, it does not abort");
     let got = out.value("s").as_f64().unwrap();
     assert!(
@@ -351,7 +353,7 @@ fn governor_walks_the_ladder_down_and_back_up_under_alloc_faults() {
 
     // Pressure has drained: admissions (including sessions) work again.
     let again = pool
-        .run(program, SessionOptions::new().with_input("X", x))
+        .run(&program, SessionOptions::new().with_input("X", x))
         .expect("recovered pool admits sessions");
     assert!(again.value("s").as_f64().is_ok());
     assert_stats_consistent(&stats, "governor ladder");
@@ -383,11 +385,11 @@ fn deadline_under_slow_spill_fails_typed_and_peers_complete() {
     .with_backend(BackendKind::Reference)
     .with_faults(Arc::clone(&inj));
     let pool = SessionPool::new(config.clone());
-    let program = compile_arc(src, &config);
+    let program = compile(src, &config);
 
     let err = pool
         .run(
-            Arc::clone(&program),
+            &program,
             SessionOptions::new()
                 .with_input("X", x.clone())
                 .with_timeout(Duration::from_millis(20)),
@@ -399,7 +401,7 @@ fn deadline_under_slow_spill_fails_typed_and_peers_complete() {
     );
 
     let ok = pool
-        .run(program, SessionOptions::new().with_input("X", x))
+        .run(&program, SessionOptions::new().with_input("X", x))
         .expect("deadline-free peer completes despite slow spills");
     assert!(
         inj.injected(FaultSite::SlowSpill) >= 1,
