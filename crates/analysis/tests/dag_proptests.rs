@@ -43,7 +43,7 @@ fn gen_plain_dag(seed: u64, n: usize) -> LinRef {
             1 => LineageItem::op_with_data("read", format!("in{k}"), vec![]),
             _ => {
                 let nin = 1 + rng.below(2);
-                let ins = (0..nin)
+                let ins: Vec<_> = (0..nin)
                     .map(|_| nodes[rng.below(nodes.len())].clone())
                     .collect();
                 LineageItem::op(OPS[rng.below(OPS.len())], ins)

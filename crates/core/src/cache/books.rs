@@ -1,0 +1,584 @@
+//! The cache's books: which entries exist, where they are, and in what order
+//! they leave. Data structure only — no I/O, statistics or observability;
+//! [`crate::cache::LineageCache`] keeps them under its state lock.
+//!
+//! Entries live in a slab, addressed by a small generation-checked
+//! [`EntryId`]. The key map is `LinKey → EntryId` — sixteen bytes a bucket,
+//! so the one hash lookup a probe makes stays in cache where the entries
+//! (an order of magnitude larger) would not. Whatever meets an entry again
+//! holds its id and looks nothing up: the reservation that will fulfil it,
+//! both eviction queues, a composite's children, the durable-copy map.
+
+use crate::cache::entry::{CacheEntry, DiskCopy, EntryId, EntryState};
+use crate::cache::eviction::{pick_victim, QueueKey};
+use crate::config::EvictionPolicy;
+use crate::lineage::item::{FxBuildHasher, LinKey};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+
+/// One slab slot. `generation` counts the tenants the slot has had; an id
+/// resolves only while it names the current one.
+#[derive(Debug)]
+struct Slot {
+    generation: u32,
+    entry: Option<CacheEntry>,
+}
+
+/// Key map, entry slab, eviction queues and counters, kept in step, so that
+/// neither a victim nor any counter needs a scan. Invariants (checked by
+/// [`Books::verify`]) whenever the cache lock is released, for every entry:
+///
+/// * its key maps to its slot, which holds it under its id; every occupied
+///   slot is some key's and every vacant one is on the free list once;
+///   `durable` maps exactly the `persist_id`s back to their entries;
+/// * `e` is in the resident queue iff it is `Cached` with `size > 0`, filed
+///   under its current score, `last_access` and key id; in the shell queue
+///   iff it is `Evicted`, filed under its `last_access`; `e.slot` is that
+///   queue key, `None` otherwise;
+/// * `resident_bytes` / `spilled_bytes` are the sums of `size` over `Cached`
+///   and of scratch-file bytes over `Spilled` entries (a durable copy is the
+///   persistent store's, not spill space); `live` counts both states, and
+///   `groups[g]` the `Cached` entries tagged `g != 0`.
+///
+/// They hold because an entry's state and score inputs (`hits`, `misses`,
+/// `compute_ns`, `size`, `last_access`) change only inside [`Books::update`],
+/// [`Books::touch`] and [`Books::update_victim`].
+#[derive(Debug)]
+pub struct Books {
+    map: HashMap<LinKey, EntryId, FxBuildHasher>,
+    slab: Vec<Slot>,
+    free: Vec<u32>,
+    /// Manifest ID → the entry whose `persist_id` it is, so IDs the
+    /// persistent store reports gone are un-mapped without a scan.
+    durable: HashMap<u64, EntryId>,
+    queues: Queues,
+}
+
+/// The eviction queues (of slab ids: filing an entry copies eight bytes and
+/// touches no reference count) and the counters over them.
+#[derive(Debug, PartialEq)]
+struct Queues {
+    policy: EvictionPolicy,
+    resident: BTreeMap<QueueKey, EntryId>,
+    shells: BTreeMap<QueueKey, EntryId>,
+    groups: HashMap<usize, usize, FxBuildHasher>,
+    resident_bytes: usize,
+    spilled_bytes: usize,
+    live: usize,
+}
+
+impl Queues {
+    fn new(policy: EvictionPolicy) -> Self {
+        Queues {
+            policy,
+            resident: BTreeMap::new(),
+            shells: BTreeMap::new(),
+            groups: HashMap::default(),
+            resident_bytes: 0,
+            spilled_bytes: 0,
+            live: 0,
+        }
+    }
+
+    /// Applies `f` to `e` — any change of state, size, group or statistics —
+    /// taking the entry out of the books first and entering it again after.
+    fn update(&mut self, e: &mut CacheEntry, f: impl FnOnce(&mut CacheEntry)) {
+        self.unfile(e);
+        self.count(e, false);
+        f(e);
+        self.count(e, true);
+        self.file(e);
+    }
+
+    /// Adds `e` to the counters under its current state, or takes it out.
+    fn count(&mut self, e: &CacheEntry, enter: bool) {
+        let step = |n: &mut usize, by: usize| {
+            *n = if enter { *n + by } else { n.saturating_sub(by) };
+        };
+        match &e.state {
+            EntryState::Cached(_) => {
+                step(&mut self.live, 1);
+                step(&mut self.resident_bytes, e.size);
+                if e.group != 0 {
+                    let members = self.groups.entry(e.group).or_default();
+                    step(members, 1);
+                    if *members == 0 {
+                        self.groups.remove(&e.group);
+                    }
+                }
+            }
+            EntryState::Spilled { copy, bytes } => {
+                step(&mut self.live, 1);
+                if let DiskCopy::Scratch(_) = copy {
+                    step(&mut self.spilled_bytes, *bytes);
+                }
+            }
+            EntryState::Computing | EntryState::Evicted => {}
+        }
+    }
+
+    fn file(&mut self, e: &mut CacheEntry) {
+        let (queue, policy) = match &e.state {
+            EntryState::Cached(_) if e.size > 0 => (&mut self.resident, Some(self.policy)),
+            EntryState::Evicted => (&mut self.shells, None),
+            _ => return,
+        };
+        let slot = QueueKey::of(policy, e);
+        queue.insert(slot, e.id);
+        e.slot = Some(slot);
+    }
+
+    fn unfile(&mut self, e: &mut CacheEntry) {
+        if let Some(slot) = e.slot.take() {
+            match e.state {
+                EntryState::Evicted => self.shells.remove(&slot),
+                _ => self.resident.remove(&slot),
+            };
+        }
+    }
+}
+
+impl Books {
+    /// Empty books whose resident queue orders by `policy`.
+    pub fn new(policy: EvictionPolicy) -> Self {
+        Books {
+            map: HashMap::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            durable: HashMap::new(),
+            queues: Queues::new(policy),
+        }
+    }
+
+    /// Number of entries, shells and placeholders included.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Number of evicted shells.
+    pub fn shell_count(&self) -> usize {
+        self.queues.shells.len()
+    }
+
+    /// Number of entries holding a resident or spilled value.
+    pub fn live_entries(&self) -> usize {
+        self.queues.live
+    }
+
+    /// Bytes of values resident in memory.
+    pub fn resident_bytes(&self) -> usize {
+        self.queues.resident_bytes
+    }
+
+    /// Bytes held in scratch spill files.
+    pub fn spilled_bytes(&self) -> usize {
+        self.queues.spilled_bytes
+    }
+
+    /// The entry cached under `key`, if any: the one hash lookup of a probe.
+    pub fn lookup(&self, key: &LinKey) -> Option<EntryId> {
+        self.map.get(key).copied()
+    }
+
+    /// The entry cached under `key`, created as a placeholder (and `true`)
+    /// when there is none — one hash lookup either way.
+    pub fn find_or_reserve(&mut self, key: LinKey, now: u64) -> (EntryId, bool) {
+        let vacant = match self.map.entry(key) {
+            Entry::Occupied(found) => return (*found.get(), false),
+            Entry::Vacant(vacant) => vacant,
+        };
+        let mut entry = CacheEntry::computing(vacant.key().clone(), now);
+        let vacancy = self.free.pop().map(|slot| slot as usize);
+        let at = match vacancy.filter(|at| *at < self.slab.len()) {
+            Some(at) => at,
+            None => {
+                self.slab.push(Slot {
+                    generation: 0,
+                    entry: None,
+                });
+                self.slab.len() - 1
+            }
+        };
+        let home = &mut self.slab[at];
+        // Slots are numbered in 32 bits: memory runs out long before they do.
+        entry.id = EntryId {
+            slot: at as u32,
+            generation: home.generation,
+        };
+        // A placeholder is in no queue and no counter: nothing to book yet.
+        let id = *vacant.insert(entry.id);
+        home.entry = Some(entry);
+        (id, true)
+    }
+
+    /// The entry `id` names, unless it has left the cache since.
+    pub fn get(&self, id: EntryId) -> Option<&CacheEntry> {
+        let slot = self.slab.get(id.slot as usize)?;
+        let current = slot.generation == id.generation;
+        slot.entry.as_ref().filter(|_| current)
+    }
+
+    fn entry_and_queues(&mut self, id: EntryId) -> Option<(&mut CacheEntry, &mut Queues)> {
+        let slot = self.slab.get_mut(id.slot as usize)?;
+        let current = slot.generation == id.generation;
+        Some((slot.entry.as_mut().filter(|_| current)?, &mut self.queues))
+    }
+
+    /// Applies `f` to the entry — any change of state, size, group or
+    /// statistics — un-booking it first and booking it again after. `None`
+    /// (and `f` not run) when `id` is stale.
+    pub fn update<R>(&mut self, id: EntryId, f: impl FnOnce(&mut CacheEntry) -> R) -> Option<R> {
+        let (e, queues) = self.entry_and_queues(id)?;
+        let mut out = None;
+        queues.update(e, |e| out = Some(f(e)));
+        out
+    }
+
+    /// [`Self::update`] for changes that leave state, size and group alone
+    /// (a hit: `hits`, `last_access`): only the queue position moves.
+    pub fn touch<R>(&mut self, id: EntryId, f: impl FnOnce(&mut CacheEntry) -> R) -> Option<R> {
+        let (e, queues) = self.entry_and_queues(id)?;
+        queues.unfile(e);
+        let out = f(e);
+        queues.file(e);
+        Some(out)
+    }
+
+    /// Changes fields no queue or counter reads (`credited`, `children`, a
+    /// peek's `misses` on a shell). Not for state, size, group, `hits`,
+    /// `compute_ns`, `last_access`, or `persist_id` ([`Self::set_durable`]).
+    pub fn annotate<R>(&mut self, id: EntryId, f: impl FnOnce(&mut CacheEntry) -> R) -> Option<R> {
+        self.entry_and_queues(id).map(|(e, _)| f(e))
+    }
+
+    /// Applies `f` to the head of the resident queue — the lowest score,
+    /// ties the oldest access — with the number of resident entries sharing
+    /// its value (itself included; 0 when untagged). The victim is popped,
+    /// not looked up and then unfiled, and re-filed by what `f` leaves.
+    /// False when nothing is resident.
+    pub fn update_victim(&mut self, f: impl FnOnce(&mut CacheEntry, usize)) -> bool {
+        let Some((_, id)) = self.queues.resident.pop_first() else {
+            return false;
+        };
+        if let Some((e, queues)) = self.entry_and_queues(id) {
+            e.slot = None;
+            let sharing = queues.groups.get(&e.group).copied().unwrap_or(0);
+            queues.update(e, |e| f(e, sharing));
+        }
+        true
+    }
+
+    /// Drops the least recently accessed shell from the books altogether.
+    /// False when there is no shell.
+    pub fn drop_oldest_shell(&mut self) -> bool {
+        let Some((_, id)) = self.queues.shells.pop_first() else {
+            return false;
+        };
+        self.annotate(id, |e| e.slot = None);
+        self.remove(id);
+        true
+    }
+
+    /// Takes the entry out of every book and frees its slot for the next
+    /// generation.
+    pub fn remove(&mut self, id: EntryId) {
+        let Some(slot) = self.slab.get_mut(id.slot as usize) else {
+            return;
+        };
+        let current = slot.generation == id.generation;
+        let Some(mut entry) = slot.entry.take_if(|_| current) else {
+            return;
+        };
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free.push(id.slot);
+        self.queues.unfile(&mut entry);
+        self.queues.count(&entry, false);
+        self.map.remove(&entry.key);
+        if let Some(pid) = entry.persist_id {
+            self.durable.remove(&pid);
+        }
+    }
+
+    /// Records (or clears) the entry's durable copy, keeping `durable` in
+    /// step. False when `id` is stale.
+    pub fn set_durable(&mut self, id: EntryId, persist_id: Option<u64>) -> bool {
+        let Some(old) = self.annotate(id, |e| std::mem::replace(&mut e.persist_id, persist_id))
+        else {
+            return false;
+        };
+        if let Some(old) = old {
+            self.durable.remove(&old);
+        }
+        if let Some(new) = persist_id {
+            self.durable.insert(new, id);
+        }
+        true
+    }
+
+    /// Un-maps durable copies the persistent store no longer has. A value
+    /// still in memory stays valid, and with the ID cleared a later fulfill
+    /// persists it again; an entry whose only copy was the durable file
+    /// becomes a shell.
+    pub fn forget_durable(&mut self, persist_ids: &[u64]) {
+        for pid in persist_ids {
+            let Some(id) = self.durable.remove(pid) else {
+                continue;
+            };
+            self.update(id, |e| {
+                if e.persist_id != Some(*pid) {
+                    return; // a later durable write superseded this ID
+                }
+                e.persist_id = None;
+                e.from_persist = false;
+                if let EntryState::Spilled {
+                    copy: DiskCopy::Durable(_),
+                    ..
+                } = e.state
+                {
+                    e.state = EntryState::Evicted;
+                }
+            });
+        }
+    }
+
+    /// Every entry, in slab order.
+    pub fn entries(&self) -> impl Iterator<Item = &CacheEntry> + Clone {
+        self.slab.iter().filter_map(|slot| slot.entry.as_ref())
+    }
+
+    /// Drops every entry. Slots move on to their next generation, so ids
+    /// handed out before resolve to nothing afterwards.
+    pub fn clear(&mut self) {
+        self.map.clear();
+        self.durable.clear();
+        self.free.clear();
+        for (at, slot) in self.slab.iter_mut().enumerate() {
+            if slot.entry.take().is_some() {
+                slot.generation = slot.generation.wrapping_add(1);
+            }
+            self.free.push(at as u32);
+        }
+        self.queues = Queues::new(self.queues.policy);
+    }
+
+    /// Re-derives everything the books maintain from a scan of the slab,
+    /// including the head of the resident queue against [`pick_victim`], and
+    /// reports the first disagreement. For tests and diagnostics only.
+    pub fn verify(&self) -> Result<(), String> {
+        let mut want = Queues::new(self.queues.policy);
+        let mut free: Vec<u32> = Vec::new();
+        let mut durable = 0;
+        for (at, slot) in (0u32..).zip(&self.slab) {
+            let Some(e) = &slot.entry else {
+                free.push(at);
+                continue;
+            };
+            let here = EntryId {
+                slot: at,
+                generation: slot.generation,
+            };
+            let mapped = self.map.get_key_value(&e.key);
+            if e.id != here || mapped.map(|(_, id)| *id) != Some(here) {
+                return Err(format!(
+                    "{:?} in slot {at} is mapped as {mapped:?}",
+                    e.key.0
+                ));
+            }
+            if e.persist_id
+                .is_some_and(|pid| self.durable.get(&pid) != Some(&here))
+            {
+                return Err(format!("the persist id of {:?} is not mapped", e.key.0));
+            }
+            durable += usize::from(e.persist_id.is_some());
+            let mut copy = e.clone();
+            copy.slot = None;
+            want.count(&copy, true);
+            want.file(&mut copy);
+            if copy.slot != e.slot {
+                return Err(format!("{:?} is filed under {:?}", e.key.0, e.slot));
+            }
+        }
+        let mut listed = self.free.clone();
+        listed.sort_unstable();
+        if listed != free || self.map.len() + free.len() != self.slab.len() {
+            return Err("key map, slab and free list disagree".into());
+        }
+        if durable != self.durable.len() {
+            return Err("a persist id is mapped to an entry that does not carry it".into());
+        }
+        if self.queues != want {
+            return Err(format!("books say {:?}, entries say {want:?}", self.queues));
+        }
+        let residents = self.entries().filter(|e| e.is_resident() && e.size > 0);
+        let oracle = pick_victim(
+            self.queues.policy,
+            residents.map(|e| ((e.slot.map(|s| s.score), e.last_access), e)),
+        );
+        let head = self.queues.resident.keys().next();
+        if head.map(|s| (Some(s.score), s.last_access)) != oracle {
+            return Err(format!("queue head {head:?}, pick_victim says {oracle:?}"));
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lineage::item::LineageItem;
+    use lima_matrix::{DenseMatrix, Value};
+
+    fn key(tag: &str) -> LinKey {
+        LinKey(LineageItem::op_with_data("read", tag, vec![]))
+    }
+
+    /// Books holding resident 2×2 matrices `tags`, in that order of access
+    /// and with `compute_ns` 10, 1 000, ... (so Cost&Size ranks them too).
+    fn resident(policy: EvictionPolicy, tags: &[&str]) -> (Books, Vec<EntryId>) {
+        let mut b = Books::new(policy);
+        let mut ids = Vec::new();
+        for (t, tag) in (0u64..).zip(tags) {
+            let (id, _) = b.find_or_reserve(key(tag), t);
+            b.update(id, |e| {
+                e.install(&Value::matrix(DenseMatrix::zeros(2, 2)));
+                e.compute_ns = 10 * 100u64.pow(t as u32);
+            });
+            ids.push(id);
+        }
+        (b, ids)
+    }
+
+    fn evict(e: &mut CacheEntry, _sharing: usize) {
+        e.state = EntryState::Evicted;
+        e.size = 0;
+    }
+
+    fn victim(b: &Books) -> Option<EntryId> {
+        b.queues.resident.values().next().copied()
+    }
+
+    #[test]
+    fn one_slot_per_key_found_again_by_key_and_by_id() {
+        let mut b = Books::new(EvictionPolicy::Lru);
+        let (a, fresh) = b.find_or_reserve(key("a"), 1);
+        assert!(fresh);
+        assert_eq!(b.find_or_reserve(key("a"), 2), (a, false));
+        assert_eq!(b.lookup(&key("a")), Some(a));
+        assert_eq!(b.lookup(&key("b")), None);
+        assert!(b.get(a).is_some_and(|e| e.is_computing() && e.id == a));
+        assert_eq!(b.len(), 1);
+        b.verify().unwrap();
+    }
+
+    #[test]
+    fn a_recycled_slot_does_not_answer_to_its_old_id() {
+        let mut b = Books::new(EvictionPolicy::Lru);
+        let (old, _) = b.find_or_reserve(key("old"), 1);
+        b.remove(old);
+        assert!(b.get(old).is_none() && b.len() == 0);
+        let (new, _) = b.find_or_reserve(key("new"), 2);
+        assert_eq!(new.slot, old.slot, "the slot is reused");
+        assert_ne!(new, old);
+        // The stale id changes nothing, least of all the new tenant.
+        assert_eq!(b.update(old, |e| e.state = EntryState::Evicted), None);
+        assert_eq!(b.touch(old, |e| e.hits += 1), None);
+        assert!(!b.set_durable(old, Some(7)));
+        b.remove(old);
+        assert!(b.get(new).is_some_and(|e| e.is_computing() && e.hits == 0));
+        b.verify().unwrap();
+    }
+
+    #[test]
+    fn clear_retires_every_id() {
+        let (mut b, ids) = resident(EvictionPolicy::Lru, &["a", "b", "c"]);
+        b.clear();
+        assert!(b.len() == 0 && ids.iter().all(|id| b.get(*id).is_none()));
+        assert_eq!((b.live_entries(), b.resident_bytes()), (0, 0));
+        b.verify().unwrap();
+        let (again, fresh) = b.find_or_reserve(key("a"), 2);
+        assert!(fresh && !ids.contains(&again));
+        b.verify().unwrap();
+    }
+
+    #[test]
+    fn books_follow_entries_through_update_touch_and_eviction() {
+        let (mut b, ids) = resident(EvictionPolicy::CostSize, &["cheap", "costly"]);
+        let (cheap, costly) = (ids[0], ids[1]);
+        let size = b.get(cheap).map_or(0, |e| e.size);
+        assert_eq!(victim(&b), Some(cheap));
+        assert_eq!((b.resident_bytes(), b.live_entries()), (2 * size, 2));
+        b.verify().unwrap();
+        // Hits raise the cheap entry's score past the costly one's.
+        b.touch(cheap, |e| {
+            e.hits += 1_000;
+            e.last_access = 3;
+        });
+        assert_eq!(victim(&b), Some(costly));
+        b.verify().unwrap();
+        // Eviction moves the head from the resident queue to the shell queue.
+        assert!(b.update_victim(evict));
+        assert_eq!(victim(&b), Some(cheap));
+        assert_eq!((b.shell_count(), b.live_entries()), (1, 1));
+        assert_eq!(b.resident_bytes(), size);
+        b.verify().unwrap();
+        // Shells leave oldest first, and with them their keys.
+        assert!(b.update_victim(evict) && !b.update_victim(evict));
+        assert!(b.drop_oldest_shell());
+        assert!(b.get(costly).is_none() && b.lookup(&key("costly")).is_none());
+        assert!(b.get(cheap).is_some());
+        b.verify().unwrap();
+        assert!(b.drop_oldest_shell() && !b.drop_oldest_shell());
+        assert_eq!((b.len(), b.shell_count(), b.live_entries()), (0, 0, 0));
+        b.verify().unwrap();
+    }
+
+    #[test]
+    fn verify_reports_changes_that_bypassed_the_books() {
+        let (mut b, ids) = resident(EvictionPolicy::Lru, &["a", "b"]);
+        b.verify().unwrap();
+        // Not through `touch`: the queue still says 0.
+        b.annotate(ids[0], |e| e.last_access = 9);
+        assert!(b.verify().is_err());
+    }
+
+    #[test]
+    fn groups_count_resident_members_only() {
+        let (mut b, ids) = resident(EvictionPolicy::Lru, &["a", "b"]);
+        for id in &ids {
+            b.update(*id, |e| e.group = 7);
+        }
+        let mut seen = Vec::new();
+        for _ in 0..2 {
+            assert!(b.update_victim(|e, sharing| {
+                seen.push(sharing);
+                evict(e, sharing);
+            }));
+        }
+        assert_eq!(seen, [2, 1]);
+        assert!(b.queues.groups.is_empty());
+        b.verify().unwrap();
+    }
+
+    #[test]
+    fn durable_ids_follow_their_entries() {
+        let mut b = Books::new(EvictionPolicy::Lru);
+        let (a, _) = b.find_or_reserve(key("a"), 1);
+        b.update(a, |e| {
+            e.state = EntryState::Spilled {
+                copy: DiskCopy::Durable(5),
+                bytes: 8,
+            }
+        });
+        assert!(b.set_durable(a, Some(5)));
+        b.verify().unwrap();
+        // Superseded: 5 is forgotten by the map, not by way of the entry.
+        assert!(b.set_durable(a, Some(6)));
+        b.forget_durable(&[5]);
+        assert_eq!(b.get(a).and_then(|e| e.persist_id), Some(6));
+        b.forget_durable(&[6]);
+        assert!(b
+            .get(a)
+            .is_some_and(|e| e.persist_id.is_none() && matches!(e.state, EntryState::Evicted)));
+        b.verify().unwrap();
+    }
+}

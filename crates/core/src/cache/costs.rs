@@ -23,6 +23,11 @@ struct Bandwidths {
     read_bw: f64,
 }
 
+/// Nanoseconds to move `bytes` at `bytes_per_s`.
+fn est_ns(bytes: usize, bytes_per_s: f64) -> u64 {
+    (bytes as f64 / bytes_per_s * 1e9) as u64
+}
+
 impl Default for IoCostModel {
     fn default() -> Self {
         IoCostModel {
@@ -40,23 +45,14 @@ impl IoCostModel {
         Self::default()
     }
 
-    /// Estimated nanoseconds to spill `bytes` to disk.
-    pub fn est_write_ns(&self, bytes: usize) -> u64 {
-        let bw = self.inner.lock().write_bw;
-        (bytes as f64 / bw * 1e9) as u64
-    }
-
-    /// Estimated nanoseconds to restore `bytes` from disk.
-    pub fn est_read_ns(&self, bytes: usize) -> u64 {
-        let bw = self.inner.lock().read_bw;
-        (bytes as f64 / bw * 1e9) as u64
-    }
-
     /// Spilling pays off when recomputation is slower than one write plus one
     /// read of the object (paper: "only spill objects whose re-computation
-    /// time exceeds the estimated I/O time").
+    /// time exceeds the estimated I/O time"). Asked once per eviction victim
+    /// with the cache state lock held, so both bandwidths are read under one
+    /// lock of this model's.
     pub fn worth_spilling(&self, bytes: usize, compute_ns: u64) -> bool {
-        compute_ns > self.est_write_ns(bytes) + self.est_read_ns(bytes)
+        let bw = *self.inner.lock();
+        compute_ns > est_ns(bytes, bw.write_bw) + est_ns(bytes, bw.read_bw)
     }
 
     /// Folds a measured write into the bandwidth EMA.
@@ -83,6 +79,12 @@ impl IoCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl IoCostModel {
+        fn est_write_ns(&self, bytes: usize) -> u64 {
+            est_ns(bytes, self.inner.lock().write_bw)
+        }
+    }
 
     #[test]
     fn estimates_scale_linearly() {

@@ -8,6 +8,17 @@ use lima_matrix::Value;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// Address of an entry in the cache's slab (`cache::books`): a slot number
+/// and the generation of the slot's tenant. A slot is reused
+/// after its entry leaves, under the next generation, so an id that outlived
+/// its entry (a reservation whose placeholder was cleared away) resolves to
+/// nothing instead of to the new tenant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct EntryId {
+    pub(crate) slot: u32,
+    pub(crate) generation: u32,
+}
+
 /// Which file holds an evicted value. A cached value has at most one on-disk
 /// copy: an entry the persistent store already wrote is never spilled again.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,15 +49,19 @@ pub enum EntryState {
     Evicted,
 }
 
-/// A cache entry, stored in the cache map under (a clone of) its own key.
+/// A cache entry: one slab slot, found through the key map or directly by
+/// the id a reservation, a queue or a parent entry holds.
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
-    /// The lineage trace this entry caches; the eviction index files the
-    /// entry under this key, and its item id breaks queue-position ties.
+    /// Where the slab holds this entry; assigned on insertion, and what both
+    /// queues of the eviction index file it as.
+    pub id: EntryId,
+    /// The lineage trace this entry caches (the key map holds a clone); its
+    /// item id breaks queue-position ties.
     pub key: LinKey,
-    /// Where the [`crate::cache::eviction::EvictionIndex`] currently files
-    /// this entry (resident queue or shell queue); `None` when unfiled.
-    /// Owned by the index — nothing else writes it.
+    /// Where the books currently file this entry (resident queue or shell
+    /// queue); `None` when unfiled. Owned by the books — nothing else writes
+    /// it.
     pub slot: Option<QueueKey>,
     /// Current state.
     pub state: EntryState,
@@ -79,11 +94,12 @@ pub struct CacheEntry {
     /// Nanoseconds this entry actually credited to `saved_compute_ns` when
     /// it was first hit (0 if never hit, or if a composite hit absorbed it).
     pub credited_ns: u64,
-    /// For composite (function/block) entries: keys of entries fulfilled
-    /// within this entry's computation window on the same thread. Their
-    /// compute time is a subset of this entry's `compute_ns`, which is what
-    /// lets a composite hit credit only the not-yet-credited remainder.
-    pub children: Vec<LinKey>,
+    /// For composite (function/block) entries: the entries fulfilled within
+    /// this entry's computation window on the same thread. Their compute
+    /// time is a subset of this entry's `compute_ns`, which is what lets a
+    /// composite hit credit only the not-yet-credited remainder. A child
+    /// that has left the cache since resolves to nothing and is skipped.
+    pub children: Vec<EntryId>,
 }
 
 impl CacheEntry {
@@ -91,6 +107,7 @@ impl CacheEntry {
     pub fn computing(key: LinKey, now: u64) -> Self {
         let height = key.0.height();
         CacheEntry {
+            id: EntryId::default(),
             key,
             slot: None,
             state: EntryState::Computing,
@@ -116,22 +133,6 @@ impl CacheEntry {
         self.state = EntryState::Cached(value.clone());
     }
 
-    /// The savings a hit may credit (each computed nanosecond at most once)
-    /// when this entry alone decides it: nothing once credited, its whole
-    /// cost when no constituent entries were computed inside it. `None` for
-    /// a not-yet-credited composite, whose constituents must be consulted.
-    pub fn own_hit_credit(&mut self) -> Option<u64> {
-        if self.credited {
-            return Some(0);
-        }
-        if !self.children.is_empty() {
-            return None;
-        }
-        self.credited = true;
-        self.credited_ns = self.compute_ns;
-        Some(self.compute_ns)
-    }
-
     /// True when a value is immediately available in memory.
     pub fn is_resident(&self) -> bool {
         matches!(self.state, EntryState::Cached(_))
@@ -145,18 +146,6 @@ impl CacheEntry {
     /// True when the value lives on disk.
     pub fn is_spilled(&self) -> bool {
         matches!(self.state, EntryState::Spilled { .. })
-    }
-
-    /// Total references — the `(r_h + r_m)` factor of the Cost&Size score.
-    pub fn references(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Cost&Size eviction score `(r_h + r_m) · c(o) / s(o)`; lower scores are
-    /// evicted first (paper Table 1).
-    pub fn cost_size_score(&self) -> f64 {
-        let size = self.size.max(1) as f64;
-        self.references() as f64 * self.compute_ns as f64 / size
     }
 }
 
@@ -196,6 +185,10 @@ mod tests {
         assert_eq!(e.last_access, 17);
     }
 
+    fn cost_size_score(e: &CacheEntry) -> f64 {
+        crate::cache::eviction::score(crate::EvictionPolicy::CostSize, e)
+    }
+
     #[test]
     fn cost_size_score_prefers_expensive_small_hot_entries() {
         let mut cheap_big = computing(1, 0);
@@ -205,16 +198,16 @@ mod tests {
         let mut costly_small = cheap_big.clone();
         costly_small.compute_ns = 1_000_000;
         costly_small.size = 1_000;
-        assert!(costly_small.cost_size_score() > cheap_big.cost_size_score());
+        assert!(cost_size_score(&costly_small) > cost_size_score(&cheap_big));
         // More references raise the score.
         let mut hot = cheap_big.clone();
         hot.hits = 10;
-        assert!(hot.cost_size_score() > cheap_big.cost_size_score());
+        assert!(cost_size_score(&hot) > cost_size_score(&cheap_big));
     }
 
     #[test]
     fn score_handles_zero_size() {
         let e = computing(0, 0);
-        assert!(e.cost_size_score().is_finite());
+        assert!(cost_size_score(&e).is_finite());
     }
 }

@@ -3,6 +3,7 @@
 //! level entries, cost-based eviction, disk spilling, and partial-reuse
 //! rewrites.
 
+mod books;
 pub mod costs;
 pub mod entry;
 pub mod eviction;
@@ -13,19 +14,18 @@ pub mod spill;
 use crate::config::{LimaConfig, ReuseMode};
 use crate::governor::ResourceGovernor;
 use crate::interrupt::{Interrupt, InterruptKind};
-use crate::lineage::item::{FxBuildHasher, LinKey, LinRef};
+use crate::lineage::item::{LinKey, LinRef};
 use crate::obs::{EventKind, Obs};
 use crate::resilience::{Attempt, CircuitBreaker, RetryPolicy};
 use crate::stats::LimaStats;
+use books::Books;
 use costs::IoCostModel;
-use entry::{CacheEntry, DiskCopy, EntryState};
-use eviction::EvictionIndex;
+use entry::{CacheEntry, DiskCopy, EntryId, EntryState};
 use lima_matrix::Value;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use persist::PersistentCacheStore;
 use spill::SpillStore;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,8 +54,8 @@ struct CompositeFrame {
     /// Identity of the owning cache (distinct caches may interleave on one
     /// thread in tests).
     cache: usize,
-    key: LinKey,
-    children: Vec<LinKey>,
+    id: EntryId,
+    children: Vec<EntryId>,
 }
 
 thread_local! {
@@ -67,42 +67,46 @@ thread_local! {
 }
 
 /// Outcome of a full-reuse probe.
-pub enum Probe {
+pub enum Probe<'a> {
     /// The value was reused from the cache.
     Hit(Value),
     /// The caller must compute the value and fulfil (or abort) the
     /// reservation; concurrent probes for the same trace block meanwhile.
-    Reserved(Reservation),
+    Reserved(Reservation<'a>),
 }
 
 /// An outstanding placeholder created by [`LineageCache::acquire`]. Dropping
 /// it without [`Reservation::fulfill`] aborts the placeholder and wakes
-/// waiting threads.
-pub struct Reservation {
-    cache: Arc<LineageCache>,
-    key: LinKey,
+/// waiting threads. It names its entry by slab id, so neither end looks
+/// anything up; should the entry be gone by then (a `clear()` in between),
+/// fulfilling or aborting changes nothing.
+pub struct Reservation<'a> {
+    cache: &'a LineageCache,
+    id: EntryId,
+    composite: bool,
     done: bool,
 }
 
-impl Reservation {
+impl Reservation<'_> {
     /// Stores the computed value with its measured computation time.
     pub fn fulfill(mut self, value: &Value, compute_ns: u64) {
         self.done = true;
-        self.cache
-            .fulfill(&self.key, value, compute_ns, Admission::Reserved);
+        let how = Admission::Reserved {
+            id: self.id,
+            composite: self.composite,
+        };
+        self.cache.fulfill(how, value, compute_ns);
     }
 
-    /// Abandons the placeholder (e.g. the computation failed).
-    pub fn abort(mut self) {
-        self.done = true;
-        self.cache.abort(&self.key);
-    }
+    /// Abandons the placeholder (e.g. the computation failed): what dropping
+    /// an unfulfilled reservation does.
+    pub fn abort(self) {}
 }
 
-impl Drop for Reservation {
+impl Drop for Reservation<'_> {
     fn drop(&mut self) {
         if !self.done {
-            self.cache.abort(&self.key);
+            self.cache.abort(self.id, self.composite);
         }
     }
 }
@@ -149,15 +153,12 @@ impl ItemCost {
     }
 }
 
-/// The entry map: keys hash by their memoized, already mixed lineage hash.
-type EntryMap = HashMap<LinKey, CacheEntry, FxBuildHasher>;
-
+/// Everything the state lock guards: the books, and who is waiting on or
+/// watching them.
 struct CacheState {
-    map: EntryMap,
-    /// Eviction queue, shell queue, group counts and byte/entry counters
-    /// over `map`, kept in step with every entry change (see
-    /// [`EvictionIndex`] for the invariants).
-    index: EvictionIndex,
+    /// Entries, key map and eviction index (see [`Books`] for the
+    /// invariants).
+    books: Books,
     /// Probes currently blocked on a placeholder. Checked under the lock by
     /// whoever resolves a placeholder, so the `notify_all` futex call is
     /// only paid when somebody is actually waiting.
@@ -167,69 +168,17 @@ struct CacheState {
     /// startup-recovered entries or values applied via
     /// [`LineageCache::put_replicated`], so replicas never echo records back.
     put_watcher: Option<PutWatcher>,
-    /// Manifest ID → key of the entry whose `persist_id` it is, so IDs the
-    /// persistent store reports gone (quarantined, or tombstoned to fit its
-    /// disk budget) are un-mapped without a scan of `map`.
-    durable: HashMap<u64, LinKey>,
 }
 
-impl CacheState {
-    fn insert(&mut self, mut entry: CacheEntry) {
-        if let Some(id) = entry.persist_id {
-            self.durable.insert(id, entry.key.clone());
-        }
-        self.index.add(&mut entry);
-        self.map.insert(entry.key.clone(), entry);
-    }
-
-    fn remove(&mut self, key: &LinKey) {
-        if let Some(mut entry) = self.map.remove(key) {
-            if let Some(id) = entry.persist_id {
-                self.durable.remove(&id);
-            }
-            self.index.remove(&mut entry);
-        }
-    }
-
-    /// Un-maps durable copies the persistent store no longer has. A value
-    /// still in memory stays valid, and with the ID cleared a later fulfill
-    /// persists it again; an entry whose only copy was the durable file
-    /// becomes a shell.
-    fn forget_durable(&mut self, ids: &[u64]) {
-        for id in ids {
-            let Some(key) = self.durable.remove(id) else {
-                continue;
-            };
-            let Some(e) = self.map.get_mut(&key) else {
-                continue;
-            };
-            if e.persist_id != Some(*id) {
-                continue; // a later durable write superseded this ID
-            }
-            self.index.update(e, |e| {
-                e.persist_id = None;
-                e.from_persist = false;
-                if let EntryState::Spilled {
-                    copy: DiskCopy::Durable(_),
-                    ..
-                } = e.state
-                {
-                    e.state = EntryState::Evicted;
-                }
-            });
-        }
-    }
-}
-
-/// Where a value handed to [`LineageCache::fulfill`] comes from.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Admission {
-    /// The holder of a [`Reservation`] computed it.
-    Reserved,
-    /// A direct [`LineageCache::put`]: the entry may not exist yet.
-    Put,
-    /// [`LineageCache::put_replicated`]: as `Put`, without the put watcher.
-    Replicated,
+/// Where a value handed to [`LineageCache::fulfill`] comes from, and with
+/// that how its entry is found.
+#[derive(Clone, Copy)]
+enum Admission<'a> {
+    /// The holder of a [`Reservation`] computed it: the entry is named.
+    Reserved { id: EntryId, composite: bool },
+    /// A direct put: found by key, created if absent. `watched` is false
+    /// for [`LineageCache::put_replicated`], which skips the put watcher.
+    Put { item: &'a LinRef, watched: bool },
 }
 
 /// The LIMA lineage cache. Cheap to share (`Arc`); all methods are
@@ -292,9 +241,9 @@ impl std::fmt::Debug for LineageCache {
         write!(
             f,
             "LineageCache {{ entries: {}, live: {}, resident_bytes: {} }}",
-            st.map.len(),
-            st.index.live_entries(),
-            st.index.resident_bytes()
+            st.books.len(),
+            st.books.live_entries(),
+            st.books.resident_bytes()
         )
     }
 }
@@ -305,10 +254,9 @@ impl LineageCache {
     /// committed are validated and repopulated as warm cache entries. An
     /// unusable persist directory degrades to a memory-only cache.
     pub fn new(config: LimaConfig) -> Arc<Self> {
-        let spill_store = if config.spill {
-            SpillStore::with_faults(config.faults.clone()).ok()
-        } else {
-            None
+        let spill_store = match config.spill {
+            true => SpillStore::with_faults(config.faults.clone()).ok(),
+            false => None,
         };
         let mut recovered = Vec::new();
         let persist_store = config.persist_dir.as_ref().and_then(|dir| {
@@ -341,18 +289,16 @@ impl LineageCache {
             g
         });
         let (limit, cooldown) = (config.spill_failure_limit, config.breaker_cooldown_ms);
-        let index = EvictionIndex::new(config.policy);
+        let books = Books::new(config.policy);
         let mut cache = LineageCache {
             config,
             stats,
             io: IoCostModel::new(),
             spill_store,
             state: Mutex::new(CacheState {
-                map: HashMap::default(),
-                index,
+                books,
                 waiters: 0,
                 put_watcher: None,
-                durable: HashMap::new(),
             }),
             cond: Condvar::new(),
             clock: AtomicU64::new(1),
@@ -375,18 +321,20 @@ impl LineageCache {
             cache.persist_store = Some(store);
             let mut st = cache.state.lock();
             for e in recovered {
-                let key = LinKey(e.root.clone());
                 let size = e.value.size_in_bytes();
                 if size > cache.config.budget_bytes {
                     continue; // respect the memory budget; stays on disk
                 }
-                let mut entry = CacheEntry::computing(key, cache.tick());
-                entry.install(&e.value);
-                entry.misses = 0;
-                entry.compute_ns = e.compute_ns;
-                entry.persist_id = Some(e.persist_id);
-                entry.from_persist = true;
-                st.insert(entry);
+                let (id, _) = st
+                    .books
+                    .find_or_reserve(LinKey(e.root.clone()), cache.tick());
+                st.books.update(id, |entry| {
+                    entry.install(&e.value);
+                    entry.misses = 0;
+                    entry.compute_ns = e.compute_ns;
+                    entry.from_persist = true;
+                });
+                st.books.set_durable(id, Some(e.persist_id));
             }
             cache.enforce_budget(&mut st);
             drop(st);
@@ -417,25 +365,22 @@ impl LineageCache {
     /// Effective cache budget: the configured budget, shrunk by the governor
     /// under pressure (L1+ halves it).
     fn effective_budget(&self) -> usize {
-        match &self.governor {
-            Some(g) => g.effective_cache_budget(self.config.budget_bytes),
-            None => self.config.budget_bytes,
-        }
+        let budget = self.config.budget_bytes;
+        let governor = self.governor.as_ref();
+        governor.map_or(budget, |g| g.effective_cache_budget(budget))
     }
 
     /// True while the governor (if any) still admits new cache entries.
     fn admissions_open(&self) -> bool {
-        match &self.governor {
-            Some(g) => g.admissions_enabled(),
-            None => true,
-        }
+        let governor = self.governor.as_ref();
+        governor.is_none_or(|g| g.admissions_enabled())
     }
 
     /// Pushes current byte accounting into the governor (no-op without one).
     fn sync_governor(&self, st: &CacheState) {
         if let Some(g) = &self.governor {
-            g.set_cache_bytes(st.index.resident_bytes());
-            g.set_spill_bytes(st.index.spilled_bytes());
+            g.set_cache_bytes(st.books.resident_bytes());
+            g.set_spill_bytes(st.books.spilled_bytes());
         }
     }
 
@@ -452,29 +397,20 @@ impl LineageCache {
 
     /// Number of entries currently holding a resident or spilled value.
     pub fn live_entries(&self) -> usize {
-        self.state.lock().index.live_entries()
+        self.state.lock().books.live_entries()
     }
 
     /// Bytes of values resident in memory.
     pub fn resident_bytes(&self) -> usize {
-        self.state.lock().index.resident_bytes()
+        self.state.lock().books.resident_bytes()
     }
 
     /// Diagnostic self-check (tests, tooling): recomputes by a full scan of
-    /// the entry map what the eviction index maintains incrementally —
-    /// queues, counters, group counts, and the next victim against the
-    /// scan-based [`eviction::pick_victim`] — checks that every `persist_id`
-    /// is mapped back to its entry, and reports the first mismatch.
+    /// the entry slab what the books maintain incrementally — key map, free
+    /// list, durable-copy map, queues, counters, and the next victim against
+    /// the scan-based [`eviction::pick_victim`]; reports the first mismatch.
     pub fn verify_index(&self) -> Result<(), String> {
-        let st = self.state.lock();
-        for e in st.map.values() {
-            if let Some(id) = e.persist_id {
-                if st.durable.get(&id) != Some(&e.key) {
-                    return Err(format!("persist id {id} of {:?} is not mapped", e.key.0));
-                }
-            }
-        }
-        st.index.verify(st.map.values())
+        self.state.lock().books.verify()
     }
 
     /// Per-lineage-item cost attribution: the `top_k` most expensive entries
@@ -484,11 +420,11 @@ impl LineageCache {
     pub fn cost_report(&self, top_k: usize) -> Vec<ItemCost> {
         let st = self.state.lock();
         let mut rows: Vec<ItemCost> = st
-            .map
-            .iter()
-            .map(|(k, e)| ItemCost {
-                lineage_id: k.0.id(),
-                opcode: k.0.opcode().to_string(),
+            .books
+            .entries()
+            .map(|e| ItemCost {
+                lineage_id: e.key.0.id(),
+                opcode: e.key.0.opcode().to_string(),
                 height: e.height,
                 compute_ns: e.compute_ns,
                 hits: e.hits,
@@ -516,19 +452,11 @@ impl LineageCache {
     /// enabled, so call sites pay a single branch when tracing is off.
     #[inline]
     fn obs(&self) -> Option<&Arc<Obs>> {
-        match &self.config.obs {
-            Some(o) if o.enabled() => Some(o),
-            _ => None,
-        }
+        self.config.obs.as_ref().filter(|o| o.enabled())
     }
 
-    /// Counts a hit by kind and credits `credit_ns` (computed by
-    /// [`CacheEntry::own_hit_credit`] or [`composite_hit_credit`] under the
-    /// state lock) to `saved_compute_ns`.
-    /// Unlike the old accounting — which credited the entry's full
-    /// `compute_ns` on *every* hit, double-counting composite entries and
-    /// their constituents — each computed nanosecond is now credited at most
-    /// once across the entry's lifetime.
+    /// Counts a hit by kind and credits `credit_ns` (from [`hit_credit`]:
+    /// each computed nanosecond at most once) to `saved_compute_ns`.
     fn count_hit(&self, item: &LinRef, credit_ns: u64) {
         if is_composite(item.opcode()) {
             LimaStats::bump(&self.stats.multilevel_hits);
@@ -538,86 +466,64 @@ impl LineageCache {
         LimaStats::add(&self.stats.saved_compute_ns, credit_ns);
     }
 
-    /// Builds a reservation for `key`, recording a composite frame on this
-    /// thread's attribution stack when the key is a function/block entry so
-    /// constituent fulfills can be tied to it.
-    fn reserve(self: &Arc<Self>, key: LinKey) -> Probe {
+    /// Builds the reservation for the placeholder `id` of `item`, recording
+    /// a composite frame on this thread's attribution stack when the item is
+    /// a function/block entry so constituent fulfills can be tied to it.
+    fn reserve(&self, item: &LinRef, id: EntryId) -> Probe<'_> {
         if let Some(o) = self.obs() {
-            o.record_instant(EventKind::CacheMiss, key.0.opcode(), key.0.id(), 0, 0);
+            o.record_instant(EventKind::CacheMiss, item.opcode(), item.id(), 0, 0);
         }
-        if is_composite(key.0.opcode()) {
-            let me = Arc::as_ptr(self) as usize;
+        let composite = is_composite(item.opcode());
+        if composite {
+            let me = self as *const Self as usize;
             COMPOSITE_STACK.with(|s| {
                 s.borrow_mut().push(CompositeFrame {
                     cache: me,
-                    key: key.clone(),
+                    id,
                     children: Vec::new(),
                 });
             });
         }
         Probe::Reserved(Reservation {
-            cache: Arc::clone(self),
-            key,
+            cache: self,
+            id,
+            composite,
             done: false,
         })
     }
 
-    /// Attribution bookkeeping on fulfill: records `key` as a child of the
-    /// innermost open composite frame (its compute happened within that
-    /// composite's measured window), and for composite keys returns the
-    /// children collected by their own frame. Frames above `key`'s
-    /// (abandoned reservations) are folded into it rather than leaked.
-    fn composite_on_fulfill(&self, key: &LinKey) -> Vec<LinKey> {
+    /// Attribution bookkeeping when the placeholder `id` resolves. What was
+    /// computed while a composite frame of this cache is open on the thread
+    /// is that composite's child (its compute happened within the
+    /// composite's measured window). A composite closes its own frame —
+    /// with every frame above it (abandoned reservations), folded in rather
+    /// than leaked — and the children collected are returned for its entry
+    /// when it was fulfilled, handed to the enclosing frame when it aborted:
+    /// the constituents remain cached though the composite itself failed.
+    fn close_frame(&self, id: EntryId, composite: bool, fulfilled: bool) -> Vec<EntryId> {
         let me = self as *const Self as usize;
         COMPOSITE_STACK.with(|s| {
             let mut stack = s.borrow_mut();
-            if is_composite(key.0.opcode()) {
-                if let Some(pos) = stack.iter().rposition(|f| f.cache == me && f.key == *key) {
-                    let mut children = Vec::new();
-                    for f in stack.drain(pos..) {
-                        children.extend(f.children);
-                    }
-                    if let Some(parent) = stack.last_mut() {
-                        if parent.cache == me {
-                            parent.children.push(key.clone());
-                        }
-                    }
-                    return children;
-                }
-                // Reserved on another thread: attribution not tracked.
-                return Vec::new();
-            }
-            if let Some(parent) = stack.last_mut() {
-                if parent.cache == me {
-                    parent.children.push(key.clone());
-                }
-            }
-            Vec::new()
-        })
-    }
-
-    /// Attribution bookkeeping on abort: pops `key`'s composite frame (if
-    /// any) and reparents its children — the constituents were fulfilled and
-    /// remain cached even though the composite itself failed.
-    fn composite_on_abort(&self, key: &LinKey) {
-        if !is_composite(key.0.opcode()) {
-            return;
-        }
-        let me = self as *const Self as usize;
-        COMPOSITE_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|f| f.cache == me && f.key == *key) {
-                let mut orphans = Vec::new();
+            let mut children = Vec::new();
+            if composite {
+                let Some(pos) = stack.iter().rposition(|f| f.cache == me && f.id == id) else {
+                    return children; // reserved on another thread: not tracked
+                };
                 for f in stack.drain(pos..) {
-                    orphans.extend(f.children);
+                    children.extend(f.children);
                 }
-                if let Some(parent) = stack.last_mut() {
-                    if parent.cache == me {
-                        parent.children.extend(orphans);
-                    }
+            } else if !fulfilled {
+                return children;
+            }
+            if let Some(parent) = stack.last_mut().filter(|p| p.cache == me) {
+                if fulfilled {
+                    parent.children.push(id);
+                } else {
+                    parent.children.append(&mut children);
                 }
             }
-        });
+            children
+        })
     }
 
     /// Full-reuse probe (paper §4.1). Returns `None` when the opcode does not
@@ -628,7 +534,7 @@ impl LineageCache {
     /// miss (the caller recomputes), and a placeholder whose fulfiller never
     /// finishes within `config.placeholder_timeout_ms` is taken over by the
     /// waiting probe instead of blocking forever.
-    pub fn acquire(self: &Arc<Self>, item: &LinRef) -> Option<Probe> {
+    pub fn acquire(&self, item: &LinRef) -> Option<Probe<'_>> {
         // Without an interrupt the Err branch is unreachable; flatten it.
         self.acquire_interruptible(item, None).unwrap_or(None)
     }
@@ -640,15 +546,14 @@ impl LineageCache {
     /// (no-admission), misses return `Ok(None)` instead of reserving a
     /// placeholder, so the caller computes without touching the cache.
     pub fn acquire_interruptible(
-        self: &Arc<Self>,
+        &self,
         item: &LinRef,
         interrupt: Option<&Interrupt>,
-    ) -> Result<Option<Probe>, InterruptKind> {
+    ) -> Result<Option<Probe<'_>>, InterruptKind> {
         if !self.reusable(item) {
             return Ok(None);
         }
         LimaStats::bump(&self.stats.probes);
-        let key = LinKey(item.clone());
         // Total placeholder-wait bound for this probe: armed on the first
         // Computing encounter and not reset by wake-ups for other entries.
         let mut wait_deadline: Option<Instant> = None;
@@ -659,27 +564,36 @@ impl LineageCache {
         loop {
             let now = self.tick();
             let st = &mut *guard;
-            let Some(e) = st.map.get_mut(&key) else {
-                if !self.admissions_open() {
-                    LimaStats::bump(&self.stats.governor_admission_rejects);
-                    return Ok(None);
+            // The probe's one hash lookup: the entry is found, or booked as
+            // a placeholder through the same map slot.
+            let key = LinKey(item.clone());
+            let id = if self.admissions_open() {
+                let (id, fresh) = st.books.find_or_reserve(key, now);
+                if fresh {
+                    drop(guard);
+                    return Ok(Some(self.reserve(item, id)));
                 }
-                st.insert(CacheEntry::computing(key.clone(), now));
-                drop(guard);
-                return Ok(Some(self.reserve(key)));
+                id
+            } else {
+                match st.books.lookup(&key) {
+                    Some(id) => id,
+                    None => {
+                        LimaStats::bump(&self.stats.governor_admission_rejects);
+                        return Ok(None);
+                    }
+                }
+            };
+            let Some(e) = st.books.get(id) else {
+                return Ok(None); // the key map never names a vacant slot
             };
             match &e.state {
                 EntryState::Cached(v) => {
-                    let value = v.clone();
-                    st.index.touch(e, |e| {
+                    let (value, from_persist) = (v.clone(), e.from_persist);
+                    st.books.touch(id, |e| {
                         e.hits += 1;
                         e.last_access = now;
                     });
-                    let from_persist = e.from_persist;
-                    let credit = match e.own_hit_credit() {
-                        Some(credit) => credit,
-                        None => composite_hit_credit(&mut st.map, &key),
-                    };
+                    let credit = hit_credit(&mut st.books, id);
                     drop(guard);
                     if from_persist {
                         LimaStats::bump(&self.stats.persist_hits);
@@ -691,7 +605,7 @@ impl LineageCache {
                     return Ok(Some(Probe::Hit(value)));
                 }
                 EntryState::Spilled { .. } => {
-                    let (relocked, restored) = self.restore(guard, &key);
+                    let (relocked, restored) = self.restore(guard, id);
                     guard = relocked;
                     let Some(value) = restored else {
                         // Degraded to a miss: wake the probes that waited on
@@ -701,8 +615,8 @@ impl LineageCache {
                         }
                         continue;
                     };
-                    let from_persist = guard.map.get(&key).is_some_and(|e| e.from_persist);
-                    let credit = composite_hit_credit(&mut guard.map, &key);
+                    let from_persist = guard.books.get(id).is_some_and(|e| e.from_persist);
+                    let credit = hit_credit(&mut guard.books, id);
                     self.unlock_and_wake(guard);
                     if from_persist {
                         LimaStats::bump(&self.stats.persist_hits);
@@ -750,22 +664,23 @@ impl LineageCache {
                     }
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         // Re-check under the lock: the fulfiller may have won
-                        // the race against the timeout.
-                        let st = &mut *guard;
-                        if let Some(e) = st.map.get_mut(&key) {
-                            if e.is_computing() {
-                                // Presume the fulfiller dead and take over
-                                // the computation; should it fulfil after
-                                // all, its value replaces the takeover's
-                                // (identical lineage), which is benign.
-                                LimaStats::bump(&self.stats.placeholder_timeouts);
-                                st.index.update(e, |e| {
-                                    e.misses += 1;
-                                    e.last_access = self.tick();
-                                });
-                                drop(guard);
-                                return Ok(Some(self.reserve(key)));
+                        // the race against the timeout. Still computing:
+                        // presume the fulfiller dead and take over the
+                        // computation; should it fulfil after all, its value
+                        // replaces the takeover's (identical lineage), which
+                        // is benign.
+                        let taken = guard.books.update(id, |e| {
+                            let computing = e.is_computing();
+                            if computing {
+                                e.misses += 1;
+                                e.last_access = self.tick();
                             }
+                            computing
+                        });
+                        if taken == Some(true) {
+                            LimaStats::bump(&self.stats.placeholder_timeouts);
+                            drop(guard);
+                            return Ok(Some(self.reserve(item, id)));
                         }
                         // The entry moved on; re-arm the deadline in case a
                         // new placeholder appears later in this probe.
@@ -776,7 +691,7 @@ impl LineageCache {
                 EntryState::Evicted => {
                     // Evicted shell: misses raise the entry's future score.
                     let open = self.admissions_open();
-                    st.index.update(e, |e| {
+                    st.books.update(id, |e| {
                         e.misses += 1;
                         e.last_access = now;
                         if open {
@@ -788,13 +703,13 @@ impl LineageCache {
                         return Ok(None);
                     }
                     drop(guard);
-                    return Ok(Some(self.reserve(key)));
+                    return Ok(Some(self.reserve(item, id)));
                 }
             }
         }
     }
 
-    /// Brings the spilled entry `key` back into memory — the one restore
+    /// Brings the spilled entry `id` back into memory — the one restore
     /// path, shared by [`Self::acquire`] and [`Self::peek`]. The file is read
     /// outside the lock under a placeholder, so concurrent probes wait
     /// instead of double-reading it, and the measured read time feeds the
@@ -803,28 +718,25 @@ impl LineageCache {
     /// unreadable file) it is a shell with a miss booked, so the caller
     /// degrades to a miss and the value is recomputed; a durable copy that
     /// failed is un-mapped, so the recomputed value persists again. Returns
-    /// the re-taken lock; `None` also when `key` is not spilled (any more).
+    /// the re-taken lock; `None` also when `id` is not spilled (any more).
     fn restore<'a>(
         &'a self,
         mut guard: MutexGuard<'a, CacheState>,
-        key: &LinKey,
+        id: EntryId,
     ) -> (MutexGuard<'a, CacheState>, Option<Value>) {
-        let st = &mut *guard;
-        let Some(e) = st.map.get_mut(key) else {
+        let Some(EntryState::Spilled { copy, bytes }) =
+            guard.books.get(id).map(|e| e.state.clone())
+        else {
             return (guard, None);
         };
-        let EntryState::Spilled { copy, bytes } = &e.state else {
-            return (guard, None);
-        };
-        let (copy, bytes) = (copy.clone(), *bytes);
-        st.index.update(e, |e| e.state = EntryState::Computing);
+        guard.books.update(id, |e| e.state = EntryState::Computing);
         drop(guard);
 
         let span_t0 = self.obs().map(|o| o.now_ns());
         let t0 = Instant::now();
         let restored = match (&copy, &self.spill_store, &self.persist_store) {
             (DiskCopy::Scratch(path), Some(store), _) => store.restore(path),
-            (DiskCopy::Durable(id), _, Some(store)) => store.read(*id),
+            (DiskCopy::Durable(pid), _, Some(store)) => store.read(*pid),
             _ => Err(std::io::ErrorKind::NotFound.into()),
         };
         self.io.observe_read(bytes, t0.elapsed().as_nanos() as u64);
@@ -836,33 +748,31 @@ impl LineageCache {
             Err(_) => &self.stats.restore_failures,
         });
         let Ok(value) = restored else {
-            if let DiskCopy::Durable(id) = copy {
-                st.forget_durable(&[id]);
+            if let DiskCopy::Durable(pid) = copy {
+                st.books.forget_durable(&[pid]);
             }
-            if let Some(e) = st.map.get_mut(key) {
-                st.index.update(e, |e| {
-                    e.state = EntryState::Evicted;
-                    e.misses += 1;
-                });
-            }
+            st.books.update(id, |e| {
+                e.state = EntryState::Evicted;
+                e.misses += 1;
+            });
             self.sync_governor(st);
             return (guard, None);
         };
-        // Entry vanished (a concurrent clear): a miss.
-        let Some(e) = st.map.get_mut(key) else {
-            return (guard, None);
-        };
-        st.index.update(e, |e| {
+        let installed = st.books.update(id, |e| {
             e.install(&value);
             e.hits += 1;
             e.last_access = self.tick();
         });
+        // Entry vanished (a concurrent clear): a miss.
+        if installed.is_none() {
+            return (guard, None);
+        }
         self.enforce_budget(st);
-        if let (Some(o), Some(t0)) = (self.obs(), span_t0) {
+        if let (Some(o), Some(t0), Some(e)) = (self.obs(), span_t0, st.books.get(id)) {
             o.record_span(
                 EventKind::SpillRestore,
-                key.0.opcode(),
-                key.0.id(),
+                e.key.0.opcode(),
+                e.key.0.id(),
                 t0,
                 bytes as u64,
                 0,
@@ -891,41 +801,39 @@ impl LineageCache {
     /// Whether multilevel (function/block) caching and partial-reuse
     /// rewrites are allowed under current memory pressure (false at L2+).
     pub fn rewrites_enabled(&self) -> bool {
-        match &self.governor {
-            Some(g) => g.rewrites_enabled(),
-            None => true,
-        }
+        let governor = self.governor.as_ref();
+        governor.is_none_or(|g| g.rewrites_enabled())
     }
 
     /// Non-blocking lookup used by partial-reuse rewrites to fetch component
     /// values: hits count, misses on shells raise scores, placeholders are
     /// *not* created and computing entries are not waited on.
     pub fn peek(&self, item: &LinRef) -> Option<Value> {
-        let key = LinKey(item.clone());
         let mut guard = self.state.lock();
         let now = self.tick();
         let st = &mut *guard;
-        let e = st.map.get_mut(&key)?;
-        match &e.state {
+        let id = st.books.lookup(&LinKey(item.clone()))?;
+        match &st.books.get(id)?.state {
             EntryState::Cached(v) => {
                 let value = v.clone();
-                if e.from_persist {
-                    LimaStats::bump(&self.stats.persist_hits);
-                }
-                st.index.touch(e, |e| {
+                let from_persist = st.books.touch(id, |e| {
                     e.hits += 1;
                     e.last_access = now;
+                    e.from_persist
                 });
+                if from_persist == Some(true) {
+                    LimaStats::bump(&self.stats.persist_hits);
+                }
                 Some(value)
             }
             EntryState::Spilled { .. } => {
-                let (guard, restored) = self.restore(guard, &key);
+                let (guard, restored) = self.restore(guard, id);
                 self.unlock_and_wake(guard);
                 restored
             }
             EntryState::Computing | EntryState::Evicted => {
                 // Not a queue input: shells queue by `last_access` alone.
-                e.misses += 1;
+                st.books.annotate(id, |e| e.misses += 1);
                 None
             }
         }
@@ -933,23 +841,23 @@ impl LineageCache {
 
     /// Directly stores a value (used by compensation plans that want their
     /// probe item cached after partial reuse, and by tests).
-    pub fn put(self: &Arc<Self>, item: &LinRef, value: &Value, compute_ns: u64) {
-        self.put_inner(item, value, compute_ns, Admission::Put);
+    pub fn put(&self, item: &LinRef, value: &Value, compute_ns: u64) {
+        self.put_inner(item, true, value, compute_ns);
     }
 
     /// [`Self::put`] for values received from a replica peer: identical
     /// admission, but the put watcher is *not* fired, so applied records are
     /// never re-enqueued for replication (no echo loops between members).
-    pub fn put_replicated(self: &Arc<Self>, item: &LinRef, value: &Value, compute_ns: u64) {
-        self.put_inner(item, value, compute_ns, Admission::Replicated);
+    pub fn put_replicated(&self, item: &LinRef, value: &Value, compute_ns: u64) {
+        self.put_inner(item, false, value, compute_ns);
     }
 
-    fn put_inner(&self, item: &LinRef, value: &Value, compute_ns: u64, how: Admission) {
+    fn put_inner(&self, item: &LinRef, watched: bool, value: &Value, compute_ns: u64) {
         if !self.reusable(item) {
             LimaStats::bump(&self.stats.rejected_puts);
             return;
         }
-        self.fulfill(&LinKey(item.clone()), value, compute_ns, how);
+        self.fulfill(Admission::Put { item, watched }, value, compute_ns);
     }
 
     /// Installs (or clears) the post-admission observer. Replaces any
@@ -962,12 +870,12 @@ impl LineageCache {
     /// Side-effect free: no hit/miss accounting, no placeholder creation —
     /// the replication apply path uses this to skip records it already has.
     pub fn contains(&self, item: &LinRef) -> bool {
-        let key = LinKey(item.clone());
         let st = self.state.lock();
-        matches!(
-            st.map.get(&key).map(|e| &e.state),
-            Some(EntryState::Cached(_) | EntryState::Spilled { .. })
-        )
+        let entry = st
+            .books
+            .lookup(&LinKey(item.clone()))
+            .and_then(|id| st.books.get(id));
+        entry.is_some_and(|e| e.is_resident() || e.is_spilled())
     }
 
     /// Lineage hashes of every entry this member can vouch for (resident or
@@ -976,21 +884,21 @@ impl LineageCache {
     /// from exactly this set.
     pub fn replica_hashes(&self) -> Vec<u64> {
         let st = self.state.lock();
-        st.map
-            .iter()
-            .filter(|(_, e)| match &e.state {
+        st.books
+            .entries()
+            .filter(|e| match &e.state {
                 EntryState::Cached(v) => !matches!(v, Value::List(_)),
                 EntryState::Spilled { .. } => true,
                 _ => false,
             })
-            .map(|(k, _)| k.0.hash_value())
+            .map(|e| e.key.0.hash_value())
             .collect()
     }
 
     /// Clones the resident entries whose scrambled lineage hash lands in
-    /// `bucket` (of `nbuckets`), newest-access first, capped at `max_entries`
-    /// and ~`max_bytes` of value payload. Serving side of the anti-entropy
-    /// `K_REPL_PULL` op; serialization happens outside the lock.
+    /// `bucket` (of `nbuckets`), capped at `max_entries` and ~`max_bytes` of
+    /// value payload. Serving side of the anti-entropy `K_REPL_PULL` op;
+    /// serialization happens outside the lock.
     pub fn export_bucket(
         &self,
         bucket: u64,
@@ -1002,7 +910,7 @@ impl LineageCache {
         let st = self.state.lock();
         let mut out = Vec::new();
         let mut bytes = 0usize;
-        for (k, e) in st.map.iter() {
+        for e in st.books.entries() {
             if out.len() >= max_entries || bytes >= max_bytes {
                 break;
             }
@@ -1012,62 +920,66 @@ impl LineageCache {
             if matches!(v, Value::List(_)) {
                 continue;
             }
-            if crate::faults::mix(k.0.hash_value()) % nbuckets != bucket {
+            if crate::faults::mix(e.key.0.hash_value()) % nbuckets != bucket {
                 continue;
             }
             bytes += e.size;
-            out.push((k.0.clone(), v.clone(), e.compute_ns));
+            out.push((e.key.0.clone(), v.clone(), e.compute_ns));
         }
         out
     }
 
-    /// Installs a computed value under `key` in one critical section:
-    /// statistics, admission (or rejection to a shell), eviction down to the
-    /// budget, and the wake-up of probes blocked on the placeholder.
-    fn fulfill(&self, key: &LinKey, value: &Value, compute_ns: u64, how: Admission) {
-        let children = self.composite_on_fulfill(key);
+    /// Installs a computed value in one critical section: statistics,
+    /// admission (or rejection to a shell), eviction down to the budget, and
+    /// the wake-up of probes blocked on the placeholder. A reservation's
+    /// entry is reached by its id; one that has left the cache since (a
+    /// `clear()`) stays gone.
+    fn fulfill(&self, how: Admission<'_>, value: &Value, compute_ns: u64) {
         let size = value.size_in_bytes();
         let admit = size <= self.effective_budget() && self.governor_admits(size);
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let now = self.tick();
-        if how != Admission::Reserved && !st.map.contains_key(key) {
-            st.insert(CacheEntry::computing(key.clone(), now));
-        }
-        let mut persistable = false;
-        if let Some(e) = st.map.get_mut(key) {
-            st.index.update(e, |e| {
-                // An entry that already holds a value (a put on a resident
-                // key, a replicated put racing a local one, a late fulfiller
-                // after a placeholder takeover) has it replaced: `update`
-                // takes the old value out of the byte counts, and its scratch
-                // spill file goes with it (a durable copy is the store's).
-                if let (
-                    EntryState::Spilled {
-                        copy: DiskCopy::Scratch(path),
-                        ..
-                    },
-                    Some(store),
-                ) = (&e.state, &self.spill_store)
-                {
-                    store.discard(path);
+        let (id, composite, watched) = match how {
+            Admission::Reserved { id, composite } => (id, composite, true),
+            Admission::Put { item, watched } => {
+                let (id, _) = st.books.find_or_reserve(LinKey(item.clone()), now);
+                (id, is_composite(item.opcode()), watched)
+            }
+        };
+        let children = self.close_frame(id, composite, true);
+        let watcher = st
+            .put_watcher
+            .as_ref()
+            .filter(|_| admit && watched)
+            .cloned();
+        // The lineage is copied out of the entry only for whoever reads it
+        // once the lock is gone: an observer, the watcher, the durable store.
+        let wants_key = watcher.is_some() || self.obs().is_some() || self.persist_store.is_some();
+        let booked = st.books.update(id, |e| {
+            // An entry that already holds a value (a put on a resident
+            // key, a replicated put racing a local one, a late fulfiller
+            // after a placeholder takeover) has it replaced: `update`
+            // takes the old value out of the byte counts, and its scratch
+            // spill file goes with it.
+            self.discard_scratch(&e.state);
+            e.compute_ns = e.compute_ns.max(compute_ns);
+            e.last_access = now;
+            for c in children {
+                if !e.children.contains(&c) {
+                    e.children.push(c);
                 }
-                e.compute_ns = e.compute_ns.max(compute_ns);
-                e.last_access = now;
-                for c in children {
-                    if !e.children.contains(&c) {
-                        e.children.push(c);
-                    }
-                }
-                if admit {
-                    e.install(value);
-                } else {
-                    e.state = EntryState::Evicted;
-                    e.size = 0;
-                }
-            });
+            }
             if admit {
-                persistable = e.persist_id.is_none();
+                e.install(value);
+            } else {
+                e.state = EntryState::Evicted;
+                e.size = 0;
+            }
+            (e.persist_id.is_none(), wants_key.then(|| e.key.clone()))
+        });
+        if booked.is_some() {
+            if admit {
                 LimaStats::bump(&self.stats.puts);
                 self.enforce_budget(st);
             } else {
@@ -1076,11 +988,10 @@ impl LineageCache {
             }
         }
         self.sync_governor(st);
-        let watcher = match how {
-            Admission::Reserved | Admission::Put if admit => st.put_watcher.clone(),
-            _ => None,
-        };
         self.unlock_and_wake(guard);
+        let Some((unpersisted, Some(key))) = booked else {
+            return;
+        };
         if let Some(o) = self.obs() {
             o.record_instant(
                 EventKind::CacheFulfill,
@@ -1090,11 +1001,22 @@ impl LineageCache {
                 u64::from(admit),
             );
         }
-        if persistable {
-            self.persist_entry(key, value, compute_ns);
+        if admit && unpersisted {
+            self.persist_entry(id, &key, value, compute_ns);
         }
         if let Some(w) = watcher {
             w(&key.0, value, compute_ns);
+        }
+    }
+
+    /// Deletes the scratch spill file of a value that is being replaced or
+    /// dropped (a durable copy is the persistent store's to keep).
+    fn discard_scratch(&self, state: &EntryState) {
+        let (EntryState::Spilled { copy, .. }, Some(store)) = (state, &self.spill_store) else {
+            return;
+        };
+        if let DiskCopy::Scratch(path) = copy {
+            store.discard(path);
         }
     }
 
@@ -1114,7 +1036,7 @@ impl LineageCache {
     /// configured). Runs outside the cache lock: the disk write must not block
     /// concurrent probes. Failures leave the entry memory-only and feed the
     /// persistence circuit breaker.
-    fn persist_entry(&self, key: &LinKey, value: &Value, compute_ns: u64) {
+    fn persist_entry(&self, id: EntryId, key: &LinKey, value: &Value, compute_ns: u64) {
         use crate::opcodes::{BCALL, FCALL};
         let Some(store) = &self.persist_store else {
             return;
@@ -1165,15 +1087,11 @@ impl LineageCache {
                         0,
                     );
                 }
-                let mut guard = self.state.lock();
-                let st = &mut *guard;
-                if let Some(e) = st.map.get_mut(key) {
-                    e.persist_id = Some(outcome.id);
-                    st.durable.insert(outcome.id, key.clone());
-                }
+                let mut st = self.state.lock();
+                st.books.set_durable(id, Some(outcome.id));
                 // Files tombstoned to fit the disk budget are gone: their
                 // entries must persist again once recomputed.
-                st.forget_durable(&outcome.evicted_ids);
+                st.books.forget_durable(&outcome.evicted_ids);
             }
             Ok(None) => {} // value kind not persisted (lists)
             Err(_) => {
@@ -1190,14 +1108,6 @@ impl LineageCache {
             }
         }
         self.drain_compaction_counters();
-    }
-
-    /// True while the persistence circuit breaker is open (or probing):
-    /// after `config.spill_failure_limit` consecutive durable-write failures
-    /// the cache stops attempting to persist until a half-open probe
-    /// succeeds. 0 disables the breaker.
-    pub fn persist_disabled(&self) -> bool {
-        self.persist_breaker.is_open()
     }
 
     /// True when a durable store backs this cache and is still writable
@@ -1258,7 +1168,7 @@ impl LineageCache {
             LimaStats::bump(&self.stats.scrub_passes);
         }
         if !out.quarantined_ids.is_empty() {
-            self.state.lock().forget_durable(&out.quarantined_ids);
+            self.state.lock().books.forget_durable(&out.quarantined_ids);
         }
         self.drain_compaction_counters();
         Some(out)
@@ -1273,54 +1183,44 @@ impl LineageCache {
         }
     }
 
-    fn abort(&self, key: &LinKey) {
-        self.composite_on_abort(key);
+    fn abort(&self, id: EntryId, composite: bool) {
+        self.close_frame(id, composite, false);
         let mut guard = self.state.lock();
-        let st = &mut *guard;
-        if let Some(e) = st.map.get_mut(key) {
-            if e.is_computing() {
-                st.index.update(e, |e| e.state = EntryState::Evicted);
-            }
+        if guard.books.get(id).is_some_and(CacheEntry::is_computing) {
+            guard.books.update(id, |e| e.state = EntryState::Evicted);
         }
         self.unlock_and_wake(guard);
     }
 
     /// Evicts (spill or delete) the lowest-scoring resident entry under the
     /// active policy (paper Table 1), one at a time, until the resident size
-    /// fits the budget. The victim comes off the head of the eviction index
-    /// in O(log n).
+    /// fits the budget. Each victim comes off the head of the eviction index
+    /// in O(log n), with no hash lookup.
     fn enforce_budget(&self, st: &mut CacheState) {
         let budget = self.effective_budget();
-        while st.index.resident_bytes() > budget {
-            let Some(victim) = st.index.victim().cloned() else {
-                break;
-            };
-            if !self.evict(st, &victim) {
-                break; // not resident after all: never spin under the lock
+        while st.books.resident_bytes() > budget {
+            if !st.books.update_victim(|e, sharing| self.evict(e, sharing)) {
+                break; // nothing resident after all: never spin under the lock
             }
         }
         self.prune_shells(st);
         self.sync_governor(st);
     }
 
-    /// Takes `key`'s value out of memory: left to its one on-disk copy when
-    /// restoring that pays off (the durable file if the entry has one, else a
-    /// scratch spill file written now), otherwise dropped, leaving a shell.
-    /// False when `key` holds no resident value.
-    fn evict(&self, st: &mut CacheState, key: &LinKey) -> bool {
-        let Some(e) = st.map.get_mut(key) else {
-            return false;
-        };
+    /// Takes the victim's value out of memory: left to its one on-disk copy
+    /// when restoring that pays off (the durable file if the entry has one,
+    /// else a scratch spill file written now), otherwise dropped, leaving a
+    /// shell. `sharing` is how many resident entries cache this same object.
+    fn evict(&self, e: &mut CacheEntry, sharing: usize) {
         let EntryState::Cached(value) = &e.state else {
-            return false;
+            return;
         };
         // Entries caching the same object defer spilling until the last of
         // the group leaves (paper §4.3). At governor level L3+ eviction
         // degrades to delete-only: spill files are themselves governed
         // memory/disk pressure.
-        let shared = e.group != 0 && st.index.group_size(e.group) > 1;
-        let on_disk = if !shared && self.admissions_open() {
-            self.try_spill(key, value, e.size, e.compute_ns, e.persist_id)
+        let on_disk = if sharing <= 1 && self.admissions_open() {
+            self.try_spill(e, value)
         } else {
             None
         };
@@ -1329,14 +1229,11 @@ impl LineageCache {
         if !matches!(on_disk, Some((DiskCopy::Scratch(_), _))) {
             LimaStats::bump(&self.stats.evictions);
         }
-        st.index.update(e, |e| {
-            e.state = match on_disk {
-                Some((copy, bytes)) => EntryState::Spilled { copy, bytes },
-                None => EntryState::Evicted,
-            };
-            e.size = 0;
-        });
-        true
+        e.state = match on_disk {
+            Some((copy, bytes)) => EntryState::Spilled { copy, bytes },
+            None => EntryState::Evicted,
+        };
+        e.size = 0;
     }
 
     /// Decides whether an eviction victim keeps an on-disk copy: spilling is
@@ -1345,20 +1242,13 @@ impl LineageCache {
     /// to that file and nothing is written — a value has at most one on-disk
     /// copy; any other is written to the spill store when the spill circuit
     /// breaker lets the write through.
-    fn try_spill(
-        &self,
-        key: &LinKey,
-        value: &Value,
-        size: usize,
-        compute_ns: u64,
-        persist_id: Option<u64>,
-    ) -> Option<(DiskCopy, usize)> {
+    fn try_spill(&self, e: &CacheEntry, value: &Value) -> Option<(DiskCopy, usize)> {
         let store = self.spill_store.as_ref()?;
-        if !matches!(value, Value::Matrix(_)) || !self.io.worth_spilling(size, compute_ns) {
+        if !matches!(value, Value::Matrix(_)) || !self.io.worth_spilling(e.size, e.compute_ns) {
             return None;
         }
-        if let Some(id) = persist_id {
-            return Some((DiskCopy::Durable(id), size));
+        if let Some(id) = e.persist_id {
+            return Some((DiskCopy::Durable(id), e.size));
         }
         match self.spill_breaker.allow() {
             Attempt::Rejected => return None,
@@ -1374,10 +1264,11 @@ impl LineageCache {
                 LimaStats::bump(&self.stats.spills);
                 LimaStats::add(&self.stats.spill_bytes, bytes as u64);
                 if let (Some(o), Some(ot0)) = (self.obs(), spill_t0) {
+                    let key = &e.key.0;
                     o.record_span(
                         EventKind::SpillWrite,
-                        key.0.opcode(),
-                        key.0.id(),
+                        key.opcode(),
+                        key.id(),
                         ot0,
                         bytes as u64,
                         0,
@@ -1402,15 +1293,11 @@ impl LineageCache {
     /// least-recently-accessed shells off the head of the shell queue.
     fn prune_shells(&self, st: &mut CacheState) {
         loop {
-            let shells = st.index.shell_count();
-            let max_shells = ((st.map.len() - shells) * 4).max(4096);
-            if shells <= max_shells {
+            let shells = st.books.shell_count();
+            let max_shells = ((st.books.len() - shells) * 4).max(4096);
+            if shells <= max_shells || !st.books.drop_oldest_shell() {
                 return;
             }
-            let Some(oldest) = st.index.oldest_shell().cloned() else {
-                return;
-            };
-            st.remove(&oldest);
         }
     }
 
@@ -1428,29 +1315,15 @@ impl LineageCache {
     pub fn clear(&self) {
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        if let Some(store) = &self.spill_store {
-            for e in st.map.values() {
-                if let EntryState::Spilled {
-                    copy: DiskCopy::Scratch(path),
-                    ..
-                } = &e.state
-                {
-                    store.discard(path);
+        for e in st.books.entries() {
+            self.discard_scratch(&e.state);
+            if let (Some(id), Some(store)) = (e.persist_id, &self.persist_store) {
+                if store.tombstone(id).unwrap_or(false) {
+                    LimaStats::bump(&self.stats.persist_tombstones);
                 }
             }
         }
-        if let Some(store) = &self.persist_store {
-            for e in st.map.values() {
-                if let Some(id) = e.persist_id {
-                    if store.tombstone(id).unwrap_or(false) {
-                        LimaStats::bump(&self.stats.persist_tombstones);
-                    }
-                }
-            }
-        }
-        st.map.clear();
-        st.durable.clear();
-        st.index = EvictionIndex::new(self.config.policy);
+        st.books.clear();
         self.sync_governor(st);
         self.unlock_and_wake(guard);
         self.drain_compaction_counters();
@@ -1467,34 +1340,31 @@ impl LineageCache {
 /// nanoseconds again later. Conversely, a constituent hit before the
 /// composite's first hit credits its own cost, which the composite then
 /// subtracts. Must run under the cache state lock.
-#[allow(clippy::mutable_key_type)] // OnceLock caches never change Hash/Eq
-fn composite_hit_credit(map: &mut EntryMap, key: &LinKey) -> u64 {
-    let (compute_ns, children) = match map.get_mut(key) {
-        Some(e) if !e.credited => {
-            e.credited = true;
-            (e.compute_ns, e.children.clone())
-        }
-        _ => return 0,
+fn hit_credit(books: &mut Books, id: EntryId) -> u64 {
+    let first_hit = books.annotate(id, |e| {
+        let first = !e.credited;
+        e.credited = true;
+        first.then(|| (e.compute_ns, e.children.clone()))
+    });
+    let Some(Some((compute_ns, mut queue))) = first_hit else {
+        return 0;
     };
     let mut already_credited = 0u64;
-    let mut queue = children;
-    let mut seen: std::collections::HashSet<LinKey> = std::collections::HashSet::new();
-    while let Some(k) = queue.pop() {
-        if !seen.insert(k.clone()) {
+    let mut seen: std::collections::HashSet<EntryId> = std::collections::HashSet::new();
+    while let Some(child) = queue.pop() {
+        if !seen.insert(child) {
             continue;
         }
-        if let Some(e) = map.get_mut(&k) {
+        books.annotate(child, |e| {
             if e.credited {
                 already_credited = already_credited.saturating_add(e.credited_ns);
             }
             e.credited = true;
-            queue.extend(e.children.iter().cloned());
-        }
+            queue.extend(e.children.iter().copied());
+        });
     }
     let credit = compute_ns.saturating_sub(already_credited);
-    if let Some(e) = map.get_mut(key) {
-        e.credited_ns = credit;
-    }
+    books.annotate(id, |e| e.credited_ns = credit);
     credit
 }
 
@@ -1513,7 +1383,7 @@ mod tests {
         }
     }
 
-    fn mk_item(op: &str, seed: &str) -> LinRef {
+    fn mk_item(op: &'static str, seed: &str) -> LinRef {
         LineageItem::op(op, vec![LineageItem::op_with_data("read", seed, vec![])])
     }
 
@@ -1874,11 +1744,18 @@ mod tests {
         assert_eq!(cache.resident_bytes(), 0);
     }
 
-    /// Sum of `size` over resident entries, by scanning the map.
+    /// The entry cached under `item`, as it stands.
+    fn entry_of(cache: &LineageCache, item: &LinRef) -> Option<CacheEntry> {
+        let st = cache.state.lock();
+        let id = st.books.lookup(&LinKey(item.clone()))?;
+        st.books.get(id).cloned()
+    }
+
+    /// Sum of `size` over resident entries, by scanning the slab.
     fn scanned_resident_bytes(cache: &LineageCache) -> usize {
         let st = cache.state.lock();
-        st.map
-            .values()
+        st.books
+            .entries()
             .filter(|e| e.is_resident())
             .map(|e| e.size)
             .sum()
@@ -1952,8 +1829,8 @@ mod tests {
 
     /// Where `item`'s evicted value lives on disk.
     fn disk_copy(cache: &LineageCache, item: &LinRef) -> DiskCopy {
-        match &cache.state.lock().map[&LinKey(item.clone())].state {
-            EntryState::Spilled { copy, .. } => copy.clone(),
+        match entry_of(cache, item).map(|e| e.state) {
+            Some(EntryState::Spilled { copy, .. }) => copy,
             other => panic!("expected a spilled entry, found {other:?}"),
         }
     }
@@ -1967,7 +1844,7 @@ mod tests {
     fn put_over_a_spilled_entry_discards_the_spill_file() {
         let (cache, hot) = cache_with_hot_on_disk(None);
         assert_eq!(LimaStats::get(&cache.stats().spills), 1);
-        assert!(cache.state.lock().index.spilled_bytes() > 0);
+        assert!(cache.state.lock().books.spilled_bytes() > 0);
         let DiskCopy::Scratch(spill_file) = disk_copy(&cache, &hot) else {
             panic!("without persistence the copy is a scratch file");
         };
@@ -1975,7 +1852,7 @@ mod tests {
         // A fresh value for the spilled key supersedes the file.
         cache.put(&hot, &mat(20), 60_000_000_000);
         assert!(!spill_file.exists());
-        assert_eq!(cache.state.lock().index.spilled_bytes(), 0);
+        assert_eq!(cache.state.lock().books.spilled_bytes(), 0);
         assert_eq!(cache.resident_bytes(), scanned_resident_bytes(&cache));
         assert_eq!(LimaStats::get(&cache.stats().restores), 0);
         cache.verify_index().unwrap();
@@ -2007,7 +1884,7 @@ mod tests {
         assert_eq!(LimaStats::get(&cache.stats().spill_bytes), 0);
         assert_eq!(LimaStats::get(&cache.stats().evictions), 1);
         assert_eq!(spill_dir_files(&cache), 0);
-        assert_eq!(cache.state.lock().index.spilled_bytes(), 0);
+        assert_eq!(cache.state.lock().books.spilled_bytes(), 0);
         assert_eq!(cache.live_entries(), 2);
         cache.verify_index().unwrap();
         // A hit reads `values/v<id>.val` and leaves it in place.
@@ -2080,7 +1957,7 @@ mod tests {
             assert_eq!(LimaStats::get(&cache.stats().restores), 0);
             // The recomputed value went to disk again, under a new id.
             assert_eq!(LimaStats::get(&cache.stats().persist_writes), 3);
-            let new_id = cache.state.lock().map[&LinKey(hot.clone())].persist_id;
+            let new_id = entry_of(&cache, &hot).and_then(|e| e.persist_id);
             assert!(new_id.is_some_and(|n| n != id), "{damage}: {new_id:?}");
             cache.verify_index().unwrap();
             std::fs::remove_dir_all(&dir).unwrap();
@@ -2096,11 +1973,11 @@ mod tests {
             cache.put(&mk_item("ba+*", &format!("s{i}")), &mat(4), 10);
         }
         let st = cache.state.lock();
-        assert_eq!(st.index.shell_count(), 4_096);
-        assert_eq!(st.map.len(), 4_096);
-        assert!(!st.map.contains_key(&LinKey(first)));
-        assert!(st.map.contains_key(&LinKey(mk_item("ba+*", "s4199"))));
-        st.index.verify(st.map.values()).unwrap();
+        assert_eq!(st.books.shell_count(), 4_096);
+        assert_eq!(st.books.len(), 4_096);
+        assert!(st.books.lookup(&LinKey(first)).is_none());
+        assert!(st.books.lookup(&LinKey(mk_item("ba+*", "s4199"))).is_some());
+        st.books.verify().unwrap();
     }
 
     #[test]

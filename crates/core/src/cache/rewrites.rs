@@ -123,11 +123,11 @@ fn is_const_col(lin: &LinRef, value: f64) -> bool {
 }
 
 fn probe_mm(a: &LinRef, b: &LinRef) -> LinRef {
-    LineageItem::op(op::MATMULT, vec![a.clone(), b.clone()])
+    LineageItem::op(op::MATMULT, [a.clone(), b.clone()])
 }
 
 fn probe_tsmm(x: &LinRef) -> LinRef {
-    LineageItem::op_with_data(op::TSMM, "LEFT", vec![x.clone()])
+    LineageItem::op_with_data(op::TSMM, "LEFT", [x.clone()])
 }
 
 /// Rewrites 1–4 and 10: matrix-multiply patterns.
@@ -148,10 +148,7 @@ fn try_mm_rewrites(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Optio
                 let [ya, _yb] = b_lin.inputs() else {
                     return None;
                 };
-                let probe = probe_mm(
-                    &LineageItem::op(op::TRANSPOSE, vec![xa.clone()]),
-                    &ya.clone(),
-                );
+                let probe = probe_mm(&LineageItem::op(op::TRANSPOSE, [xa.clone()]), &ya.clone());
                 if let Some(head) = peek_matrix(cache, &probe) {
                     let na = xa.shape().map(|(r, _)| r).or(ya.shape().map(|(r, _)| r))?;
                     if na < bv.rows() && na < av.cols() {
@@ -329,7 +326,7 @@ fn try_ew_cbind(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Option<P
     let [y, _dy] = b_lin.inputs() else {
         return None;
     };
-    let probe = LineageItem::op(item.opcode(), vec![x.clone(), y.clone()]);
+    let probe = LineageItem::op(item.opcode_shared(), [x.clone(), y.clone()]);
     let head = peek_matrix(cache, &probe)?;
     let k = head.cols();
     // The splits must align for the rewrite to be sound.
@@ -361,7 +358,7 @@ fn try_colagg_cbind(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Opti
     let [x, _dx] = c_lin.inputs() else {
         return None;
     };
-    let probe = LineageItem::op(item.opcode(), vec![x.clone()]);
+    let probe = LineageItem::op(item.opcode_shared(), [x.clone()]);
     let head = peek_matrix(cache, &probe)?;
     let k = head.cols();
     if k >= cv.cols() || head.rows() != 1 {
@@ -389,7 +386,7 @@ fn try_rowagg_rbind(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Opti
     let [x, _dx] = r_lin.inputs() else {
         return None;
     };
-    let probe = LineageItem::op(item.opcode(), vec![x.clone()]);
+    let probe = LineageItem::op(item.opcode_shared(), [x.clone()]);
     let head = peek_matrix(cache, &probe)?;
     let n = head.rows();
     if n >= rv.rows() || head.cols() != 1 {
@@ -414,7 +411,7 @@ fn try_transpose_cbind(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> O
     let [x, _dx] = c_lin.inputs() else {
         return None;
     };
-    let head = peek_matrix(cache, &LineageItem::op(op::TRANSPOSE, vec![x.clone()]))?;
+    let head = peek_matrix(cache, &LineageItem::op(op::TRANSPOSE, [x.clone()]))?;
     let k = head.rows(); // t(X) is k × m
     if k >= cv.cols() || head.cols() != cv.rows() {
         return None;
@@ -447,7 +444,7 @@ fn try_ew_rbind(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Option<P
     let [y, _dy] = b_lin.inputs() else {
         return None;
     };
-    let probe = LineageItem::op(item.opcode(), vec![x.clone(), y.clone()]);
+    let probe = LineageItem::op(item.opcode_shared(), [x.clone(), y.clone()]);
     let head = peek_matrix(cache, &probe)?;
     let n = head.rows();
     let nx = x.shape().map(|(r, _)| r)?;
@@ -484,7 +481,7 @@ fn try_fullagg_concat(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Op
     let [x, _dx] = c_lin.inputs() else {
         return None;
     };
-    let probe = LineageItem::op(item.opcode(), vec![x.clone()]);
+    let probe = LineageItem::op(item.opcode_shared(), [x.clone()]);
     let head = match cache.peek(&probe) {
         Some(Value::Scalar(s)) => s.as_f64().ok()?,
         _ => return None,

@@ -372,10 +372,8 @@ impl DedupPatch {
             let item = &node.item;
             Some(match (item.kind(), item.data()) {
                 (LineageKind::Literal, _) => Arc::clone(item),
-                (_, Some(d)) => {
-                    LineageItem::op_with_data(item.opcode(), d, ins.flatten().collect())
-                }
-                (_, None) => LineageItem::op(item.opcode(), ins.flatten().collect()),
+                (_, Some(d)) => LineageItem::op_with_data(item.opcode_shared(), d, ins.flatten()),
+                (_, None) => LineageItem::op(item.opcode_shared(), ins.flatten()),
             })
         });
         // `eval` yields a bound slot or a node it just built; `None` would

@@ -18,10 +18,11 @@
 //!   (paper §3.2, "Operations on Deduplicated Graphs").
 
 use crate::lineage::dedup::DedupPatch;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Shared reference to an immutable lineage item.
@@ -45,6 +46,52 @@ pub enum LineageKind {
     Dedup(Arc<DedupPatch>),
 }
 
+/// The ordered inputs of a lineage item. Nearly every traced operation is
+/// unary or binary, so up to two inputs live inside the item and only wider
+/// fan-in (function calls, fused operators, `list`) takes a heap block: a
+/// traced item is one allocation.
+#[derive(Default)]
+enum Inputs {
+    #[default]
+    None,
+    One(LinRef),
+    Two([LinRef; 2]),
+    Many(Box<[LinRef]>),
+}
+
+impl Inputs {
+    fn as_slice(&self) -> &[LinRef] {
+        match self {
+            Inputs::None => &[],
+            Inputs::One(a) => std::slice::from_ref(a),
+            Inputs::Two(ab) => ab,
+            Inputs::Many(items) => items,
+        }
+    }
+
+    /// Hands every input to `f` by value, in order.
+    fn drain(self, mut f: impl FnMut(LinRef)) {
+        match self {
+            Inputs::None => {}
+            Inputs::One(a) => f(a),
+            Inputs::Two(ab) => ab.into_iter().for_each(f),
+            Inputs::Many(items) => items.into_vec().into_iter().for_each(f),
+        }
+    }
+}
+
+impl FromIterator<LinRef> for Inputs {
+    fn from_iter<I: IntoIterator<Item = LinRef>>(iter: I) -> Self {
+        let mut it = iter.into_iter().fuse();
+        match (it.next(), it.next(), it.next()) {
+            (None, ..) => Inputs::None,
+            (Some(a), None, _) => Inputs::One(a),
+            (Some(a), Some(b), None) => Inputs::Two([a, b]),
+            (Some(a), Some(b), Some(c)) => Inputs::Many([a, b, c].into_iter().chain(it).collect()),
+        }
+    }
+}
+
 /// A node in a lineage DAG. See module docs.
 ///
 /// ```
@@ -62,35 +109,54 @@ pub enum LineageKind {
 /// ```
 pub struct LineageItem {
     id: u64,
-    opcode: Box<str>,
+    /// Borrowed for every opcode the system itself emits; only `fcall:<name>`,
+    /// `spoof<N>` and opcodes of foreign logs own their text.
+    opcode: Cow<'static, str>,
     data: Option<Box<str>>,
-    inputs: Box<[LinRef]>,
+    inputs: Inputs,
     kind: LineageKind,
     hash: OnceLock<u64>,
     /// Memoized DAG height (leaf distance), used by the DAG-Height eviction
     /// policy; cached so registering deep traces stays O(1) amortized.
-    height: OnceLock<u32>,
+    /// [`HEIGHT_UNKNOWN`] until measured. A pure function of the immutable
+    /// structure below, so it is read and written `Relaxed`: racing writers
+    /// store the same number and it publishes nothing else.
+    height: AtomicU32,
     /// Shape of the (matrix) value this item produced, registered by the
     /// runtime after execution. Rewrites use it to size compensation plans;
-    /// it does not participate in hashing or equality.
-    shape: OnceLock<(usize, usize)>,
+    /// it does not participate in hashing or equality. Advisory, and kept to
+    /// 32 bits a side so the item stays at its size: a dimension beyond that
+    /// is not recorded.
+    shape: OnceLock<(u32, u32)>,
     /// Memoized expansion of a dedup item into a plain sub-DAG (only used on
     /// the rare equality paths that must resolve the patch).
     expanded: OnceLock<LinRef>,
 }
 
+/// `height` before it has been measured; no DAG is this deep.
+const HEIGHT_UNKNOWN: u32 = u32::MAX;
+
 impl Drop for LineageItem {
     fn drop(&mut self) {
         // Deep traces (hundreds of thousands of chained items) would blow the
         // stack under the default recursive drop; detach children iteratively.
-        let mut stack: Vec<LinRef> = std::mem::take(&mut self.inputs).into_vec();
-        while let Some(item) = stack.pop() {
-            if let Some(mut inner) = Arc::into_inner(item) {
-                stack.extend(std::mem::take(&mut inner.inputs).into_vec());
-                if let Some(exp) = inner.expanded.take() {
-                    stack.push(exp);
+        // A child somebody else still holds is only released, and a child that
+        // dies here is dropped childless, so neither recurses; the stack (and
+        // its allocation) is touched only when a dying child has children.
+        let mut stack: Vec<Inputs> = Vec::new();
+        stack.extend(self.expanded.take().map(Inputs::One));
+        let mut next = Some(std::mem::take(&mut self.inputs));
+        while let Some(inputs) = next {
+            inputs.drain(|item| {
+                if let Some(mut inner) = Arc::into_inner(item) {
+                    let below = std::mem::take(&mut inner.inputs);
+                    if !matches!(below, Inputs::None) {
+                        stack.push(below);
+                    }
+                    stack.extend(inner.expanded.take().map(Inputs::One));
                 }
-            }
+            });
+            next = stack.pop();
         }
     }
 }
@@ -101,11 +167,11 @@ impl std::fmt::Debug for LineageItem {
         if let Some(d) = &self.data {
             write!(f, " [{d}]")?;
         }
-        if !self.inputs.is_empty() {
+        if !self.is_leaf() {
             write!(
                 f,
                 " <- {:?}",
-                self.inputs.iter().map(|i| i.id).collect::<Vec<_>>()
+                self.inputs().iter().map(|i| i.id).collect::<Vec<_>>()
             )?;
         }
         Ok(())
@@ -114,19 +180,19 @@ impl std::fmt::Debug for LineageItem {
 
 impl LineageItem {
     fn alloc(
-        opcode: impl Into<Box<str>>,
+        opcode: Cow<'static, str>,
         data: Option<Box<str>>,
-        inputs: Vec<LinRef>,
+        inputs: Inputs,
         kind: LineageKind,
     ) -> LinRef {
         Arc::new(LineageItem {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            opcode: opcode.into(),
+            opcode,
             data,
-            inputs: inputs.into_boxed_slice(),
+            inputs,
             kind,
             hash: OnceLock::new(),
-            height: OnceLock::new(),
+            height: AtomicU32::new(HEIGHT_UNKNOWN),
             shape: OnceLock::new(),
             expanded: OnceLock::new(),
         })
@@ -136,45 +202,57 @@ impl LineageItem {
     /// (see `ScalarValue::lineage_literal`).
     pub fn literal(encoded: impl Into<Box<str>>) -> LinRef {
         Self::alloc(
-            crate::opcodes::LITERAL,
+            Cow::Borrowed(crate::opcodes::LITERAL),
             Some(encoded.into()),
-            Vec::new(),
+            Inputs::default(),
             LineageKind::Literal,
         )
     }
 
-    /// Creates a regular operation node.
-    pub fn op(opcode: impl Into<Box<str>>, inputs: Vec<LinRef>) -> LinRef {
-        Self::alloc(opcode, None, inputs, LineageKind::Op)
+    /// Creates a regular operation node. A static opcode is borrowed, not
+    /// copied; text read at run time goes through
+    /// [`crate::opcodes::intern`] first. Inputs come as a `Vec` or, without
+    /// that allocation, as an array or any other iterator.
+    pub fn op(
+        opcode: impl Into<Cow<'static, str>>,
+        inputs: impl IntoIterator<Item = LinRef>,
+    ) -> LinRef {
+        let inputs = inputs.into_iter().collect();
+        Self::alloc(opcode.into(), None, inputs, LineageKind::Op)
     }
 
     /// Creates a regular operation node with a data payload (creation
     /// parameters, slicing bounds, captured seeds, ...).
     pub fn op_with_data(
-        opcode: impl Into<Box<str>>,
+        opcode: impl Into<Cow<'static, str>>,
         data: impl Into<Box<str>>,
-        inputs: Vec<LinRef>,
+        inputs: impl IntoIterator<Item = LinRef>,
     ) -> LinRef {
-        Self::alloc(opcode, Some(data.into()), inputs, LineageKind::Op)
+        let inputs = inputs.into_iter().collect();
+        Self::alloc(opcode.into(), Some(data.into()), inputs, LineageKind::Op)
     }
 
     /// Creates a placeholder leaf for patch input slot `slot`.
     pub fn placeholder(slot: u32) -> LinRef {
         Self::alloc(
-            crate::opcodes::PLACEHOLDER,
+            Cow::Borrowed(crate::opcodes::PLACEHOLDER),
             None,
-            Vec::new(),
+            Inputs::default(),
             LineageKind::Placeholder(slot),
         )
     }
 
     /// Creates a dedup item standing for `patch` applied to `inputs`;
     /// `output` selects which patch root this item represents.
-    pub fn dedup(patch: Arc<DedupPatch>, output: &str, inputs: Vec<LinRef>) -> LinRef {
+    pub fn dedup(
+        patch: Arc<DedupPatch>,
+        output: &str,
+        inputs: impl IntoIterator<Item = LinRef>,
+    ) -> LinRef {
         Self::alloc(
-            crate::opcodes::DEDUP,
+            Cow::Borrowed(crate::opcodes::DEDUP),
             Some(output.into()),
-            inputs,
+            inputs.into_iter().collect(),
             LineageKind::Dedup(patch),
         )
     }
@@ -189,6 +267,12 @@ impl LineageItem {
         &self.opcode
     }
 
+    /// The opcode as another item can hold it: static text is shared, only
+    /// owned text (`fcall:<name>`, foreign opcodes) is copied.
+    pub fn opcode_shared(&self) -> Cow<'static, str> {
+        self.opcode.clone()
+    }
+
     /// Optional data payload.
     pub fn data(&self) -> Option<&str> {
         self.data.as_deref()
@@ -196,7 +280,7 @@ impl LineageItem {
 
     /// Ordered input items.
     pub fn inputs(&self) -> &[LinRef] {
-        &self.inputs
+        self.inputs.as_slice()
     }
 
     /// Node kind.
@@ -206,17 +290,20 @@ impl LineageItem {
 
     /// True for leaves (literals, placeholders, and zero-input creations).
     pub fn is_leaf(&self) -> bool {
-        self.inputs.is_empty()
+        self.inputs().is_empty()
     }
 
     /// Registers the shape of the produced matrix value (idempotent).
     pub fn set_shape(&self, rows: usize, cols: usize) {
-        let _ = self.shape.set((rows, cols));
+        if let (Ok(rows), Ok(cols)) = (u32::try_from(rows), u32::try_from(cols)) {
+            let _ = self.shape.set((rows, cols));
+        }
     }
 
     /// Shape registered by the runtime, if any.
     pub fn shape(&self) -> Option<(usize, usize)> {
-        self.shape.get().copied()
+        let (rows, cols) = *self.shape.get()?;
+        Some((rows as usize, cols as usize))
     }
 
     /// Memoized structural hash. Dedup items hash as their expansion would,
@@ -231,24 +318,16 @@ impl LineageItem {
         if let Some(h) = self.hash.get() {
             return *h;
         }
-        if self.inputs_hashed() {
-            let h = self.compute_local_hash();
-            let _ = self.hash.set(h);
-            return h;
-        }
-        let mut stack: Vec<LinRef> = Vec::new();
-        hash_into(self, &mut stack);
-        // The walk hashed every reachable node, including `self`.
-        self.hash
-            .get()
-            .copied()
-            .unwrap_or_else(|| self.compute_local_hash())
+        // A batch of one: hashes every unhashed node reachable from `self`.
+        hash_batch(std::slice::from_ref(self));
+        let hashed = self.hash.get().copied();
+        hashed.unwrap_or_else(|| self.compute_local_hash())
     }
 
     /// True when every immediate input already carries a memoized hash.
     #[inline]
     fn inputs_hashed(&self) -> bool {
-        self.inputs.iter().all(|i| i.hash.get().is_some())
+        self.inputs().iter().all(|i| i.hash.get().is_some())
     }
 
     /// Hash of this node assuming all inputs are hashed. For dedup items,
@@ -259,7 +338,7 @@ impl LineageItem {
         match &self.kind {
             LineageKind::Dedup(patch) => {
                 let output = self.data.as_deref().unwrap_or("");
-                patch.hash_output(output, |slot| self.inputs.get(slot).map(input_hash))
+                patch.hash_output(output, |slot| self.inputs().get(slot).map(input_hash))
             }
             LineageKind::Placeholder(slot) => {
                 // Placeholders only get hashed when a patch body is hashed
@@ -270,8 +349,8 @@ impl LineageItem {
                 h.finish()
             }
             _ => {
-                let mut h = hash_prefix(&self.opcode, self.data.as_deref(), self.inputs.len());
-                for i in self.inputs.iter() {
+                let mut h = hash_prefix(&self.opcode, self.data.as_deref(), self.inputs().len());
+                for i in self.inputs() {
                     h.write_u64(input_hash(i));
                 }
                 h.finish()
@@ -285,7 +364,7 @@ impl LineageItem {
         match &self.kind {
             LineageKind::Dedup(patch) => Arc::clone(self.expanded.get_or_init(|| {
                 let output = self.data.as_deref().unwrap_or("");
-                patch.expand(output, &self.inputs)
+                patch.expand(output, self.inputs())
             })),
             _ => Arc::clone(self),
         }
@@ -294,78 +373,62 @@ impl LineageItem {
     /// Number of reachable nodes (dedup items count as single nodes —
     /// this is the *deduplicated* size reported in Fig 6(b)).
     pub fn dag_size(self: &Arc<Self>) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![Arc::clone(self)];
-        while let Some(n) = stack.pop() {
-            if seen.insert(n.id) {
-                stack.extend(n.inputs.iter().cloned());
-            }
-        }
-        seen.len()
+        self.topo_order().len()
     }
 
     /// Height of the DAG (leaf distance), used by the DAG-Height eviction
     /// policy. Computed iteratively and memoized per node, so repeated calls
     /// on growing traces stay O(1) amortized.
     pub fn height(self: &Arc<Self>) -> u32 {
-        if let Some(h) = self.height.get() {
-            return *h;
-        }
-        // Fast path, as for hashing: a freshly traced instruction sits on
-        // inputs that were measured when they were probed, so its height
-        // follows without a traversal stack (no allocation per cache probe).
-        let known = self
-            .inputs
-            .iter()
-            .try_fold(0, |max, i| Some(max.max(i.height.get()? + 1)));
-        if let Some(h) = known {
-            let _ = self.height.set(h);
+        if let Some(h) = self.known_height() {
             return h;
         }
-        let mut stack: Vec<LinRef> = vec![Arc::clone(self)];
-        while let Some(top) = stack.last() {
-            if top.height.get().is_some() {
-                stack.pop();
-                continue;
-            }
-            let pending: Vec<LinRef> = top
-                .inputs
-                .iter()
-                .filter(|i| i.height.get().is_none())
-                .cloned()
-                .collect();
-            if pending.is_empty() {
-                let h = top
-                    .inputs
-                    .iter()
-                    .map(|i| i.height.get().copied().unwrap_or_else(|| i.height()) + 1)
-                    .max()
-                    .unwrap_or(0);
-                let _ = top.height.set(h);
+        let mut stack: Vec<&LinRef> = vec![self];
+        while let Some(&top) = stack.last() {
+            if top.known_height().is_some() {
                 stack.pop();
             } else {
-                stack.extend(pending);
+                // Once these are measured, `top` is measurable from them.
+                stack.extend(top.inputs().iter().filter(|i| i.known_height().is_none()));
             }
         }
-        // The loop measured every reachable node, including `self`.
-        self.height.get().copied().unwrap_or(0)
+        self.known_height().unwrap_or(0)
+    }
+
+    /// The memoized height, or the height that follows at once from inputs
+    /// that carry theirs (memoizing it) — as for hashing, a freshly traced
+    /// instruction sits on inputs that were measured when they were probed,
+    /// so no traversal stack (no allocation per cache probe) is needed.
+    fn known_height(&self) -> Option<u32> {
+        let known = |i: &LineageItem| {
+            Some(i.height.load(Ordering::Relaxed)).filter(|h| *h != HEIGHT_UNKNOWN)
+        };
+        if let Some(h) = known(self) {
+            return Some(h);
+        }
+        let below = self
+            .inputs()
+            .iter()
+            .try_fold(0, |max: u32, i| Some(max.max(known(i)? + 1)));
+        let h = below?.min(HEIGHT_UNKNOWN - 1);
+        self.height.store(h, Ordering::Relaxed);
+        Some(h)
     }
 
     /// Approximate in-memory size of the DAG in bytes (Fig 6(b)).
     pub fn dag_bytes(self: &Arc<Self>) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![Arc::clone(self)];
-        let mut bytes = 0usize;
-        while let Some(n) = stack.pop() {
-            if seen.insert(n.id) {
-                bytes += std::mem::size_of::<LineageItem>()
-                    + n.opcode.len()
-                    + n.data.as_deref().map_or(0, str::len)
-                    + n.inputs.len() * std::mem::size_of::<LinRef>();
-                stack.extend(n.inputs.iter().cloned());
-            }
-        }
-        bytes
+        let owned = |n: &LinRef| match (&n.opcode, &n.inputs) {
+            (Cow::Owned(text), Inputs::Many(wide)) => text.len() + std::mem::size_of_val(&**wide),
+            (Cow::Owned(text), _) => text.len(),
+            (_, Inputs::Many(wide)) => std::mem::size_of_val(&**wide),
+            _ => 0,
+        };
+        let item = std::mem::size_of::<LineageItem>();
+        let nodes = self.topo_order();
+        let bytes = nodes
+            .iter()
+            .map(|n| item + owned(n) + n.data().map_or(0, str::len));
+        bytes.sum()
     }
 
     /// Nodes of the DAG in topological order (inputs before consumers),
@@ -389,7 +452,7 @@ impl LineageItem {
                 Entry::Vacant(e) => {
                     e.insert(false);
                     stack.extend(
-                        top.inputs
+                        top.inputs()
                             .iter()
                             .filter(|i| state.get(&i.id) != Some(&true)),
                     );
@@ -414,7 +477,7 @@ fn hash_into(root: &LinRef, stack: &mut Vec<LinRef>) {
         }
         let top = Arc::clone(top);
         let before = stack.len();
-        for i in top.inputs.iter() {
+        for i in top.inputs() {
             if i.hash.get().is_none() {
                 stack.push(Arc::clone(i));
             }
@@ -428,16 +491,13 @@ fn hash_into(root: &LinRef, stack: &mut Vec<LinRef>) {
 }
 
 /// Hashes a run of lineage roots in one pass, sharing a single traversal
-/// stack across the whole batch. The interpreter collects the items traced in
-/// a basic block and flushes them here at the block boundary, so the
-/// per-instruction observation path pays one FNV round-trip per *block*
-/// instead of one allocation-bearing round-trip per instruction. Roots whose
-/// inputs are already memoized (the common case: an instruction's inputs are
-/// earlier outputs) hash locally without touching the stack at all.
+/// stack across the whole batch (a freshly parsed log, a set of probe keys).
+/// Roots whose inputs are already memoized hash locally without touching the
+/// stack at all. The interpreter does not call this: `LT` never reads a hash
+/// and `LIMA` hashes each item at its probe, over inputs hashed at theirs.
 ///
 /// Returns the number of roots that were actually hashed by this call (the
-/// rest were already memoized); callers feed it into the
-/// `hash_batch_items` statistic.
+/// rest were already memoized).
 pub fn hash_batch(roots: &[LinRef]) -> usize {
     let mut stack: Vec<LinRef> = Vec::new();
     let mut hashed = 0usize;
@@ -470,10 +530,10 @@ fn same_node_over_same_inputs(a: &LineageItem, b: &LineageItem) -> bool {
     same_kind
         && a.opcode == b.opcode
         && a.data == b.data
-        && a.inputs.len() == b.inputs.len()
-        && a.inputs
+        && a.inputs().len() == b.inputs().len()
+        && a.inputs()
             .iter()
-            .zip(b.inputs.iter())
+            .zip(b.inputs())
             .all(|(x, y)| Arc::ptr_eq(x, y))
 }
 
@@ -503,7 +563,7 @@ pub fn lineage_eq(a: &LinRef, b: &LinRef) -> bool {
         if Arc::ptr_eq(&x, &y) {
             continue;
         }
-        if x.opcode != y.opcode || x.data != y.data || x.inputs.len() != y.inputs.len() {
+        if x.opcode != y.opcode || x.data != y.data || x.inputs().len() != y.inputs().len() {
             return false;
         }
         if let (LineageKind::Placeholder(sx), LineageKind::Placeholder(sy)) = (&x.kind, &y.kind) {
@@ -511,7 +571,7 @@ pub fn lineage_eq(a: &LinRef, b: &LinRef) -> bool {
                 return false;
             }
         }
-        for (ix, iy) in x.inputs.iter().zip(y.inputs.iter()) {
+        for (ix, iy) in x.inputs().iter().zip(y.inputs()) {
             if ix.hash_value() != iy.hash_value() {
                 return false;
             }
@@ -773,6 +833,13 @@ mod tests {
             order.iter().filter(|i| i.expanded.get().is_some()).count(),
             1
         );
+    }
+
+    #[test]
+    fn the_item_stays_at_its_size() {
+        // `dag_bytes()` and the allocation a traced item costs follow from
+        // it; a new field is paid for by shrinking another.
+        assert!(std::mem::size_of::<LineageItem>() <= 136);
     }
 
     #[test]

@@ -417,6 +417,7 @@ pub fn deserialize_lineage(log: &str) -> Result<LinRef, LineageParseError> {
                     "I" => {
                         let opcode = toks.next().ok_or_else(|| err("malformed op item"))?;
                         let opcode = unescape(opcode).map_err(|e| err(&e))?;
+                        let opcode = crate::opcodes::intern(&opcode);
                         let mut ins = Vec::new();
                         let mut data: Option<Cow<'_, str>> = None;
                         for tok in toks {

@@ -128,8 +128,13 @@ impl Verifier {
         root: &LinRef,
         patch_bound: Option<usize>,
     ) -> Result<(), VerifyError> {
-        let mut stack: Vec<&LinRef> = vec![root];
-        while let Some(node) = stack.pop() {
+        // The next node is held beside the stack, which only the other
+        // inputs of wider nodes go through: re-verifying a trace that has not
+        // grown (every live variable, after every block, in debug builds)
+        // and walking a unary chain allocate nothing.
+        let mut stack: Vec<&LinRef> = Vec::new();
+        let mut next = Some(root);
+        while let Some(node) = next.take().or_else(|| stack.pop()) {
             let h = node.hash_value();
             match self.seen.get(&node.id()) {
                 Some(prev) if *prev == h => continue,
@@ -165,7 +170,11 @@ impl Verifier {
                 LineageKind::Dedup(patch) => self.check_dedup_node(node, patch)?,
                 LineageKind::Literal | LineageKind::Op => {}
             }
-            stack.extend(node.inputs());
+            // Last input first, as popping the whole list off a stack would.
+            if let Some((last, rest)) = node.inputs().split_last() {
+                next = Some(last);
+                stack.extend(rest);
+            }
         }
         Ok(())
     }

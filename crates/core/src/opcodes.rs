@@ -254,7 +254,7 @@ pub const OPCODE_TABLE: &[(&str, OpcodeInfo)] = &{
     ]
 };
 
-fn table_lookup(op: &str) -> Option<OpcodeInfo> {
+fn table_lookup(op: &str) -> Option<(&'static str, OpcodeInfo)> {
     use crate::lineage::item::FxBuildHasher;
     use std::collections::HashMap;
     use std::sync::OnceLock;
@@ -263,8 +263,20 @@ fn table_lookup(op: &str) -> Option<OpcodeInfo> {
     static INDEX: OnceLock<HashMap<&'static str, OpcodeInfo, FxBuildHasher>> = OnceLock::new();
     INDEX
         .get_or_init(|| OPCODE_TABLE.iter().copied().collect())
-        .get(op)
-        .copied()
+        .get_key_value(op)
+        .map(|(op, info)| (*op, *info))
+}
+
+/// The opcode as a lineage item holds it: the table's own static text for
+/// every opcode listed there, a copy only for the open families
+/// (`fcall:<name>`, `spoof<N>`) and opcodes of foreign logs. For text that
+/// arrives at run time (a parsed log); code that names an opcode constant
+/// passes the constant itself.
+pub fn intern(op: &str) -> std::borrow::Cow<'static, str> {
+    match table_lookup(op) {
+        Some((known, _)) => std::borrow::Cow::Borrowed(known),
+        None => std::borrow::Cow::Owned(op.to_string()),
+    }
 }
 
 /// Classification for an opcode string, resolving prefixed families:
@@ -273,7 +285,7 @@ fn table_lookup(op: &str) -> Option<OpcodeInfo> {
 /// compiler already proved deterministic). Unknown opcodes conservatively
 /// classify as non-deterministic and non-cacheable.
 pub fn opcode_info(op: &str) -> OpcodeInfo {
-    if let Some(info) = table_lookup(op) {
+    if let Some((_, info)) = table_lookup(op) {
         return info;
     }
     if op.starts_with(FUSED_PREFIX) || op.starts_with(FCALL) || op.starts_with(BCALL) {

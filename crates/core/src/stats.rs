@@ -41,10 +41,6 @@ macro_rules! define_stats {
 define_stats! {
     /// Lineage items created by tracing.
     items_traced,
-    /// Block-boundary lineage hash flushes (one shared traversal per batch).
-    hash_batches,
-    /// Lineage items hashed inside batched flushes.
-    hash_batch_items,
     /// Dedup items appended instead of full sub-DAGs.
     dedup_items,
     /// Lineage patches materialized.
@@ -277,7 +273,7 @@ impl LimaStats {
     /// Human-readable multi-line report.
     pub fn report(&self) -> String {
         format!(
-            "lineage: traced={} hash_batches={} hash_batch_items={} dedup_items={} patches={}\n\
+            "lineage: traced={} dedup_items={} patches={}\n\
              reuse:   probes={} full={} multilevel={} partial={} waits={}\n\
              cache:   puts={} rejected={} evictions={} spills={} restores={} spill_bytes={}\n\
              faults:  spill_failures={} restore_failures={} placeholder_timeouts={} worker_panics={}\n\
@@ -295,8 +291,6 @@ impl LimaStats {
              rejected={} repaired={} ae_rounds={} ae_pulled={}\n\
              time:    saved_compute={:.3}s compensation={:.3}s",
             Self::get(&self.items_traced),
-            Self::get(&self.hash_batches),
-            Self::get(&self.hash_batch_items),
             Self::get(&self.dedup_items),
             Self::get(&self.dedup_patches),
             Self::get(&self.probes),

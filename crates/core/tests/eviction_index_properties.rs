@@ -1,16 +1,22 @@
-//! Differential property tests for the cache's incrementally maintained
-//! eviction index.
+//! Differential property tests for the cache's books: the entry slab, the
+//! key map and the incrementally maintained eviction index.
 //!
 //! 1. Over random put / hit / shell-miss / peek / restore / clear sequences
 //!    under LRU, DAG-Height and Cost&Size, `LineageCache::verify_index` must
-//!    hold after every step: it rebuilds queues, counters and group counts by
-//!    scanning the map and checks the index's victim against the scan-based
-//!    `eviction::pick_victim` (which production code no longer uses for these
-//!    policies). The budget must hold after every step too.
-//! 2. Entries caching one shared object defer spilling until the last of the
+//!    hold after every step: it rebuilds key map, free list, queues, counters
+//!    and group counts by scanning the slab and checks the index's victim
+//!    against the scan-based `eviction::pick_victim` (which production code
+//!    no longer uses for these policies). The budget must hold after every
+//!    step too. Reservations are also *held* across later steps and resolved
+//!    out of order: one whose entry a `clear()` took away in between is
+//!    stale, and fulfilling or aborting it must change nothing — least of
+//!    all the entry that moved into its slab slot since.
+//! 2. The same for the other way an entry leaves under a live reservation:
+//!    taken over by a waiter, evicted, pruned as a shell, slot recycled.
+//! 3. Entries caching one shared object defer spilling until the last of the
 //!    group leaves memory.
 
-use lima_core::cache::Probe;
+use lima_core::cache::{Probe, Reservation};
 use lima_core::lineage::item::{LinRef, LineageItem};
 use lima_core::{EvictionPolicy, LimaConfig, LimaStats, LineageCache};
 use lima_matrix::{DenseMatrix, Value};
@@ -59,11 +65,20 @@ enum Op {
     },
     Peek(usize),
     Clear,
+    /// Probe; on a miss keep the reservation for a later `Resolve`.
+    Hold(usize),
+    /// Fulfil or abort the oldest held reservation.
+    Resolve {
+        size: usize,
+        cost: usize,
+        abort: bool,
+    },
 }
 
-/// Half probes, a quarter puts, a quarter peeks, and a rare clear.
+/// Probes, puts and peeks as before, reservations held and resolved later,
+/// and a rare clear.
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0u8..40, 0..KEYS, 0usize..4, 0usize..4, any::<bool>()).prop_map(
+    (0u8..52, 0..KEYS, 0usize..4, 0usize..4, any::<bool>()).prop_map(
         |(kind, k, size, cost, abort)| match kind {
             0..=19 => Op::Probe {
                 k,
@@ -73,8 +88,23 @@ fn arb_op() -> impl Strategy<Value = Op> {
             },
             20..=29 => Op::Put { k, size, cost },
             30..=38 => Op::Peek(k),
+            39..=44 => Op::Hold(k),
+            45..=50 => Op::Resolve { size, cost, abort },
             _ => Op::Clear,
         },
+    )
+}
+
+/// Everything the books say, entry by entry: what a no-op must leave alone.
+fn books_snapshot(cache: &LineageCache) -> String {
+    let mut rows = cache.cost_report(usize::MAX);
+    rows.sort_by_key(|row| row.lineage_id);
+    format!(
+        "{rows:?} live={} resident={} puts={} rejected={}",
+        cache.live_entries(),
+        cache.resident_bytes(),
+        LimaStats::get(&cache.stats().puts),
+        LimaStats::get(&cache.stats().rejected_puts),
     )
 }
 
@@ -84,6 +114,73 @@ fn arb_policy() -> impl Strategy<Value = EvictionPolicy> {
         Just(EvictionPolicy::DagHeight),
         Just(EvictionPolicy::CostSize),
     ]
+}
+
+/// A reservation can also outlive its entry without a `clear()`: a waiter
+/// takes the computation over, the value it books is evicted, the shell is
+/// pruned and the slot goes to somebody else.
+#[test]
+fn a_reservation_that_outlived_its_entry_leaves_the_slots_new_tenant_alone() {
+    let policies = [
+        EvictionPolicy::Lru,
+        EvictionPolicy::DagHeight,
+        EvictionPolicy::CostSize,
+    ];
+    for (policy, fulfil) in policies.into_iter().flat_map(|p| [(p, true), (p, false)]) {
+        // Matrices are over the budget (every put of one leaves a shell);
+        // scalars fit.
+        let cache = LineageCache::new(LimaConfig {
+            policy,
+            budget_bytes: 256,
+            spill: false,
+            placeholder_timeout_ms: 10,
+            ..LimaConfig::lima()
+        });
+        let Some(Probe::Reserved(late)) = cache.acquire(&key(0)) else {
+            panic!("a fresh cache reserves");
+        };
+        // A second probe waits out the placeholder timeout, takes the
+        // computation over and books a shell.
+        match cache.acquire(&key(0)) {
+            Some(Probe::Reserved(takeover)) => takeover.fulfill(&value(0), 5),
+            _ => panic!("the waiter takes over"),
+        }
+        assert_eq!(LimaStats::get(&cache.stats().placeholder_timeouts), 1);
+        // 4 200 younger shells push that one (and 104 more) off the shell
+        // queue; their slots are free.
+        for n in 0..4_200 {
+            let shell = LineageItem::op_with_data("read", format!("shell{n}"), vec![]);
+            cache.put(&LineageItem::op("exp", vec![shell]), &value(0), 5);
+        }
+        let taken_over = |cache: &LineageCache| {
+            let rows = cache.cost_report(usize::MAX);
+            rows.iter().any(|row| row.misses == 2)
+        };
+        assert!(!taken_over(&cache), "{policy:?}: the shell was not pruned");
+        // Resident tenants move into every freed slot.
+        for n in 0..200 {
+            let tenant = LineageItem::op_with_data("read", format!("tenant{n}"), vec![]);
+            cache.put(
+                &LineageItem::op("exp", vec![tenant]),
+                &Value::f64(n as f64),
+                7,
+            );
+        }
+        cache.verify_index().unwrap();
+        let before = books_snapshot(&cache);
+        if fulfil {
+            late.fulfill(&Value::f64(-1.0), 1_000_000);
+        } else {
+            late.abort();
+        }
+        assert_eq!(
+            before,
+            books_snapshot(&cache),
+            "{policy:?}, fulfil {fulfil}"
+        );
+        cache.verify_index().unwrap();
+        assert!(!cache.contains(&key(0)));
+    }
 }
 
 proptest! {
@@ -100,8 +197,16 @@ proptest! {
             spill: true,
             ..LimaConfig::lima()
         });
+        // Held reservations with their key and the `clear()` epoch they were
+        // made in; one from an earlier epoch is stale.
+        let mut held: std::collections::VecDeque<(Reservation<'_>, usize, u32)> = Default::default();
+        let mut epoch = 0u32;
         for (step, op) in ops.iter().enumerate() {
+            // A probe of a key whose placeholder this very thread holds
+            // would wait for itself.
+            let pending = |k: usize| held.iter().any(|(_, hk, e)| *hk == k && *e == epoch);
             match *op {
+                Op::Probe { k, .. } | Op::Hold(k) if pending(k) => {}
                 Op::Probe { k, size, cost: c, abort } => match cache.acquire(&key(k)) {
                     Some(Probe::Hit(_)) => {}
                     Some(Probe::Reserved(r)) if abort => r.abort(),
@@ -110,7 +215,31 @@ proptest! {
                 },
                 Op::Put { k, size, cost: c } => cache.put(&key(k), &value(size), cost(c)),
                 Op::Peek(k) => drop(cache.peek(&key(k))),
-                Op::Clear => cache.clear(),
+                Op::Clear => {
+                    cache.clear();
+                    epoch += 1;
+                }
+                Op::Hold(k) => {
+                    if let Some(Probe::Reserved(r)) = cache.acquire(&key(k)) {
+                        held.push_back((r, k, epoch));
+                    }
+                }
+                Op::Resolve { size, cost: c, abort } => {
+                    if let Some((r, _, made_in)) = held.pop_front() {
+                        let before = (made_in != epoch).then(|| books_snapshot(&cache));
+                        if abort {
+                            r.abort();
+                        } else {
+                            r.fulfill(&value(size), cost(c));
+                        }
+                        if let Some(before) = before {
+                            prop_assert_eq!(
+                                before, books_snapshot(&cache),
+                                "{:?}, step {}: a stale reservation changed the books", policy, step
+                            );
+                        }
+                    }
+                }
             }
             if let Err(why) = cache.verify_index() {
                 prop_assert!(false, "{:?}, step {} ({:?}): {}", policy, step, op, why);

@@ -328,7 +328,7 @@ impl Lowerer {
                     .rev()
                     .find(|i| i.outputs.len() == 1 && i.outputs[0] == v);
                 match last {
-                    Some(i) if v.starts_with("_t") => i.outputs[0] = target.to_string(),
+                    Some(i) if v.starts_with("_t") => i.outputs[0] = target.into(),
                     _ => instrs.push(
                         Instr::new(Op::Assign, vec![Operand::Var(v)], target).at(Some(e.span)),
                     ),

@@ -341,7 +341,7 @@ impl Inner {
             Ok(outcome) => {
                 let mut values = Vec::with_capacity(outputs.len());
                 for name in outputs {
-                    match outcome.values.get(name) {
+                    match outcome.values.get(name.as_str()) {
                         Some(v) => values.push((name.clone(), v.clone())),
                         None => {
                             return err(

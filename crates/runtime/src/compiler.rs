@@ -394,6 +394,7 @@ fn operand_affine(
         Operand::Var(v) => {
             // The environment wins over the loop variable: a body that
             // reassigns the loop variable shadows its affine meaning.
+            let v: &str = v;
             if let Some(a) = env.get(v) {
                 return a.clone();
             }
@@ -401,7 +402,7 @@ fn operand_affine(
                 return Some(Affine::loop_var());
             }
             if !body_writes.contains(v) {
-                return Some(Affine::invariant(v.clone()));
+                return Some(Affine::invariant(v));
             }
             None
         }
@@ -485,10 +486,10 @@ fn visit_parfor_instr(
     out: &mut Vec<ResultWrite>,
 ) {
     // Record writes to result variables.
-    if matches!(i.op, Op::LeftIndex) && i.outputs.len() == 1 && results.contains(&i.outputs[0]) {
+    if matches!(i.op, Op::LeftIndex) && i.outputs.len() == 1 && results.contains(&*i.outputs[0]) {
         let row = operand_affine(&i.inputs[2], loop_var, body_writes, env);
         let col = operand_affine(&i.inputs[3], loop_var, body_writes, env);
-        out.push(ResultWrite::indexed(i.outputs[0].clone(), row, col).with_span(i.span));
+        out.push(ResultWrite::indexed(&*i.outputs[0], row, col).with_span(i.span));
     } else {
         for w in i.writes() {
             if results.contains(w) {
@@ -514,7 +515,7 @@ fn visit_parfor_instr(
             }
             _ => None,
         };
-        env.insert(w.clone(), val);
+        env.insert(w.to_string(), val);
     } else {
         for w in i.writes() {
             env.insert(w.to_string(), None);
@@ -777,8 +778,8 @@ fn rewrite_in_loop(blocks: &mut [Block], loop_writes: &HashSet<String>) {
                     (Op::Cbind, Op::Tsmm(TsmmSide::Left)) => {
                         let z = &a.outputs[0];
                         let x = a.inputs[0].as_var();
-                        b.inputs.first().and_then(Operand::as_var) == Some(z.as_str())
-                            && read_counts.get(z).copied().unwrap_or(0) == 1
+                        b.inputs.first().and_then(Operand::as_var) == Some(&**z)
+                            && read_counts.get(&**z).copied().unwrap_or(0) == 1
                             && x.is_some_and(|x| !loop_writes.contains(x))
                     }
                     _ => false,
@@ -873,8 +874,8 @@ fn rewrite_projection_in_block(id: u64, instrs: &mut Vec<Instr>) {
                     let col_prefix = matches!(&a.inputs[3], Operand::Lit(ScalarValue::I64(1)));
                     full_rows
                         && col_prefix
-                        && b.inputs.get(1).and_then(Operand::as_var) == Some(t.as_str())
-                        && read_counts.get(t).copied().unwrap_or(0) == 1
+                        && b.inputs.get(1).and_then(Operand::as_var) == Some(&**t)
+                        && read_counts.get(&**t).copied().unwrap_or(0) == 1
                 }
                 _ => false,
             }
@@ -1122,7 +1123,7 @@ mod tests {
                     assert_eq!(instrs.len(), 8, "cbind+tsmm replaced by 8-instr plan");
                     assert!(matches!(instrs[0].op, Op::Tsmm(_)));
                     assert!(matches!(instrs.last().unwrap().op, Op::Rbind));
-                    assert_eq!(instrs.last().unwrap().outputs[0], "W");
+                    assert_eq!(&*instrs.last().unwrap().outputs[0], "W");
                 }
                 _ => panic!(),
             },
@@ -1153,7 +1154,7 @@ mod tests {
                 assert_eq!(instrs.len(), 2);
                 assert!(matches!(instrs[0].op, Op::MatMult));
                 assert!(matches!(instrs[1].op, Op::RightIndex));
-                assert_eq!(instrs[1].outputs[0], "W");
+                assert_eq!(&*instrs[1].outputs[0], "W");
             }
             _ => panic!(),
         }

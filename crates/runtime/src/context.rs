@@ -7,7 +7,7 @@ use crate::governor::SessionUsage;
 use crate::session::SessionCtl;
 use lima_core::interrupt::{CancelToken, Interrupt};
 use lima_core::lineage::dedup::{DedupRegistry, PathTracer};
-use lima_core::lineage::item::{LinRef, LineageItem};
+use lima_core::lineage::item::{FxBuildHasher, LinRef, LineageItem};
 use lima_core::{LimaConfig, LimaStats, LineageCache, LineageMap};
 use lima_matrix::Value;
 use parking_lot::Mutex;
@@ -49,10 +49,14 @@ pub struct DedupTrace {
     pub next_seed_slot: u32,
 }
 
+/// Live variables, under names shared with the instructions that bind them
+/// (binding an instruction's output copies no text). Looked up by `&str`.
+pub type Symtab = HashMap<Arc<str>, Value, FxBuildHasher>;
+
 /// Per-thread execution context.
 pub struct ExecutionContext {
     /// Live variables.
-    pub symtab: HashMap<String, Value>,
+    pub symtab: Symtab,
     /// Lineage of live variables (thread- and function-local, paper §3.1).
     pub lineage: LineageMap,
     /// LIMA configuration.
@@ -87,11 +91,6 @@ pub struct ExecutionContext {
     /// Live-variable byte accounting against the memory governor. Not shared
     /// with forked workers (their footprint is transient and merged back).
     pub usage: Option<SessionUsage>,
-    /// Lineage roots traced since the last batched-hash flush. Hashed in one
-    /// shared traversal at basic-block boundaries (or when the run reaches
-    /// [`Self::HASH_BATCH_CAP`]) instead of one FNV round-trip per
-    /// instruction; see `lima_core::lineage::item::hash_batch`.
-    hash_pending: Vec<LinRef>,
     /// Incremental structural verifier asserting lineage DAG invariants
     /// after every block (debug builds only).
     #[cfg(debug_assertions)]
@@ -106,11 +105,8 @@ impl ExecutionContext {
         // leaves in repaired lineage are served with the live datasets.
         let data = Arc::new(DataRegistry::new());
         let config = crate::repair::with_default_repair(config, &data);
-        let cache = if config.tracing && config.reuse.any() {
-            Some(LineageCache::new(config.clone()))
-        } else {
-            None
-        };
+        let reusing = config.tracing && config.reuse.any();
+        let cache = reusing.then(|| LineageCache::new(config.clone()));
         let mut ctx = Self::with_cache(config, cache);
         ctx.data = data;
         ctx
@@ -127,7 +123,7 @@ impl ExecutionContext {
             None => Arc::new(LimaStats::new()),
         };
         ExecutionContext {
-            symtab: HashMap::new(),
+            symtab: HashMap::default(),
             lineage: LineageMap::new(),
             config,
             cache,
@@ -143,7 +139,6 @@ impl ExecutionContext {
             call_depth: 0,
             session: None,
             usage: None,
-            hash_pending: Vec::new(),
             #[cfg(debug_assertions)]
             verifier: Default::default(),
         }
@@ -154,9 +149,19 @@ impl ExecutionContext {
     /// in a worker-local manner, but individual lineage graphs share their
     /// common input lineage").
     pub fn fork_worker(&self) -> Self {
+        self.fork(self.symtab.clone(), self.lineage.fork(), self.call_depth)
+    }
+
+    /// A callee context for a function call: same shared infrastructure,
+    /// fresh symbol table and lineage map.
+    pub fn fork_function(&self) -> Self {
+        self.fork(Symtab::default(), LineageMap::new(), self.call_depth + 1)
+    }
+
+    fn fork(&self, symtab: Symtab, lineage: LineageMap, call_depth: usize) -> Self {
         ExecutionContext {
-            symtab: self.symtab.clone(),
-            lineage: clone_lineage_map(&self.lineage),
+            symtab,
+            lineage,
             config: self.config.clone(),
             cache: self.cache.clone(),
             stats: Arc::clone(&self.stats),
@@ -168,54 +173,17 @@ impl ExecutionContext {
             suppress_tracing: self.suppress_tracing,
             stdout: Vec::new(),
             fingerprint: self.fingerprint,
-            call_depth: self.call_depth,
+            call_depth,
             session: self.session.clone(),
             usage: None,
-            hash_pending: Vec::new(),
             #[cfg(debug_assertions)]
             verifier: Default::default(),
         }
     }
 
-    /// A callee context for a function call: same shared infrastructure,
-    /// fresh symbol table and lineage map.
-    pub fn fork_function(&self) -> Self {
-        let mut ctx = self.fork_worker();
-        ctx.symtab.clear();
-        ctx.lineage.clear();
-        ctx.call_depth = self.call_depth + 1;
-        ctx
-    }
-
     /// True when per-instruction lineage tracing is active right now.
     pub fn tracing(&self) -> bool {
         self.config.tracing && !self.suppress_tracing
-    }
-
-    /// Flush threshold for the batched-hash queue: long straight-line blocks
-    /// still hash in bounded runs.
-    pub const HASH_BATCH_CAP: usize = 64;
-
-    /// Queues a freshly traced lineage root for batched hashing. Hashing is
-    /// memoized and order-independent, so deferring it to the block-boundary
-    /// flush never changes a hash — it only amortizes the traversal.
-    pub fn note_traced(&mut self, item: &LinRef) {
-        self.hash_pending.push(Arc::clone(item));
-        if self.hash_pending.len() >= Self::HASH_BATCH_CAP {
-            self.flush_hash_batch();
-        }
-    }
-
-    /// Hashes every queued lineage root in one shared traversal and drains
-    /// the queue. Called at basic-block boundaries by the interpreter.
-    pub fn flush_hash_batch(&mut self) {
-        if self.hash_pending.is_empty() {
-            return;
-        }
-        let hashed = lima_core::lineage::item::hash_batch(&self.hash_pending);
-        self.hash_pending.clear();
-        LimaStats::bump(&self.stats.hash_batches);
-        LimaStats::add(&self.stats.hash_batch_items, hashed as u64);
     }
 
     /// Cooperative checkpoint: `Err` with the typed runtime error once the
@@ -229,8 +197,8 @@ impl ExecutionContext {
     }
 
     /// The interrupt view for cache placeholder waits, when armed.
-    pub fn interrupt(&self) -> Option<Interrupt> {
-        self.session.as_ref().map(|s| s.interrupt())
+    pub fn interrupt(&self) -> Option<&Interrupt> {
+        self.session.as_ref().map(SessionCtl::interrupt)
     }
 
     /// Arms (or tightens) an execution deadline relative to now, creating a
@@ -271,7 +239,7 @@ impl ExecutionContext {
     }
 
     /// Binds a variable value.
-    pub fn set(&mut self, var: impl Into<String>, value: Value) {
+    pub fn set(&mut self, var: impl Into<Arc<str>>, value: Value) {
         self.symtab.insert(var.into(), value);
     }
 
@@ -281,8 +249,7 @@ impl ExecutionContext {
         if let Some(item) = self.lineage.get(var) {
             return item.clone();
         }
-        let leaf =
-            LineageItem::op_with_data(lima_core::opcodes::READ, format!("var:{var}"), vec![]);
+        let leaf = LineageItem::op_with_data(lima_core::opcodes::READ, format!("var:{var}"), []);
         if let Some(Value::Matrix(m)) = self.symtab.get(var) {
             leaf.set_shape(m.rows(), m.cols());
         }
@@ -297,16 +264,6 @@ impl ExecutionContext {
             .or_insert_with(|| Arc::new(DedupRegistry::new(block_key, num_branches)))
             .clone()
     }
-}
-
-/// LineageMap has no Clone (literal cache identity does not matter); copy the
-/// live bindings.
-fn clone_lineage_map(src: &LineageMap) -> LineageMap {
-    let mut dst = LineageMap::new();
-    for (name, item) in src.bindings() {
-        dst.set(name, item.clone());
-    }
-    dst
 }
 
 #[cfg(test)]

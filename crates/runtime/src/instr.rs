@@ -12,16 +12,17 @@ use std::sync::Arc;
 /// An instruction operand: a live variable or an inline literal.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Operand {
-    /// A symbol-table variable.
-    Var(String),
+    /// A symbol-table variable. The name is shared with the symbol table and
+    /// the lineage map, which bind it on every execution without copying it.
+    Var(Arc<str>),
     /// An inline literal.
     Lit(ScalarValue),
 }
 
 impl Operand {
     /// Variable operand.
-    pub fn var(name: impl Into<String>) -> Self {
-        Operand::Var(name.into())
+    pub fn var(name: impl AsRef<str>) -> Self {
+        Operand::Var(Arc::from(name.as_ref()))
     }
 
     /// Float literal.
@@ -200,10 +201,10 @@ fn agg_opcode(family: &[&'static str; 6], f: AggFn) -> &'static str {
 
 impl Op {
     /// The opcode string recorded in lineage items. Must stay in sync with
-    /// `lima_core::opcodes` so partial-reuse probes match. Borrowed for every
-    /// operation the per-instruction traced path sees; only a function call
-    /// builds its `fcall:<name>` string.
-    pub fn opcode(&self) -> Cow<'_, str> {
+    /// `lima_core::opcodes` so partial-reuse probes match. Static for every
+    /// operation the per-instruction traced path names; only a function call
+    /// (`fcall:<name>`) and a fused operator (`spoof<N>`) build their text.
+    pub fn opcode(&self) -> Cow<'static, str> {
         use lima_core::opcodes as oc;
         Cow::Borrowed(match self {
             Op::Binary(b) => b.opcode(),
@@ -247,7 +248,7 @@ impl Op {
             Op::Mvvar => "mvvar",
             Op::LineageOf => "lineage",
             Op::FCall(name) => return Cow::Owned(format!("{}:{name}", oc::FCALL)),
-            Op::Fused(spec) => &spec.opcode,
+            Op::Fused(spec) => return Cow::Owned(spec.opcode.clone()),
         })
     }
 
@@ -272,7 +273,7 @@ pub struct Instr {
     /// Ordered operands.
     pub inputs: Vec<Operand>,
     /// Output variable names (usually one; `Eigen` and `FCall` bind several).
-    pub outputs: Vec<String>,
+    pub outputs: Vec<Arc<str>>,
     /// Set by the compiler's *unmarking* rewrite (paper §4.4): this instance
     /// never interacts with the reuse cache even if its opcode qualifies.
     pub no_cache: bool,
@@ -283,11 +284,11 @@ pub struct Instr {
 
 impl Instr {
     /// Single-output instruction.
-    pub fn new(op: Op, inputs: Vec<Operand>, output: impl Into<String>) -> Self {
+    pub fn new(op: Op, inputs: Vec<Operand>, output: impl AsRef<str>) -> Self {
         Instr {
             op,
             inputs,
-            outputs: vec![output.into()],
+            outputs: vec![Arc::from(output.as_ref())],
             no_cache: false,
             span: None,
         }
@@ -298,7 +299,7 @@ impl Instr {
         Instr {
             op,
             inputs,
-            outputs,
+            outputs: outputs.into_iter().map(Arc::from).collect(),
             no_cache: false,
             span: None,
         }
@@ -328,7 +329,7 @@ impl Instr {
 
     /// Variables written by this instruction.
     pub fn writes(&self) -> impl Iterator<Item = &str> {
-        self.outputs.iter().map(String::as_str)
+        self.outputs.iter().map(|o| &**o)
     }
 }
 

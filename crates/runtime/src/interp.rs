@@ -2,7 +2,7 @@
 //! lineage tracing, multi-level reuse, partial reuse, and deduplication woven
 //! into the pre/post-processing of each instruction (paper §3.1, §4.1).
 
-use crate::context::{DedupTrace, ExecutionContext};
+use crate::context::{DedupTrace, ExecutionContext, Symtab};
 use crate::error::{Result, RuntimeError};
 use crate::instr::{Instr, Op, Operand};
 use crate::kernels::{display, execute_kernel, resolve_bounds};
@@ -11,10 +11,11 @@ use crate::parfor;
 use crate::program::{Block, ExprProg, Function, Program};
 use lima_core::cache::rewrites::try_partial_reuse;
 use lima_core::cache::Probe;
-use lima_core::lineage::dedup::{DedupPatch, PathTracer};
+use lima_core::faults::FaultSite;
+use lima_core::lineage::dedup::{DedupPatch, DedupRegistry, PathTracer};
 use lima_core::lineage::item::{LinRef, LineageItem};
 use lima_core::opcodes as oc;
-use lima_core::{EventKind, LimaStats, Obs};
+use lima_core::{EventKind, LimaStats, LineageCache, LineageMap, Obs};
 use lima_matrix::{ScalarValue, Value};
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,10 +53,11 @@ pub fn execute_blocks(
 
 /// Observability handle for the current context: `Some` only when a hub is
 /// attached *and* its gate is open, so detached configurations pay a single
-/// `Option` check and enabled checks happen once per instruction.
+/// `Option` check, enabled checks happen once per instruction, and the hub's
+/// reference count is touched only while it is recording.
 #[inline]
 fn obs_of(ctx: &ExecutionContext) -> Option<Arc<Obs>> {
-    ctx.config.obs.clone().filter(|o| o.enabled())
+    ctx.config.obs.as_ref().filter(|o| o.enabled()).cloned()
 }
 
 /// Closes an instruction span opened at `t0`. `outcome` distinguishes how the
@@ -76,14 +78,13 @@ fn obs_instr_span(
 /// Probes the cache with the session interrupt threaded through, so a probe
 /// blocked on a peer's placeholder honours cancellation/deadline instead of
 /// waiting out `placeholder_timeout_ms`.
-fn cache_acquire(
-    cache: &std::sync::Arc<lima_core::LineageCache>,
+fn cache_acquire<'c>(
+    cache: &'c LineageCache,
     item: &LinRef,
     ctx: &ExecutionContext,
-) -> Result<Option<Probe>> {
-    let intr = ctx.interrupt();
+) -> Result<Option<Probe<'c>>> {
     cache
-        .acquire_interruptible(item, intr.as_ref())
+        .acquire_interruptible(item, ctx.interrupt())
         .map_err(RuntimeError::from)
 }
 
@@ -108,10 +109,6 @@ fn execute_block(block: &Block, program: &Program, ctx: &mut ExecutionContext) -
             for i in instrs {
                 execute_instr(i, program, ctx)?;
             }
-            // Batched lineage hashing: hash the whole run of items traced in
-            // this block with one shared traversal (memoized + order-free, so
-            // deferral never changes a hash).
-            ctx.flush_hash_batch();
             Ok(())
         }
         Block::If {
@@ -121,11 +118,7 @@ fn execute_block(block: &Block, program: &Program, ctx: &mut ExecutionContext) -
             else_body,
             ..
         } => {
-            let taken = eval_expr(pred, program, ctx)?
-                .as_scalar()
-                .map_err(|e| RuntimeError::TypeError(e.to_string()))?
-                .as_bool()
-                .map_err(|e| RuntimeError::TypeError(e.to_string()))?;
+            let taken = eval_bool(pred, program, ctx)?;
             if let (Some(id), Some(tracer)) = (branch_id, ctx.path_tracer.as_mut()) {
                 tracer.record_branch(*id, taken);
             }
@@ -143,8 +136,8 @@ fn execute_block(block: &Block, program: &Program, ctx: &mut ExecutionContext) -
             by,
             body,
             dedup_ok,
-            deterministic,
             dedup_outputs,
+            ..
         } => {
             let from = eval_scalar_i64(from, program, ctx)?;
             let to = eval_scalar_i64(to, program, ctx)?;
@@ -153,35 +146,13 @@ fn execute_block(block: &Block, program: &Program, ctx: &mut ExecutionContext) -
                 return Err(RuntimeError::TypeError("for step must be nonzero".into()));
             }
             let extra = format!("for:{from}:{to}:{by}");
-            let reused = try_block_reuse(*id, &extra, body, program, ctx, |ctx| {
-                run_for_iterations(
-                    *id,
-                    var,
-                    from,
-                    to,
-                    by,
-                    body,
-                    *dedup_ok,
-                    dedup_outputs,
-                    program,
-                    ctx,
-                )
-            })?;
-            if !reused {
-                run_for_iterations(
-                    *id,
-                    var,
-                    from,
-                    to,
-                    by,
-                    body,
-                    *dedup_ok,
-                    dedup_outputs,
-                    program,
-                    ctx,
-                )?;
+            let run = |ctx: &mut ExecutionContext| {
+                let dedup = (*dedup_ok).then_some(dedup_outputs.as_slice());
+                run_for_iterations(*id, var, (from, to, by), body, dedup, program, ctx)
+            };
+            if !try_block_reuse(*id, &extra, body, ctx, run)? {
+                run(ctx)?;
             }
-            let _ = deterministic;
             Ok(())
         }
         Block::While {
@@ -193,26 +164,14 @@ fn execute_block(block: &Block, program: &Program, ctx: &mut ExecutionContext) -
             ..
         } => {
             let mut guard = 0usize;
-            loop {
-                let go = eval_expr(pred, program, ctx)?
-                    .as_scalar()
-                    .map_err(|e| RuntimeError::TypeError(e.to_string()))?
-                    .as_bool()
-                    .map_err(|e| RuntimeError::TypeError(e.to_string()))?;
-                if !go {
-                    break;
-                }
-                if *dedup_ok && ctx.config.dedup && ctx.tracing() {
-                    run_dedup_iteration(
-                        &format!("{}:while{}", ctx.fingerprint, id),
-                        None,
-                        body,
-                        dedup_outputs,
-                        program,
-                        ctx,
-                    )?;
-                } else {
-                    execute_blocks(body, program, ctx)?;
+            let dedup = (*dedup_ok && ctx.config.dedup && ctx.tracing()).then(|| {
+                let key = format!("{}:while{}", ctx.fingerprint, id);
+                DedupBody::enter(key, body, dedup_outputs, ctx)
+            });
+            while eval_bool(pred, program, ctx)? {
+                match &dedup {
+                    Some(dedup) => run_dedup_iteration(dedup, None, program, ctx)?,
+                    None => execute_blocks(body, program, ctx)?,
                 }
                 guard += 1;
                 if guard > 100_000_000 {
@@ -241,34 +200,29 @@ fn execute_block(block: &Block, program: &Program, ctx: &mut ExecutionContext) -
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The iterations of a `for` loop; `dedup` carries the body's dedup outputs
+/// when the compiler found it eligible.
 fn run_for_iterations(
     id: u64,
     var: &str,
-    from: i64,
-    to: i64,
-    by: i64,
+    (from, to, by): (i64, i64, i64),
     body: &[Block],
-    dedup_ok: bool,
-    dedup_outputs: &[String],
+    dedup: Option<&[String]>,
     program: &Program,
     ctx: &mut ExecutionContext,
 ) -> Result<()> {
-    let dedup = dedup_ok && ctx.config.dedup && ctx.tracing() && ctx.dedup_trace.is_none();
+    let dedup = dedup.filter(|_| ctx.config.dedup && ctx.tracing() && ctx.dedup_trace.is_none());
+    let dedup = dedup.map(|outputs| {
+        let key = format!("{}:for{}", ctx.fingerprint, id);
+        DedupBody::enter(key, body, outputs, ctx)
+    });
+    let var: Arc<str> = Arc::from(var);
     let mut i = from;
     while (by > 0 && i <= to) || (by < 0 && i >= to) {
-        ctx.set(var, Value::i64(i));
-        if dedup {
-            run_dedup_iteration(
-                &format!("{}:for{}", ctx.fingerprint, id),
-                Some((var, i)),
-                body,
-                dedup_outputs,
-                program,
-                ctx,
-            )?;
-        } else {
-            execute_blocks(body, program, ctx)?;
+        ctx.set(Arc::clone(&var), Value::i64(i));
+        match &dedup {
+            Some(dedup) => run_dedup_iteration(dedup, Some((&var, i)), program, ctx)?,
+            None => execute_blocks(body, program, ctx)?,
         }
         i += by;
     }
@@ -281,6 +235,15 @@ fn eval_expr(e: &ExprProg, program: &Program, ctx: &mut ExecutionContext) -> Res
         execute_instr(i, program, ctx)?;
     }
     resolve_operand(&e.result, ctx)
+}
+
+fn eval_bool(e: &ExprProg, program: &Program, ctx: &mut ExecutionContext) -> Result<bool> {
+    let type_error = |e: lima_matrix::MatrixError| RuntimeError::TypeError(e.to_string());
+    let value = eval_expr(e, program, ctx)?;
+    value
+        .as_scalar()
+        .and_then(ScalarValue::as_bool)
+        .map_err(type_error)
 }
 
 fn eval_scalar_i64(e: &ExprProg, program: &Program, ctx: &mut ExecutionContext) -> Result<i64> {
@@ -306,28 +269,54 @@ fn resolve_operand(op: &Operand, ctx: &ExecutionContext) -> Result<Value> {
     }
 }
 
+/// What the iterations of one dedup-managed body share: worked out once on
+/// entering the loop (or the function call), not once per iteration.
+struct DedupBody<'p> {
+    /// `fingerprint:kind<id>`, the registry's name.
+    block_key: String,
+    /// Patches of this body by taken path, shared across contexts.
+    registry: Arc<DedupRegistry>,
+    /// Live-in variables in sorted order (stable placeholder slots).
+    live_in: Vec<String>,
+    body: &'p [Block],
+    outputs: &'p [String],
+}
+
+impl<'p> DedupBody<'p> {
+    fn enter(
+        block_key: String,
+        body: &'p [Block],
+        outputs: &'p [String],
+        ctx: &ExecutionContext,
+    ) -> Self {
+        let registry = ctx.dedup_registry(&block_key, count_branches(body));
+        DedupBody {
+            block_key,
+            registry,
+            live_in: lva::live_in(body),
+            body,
+            outputs,
+        }
+    }
+}
+
 /// One iteration of a dedup-managed loop body (paper §3.2). See module docs
 /// in `lima_core::lineage::dedup` for the protocol.
-#[allow(clippy::too_many_arguments)]
 fn run_dedup_iteration(
-    block_key: &str,
+    dedup: &DedupBody<'_>,
     idx: Option<(&str, i64)>,
-    body: &[Block],
-    outputs: &[String],
     program: &Program,
     ctx: &mut ExecutionContext,
 ) -> Result<()> {
-    let inputs = lva::live_in(body);
+    let (block_key, registry, body) = (&dedup.block_key, &dedup.registry, dedup.body);
     // Inputs present in the symbol table, with their current (outer) lineage.
-    let mut bound_inputs: Vec<(String, LinRef)> = Vec::new();
-    for v in &inputs {
-        if ctx.symtab.contains_key(v) && Some(v.as_str()) != idx.map(|(n, _)| n) {
+    let mut bound_inputs: Vec<(&str, LinRef)> = Vec::new();
+    for v in &dedup.live_in {
+        if ctx.symtab.contains_key(v.as_str()) && Some(v.as_str()) != idx.map(|(n, _)| n) {
             let lin = ctx.lineage_of_var(v);
-            bound_inputs.push((v.clone(), lin));
+            bound_inputs.push((v, lin));
         }
     }
-    let num_branches = count_branches(body);
-    let registry = ctx.dedup_registry(block_key, num_branches);
 
     ctx.path_tracer = Some(PathTracer::new());
     let complete = registry.is_complete();
@@ -343,7 +332,7 @@ fn run_dedup_iteration(
         // Tracing mode: swap in a temporary lineage map with placeholders.
         let mut temp = lima_core::LineageMap::new();
         for (slot, (var, _)) in bound_inputs.iter().enumerate() {
-            temp.set(var, LineageItem::placeholder(slot as u32));
+            temp.set(*var, LineageItem::placeholder(slot as u32));
         }
         if let Some((ivar, _)) = idx {
             temp.set(ivar, LineageItem::placeholder(bound_inputs.len() as u32));
@@ -362,12 +351,13 @@ fn run_dedup_iteration(
             })?;
             let bits = tracer.path_key();
             if registry.get(bits).is_none() {
-                let roots: Vec<(String, LinRef)> = outputs
+                let roots: Vec<(String, LinRef)> = dedup
+                    .outputs
                     .iter()
                     .filter_map(|v| temp.get(v).map(|l| (v.clone(), l.clone())))
                     .collect();
                 let num_inputs = base_inputs as usize + tracer.seeds().len();
-                registry.insert(DedupPatch::new(block_key, bits, num_inputs, roots));
+                registry.insert(DedupPatch::new(block_key.as_str(), bits, num_inputs, roots));
                 LimaStats::bump(&ctx.stats.dedup_patches);
             }
         }
@@ -388,22 +378,19 @@ fn run_dedup_iteration(
             tracer.path_key()
         ))
     })?;
-    let mut dedup_inputs: Vec<LinRef> = bound_inputs.iter().map(|(_, l)| l.clone()).collect();
+    let mut dedup_inputs: Vec<LinRef> = bound_inputs.into_iter().map(|(_, l)| l).collect();
     if let Some((_, i)) = idx {
-        dedup_inputs.push(ctx.lineage.literal(&ScalarValue::I64(i).lineage_literal()));
+        dedup_inputs.push(ctx.lineage.literal(&ScalarValue::I64(i)));
     }
     for &seed in tracer.seeds() {
-        dedup_inputs.push(
-            ctx.lineage
-                .literal(&ScalarValue::I64(seed).lineage_literal()),
-        );
+        dedup_inputs.push(ctx.lineage.literal(&ScalarValue::I64(seed)));
     }
     for (name, _) in patch.roots() {
         let item = LineageItem::dedup(patch.clone(), name, dedup_inputs.clone());
-        if let Some(Value::Matrix(m)) = ctx.symtab.get(name) {
+        if let Some(Value::Matrix(m)) = ctx.symtab.get(name.as_str()) {
             item.set_shape(m.rows(), m.cols());
         }
-        ctx.lineage.set(name, item);
+        ctx.lineage.set(name.as_str(), item);
         LimaStats::bump(&ctx.stats.dedup_items);
     }
     Ok(())
@@ -431,37 +418,29 @@ fn try_block_reuse(
     block_id: u64,
     extra: &str,
     body: &[Block],
-    _program: &Program,
     ctx: &mut ExecutionContext,
-    _exec: impl FnOnce(&mut ExecutionContext) -> Result<()>,
+    exec: impl FnOnce(&mut ExecutionContext) -> Result<()>,
 ) -> Result<bool> {
-    if !ctx.config.multilevel
-        || !ctx.tracing()
-        || ctx.dedup_trace.is_some()
-        || ctx.path_tracer.is_some()
-    {
-        return Ok(false);
-    }
     let Some(cache) = ctx.cache.clone() else {
         return Ok(false);
     };
     // Determinism via the shared classification analysis; the empty class
     // map is conservative about calls, which block-level reuse excludes
     // anyway (calls are covered by function-level reuse instead).
-    let no_classes = std::collections::HashMap::new();
     // `rewrites_enabled` pauses multilevel caching at governor level L2+
     // (block bundles are the largest speculative entries the cache admits).
-    if !cache.full_reuse()
-        || !cache.rewrites_enabled()
-        || crate::compiler::blocks_class(body, &no_classes)
-            != lima_core::opcodes::OpClass::Deterministic
-    {
-        return Ok(false);
-    }
     // Only last-level loop bodies qualify: blocks wrapping function calls or
     // nested loops would bundle large intermediate sets into single cache
-    // entries (pollution); calls are covered by function-level reuse instead.
-    if !crate::compiler::body_is_last_level(body) {
+    // entries (pollution).
+    let eligible = ctx.config.multilevel
+        && ctx.tracing()
+        && ctx.dedup_trace.is_none()
+        && ctx.path_tracer.is_none()
+        && cache.full_reuse()
+        && cache.rewrites_enabled()
+        && crate::compiler::body_is_last_level(body)
+        && crate::compiler::blocks_class(body, &Default::default()) == oc::OpClass::Deterministic;
+    if !eligible {
         return Ok(false);
     }
     let live_in = lva::live_in(body);
@@ -470,20 +449,16 @@ fn try_block_reuse(
     let mut lin_inputs = Vec::new();
     let mut scalar_key = String::new();
     for var in &live_in {
-        match ctx.symtab.get(var) {
-            Some(Value::Scalar(s)) => {
-                scalar_key.push('|');
-                scalar_key.push_str(var);
-                scalar_key.push('=');
-                scalar_key.push_str(&s.lineage_literal());
-            }
+        match ctx.symtab.get(var.as_str()) {
+            Some(Value::Scalar(s)) => scalar_key += &format!("|{var}={}", s.lineage_literal()),
             Some(_) => lin_inputs.push(ctx.lineage_of_var(var)),
             None => return Ok(false),
         }
     }
     let data = format!("{}:{block_id}:{extra}{scalar_key}", ctx.fingerprint);
     let item = LineageItem::op_with_data(oc::BCALL, data, lin_inputs);
-    match cache_acquire(&cache, &item, ctx)? {
+    let probe = cache_acquire(&cache, &item, ctx)?;
+    let reused = match probe {
         Some(Probe::Hit(Value::List(bundle))) if bundle.len() == 2 => {
             let (names, values) = (&bundle[0], &bundle[1]);
             let (Value::List(names), Value::List(values)) = (names, values) else {
@@ -502,26 +477,25 @@ fn try_block_reuse(
                 let Value::Scalar(ScalarValue::Str(name)) = name else {
                     continue;
                 };
-                ctx.set(name.to_string(), value.clone());
+                ctx.set(Arc::clone(name), value.clone());
                 let out_lin =
-                    LineageItem::op_with_data(oc::LIST_GET, i.to_string(), vec![item.clone()]);
+                    LineageItem::op_with_data(oc::LIST_GET, i.to_string(), [item.clone()]);
                 if let Value::Matrix(m) = value {
                     out_lin.set_shape(m.rows(), m.cols());
                 }
-                ctx.lineage.set(name.to_string(), out_lin);
+                ctx.lineage.set(Arc::clone(name), out_lin);
             }
             Ok(true)
         }
         Some(Probe::Hit(_)) => Ok(false),
         Some(Probe::Reserved(r)) => {
             let t0 = Instant::now();
-            let res = _exec(ctx);
-            match res {
+            match exec(ctx) {
                 Ok(()) => {
                     let mut names = Vec::new();
                     let mut values = Vec::new();
                     for var in &outputs {
-                        if let Some(v) = ctx.symtab.get(var) {
+                        if let Some(v) = ctx.symtab.get(var.as_str()) {
                             names.push(Value::str(var));
                             values.push(v.clone());
                         }
@@ -537,7 +511,8 @@ fn try_block_reuse(
             }
         }
         None => Ok(false),
-    }
+    };
+    reused
 }
 
 /// Executes one instruction with LIMA pre/post-processing.
@@ -556,24 +531,20 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
         Op::Mvvar => {
             let from = instr.inputs[0]
                 .as_var()
-                .ok_or_else(|| RuntimeError::TypeError("mvvar needs a variable".into()))?
-                .to_string();
-            let to = instr.outputs[0].clone();
-            if let Some(v) = ctx.symtab.remove(&from) {
-                ctx.symtab.insert(to.clone(), v);
+                .ok_or_else(|| RuntimeError::TypeError("mvvar needs a variable".into()))?;
+            let to = &instr.outputs[0];
+            if let Some(v) = ctx.symtab.remove(from) {
+                ctx.symtab.insert(Arc::clone(to), v);
             }
-            ctx.lineage.rename(&from, to);
+            ctx.lineage.rename(from, Arc::clone(to));
             return Ok(());
         }
         Op::Print => {
-            let v = resolve_operand(&instr.inputs[0], ctx)?;
-            let line = display(&v);
+            let line = display(&resolve_operand(&instr.inputs[0], ctx)?);
             ctx.stdout.push(line);
             return Ok(());
         }
-        Op::Write => {
-            return execute_write(instr, ctx);
-        }
+        Op::Write => return execute_write(instr, ctx),
         Op::LineageOf => {
             let var = instr.inputs[0]
                 .as_var()
@@ -583,16 +554,12 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
                     "lineage() requires lineage tracing to be enabled".into(),
                 ));
             }
-            let var = var.to_string();
-            let lin = ctx.lineage_of_var(&var);
+            let lin = ctx.lineage_of_var(var);
             let log = lima_core::lineage::serialize::serialize_lineage(&lin);
-            let out = instr.outputs[0].clone();
-            ctx.set(out, Value::str(&log));
+            ctx.set(Arc::clone(&instr.outputs[0]), Value::str(&log));
             return Ok(());
         }
-        Op::FCall(name) => {
-            return execute_fcall(name, instr, program, ctx);
-        }
+        Op::FCall(name) => return execute_fcall(name, instr, program, ctx),
         _ => {}
     }
 
@@ -633,49 +600,33 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
 
     // Assign is pure lineage/value plumbing: bind and return.
     if matches!(instr.op, Op::Assign) {
-        let value = resolved[0].clone();
-        bind_outputs(instr, vec![value], traced.map(|t| t.0), ctx);
+        let value = vec![resolved.swap_remove(0)];
+        bind_outputs(instr, value, traced, &mut ctx.lineage, &mut ctx.symtab);
         return Ok(());
     }
 
-    // 3. Probe the reuse cache (full, then partial).
+    // 3. Probe the reuse cache (full, then partial). The cache is borrowed
+    //    from the context, and so is a reservation: until it is resolved
+    //    only the context's two maps change (`bind_outputs`).
     let mut reservation = None;
-    if let (Some((item, rewrite_vals)), Some(cache)) = (&traced, ctx.cache.clone()) {
-        let eligible = !instr.no_cache
-            && ctx.dedup_trace.is_none()
-            && cache.full_reuse()
-            && !instr.op.is_random();
-        if eligible {
-            match cache_acquire(&cache, item, ctx)? {
+    if let (Some(item), Some(cache)) = (&traced, ctx.cache.as_deref()) {
+        let probing = !instr.no_cache && ctx.dedup_trace.is_none();
+        // Outputs served by the cache, with the instruction-span outcome.
+        let mut reused = None;
+        if probing && cache.full_reuse() && !instr.op.is_random() {
+            match cache_acquire(cache, item, ctx)? {
                 Some(Probe::Hit(value)) => {
-                    let outputs = unbundle(value, instr.outputs.len());
-                    obs_instr_span(&obs, obs_t0, &instr.op, Some(item), 1);
-                    bind_outputs(instr, outputs, Some(item.clone()), ctx);
-                    return Ok(());
+                    reused = Some((unbundle(value, instr.outputs.len()), 1));
                 }
                 Some(Probe::Reserved(r)) => {
                     let t0 = Instant::now();
-                    if let Some(hit) = try_partial_reuse(&cache, item, rewrite_vals) {
+                    let faults = ctx.config.faults.as_ref();
+                    if let Some(hit) = try_partial_reuse(cache, item, &resolved) {
                         // The compensation time is the best available proxy
                         // for this entry's recompute cost.
                         r.fulfill(&hit.value, t0.elapsed().as_nanos() as u64);
-                        if let Some(o) = &obs {
-                            o.record_instant(
-                                EventKind::PartialRewrite,
-                                &instr.op.opcode(),
-                                item.id(),
-                                0,
-                                0,
-                            );
-                        }
-                        obs_instr_span(&obs, obs_t0, &instr.op, Some(item), 2);
-                        bind_outputs(instr, vec![hit.value], Some(item.clone()), ctx);
-                        return Ok(());
-                    }
-                    let fulfiller_dies = ctx.config.faults.as_ref().is_some_and(|f| {
-                        f.should_fail(lima_core::faults::FaultSite::FulfillerDeath)
-                    });
-                    if fulfiller_dies {
+                        reused = Some((vec![hit.value], 2));
+                    } else if faults.is_some_and(|f| f.should_fail(FaultSite::FulfillerDeath)) {
                         // Simulate a fulfiller dying without aborting: leak
                         // the reservation so the placeholder never resolves.
                         // Blocked probes recover via the placeholder wait
@@ -688,22 +639,18 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
                 }
                 None => {}
             }
-        } else if cache.partial_reuse() && !instr.no_cache && ctx.dedup_trace.is_none() {
+        } else if probing && cache.partial_reuse() {
             // Partial-only configurations still rewrite without reserving.
-            if let Some(hit) = try_partial_reuse(&cache, item, rewrite_vals) {
-                if let Some(o) = &obs {
-                    o.record_instant(
-                        EventKind::PartialRewrite,
-                        &instr.op.opcode(),
-                        item.id(),
-                        0,
-                        0,
-                    );
-                }
-                obs_instr_span(&obs, obs_t0, &instr.op, Some(item), 2);
-                bind_outputs(instr, vec![hit.value], Some(item.clone()), ctx);
-                return Ok(());
+            reused = try_partial_reuse(cache, item, &resolved).map(|hit| (vec![hit.value], 2));
+        }
+        if let Some((outputs, outcome)) = reused {
+            if let (2, Some(o)) = (outcome, &obs) {
+                let opcode = instr.op.opcode();
+                o.record_instant(EventKind::PartialRewrite, &opcode, item.id(), 0, 0);
             }
+            obs_instr_span(&obs, obs_t0, &instr.op, Some(item), outcome);
+            bind_outputs(instr, outputs, traced, &mut ctx.lineage, &mut ctx.symtab);
+            return Ok(());
         }
     }
 
@@ -722,12 +669,11 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
 
     // 5. Register the output in the cache.
     if let Some(r) = reservation {
-        let bundled = bundle(&out);
-        r.fulfill(&bundled, elapsed);
+        r.fulfill(&bundle(&out), elapsed);
     }
 
-    obs_instr_span(&obs, obs_t0, &instr.op, traced.as_ref().map(|t| &t.0), 0);
-    bind_outputs(instr, out, traced.map(|t| t.0), ctx);
+    obs_instr_span(&obs, obs_t0, &instr.op, traced.as_ref(), 0);
+    bind_outputs(instr, out, traced, &mut ctx.lineage, &mut ctx.symtab);
     Ok(())
 }
 
@@ -743,65 +689,60 @@ fn bundle(out: &[Value]) -> Value {
 
 /// Reverses [`bundle`] for a cache hit.
 fn unbundle(v: Value, n: usize) -> Vec<Value> {
-    if n <= 1 {
-        return vec![v];
-    }
     match v {
-        Value::List(items) => items.as_ref().clone(),
-        other => vec![other],
+        Value::List(items) if n > 1 => items.as_ref().clone(),
+        single => vec![single],
     }
 }
 
+/// Binds an instruction's outputs and their lineage. Takes the two maps, not
+/// the context: a reservation borrowed from the context's cache may still be
+/// in scope where this runs.
 fn bind_outputs(
     instr: &Instr,
     values: Vec<Value>,
-    item: Option<LinRef>,
-    ctx: &mut ExecutionContext,
+    item: impl Into<Option<LinRef>>,
+    lineage: &mut LineageMap,
+    symtab: &mut Symtab,
 ) {
+    let item = item.into();
     let multi = instr.outputs.len() > 1;
     for (i, (name, value)) in instr.outputs.iter().zip(values).enumerate() {
         if let Some(base) = &item {
             let out_lin = if multi {
-                LineageItem::op_with_data(oc::LIST_GET, i.to_string(), vec![base.clone()])
+                LineageItem::op_with_data(oc::LIST_GET, i.to_string(), [base.clone()])
             } else {
                 base.clone()
             };
             if let Value::Matrix(m) = &value {
                 out_lin.set_shape(m.rows(), m.cols());
             }
-            ctx.lineage.set(name, out_lin);
+            lineage.set(Arc::clone(name), out_lin);
         }
-        ctx.set(name, value);
+        symtab.insert(Arc::clone(name), value);
     }
 }
 
-/// Builds the lineage item for an instruction, together with the input values
-/// aligned to the item's inputs (consumed by partial-reuse rewrites).
-#[allow(clippy::type_complexity)]
+/// Builds the lineage item for an instruction. Its inputs are aligned to the
+/// instruction's operands for every opcode a partial-reuse rewrite matches
+/// (the generic arm, and `tsmm`, whose one operand is its one input), so the
+/// rewrites read the resolved operands as they are.
+///
+/// One allocation per item on the common path: the opcode is static, up to
+/// two inputs live inside the item, a scalar operand seen before is a lookup
+/// by value, and variable lineage is a reference-count step.
 fn trace_instr(
     instr: &Instr,
     resolved: &[Value],
     seed: Option<i64>,
     ctx: &mut ExecutionContext,
-) -> Result<(LinRef, Vec<Value>)> {
+) -> Result<LinRef> {
     LimaStats::bump(&ctx.stats.items_traced);
-    let opcode = instr.op.opcode();
-    // Helper: lineage for operand k (matrix/list by variable lineage; scalars
-    // by value — making equal parameters match regardless of provenance).
-    macro_rules! operand_lin {
-        ($k:expr) => {{
-            match &resolved[$k] {
-                Value::Scalar(s) => ctx.lineage.literal(&s.lineage_literal()),
-                _ => match &instr.inputs[$k] {
-                    Operand::Var(v) => ctx.lineage_of_var(v),
-                    Operand::Lit(s) => ctx.lineage.literal(&s.lineage_literal()),
-                },
-            }
-        }};
-    }
-    let item: (LinRef, Vec<Value>) = match &instr.op {
+    let mut operand_lin = |k: usize| operand_lineage(&instr.inputs[k], &resolved[k], ctx);
+    let int = |k: usize| resolved[k].as_f64().unwrap_or(0.0) as i64;
+    Ok(match &instr.op {
         Op::RightIndex => {
-            let x = operand_lin!(0);
+            let x = operand_lin(0);
             let shape = match &resolved[0] {
                 Value::Matrix(m) => m.shape(),
                 other => {
@@ -811,129 +752,86 @@ fn trace_instr(
                     )))
                 }
             };
-            let b: Vec<i64> = (1..5)
-                .map(|k| match &resolved[k] {
-                    Value::Scalar(s) => s.as_i64().unwrap_or(-1),
-                    _ => -1,
-                })
-                .collect();
-            let (rl, ru, cl, cu) = resolve_bounds(shape, b[0], b[1], b[2], b[3])?;
-            (
-                LineageItem::op_with_data(opcode, format!("{rl} {ru} {cl} {cu}"), vec![x]),
-                vec![resolved[0].clone()],
-            )
+            let b = |k: usize| match &resolved[k] {
+                Value::Scalar(s) => s.as_i64().unwrap_or(-1),
+                _ => -1,
+            };
+            let (rl, ru, cl, cu) = resolve_bounds(shape, b(1), b(2), b(3), b(4))?;
+            LineageItem::op_with_data(oc::RIGHT_INDEX, format!("{rl} {ru} {cl} {cu}"), [x])
         }
         Op::LeftIndex => {
-            let x = operand_lin!(0);
-            let s = operand_lin!(1);
-            let rl = resolved[2].as_f64().unwrap_or(0.0) as i64;
-            let cl = resolved[3].as_f64().unwrap_or(0.0) as i64;
-            (
-                LineageItem::op_with_data(opcode, format!("{} {}", rl - 1, cl - 1), vec![x, s]),
-                vec![resolved[0].clone(), resolved[1].clone()],
-            )
+            let (x, s) = (operand_lin(0), operand_lin(1));
+            let data = format!("{} {}", int(2) - 1, int(3) - 1);
+            LineageItem::op_with_data(oc::LEFT_INDEX, data, [x, s])
         }
         Op::Fill => {
             let v = resolved[0].as_f64().unwrap_or(f64::NAN);
-            let rows = resolved[1].as_f64().unwrap_or(0.0) as i64;
-            let cols = resolved[2].as_f64().unwrap_or(0.0) as i64;
-            (
-                LineageItem::op_with_data(opcode, format!("{v} {rows} {cols}"), vec![]),
-                vec![],
-            )
+            let data = format!("{v} {} {}", int(1), int(2));
+            LineageItem::op_with_data(oc::MATRIX_FILL, data, [])
         }
         Op::Rand(kind) => {
-            let rows = resolved[0].as_f64().unwrap_or(0.0) as i64;
-            let cols = resolved[1].as_f64().unwrap_or(0.0) as i64;
             let p1 = resolved[2].as_f64().unwrap_or(0.0);
             let p2 = resolved[3].as_f64().unwrap_or(0.0);
             let sp = resolved[4].as_f64().unwrap_or(1.0);
+            let data = format!("{} {} {} {p1} {p2} {sp}", int(0), int(1), kind.name());
             let seed_item = seed_lineage(seed.unwrap_or(-1), ctx);
-            (
-                LineageItem::op_with_data(
-                    opcode,
-                    format!("{rows} {cols} {} {p1} {p2} {sp}", kind.name()),
-                    vec![seed_item],
-                ),
-                vec![],
-            )
+            LineageItem::op_with_data(oc::RAND, data, [seed_item])
         }
         Op::Sample => {
-            let range = resolved[0].as_f64().unwrap_or(0.0) as i64;
-            let size = resolved[1].as_f64().unwrap_or(0.0) as i64;
+            let data = format!("{} {}", int(0), int(1));
             let seed_item = seed_lineage(seed.unwrap_or(-1), ctx);
-            (
-                LineageItem::op_with_data(opcode, format!("{range} {size}"), vec![seed_item]),
-                vec![],
-            )
+            LineageItem::op_with_data(oc::SAMPLE, data, [seed_item])
         }
         Op::Seq => {
-            let f = resolved[0].as_f64().unwrap_or(f64::NAN);
-            let t = resolved[1].as_f64().unwrap_or(f64::NAN);
-            let b = resolved[2].as_f64().unwrap_or(f64::NAN);
-            (
-                LineageItem::op_with_data(opcode, format!("{f} {t} {b}"), vec![]),
-                vec![],
-            )
+            let num = |k: usize| resolved[k].as_f64().unwrap_or(f64::NAN);
+            let data = format!("{} {} {}", num(0), num(1), num(2));
+            LineageItem::op_with_data(oc::SEQ, data, [])
         }
         Op::Read => {
             let path = match &resolved[0] {
-                Value::Scalar(ScalarValue::Str(s)) => s.to_string(),
-                _ => "?".into(),
+                Value::Scalar(ScalarValue::Str(s)) => &**s,
+                _ => "?",
             };
-            (LineageItem::op_with_data(opcode, path, vec![]), vec![])
+            LineageItem::op_with_data(oc::READ, path, [])
         }
         Op::Tsmm(side) => {
-            let x = operand_lin!(0);
             let side = match side {
                 lima_matrix::ops::TsmmSide::Left => "LEFT",
                 lima_matrix::ops::TsmmSide::Right => "RIGHT",
             };
-            (
-                LineageItem::op_with_data(opcode, side, vec![x]),
-                vec![resolved[0].clone()],
-            )
+            LineageItem::op_with_data(oc::TSMM, side, [operand_lin(0)])
         }
         Op::Order => {
-            let v = operand_lin!(0);
             let dec = resolved[1]
                 .as_scalar()
                 .ok()
                 .and_then(|s| s.as_bool().ok())
                 .unwrap_or(false);
-            (
-                LineageItem::op_with_data(opcode, if dec { "desc" } else { "asc" }, vec![v]),
-                vec![resolved[0].clone()],
-            )
+            let data = if dec { "desc" } else { "asc" };
+            LineageItem::op_with_data(oc::ORDER, data, [operand_lin(0)])
         }
         Op::Reshape => {
-            let x = operand_lin!(0);
-            let rows = resolved[1].as_f64().unwrap_or(0.0) as i64;
-            let cols = resolved[2].as_f64().unwrap_or(0.0) as i64;
-            (
-                LineageItem::op_with_data(opcode, format!("{rows} {cols}"), vec![x]),
-                vec![resolved[0].clone()],
-            )
+            let data = format!("{} {}", int(1), int(2));
+            LineageItem::op_with_data(oc::RESHAPE, data, [operand_lin(0)])
         }
         Op::ListGet => {
-            let l = operand_lin!(0);
-            let idx = resolved[1].as_f64().unwrap_or(0.0) as i64;
-            (
-                LineageItem::op_with_data(opcode, idx.to_string(), vec![l]),
-                vec![resolved[0].clone()],
-            )
+            LineageItem::op_with_data(oc::LIST_GET, int(1).to_string(), [operand_lin(0)])
         }
         Op::Fused(spec) => {
-            let inputs: Vec<LinRef> = (0..instr.inputs.len()).map(|k| operand_lin!(k)).collect();
-            (spec.expand_lineage(&inputs), resolved.to_vec())
+            let inputs: Vec<LinRef> = (0..instr.inputs.len()).map(operand_lin).collect();
+            spec.expand_lineage(&inputs)
         }
-        _ => {
-            let inputs: Vec<LinRef> = (0..instr.inputs.len()).map(|k| operand_lin!(k)).collect();
-            (LineageItem::op(opcode, inputs), resolved.to_vec())
-        }
-    };
-    ctx.note_traced(&item.0);
-    Ok(item)
+        op => LineageItem::op(op.opcode(), (0..instr.inputs.len()).map(operand_lin)),
+    })
+}
+
+/// Lineage of an operand: a matrix or list by its variable's lineage, a
+/// scalar by value — making equal parameters match regardless of provenance.
+fn operand_lineage(operand: &Operand, value: &Value, ctx: &mut ExecutionContext) -> LinRef {
+    match (value, operand) {
+        (Value::Scalar(s), _) | (_, Operand::Lit(s)) => ctx.lineage.literal(s),
+        (_, Operand::Var(v)) => ctx.lineage_of_var(v),
+    }
 }
 
 /// Lineage input carrying a `rand`/`sample` seed: a placeholder slot while a
@@ -948,8 +846,7 @@ fn seed_lineage(seed: i64, ctx: &mut ExecutionContext) -> LinRef {
         }
         LineageItem::placeholder(slot)
     } else {
-        ctx.lineage
-            .literal(&ScalarValue::I64(seed).lineage_literal())
+        ctx.lineage.literal(&ScalarValue::I64(seed))
     }
 }
 
@@ -1006,37 +903,33 @@ fn execute_fcall(
             ),
         });
     }
-    let obs = obs_of(ctx);
-    let obs_t0 = obs.as_ref().map(|o| o.now_ns());
+    let obs = obs_of(ctx).map(|o| (o.now_ns(), o));
+    // The call's span: `id` of its lineage item (0 without function-level
+    // reuse), `outcome` 1 when served from the cache.
+    let span = |id: u64, outcome: u64| {
+        if let Some((t0, o)) = &obs {
+            o.record_span(EventKind::FCall, name, id, *t0, outcome, 0);
+        }
+    };
     let args: Vec<Value> = instr
         .inputs
         .iter()
         .map(|o| resolve_operand(o, ctx))
         .collect::<Result<_>>()?;
     // Lineage of arguments (matrices by lineage, scalars by value).
-    let arg_items: Option<Vec<LinRef>> = if ctx.tracing() {
-        Some(
-            instr
-                .inputs
-                .iter()
-                .zip(&args)
-                .map(|(o, v)| match v {
-                    Value::Scalar(s) => ctx.lineage.literal(&s.lineage_literal()),
-                    _ => match o {
-                        Operand::Var(var) => ctx.lineage_of_var(var),
-                        Operand::Lit(s) => ctx.lineage.literal(&s.lineage_literal()),
-                    },
-                })
-                .collect(),
-        )
-    } else {
-        None
-    };
+    let arg_items: Option<Vec<LinRef>> = ctx.tracing().then(|| {
+        let traced = instr.inputs.iter().zip(&args);
+        traced.map(|(o, v)| operand_lineage(o, v, ctx)).collect()
+    });
 
-    // Multi-level (function) reuse: probe before executing (paper §4.1).
+    // Multi-level (function) reuse: probe before executing (paper §4.1). The
+    // cache handle is this call's own (one reference-count step per call, not
+    // per instruction): the reservation it lends is held while the context
+    // is mutated.
+    let cache = ctx.cache.clone();
     let mut reservation = None;
     let mut fcall_item = None;
-    if let (Some(items), Some(cache)) = (&arg_items, ctx.cache.clone()) {
+    if let (Some(items), Some(cache)) = (&arg_items, cache.as_deref()) {
         if ctx.config.multilevel
             && cache.full_reuse()
             && cache.rewrites_enabled()
@@ -1048,13 +941,11 @@ fn execute_fcall(
                 name.to_string(),
                 items.clone(),
             );
-            match cache_acquire(&cache, &item, ctx)? {
+            match cache_acquire(cache, &item, ctx)? {
                 Some(Probe::Hit(bundle)) => {
                     let outputs = unbundle(bundle, instr.outputs.len());
-                    if let (Some(o), Some(t0)) = (&obs, obs_t0) {
-                        o.record_span(EventKind::FCall, name, item.id(), t0, 1, 0);
-                    }
-                    bind_outputs(instr, outputs, Some(item), ctx);
+                    span(item.id(), 1);
+                    bind_outputs(instr, outputs, item, &mut ctx.lineage, &mut ctx.symtab);
                     return Ok(());
                 }
                 Some(Probe::Reserved(r)) => {
@@ -1070,11 +961,11 @@ fn execute_fcall(
     let t0 = Instant::now();
     let mut callee = ctx.fork_function();
     for (param, value) in func.params.iter().zip(args.iter()) {
-        callee.set(param, value.clone());
+        callee.set(param.as_str(), value.clone());
     }
     if let Some(items) = &arg_items {
         for (param, item) in func.params.iter().zip(items.iter()) {
-            callee.lineage.set(param, item.clone());
+            callee.lineage.set(param.as_str(), item.clone());
         }
     }
     let res = execute_function_body(func, program, &mut callee);
@@ -1093,7 +984,7 @@ fn execute_fcall(
     for out in &func.outputs {
         let v = callee
             .symtab
-            .get(out)
+            .get(out.as_str())
             .cloned()
             .ok_or_else(|| RuntimeError::UndefinedVariable(format!("{name} output '{out}'")))?;
         out_lineage.push(callee.lineage.get(out).cloned());
@@ -1103,15 +994,11 @@ fn execute_fcall(
     if let (Some(r), Some(item)) = (reservation, fcall_item) {
         let bundled = bundle(&out_values);
         r.fulfill(&bundled, elapsed);
-        if let (Some(o), Some(t0)) = (&obs, obs_t0) {
-            o.record_span(EventKind::FCall, name, item.id(), t0, 0, 0);
-        }
-        bind_outputs(instr, out_values, Some(item), ctx);
+        span(item.id(), 0);
+        bind_outputs(instr, out_values, item, &mut ctx.lineage, &mut ctx.symtab);
         return Ok(());
     }
-    if let (Some(o), Some(t0)) = (&obs, obs_t0) {
-        o.record_span(EventKind::FCall, name, 0, t0, 0, 0);
-    }
+    span(0, 0);
 
     // No function-level reuse: propagate precise op-level lineage.
     for ((target, value), lin) in instr.outputs.iter().zip(out_values).zip(out_lineage) {
@@ -1119,9 +1006,9 @@ fn execute_fcall(
             if let Value::Matrix(m) = &value {
                 l.set_shape(m.rows(), m.cols());
             }
-            ctx.lineage.set(target, l);
+            ctx.lineage.set(Arc::clone(target), l);
         }
-        ctx.set(target, value);
+        ctx.set(Arc::clone(target), value);
     }
     Ok(())
 }
@@ -1134,14 +1021,9 @@ fn execute_function_body(
     callee: &mut ExecutionContext,
 ) -> Result<()> {
     if func.dedup_ok && callee.config.dedup && callee.tracing() && callee.dedup_trace.is_none() {
-        run_dedup_iteration(
-            &format!("{}:fn:{}", callee.fingerprint, func.name),
-            None,
-            &func.body,
-            &func.dedup_outputs,
-            program,
-            callee,
-        )
+        let key = format!("{}:fn:{}", callee.fingerprint, func.name);
+        let dedup = DedupBody::enter(key, &func.body, &func.dedup_outputs, callee);
+        run_dedup_iteration(&dedup, None, program, callee)
     } else {
         execute_blocks(&func.body, program, callee)
     }

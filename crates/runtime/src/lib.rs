@@ -27,7 +27,7 @@ pub mod reconstruct;
 pub mod repair;
 pub mod session;
 
-pub use context::{DataRegistry, ExecutionContext};
+pub use context::{DataRegistry, ExecutionContext, Symtab};
 pub use error::{Result, RuntimeError};
 pub use governor::SessionUsage;
 pub use instr::{Instr, Op, Operand};

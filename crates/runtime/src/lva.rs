@@ -14,7 +14,7 @@ pub fn live_in(blocks: &[Block]) -> Vec<String> {
     let mut inputs = BTreeSet::new();
     let mut written = BTreeSet::new();
     scan(blocks, &mut written, &mut inputs);
-    inputs.into_iter().collect()
+    inputs.into_iter().map(str::to_string).collect()
 }
 
 /// All variables read anywhere in `blocks` (regardless of prior writes),
@@ -38,22 +38,22 @@ fn collect_reads_into(blocks: &[Block], out: &mut std::collections::BTreeSet<Str
 pub fn writes(blocks: &[Block]) -> Vec<String> {
     let mut out = BTreeSet::new();
     collect_writes(blocks, &mut out);
-    out.into_iter().collect()
+    out.into_iter().map(str::to_string).collect()
 }
 
-fn scan(blocks: &[Block], written: &mut BTreeSet<String>, inputs: &mut BTreeSet<String>) {
+/// The working sets borrow the names from the program: a loop entry that
+/// asks for its body's live-ins copies only the answer.
+fn scan<'p>(blocks: &'p [Block], written: &mut BTreeSet<&'p str>, inputs: &mut BTreeSet<&'p str>) {
     for block in blocks {
         match block {
             Block::Basic { instrs, .. } => {
                 for i in instrs {
                     for r in i.reads() {
                         if !written.contains(r) {
-                            inputs.insert(r.to_string());
+                            inputs.insert(r);
                         }
                     }
-                    for w in i.writes() {
-                        written.insert(w.to_string());
-                    }
+                    written.extend(i.writes());
                 }
             }
             Block::If {
@@ -69,7 +69,7 @@ fn scan(blocks: &[Block], written: &mut BTreeSet<String>, inputs: &mut BTreeSet<
                 scan(else_body, &mut else_written, inputs);
                 // Only variables written on *both* paths are definitely
                 // written after the conditional.
-                *written = then_written.intersection(&else_written).cloned().collect();
+                *written = then_written.intersection(&else_written).copied().collect();
             }
             Block::For {
                 var,
@@ -94,7 +94,7 @@ fn scan(blocks: &[Block], written: &mut BTreeSet<String>, inputs: &mut BTreeSet<
                 // the current written set (plus the index variable), but body
                 // writes are not definite.
                 let mut body_written = written.clone();
-                body_written.insert(var.clone());
+                body_written.insert(var);
                 scan(body, &mut body_written, inputs);
             }
             Block::While { pred, body, .. } => {
@@ -106,34 +106,32 @@ fn scan(blocks: &[Block], written: &mut BTreeSet<String>, inputs: &mut BTreeSet<
     }
 }
 
-fn scan_expr(
-    e: &crate::program::ExprProg,
-    written: &mut BTreeSet<String>,
-    inputs: &mut BTreeSet<String>,
+fn scan_expr<'p>(
+    e: &'p crate::program::ExprProg,
+    written: &mut BTreeSet<&'p str>,
+    inputs: &mut BTreeSet<&'p str>,
 ) {
     for i in &e.instrs {
         for r in i.reads() {
             if !written.contains(r) {
-                inputs.insert(r.to_string());
+                inputs.insert(r);
             }
         }
-        for w in i.writes() {
-            written.insert(w.to_string());
-        }
+        written.extend(i.writes());
     }
     if let Some(v) = e.result.as_var() {
         if !written.contains(v) {
-            inputs.insert(v.to_string());
+            inputs.insert(v);
         }
     }
 }
 
-fn collect_writes(blocks: &[Block], out: &mut BTreeSet<String>) {
+fn collect_writes<'p>(blocks: &'p [Block], out: &mut BTreeSet<&'p str>) {
     walk_blocks(blocks, &mut |b| {
         if let Block::For { var, .. } | Block::ParFor { var, .. } = b {
-            out.insert(var.clone());
+            out.insert(var);
         }
-        out.extend(b.own_instrs().flat_map(|i| i.writes()).map(str::to_string));
+        out.extend(b.own_instrs().flat_map(|i| i.writes()));
     });
 }
 

@@ -64,7 +64,7 @@ pub(crate) fn execute_parfor(
     // Snapshot initial result values for the merge.
     let initial: Vec<(String, Option<Value>)> = results
         .iter()
-        .map(|r| (r.clone(), ctx.symtab.get(r).cloned()))
+        .map(|r| (r.clone(), ctx.symtab.get(r.as_str()).cloned()))
         .collect();
 
     if workers == 1 {
@@ -141,7 +141,7 @@ pub(crate) fn execute_parfor(
                     .map(|r| {
                         (
                             r.clone(),
-                            wctx.symtab.get(r).cloned(),
+                            wctx.symtab.get(r.as_str()).cloned(),
                             wctx.lineage.get(r).cloned(),
                         )
                     })
@@ -199,16 +199,16 @@ pub(crate) fn execute_parfor(
             });
         }
         if let Some(m) = merged {
-            ctx.set(rvar, m);
+            ctx.set(rvar.as_str(), m);
         }
         if !lineage_roots.is_empty() && ctx.tracing() {
             // Linearized merged lineage (paper §3.3: "worker results are
             // merged by taking their lineage roots").
             let item = LineageItem::op_with_data("rmerge", rvar.clone(), lineage_roots);
-            if let Some(Value::Matrix(m)) = ctx.symtab.get(rvar) {
+            if let Some(Value::Matrix(m)) = ctx.symtab.get(rvar.as_str()) {
                 item.set_shape(m.rows(), m.cols());
             }
-            ctx.lineage.set(rvar, item);
+            ctx.lineage.set(rvar.as_str(), item);
         }
     }
     // The loop variable does not survive the parfor (body-local scope).

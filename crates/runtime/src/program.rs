@@ -27,8 +27,8 @@ impl ExprProg {
     }
 
     /// A plain variable reference.
-    pub fn var(name: impl Into<String>) -> Self {
-        Self::lit(Operand::Var(name.into()))
+    pub fn var(name: impl AsRef<str>) -> Self {
+        Self::lit(Operand::var(name))
     }
 
     /// Instructions followed by a result operand.

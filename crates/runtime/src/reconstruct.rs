@@ -24,6 +24,7 @@ use lima_core::opcodes as oc;
 use lima_matrix::ops::{AggFn, BinOp, TsmmSide, UnOp};
 use lima_matrix::{ScalarValue, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A program reconstructed from lineage: instructions plus the variable
 /// holding the final result. Every other variable the program binds it also
@@ -59,7 +60,7 @@ pub fn recompute(root: &LinRef, ctx: &mut ExecutionContext) -> Result<Value> {
     }
     ctx.lineage.remove(&prog.result_var);
     ctx.symtab
-        .remove(&prog.result_var)
+        .remove(prog.result_var.as_str())
         .ok_or(RuntimeError::UndefinedVariable(prog.result_var))
 }
 
@@ -75,11 +76,11 @@ enum Val {
 /// Marks a plan node not emitted yet in an instance's memo.
 const UNSET: u32 = u32::MAX;
 
-fn temp_name(t: u32) -> String {
+fn temp_name(t: u32) -> Arc<str> {
     let mut name = String::with_capacity(8);
     name.push('t');
     push_u64(&mut name, u64::from(t));
-    name
+    name.into()
 }
 
 fn bad(msg: impl Into<String>) -> RuntimeError {
@@ -98,9 +99,10 @@ type Vals = HashMap<u64, Val, FxBuildHasher>;
 #[derive(Default)]
 struct Emitter {
     instrs: Vec<Instr>,
-    /// Per temporary: index of the last instruction reading it so far (of
-    /// its defining instruction while nothing does).
-    last_use: Vec<usize>,
+    /// Per temporary: its name (shared by every instruction that mentions
+    /// it) and the index of the last instruction reading it so far (of its
+    /// defining instruction while nothing does).
+    temps: Vec<(Arc<str>, usize)>,
     /// Plan-node memos of all patch instances, `UNSET` or a temporary each;
     /// an instance owns `plan.len()` cells from its offset.
     memos: Vec<u32>,
@@ -112,11 +114,14 @@ impl Emitter {
     /// Appends an instruction binding `outputs` fresh temporaries and
     /// returns the first of them.
     fn push_instr(&mut self, op: Op, inputs: Vec<Operand>, outputs: u32) -> u32 {
-        let first = self.last_use.len() as u32;
+        let first = self.temps.len() as u32;
         let at = self.instrs.len();
-        self.last_use.extend((0..outputs).map(|_| at));
-        let names = (first..first + outputs).map(temp_name).collect();
-        self.instrs.push(Instr::multi(op, inputs, names));
+        let names: Vec<Arc<str>> = (first..first + outputs).map(temp_name).collect();
+        self.temps
+            .extend(names.iter().map(|name| (name.clone(), at)));
+        let mut instr = Instr::effect(op, inputs);
+        instr.outputs = names;
+        self.instrs.push(instr);
         first
     }
 
@@ -158,7 +163,7 @@ impl Emitter {
                 }
                 LineageKind::Op => {
                     let inputs = item.inputs().iter().map(|i| input_val(&vals, i));
-                    let ins = operands(&mut self.last_use, self.instrs.len(), inputs)?;
+                    let ins = operands(&mut self.temps, self.instrs.len(), inputs)?;
                     Val::Temp(self.emit_op(item, ins)?)
                 }
             };
@@ -204,7 +209,7 @@ impl Emitter {
                 .node_args(n)
                 .iter()
                 .map(|&r| plan_val(plan, memos, base, r, &slot));
-            let ins = operands(&mut self.last_use, self.instrs.len(), inputs)?;
+            let ins = operands(&mut self.temps, self.instrs.len(), inputs)?;
             let t = self.emit_op(node, ins)?;
             if let Some(cell) = self.memos.get_mut(base + n as usize) {
                 *cell = t;
@@ -217,9 +222,9 @@ impl Emitter {
     /// last instruction that reads it.
     fn finish(self, result: u32) -> ReconstructedProgram {
         let mut dead: Vec<Vec<Operand>> = vec![Vec::new(); self.instrs.len()];
-        for (t, &at) in (0u32..).zip(&self.last_use) {
-            if let (true, Some(after)) = (t != result, dead.get_mut(at)) {
-                after.push(Operand::Var(temp_name(t)));
+        for (t, (name, at)) in (0u32..).zip(&self.temps) {
+            if let (true, Some(after)) = (t != result, dead.get_mut(*at)) {
+                after.push(Operand::Var(name.clone()));
             }
         }
         let mut instrs = Vec::with_capacity(2 * self.instrs.len());
@@ -231,25 +236,26 @@ impl Emitter {
         }
         ReconstructedProgram {
             instrs,
-            result_var: temp_name(result),
+            result_var: temp_name(result).to_string(),
         }
     }
 }
 
 /// The operands reading `vals` in instruction number `at`.
 fn operands(
-    last_use: &mut [usize],
+    temps: &mut [(Arc<str>, usize)],
     at: usize,
     vals: impl Iterator<Item = Result<Val>>,
 ) -> Result<Vec<Operand>> {
     vals.map(|val| {
         Ok(match val? {
-            Val::Temp(t) => {
-                if let Some(last) = last_use.get_mut(t as usize) {
+            Val::Temp(t) => match temps.get_mut(t as usize) {
+                Some((name, last)) => {
                     *last = at;
+                    Operand::Var(name.clone())
                 }
-                Operand::Var(temp_name(t))
-            }
+                None => Operand::Var(temp_name(t)),
+            },
             Val::Lit(s) => Operand::Lit(s),
         })
     })

@@ -30,7 +30,7 @@
 //! admission is refused with a typed [`RuntimeError::ResourceExhausted`] at
 //! pressure level L4.
 
-use crate::context::{DataRegistry, ExecutionContext};
+use crate::context::{DataRegistry, ExecutionContext, Symtab};
 use crate::error::{Result, RuntimeError};
 use crate::governor::SessionUsage;
 use crate::interp::execute_program;
@@ -39,7 +39,6 @@ use lima_core::interrupt::{CancelToken, Interrupt, InterruptKind};
 use lima_core::{EventKind, LimaConfig, LimaStats, LineageCache, ResourceGovernor};
 use lima_matrix::forkjoin::panic_message;
 use lima_matrix::Value;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,37 +49,35 @@ use std::time::{Duration, Instant};
 /// deadline as the session that spawned them.
 #[derive(Debug, Clone)]
 pub struct SessionCtl {
-    token: Arc<CancelToken>,
-    deadline: Option<Instant>,
+    /// Token always present. Held in the form cache waits take, so the
+    /// per-instruction checkpoint and every probe borrow it as it is.
+    interrupt: Interrupt,
 }
 
 impl SessionCtl {
     /// Control block from a token and an optional absolute deadline.
     pub fn new(token: Arc<CancelToken>, deadline: Option<Instant>) -> Self {
-        SessionCtl { token, deadline }
-    }
-
-    /// The session's cancellation token.
-    pub fn token(&self) -> &Arc<CancelToken> {
-        &self.token
+        SessionCtl {
+            interrupt: Interrupt {
+                token: Some(token),
+                deadline,
+            },
+        }
     }
 
     /// Installs (or replaces) the absolute deadline.
     pub fn set_deadline(&mut self, deadline: Instant) {
-        self.deadline = Some(deadline);
+        self.interrupt.deadline = Some(deadline);
     }
 
     /// The interrupt view handed to cache waits.
-    pub fn interrupt(&self) -> Interrupt {
-        Interrupt {
-            token: Some(Arc::clone(&self.token)),
-            deadline: self.deadline,
-        }
+    pub fn interrupt(&self) -> &Interrupt {
+        &self.interrupt
     }
 
     /// Cooperative checkpoint: `Err` once cancelled or past the deadline.
     pub fn check(&self) -> std::result::Result<(), InterruptKind> {
-        self.interrupt().check()
+        self.interrupt.check()
     }
 }
 
@@ -136,7 +133,7 @@ pub struct SessionOutcome {
     /// Pool-unique session id.
     pub id: u64,
     /// Final symbol table.
-    pub values: HashMap<String, Value>,
+    pub values: Symtab,
     /// Collected `print` output.
     pub stdout: Vec<String>,
     /// Wall-clock execution time.

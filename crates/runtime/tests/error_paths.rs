@@ -393,7 +393,7 @@ fn malformed_data_payloads_are_reconstruct_errors() {
         (oc::RESHAPE, vec![x()], "1 4", &["", "4", "1 four", "1 2 2"]),
         (oc::LIST_GET, vec![list()], "0", &["", "zero", "0 0", "1e3"]),
     ];
-    let recompute_with = |opcode: &str, inputs: &[lima_core::LinRef], data: &str| {
+    let recompute_with = |opcode: &'static str, inputs: &[lima_core::LinRef], data: &str| {
         let root = LineageItem::op_with_data(opcode, data, inputs.to_vec());
         let mut ctx = ExecutionContext::new(LimaConfig::base());
         ctx.data

@@ -90,7 +90,7 @@ fn observe(program: &Program, config: &LimaConfig, inputs: &[(String, Value)]) -
         .keys()
         .filter_map(|var| {
             Some((
-                var.clone(),
+                var.to_string(),
                 renumbered(&serialize_lineage(ctx.lineage.get(var)?)),
             ))
         })
@@ -99,7 +99,7 @@ fn observe(program: &Program, config: &LimaConfig, inputs: &[(String, Value)]) -
         values: ctx
             .symtab
             .iter()
-            .map(|(k, v)| (k.clone(), bits(v)))
+            .map(|(k, v)| (k.to_string(), bits(v)))
             .collect(),
         lineage,
         stdout: ctx.stdout.clone(),
