@@ -305,11 +305,6 @@ impl LimadClient {
         self.budget.remaining()
     }
 
-    /// Number of configured replica members.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// Pins the initially tried member for subsequent calls (clamped to the
     /// member list). Chaos harnesses use this to steer load.
     pub fn set_preferred(&mut self, member: usize) {

@@ -43,6 +43,11 @@ struct Slot {
 /// They hold because an entry's state and score inputs (`hits`, `misses`,
 /// `compute_ns`, `size`, `last_access`) change only inside [`Books::update`],
 /// [`Books::touch`] and [`Books::update_victim`].
+///
+/// Beside them run the two counters of the recurrence rate admission reads:
+/// keys that entered the books since the last `clear()`, and how many of
+/// them were seen again ([`Books::seen_again`]). They count keys, not
+/// entries, so a pruned shell leaves them alone.
 #[derive(Debug)]
 pub struct Books {
     map: HashMap<LinKey, EntryId, FxBuildHasher>,
@@ -52,6 +57,8 @@ pub struct Books {
     /// persistent store reports gone are un-mapped without a scan.
     durable: HashMap<u64, EntryId>,
     queues: Queues,
+    keys: u64,
+    recurred: u64,
 }
 
 /// The eviction queues (of slab ids: filing an entry copies eight bytes and
@@ -147,6 +154,24 @@ impl Books {
             free: Vec::new(),
             durable: HashMap::new(),
             queues: Queues::new(policy),
+            keys: 0,
+            recurred: 0,
+        }
+    }
+
+    /// `(keys seen again, keys)` since the books were last cleared.
+    pub fn recurrence(&self) -> (u64, u64) {
+        (self.recurred, self.keys)
+    }
+
+    /// Notes that the key of `id` was seen again: the first time counts it
+    /// among the recurred keys. No queue or counter of the eviction index
+    /// reads the flag.
+    pub fn seen_again(&mut self, id: EntryId) {
+        let slot = self.slab.get_mut(id.slot as usize);
+        let current = slot.filter(|s| s.generation == id.generation);
+        if let Some(e) = current.and_then(|s| s.entry.as_mut()) {
+            self.recurred += u64::from(!std::mem::replace(&mut e.seen_again, true));
         }
     }
 
@@ -208,6 +233,7 @@ impl Books {
         // A placeholder is in no queue and no counter: nothing to book yet.
         let id = *vacant.insert(entry.id);
         home.entry = Some(entry);
+        self.keys += 1;
         (id, true)
     }
 
@@ -359,6 +385,7 @@ impl Books {
             self.free.push(at as u32);
         }
         self.queues = Queues::new(self.queues.policy);
+        (self.keys, self.recurred) = (0, 0);
     }
 
     /// Re-derives everything the books maintain from a scan of the slab,
@@ -405,6 +432,15 @@ impl Books {
         }
         if durable != self.durable.len() {
             return Err("a persist id is mapped to an entry that does not carry it".into());
+        }
+        let seen = self.entries().filter(|e| e.seen_again).count() as u64;
+        if seen > self.recurred || self.recurred > self.keys || self.len() as u64 > self.keys {
+            return Err(format!(
+                "{} entries ({seen} seen again), but {} of {} keys recurred",
+                self.len(),
+                self.recurred,
+                self.keys
+            ));
         }
         if self.queues != want {
             return Err(format!("books say {:?}, entries say {want:?}", self.queues));
@@ -556,6 +592,30 @@ mod tests {
         }
         assert_eq!(seen, [2, 1]);
         assert!(b.queues.groups.is_empty());
+        b.verify().unwrap();
+    }
+
+    #[test]
+    fn recurrence_counts_keys_once_and_outlives_their_entries() {
+        let (mut b, ids) = resident(EvictionPolicy::Lru, &["a", "b", "c", "d"]);
+        assert_eq!(b.recurrence(), (0, 4));
+        b.seen_again(ids[0]);
+        b.seen_again(ids[0]);
+        b.seen_again(ids[1]);
+        assert_eq!(b.recurrence(), (2, 4));
+        assert!(b.get(ids[0]).is_some_and(|e| e.seen_again));
+        b.verify().unwrap();
+        // A key that leaves stays counted; its id is stale now.
+        b.remove(ids[0]);
+        b.seen_again(ids[0]);
+        assert_eq!(b.recurrence(), (2, 4));
+        b.verify().unwrap();
+        // Coming back, it is a new key on its first sighting.
+        let (again, fresh) = b.find_or_reserve(key("a"), 9);
+        assert!(fresh && b.get(again).is_some_and(|e| !e.seen_again));
+        assert_eq!(b.recurrence(), (2, 5));
+        b.clear();
+        assert_eq!(b.recurrence(), (0, 0));
         b.verify().unwrap();
     }
 

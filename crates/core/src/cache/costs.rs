@@ -1,26 +1,27 @@
-//! Cost model for eviction and spilling decisions (paper §4.3, "Statistics
-//! and Costs"): estimated spill/restore times derived from expected
-//! read/write bandwidths, adapted to the hardware as an exponential moving
-//! average of measured I/O times.
+//! Cost model for admission, eviction and spilling decisions (paper §4.3,
+//! "Statistics and Costs"): estimated spill/restore times derived from
+//! expected read/write bandwidths, and the time booking a value takes, each
+//! adapted to the hardware as an exponential moving average of measurements.
 
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Starting heuristics (bytes/second) before any measurement.
 const DEFAULT_WRITE_BW: f64 = 1.0e9;
 const DEFAULT_READ_BW: f64 = 2.0e9;
-/// EMA smoothing factor for bandwidth adaptation.
+/// EMA smoothing factor for bandwidth and booking-time adaptation.
 const EMA_ALPHA: f64 = 0.3;
 
-/// Adaptive I/O bandwidth estimator.
+/// Adaptive I/O bandwidth and booking-cost estimator. Each estimate is one
+/// `f64` in an atomic: readers under the cache lock take no second lock, and
+/// two measurements folded in at once lose one of them, which an average
+/// shrugs off.
 #[derive(Debug)]
 pub struct IoCostModel {
-    inner: Mutex<Bandwidths>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Bandwidths {
-    write_bw: f64,
-    read_bw: f64,
+    write_bw: AtomicU64,
+    read_bw: AtomicU64,
+    /// Nanoseconds one admitted value costs the cache: install plus the
+    /// evictions it forces. 0 until the first booking is measured.
+    book_ns: AtomicU64,
 }
 
 /// Nanoseconds to move `bytes` at `bytes_per_s`.
@@ -28,13 +29,28 @@ fn est_ns(bytes: usize, bytes_per_s: f64) -> u64 {
     (bytes as f64 / bytes_per_s * 1e9) as u64
 }
 
+fn load(cell: &AtomicU64) -> f64 {
+    f64::from_bits(cell.load(Ordering::Relaxed))
+}
+
+/// Folds `sample` into the average held in `cell`; the first sample of an
+/// empty (0) average is taken as it is.
+fn fold(cell: &AtomicU64, sample: f64) {
+    let old = load(cell);
+    let new = if old == 0.0 {
+        sample
+    } else {
+        EMA_ALPHA * sample + (1.0 - EMA_ALPHA) * old
+    };
+    cell.store(new.to_bits(), Ordering::Relaxed);
+}
+
 impl Default for IoCostModel {
     fn default() -> Self {
         IoCostModel {
-            inner: Mutex::new(Bandwidths {
-                write_bw: DEFAULT_WRITE_BW,
-                read_bw: DEFAULT_READ_BW,
-            }),
+            write_bw: AtomicU64::new(DEFAULT_WRITE_BW.to_bits()),
+            read_bw: AtomicU64::new(DEFAULT_READ_BW.to_bits()),
+            book_ns: AtomicU64::new(0),
         }
     }
 }
@@ -47,32 +63,40 @@ impl IoCostModel {
 
     /// Spilling pays off when recomputation is slower than one write plus one
     /// read of the object (paper: "only spill objects whose re-computation
-    /// time exceeds the estimated I/O time"). Asked once per eviction victim
-    /// with the cache state lock held, so both bandwidths are read under one
-    /// lock of this model's.
+    /// time exceeds the estimated I/O time").
     pub fn worth_spilling(&self, bytes: usize, compute_ns: u64) -> bool {
-        let bw = *self.inner.lock();
-        compute_ns > est_ns(bytes, bw.write_bw) + est_ns(bytes, bw.read_bw)
+        compute_ns > est_ns(bytes, load(&self.write_bw)) + est_ns(bytes, load(&self.read_bw))
+    }
+
+    /// The same rule on the way in: booking a value seen for the first time
+    /// pays off when the recompute time it is expected to save — `compute_ns`
+    /// times the share of keys that were seen again, `recurred` of `keys` —
+    /// exceeds what booking a value costs. With no key seen again yet there
+    /// is no estimate, and everything is booked.
+    pub fn worth_booking(&self, compute_ns: u64, recurred: u64, keys: u64) -> bool {
+        recurred == 0 || compute_ns as f64 * recurred as f64 > load(&self.book_ns) * keys as f64
     }
 
     /// Folds a measured write into the bandwidth EMA.
     pub fn observe_write(&self, bytes: usize, elapsed_ns: u64) {
-        if elapsed_ns == 0 || bytes == 0 {
-            return;
+        if elapsed_ns > 0 && bytes > 0 {
+            fold(&self.write_bw, bytes as f64 / (elapsed_ns as f64 / 1e9));
         }
-        let measured = bytes as f64 / (elapsed_ns as f64 / 1e9);
-        let mut bw = self.inner.lock();
-        bw.write_bw = EMA_ALPHA * measured + (1.0 - EMA_ALPHA) * bw.write_bw;
     }
 
     /// Folds a measured read into the bandwidth EMA.
     pub fn observe_read(&self, bytes: usize, elapsed_ns: u64) {
-        if elapsed_ns == 0 || bytes == 0 {
-            return;
+        if elapsed_ns > 0 && bytes > 0 {
+            fold(&self.read_bw, bytes as f64 / (elapsed_ns as f64 / 1e9));
         }
-        let measured = bytes as f64 / (elapsed_ns as f64 / 1e9);
-        let mut bw = self.inner.lock();
-        bw.read_bw = EMA_ALPHA * measured + (1.0 - EMA_ALPHA) * bw.read_bw;
+    }
+
+    /// Folds the measured time of one booking (install plus forced
+    /// evictions) into its EMA.
+    pub fn observe_booking(&self, elapsed_ns: u64) {
+        if elapsed_ns > 0 {
+            fold(&self.book_ns, elapsed_ns as f64);
+        }
     }
 }
 
@@ -82,7 +106,7 @@ mod tests {
 
     impl IoCostModel {
         fn est_write_ns(&self, bytes: usize) -> u64 {
-            est_ns(bytes, self.inner.lock().write_bw)
+            est_ns(bytes, load(&self.write_bw))
         }
     }
 
@@ -119,5 +143,50 @@ mod tests {
         // Degenerate observations are ignored.
         m.observe_write(0, 100);
         m.observe_read(100, 0);
+        m.observe_booking(0);
+        assert_eq!(load(&m.book_ns), 0.0);
+    }
+
+    #[test]
+    fn everything_is_worth_booking_until_a_key_recurs() {
+        let m = IoCostModel::new();
+        m.observe_booking(1_000);
+        // No recurrence estimate: even a free value is booked.
+        assert!(m.worth_booking(0, 0, 0));
+        assert!(m.worth_booking(0, 0, 10_000));
+    }
+
+    #[test]
+    fn worth_booking_weighs_compute_by_recurrence_against_booking_cost() {
+        let m = IoCostModel::new();
+        // The first measurement is the estimate, later ones are averaged in.
+        m.observe_booking(400);
+        assert_eq!(load(&m.book_ns), 400.0);
+        // One key in fifty recurs: a value must compute in more than 50 x
+        // 400 ns = 20 us to be worth its booking on first sight.
+        assert!(!m.worth_booking(2_000, 1, 50));
+        assert!(!m.worth_booking(20_000, 1, 50));
+        assert!(m.worth_booking(20_001, 1, 50));
+        // One in three: the same 2 us value now pays for itself.
+        assert!(!m.worth_booking(1_000, 1, 3));
+        assert!(m.worth_booking(2_000, 1, 3));
+    }
+
+    #[test]
+    fn booking_cost_follows_measurements() {
+        let m = IoCostModel::new();
+        m.observe_booking(200);
+        assert!(m.worth_booking(1_000, 1, 4));
+        // Bookings that force slow evictions (a spill write) raise the cost
+        // until the same value no longer pays on first sight...
+        for _ in 0..10 {
+            m.observe_booking(50_000);
+        }
+        assert!(!m.worth_booking(1_000, 1, 4));
+        // ...and cheap ones bring it back down.
+        for _ in 0..40 {
+            m.observe_booking(200);
+        }
+        assert!(m.worth_booking(1_000, 1, 4));
     }
 }

@@ -75,6 +75,11 @@ pub struct CacheEntry {
     pub hits: u64,
     /// Probes that missed because the value was absent/evicted.
     pub misses: u64,
+    /// True once the key was seen again after it entered the books: a hit, a
+    /// probe on its shell, or a probe that waited on its placeholder. Until
+    /// then a value computed for it is on its first sighting, which admission
+    /// may leave as a shell. Owned by the books (`Books::seen_again`).
+    pub seen_again: bool,
     /// In-memory size of the value in bytes (0 while Computing/Evicted).
     pub size: usize,
     /// Entry-group tag: entries caching the *same object* at different
@@ -116,6 +121,7 @@ impl CacheEntry {
             last_access: now,
             hits: 0,
             misses: 1, // the probe that created the placeholder missed
+            seen_again: false,
             size: 0,
             group: 0,
             persist_id: None,

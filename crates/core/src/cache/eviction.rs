@@ -87,6 +87,7 @@ mod tests {
             last_access,
             hits: refs,
             misses: 0,
+            seen_again: false,
             size,
             group: 0,
             persist_id: None,

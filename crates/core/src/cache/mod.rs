@@ -164,9 +164,7 @@ struct CacheState {
     /// only paid when somebody is actually waiting.
     waiters: usize,
     /// Observer invoked (outside the cache lock) after each locally computed
-    /// value is admitted — the replication tap. Deliberately *not* fired for
-    /// startup-recovered entries or values applied via
-    /// [`LineageCache::put_replicated`], so replicas never echo records back.
+    /// value is offered — see [`PutWatcher`].
     put_watcher: Option<PutWatcher>,
 }
 
@@ -231,8 +229,11 @@ pub struct LineageCache {
 }
 
 /// Callback fired after a locally computed `(lineage, value, compute_ns)`
-/// record is admitted into the cache. Must be cheap and non-blocking: it runs
-/// on the session hot path.
+/// record that fits the budget is offered to the cache, whether admission
+/// booked it or left a shell ([`LineageCache::contains`] tells which). Not
+/// fired for startup-recovered entries or values applied via
+/// [`LineageCache::put_replicated`], so replicas never echo records back.
+/// Must be cheap and non-blocking: it runs on the session hot path.
 pub type PutWatcher = Arc<dyn Fn(&LinRef, &Value, u64) + Send + Sync>;
 
 impl std::fmt::Debug for LineageCache {
@@ -455,15 +456,23 @@ impl LineageCache {
         self.config.obs.as_ref().filter(|o| o.enabled())
     }
 
-    /// Counts a hit by kind and credits `credit_ns` (from [`hit_credit`]:
-    /// each computed nanosecond at most once) to `saved_compute_ns`.
-    fn count_hit(&self, item: &LinRef, credit_ns: u64) {
+    /// Counts a probe's hit by kind (and as a persist hit when the entry was
+    /// recovered from disk), credits `credit_ns` (from [`hit_credit`]: each
+    /// computed nanosecond at most once) to `saved_compute_ns`, and records
+    /// it for an observer.
+    fn count_hit(&self, item: &LinRef, credit_ns: u64, from_persist: bool) {
+        if from_persist {
+            LimaStats::bump(&self.stats.persist_hits);
+        }
         if is_composite(item.opcode()) {
             LimaStats::bump(&self.stats.multilevel_hits);
         } else {
             LimaStats::bump(&self.stats.full_hits);
         }
         LimaStats::add(&self.stats.saved_compute_ns, credit_ns);
+        if let Some(o) = self.obs() {
+            o.record_instant(EventKind::CacheHit, item.opcode(), item.id(), credit_ns, 0);
+        }
     }
 
     /// Builds the reservation for the placeholder `id` of `item`, recording
@@ -593,18 +602,14 @@ impl LineageCache {
                         e.hits += 1;
                         e.last_access = now;
                     });
+                    st.books.seen_again(id);
                     let credit = hit_credit(&mut st.books, id);
                     drop(guard);
-                    if from_persist {
-                        LimaStats::bump(&self.stats.persist_hits);
-                    }
-                    self.count_hit(item, credit);
-                    if let Some(o) = self.obs() {
-                        o.record_instant(EventKind::CacheHit, item.opcode(), item.id(), credit, 0);
-                    }
+                    self.count_hit(item, credit, from_persist);
                     return Ok(Some(Probe::Hit(value)));
                 }
                 EntryState::Spilled { .. } => {
+                    st.books.seen_again(id);
                     let (relocked, restored) = self.restore(guard, id);
                     guard = relocked;
                     let Some(value) = restored else {
@@ -618,15 +623,14 @@ impl LineageCache {
                     let from_persist = guard.books.get(id).is_some_and(|e| e.from_persist);
                     let credit = hit_credit(&mut guard.books, id);
                     self.unlock_and_wake(guard);
-                    if from_persist {
-                        LimaStats::bump(&self.stats.persist_hits);
-                    }
-                    self.count_hit(item, credit);
+                    self.count_hit(item, credit, from_persist);
                     return Ok(Some(Probe::Hit(value)));
                 }
                 EntryState::Computing => {
                     if !counted_wait {
                         LimaStats::bump(&self.stats.placeholder_waits);
+                        // Waiting is wanting the value: the holder books it.
+                        st.books.seen_again(id);
                         counted_wait = true;
                     }
                     if let Some(intr) = interrupt {
@@ -689,7 +693,8 @@ impl LineageCache {
                     continue;
                 }
                 EntryState::Evicted => {
-                    // Evicted shell: misses raise the entry's future score.
+                    // Evicted shell: misses raise the entry's future score,
+                    // and the value computed now is booked.
                     let open = self.admissions_open();
                     st.books.update(id, |e| {
                         e.misses += 1;
@@ -698,6 +703,7 @@ impl LineageCache {
                             e.state = EntryState::Computing;
                         }
                     });
+                    st.books.seen_again(id);
                     if !open {
                         LimaStats::bump(&self.stats.governor_admission_rejects);
                         return Ok(None);
@@ -821,12 +827,14 @@ impl LineageCache {
                     e.last_access = now;
                     e.from_persist
                 });
+                st.books.seen_again(id);
                 if from_persist == Some(true) {
                     LimaStats::bump(&self.stats.persist_hits);
                 }
                 Some(value)
             }
             EntryState::Spilled { .. } => {
+                st.books.seen_again(id);
                 let (guard, restored) = self.restore(guard, id);
                 self.unlock_and_wake(guard);
                 restored
@@ -860,7 +868,7 @@ impl LineageCache {
         self.fulfill(Admission::Put { item, watched }, value, compute_ns);
     }
 
-    /// Installs (or clears) the post-admission observer. Replaces any
+    /// Installs (or clears) the observer of offered values. Replaces any
     /// previous watcher; recovered-at-startup entries never fire it.
     pub fn set_put_watcher(&self, watcher: Option<PutWatcher>) {
         self.state.lock().put_watcher = watcher;
@@ -930,32 +938,42 @@ impl LineageCache {
     }
 
     /// Installs a computed value in one critical section: statistics,
-    /// admission (or rejection to a shell), eviction down to the budget, and
+    /// admission (or refusal to a shell), eviction down to the budget, and
     /// the wake-up of probes blocked on the placeholder. A reservation's
     /// entry is reached by its id; one that has left the cache since (a
     /// `clear()`) stays gone.
+    ///
+    /// A value that fits is booked unless it was computed under a
+    /// reservation for a key on its first sighting and is not worth booking
+    /// ([`IoCostModel::worth_booking`] over the books' recurrence rate);
+    /// composites and direct puts are always booked. A refused value leaves
+    /// a shell, so the key's next probe books it, and costs no bytes, no
+    /// eviction and no disk write.
     fn fulfill(&self, how: Admission<'_>, value: &Value, compute_ns: u64) {
         let size = value.size_in_bytes();
-        let admit = size <= self.effective_budget() && self.governor_admits(size);
+        let fits = size <= self.effective_budget() && self.governor_admits(size);
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let now = self.tick();
-        let (id, composite, watched) = match how {
-            Admission::Reserved { id, composite } => (id, composite, true),
+        let (id, composite, reserved, watched) = match how {
+            Admission::Reserved { id, composite } => (id, composite, true, true),
             Admission::Put { item, watched } => {
                 let (id, _) = st.books.find_or_reserve(LinKey(item.clone()), now);
-                (id, is_composite(item.opcode()), watched)
+                (id, is_composite(item.opcode()), false, watched)
             }
         };
+        let first_sighting =
+            reserved && !composite && st.books.get(id).is_some_and(|e| !e.seen_again);
+        let (recurred, keys) = st.books.recurrence();
+        let admit = fits && (!first_sighting || self.io.worth_booking(compute_ns, recurred, keys));
         let children = self.close_frame(id, composite, true);
-        let watcher = st
-            .put_watcher
-            .as_ref()
-            .filter(|_| admit && watched)
-            .cloned();
+        let watcher = st.put_watcher.as_ref().filter(|_| fits && watched).cloned();
         // The lineage is copied out of the entry only for whoever reads it
         // once the lock is gone: an observer, the watcher, the durable store.
         let wants_key = watcher.is_some() || self.obs().is_some() || self.persist_store.is_some();
+        // What a booking costs is measured on each one made: install plus
+        // the evictions it forces.
+        let booking = admit.then(Instant::now);
         let booked = st.books.update(id, |e| {
             // An entry that already holds a value (a put on a resident
             // key, a replicated put racing a local one, a late fulfiller
@@ -979,9 +997,10 @@ impl LineageCache {
             (e.persist_id.is_none(), wants_key.then(|| e.key.clone()))
         });
         if booked.is_some() {
-            if admit {
+            if let Some(t0) = booking {
                 LimaStats::bump(&self.stats.puts);
                 self.enforce_budget(st);
+                self.io.observe_booking(t0.elapsed().as_nanos() as u64);
             } else {
                 LimaStats::bump(&self.stats.rejected_puts);
                 self.prune_shells(st);
@@ -1037,18 +1056,13 @@ impl LineageCache {
     /// concurrent probes. Failures leave the entry memory-only and feed the
     /// persistence circuit breaker.
     fn persist_entry(&self, id: EntryId, key: &LinKey, value: &Value, compute_ns: u64) {
-        use crate::opcodes::{BCALL, FCALL};
-        let Some(store) = &self.persist_store else {
-            return;
-        };
-        if !store.usable() {
-            return;
-        }
         // Multi-level entries alias values cached at operation level and
         // cannot be reconstructed from their lineage; persist only entries
         // whose recovery invariant (reconstruct == cached value) is checkable.
-        let op = key.0.opcode();
-        if op.starts_with(FCALL) || op.starts_with(BCALL) {
+        let Some(store) = &self.persist_store else {
+            return;
+        };
+        if !store.usable() || is_composite(key.0.opcode()) {
             return;
         }
         match self.persist_breaker.allow() {
@@ -2513,6 +2527,149 @@ mod tests {
         let top1 = cache.cost_report(1);
         assert_eq!(top1.len(), 1);
         assert!(top1[0].render().contains("tsmm"));
+    }
+
+    /// Probes `item`, which must miss, and fulfils it with `compute_ns`.
+    fn fulfil(cache: &LineageCache, item: &LinRef, value: &Value, compute_ns: u64) {
+        match cache.acquire(item).unwrap() {
+            Probe::Reserved(r) => r.fulfill(value, compute_ns),
+            Probe::Hit(_) => panic!("{} should miss", item.opcode()),
+        }
+    }
+
+    /// A cache in which one key was booked and seen again: it has a
+    /// recurrence estimate, so a first sighting now has to pay for its
+    /// booking — and one computed in 0 ns never does.
+    fn cache_with_recurrence(config: LimaConfig) -> Arc<LineageCache> {
+        let cache = LineageCache::new(config);
+        let seen = mk_item("ba+*", "seen");
+        fulfil(&cache, &seen, &mat(4), 1_000);
+        assert!(matches!(cache.acquire(&seen), Some(Probe::Hit(_))));
+        cache
+    }
+
+    #[test]
+    fn a_fresh_cache_books_everything_until_a_key_recurs() {
+        let cache = LineageCache::new(cfg(1 << 20));
+        for i in 0..20 {
+            fulfil(&cache, &mk_item("ba+*", &format!("X{i}")), &mat(4), 0);
+        }
+        assert_eq!(LimaStats::get(&cache.stats().puts), 20);
+        assert_eq!(LimaStats::get(&cache.stats().rejected_puts), 0);
+        // X0 recurs: from now on a free value is not worth its booking.
+        assert!(matches!(
+            cache.acquire(&mk_item("ba+*", "X0")),
+            Some(Probe::Hit(_))
+        ));
+        fulfil(&cache, &mk_item("ba+*", "Y"), &mat(4), 0);
+        assert_eq!(LimaStats::get(&cache.stats().puts), 20);
+        assert_eq!(LimaStats::get(&cache.stats().rejected_puts), 1);
+        cache.verify_index().unwrap();
+    }
+
+    #[test]
+    fn a_refused_first_sighting_leaves_a_shell_that_its_next_probe_books() {
+        let obs = Arc::new(Obs::new());
+        let cache = cache_with_recurrence(LimaConfig {
+            obs: Some(Arc::clone(&obs)),
+            ..cfg(1 << 20)
+        });
+        let offered = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&offered);
+        cache.set_put_watcher(Some(Arc::new(move |_, _, _| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        })));
+        let resident = cache.resident_bytes();
+        let item = mk_item("ba+*", "cheap");
+        let admitted = || {
+            let events = obs.events();
+            let fulfils = events
+                .iter()
+                .filter(|(_, e)| e.kind == EventKind::CacheFulfill && e.lineage_id == item.id());
+            fulfils.map(|(_, e)| e.b).collect::<Vec<_>>()
+        };
+        fulfil(&cache, &item, &mat(8), 0);
+        assert_eq!(LimaStats::get(&cache.stats().rejected_puts), 1);
+        assert_eq!(LimaStats::get(&cache.stats().puts), 1);
+        assert_eq!(cache.resident_bytes(), resident, "a shell holds no bytes");
+        assert!(!cache.contains(&item));
+        let shell = entry_of(&cache, &item).unwrap();
+        assert!(matches!(shell.state, EntryState::Evicted) && shell.size == 0);
+        assert_eq!(
+            offered.load(Ordering::Relaxed),
+            1,
+            "the watcher sees offers"
+        );
+        assert_eq!(admitted(), [0]);
+        cache.verify_index().unwrap();
+        // The second sighting probes the shell and books the value, however
+        // cheap.
+        fulfil(&cache, &item, &mat(8), 0);
+        assert_eq!(LimaStats::get(&cache.stats().puts), 2);
+        assert!(cache.contains(&item));
+        assert!(matches!(cache.acquire(&item), Some(Probe::Hit(_))));
+        assert_eq!(offered.load(Ordering::Relaxed), 2);
+        assert_eq!(admitted(), [0, 1]);
+        cache.verify_index().unwrap();
+    }
+
+    #[test]
+    fn a_probe_that_waited_on_the_placeholder_is_a_second_sighting() {
+        let cache = cache_with_recurrence(cfg(1 << 20));
+        let item = mk_item("ba+*", "waited");
+        let Some(Probe::Reserved(r)) = cache.acquire(&item) else {
+            panic!("a new key misses");
+        };
+        let c2 = Arc::clone(&cache);
+        let it = mk_item("ba+*", "waited");
+        let waiter = std::thread::spawn(move || matches!(c2.acquire(&it), Some(Probe::Hit(_))));
+        while cache.state.lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+        r.fulfill(&mat(4), 0);
+        assert!(
+            waiter.join().unwrap(),
+            "the waiter is served, not sent back"
+        );
+        assert_eq!(LimaStats::get(&cache.stats().rejected_puts), 0);
+        assert_eq!(LimaStats::get(&cache.stats().puts), 2);
+    }
+
+    #[test]
+    fn composites_and_direct_puts_are_booked_however_cheap() {
+        let cache = cache_with_recurrence(cfg(1 << 24));
+        let (put, replica) = (mk_item("ba+*", "put"), mk_item("ba+*", "replica"));
+        let composite = mk_item("fcall:f", "X");
+        cache.put(&put, &mat(4), 0);
+        cache.put_replicated(&replica, &mat(4), 0);
+        fulfil(&cache, &composite, &mat(4), 0);
+        assert_eq!(LimaStats::get(&cache.stats().rejected_puts), 0);
+        assert_eq!(LimaStats::get(&cache.stats().puts), 4);
+        assert!([put, replica, composite].iter().all(|i| cache.contains(i)));
+    }
+
+    #[test]
+    fn a_refused_miss_evicts_nothing_and_writes_nothing_to_disk() {
+        let dir = persist_dir("refused");
+        let cache = cache_with_recurrence(LimaConfig {
+            budget_bytes: 100_000,
+            spill: true,
+            ..LimaConfig::default().with_persistence(&dir)
+        });
+        cache.put(&mk_item("ba+*", "filler"), &mat(100), 60_000_000_000);
+        let counters = |c: &LineageCache| {
+            let s = c.stats();
+            [&s.evictions, &s.spills, &s.persist_writes].map(LimaStats::get)
+        };
+        let (before, resident) = (counters(&cache), cache.resident_bytes());
+        // Booking it would push the filler out to disk.
+        fulfil(&cache, &mk_item("ba+*", "big"), &mat(90), 0);
+        assert_eq!(LimaStats::get(&cache.stats().rejected_puts), 1);
+        assert_eq!(counters(&cache), before);
+        assert_eq!(cache.resident_bytes(), resident);
+        assert_eq!(spill_dir_files(&cache), 0);
+        cache.verify_index().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -537,11 +537,6 @@ impl PersistentCacheStore {
         self.state.lock().live.len()
     }
 
-    /// Bytes of committed value files.
-    pub fn persisted_bytes(&self) -> u64 {
-        self.state.lock().total_bytes
-    }
-
     /// Bytes appended to the active WAL.
     pub fn wal_bytes(&self) -> u64 {
         self.state.lock().wal_bytes

@@ -37,7 +37,6 @@ use lima_matrix::ops::{
     BinOp, TsmmSide,
 };
 use lima_matrix::{DenseMatrix, MatrixRef, Value};
-use std::time::Instant;
 
 /// Result of a successful partial reuse.
 #[derive(Debug)]
@@ -49,7 +48,9 @@ pub struct PartialHit {
 }
 
 /// Attempts all partial-reuse rewrites for `item`, whose immediate input
-/// values are `input_values` (same order as `item.inputs()`).
+/// values are `input_values` (same order as `item.inputs()`). The caller
+/// times a rewrite that fires (`compensation_ns`) from the clock reading its
+/// miss started with, which also times the kernel when none fires.
 pub fn try_partial_reuse(
     cache: &LineageCache,
     item: &LinRef,
@@ -58,17 +59,9 @@ pub fn try_partial_reuse(
     if !cache.partial_reuse() {
         return None;
     }
-    let t0 = Instant::now();
-    let hit = dispatch(cache, item, input_values);
-    if let Some(h) = &hit {
-        LimaStats::bump(&cache.stats().partial_hits);
-        LimaStats::add(
-            &cache.stats().compensation_ns,
-            t0.elapsed().as_nanos() as u64,
-        );
-        let _ = h; // value returned below
-    }
-    hit
+    let hit = dispatch(cache, item, input_values)?;
+    LimaStats::bump(&cache.stats().partial_hits);
+    Some(hit)
 }
 
 fn dispatch(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Option<PartialHit> {

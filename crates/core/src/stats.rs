@@ -57,7 +57,7 @@ define_stats! {
     placeholder_waits,
     /// Values stored into the cache.
     puts,
-    /// Values rejected by the cache (non-cacheable, over budget, ...).
+    /// Values not booked: not cacheable, over budget, or refused by admission.
     rejected_puts,
     /// Entries evicted without a spill write: dropped to a shell, or left to
     /// the copy the persistent store already holds.
@@ -270,94 +270,18 @@ impl LimaStats {
         out
     }
 
-    /// Human-readable multi-line report.
+    /// Human-readable multi-line report: every counter as `name=value`, six
+    /// to a line in declaration order (derived from [`Self::counters`], like
+    /// the Prometheus rendering), then the two time counters in seconds.
     pub fn report(&self) -> String {
+        let counters = self.counters().into_iter();
+        let pairs: Vec<String> = counters
+            .map(|(name, c)| format!("{name}={}", Self::get(c)))
+            .collect();
+        let lines: Vec<String> = pairs.chunks(6).map(|line| line.join(" ")).collect();
         format!(
-            "lineage: traced={} dedup_items={} patches={}\n\
-             reuse:   probes={} full={} multilevel={} partial={} waits={}\n\
-             cache:   puts={} rejected={} evictions={} spills={} restores={} spill_bytes={}\n\
-             faults:  spill_failures={} restore_failures={} placeholder_timeouts={} worker_panics={}\n\
-             persist: writes={} failures={} bytes={} tombstones={} hits={}\n\
-             recover: recovered={} dropped={} torn_truncations={} orphans_gcd={}\n\
-             selfheal: compactions={} reclaimed={} repairs={} repair_failures={} disk_full={}\n\
-             scrub:   bytes={} entries={} corruptions={} quarantined={} passes={} pauses={}\n\
-             analyze: ops_unmarked={} funcs_reuse_ineligible={}\n\
-             governor: degrades={} recovers={} admission_rejects={} alloc_failures={} \
-             persist_retries={} breaker_probes={}\n\
-             session: started={} completed={} cancelled={} deadline_exceeded={} rejected={}\n\
-             service: requests={} malformed={} sheds={} quota_rejects={} conn_drops={} \
-             program_cache_hits={} misses={} evictions={}\n\
-             repl:    enqueued={} queue_drops={} sent={} send_failures={} applied={} \
-             rejected={} repaired={} ae_rounds={} ae_pulled={}\n\
-             time:    saved_compute={:.3}s compensation={:.3}s",
-            Self::get(&self.items_traced),
-            Self::get(&self.dedup_items),
-            Self::get(&self.dedup_patches),
-            Self::get(&self.probes),
-            Self::get(&self.full_hits),
-            Self::get(&self.multilevel_hits),
-            Self::get(&self.partial_hits),
-            Self::get(&self.placeholder_waits),
-            Self::get(&self.puts),
-            Self::get(&self.rejected_puts),
-            Self::get(&self.evictions),
-            Self::get(&self.spills),
-            Self::get(&self.restores),
-            Self::get(&self.spill_bytes),
-            Self::get(&self.spill_failures),
-            Self::get(&self.restore_failures),
-            Self::get(&self.placeholder_timeouts),
-            Self::get(&self.worker_panics),
-            Self::get(&self.persist_writes),
-            Self::get(&self.persist_failures),
-            Self::get(&self.persist_bytes),
-            Self::get(&self.persist_tombstones),
-            Self::get(&self.persist_hits),
-            Self::get(&self.persist_recovered),
-            Self::get(&self.persist_dropped),
-            Self::get(&self.persist_torn_truncations),
-            Self::get(&self.persist_orphans_gcd),
-            Self::get(&self.persist_compactions),
-            Self::get(&self.persist_compact_reclaimed),
-            Self::get(&self.persist_repairs),
-            Self::get(&self.persist_repair_failures),
-            Self::get(&self.persist_disk_full),
-            Self::get(&self.scrub_bytes),
-            Self::get(&self.scrub_entries),
-            Self::get(&self.scrub_corruptions),
-            Self::get(&self.scrub_quarantined),
-            Self::get(&self.scrub_passes),
-            Self::get(&self.scrub_pauses),
-            Self::get(&self.ops_unmarked),
-            Self::get(&self.funcs_reuse_ineligible),
-            Self::get(&self.governor_degrades),
-            Self::get(&self.governor_recovers),
-            Self::get(&self.governor_admission_rejects),
-            Self::get(&self.alloc_failures),
-            Self::get(&self.persist_retries),
-            Self::get(&self.breaker_probes),
-            Self::get(&self.sessions_started),
-            Self::get(&self.sessions_completed),
-            Self::get(&self.sessions_cancelled),
-            Self::get(&self.sessions_deadline_exceeded),
-            Self::get(&self.sessions_rejected),
-            Self::get(&self.srv_requests),
-            Self::get(&self.srv_malformed),
-            Self::get(&self.srv_sheds),
-            Self::get(&self.srv_quota_rejects),
-            Self::get(&self.srv_conn_drops),
-            Self::get(&self.program_cache_hits),
-            Self::get(&self.program_cache_misses),
-            Self::get(&self.program_cache_evictions),
-            Self::get(&self.repl_enqueued),
-            Self::get(&self.repl_queue_drops),
-            Self::get(&self.repl_sent),
-            Self::get(&self.repl_send_failures),
-            Self::get(&self.repl_applied),
-            Self::get(&self.repl_rejected),
-            Self::get(&self.repl_repaired),
-            Self::get(&self.ae_rounds),
-            Self::get(&self.ae_pulled),
+            "{}\ntime: saved_compute={:.3}s compensation={:.3}s",
+            lines.join("\n"),
             Self::get(&self.saved_compute_ns) as f64 / 1e9,
             Self::get(&self.compensation_ns) as f64 / 1e9,
         )
@@ -409,6 +333,10 @@ mod tests {
         let r = s.report();
         assert!(r.contains("queue_drops=1"));
         assert!(r.contains("ae_pulled=2"));
+        // Every counter is reported: the list is the one `define_stats!` keeps.
+        for (name, _) in s.counters() {
+            assert!(r.contains(&format!("{name}=")), "{name} missing");
+        }
     }
 
     /// Satellite: `prometheus()` must round-trip *every* counter in

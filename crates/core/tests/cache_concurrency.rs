@@ -10,6 +10,11 @@ use lima_matrix::{DenseMatrix, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// A compute time that pays for its booking at any recurrence rate, so
+/// admission never leaves one of these values a shell and the counts below
+/// stay about placeholders alone.
+const PAYS: u64 = 1_000_000_000;
+
 fn item(tag: &str) -> LinRef {
     LineageItem::op("ba+*", vec![LineageItem::op_with_data("read", tag, vec![])])
 }
@@ -34,7 +39,7 @@ fn contended_key_computes_exactly_once() {
                             computed.fetch_add(1, Ordering::SeqCst);
                             // Simulate compute time to widen the race window.
                             std::thread::sleep(std::time::Duration::from_millis(2));
-                            r.fulfill(&Value::matrix(DenseMatrix::filled(8, 8, 1.0)), 1_000);
+                            r.fulfill(&Value::matrix(DenseMatrix::filled(8, 8, 1.0)), PAYS);
                         }
                     }
                 }
@@ -125,7 +130,7 @@ fn peeks_race_with_puts_without_poisoning() {
                 for i in 0..200 {
                     let key = item(&format!("p{i}"));
                     if let Some(Probe::Reserved(r)) = cache.acquire(&key) {
-                        r.fulfill(&Value::matrix(DenseMatrix::zeros(3, 3)), 100);
+                        r.fulfill(&Value::matrix(DenseMatrix::zeros(3, 3)), PAYS);
                     }
                 }
                 stop.store(1, Ordering::SeqCst);

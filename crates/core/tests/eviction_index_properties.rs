@@ -11,10 +11,16 @@
 //!    out of order: one whose entry a `clear()` took away in between is
 //!    stale, and fulfilling or aborting it must change nothing — least of
 //!    all the entry that moved into its slab slot since.
+//!    Each history starts with a key booked and seen again, so the cache has
+//!    a recurrence estimate and a first sighting that does not pay for its
+//!    booking (cost class 0) is refused to a shell — until a `clear()`
+//!    returns the cache to its cold start.
 //! 2. The same for the other way an entry leaves under a live reservation:
 //!    taken over by a waiter, evicted, pruned as a shell, slot recycled.
 //! 3. Entries caching one shared object defer spilling until the last of the
 //!    group leaves memory.
+//! 4. A fixed history of refusals, shell probes that book, direct puts and
+//!    evictions keeps the books in step under every policy.
 
 use lima_core::cache::{Probe, Reservation};
 use lima_core::lineage::item::{LinRef, LineageItem};
@@ -116,6 +122,71 @@ fn arb_policy() -> impl Strategy<Value = EvictionPolicy> {
     ]
 }
 
+/// Books a key outside `0..KEYS` and hits it: the cache now has a recurrence
+/// estimate.
+fn seed_recurrence(cache: &LineageCache) {
+    let seen = key(KEYS);
+    cache.put(&seen, &Value::f64(1.0), 1_000);
+    assert!(matches!(cache.acquire(&seen), Some(Probe::Hit(_))));
+}
+
+#[test]
+fn refusals_keep_the_books_in_step_under_every_policy() {
+    for policy in [
+        EvictionPolicy::Lru,
+        EvictionPolicy::DagHeight,
+        EvictionPolicy::CostSize,
+    ] {
+        let cache = LineageCache::new(LimaConfig {
+            policy,
+            budget_bytes: BUDGET,
+            spill: false,
+            ..LimaConfig::lima()
+        });
+        let check = |step: &str| {
+            if let Err(why) = cache.verify_index() {
+                panic!("{policy:?}, {step}: {why}");
+            }
+            assert!(cache.resident_bytes() <= BUDGET, "{policy:?}, {step}");
+        };
+        seed_recurrence(&cache);
+        check("seeded");
+        for round in 0..3 {
+            for k in 0..KEYS {
+                let offer = |cost_class| match cache.acquire(&key(k)) {
+                    Some(Probe::Reserved(r)) => r.fulfill(&value(k), cost(cost_class)),
+                    Some(Probe::Hit(_)) => {}
+                    None => panic!("exp is cacheable"),
+                };
+                // Round 0 is every key's first sighting: a free value is
+                // refused, a costly one (class 3) books and evicts.
+                offer(if k % 4 == 3 { 3 } else { 0 });
+                check(&format!("round {round}, key {k}"));
+                if k % 3 == 0 {
+                    cache.put(&key(k), &value(k + 1), cost(1));
+                    check(&format!("round {round}, put {k}"));
+                }
+            }
+        }
+        let stats = cache.stats();
+        let refused = LimaStats::get(&stats.rejected_puts);
+        // Round 0 refuses the 12 free first sightings; rounds 1 and 2 find
+        // a shell, and book it, or a value.
+        assert_eq!(refused, 12, "{policy:?}");
+        assert!(LimaStats::get(&stats.evictions) > 0, "{policy:?}");
+        assert!(LimaStats::get(&stats.full_hits) > 0, "{policy:?}");
+        cache.clear();
+        check("cleared");
+        // A cleared cache is a fresh one: it books everything again.
+        match cache.acquire(&key(1)) {
+            Some(Probe::Reserved(r)) => r.fulfill(&value(1), 0),
+            _ => panic!("a cleared cache misses"),
+        }
+        assert_eq!(LimaStats::get(&stats.rejected_puts), refused);
+        assert!(cache.contains(&key(1)));
+    }
+}
+
 /// A reservation can also outlive its entry without a `clear()`: a waiter
 /// takes the computation over, the value it books is evicted, the shell is
 /// pruned and the slot goes to somebody else.
@@ -201,6 +272,7 @@ proptest! {
         // made in; one from an earlier epoch is stale.
         let mut held: std::collections::VecDeque<(Reservation<'_>, usize, u32)> = Default::default();
         let mut epoch = 0u32;
+        seed_recurrence(&cache);
         for (step, op) in ops.iter().enumerate() {
             // A probe of a key whose placeholder this very thread holds
             // would wait for itself.

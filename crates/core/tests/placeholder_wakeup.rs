@@ -38,6 +38,11 @@ fn item(tag: &str) -> LinRef {
     LineageItem::op("ba+*", vec![LineageItem::op_with_data("read", tag, vec![])])
 }
 
+/// A compute time that pays for its booking at any recurrence rate: a value
+/// fulfilled before any waiter arrived is booked all the same, so a waiter
+/// that comes late hits instead of taking the work over.
+const PAYS: u64 = 1_000_000_000;
+
 fn value() -> Value {
     Value::matrix(DenseMatrix::filled(4, 4, 1.0))
 }
@@ -73,7 +78,7 @@ fn every_waiter_wakes_whether_the_holder_fulfils_or_aborts() {
                         // After an abort exactly one waiter inherits the work.
                         Some(Probe::Reserved(r)) => {
                             takeovers.fetch_add(1, Ordering::SeqCst);
-                            r.fulfill(&value(), 10);
+                            r.fulfill(&value(), PAYS);
                         }
                         None => panic!("ba+* is cacheable"),
                     });
@@ -85,7 +90,7 @@ fn every_waiter_wakes_whether_the_holder_fulfils_or_aborts() {
                 if abort {
                     holder.abort();
                 } else {
-                    holder.fulfill(&value(), 10);
+                    holder.fulfill(&value(), PAYS);
                 }
             });
             assert!(

@@ -526,17 +526,21 @@ impl Server {
         });
 
         // Replication: hang a put-watcher on every shard's cache so each
-        // committed entry is queued for forwarding. The watcher drops (and
-        // counts) under governor pressure instead of queueing — replication
-        // must never add pressure to a shard that is already shedding.
+        // entry the cache kept (admission may leave an offered value a shell)
+        // is queued for forwarding. The watcher drops (and counts) under
+        // governor pressure instead of queueing — replication must never add
+        // pressure to a shard that is already shedding.
         if let Some(repl) = inner.repl.as_ref() {
             for shard in inner.shards.iter() {
                 let Some(cache) = shard.cache() else { continue };
                 let repl = Arc::clone(repl);
                 let governor = shard.governor();
+                let kept = Arc::downgrade(&cache);
                 cache.set_put_watcher(Some(Arc::new(move |root, value, compute_ns| {
-                    if matches!(value, lima_matrix::Value::List(_)) {
-                        return; // not wire-transportable
+                    if matches!(value, lima_matrix::Value::List(_))
+                        || !kept.upgrade().is_some_and(|c| c.contains(root))
+                    {
+                        return; // not wire-transportable, or not kept
                     }
                     if let Some(g) = &governor {
                         if g.level() >= PressureLevel::NoRewrites {

@@ -78,6 +78,50 @@ fn lineage_probe_and_fetch_hit_after_submit() {
     assert!(!c.probe(&missing).unwrap());
 }
 
+/// `b` hits `a`, so the shard's cache has a recurrence estimate; 200 free
+/// first sightings then bring it down to 1 key in 200, and `K`, a 4x4
+/// multiply computed in microseconds, no longer pays for its booking.
+const REFUSED_SCRIPT: &str = "X = matrix(3, 4, 4);\na = X + 1;\nb = X + 1;\n\
+                              for (i in 1:200) {\n  t = X + i;\n}\nK = X * 7;\n";
+
+#[test]
+fn a_key_admission_refused_answers_found_false_until_it_is_seen_again() {
+    let server = start(LimadConfig {
+        shards: 1,
+        ..LimadConfig::default()
+    });
+    let mut c = client(&server, "alice");
+    let run_locally = |config: LimaConfig| {
+        let program = compile_script(REFUSED_SCRIPT, &config).unwrap();
+        let mut ctx = ExecutionContext::new(config);
+        execute_program(&program, &mut ctx).unwrap();
+        ctx
+    };
+    let base = run_locally(LimaConfig::base()).symtab["K"].clone();
+    let first = c.submit(REFUSED_SCRIPT, &outputs(&["K"])).unwrap();
+    assert_eq!(first.value("K"), Some(&base));
+    let traced = run_locally(LimaConfig::lima());
+    let lineage = serialize_lineage(traced.lineage.get("K").unwrap());
+
+    let shards = server.shards().iter();
+    let refused: u64 = shards
+        .map(|s| LimaStats::get(&s.stats().rejected_puts))
+        .sum();
+    assert!(refused > 0);
+    // Never booked: a miss on the wire, not an error.
+    assert!(!c.probe(&lineage).unwrap());
+    assert_eq!(c.fetch(&lineage).unwrap(), None);
+    // The second run probes K's shell and books it.
+    c.submit(REFUSED_SCRIPT, &outputs(&["K"])).unwrap();
+    assert!(c.probe(&lineage).unwrap());
+    let fetched = c
+        .fetch(&lineage)
+        .unwrap()
+        .expect("booked on its second sighting");
+    let (got, want) = (fetched.as_matrix().unwrap(), base.as_matrix().unwrap());
+    assert_eq!(got.data(), want.data(), "bit-equal to Base");
+}
+
 #[test]
 fn identical_scripts_reuse_across_tenants() {
     let server = start(LimadConfig::default());
@@ -95,8 +139,10 @@ fn identical_scripts_reuse_across_tenants() {
 /// token cooperatively at every instruction boundary.
 fn slow_script() -> String {
     // `(X + i)` varies the matmul per iteration, so the cache cannot turn
-    // this loop into 2000 instant hits.
-    "X = matrix(2, 80, 80);\nacc = 0;\nfor (i in 1:2000) {\n  Y = (X + i) %*% X;\n  acc = acc + sum(Y) + i;\n}\ns = acc;\n".to_string()
+    // this loop into instant hits; and since nothing recurs, admission soon
+    // stops booking its values, so the loop is long enough for every caller
+    // to cut it short even in a release build.
+    "X = matrix(2, 80, 80);\nacc = 0;\nfor (i in 1:20000) {\n  Y = (X + i) %*% X;\n  acc = acc + sum(Y) + i;\n}\ns = acc;\n".to_string()
 }
 
 #[test]

@@ -224,11 +224,6 @@ impl DenseMatrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the row-major buffer.
-    pub fn into_data(self) -> Vec<f64> {
-        self.data
-    }
-
     /// A single row as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
@@ -240,11 +235,6 @@ impl DenseMatrix {
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         *self.nnz.get_mut() = NNZ_UNKNOWN;
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Iterator over rows.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Count of non-zero cells, cached after the first scan. Kernel dispatch

@@ -490,25 +490,18 @@ fn try_block_reuse(
         Some(Probe::Hit(_)) => Ok(false),
         Some(Probe::Reserved(r)) => {
             let t0 = Instant::now();
-            match exec(ctx) {
-                Ok(()) => {
-                    let mut names = Vec::new();
-                    let mut values = Vec::new();
-                    for var in &outputs {
-                        if let Some(v) = ctx.symtab.get(var.as_str()) {
-                            names.push(Value::str(var));
-                            values.push(v.clone());
-                        }
-                    }
-                    let bundle = Value::list(vec![Value::list(names), Value::list(values)]);
-                    r.fulfill(&bundle, t0.elapsed().as_nanos() as u64);
-                    Ok(true)
-                }
-                Err(e) => {
-                    r.abort();
-                    Err(e)
+            exec(ctx)?; // a failed body drops the reservation: an abort
+            let mut names = Vec::new();
+            let mut values = Vec::new();
+            for var in &outputs {
+                if let Some(v) = ctx.symtab.get(var.as_str()) {
+                    names.push(Value::str(var));
+                    values.push(v.clone());
                 }
             }
+            let bundle = Value::list(vec![Value::list(names), Value::list(values)]);
+            r.fulfill(&bundle, t0.elapsed().as_nanos() as u64);
+            Ok(true)
         }
         None => Ok(false),
     };
@@ -607,7 +600,9 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
 
     // 3. Probe the reuse cache (full, then partial). The cache is borrowed
     //    from the context, and so is a reservation: until it is resolved
-    //    only the context's two maps change (`bind_outputs`).
+    //    only the context's two maps change (`bind_outputs`). A miss reads
+    //    the clock twice: once as it starts (a rewrite, else the kernel) and
+    //    once when its value is ready.
     let mut reservation = None;
     if let (Some(item), Some(cache)) = (&traced, ctx.cache.as_deref()) {
         let probing = !instr.no_cache && ctx.dedup_trace.is_none();
@@ -624,7 +619,7 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
                     if let Some(hit) = try_partial_reuse(cache, item, &resolved) {
                         // The compensation time is the best available proxy
                         // for this entry's recompute cost.
-                        r.fulfill(&hit.value, t0.elapsed().as_nanos() as u64);
+                        r.fulfill(&hit.value, compensated(cache, t0));
                         reused = Some((vec![hit.value], 2));
                     } else if faults.is_some_and(|f| f.should_fail(FaultSite::FulfillerDeath)) {
                         // Simulate a fulfiller dying without aborting: leak
@@ -634,14 +629,18 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
                         // but stores nothing.
                         std::mem::forget(r);
                     } else {
-                        reservation = Some(r);
+                        reservation = Some((r, t0));
                     }
                 }
                 None => {}
             }
         } else if probing && cache.partial_reuse() {
             // Partial-only configurations still rewrite without reserving.
-            reused = try_partial_reuse(cache, item, &resolved).map(|hit| (vec![hit.value], 2));
+            let t0 = Instant::now();
+            reused = try_partial_reuse(cache, item, &resolved).map(|hit| {
+                compensated(cache, t0);
+                (vec![hit.value], 2)
+            });
         }
         if let Some((outputs, outcome)) = reused {
             if let (2, Some(o)) = (outcome, &obs) {
@@ -654,27 +653,24 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
         }
     }
 
-    // 4. Execute the kernel.
-    let t0 = Instant::now();
-    let out = match execute_kernel(&instr.op, &resolved, ctx) {
-        Ok(v) => v,
-        Err(e) => {
-            if let Some(r) = reservation {
-                r.abort();
-            }
-            return Err(e);
-        }
-    };
-    let elapsed = t0.elapsed().as_nanos() as u64;
-
-    // 5. Register the output in the cache.
-    if let Some(r) = reservation {
-        r.fulfill(&bundle(&out), elapsed);
+    // 4. Execute the kernel; 5. register the output in the cache, if this
+    //    instruction holds a reservation (an error drops it: an abort).
+    let out = execute_kernel(&instr.op, &resolved, ctx)?;
+    if let Some((r, t0)) = reservation {
+        r.fulfill(&bundle(&out), t0.elapsed().as_nanos() as u64);
     }
 
     obs_instr_span(&obs, obs_t0, &instr.op, traced.as_ref(), 0);
     bind_outputs(instr, out, traced, &mut ctx.lineage, &mut ctx.symtab);
     Ok(())
+}
+
+/// Counts the time since `t0` — a fired rewrite's look-ups and compensation —
+/// in `compensation_ns`, and returns it.
+fn compensated(cache: &LineageCache, t0: Instant) -> u64 {
+    let ns = t0.elapsed().as_nanos() as u64;
+    LimaStats::add(&cache.stats().compensation_ns, ns);
+    ns
 }
 
 /// Bundles kernel outputs for caching: single output as-is, multi-output as a
@@ -957,8 +953,8 @@ fn execute_fcall(
         }
     }
 
-    // Execute the function body in a fresh context.
-    let t0 = Instant::now();
+    // Execute the function body in a fresh context, timed for a reservation.
+    let t0 = reservation.as_ref().map(|_| Instant::now());
     let mut callee = ctx.fork_function();
     for (param, value) in func.params.iter().zip(args.iter()) {
         callee.set(param.as_str(), value.clone());
@@ -970,13 +966,8 @@ fn execute_fcall(
     }
     let res = execute_function_body(func, program, &mut callee);
     ctx.stdout.append(&mut callee.stdout);
-    if let Err(e) = res {
-        if let Some(r) = reservation {
-            r.abort();
-        }
-        return Err(e);
-    }
-    let elapsed = t0.elapsed().as_nanos() as u64;
+    res?; // an unfulfilled reservation aborts as it drops
+    let elapsed = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
 
     // Collect outputs.
     let mut out_values = Vec::with_capacity(func.outputs.len());

@@ -119,12 +119,6 @@ impl SessionOptions {
         self.inputs.push((name.into(), value));
         self
     }
-
-    /// Fixes the system-seed base.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
 }
 
 /// Result of a completed session.

@@ -1,10 +1,16 @@
 //! Nothing observable moved: three pipelines under `Base`/`LT`/`LTD`/`LIMA`
 //! against constants captured at the commit before the lineage item and the
-//! cache books were re-laid-out (ISSUE 20). Pinned per run: every output
-//! value (FNV-1a over its codec body), the serialized lineage of the output
-//! (item ids renumbered by first appearance, then length and FNV-1a), the
-//! structural hash of its root, the counters a layout change could move, and
+//! cache books were re-laid-out. Pinned per run: every output value (FNV-1a
+//! over its codec body), the serialized lineage of the output (item ids
+//! renumbered by first appearance, then length and FNV-1a), the structural
+//! hash of its root, the counters a layout change could move, and
 //! `dag_bytes()` as a ceiling — the DAG may get smaller, never larger.
+//!
+//! Under the two `LIMA` configurations `puts`, `full_hits` and `evictions`
+//! are ceilings too: admission books a value on its first sighting only when
+//! its measured compute time pays for the booking, so, like Cost&Size
+//! victims, they follow measured time. Everything the cache cannot change —
+//! items traced, probes, multi-level and partial hits — stays exact.
 //!
 //! `OBSERVABLES_PRINT=1 cargo test --test observables_pinned -- --nocapture`
 //! prints the table in the form `PINNED` holds.
@@ -189,8 +195,21 @@ fn observables_match_the_parent_commit() {
                 want.dag_bytes,
                 got.dag_bytes
             );
+            let mut counters = got.counters;
+            if cname.starts_with("LIMA") {
+                for (i, name) in [(2, "full_hits"), (5, "puts"), (6, "evictions")] {
+                    assert!(
+                        counters[i] <= want.counters[i],
+                        "{pname}/{cname}: {name} grew {} -> {}",
+                        want.counters[i],
+                        counters[i]
+                    );
+                    counters[i] = want.counters[i];
+                }
+            }
             let got = Observed {
                 dag_bytes: want.dag_bytes,
+                counters,
                 ..got
             };
             assert_eq!(&got, want, "{pname}/{cname}");

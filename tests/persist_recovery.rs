@@ -185,6 +185,10 @@ fn crash_at_every_point_recovers_consistent_reconstructable_subset() {
 /// generation switch) must land recovery on a consistent generation whose
 /// entries still reconstruct to the reuse-off baseline. A fault-free control
 /// proves compaction strictly shrinks the WAL for the same workload.
+/// Holds one or two of the workload's values, so that even the few values
+/// admission books on their first sighting overflow it.
+const PERSIST_BUDGET: u64 = 4 * 1024;
+
 #[test]
 fn compaction_crash_matrix_recovers_and_strictly_reclaims() {
     let grid = pipelines::hyperparameter_grid(2, 2, 1);
@@ -197,7 +201,7 @@ fn compaction_crash_matrix_recovers_and_strictly_reclaims() {
         // then one explicit compaction — the WAL must strictly shrink.
         let dir = tmp_dir("compact-ctl");
         let ctl = LimaConfig {
-            persist_budget_bytes: 24 * 1024,
+            persist_budget_bytes: PERSIST_BUDGET,
             persist_compact_factor: 0,
             ..LimaConfig::lima().with_persistence(&dir)
         };
@@ -234,7 +238,7 @@ fn compaction_crash_matrix_recovers_and_strictly_reclaims() {
                 let dir = tmp_dir("compact-crash");
                 let inj = Arc::new(FaultInjector::new(seed).fail_at(site, &[occ]));
                 let config = LimaConfig {
-                    persist_budget_bytes: 24 * 1024,
+                    persist_budget_bytes: PERSIST_BUDGET,
                     persist_compact_min_bytes: 1024,
                     persist_compact_factor: 1,
                     ..LimaConfig::lima()
