@@ -1,17 +1,6 @@
-//! Synthetic dataset generators.
-//!
-//! The paper evaluates on synthetic matrices plus two UCI datasets (Table 3:
-//! APS — Scania trucks failure classification, 60K×170 → 70K×170 after mean
-//! imputation and minority oversampling; KDD98 — donation regression,
-//! 95,412×469 → ×7,909 after recode/bin/one-hot). Those datasets are not
-//! redistributable here, so `aps_like`/`kdd98_like` generate synthetic data
-//! with the same shapes and the same pre-processing *code paths* (missing
-//! values, class skew, categorical and numeric columns). The paper itself
-//! observes that lineage reuse is "largely invariant to data skew" (§5.4),
-//! so these stand-ins preserve the relative speedups Fig 9(f) reports.
+//! Synthetic dataset generators for the pipelines, examples and tests.
 
-use lima_matrix::frame::{bin_column, impute_mean, one_hot, oversample_minority, recode_column};
-use lima_matrix::ops::{cbind, matmult, slice};
+use lima_matrix::ops::matmult;
 use lima_matrix::rand_gen::{rand_matrix, RandDist};
 use lima_matrix::DenseMatrix;
 use rand::rngs::StdRng;
@@ -120,115 +109,6 @@ pub fn synthetic_graph(n: usize, out_degree: usize, seed: u64) -> DenseMatrix {
     g
 }
 
-/// APS-like raw data (paper Table 3): `n × d` numeric sensor matrix with a
-/// `missing` fraction of NaN cells and a minority failure class of
-/// `minority` fraction. Returns `(X_raw, y∈{1,2})` with 2 the minority.
-pub fn aps_like_raw(
-    n: usize,
-    d: usize,
-    missing: f64,
-    minority: f64,
-    seed: u64,
-) -> (DenseMatrix, DenseMatrix) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut x = rand_matrix(
-        n,
-        d,
-        RandDist::Normal {
-            mean: 0.0,
-            std: 1.0,
-        },
-        1.0,
-        seed ^ 0x5,
-    )
-    .expect("valid params");
-    let mut y = DenseMatrix::zeros(n, 1);
-    for i in 0..n {
-        let is_minority = rng.gen::<f64>() < minority;
-        y.set(i, 0, if is_minority { 2.0 } else { 1.0 });
-        if is_minority {
-            // Shift minority rows so the classes are separable-ish.
-            for j in 0..d.min(10) {
-                x.set(i, j, x.get(i, j) + 2.0);
-            }
-        }
-    }
-    for v in x.data_mut() {
-        if rng.gen::<f64>() < missing {
-            *v = f64::NAN;
-        }
-    }
-    (x, y)
-}
-
-/// APS-like pre-processing (paper §5.4): mean imputation + oversampling the
-/// minority class. `70_000/60_000 - 1 ≈ 0.1667` extra rows in the paper;
-/// the target fraction reproduces that growth.
-pub fn aps_like_preprocess(
-    x: &DenseMatrix,
-    y: &DenseMatrix,
-    target_minority_fraction: f64,
-) -> (DenseMatrix, DenseMatrix) {
-    let xi = impute_mean(x);
-    oversample_minority(&xi, y, 2.0, target_minority_fraction).expect("valid oversample")
-}
-
-/// KDD98-like raw data: `n` rows with `num_cat` categorical columns
-/// (cardinalities cycling over `cards`) followed by `num_num` numeric
-/// columns, plus a regression target.
-pub fn kdd98_like_raw(
-    n: usize,
-    num_cat: usize,
-    num_num: usize,
-    cards: &[usize],
-    seed: u64,
-) -> (DenseMatrix, DenseMatrix) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let d = num_cat + num_num;
-    let mut x = DenseMatrix::zeros(n, d);
-    for i in 0..n {
-        for j in 0..num_cat {
-            let card = cards[j % cards.len()];
-            x.set(i, j, (rng.gen_range(0..card) + 1) as f64);
-        }
-        for j in 0..num_num {
-            x.set(i, num_cat + j, rng.gen::<f64>() * 100.0);
-        }
-    }
-    let y = DenseMatrix::from_fn(n, 1, |i, _| {
-        let mut s = 0.0;
-        for j in 0..d.min(8) {
-            s += x.get(i, j);
-        }
-        s * 0.1 + (i % 7) as f64 * 0.01
-    });
-    (x, y)
-}
-
-/// KDD98-like pre-processing (paper §5.4): recode categoricals, bin
-/// continuous columns into `bins` equi-width bins, one-hot encode both.
-/// The output width is the sum of the cardinalities plus `num_num * bins`
-/// (KDD98: 469 → 7,909 columns).
-pub fn kdd98_like_preprocess(x: &DenseMatrix, num_cat: usize, bins: usize) -> DenseMatrix {
-    let n = x.rows();
-    let mut out: Option<DenseMatrix> = None;
-    for j in 0..x.cols() {
-        let col = slice(x, 0, n - 1, j, j).expect("in bounds");
-        let enc = if j < num_cat {
-            let (codes, card) = recode_column(&col).expect("column vector");
-            one_hot(&codes, card).expect("valid codes")
-        } else {
-            let binned = bin_column(&col, bins).expect("valid bins");
-            one_hot(&binned, bins).expect("valid codes")
-        };
-        out = Some(match out {
-            None => enc,
-            Some(acc) => cbind(&acc, &enc).expect("same rows"),
-        });
-    }
-    out.expect("at least one column")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,32 +162,6 @@ mod tests {
         for j in 0..20 {
             let s: f64 = (0..20).map(|i| g.get(i, j)).sum();
             assert!(s <= 1.0 + 1e-12);
-        }
-    }
-
-    #[test]
-    fn aps_like_preprocessing_fills_and_oversamples() {
-        let (x, y) = aps_like_raw(600, 17, 0.1, 0.05, 9);
-        assert!(x.data().iter().any(|v| v.is_nan()));
-        let (x2, y2) = aps_like_preprocess(&x, &y, 0.3);
-        assert!(x2.data().iter().all(|v| !v.is_nan()));
-        assert!(x2.rows() > x.rows());
-        let minority = y2.data().iter().filter(|v| **v == 2.0).count() as f64;
-        assert!(minority / y2.rows() as f64 >= 0.3 - 1e-9);
-    }
-
-    #[test]
-    fn kdd98_like_preprocessing_widens_columns() {
-        let (x, y) = kdd98_like_raw(300, 4, 3, &[5, 3], 11);
-        assert_eq!(x.shape(), (300, 7));
-        assert_eq!(y.rows(), 300);
-        let enc = kdd98_like_preprocess(&x, 4, 10);
-        // 4 cats (5+3+5+3) + 3 numerics * 10 bins = 46 columns.
-        assert_eq!(enc.shape(), (300, 46));
-        // One-hot rows sum to the number of original columns.
-        for i in 0..enc.rows() {
-            let s: f64 = enc.row(i).iter().sum();
-            assert_eq!(s, 7.0);
         }
     }
 

@@ -789,7 +789,7 @@ impl LineageCache {
 
     /// True when this item's output qualifies for cache interaction.
     pub fn reusable(&self, item: &LinRef) -> bool {
-        self.config.reuse.any() && self.config.is_cacheable(item.opcode())
+        self.config.reuse.any() && crate::opcodes::opcode_info(item.opcode()).cacheable
     }
 
     /// Whether full (operation-level) reuse is active.

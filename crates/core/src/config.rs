@@ -1,7 +1,6 @@
 //! Configuration of lineage tracing and the reuse cache.
 
 use crate::faults::FaultInjector;
-use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -68,8 +67,6 @@ pub struct LimaConfig {
     pub spill: bool,
     /// Compiler assistance: unmarking and reuse-aware rewrites (paper §4.4).
     pub compiler_assist: bool,
-    /// Opcodes whose outputs qualify for caching; `None` uses the default set.
-    pub cacheable_opcodes: Option<HashSet<String>>,
     /// Upper bound (milliseconds) a probe blocks on another thread's
     /// placeholder before assuming the fulfiller died and taking over the
     /// computation itself. 0 waits forever (the pre-hardening behaviour).
@@ -135,7 +132,6 @@ impl Default for LimaConfig {
             budget_bytes: 256 * 1024 * 1024,
             spill: true,
             compiler_assist: true,
-            cacheable_opcodes: None,
             placeholder_timeout_ms: 60_000,
             spill_failure_limit: 3,
             breaker_cooldown_ms: 5_000,
@@ -239,14 +235,6 @@ impl LimaConfig {
             lima_matrix::backend::set_backend(kind);
         }
     }
-
-    /// True when `op` qualifies for caching under this configuration.
-    pub fn is_cacheable(&self, op: &str) -> bool {
-        match &self.cacheable_opcodes {
-            Some(set) => set.contains(op),
-            None => crate::opcodes::opcode_info(op).cacheable,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -286,16 +274,5 @@ mod tests {
         // The config clones share the injector's counters.
         let cfg2 = cfg.clone();
         assert_eq!(cfg2.faults.unwrap().occurrences(FaultSite::SpillRead), 1);
-    }
-
-    #[test]
-    fn cacheable_respects_override() {
-        let mut cfg = LimaConfig::default();
-        assert!(cfg.is_cacheable("ba+*"));
-        assert!(!cfg.is_cacheable("print"));
-        assert!(cfg.is_cacheable("spoof17"));
-        cfg.cacheable_opcodes = Some(["ba+*".to_string()].into_iter().collect());
-        assert!(cfg.is_cacheable("ba+*"));
-        assert!(!cfg.is_cacheable("tsmm"));
     }
 }

@@ -25,7 +25,7 @@
 //! Exporters: [`Obs::chrome_trace`] emits Chrome `trace_event` JSON (load
 //! in Perfetto / `chrome://tracing`); [`validate_chrome_trace`] +
 //! [`check_span_nesting`] parse it back with a dependency-free JSON reader
-//! so tests and the `trace_check` tool can verify traces without serde.
+//! so tests, `lima-lint trace` and limabench can verify traces without serde.
 
 use crate::json;
 use parking_lot::Mutex;
@@ -524,7 +524,7 @@ impl Obs {
 
 // ---------------------------------------------------------------------------
 // Trace validation: the Chrome-trace checker over `crate::json`, shared by
-// the exporter tests and the `trace_check` CI tool.
+// the exporter tests, `lima-lint trace` and limabench.
 // ---------------------------------------------------------------------------
 
 pub use crate::json::{parse as parse_json, Json};

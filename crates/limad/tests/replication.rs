@@ -1,43 +1,19 @@
 //! Replication integration tests: write forwarding, anti-entropy repair,
 //! hostile `K_REPL_*` input isolation, and hot-path non-blocking guarantees.
 
+use common::{client, lineage_of, outputs, wait_until, GRAM_SCRIPT, GRAM_SUM};
 use lima_client::proto::{
     fnv1a, read_frame, write_frame, ErrorCode, ReplRecord, Request, Response, MAX_FRAME_BYTES,
 };
 use lima_client::{ClientOptions, LimadClient, SubmitOptions};
-use lima_core::lineage::serialize_lineage;
 use lima_core::{LimaConfig, LimaStats, PressureLevel};
-use lima_lang::compile_script;
 use lima_matrix::Value;
-use lima_runtime::{execute_program, ExecutionContext};
 use limad::{LimadConfig, ReplOptions, ReplicaGroup, Server};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-const GRAM_SCRIPT: &str = "X = matrix(3, 100, 5);\nG = t(X) %*% X;\ns = sum(G);\n";
-const GRAM_SUM: f64 = 22_500.0;
-
-fn outputs(names: &[&str]) -> SubmitOptions {
-    SubmitOptions {
-        outputs: names.iter().map(|s| s.to_string()).collect(),
-        ..SubmitOptions::default()
-    }
-}
-
-fn client(server: &Server, tenant: &str) -> LimadClient {
-    LimadClient::new(&server.addr().to_string(), tenant, ClientOptions::default())
-}
-
-/// Serialized lineage of variable `var` after running `script` locally —
-/// identical script ⇒ identical lineage hash ⇒ same cache key server-side.
-fn lineage_of(script: &str, var: &str) -> String {
-    let config = LimaConfig::lima();
-    let program = compile_script(script, &config).unwrap();
-    let mut ctx = ExecutionContext::new(config);
-    execute_program(&program, &mut ctx).unwrap();
-    serialize_lineage(ctx.lineage.get(var).unwrap())
-}
+mod common;
 
 fn base_config() -> LimadConfig {
     LimadConfig {
@@ -46,17 +22,6 @@ fn base_config() -> LimadConfig {
         repl: Some(ReplOptions::default()),
         ..LimadConfig::default()
     }
-}
-
-fn wait_until(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if done() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    done()
 }
 
 #[test]
@@ -82,16 +47,26 @@ fn submits_replicate_to_follower() {
 #[test]
 fn anti_entropy_heals_entries_the_sender_dropped() {
     let group = ReplicaGroup::start(&base_config(), 2).unwrap();
-    let leader = group.get(0).unwrap();
+    let (leader, follower) = (group.get(0).unwrap(), group.get(1).unwrap());
     let repl = leader.replicator().expect("replication configured");
-    let repl_b = group.get(1).unwrap().replicator().unwrap();
+    let repl_b = follower.replicator().unwrap();
 
     // Partition: pause both members' outbound machinery. Member 0's sender
-    // drops everything submitted; member 1's AE cannot pull. The entry can
+    // drops everything submitted; member 1's AE cannot pull. An entry can
     // only cross after the partition lifts.
     repl.pause(true);
     repl_b.pause(true);
-    let mut a = client(leader, "alice");
+    // Traffic through a client of the whole group that prefers member 0:
+    // the partition is invisible to it, every submit answers its value
+    // within the 10 s tail bound.
+    let mut a = LimadClient::new_replicated(&group.addrs(), "alice", ClientOptions::default());
+    for k in 1..=16u32 {
+        let script = format!("X = matrix({k}, 20, 4);\nG = t(X) %*% X;\ns = sum(G);\n");
+        let t0 = Instant::now();
+        let done = a.submit(&script, &outputs(&["s"])).unwrap();
+        assert!(t0.elapsed() <= Duration::from_secs(10));
+        assert_eq!(done.value("s"), Some(&Value::f64(320.0 * f64::from(k * k))));
+    }
     a.submit(GRAM_SCRIPT, &outputs(&["s"])).unwrap();
     // Let the sender drain (and drop) the paused queue.
     assert!(wait_until(Duration::from_secs(5), || {
@@ -103,28 +78,38 @@ fn anti_entropy_heals_entries_the_sender_dropped() {
     );
 
     let lineage = lineage_of(GRAM_SCRIPT, "G");
-    let mut b = client(group.get(1).unwrap(), "bob");
+    let mut b = client(follower, "bob");
     assert!(
         b.fetch(&lineage).unwrap().is_none(),
         "paused replication must not have forwarded the entry"
     );
+    assert_ne!(
+        leader.keyspace_hashes(),
+        follower.keyspace_hashes(),
+        "the members never diverged under the partition"
+    );
 
     // Lift the partition: member 1's AE loop digests against member 0,
-    // notices the missing bucket, and pulls the entry across.
+    // notices the missing buckets, and pulls the entries across until both
+    // members hold identical replicable keyspaces.
     repl.pause(false);
     repl_b.pause(false);
-    let healed = wait_until(Duration::from_secs(15), || {
-        b.fetch(&lineage).ok().flatten().is_some()
-    });
-    assert!(healed, "anti-entropy never converged the follower");
-    assert!(LimaStats::get(&group.get(1).unwrap().server_stats().ae_pulled) > 0);
-
-    // Both members now hold identical replicable keyspaces.
-    assert!(wait_until(Duration::from_secs(10), || {
-        let ka = group.get(0).unwrap().keyspace_hashes();
-        let kb = group.get(1).unwrap().keyspace_hashes();
-        !ka.is_empty() && ka == kb
-    }));
+    assert!(
+        wait_until(Duration::from_secs(30), || {
+            let ka = leader.keyspace_hashes();
+            !ka.is_empty() && ka == follower.keyspace_hashes()
+        }),
+        "anti-entropy never converged the follower"
+    );
+    assert!(LimaStats::get(&follower.server_stats().ae_pulled) > 0);
+    assert!(b.fetch(&lineage).unwrap().is_some());
+    let text = leader.metrics_text();
+    for needle in [
+        "limad_replica_state{member=\"1\"}",
+        "limad_repl_queue_depth",
+    ] {
+        assert!(text.contains(needle), "missing {needle} in\n{text}");
+    }
     group.shutdown();
 }
 

@@ -4,19 +4,20 @@
 //! traffic while its siblings keep serving at L0; pressure release must be
 //! observable via `governor_recovers`. A shard whose WAL directory is
 //! unusable degrades to memory-only and keeps serving while its peers'
-//! persistence is untouched.
+//! persistence is untouched. A restart over a persist root recovers warm
+//! after a torn WAL append and repairs values corrupted between lives.
 
+use common::outputs;
 use lima_client::proto::ErrorCode;
-use lima_client::{ClientOptions, LimadClient, SubmitOptions};
+use lima_client::{ClientOptions, LimadClient};
+use lima_core::faults::{FaultInjector, FaultSite};
 use lima_core::{LimaConfig, LimaStats, PressureLevel};
-use limad::{LimadConfig, Server, ShardState};
+use limad::{CacheShard, LimadConfig, Server, ShardState};
+use std::path::Path;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
-fn outputs(names: &[&str]) -> SubmitOptions {
-    SubmitOptions {
-        outputs: names.iter().map(|s| s.to_string()).collect(),
-        ..SubmitOptions::default()
-    }
-}
+mod common;
 
 /// Finds a self-contained script that the server's ring routes to `shard`.
 /// Routing is a pure function of the script text, so probing a local copy of
@@ -151,54 +152,92 @@ fn wal_unusable_shard_degrades_to_memory_and_keeps_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn warm_restart_recovers_persisted_entries() {
-    let dir = std::env::temp_dir().join(format!("limad-warm-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn total(server: &Server, counter: fn(&LimaStats) -> &AtomicU64) -> u64 {
+    let shards = server.shards().iter();
+    shards.map(|s| LimaStats::get(counter(&s.stats()))).sum()
+}
 
-    let script = "X = matrix(3, 60, 6);\nG = t(X) %*% X;\ns = sum(G);\n";
-    let cfg = || LimadConfig {
-        shards: 2,
-        persist_root: Some(dir.clone()),
-        ..LimadConfig::default()
+/// Two lives of a 2-shard server over one persist root, each submitting four
+/// gram scripts whose constants vary with `seed`. The first runs under
+/// `template`; `between` may damage the root and says how many files it hit;
+/// the second, fault-free, must start with a warm shard, answer every script
+/// as the first did and serve at least one hit from a recovered entry, and
+/// is handed to `check` with that count.
+fn two_lives(
+    seed: u64,
+    template: LimaConfig,
+    between: impl FnOnce(&Path) -> usize,
+    check: impl FnOnce(&Server, usize),
+) {
+    let dir = common::scratch_dir("lives");
+    let start = |template| {
+        let persist_root = Some(dir.clone());
+        let cfg = LimadConfig {
+            shards: 2,
+            persist_root,
+            scrub_interval_ms: 0,
+            template,
+            ..LimadConfig::default()
+        };
+        Server::start(cfg).unwrap()
     };
-
-    // First life: run a script whose gram matrix gets persisted.
-    let first = Server::start(cfg()).unwrap();
-    let addr = first.addr().to_string();
-    let mut c = LimadClient::new(&addr, "alice", ClientOptions::default());
-    let expect = c.submit(script, &outputs(&["s"])).unwrap();
-    let writes: u64 = first
-        .shards()
-        .iter()
-        .map(|s| LimaStats::get(&s.stats().persist_writes))
-        .sum();
-    assert!(writes >= 1, "the gram matrix should have been persisted");
+    let gram = |p| format!("X = matrix({p}, 60, 6);\nG = t(X) %*% X;\ns = sum(G);\n");
+    let scripts: Vec<_> = (0..4).map(|i| gram(1 + (seed + i) % 7)).collect();
+    let answers = |server: &Server| -> Vec<_> {
+        let mut c = common::client(server, "alice");
+        let mut submit = |s: &String| c.submit(s, &outputs(&["s"])).unwrap().values;
+        scripts.iter().map(&mut submit).collect()
+    };
+    let first = start(template.clone());
+    let expect = answers(&first);
+    assert!(total(&first, |s| &s.persist_writes) >= 1, "seed {seed}");
     first.shutdown();
+    let damaged = between(&dir);
 
-    // Second life over the same directory: at least one shard starts warm,
-    // and re-running the script reuses recovered entries.
-    let second = Server::start(cfg()).unwrap();
-    let warm = second
-        .shards()
-        .iter()
-        .filter(|s| s.state() == ShardState::Warm)
-        .count();
-    assert!(warm >= 1, "no shard recovered anything from its WAL");
-    let addr = second.addr().to_string();
-    let mut c = LimadClient::new(&addr, "bob", ClientOptions::default());
-    let again = c.submit(script, &outputs(&["s"])).unwrap();
-    assert_eq!(again.value("s"), expect.value("s"));
-    let persist_hits: u64 = second
-        .shards()
-        .iter()
-        .map(|s| LimaStats::get(&s.stats().persist_hits))
-        .sum();
-    assert!(
-        persist_hits >= 1,
-        "warm restart must serve at least one hit from recovered entries"
-    );
-
+    let second = start(LimaConfig {
+        faults: None,
+        ..template
+    });
+    let warm = |s: &Arc<CacheShard>| s.state() == ShardState::Warm;
+    assert!(second.shards().iter().any(warm), "seed {seed}: cold");
+    assert_eq!(answers(&second), expect, "seed {seed}");
+    assert!(total(&second, |s| &s.persist_hits) >= 1, "seed {seed}");
+    check(&second, damaged);
     drop(second);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The first life tears a manifest WAL append mid-record; recovery keeps the
+/// intact prefix and drops the torn tail.
+#[test]
+fn warm_restart_recovers_persisted_entries() {
+    for seed in common::seeds() {
+        let tear = FaultInjector::new(seed).fail_at(FaultSite::PersistWalAppend, &[1 + seed % 3]);
+        let tear = Arc::new(tear);
+        let template = LimaConfig::lima().with_faults(Arc::clone(&tear));
+        two_lives(seed, template, |_| 0, |_, _| {});
+        assert_eq!(tear.injected(FaultSite::PersistWalAppend), 1, "seed {seed}");
+    }
+}
+
+/// Every committed value file is bit-flipped between lives: recovery verifies
+/// checksums eagerly and recomputes each flipped value from its lineage
+/// (multi-level reuse off, so every persisted lineage is replayable).
+#[test]
+fn warm_restart_repairs_values_corrupted_between_lives() {
+    for seed in common::seeds() {
+        let mut template = LimaConfig::lima();
+        template.multilevel = false;
+        two_lives(seed, template, common::flip_values, |second, flipped| {
+            assert!(flipped >= 1, "seed {seed}: no value file to corrupt");
+            let repairs = total(second, |s| &s.persist_repairs);
+            assert!(
+                repairs >= flipped as u64,
+                "seed {seed}: {repairs} < {flipped}"
+            );
+            let lost = total(second, |s| &s.persist_repair_failures);
+            let lost = lost + total(second, |s| &s.persist_dropped);
+            assert_eq!(lost, 0, "seed {seed}: repairs failed or entries dropped");
+        });
+    }
 }

@@ -11,7 +11,7 @@
 //!
 //! With `LIMA_TRACE_OUT` set, the LIMA run records lineage-aware obs events
 //! and writes a Chrome `trace_event` JSON file — load it in chrome://tracing
-//! or https://ui.perfetto.dev, or validate it with the `trace_check` binary.
+//! or https://ui.perfetto.dev, or validate it with `lima-lint trace`.
 
 use lima::prelude::*;
 use std::sync::Arc;

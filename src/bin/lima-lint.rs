@@ -1,7 +1,7 @@
 //! `lima-lint` — static checks for LIMA scripts, lineage logs, and persist
 //! directories.
 //!
-//! Three modes sharing one exit-code contract (DESIGN.md §14):
+//! Four modes sharing one exit-code contract (DESIGN.md §14):
 //!
 //! * `lima-lint check <script.dml>...` — parse, compile, and lint DML
 //!   scripts; renders caret diagnostics (or `--format json`).
@@ -10,12 +10,16 @@
 //! * `lima-lint fsck <dir>...` — offline persistence verification: WAL
 //!   framing, value checksums, lineage parse/DAG checks, orphan/debris
 //!   detection.
+//! * `lima-lint trace <trace.json> [--require-lineage]` — validate a Chrome
+//!   `trace_event` export (`limac run --trace-out`, `LIMA_TRACE_OUT`):
+//!   structure, per-thread span nesting, and optionally lineage-id coverage.
 //!
 //! Exit codes (all modes): `0` clean, `1` findings (lint errors, denied
-//! warnings, log diagnostics, or corruption), `2` usage or internal errors
-//! (unknown flags, unreadable inputs).
+//! warnings, log diagnostics, corruption, or an invalid or empty trace), `2`
+//! usage or internal errors (unknown flags, unreadable inputs).
 
 use lima_analysis::lint_log;
+use lima_core::obs::{check_span_nesting, validate_chrome_trace};
 use lima_core::{diagnostics_to_json, LimaConfig, Severity};
 use lima_lang::lint_script;
 use std::io::Read as _;
@@ -28,6 +32,7 @@ const EXIT_USAGE: u8 = 2;
 const HELP: &str = "usage: lima-lint check [--deny warnings] [--format text|json] <script.dml>...
        lima-lint [--verbose] <lineage-log>...
        lima-lint fsck [--verbose] <persist-dir>...
+       lima-lint trace [--require-lineage] <trace.json>
 
 check lints DML scripts: parse/compile errors (L0001-L0100) and lint
 findings (L02xx) render as caret snippets; --format json prints one JSON
@@ -36,7 +41,9 @@ warnings promotes them; notes never affect the exit code.
 
 The default mode lints serialized lineage logs ('-' reads stdin); fsck
 verifies persist directories offline (WAL framing, checksums, lineage,
-orphans). Debris findings are informational.
+orphans). Debris findings are informational. trace validates a Chrome
+trace_event export: structure and per-thread span nesting, at least one
+event, and with --require-lineage at least one event carrying a lineage id.
 
 exit codes (every mode): 0 clean, 1 findings, 2 usage/internal error";
 
@@ -183,6 +190,61 @@ fn run_fsck(dirs: &[String], verbose: bool) -> ExitCode {
     }
 }
 
+/// The `trace` subcommand: validate one exported Chrome trace.
+fn run_trace(args: &[String]) -> ExitCode {
+    let mut require_lineage = false;
+    let mut paths = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--require-lineage" => require_lineage = true,
+            flag if flag.starts_with('-') => {
+                eprintln!("lima-lint: unknown flag '{flag}' (try --help)");
+                return ExitCode::from(EXIT_USAGE);
+            }
+            path => paths.push(path),
+        }
+    }
+    let [path] = paths[..] else {
+        eprintln!("lima-lint: trace takes exactly one file (try --help)");
+        return ExitCode::from(EXIT_USAGE);
+    };
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("lima-lint: {path}: {e}");
+            return ExitCode::from(EXIT_USAGE);
+        }
+    };
+    let finding = match validate_chrome_trace(&text) {
+        Err(e) => Some(format!("invalid trace: {e}")),
+        Ok(summary) => match check_span_nesting(&summary) {
+            Err(e) => Some(format!("span nesting violated: {e}")),
+            Ok(()) if summary.total_events == 0 => Some("trace contains no events".into()),
+            Ok(()) if require_lineage && summary.with_lineage == 0 => {
+                Some("no event carries a lineage id".into())
+            }
+            Ok(()) => {
+                println!(
+                    "{path}: ok — {} events ({} spans, {} instants, {} with lineage ids, {} threads)",
+                    summary.total_events,
+                    summary.spans.len(),
+                    summary.instants,
+                    summary.with_lineage,
+                    summary.tids
+                );
+                None
+            }
+        },
+    };
+    match finding {
+        Some(msg) => {
+            println!("{path}: {msg}");
+            ExitCode::from(EXIT_FINDINGS)
+        }
+        None => ExitCode::from(EXIT_CLEAN),
+    }
+}
+
 /// The default mode: lint serialized lineage logs.
 fn run_log_lint(paths: &[String], verbose: bool) -> ExitCode {
     if paths.is_empty() {
@@ -237,6 +299,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("check") => return run_check(&args[1..]),
+        Some("trace") => return run_trace(&args[1..]),
         Some("fsck") => {
             let rest = &args[1..];
             let verbose = rest.iter().any(|a| a == "--verbose" || a == "-v");

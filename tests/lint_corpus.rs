@@ -131,6 +131,36 @@ fn exit_code_contract_is_shared_across_modes() {
     // fsck: missing directory → 2.
     let out = lint(&["fsck", "/no/such/dir"]);
     assert_eq!(out.status.code(), Some(2), "fsck non-directory");
+    // trace: valid → 0; malformed, empty, or lineage-free under
+    // --require-lineage → 1; unreadable, no file, or a bad flag → 2.
+    let dir = std::env::temp_dir().join(format!("lima_lint_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = |events: &str| Some(format!(r#"{{"traceEvents":[{events}]}}"#));
+    let span = |lineage: u64| {
+        format!(
+            r#"{{"name":"ba+*","cat":"instr","ph":"X","pid":1,"tid":1,"ts":0,"dur":2,"args":{{"lineage_id":{lineage}}}}}"#
+        )
+    };
+    for (name, text, args, code) in [
+        ("traced", trace(&span(7)), &["--require-lineage"][..], 0),
+        ("untraced", trace(&span(0)), &[][..], 0),
+        ("untraced", trace(&span(0)), &["--require-lineage"][..], 1),
+        ("empty", trace(""), &[][..], 1),
+        ("truncated", Some("{".to_string()), &[][..], 1),
+        ("missing", None, &[][..], 2),
+    ] {
+        let path = dir.join(format!("{name}.json"));
+        if let Some(text) = text {
+            std::fs::write(&path, text).unwrap();
+        }
+        let out = lint(&[&["trace", path.to_str().unwrap()][..], args].concat());
+        assert_eq!(out.status.code(), Some(code), "trace {name} {args:?}");
+    }
+    assert_eq!(lint(&["trace"]).status.code(), Some(2), "trace no file");
+    let traced = dir.join("traced.json");
+    let out = lint(&["trace", "--bogus", traced.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "trace bad flag");
+    std::fs::remove_dir_all(&dir).ok();
     // --help → 0 and documents the contract in every mode's reach.
     let out = lint(&["--help"]);
     assert_eq!(out.status.code(), Some(0));

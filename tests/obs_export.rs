@@ -3,7 +3,7 @@
 //! the crate's own (serde-free) JSON parser, and structurally validated —
 //! spans nest per thread, lineage ids are attached, categories are known.
 //! This is the same validation the CI `obs` job runs against
-//! `examples/gridsearch_lm.rs` via `trace_check`.
+//! `examples/gridsearch_lm.rs` via `lima-lint trace`.
 
 use lima::lima_core::obs::check_span_nesting;
 use lima::prelude::*;
@@ -137,4 +137,45 @@ fn trace_json_survives_a_disk_round_trip() {
     let json = parse_json(&text).expect("raw JSON parses");
     assert!(json.get("traceEvents").is_some());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Overhead guard: a hub that is attached but disabled costs at most 1 % over
+/// no hub on a script of many small instructions, where the per-instruction
+/// gate check is the dominant difference. The two configurations alternate,
+/// so drift in machine load hits both, and their medians are compared.
+/// Timing-bound, so only on request: `cargo test --release --test
+/// obs_export -- --ignored`.
+#[test]
+#[ignore]
+fn attached_but_disabled_hub_costs_at_most_one_percent() {
+    const REPS: usize = 21;
+    const MAX_RATIO: f64 = 1.01;
+    let script = "s = 0;\nfor (i in 1:300) {\n  A = X * i;\n  B = A + X;\n  C = B - X;\n  s = s + sum(C);\n}\n";
+    let x = [("X", Value::matrix(DenseMatrix::filled(48, 48, 1.25)))];
+    let configs = [
+        LimaConfig::lima(),
+        LimaConfig::lima().with_obs(Arc::new(Obs::disabled())),
+    ];
+    let mut times = [Vec::new(), Vec::new()];
+    // One warm-up round, then the timed ones.
+    for round in 0..=REPS {
+        for (config, times) in configs.iter().zip(&mut times) {
+            let t0 = std::time::Instant::now();
+            run_script(script, config, &x).expect("overhead workload runs");
+            if round > 0 {
+                times.push(t0.elapsed());
+            }
+        }
+    }
+    let [detached, attached] = times.map(|mut t| {
+        t.sort();
+        t[t.len() / 2]
+    });
+    let ratio = attached.as_secs_f64() / detached.as_secs_f64();
+    println!("detached {detached:?}, attached-but-disabled {attached:?}, ratio {ratio:.4}");
+    assert!(
+        ratio <= MAX_RATIO,
+        "disabled tracing costs {:.2} %",
+        (ratio - 1.0) * 100.0
+    );
 }
