@@ -65,11 +65,6 @@ pub fn lambda_values(n: usize) -> DenseMatrix {
 /// `n_lambda` λ values × intercepts {0,1}.
 pub fn hl2svm(n: usize, d: usize, n_lambda: usize, seed: u64) -> Pipeline {
     let (x, y) = datasets::synthetic_classification(n, d, 2, seed);
-    hl2svm_with(x, y, n_lambda)
-}
-
-/// [`hl2svm`] over provided data (labels in {1,2}; 2 is the positive class).
-pub fn hl2svm_with(x: DenseMatrix, y: DenseMatrix, n_lambda: usize) -> Pipeline {
     let ysvm = datasets::to_svm_labels(&y, 2.0);
     let body = "
         nL = nrow(lambdas);
@@ -169,17 +164,6 @@ pub fn hcv(
     seed: u64,
 ) -> Pipeline {
     let (x, y) = datasets::synthetic_regression(n, d, seed);
-    hcv_with(x, y, folds, n_lambda, parallel)
-}
-
-/// [`hcv`] over provided data (rows are truncated to a fold multiple).
-pub fn hcv_with(
-    x: DenseMatrix,
-    y: DenseMatrix,
-    folds: usize,
-    n_lambda: usize,
-    parallel: bool,
-) -> Pipeline {
     let n = x.rows() - x.rows() % folds;
     let x = lima_matrix::ops::slice(&x, 0, n - 1, 0, x.cols() - 1).expect("in bounds");
     let y = lima_matrix::ops::slice(&y, 0, n - 1, 0, 0).expect("in bounds");
@@ -241,19 +225,6 @@ pub fn ens(
 ) -> Pipeline {
     let (xtr, ytr) = datasets::synthetic_classification(n_train, d, classes, seed);
     let (xts, yts) = datasets::synthetic_classification(n_test, d, classes, seed ^ 0x99);
-    ens_with(xtr, ytr, xts, yts, classes, n_weights, seed)
-}
-
-/// [`ens`] over provided train/test data.
-pub fn ens_with(
-    xtr: DenseMatrix,
-    ytr: DenseMatrix,
-    xts: DenseMatrix,
-    yts: DenseMatrix,
-    classes: usize,
-    n_weights: usize,
-    seed: u64,
-) -> Pipeline {
     let wt = lima_matrix::rand_gen::rand_matrix(
         n_weights,
         6,
@@ -306,11 +277,6 @@ pub fn ens_with(
 /// (the reuse-aware form of §4.4) so overlapping projections reuse fully.
 pub fn pcalm(n: usize, d: usize, ks: &[usize], seed: u64) -> Pipeline {
     let (x, y) = datasets::synthetic_regression(n, d, seed);
-    pcalm_with(x, y, ks)
-}
-
-/// [`pcalm`] over provided data.
-pub fn pcalm_with(x: DenseMatrix, y: DenseMatrix, ks: &[usize]) -> Pipeline {
     let k_vec = DenseMatrix::from_fn(ks.len(), 1, |i, _| ks[i] as f64);
     let body = "
         nK = nrow(Ks);
@@ -415,17 +381,6 @@ pub fn pcanb(
     seed: u64,
 ) -> Pipeline {
     let (x, y) = datasets::synthetic_counts(n, d, classes, seed);
-    pcanb_with(x, y, classes, ks, n_smoothing)
-}
-
-/// [`pcanb`] over provided data.
-pub fn pcanb_with(
-    x: DenseMatrix,
-    y: DenseMatrix,
-    classes: usize,
-    ks: &[usize],
-    n_smoothing: usize,
-) -> Pipeline {
     let k_vec = DenseMatrix::from_fn(ks.len(), 1, |i, _| ks[i] as f64);
     let smooth = DenseMatrix::from_fn(n_smoothing, 1, |i, _| 0.1 + i as f64 * 0.35);
     let body = format!(

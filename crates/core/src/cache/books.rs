@@ -8,6 +8,8 @@
 //! (an order of magnitude larger) would not. Whatever meets an entry again
 //! holds its id and looks nothing up: the reservation that will fulfil it,
 //! both eviction queues, a composite's children, the durable-copy map.
+//! A key on its first sighting gets no entry, only its hash in [`Sightings`]:
+//! one eight-byte slot, also the placeholder while its value is computed.
 
 use crate::cache::entry::{CacheEntry, DiskCopy, EntryId, EntryState};
 use crate::cache::eviction::{pick_victim, QueueKey};
@@ -15,6 +17,123 @@ use crate::config::EvictionPolicy;
 use crate::lineage::item::{FxBuildHasher, LinKey};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
+use std::sync::Arc;
+
+/// A sightings slot's low bits (the key hash fills the rest; 0 is empty): a
+/// *ghost* was seen once, not booked; a first sighting is *computing*, then
+/// *waited* once a probe blocks on it.
+const GHOST: u64 = 1;
+const COMPUTING: u64 = 2;
+const WAITED: u64 = 3;
+const STATE: u64 = 3;
+/// Slots per bucket: a key may sit in any slot of its bucket.
+const WAYS: usize = 4;
+
+/// Slots to remember the `max(4 × others, 4096)` keys the refusal shells
+/// were capped at, with the table at most half full.
+fn sightings_capacity(others: usize) -> usize {
+    (8 * others.max(1024)).next_power_of_two()
+}
+
+fn tag_of(key: &LinKey) -> u64 {
+    key.0.hash_value() & !STATE
+}
+
+/// A bucket's slots, on one 32-byte line.
+#[derive(Debug, Default)]
+#[repr(align(32))]
+struct Bucket([AtomicU64; WAYS]);
+
+/// Keys the books remember without an entry (TinyLFU's *doorkeeper*,
+/// Einziger et al., ACM ToS 2017) and the recurrence counters. Written under
+/// the cache lock; a first sighting's holder reads the counters and settles
+/// its slot by compare-and-swap without it. A key is in one slot, unmapped.
+#[derive(Debug)]
+pub struct Sightings {
+    buckets: Box<[Bucket]>,
+    /// `64 - log2(buckets)`: a bucket is the top bits of the hash times the
+    /// golden ratio, so growing never overflows a bucket.
+    shift: u32,
+    keys: AtomicU64,
+    recurred: AtomicU64,
+}
+
+impl Sightings {
+    fn new(slots: usize, (recurred, keys): (u64, u64)) -> Self {
+        let buckets = slots / WAYS;
+        Sightings {
+            buckets: (0..buckets).map(|_| Bucket::default()).collect(),
+            shift: 64 - buckets.trailing_zeros(),
+            keys: AtomicU64::new(keys),
+            recurred: AtomicU64::new(recurred),
+        }
+    }
+
+    /// `tag`'s slot and what it holds, else a slot it may take: empty, or
+    /// another key's ghost (the tag picks which), if any.
+    fn scan(&self, tag: u64) -> Result<(&AtomicU64, u64), Option<&AtomicU64>> {
+        let at = tag.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift;
+        let bucket = &self.buckets[at as usize].0;
+        let (mut empty, mut ghost) = (None, None);
+        for i in 0..WAYS {
+            let slot = &bucket[(tag as usize >> 2).wrapping_add(i) % WAYS];
+            match slot.load(Acquire) {
+                0 => empty = empty.or(Some(slot)),
+                held if held & !STATE == tag => return Ok((slot, held)),
+                held if held & STATE == GHOST => ghost = ghost.or(Some(slot)),
+                _ => {}
+            }
+        }
+        Err(empty.or(ghost))
+    }
+
+    /// `(keys seen again, keys)` since the books were last cleared.
+    pub fn recurrence(&self) -> (u64, u64) {
+        let load = |c: &AtomicU64| c.load(Relaxed);
+        (load(&self.recurred), load(&self.keys))
+    }
+
+    /// Adds one to a counter; only ever under the cache lock.
+    fn count(counter: &AtomicU64) {
+        counter.store(counter.load(Relaxed) + 1, Relaxed);
+    }
+
+    /// Makes `key`'s first sighting a ghost without the lock; false if a
+    /// probe waits on it or it moved (the holder then settles under the lock).
+    pub fn release(&self, key: &LinKey) -> bool {
+        let tag = tag_of(key);
+        match self.scan(tag) {
+            Ok((slot, held)) if held == tag | COMPUTING => slot
+                .compare_exchange(held, tag | GHOST, AcqRel, Relaxed)
+                .is_ok(),
+            _ => false,
+        }
+    }
+
+    /// Empties every slot into `keep`: a first sighting's release then fails.
+    fn drain(&self, mut keep: impl FnMut(u64)) {
+        let slots = self.buckets.iter().flat_map(|b| &b.0);
+        slots
+            .map(|s| s.swap(0, AcqRel))
+            .filter(|held| *held != 0)
+            .for_each(&mut keep);
+    }
+}
+
+/// What a probe finds in the sightings for a key the map lacks.
+#[derive(Debug)]
+pub enum Sighting {
+    /// Nothing: the key, a new one, now has a slot (in this table) computing.
+    First(Arc<Sightings>),
+    /// Its ghost: this is the key's second sighting.
+    Again,
+    /// Its first sighting, being computed; the slot is now marked waited.
+    Pending,
+    /// Every slot of its bucket computes another key.
+    Busy,
+}
 
 /// One slab slot. `generation` counts the tenants the slot has had; an id
 /// resolves only while it names the current one.
@@ -44,10 +163,9 @@ struct Slot {
 /// `compute_ns`, `size`, `last_access`) change only inside [`Books::update`],
 /// [`Books::touch`] and [`Books::update_victim`].
 ///
-/// Beside them run the two counters of the recurrence rate admission reads:
-/// keys that entered the books since the last `clear()`, and how many of
-/// them were seen again ([`Books::seen_again`]). They count keys, not
-/// entries, so a pruned shell leaves them alone.
+/// Beside them run the [`Sightings`], counting keys sighted since `clear()`
+/// and those seen again ([`Books::seen_again`]): keys, not entries, so a
+/// pruned shell or a forgotten ghost leaves them alone.
 #[derive(Debug)]
 pub struct Books {
     map: HashMap<LinKey, EntryId, FxBuildHasher>,
@@ -57,8 +175,7 @@ pub struct Books {
     /// persistent store reports gone are un-mapped without a scan.
     durable: HashMap<u64, EntryId>,
     queues: Queues,
-    keys: u64,
-    recurred: u64,
+    sightings: Arc<Sightings>,
 }
 
 /// The eviction queues (of slab ids: filing an entry copies eight bytes and
@@ -154,14 +271,13 @@ impl Books {
             free: Vec::new(),
             durable: HashMap::new(),
             queues: Queues::new(policy),
-            keys: 0,
-            recurred: 0,
+            sightings: Arc::new(Sightings::new(sightings_capacity(0), (0, 0))),
         }
     }
 
     /// `(keys seen again, keys)` since the books were last cleared.
     pub fn recurrence(&self) -> (u64, u64) {
-        (self.recurred, self.keys)
+        self.sightings.recurrence()
     }
 
     /// Notes that the key of `id` was seen again: the first time counts it
@@ -171,7 +287,68 @@ impl Books {
         let slot = self.slab.get_mut(id.slot as usize);
         let current = slot.filter(|s| s.generation == id.generation);
         if let Some(e) = current.and_then(|s| s.entry.as_mut()) {
-            self.recurred += u64::from(!std::mem::replace(&mut e.seen_again, true));
+            if !std::mem::replace(&mut e.seen_again, true) {
+                Sightings::count(&self.sightings.recurred);
+            }
+        }
+    }
+
+    /// Looks `key`, which the map lacks, up in the sightings, first moving
+    /// them to a larger table if the entries call for one.
+    pub fn sight(&mut self, key: &LinKey) -> Sighting {
+        let wanted = sightings_capacity(self.map.len() - self.queues.shells.len());
+        if self.sightings.buckets.len() * WAYS < wanted {
+            let grown = Sightings::new(wanted, self.recurrence());
+            self.sightings.drain(|held| {
+                if let Err(Some(slot)) = grown.scan(held & !STATE) {
+                    slot.store(held, Relaxed);
+                }
+            });
+            self.sightings = Arc::new(grown);
+        }
+        let (tag, table) = (tag_of(key), &self.sightings);
+        loop {
+            return match table.scan(tag) {
+                Ok((_, held)) if held & STATE == GHOST => Sighting::Again,
+                Ok((_, held)) if held & STATE == WAITED => Sighting::Pending,
+                Ok((slot, held)) => {
+                    match slot.compare_exchange(held, tag | WAITED, AcqRel, Acquire) {
+                        Ok(_) => Sighting::Pending,
+                        Err(_) => continue, // released meanwhile: a ghost now
+                    }
+                }
+                Err(Some(slot)) => {
+                    slot.store(tag | COMPUTING, Release);
+                    Sightings::count(&table.keys);
+                    Sighting::First(Arc::clone(table))
+                }
+                Err(None) => Sighting::Busy,
+            };
+        }
+    }
+
+    /// The placeholder of a ghost's key, where its shell would stand: one
+    /// miss more, and seen again.
+    pub fn reserve_again(&mut self, key: LinKey, now: u64) -> EntryId {
+        let (id, _) = self.find_or_reserve(key, now);
+        self.update(id, |e| e.misses += 1);
+        self.seen_again(id);
+        id
+    }
+
+    /// Where `key`'s first sighting stands, for its holder under the lock:
+    /// `Some(waited)` while computing, `None` once cleared or taken over.
+    pub fn settle(&self, key: &LinKey) -> Option<bool> {
+        let state = self.sightings.scan(tag_of(key)).ok()?.1 & STATE;
+        (state >= COMPUTING).then_some(state == WAITED)
+    }
+
+    /// Remembers `key` as a ghost, if its bucket has room.
+    pub fn ghost(&mut self, key: &LinKey) {
+        let tag = tag_of(key);
+        let slot = self.sightings.scan(tag).map(|(slot, _)| Some(slot));
+        if let Some(slot) = slot.unwrap_or_else(|vacancy| vacancy) {
+            slot.store(tag | GHOST, Release);
         }
     }
 
@@ -206,13 +383,18 @@ impl Books {
     }
 
     /// The entry cached under `key`, created as a placeholder (and `true`)
-    /// when there is none — one hash lookup either way.
+    /// when there is none — one hash lookup either way. A sighted key leaves
+    /// the sightings for it, and is no new key.
     pub fn find_or_reserve(&mut self, key: LinKey, now: u64) -> (EntryId, bool) {
         let vacant = match self.map.entry(key) {
             Entry::Occupied(found) => return (*found.get(), false),
             Entry::Vacant(vacant) => vacant,
         };
         let mut entry = CacheEntry::computing(vacant.key().clone(), now);
+        match self.sightings.scan(tag_of(&entry.key)) {
+            Ok((slot, _)) => slot.store(0, Release),
+            Err(_) => Sightings::count(&self.sightings.keys),
+        }
         let vacancy = self.free.pop().map(|slot| slot as usize);
         let at = match vacancy.filter(|at| *at < self.slab.len()) {
             Some(at) => at,
@@ -233,7 +415,6 @@ impl Books {
         // A placeholder is in no queue and no counter: nothing to book yet.
         let id = *vacant.insert(entry.id);
         home.entry = Some(entry);
-        self.keys += 1;
         (id, true)
     }
 
@@ -294,6 +475,14 @@ impl Books {
         true
     }
 
+    /// Takes a first sighting's entry out of the books, leaving its key (which
+    /// it returns) a ghost.
+    pub fn refuse(&mut self, id: EntryId) -> Option<LinKey> {
+        let key = self.remove(id)?;
+        self.ghost(&key);
+        Some(key)
+    }
+
     /// Drops the least recently accessed shell from the books altogether.
     /// False when there is no shell.
     pub fn drop_oldest_shell(&mut self) -> bool {
@@ -306,15 +495,11 @@ impl Books {
     }
 
     /// Takes the entry out of every book and frees its slot for the next
-    /// generation.
-    pub fn remove(&mut self, id: EntryId) {
-        let Some(slot) = self.slab.get_mut(id.slot as usize) else {
-            return;
-        };
+    /// generation; returns its key.
+    pub fn remove(&mut self, id: EntryId) -> Option<LinKey> {
+        let slot = self.slab.get_mut(id.slot as usize)?;
         let current = slot.generation == id.generation;
-        let Some(mut entry) = slot.entry.take_if(|_| current) else {
-            return;
-        };
+        let mut entry = slot.entry.take_if(|_| current)?;
         slot.generation = slot.generation.wrapping_add(1);
         self.free.push(id.slot);
         self.queues.unfile(&mut entry);
@@ -323,6 +508,7 @@ impl Books {
         if let Some(pid) = entry.persist_id {
             self.durable.remove(&pid);
         }
+        Some(entry.key)
     }
 
     /// Records (or clears) the entry's durable copy, keeping `durable` in
@@ -385,7 +571,8 @@ impl Books {
             self.free.push(at as u32);
         }
         self.queues = Queues::new(self.queues.policy);
-        (self.keys, self.recurred) = (0, 0);
+        self.sightings.drain(|_| {});
+        self.sightings = Arc::new(Sightings::new(sightings_capacity(0), (0, 0)));
     }
 
     /// Re-derives everything the books maintain from a scan of the slab,
@@ -405,6 +592,9 @@ impl Books {
                 generation: slot.generation,
             };
             let mapped = self.map.get_key_value(&e.key);
+            if self.sightings.scan(tag_of(&e.key)).is_ok() {
+                return Err(format!("{:?} is mapped and sighted", e.key.0));
+            }
             if e.id != here || mapped.map(|(_, id)| *id) != Some(here) {
                 return Err(format!(
                     "{:?} in slot {at} is mapped as {mapped:?}",
@@ -434,13 +624,17 @@ impl Books {
             return Err("a persist id is mapped to an entry that does not carry it".into());
         }
         let seen = self.entries().filter(|e| e.seen_again).count() as u64;
-        if seen > self.recurred || self.recurred > self.keys || self.len() as u64 > self.keys {
+        let (recurred, keys) = self.recurrence();
+        if seen > recurred || recurred > keys || self.len() as u64 > keys {
             return Err(format!(
-                "{} entries ({seen} seen again), but {} of {} keys recurred",
+                "{} entries ({seen} seen again), but {recurred} of {keys} keys recurred",
                 self.len(),
-                self.recurred,
-                self.keys
             ));
+        }
+        // The sightings grow only with the entries, never more than keys.
+        let slots = self.sightings.buckets.len() * WAYS;
+        if slots > sightings_capacity(keys as usize) {
+            return Err(format!("{slots} sighting slots for {keys} keys"));
         }
         if self.queues != want {
             return Err(format!("books say {:?}, entries say {want:?}", self.queues));
@@ -615,6 +809,70 @@ mod tests {
         assert!(fresh && b.get(again).is_some_and(|e| !e.seen_again));
         assert_eq!(b.recurrence(), (2, 5));
         b.clear();
+        assert_eq!(b.recurrence(), (0, 0));
+        b.verify().unwrap();
+    }
+
+    #[test]
+    fn a_first_sighting_is_a_slot_until_its_key_is_booked() {
+        let mut b = Books::new(EvictionPolicy::Lru);
+        assert!(matches!(b.sight(&key("a")), Sighting::First(_)));
+        assert_eq!((b.len(), b.recurrence()), (0, (0, 1)));
+        // A probe that finds it computing marks it waited, and the holder's
+        // release without the lock fails: it settles under the lock.
+        assert!(matches!(b.sight(&key("a")), Sighting::Pending));
+        assert!(!b.sightings.release(&key("a")));
+        assert_eq!(b.settle(&key("a")), Some(true));
+        b.ghost(&key("a"));
+        assert_eq!(b.settle(&key("a")), None);
+        assert!(matches!(b.sight(&key("a")), Sighting::Again));
+        b.verify().unwrap();
+        // Its entry takes it out of the table; it is not a new key.
+        let (id, fresh) = b.find_or_reserve(key("a"), 1);
+        assert!(fresh && b.get(id).is_some_and(|e| e.misses == 1));
+        assert_eq!(b.recurrence(), (0, 1));
+        b.verify().unwrap();
+        // A released first sighting is a ghost at once.
+        assert!(matches!(b.sight(&key("b")), Sighting::First(_)));
+        assert!(b.sightings.release(&key("b")));
+        assert!(matches!(b.sight(&key("b")), Sighting::Again));
+        // A refused entry leaves a ghost and no entry.
+        assert_eq!(b.refuse(id).map(|k| k.0.data() == Some("a")), Some(true));
+        assert_eq!(b.len(), 0);
+        assert!(matches!(b.sight(&key("a")), Sighting::Again));
+        b.verify().unwrap();
+    }
+
+    #[test]
+    fn verify_reports_a_key_both_mapped_and_sighted() {
+        let mut b = Books::new(EvictionPolicy::Lru);
+        b.find_or_reserve(key("a"), 1);
+        b.verify().unwrap();
+        b.ghost(&key("a"));
+        assert!(b.verify().is_err());
+    }
+
+    #[test]
+    fn first_sightings_move_with_a_growing_table_and_go_with_a_clear() {
+        let mut b = Books::new(EvictionPolicy::Lru);
+        assert!(matches!(b.sight(&key("held")), Sighting::First(_)));
+        let small = Arc::clone(&b.sightings);
+        // Enough entries for a larger table, which the next sighting makes.
+        for n in 0..2_000 {
+            b.find_or_reserve(key(&format!("e{n}")), n);
+        }
+        assert!(matches!(b.sight(&key("other")), Sighting::First(_)));
+        assert!(b.sightings.buckets.len() > small.buckets.len());
+        assert_eq!(b.recurrence(), (0, 2_002));
+        // The holder's release fails on the table it holds; it settles in
+        // the one its slot moved to.
+        assert!(!small.release(&key("held")));
+        assert_eq!(b.settle(&key("held")), Some(false));
+        b.verify().unwrap();
+        let grown = Arc::clone(&b.sightings);
+        b.clear();
+        assert!(!grown.release(&key("held")));
+        assert_eq!(b.settle(&key("held")), None);
         assert_eq!(b.recurrence(), (0, 0));
         b.verify().unwrap();
     }

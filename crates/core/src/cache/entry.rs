@@ -75,10 +75,10 @@ pub struct CacheEntry {
     pub hits: u64,
     /// Probes that missed because the value was absent/evicted.
     pub misses: u64,
-    /// True once the key was seen again after it entered the books: a hit, a
-    /// probe on its shell, or a probe that waited on its placeholder. Until
-    /// then a value computed for it is on its first sighting, which admission
-    /// may leave as a shell. Owned by the books (`Books::seen_again`).
+    /// True once the key was seen again after its first sighting: a hit, a
+    /// probe of its shell or its ghost, or a probe that waited on its
+    /// placeholder. Until then admission may refuse its value, leaving the
+    /// key a ghost. Owned by the books (`Books::seen_again`).
     pub seen_again: bool,
     /// In-memory size of the value in bytes (0 while Computing/Evicted).
     pub size: usize,

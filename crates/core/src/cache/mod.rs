@@ -18,7 +18,7 @@ use crate::lineage::item::{LinKey, LinRef};
 use crate::obs::{EventKind, Obs};
 use crate::resilience::{Attempt, CircuitBreaker, RetryPolicy};
 use crate::stats::LimaStats;
-use books::Books;
+use books::{Books, Sighting, Sightings};
 use costs::IoCostModel;
 use entry::{CacheEntry, DiskCopy, EntryId, EntryState};
 use lima_matrix::Value;
@@ -77,25 +77,29 @@ pub enum Probe<'a> {
 
 /// An outstanding placeholder created by [`LineageCache::acquire`]. Dropping
 /// it without [`Reservation::fulfill`] aborts the placeholder and wakes
-/// waiting threads. It names its entry by slab id, so neither end looks
-/// anything up; should the entry be gone by then (a `clear()` in between),
-/// fulfilling or aborting changes nothing.
+/// waiting threads. It names its entry by slab id, or a first sighting's
+/// slot, so neither end looks anything up; should the placeholder be gone by
+/// then (a `clear()` in between), fulfilling or aborting changes nothing.
 pub struct Reservation<'a> {
     cache: &'a LineageCache,
-    id: EntryId,
-    composite: bool,
+    hold: Hold,
     done: bool,
+}
+
+/// What a reservation holds its placeholder by.
+enum Hold {
+    /// A placeholder entry in the books, and whether it is a composite's.
+    Entry(EntryId, bool),
+    /// The key's slot in the sightings, marked computing: no entry.
+    Sighting(Arc<Sightings>, LinKey),
 }
 
 impl Reservation<'_> {
     /// Stores the computed value with its measured computation time.
     pub fn fulfill(mut self, value: &Value, compute_ns: u64) {
         self.done = true;
-        let how = Admission::Reserved {
-            id: self.id,
-            composite: self.composite,
-        };
-        self.cache.fulfill(how, value, compute_ns);
+        self.cache
+            .fulfill(Admission::Reserved(&self.hold), value, compute_ns);
     }
 
     /// Abandons the placeholder (e.g. the computation failed): what dropping
@@ -106,7 +110,7 @@ impl Reservation<'_> {
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
         if !self.done {
-            self.cache.abort(self.id, self.composite);
+            self.cache.abort(&self.hold);
         }
     }
 }
@@ -172,11 +176,19 @@ struct CacheState {
 /// that how its entry is found.
 #[derive(Clone, Copy)]
 enum Admission<'a> {
-    /// The holder of a [`Reservation`] computed it: the entry is named.
-    Reserved { id: EntryId, composite: bool },
+    /// The holder of a [`Reservation`] computed it: no lookup.
+    Reserved(&'a Hold),
     /// A direct put: found by key, created if absent. `watched` is false
     /// for [`LineageCache::put_replicated`], which skips the put watcher.
     Put { item: &'a LinRef, watched: bool },
+}
+
+/// What [`LineageCache::fulfill`] does with a value: book it in an entry (a
+/// shell if it does not fit), refuse it (its key now a ghost), or nothing.
+enum Verdict {
+    Entry(EntryId),
+    Refuse(Option<LinKey>),
+    Stale,
 }
 
 /// The LIMA lineage cache. Cheap to share (`Arc`); all methods are
@@ -222,6 +234,8 @@ pub struct LineageCache {
     persist_breaker: CircuitBreaker,
     /// Latch so a disk-full/fsync degrade is counted exactly once.
     disk_full_noted: AtomicBool,
+    /// A put watcher is installed (read by a first sighting's lock-free fulfil).
+    watched: AtomicBool,
     /// Memory-pressure governor; present when `config.governor_budget_bytes`
     /// is non-zero. Gates admissions, rewrites, and spilling by pressure
     /// level and is kept in sync with resident/spilled byte counts.
@@ -230,7 +244,7 @@ pub struct LineageCache {
 
 /// Callback fired after a locally computed `(lineage, value, compute_ns)`
 /// record that fits the budget is offered to the cache, whether admission
-/// booked it or left a shell ([`LineageCache::contains`] tells which). Not
+/// booked or refused it ([`LineageCache::contains`] tells which). Not
 /// fired for startup-recovered entries or values applied via
 /// [`LineageCache::put_replicated`], so replicas never echo records back.
 /// Must be cheap and non-blocking: it runs on the session hot path.
@@ -307,6 +321,7 @@ impl LineageCache {
             persist_store: None,
             persist_breaker: CircuitBreaker::new(limit, cooldown),
             disk_full_noted: AtomicBool::new(false),
+            watched: AtomicBool::new(false),
             governor,
         };
         if let Some((store, report)) = persist_store {
@@ -417,7 +432,8 @@ impl LineageCache {
     /// Per-lineage-item cost attribution: the `top_k` most expensive entries
     /// the cache has seen (by measured `compute_ns`, ties broken by savings
     /// then id), with their reuse savings under the at-most-once accounting.
-    /// Includes evicted shells — attribution outlives residency.
+    /// Includes evicted shells — attribution outlives residency — but not a
+    /// value refused on its key's first sighting, which never had an entry.
     pub fn cost_report(&self, top_k: usize) -> Vec<ItemCost> {
         let st = self.state.lock();
         let mut rows: Vec<ItemCost> = st
@@ -475,15 +491,13 @@ impl LineageCache {
         }
     }
 
-    /// Builds the reservation for the placeholder `id` of `item`, recording
-    /// a composite frame on this thread's attribution stack when the item is
-    /// a function/block entry so constituent fulfills can be tied to it.
-    fn reserve(&self, item: &LinRef, id: EntryId) -> Probe<'_> {
+    /// Builds the reservation for `item`'s placeholder; a composite's goes on
+    /// this thread's attribution stack, to tie constituent fulfills to it.
+    fn reserve(&self, item: &LinRef, hold: Hold) -> Probe<'_> {
         if let Some(o) = self.obs() {
             o.record_instant(EventKind::CacheMiss, item.opcode(), item.id(), 0, 0);
         }
-        let composite = is_composite(item.opcode());
-        if composite {
+        if let Hold::Entry(id, true) = hold {
             let me = self as *const Self as usize;
             COMPOSITE_STACK.with(|s| {
                 s.borrow_mut().push(CompositeFrame {
@@ -495,8 +509,7 @@ impl LineageCache {
         }
         Probe::Reserved(Reservation {
             cache: self,
-            id,
-            composite,
+            hold,
             done: false,
         })
     }
@@ -569,148 +582,160 @@ impl LineageCache {
         // `placeholder_waits` counts probes that blocked, not wait slices.
         let mut counted_wait = false;
         let interrupt = interrupt.filter(|i| i.is_armed());
+        let composite = is_composite(item.opcode());
         let mut guard = self.state.lock();
         loop {
-            let now = self.tick();
             let st = &mut *guard;
-            // The probe's one hash lookup: the entry is found, or booked as
-            // a placeholder through the same map slot.
             let key = LinKey(item.clone());
-            let id = if self.admissions_open() {
-                let (id, fresh) = st.books.find_or_reserve(key, now);
+            let open = self.admissions_open();
+            // Once a key has recurred, a key the map lacks is sighted first;
+            // else one hash lookup finds the entry or books its placeholder.
+            let sighted = open && !composite && st.books.recurrence().0 > 0;
+            // The key's entry; `None` while its first sighting is computed.
+            let found = if open && !sighted {
+                let (id, fresh) = st.books.find_or_reserve(key, self.tick());
                 if fresh {
                     drop(guard);
-                    return Ok(Some(self.reserve(item, id)));
+                    return Ok(Some(self.reserve(item, Hold::Entry(id, composite))));
                 }
-                id
+                Some(id)
+            } else if let Some(id) = st.books.lookup(&key) {
+                Some(id)
+            } else if !open {
+                LimaStats::bump(&self.stats.governor_admission_rejects);
+                return Ok(None);
             } else {
-                match st.books.lookup(&key) {
-                    Some(id) => id,
-                    None => {
-                        LimaStats::bump(&self.stats.governor_admission_rejects);
-                        return Ok(None);
+                let placeholder = match st.books.sight(&key) {
+                    Sighting::First(sightings) => {
+                        drop(guard);
+                        return Ok(Some(self.reserve(item, Hold::Sighting(sightings, key))));
                     }
-                }
-            };
-            let Some(e) = st.books.get(id) else {
-                return Ok(None); // the key map never names a vacant slot
-            };
-            match &e.state {
-                EntryState::Cached(v) => {
-                    let (value, from_persist) = (v.clone(), e.from_persist);
-                    st.books.touch(id, |e| {
-                        e.hits += 1;
-                        e.last_access = now;
-                    });
-                    st.books.seen_again(id);
-                    let credit = hit_credit(&mut st.books, id);
+                    // An entry's, as before sightings.
+                    Sighting::Busy => Some(st.books.find_or_reserve(key, self.tick()).0),
+                    // A ghost's key: its placeholder stands where its shell would.
+                    Sighting::Again => Some(st.books.reserve_again(key, self.tick())),
+                    Sighting::Pending => None,
+                };
+                if let Some(id) = placeholder {
                     drop(guard);
-                    self.count_hit(item, credit, from_persist);
-                    return Ok(Some(Probe::Hit(value)));
+                    return Ok(Some(self.reserve(item, Hold::Entry(id, composite))));
                 }
-                EntryState::Spilled { .. } => {
-                    st.books.seen_again(id);
-                    let (relocked, restored) = self.restore(guard, id);
-                    guard = relocked;
-                    let Some(value) = restored else {
-                        // Degraded to a miss: wake the probes that waited on
-                        // the restore; the next turn of the loop reserves.
-                        if guard.waiters > 0 {
-                            self.cond.notify_all();
-                        }
-                        continue;
-                    };
-                    let from_persist = guard.books.get(id).is_some_and(|e| e.from_persist);
-                    let credit = hit_credit(&mut guard.books, id);
-                    self.unlock_and_wake(guard);
-                    self.count_hit(item, credit, from_persist);
-                    return Ok(Some(Probe::Hit(value)));
-                }
-                EntryState::Computing => {
-                    if !counted_wait {
-                        LimaStats::bump(&self.stats.placeholder_waits);
-                        // Waiting is wanting the value: the holder books it.
-                        st.books.seen_again(id);
-                        counted_wait = true;
-                    }
-                    if let Some(intr) = interrupt {
-                        intr.check()?;
-                    }
-                    let timeout_ms = self.config.placeholder_timeout_ms;
-                    let deadline = if timeout_ms == 0 {
-                        None
-                    } else {
-                        Some(*wait_deadline.get_or_insert_with(|| {
-                            Instant::now() + Duration::from_millis(timeout_ms)
-                        }))
-                    };
-                    let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                    // With an interrupt armed, wait in short slices so a
-                    // cancelled/expired session stops blocking promptly even
-                    // when no notify ever arrives for this placeholder.
-                    let slice = match (interrupt.is_some(), remaining) {
-                        (true, Some(r)) => Some(r.min(INTERRUPT_WAIT_SLICE)),
-                        (true, None) => Some(INTERRUPT_WAIT_SLICE),
-                        (false, r) => r,
-                    };
-                    guard.waiters += 1;
-                    match slice {
-                        None => {
-                            self.cond.wait(&mut guard);
-                        }
-                        Some(d) => {
-                            let _ = self.cond.wait_for(&mut guard, d);
-                        }
-                    }
-                    guard.waiters -= 1;
-                    if let Some(intr) = interrupt {
-                        intr.check()?;
-                    }
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        // Re-check under the lock: the fulfiller may have won
-                        // the race against the timeout. Still computing:
-                        // presume the fulfiller dead and take over the
-                        // computation; should it fulfil after all, its value
-                        // replaces the takeover's (identical lineage), which
-                        // is benign.
-                        let taken = guard.books.update(id, |e| {
-                            let computing = e.is_computing();
-                            if computing {
-                                e.misses += 1;
-                                e.last_access = self.tick();
-                            }
-                            computing
+                None
+            };
+            if let Some(id) = found {
+                let now = self.tick();
+                let Some(e) = st.books.get(id) else {
+                    return Ok(None); // the key map never names a vacant slot
+                };
+                match &e.state {
+                    EntryState::Cached(v) => {
+                        let (value, from_persist) = (v.clone(), e.from_persist);
+                        st.books.touch(id, |e| {
+                            e.hits += 1;
+                            e.last_access = now;
                         });
-                        if taken == Some(true) {
-                            LimaStats::bump(&self.stats.placeholder_timeouts);
-                            drop(guard);
-                            return Ok(Some(self.reserve(item, id)));
-                        }
-                        // The entry moved on; re-arm the deadline in case a
-                        // new placeholder appears later in this probe.
-                        wait_deadline = None;
+                        st.books.seen_again(id);
+                        let credit = hit_credit(&mut st.books, id);
+                        drop(guard);
+                        self.count_hit(item, credit, from_persist);
+                        return Ok(Some(Probe::Hit(value)));
                     }
-                    continue;
-                }
-                EntryState::Evicted => {
-                    // Evicted shell: misses raise the entry's future score,
-                    // and the value computed now is booked.
-                    let open = self.admissions_open();
-                    st.books.update(id, |e| {
-                        e.misses += 1;
-                        e.last_access = now;
-                        if open {
-                            e.state = EntryState::Computing;
-                        }
-                    });
-                    st.books.seen_again(id);
-                    if !open {
-                        LimaStats::bump(&self.stats.governor_admission_rejects);
-                        return Ok(None);
+                    EntryState::Spilled { .. } => {
+                        st.books.seen_again(id);
+                        let (relocked, restored) = self.restore(guard, id);
+                        guard = relocked;
+                        let Some(value) = restored else {
+                            // Degraded to a miss: wake those who waited on
+                            // the restore; the next turn reserves.
+                            if guard.waiters > 0 {
+                                self.cond.notify_all();
+                            }
+                            continue;
+                        };
+                        let from_persist = guard.books.get(id).is_some_and(|e| e.from_persist);
+                        let credit = hit_credit(&mut guard.books, id);
+                        self.unlock_and_wake(guard);
+                        self.count_hit(item, credit, from_persist);
+                        return Ok(Some(Probe::Hit(value)));
                     }
-                    drop(guard);
-                    return Ok(Some(self.reserve(item, id)));
+                    // Waiting is wanting the value: the holder books it.
+                    EntryState::Computing => st.books.seen_again(id),
+                    EntryState::Evicted => {
+                        // Evicted shell: misses raise the entry's future
+                        // score, and the value computed now is booked.
+                        st.books.update(id, |e| {
+                            e.misses += 1;
+                            e.last_access = now;
+                            if open {
+                                e.state = EntryState::Computing;
+                            }
+                        });
+                        st.books.seen_again(id);
+                        if !open {
+                            LimaStats::bump(&self.stats.governor_admission_rejects);
+                            return Ok(None);
+                        }
+                        drop(guard);
+                        return Ok(Some(self.reserve(item, Hold::Entry(id, composite))));
+                    }
                 }
+            }
+            // A placeholder: its holder books the value a probe waits for.
+            if !counted_wait {
+                LimaStats::bump(&self.stats.placeholder_waits);
+                counted_wait = true;
+            }
+            if let Some(intr) = interrupt {
+                intr.check()?;
+            }
+            let timeout = Duration::from_millis(self.config.placeholder_timeout_ms);
+            let deadline = (!timeout.is_zero())
+                .then(|| *wait_deadline.get_or_insert_with(|| Instant::now() + timeout));
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            // With an interrupt armed, wait in short slices so a cancelled or
+            // expired session stops blocking promptly even when no notify
+            // ever arrives for this placeholder.
+            let slice = match (interrupt.is_some(), remaining) {
+                (true, Some(r)) => Some(r.min(INTERRUPT_WAIT_SLICE)),
+                (true, None) => Some(INTERRUPT_WAIT_SLICE),
+                (false, r) => r,
+            };
+            guard.waiters += 1;
+            if let Some(d) = slice {
+                let _ = self.cond.wait_for(&mut guard, d);
+            } else {
+                self.cond.wait(&mut guard);
+            }
+            guard.waiters -= 1;
+            if let Some(intr) = interrupt {
+                intr.check()?;
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                // Still computing: the holder is presumed dead, its placeholder
+                // a shell or ghost the next turn takes over (should it fulfil
+                // after all, its value replaces the takeover's: benign).
+                let books = &mut guard.books;
+                let dead = match found {
+                    Some(id) => books.update(id, |e| {
+                        let computing = e.is_computing();
+                        if computing {
+                            e.state = EntryState::Evicted;
+                        }
+                        computing
+                    }),
+                    None => {
+                        let key = LinKey(item.clone());
+                        let computing = books.settle(&key).is_some();
+                        if computing {
+                            books.ghost(&key);
+                        }
+                        Some(computing)
+                    }
+                };
+                if dead == Some(true) {
+                    LimaStats::bump(&self.stats.placeholder_timeouts);
+                }
+                wait_deadline = None; // for a later placeholder of this probe
             }
         }
     }
@@ -871,7 +896,9 @@ impl LineageCache {
     /// Installs (or clears) the observer of offered values. Replaces any
     /// previous watcher; recovered-at-startup entries never fire it.
     pub fn set_put_watcher(&self, watcher: Option<PutWatcher>) {
-        self.state.lock().put_watcher = watcher;
+        let mut st = self.state.lock();
+        self.watched.store(watcher.is_some(), Ordering::Relaxed);
+        st.put_watcher = watcher;
     }
 
     /// True when the cache holds `item`'s value, resident or spilled.
@@ -938,93 +965,136 @@ impl LineageCache {
     }
 
     /// Installs a computed value in one critical section: statistics,
-    /// admission (or refusal to a shell), eviction down to the budget, and
-    /// the wake-up of probes blocked on the placeholder. A reservation's
-    /// entry is reached by its id; one that has left the cache since (a
-    /// `clear()`) stays gone.
-    ///
-    /// A value that fits is booked unless it was computed under a
-    /// reservation for a key on its first sighting and is not worth booking
-    /// ([`IoCostModel::worth_booking`] over the books' recurrence rate);
-    /// composites and direct puts are always booked. A refused value leaves
-    /// a shell, so the key's next probe books it, and costs no bytes, no
-    /// eviction and no disk write.
+    /// admission, eviction down to the budget, and the wake-up of probes
+    /// blocked on the placeholder (gone for good if it left the cache).
+    /// A value that fits is booked unless it is a first sighting's and not
+    /// worth booking ([`IoCostModel::worth_booking`] as the counts stand):
+    /// then it leaves no entry, bytes, eviction or disk write, only a ghost —
+    /// without the lock if nobody waits for it and no put watcher is set.
     fn fulfill(&self, how: Admission<'_>, value: &Value, compute_ns: u64) {
         let size = value.size_in_bytes();
         let fits = size <= self.effective_budget() && self.governor_admits(size);
+        if let Admission::Reserved(Hold::Sighting(sightings, key)) = how {
+            let (recurred, keys) = sightings.recurrence();
+            let pays = fits && self.io.worth_booking(compute_ns, recurred, keys);
+            if !pays && !self.watched.load(Ordering::Relaxed) && sightings.release(key) {
+                LimaStats::bump(&self.stats.rejected_puts);
+                self.record_fulfill(&key.0, compute_ns, false);
+                return;
+            }
+        }
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let now = self.tick();
-        let (id, composite, reserved, watched) = match how {
-            Admission::Reserved { id, composite } => (id, composite, true, true),
+        let (recurred, keys) = st.books.recurrence();
+        let pays = fits && self.io.worth_booking(compute_ns, recurred, keys);
+        let (verdict, composite, watched) = match how {
+            Admission::Reserved(&Hold::Entry(id, composite)) => {
+                let verdict = match st.books.get(id).map(|e| !composite && !e.seen_again) {
+                    None => Verdict::Stale,
+                    Some(true) if fits && !pays => Verdict::Refuse(st.books.refuse(id)),
+                    Some(_) => Verdict::Entry(id),
+                };
+                (verdict, composite, true)
+            }
             Admission::Put { item, watched } => {
                 let (id, _) = st.books.find_or_reserve(LinKey(item.clone()), now);
-                (id, is_composite(item.opcode()), false, watched)
+                (Verdict::Entry(id), is_composite(item.opcode()), watched)
             }
+            Admission::Reserved(Hold::Sighting(_, key)) => match st.books.settle(key) {
+                None => (Verdict::Stale, false, true),
+                Some(waited) if fits && (waited || pays) => {
+                    let (id, _) = st.books.find_or_reserve(key.clone(), now);
+                    if waited {
+                        st.books.seen_again(id);
+                    }
+                    (Verdict::Entry(id), false, true)
+                }
+                Some(_) => {
+                    st.books.ghost(key);
+                    (Verdict::Refuse(Some(key.clone())), false, true)
+                }
+            },
         };
-        let first_sighting =
-            reserved && !composite && st.books.get(id).is_some_and(|e| !e.seen_again);
-        let (recurred, keys) = st.books.recurrence();
-        let admit = fits && (!first_sighting || self.io.worth_booking(compute_ns, recurred, keys));
-        let children = self.close_frame(id, composite, true);
+        let children = match (how, &verdict) {
+            (Admission::Reserved(&Hold::Entry(id, _)), _) | (_, &Verdict::Entry(id)) => {
+                self.close_frame(id, composite, true)
+            }
+            _ => Vec::new(),
+        };
         let watcher = st.put_watcher.as_ref().filter(|_| fits && watched).cloned();
         // The lineage is copied out of the entry only for whoever reads it
         // once the lock is gone: an observer, the watcher, the durable store.
         let wants_key = watcher.is_some() || self.obs().is_some() || self.persist_store.is_some();
-        // What a booking costs is measured on each one made: install plus
-        // the evictions it forces.
-        let booking = admit.then(Instant::now);
-        let booked = st.books.update(id, |e| {
-            // An entry that already holds a value (a put on a resident
-            // key, a replicated put racing a local one, a late fulfiller
-            // after a placeholder takeover) has it replaced: `update`
-            // takes the old value out of the byte counts, and its scratch
-            // spill file goes with it.
-            self.discard_scratch(&e.state);
-            e.compute_ns = e.compute_ns.max(compute_ns);
-            e.last_access = now;
-            for c in children {
-                if !e.children.contains(&c) {
-                    e.children.push(c);
-                }
-            }
-            if admit {
-                e.install(value);
-            } else {
-                e.state = EntryState::Evicted;
-                e.size = 0;
-            }
-            (e.persist_id.is_none(), wants_key.then(|| e.key.clone()))
-        });
-        if booked.is_some() {
-            if let Some(t0) = booking {
-                LimaStats::bump(&self.stats.puts);
-                self.enforce_budget(st);
-                self.io.observe_booking(t0.elapsed().as_nanos() as u64);
-            } else {
+        let admitted = fits && matches!(verdict, Verdict::Entry(_));
+        let (key, persist) = match verdict {
+            Verdict::Stale => return self.unlock_and_wake(guard),
+            Verdict::Refuse(key) => {
                 LimaStats::bump(&self.stats.rejected_puts);
-                self.prune_shells(st);
+                (key.filter(|_| wants_key), None)
             }
-        }
+            Verdict::Entry(id) => {
+                // What a booking costs is measured on each one made: install
+                // plus the evictions it forces.
+                let booking = fits.then(Instant::now);
+                let booked = st.books.update(id, |e| {
+                    // An entry that already holds a value (a put on a
+                    // resident key, a replicated put racing a local one, a
+                    // late fulfiller after a placeholder takeover) has it
+                    // replaced: `update` takes the old value out of the byte
+                    // counts, and its scratch spill file goes with it.
+                    self.discard_scratch(&e.state);
+                    e.compute_ns = e.compute_ns.max(compute_ns);
+                    e.last_access = now;
+                    for c in children {
+                        if !e.children.contains(&c) {
+                            e.children.push(c);
+                        }
+                    }
+                    if fits {
+                        e.install(value);
+                    } else {
+                        e.state = EntryState::Evicted;
+                        e.size = 0;
+                    }
+                    (e.persist_id.is_none(), wants_key.then(|| e.key.clone()))
+                });
+                if let Some(t0) = booking {
+                    LimaStats::bump(&self.stats.puts);
+                    self.enforce_budget(st);
+                    self.io.observe_booking(t0.elapsed().as_nanos() as u64);
+                } else {
+                    LimaStats::bump(&self.stats.rejected_puts);
+                    self.prune_shells(st);
+                }
+                let (unpersisted, key) = booked.unwrap_or((false, None));
+                (key, (fits && unpersisted).then_some(id))
+            }
+        };
         self.sync_governor(st);
         self.unlock_and_wake(guard);
-        let Some((unpersisted, Some(key))) = booked else {
+        let Some(key) = key else {
             return;
         };
-        if let Some(o) = self.obs() {
-            o.record_instant(
-                EventKind::CacheFulfill,
-                key.0.opcode(),
-                key.0.id(),
-                compute_ns,
-                u64::from(admit),
-            );
-        }
-        if admit && unpersisted {
+        self.record_fulfill(&key.0, compute_ns, admitted);
+        if let Some(id) = persist {
             self.persist_entry(id, &key, value, compute_ns);
         }
         if let Some(w) = watcher {
             w(&key.0, value, compute_ns);
+        }
+    }
+
+    /// Records a fulfil for an observer: `admitted` when the value was booked.
+    fn record_fulfill(&self, key: &LinRef, ns: u64, admitted: bool) {
+        if let Some(o) = self.obs() {
+            o.record_instant(
+                EventKind::CacheFulfill,
+                key.opcode(),
+                key.id(),
+                ns,
+                admitted.into(),
+            );
         }
     }
 
@@ -1197,12 +1267,29 @@ impl LineageCache {
         }
     }
 
-    fn abort(&self, id: EntryId, composite: bool) {
-        self.close_frame(id, composite, false);
-        let mut guard = self.state.lock();
-        if guard.books.get(id).is_some_and(CacheEntry::is_computing) {
-            guard.books.update(id, |e| e.state = EntryState::Evicted);
-        }
+    /// Abandons a placeholder: an entry's becomes a shell, a first sighting's
+    /// a ghost (without the lock if nobody waits on it).
+    fn abort(&self, hold: &Hold) {
+        let guard = match hold {
+            Hold::Entry(id, composite) => {
+                self.close_frame(*id, *composite, false);
+                let mut guard = self.state.lock();
+                if guard.books.get(*id).is_some_and(CacheEntry::is_computing) {
+                    guard.books.update(*id, |e| e.state = EntryState::Evicted);
+                }
+                guard
+            }
+            Hold::Sighting(sightings, key) => {
+                if sightings.release(key) {
+                    return;
+                }
+                let mut guard = self.state.lock();
+                if guard.books.settle(key).is_some() {
+                    guard.books.ghost(key);
+                }
+                guard
+            }
+        };
         self.unlock_and_wake(guard);
     }
 
@@ -2568,7 +2655,7 @@ mod tests {
     }
 
     #[test]
-    fn a_refused_first_sighting_leaves_a_shell_that_its_next_probe_books() {
+    fn a_refused_first_sighting_leaves_a_ghost_that_its_next_probe_books() {
         let obs = Arc::new(Obs::new());
         let cache = cache_with_recurrence(LimaConfig {
             obs: Some(Arc::clone(&obs)),
@@ -2591,10 +2678,10 @@ mod tests {
         fulfil(&cache, &item, &mat(8), 0);
         assert_eq!(LimaStats::get(&cache.stats().rejected_puts), 1);
         assert_eq!(LimaStats::get(&cache.stats().puts), 1);
-        assert_eq!(cache.resident_bytes(), resident, "a shell holds no bytes");
+        assert_eq!(cache.resident_bytes(), resident, "a ghost holds no bytes");
         assert!(!cache.contains(&item));
-        let shell = entry_of(&cache, &item).unwrap();
-        assert!(matches!(shell.state, EntryState::Evicted) && shell.size == 0);
+        assert!(entry_of(&cache, &item).is_none(), "and no entry");
+        assert_eq!(cache.state.lock().books.len(), 1);
         assert_eq!(
             offered.load(Ordering::Relaxed),
             1,
@@ -2602,14 +2689,41 @@ mod tests {
         );
         assert_eq!(admitted(), [0]);
         cache.verify_index().unwrap();
-        // The second sighting probes the shell and books the value, however
+        // The second sighting finds the ghost and books the value, however
         // cheap.
         fulfil(&cache, &item, &mat(8), 0);
         assert_eq!(LimaStats::get(&cache.stats().puts), 2);
         assert!(cache.contains(&item));
+        assert_eq!(entry_of(&cache, &item).map(|e| e.misses), Some(2));
         assert!(matches!(cache.acquire(&item), Some(Probe::Hit(_))));
         assert_eq!(offered.load(Ordering::Relaxed), 2);
         assert_eq!(admitted(), [0, 1]);
+        cache.verify_index().unwrap();
+    }
+
+    #[test]
+    fn a_refused_first_sighting_takes_no_slot_holds_no_key_and_locks_once() {
+        let cache = cache_with_recurrence(cfg(1 << 20));
+        let item = mk_item("ba+*", "cheap");
+        let Some(Probe::Reserved(r)) = cache.acquire(&item) else {
+            panic!("a new key misses");
+        };
+        // With the state lock held elsewhere, the refusal still completes.
+        let st = cache.state.lock();
+        let slots = st.books.entries().count();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                r.fulfill(&mat(8), 0);
+                done.send(()).unwrap();
+            });
+            let settled = finished.recv_timeout(Duration::from_secs(10));
+            assert!(st.books.entries().count() == slots, "no slab slot");
+            drop(st);
+            assert!(settled.is_ok(), "the refusal waited for the state lock");
+        });
+        assert_eq!(LimaStats::get(&cache.stats().rejected_puts), 1);
+        assert_eq!(Arc::strong_count(&item), 1, "the cache holds no key");
         cache.verify_index().unwrap();
     }
 

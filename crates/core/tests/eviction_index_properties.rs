@@ -13,8 +13,11 @@
 //!    all the entry that moved into its slab slot since.
 //!    Each history starts with a key booked and seen again, so the cache has
 //!    a recurrence estimate and a first sighting that does not pay for its
-//!    booking (cost class 0) is refused to a shell — until a `clear()`
-//!    returns the cache to its cold start.
+//!    booking (cost class 0) is refused — until a `clear()` returns the cache
+//!    to its cold start. A first sighting has no entry, only a slot in the
+//!    sightings table: steps that refuse or abort one must leave the number
+//!    of entries as it was, and the probe after a refusal, the key's second
+//!    sighting, books a placeholder whose value is booked however cheap.
 //! 2. The same for the other way an entry leaves under a live reservation:
 //!    taken over by a waiter, evicted, pruned as a shell, slot recycled.
 //! 3. Entries caching one shared object defer spilling until the last of the
@@ -79,12 +82,22 @@ enum Op {
         cost: usize,
         abort: bool,
     },
+    /// Probe; a first sighting is refused (a free value) or aborted.
+    FirstSighting {
+        k: usize,
+        abort: bool,
+    },
+    /// A refused first sighting, then the key's second sighting.
+    SecondSighting {
+        k: usize,
+        size: usize,
+    },
 }
 
 /// Probes, puts and peeks as before, reservations held and resolved later,
-/// and a rare clear.
+/// first and second sightings, and a rare clear.
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0u8..52, 0..KEYS, 0usize..4, 0usize..4, any::<bool>()).prop_map(
+    (0u8..60, 0..KEYS, 0usize..4, 0usize..4, any::<bool>()).prop_map(
         |(kind, k, size, cost, abort)| match kind {
             0..=19 => Op::Probe {
                 k,
@@ -96,6 +109,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
             30..=38 => Op::Peek(k),
             39..=44 => Op::Hold(k),
             45..=50 => Op::Resolve { size, cost, abort },
+            51..=54 => Op::FirstSighting { k, abort },
+            55..=58 => Op::SecondSighting { k, size },
             _ => Op::Clear,
         },
     )
@@ -112,6 +127,22 @@ fn books_snapshot(cache: &LineageCache) -> String {
         LimaStats::get(&cache.stats().puts),
         LimaStats::get(&cache.stats().rejected_puts),
     )
+}
+
+/// Entries in the books, shells and placeholders included.
+fn entries(cache: &LineageCache) -> usize {
+    cache.cost_report(usize::MAX).len()
+}
+
+/// Probes key `k`. On a miss, the reservation, and whether it is a first
+/// sighting: a probe that left the books as they were (probing a shell or
+/// reserving a placeholder entry changes them).
+fn probe_for_sighting(cache: &LineageCache, k: usize) -> Option<(Reservation<'_>, bool)> {
+    let before = books_snapshot(cache);
+    match cache.acquire(&key(k)) {
+        Some(Probe::Reserved(r)) => Some((r, books_snapshot(cache) == before)),
+        _ => None,
+    }
 }
 
 fn arb_policy() -> impl Strategy<Value = EvictionPolicy> {
@@ -279,6 +310,7 @@ proptest! {
             let pending = |k: usize| held.iter().any(|(_, hk, e)| *hk == k && *e == epoch);
             match *op {
                 Op::Probe { k, .. } | Op::Hold(k) if pending(k) => {}
+                Op::FirstSighting { k, .. } | Op::SecondSighting { k, .. } if pending(k) => {}
                 Op::Probe { k, size, cost: c, abort } => match cache.acquire(&key(k)) {
                     Some(Probe::Hit(_)) => {}
                     Some(Probe::Reserved(r)) if abort => r.abort(),
@@ -294,6 +326,33 @@ proptest! {
                 Op::Hold(k) => {
                     if let Some(Probe::Reserved(r)) = cache.acquire(&key(k)) {
                         held.push_back((r, k, epoch));
+                    }
+                }
+                Op::FirstSighting { k, abort } => {
+                    if let Some((r, true)) = probe_for_sighting(&cache, k) {
+                        let stats = cache.stats();
+                        let (n, refused) = (entries(&cache), LimaStats::get(&stats.rejected_puts));
+                        if abort {
+                            r.abort();
+                        } else {
+                            r.fulfill(&value(0), cost(0));
+                        }
+                        prop_assert_eq!(entries(&cache), n, "step {}: a first sighting took an entry", step);
+                        prop_assert_eq!(LimaStats::get(&stats.rejected_puts), refused + u64::from(!abort));
+                    }
+                }
+                Op::SecondSighting { k, size } => {
+                    if let Some((r, true)) = probe_for_sighting(&cache, k) {
+                        r.fulfill(&value(size), cost(0));
+                        let (n, puts) = (entries(&cache), LimaStats::get(&cache.stats().puts));
+                        match cache.acquire(&key(k)) {
+                            Some(Probe::Reserved(r)) => {
+                                prop_assert_eq!(entries(&cache), n + 1, "step {}: no placeholder", step);
+                                r.fulfill(&value(size), cost(0));
+                                prop_assert_eq!(LimaStats::get(&cache.stats().puts), puts + 1);
+                            }
+                            _ => prop_assert!(false, "step {}: the ghost was not probed", step),
+                        }
                     }
                 }
                 Op::Resolve { size, cost: c, abort } => {

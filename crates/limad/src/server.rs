@@ -526,7 +526,7 @@ impl Server {
         });
 
         // Replication: hang a put-watcher on every shard's cache so each
-        // entry the cache kept (admission may leave an offered value a shell)
+        // entry the cache kept (admission may refuse an offered value)
         // is queued for forwarding. The watcher drops (and counts) under
         // governor pressure instead of queueing — replication must never add
         // pressure to a shard that is already shedding.

@@ -15,7 +15,6 @@ pub mod codec;
 pub mod dense;
 pub mod error;
 pub mod forkjoin;
-pub mod frame;
 pub mod io;
 pub mod ops;
 pub mod rand_gen;

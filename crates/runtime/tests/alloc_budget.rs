@@ -82,7 +82,7 @@ fn tracing_and_probing_stay_inside_their_allocation_budget() {
         "tracing allocates {per_item:.2} times per item (budget 2)"
     );
     assert!(
-        per_probe <= 0.5,
-        "the cache allocates {per_probe:.2} times per probe (budget 0.5)"
+        per_probe <= 0.35,
+        "the cache allocates {per_probe:.2} times per probe (budget 0.35)"
     );
 }
