@@ -58,16 +58,20 @@ pub struct Sightings {
     shift: u32,
     keys: AtomicU64,
     recurred: AtomicU64,
+    /// How many times the books were cleared before this table was made: a
+    /// grown table keeps its predecessor's, a cleared one starts the next.
+    clears: u64,
 }
 
 impl Sightings {
-    fn new(slots: usize, (recurred, keys): (u64, u64)) -> Self {
+    fn new(slots: usize, (recurred, keys): (u64, u64), clears: u64) -> Self {
         let buckets = slots / WAYS;
         Sightings {
             buckets: (0..buckets).map(|_| Bucket::default()).collect(),
             shift: 64 - buckets.trailing_zeros(),
             keys: AtomicU64::new(keys),
             recurred: AtomicU64::new(recurred),
+            clears,
         }
     }
 
@@ -271,7 +275,7 @@ impl Books {
             free: Vec::new(),
             durable: HashMap::new(),
             queues: Queues::new(policy),
-            sightings: Arc::new(Sightings::new(sightings_capacity(0), (0, 0))),
+            sightings: Arc::new(Sightings::new(sightings_capacity(0), (0, 0), 0)),
         }
     }
 
@@ -298,7 +302,7 @@ impl Books {
     pub fn sight(&mut self, key: &LinKey) -> Sighting {
         let wanted = sightings_capacity(self.map.len() - self.queues.shells.len());
         if self.sightings.buckets.len() * WAYS < wanted {
-            let grown = Sightings::new(wanted, self.recurrence());
+            let grown = Sightings::new(wanted, self.recurrence(), self.sightings.clears);
             self.sightings.drain(|held| {
                 if let Err(Some(slot)) = grown.scan(held & !STATE) {
                     slot.store(held, Relaxed);
@@ -336,9 +340,14 @@ impl Books {
         id
     }
 
-    /// Where `key`'s first sighting stands, for its holder under the lock:
-    /// `Some(waited)` while computing, `None` once cleared or taken over.
-    pub fn settle(&self, key: &LinKey) -> Option<bool> {
+    /// Where `key`'s first sighting, made in the table `made_in`, stands for
+    /// its holder under the lock: `Some(waited)` while computing, `None` once
+    /// taken over or cleared. Growth moves the slot to the current table; a
+    /// clear drops it, and the key's next first sighting is not this holder's.
+    pub fn settle(&self, key: &LinKey, made_in: Option<&Sightings>) -> Option<bool> {
+        if made_in.is_some_and(|t| t.clears != self.sightings.clears) {
+            return None;
+        }
         let state = self.sightings.scan(tag_of(key)).ok()?.1 & STATE;
         (state >= COMPUTING).then_some(state == WAITED)
     }
@@ -572,7 +581,8 @@ impl Books {
         }
         self.queues = Queues::new(self.queues.policy);
         self.sightings.drain(|_| {});
-        self.sightings = Arc::new(Sightings::new(sightings_capacity(0), (0, 0)));
+        let clears = self.sightings.clears + 1;
+        self.sightings = Arc::new(Sightings::new(sightings_capacity(0), (0, 0), clears));
     }
 
     /// Re-derives everything the books maintain from a scan of the slab,
@@ -822,9 +832,9 @@ mod tests {
         // release without the lock fails: it settles under the lock.
         assert!(matches!(b.sight(&key("a")), Sighting::Pending));
         assert!(!b.sightings.release(&key("a")));
-        assert_eq!(b.settle(&key("a")), Some(true));
+        assert_eq!(b.settle(&key("a"), None), Some(true));
         b.ghost(&key("a"));
-        assert_eq!(b.settle(&key("a")), None);
+        assert_eq!(b.settle(&key("a"), None), None);
         assert!(matches!(b.sight(&key("a")), Sighting::Again));
         b.verify().unwrap();
         // Its entry takes it out of the table; it is not a new key.
@@ -867,14 +877,21 @@ mod tests {
         // The holder's release fails on the table it holds; it settles in
         // the one its slot moved to.
         assert!(!small.release(&key("held")));
-        assert_eq!(b.settle(&key("held")), Some(false));
+        assert_eq!(b.settle(&key("held"), Some(&small)), Some(false));
         b.verify().unwrap();
         let grown = Arc::clone(&b.sightings);
         b.clear();
         assert!(!grown.release(&key("held")));
-        assert_eq!(b.settle(&key("held")), None);
+        assert_eq!(b.settle(&key("held"), Some(&small)), None);
         assert_eq!(b.recurrence(), (0, 0));
         b.verify().unwrap();
+        // The key's next first sighting is not the stale holder's to settle,
+        // whichever table that holder made its sighting in.
+        assert!(matches!(b.sight(&key("held")), Sighting::First(_)));
+        assert_eq!(b.settle(&key("held"), Some(&small)), None);
+        assert_eq!(b.settle(&key("held"), Some(&grown)), None);
+        let current = Arc::clone(&b.sightings);
+        assert_eq!(b.settle(&key("held"), Some(&current)), Some(false));
     }
 
     #[test]

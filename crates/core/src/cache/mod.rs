@@ -725,7 +725,7 @@ impl LineageCache {
                     }),
                     None => {
                         let key = LinKey(item.clone());
-                        let computing = books.settle(&key).is_some();
+                        let computing = books.settle(&key, None).is_some();
                         if computing {
                             books.ghost(&key);
                         }
@@ -1001,7 +1001,7 @@ impl LineageCache {
                 let (id, _) = st.books.find_or_reserve(LinKey(item.clone()), now);
                 (Verdict::Entry(id), is_composite(item.opcode()), watched)
             }
-            Admission::Reserved(Hold::Sighting(_, key)) => match st.books.settle(key) {
+            Admission::Reserved(Hold::Sighting(t, key)) => match st.books.settle(key, Some(t)) {
                 None => (Verdict::Stale, false, true),
                 Some(waited) if fits && (waited || pays) => {
                     let (id, _) = st.books.find_or_reserve(key.clone(), now);
@@ -1284,7 +1284,7 @@ impl LineageCache {
                     return;
                 }
                 let mut guard = self.state.lock();
-                if guard.books.settle(key).is_some() {
+                if guard.books.settle(key, Some(sightings)).is_some() {
                     guard.books.ghost(key);
                 }
                 guard
@@ -2724,6 +2724,30 @@ mod tests {
         });
         assert_eq!(LimaStats::get(&cache.stats().rejected_puts), 1);
         assert_eq!(Arc::strong_count(&item), 1, "the cache holds no key");
+        cache.verify_index().unwrap();
+    }
+
+    #[test]
+    fn a_reservation_from_before_a_clear_leaves_the_keys_next_sighting_alone() {
+        let cache = cache_with_recurrence(cfg(1 << 20));
+        let item = mk_item("ba+*", "k");
+        let Some(Probe::Reserved(stale)) = cache.acquire(&item) else {
+            panic!("a new key misses");
+        };
+        cache.clear();
+        let seen = mk_item("ba+*", "seen");
+        fulfil(&cache, &seen, &mat(4), 1_000);
+        assert!(matches!(cache.acquire(&seen), Some(Probe::Hit(_))));
+        let Some(Probe::Reserved(fresh)) = cache.acquire(&item) else {
+            panic!("the cleared key misses again");
+        };
+        // The stale holder neither refuses nor books the new sighting.
+        stale.fulfill(&mat(4), 0);
+        assert_eq!(LimaStats::get(&cache.stats().rejected_puts), 0);
+        assert!(!cache.contains(&item));
+        cache.verify_index().unwrap();
+        fresh.fulfill(&mat(4), 0);
+        assert_eq!(LimaStats::get(&cache.stats().rejected_puts), 1);
         cache.verify_index().unwrap();
     }
 

@@ -12,15 +12,12 @@
 //!   to vector registers), register-blocked GEMM micro-kernel, and a direct
 //!   `X·Xᵀ` right-side `tsmm` that skips the transpose materialization.
 //!
-//! Both engines share the parallel partition and join order (see
-//! `ops::matmult`), and the Optimized engine preserves the Reference
+//! Both engines share the parallel partition and `tsmm`'s fixed row blocks
+//! (see `ops::matmult`), and the Optimized engine preserves the Reference
 //! per-element accumulation order, so for finite inputs the two produce
-//! **bit-identical** results. (Non-finite inputs can differ where Reference's
-//! zero-skip drops a `0·inf`/`0·NaN` term; kernels only ever see finite data
-//! from the runtime's rand/IO paths.) The one intentional divergence:
-//! Reference's *parallel* right-side `tsmm` splits partial sums over the
-//! shared dimension, so above its parallel threshold it is only
-//! approximately equal to the direct product.
+//! **bit-identical** results, and at any thread count. (Non-finite inputs can
+//! differ where Reference's zero-skip drops a `0·inf`/`0·NaN` term; kernels
+//! only ever see finite data from the runtime's rand/IO paths.)
 //!
 //! Selection: `LIMA_BACKEND=reference|optimized` in the environment, or
 //! programmatically via [`set_backend`] (wired to `LimaConfig` in
@@ -29,7 +26,7 @@
 use crate::dense::DenseMatrix;
 use crate::error::Result;
 use crate::ops::elementwise::{BinOp, UnOp};
-use crate::ops::{matmult, optimized};
+use crate::ops::{kernel_threads, matmult, optimized};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A dense compute engine. All entry points receive shape-validated inputs —
@@ -38,12 +35,26 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub trait KernelBackend: Send + Sync {
     /// Engine name, used in bench artifacts and logs.
     fn name(&self) -> &'static str;
-    /// Dense GEMM `A (m×k) · B (k×n)`; `a.cols() == b.rows()` is guaranteed.
-    fn gemm(&self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix>;
-    /// `Xᵀ X` (n×n from m×n).
-    fn tsmm_left(&self, x: &DenseMatrix) -> Result<DenseMatrix>;
-    /// `X Xᵀ` (m×m from m×n).
-    fn tsmm_right(&self, x: &DenseMatrix) -> Result<DenseMatrix>;
+    /// Dense GEMM `A (m×k) · B (k×n)` on up to `threads` workers;
+    /// `a.cols() == b.rows()` is guaranteed. No bit depends on `threads`.
+    fn gemm_threads(&self, a: &DenseMatrix, b: &DenseMatrix, threads: usize)
+        -> Result<DenseMatrix>;
+    /// `Xᵀ X` (n×n from m×n) on up to `threads` workers, the same bits at any.
+    fn tsmm_left_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix>;
+    /// `X Xᵀ` (m×m from m×n) on up to `threads` workers, the same bits at any.
+    fn tsmm_right_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix>;
+    /// [`Self::gemm_threads`] on [`kernel_threads`] workers.
+    fn gemm(&self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+        self.gemm_threads(a, b, kernel_threads())
+    }
+    /// [`Self::tsmm_left_threads`] on [`kernel_threads`] workers.
+    fn tsmm_left(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
+        self.tsmm_left_threads(x, kernel_threads())
+    }
+    /// [`Self::tsmm_right_threads`] on [`kernel_threads`] workers.
+    fn tsmm_right(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
+        self.tsmm_right_threads(x, kernel_threads())
+    }
     /// Transpose.
     fn transpose(&self, a: &DenseMatrix) -> DenseMatrix;
     /// Cell-wise binary on same-shape operands (broadcasting is resolved by
@@ -92,14 +103,14 @@ impl KernelBackend for ReferenceBackend {
     fn name(&self) -> &'static str {
         "reference"
     }
-    fn gemm(&self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-        matmult::ref_gemm(a, b)
+    fn gemm_threads(&self, a: &DenseMatrix, b: &DenseMatrix, t: usize) -> Result<DenseMatrix> {
+        matmult::ref_gemm(a, b, t)
     }
-    fn tsmm_left(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        matmult::ref_tsmm_left(x)
+    fn tsmm_left_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
+        matmult::ref_tsmm_left(x, threads)
     }
-    fn tsmm_right(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        matmult::ref_tsmm_right(x)
+    fn tsmm_right_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
+        matmult::ref_tsmm_right(x, threads)
     }
     fn transpose(&self, a: &DenseMatrix) -> DenseMatrix {
         matmult::ref_transpose(a)
@@ -125,14 +136,14 @@ impl KernelBackend for OptimizedBackend {
     fn name(&self) -> &'static str {
         "optimized"
     }
-    fn gemm(&self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-        optimized::gemm(a, b)
+    fn gemm_threads(&self, a: &DenseMatrix, b: &DenseMatrix, t: usize) -> Result<DenseMatrix> {
+        optimized::gemm(a, b, t)
     }
-    fn tsmm_left(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        optimized::tsmm_left(x)
+    fn tsmm_left_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
+        optimized::tsmm_left(x, threads)
     }
-    fn tsmm_right(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        optimized::tsmm_right(x)
+    fn tsmm_right_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
+        optimized::tsmm_right(x, threads)
     }
     fn transpose(&self, a: &DenseMatrix) -> DenseMatrix {
         optimized::transpose(a)

@@ -89,26 +89,6 @@ impl DenseMatrix {
         m
     }
 
-    /// Creates a column vector from a slice.
-    pub fn col_vector(values: &[f64]) -> Self {
-        Self {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-            nnz: AtomicU64::new(NNZ_UNKNOWN),
-        }
-    }
-
-    /// Creates a row vector from a slice.
-    pub fn row_vector(values: &[f64]) -> Self {
-        Self {
-            rows: 1,
-            cols: values.len(),
-            data: values.to_vec(),
-            nnz: AtomicU64::new(NNZ_UNKNOWN),
-        }
-    }
-
     /// Builds a matrix from a closure evaluated at each `(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -171,25 +151,6 @@ impl DenseMatrix {
     pub fn get(&self, row: usize, col: usize) -> f64 {
         debug_assert!(row < self.rows && col < self.cols);
         self.data[row * self.cols + col]
-    }
-
-    /// Bounds-checked cell accessor.
-    pub fn try_get(&self, row: usize, col: usize) -> Result<f64> {
-        if row >= self.rows {
-            return Err(MatrixError::IndexOutOfBounds {
-                op: "get",
-                index: row,
-                bound: self.rows,
-            });
-        }
-        if col >= self.cols {
-            return Err(MatrixError::IndexOutOfBounds {
-                op: "get",
-                index: col,
-                bound: self.cols,
-            });
-        }
-        Ok(self.get(row, col))
     }
 
     /// Mutable cell accessor for construction-time code. Maintains the cached
@@ -337,14 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn try_get_checks_bounds() {
-        let m = DenseMatrix::zeros(2, 2);
-        assert!(m.try_get(1, 1).is_ok());
-        assert!(m.try_get(2, 0).is_err());
-        assert!(m.try_get(0, 2).is_err());
-    }
-
-    #[test]
     fn sparsity_counts_nonzeros() {
         let m = DenseMatrix::new(1, 4, vec![0.0, 1.0, 0.0, 2.0]).unwrap();
         assert_eq!(m.sparsity(), 0.5);
@@ -400,12 +353,6 @@ mod tests {
         assert!(!a.approx_eq(&b, 1e-15));
         let c = DenseMatrix::zeros(2, 1);
         assert!(!a.approx_eq(&c, 1.0));
-    }
-
-    #[test]
-    fn vectors_have_expected_shapes() {
-        assert_eq!(DenseMatrix::col_vector(&[1.0, 2.0]).shape(), (2, 1));
-        assert_eq!(DenseMatrix::row_vector(&[1.0, 2.0]).shape(), (1, 2));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The workspace's one fork-join: run a handful of closures on scoped
 //! threads, join every one, hand the results back in task order.
 //!
-//! GEMM row panels, `tsmm` stripes ([`crate::ops::matmult`]) and `parfor`
+//! GEMM row panels, `tsmm` row blocks ([`crate::ops::matmult`]) and `parfor`
 //! workers (`lima-runtime`) all fan out through [`fork_join`], so thread
 //! creation and panic capture live in one place — the seam a persistent
 //! worker pool would replace. Partitioning stays with the callers: the

@@ -71,29 +71,37 @@ pub fn full_agg(a: &DenseMatrix, f: AggFn) -> f64 {
     fold(a.data().iter().copied(), f, a.len())
 }
 
+/// Streams the rows of `a` through one accumulator per column, starting at
+/// `init`: each column's terms arrive in ascending row order, as `fold`
+/// takes them.
+fn col_pass(a: &DenseMatrix, init: f64, step: impl Fn(f64, f64, usize) -> f64) -> Vec<f64> {
+    let mut acc = vec![init; a.cols()];
+    for i in 0..a.rows() {
+        for (j, (s, &v)) in acc.iter_mut().zip(a.row(i)).enumerate() {
+            *s = step(*s, v, j);
+        }
+    }
+    acc
+}
+
 /// Column aggregate, producing a `1 × cols` row vector.
 pub fn col_agg(a: &DenseMatrix, f: AggFn) -> DenseMatrix {
     let (m, n) = a.shape();
-    match f {
-        // Streaming implementations for the common cases.
-        AggFn::Sum | AggFn::Mean | AggFn::SumSq => {
-            let mut acc = vec![0.0f64; n];
-            for i in 0..m {
-                let row = a.row(i);
-                for j in 0..n {
-                    let v = row[j];
-                    acc[j] += if f == AggFn::SumSq { v * v } else { v };
-                }
-            }
-            if f == AggFn::Mean && m > 0 {
-                for v in &mut acc {
-                    *v /= m as f64;
-                }
-            }
-            DenseMatrix::new(1, n, acc).expect("shape")
+    let sums = || col_pass(a, 0.0, |s, v, _| s + v);
+    let acc = match f {
+        AggFn::Sum => sums(),
+        AggFn::Mean => sums().iter().map(|s| s / m.max(1) as f64).collect(),
+        AggFn::SumSq => col_pass(a, 0.0, |s, v, _| s + v * v),
+        AggFn::Min => col_pass(a, f64::INFINITY, |s, v, _| s.min(v)),
+        AggFn::Max => col_pass(a, f64::NEG_INFINITY, |s, v, _| s.max(v)),
+        AggFn::Var if m < 2 => vec![0.0; n],
+        AggFn::Var => {
+            let mean: Vec<f64> = sums().iter().map(|s| s / m as f64).collect();
+            let squares = col_pass(a, 0.0, |s, v, j| s + (v - mean[j]) * (v - mean[j]));
+            squares.iter().map(|s| s / (m - 1) as f64).collect()
         }
-        _ => DenseMatrix::from_fn(1, n, |_, j| fold((0..m).map(|i| a.get(i, j)), f, m)),
-    }
+    };
+    DenseMatrix::new(1, n, acc).expect("shape")
 }
 
 /// Row aggregate, producing a `rows × 1` column vector.
@@ -161,6 +169,22 @@ mod tests {
         assert_eq!(col_agg(&a, AggFn::Max).data(), &[4.0, 5.0, 6.0]);
         assert_eq!(col_agg(&a, AggFn::Min).data(), &[1.0, 2.0, 3.0]);
         assert_eq!(col_agg(&a, AggFn::SumSq).data(), &[17.0, 29.0, 45.0]);
+    }
+
+    #[test]
+    fn streamed_column_aggregates_equal_a_fold_per_column_bit_for_bit() {
+        for rows in [0usize, 1, 2, 3, 37] {
+            let a = DenseMatrix::from_fn(rows, 5, |i, j| match (i * 7 + j * 3) % 11 {
+                0 => -0.0,
+                k => (k as f64 - 5.5) * 1.37e-3 * (i + 1) as f64,
+            });
+            for f in [AggFn::Min, AggFn::Max, AggFn::Var] {
+                let column = |j: usize| fold((0..rows).map(|i| a.get(i, j)), f, rows);
+                let want: Vec<u64> = (0..5).map(|j| column(j).to_bits()).collect();
+                let got: Vec<u64> = col_agg(&a, f).data().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{f:?} over {rows} rows");
+            }
+        }
     }
 
     #[test]

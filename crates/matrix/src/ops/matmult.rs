@@ -5,8 +5,9 @@
 //! dense work to the active [`crate::backend::KernelBackend`]. The kernel
 //! bodies below are the always-available *Reference* backend; the unrolled
 //! engine lives in [`crate::ops::optimized`]. Both backends share the
-//! parallel scaffolding in this module (row-panel partition, stripe
-//! partition, join order) so their outputs stay bit-identical.
+//! parallel scaffolding in this module (row panels, `tsmm`'s fixed row
+//! blocks and their fold order), and no result depends on the thread count
+//! the drivers are given.
 //!
 //! `tsmm` exploits the symmetry of the result the way SystemDS' dedicated
 //! `tsmm` instruction does — it is the operator that dominates the `lmDS`
@@ -25,10 +26,10 @@ pub(crate) const PAR_FLOP_THRESHOLD: usize = 2_000_000;
 /// Cache-blocking tile edge for the k dimension.
 const BLOCK_K: usize = 64;
 
-/// Number of worker threads for parallel kernels (physical parallelism capped
-/// at 8 to stay deterministic-ish on CI machines). Resolved once per process:
-/// the probe behind it reads the affinity mask and cgroup files, which cost
-/// more than a small product, and every GEMM/tsmm dispatch asks.
+/// Default number of worker threads for parallel kernels: the available
+/// parallelism, capped at 8. No kernel's result depends on it. Resolved once
+/// per process: the probe behind it reads the affinity mask and cgroup files,
+/// which cost more than a small product, and every GEMM/tsmm dispatch asks.
 pub fn kernel_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
@@ -98,22 +99,27 @@ pub fn tsmm(x: &DenseMatrix, side: TsmmSide) -> Result<DenseMatrix> {
 // Shared parallel scaffolding (both backends)
 // ---------------------------------------------------------------------------
 
-/// Shared GEMM parallelization decision; both backends must agree so the
-/// row-panel partition (and therefore the output) is identical.
-pub(crate) fn gemm_parallel(m: usize, n: usize, k: usize) -> bool {
-    m >= PAR_ROW_THRESHOLD && m * n * k >= PAR_FLOP_THRESHOLD && kernel_threads() > 1
+/// Shared GEMM parallelization decision: whether both backends split the
+/// output rows into panels (no partition changes a value).
+pub(crate) fn gemm_parallel(m: usize, n: usize, k: usize, threads: usize) -> bool {
+    m >= PAR_ROW_THRESHOLD && m * n * k >= PAR_FLOP_THRESHOLD && threads > 1
 }
 
-/// Runs `panel(out_chunk, row0, rows)` over row panels of `out`, in parallel
-/// when requested. Each output row is written by exactly one worker, so the
-/// partition never changes the computed values. A worker panic surfaces as
-/// [`MatrixError::WorkerPanic`] (the first one, by panel order).
-pub(crate) fn run_row_panels<F>(out: &mut DenseMatrix, parallel: bool, panel: F) -> Result<()>
+/// Runs `panel(out_chunk, row0, rows)` over row panels of `out`, on up to
+/// `threads` workers when requested. Each output row is written by exactly
+/// one worker, so the partition never changes the computed values. A worker
+/// panic surfaces as [`MatrixError::WorkerPanic`] (the first one, by panel
+/// order).
+pub(crate) fn run_row_panels<F>(
+    out: &mut DenseMatrix,
+    parallel: bool,
+    threads: usize,
+    panel: F,
+) -> Result<()>
 where
     F: Fn(&mut [f64], usize, usize) + Sync,
 {
     let (m, n) = out.shape();
-    let threads = kernel_threads();
     if !parallel || threads <= 1 || m == 0 || n == 0 {
         panel(out.data_mut(), 0, m);
         return Ok(());
@@ -131,45 +137,46 @@ where
     .map_err(MatrixError::WorkerPanic)
 }
 
-/// Shared `tsmm` left-side driver: stripes the rows of `X` across workers,
-/// each accumulating a partial Gram matrix via `gram(x, lo, hi, acc)`, then
-/// sums partials in stripe order and mirrors the upper triangle. Both
-/// backends use this driver with their own `gram` kernel, so the stripe
-/// partition and the join order — the only places threading could perturb
-/// floating-point results — are identical by construction.
-pub(crate) fn tsmm_left_with<G>(x: &DenseMatrix, gram: G) -> Result<DenseMatrix>
+/// Rows per block of `tsmm`'s shared dimension when `X` is `m×n`: at most
+/// 16 blocks, and none shorter than 256 rows or than `n`, so the partials
+/// never outweigh `X`. It depends on the shape alone, never on the thread
+/// count, so neither does any value `tsmm` returns.
+pub(crate) fn tsmm_block_rows(m: usize, n: usize) -> usize {
+    m.div_ceil(16).max(256).max(n)
+}
+
+/// Shared `tsmm` left-side driver. The rows of `X` are cut into blocks of
+/// [`tsmm_block_rows`]; `gram(x, lo, hi, acc)` accumulates one block's upper
+/// triangle into a partial that starts from zero, and the partials fold into
+/// the output in block order before the upper triangle is mirrored. The
+/// `threads` workers only decide who computes which blocks (contiguous runs
+/// of them), so the result is the same at any thread count; both backends
+/// run this driver with their own per-block kernel.
+pub(crate) fn tsmm_left_with<G>(x: &DenseMatrix, threads: usize, gram: G) -> Result<DenseMatrix>
 where
     G: Fn(&DenseMatrix, usize, usize, &mut [f64]) + Sync,
 {
     let (m, n) = x.shape();
-    let threads = kernel_threads();
-    let mut out = DenseMatrix::zeros(n, n);
-    if m * n * n >= PAR_FLOP_THRESHOLD && threads > 1 && m >= threads {
-        // Each worker accumulates a partial Gram matrix over a row stripe;
-        // partials are summed afterwards. This mirrors SystemDS' parallel tsmm.
-        let chunk = m.div_ceil(threads);
-        let gram = &gram;
-        let stripes = (0..threads)
-            .map(|t| (t * chunk, ((t + 1) * chunk).min(m)))
-            .take_while(|(lo, hi)| lo < hi);
-        let partials = fork_join(stripes.map(|(lo, hi)| {
-            move || {
-                let mut acc = vec![0.0f64; n * n];
-                gram(x, lo, hi, &mut acc);
-                acc
-            }
-        }))
-        .into_iter()
-        .collect::<std::result::Result<Vec<Vec<f64>>, String>>()
-        .map_err(MatrixError::WorkerPanic)?;
-        let out_data = out.data_mut();
-        for p in partials {
-            for (o, v) in out_data.iter_mut().zip(p) {
-                *o += v;
-            }
-        }
+    let rows = tsmm_block_rows(m, n);
+    let blocks = m.div_ceil(rows);
+    let serial = m * n * n < PAR_FLOP_THRESHOLD;
+    let per = blocks.div_ceil(if serial { 1 } else { threads.max(1) });
+    let partial = |b: usize| {
+        let mut acc = vec![0.0f64; n * n];
+        gram(x, b * rows, ((b + 1) * rows).min(m), &mut acc);
+        acc
+    };
+    let run = &|b0: usize| Vec::from_iter((b0..blocks.min(b0 + per)).map(partial));
+    let runs = if per < blocks {
+        fork_join((0..blocks).step_by(per).map(|b0| move || run(b0)))
     } else {
-        gram(x, 0, m, out.data_mut());
+        vec![Ok(run(0))]
+    };
+    let mut out = DenseMatrix::zeros(n, n);
+    for run in runs {
+        for p in run.map_err(MatrixError::WorkerPanic)? {
+            out.data_mut().iter_mut().zip(p).for_each(|(o, v)| *o += v);
+        }
     }
     mirror_upper(&mut out);
     Ok(out)
@@ -192,12 +199,12 @@ pub(crate) fn mirror_upper(out: &mut DenseMatrix) {
 
 /// Reference GEMM: cache-blocked i-k-j loops, optionally parallel over row
 /// panels.
-pub(crate) fn ref_gemm(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+pub(crate) fn ref_gemm(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
     let (m, k) = a.shape();
     let n = b.cols();
     let mut out = DenseMatrix::zeros(m, n);
-    let parallel = gemm_parallel(m, n, k);
-    run_row_panels(&mut out, parallel, |panel, row0, rows| {
+    let parallel = gemm_parallel(m, n, k, threads);
+    run_row_panels(&mut out, parallel, threads, |panel, row0, rows| {
         gemm_panel(a, b, panel, row0, rows)
     })?;
     Ok(out)
@@ -246,23 +253,23 @@ pub(crate) fn ref_transpose(a: &DenseMatrix) -> DenseMatrix {
 }
 
 /// Reference `tsmm` left side.
-pub(crate) fn ref_tsmm_left(x: &DenseMatrix) -> Result<DenseMatrix> {
-    tsmm_left_with(x, gram_upper)
+pub(crate) fn ref_tsmm_left(x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
+    tsmm_left_with(x, threads, gram_upper)
 }
 
 /// Reference `tsmm` right side: materializes `Xᵀ` and reuses the left-side
 /// kernel. This doubles peak memory — the Optimized backend computes `X·Xᵀ`
 /// directly; the transpose counter lets tests pin that difference.
-pub(crate) fn ref_tsmm_right(x: &DenseMatrix) -> Result<DenseMatrix> {
+pub(crate) fn ref_tsmm_right(x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
     backend::note_tsmm_right_transpose();
     let xt = ref_transpose(x);
-    ref_tsmm_left(&xt)
+    ref_tsmm_left(&xt, threads)
 }
 
-/// Accumulates the upper triangle of `X[lo..hi,:]ᵀ X[lo..hi,:]` into `acc`.
-/// Shared with the Optimized backend: the rank-1 axpy update is already the
-/// form the auto-vectorizer handles best, so both engines run this kernel
-/// (keeping tsmm-left trivially bit-identical between them).
+/// Accumulates the upper triangle of `X[lo..hi,:]ᵀ X[lo..hi,:]` into `acc`,
+/// one row at a time: each element is one chain over ascending rows. It
+/// skips zero terms, which for finite inputs changes no sum, so the
+/// Optimized backend's rank-4 kernel, which adds them, keeps its bits.
 pub(crate) fn gram_upper(x: &DenseMatrix, lo: usize, hi: usize, acc: &mut [f64]) {
     let n = x.cols();
     for r in lo..hi {
@@ -401,7 +408,7 @@ mod tests {
         // Drive run_row_panels directly with a panicking panel across the
         // parallel path; the panic must come back as MatrixError::WorkerPanic.
         let mut out = DenseMatrix::zeros(512, 8);
-        let r = run_row_panels(&mut out, true, |panel, row0, _rows| {
+        let r = run_row_panels(&mut out, true, kernel_threads(), |panel, row0, _rows| {
             if row0 > 0 {
                 panic!("injected kernel fault at row {row0}");
             }
@@ -420,17 +427,14 @@ mod tests {
         assert!(out.data()[chunk * 8..].iter().all(|v| *v == 0.0));
         // Serial path with a healthy panel still succeeds.
         let mut out = DenseMatrix::zeros(4, 4);
-        assert!(run_row_panels(&mut out, false, |_p, _r0, _rs| {}).is_ok());
+        assert!(run_row_panels(&mut out, false, 1, |_p, _r0, _rs| {}).is_ok());
     }
 
     #[test]
     fn tsmm_worker_panic_surfaces_as_typed_error() {
-        if kernel_threads() <= 1 {
-            return; // parallel path unreachable on a single-core runner
-        }
-        // Large enough to take the parallel stripe path.
+        // Large enough to take the parallel block path.
         let x = DenseMatrix::from_fn(2_000, 40, |i, j| (i + j) as f64);
-        let r = tsmm_left_with(&x, |_x, lo, _hi, _acc| {
+        let r = tsmm_left_with(&x, 2, |_x, lo, _hi, _acc| {
             if lo > 0 {
                 panic!("injected tsmm fault");
             }

@@ -14,8 +14,9 @@
 //!
 //! **Bit-exactness contract.** Every kernel accumulates each output element
 //! in a single chain over the shared dimension in ascending order — the same
-//! order the Reference kernels use — and the parallel partitions are shared
-//! with Reference (`ops::matmult`). Zero terms that Reference skips are
+//! order the Reference kernels use; `tsmm` runs one such chain per fixed row
+//! block and folds the blocks in order — and the parallel partitions are
+//! shared with Reference (`ops::matmult`). Zero terms that Reference skips are
 //! added here as `x·0.0`, which cannot change a running sum that starts at
 //! `+0.0` for finite inputs. The differential suite in
 //! `tests/backend_diff.rs` asserts byte equality on randomized shapes.
@@ -23,7 +24,7 @@
 use crate::dense::DenseMatrix;
 use crate::error::Result;
 use crate::ops::elementwise::{BinOp, UnOp};
-use crate::ops::matmult::{gemm_parallel, gram_upper, kernel_threads, run_row_panels};
+use crate::ops::matmult::{gemm_parallel, gram_upper, run_row_panels, tsmm_block_rows};
 use crate::ops::matmult::{mirror_upper, tsmm_left_with, PAR_FLOP_THRESHOLD};
 
 /// Micro-kernel register block: MR output rows × NR output columns live in
@@ -40,16 +41,16 @@ const NR: usize = 8;
 /// element is still one sequential ascending-k chain — the blocking changes
 /// cache traffic, never associativity. Parallel over the same row panels as
 /// Reference.
-pub(crate) fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+pub(crate) fn gemm(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
     let (m, k) = a.shape();
     let n = b.cols();
     let mut out = DenseMatrix::zeros(m, n);
     if m == 0 || n == 0 {
         return Ok(out);
     }
-    let parallel = gemm_parallel(m, n, k);
+    let parallel = gemm_parallel(m, n, k, threads);
     if n == 1 {
-        run_row_panels(&mut out, parallel, |panel, row0, _| {
+        run_row_panels(&mut out, parallel, threads, |panel, row0, _| {
             gemv_panel(a, b.data(), panel, row0)
         })?;
         return Ok(out);
@@ -60,7 +61,7 @@ pub(crate) fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
         let kb = kc.min(k - k0);
         // Pack before partitioning: workers share one read-only packed image.
         let pack = pack_b_block(b, k0, kb);
-        run_row_panels(&mut out, parallel, |panel, row0, rows| {
+        run_row_panels(&mut out, parallel, threads, |panel, row0, rows| {
             gemm_panel(a, &pack, k0..k0 + kb, n, panel, row0, rows)
         })?;
         k0 += kb;
@@ -235,24 +236,45 @@ fn gemm_panel(
     }
 }
 
-/// Optimized `tsmm` left side: shared stripe driver over the shared Gram
-/// kernel. The rank-1 axpy update is already in the auto-vectorizer's
-/// preferred form, so Reference's kernel is the fast one here too — sharing
-/// it makes the left side bit-identical between backends by construction.
-pub(crate) fn tsmm_left(x: &DenseMatrix) -> Result<DenseMatrix> {
-    tsmm_left_with(x, gram_upper)
+/// Optimized `tsmm` left side: the shared block driver over a rank-4 Gram
+/// kernel.
+pub(crate) fn tsmm_left(x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
+    tsmm_left_with(x, threads, gram_upper_rank4)
+}
+
+/// Accumulates the upper triangle of `X[lo..hi,:]ᵀ X[lo..hi,:]` into `acc`
+/// four rows at a time: each output element loads and stores once per four
+/// rows instead of once per row. The four terms are added left to right,
+/// unfused, so every element is Reference's [`gram_upper`] chain over
+/// ascending rows, bit for bit; the last `< 4` rows run that kernel itself.
+fn gram_upper_rank4(x: &DenseMatrix, lo: usize, hi: usize, acc: &mut [f64]) {
+    let n = x.cols();
+    let mut r = lo;
+    while r + 4 <= hi {
+        let (x0, x1, x2, x3) = (x.row(r), x.row(r + 1), x.row(r + 2), x.row(r + 3));
+        for i in 0..n {
+            let (a0, a1, a2, a3) = (x0[i], x1[i], x2[i], x3[i]);
+            let rows = x0[i..].iter().zip(&x1[i..]).zip(&x2[i..]).zip(&x3[i..]);
+            for (o, (((&b0, &b1), &b2), &b3)) in acc[i * n + i..(i + 1) * n].iter_mut().zip(rows) {
+                *o = *o + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3;
+            }
+        }
+        r += 4;
+    }
+    gram_upper(x, r, hi, acc);
 }
 
 /// Optimized `tsmm` right side: computes `X·Xᵀ` directly as row-dot-products
 /// — no transpose materialization, so peak memory stays at `m×m + m×n`
-/// instead of `m×m + 2·m×n`. Each output element is one sequential dot over
-/// the shared dimension; threading stripes whole output rows, so the result
-/// is identical at any thread count.
-pub(crate) fn tsmm_right(x: &DenseMatrix) -> Result<DenseMatrix> {
+/// instead of `m×m + 2·m×n`. Each output element is Reference's sum: one
+/// chain per fixed block of the shared dimension, folded in block order.
+/// Threading stripes whole output rows, so the result is identical at any
+/// thread count.
+pub(crate) fn tsmm_right(x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
     let (m, n) = x.shape();
     let mut out = DenseMatrix::zeros(m, m);
-    let parallel = m * m * n >= PAR_FLOP_THRESHOLD && m >= kernel_threads();
-    run_row_panels(&mut out, parallel, |panel, row0, rows| {
+    let parallel = m * m * n >= PAR_FLOP_THRESHOLD && m >= threads;
+    run_row_panels(&mut out, parallel, threads, |panel, row0, rows| {
         gram_right_panel(x, panel, row0, rows)
     })?;
     mirror_upper(&mut out);
@@ -260,37 +282,38 @@ pub(crate) fn tsmm_right(x: &DenseMatrix) -> Result<DenseMatrix> {
 }
 
 /// Fills rows `row0..row0+rows` of the upper triangle of `X·Xᵀ`: four
-/// independent dot-product chains run against a common left row.
+/// independent dot-product chains run against a common left row, restarted
+/// from zero in each block of the shared dimension and folded in order.
 fn gram_right_panel(x: &DenseMatrix, panel: &mut [f64], row0: usize, rows: usize) {
     let (m, n) = x.shape();
+    let block = tsmm_block_rows(n, m);
     for ii in 0..rows {
         let i = row0 + ii;
         let ri = x.row(i);
         let orow = &mut panel[ii * m..(ii + 1) * m];
         let mut j = i;
         while j + 4 <= m {
-            let r0 = x.row(j);
-            let r1 = x.row(j + 1);
-            let r2 = x.row(j + 2);
-            let r3 = x.row(j + 3);
+            let r = [x.row(j), x.row(j + 1), x.row(j + 2), x.row(j + 3)];
             let mut acc = [0.0f64; 4];
-            for kk in 0..n {
-                let v = ri[kk];
-                acc[0] += v * r0[kk];
-                acc[1] += v * r1[kk];
-                acc[2] += v * r2[kk];
-                acc[3] += v * r3[kk];
+            for k0 in (0..n).step_by(block) {
+                let mut part = [0.0f64; 4];
+                for kk in k0..(k0 + block).min(n) {
+                    let v = ri[kk];
+                    for (p, rc) in part.iter_mut().zip(&r) {
+                        *p += v * rc[kk];
+                    }
+                }
+                acc.iter_mut().zip(part).for_each(|(a, p)| *a += p);
             }
             orow[j..j + 4].copy_from_slice(&acc);
             j += 4;
         }
         while j < m {
             let rj = x.row(j);
-            let mut s = 0.0;
-            for kk in 0..n {
-                s += ri[kk] * rj[kk];
-            }
-            orow[j] = s;
+            let dot = |k: std::ops::Range<usize>| k.fold(0.0, |s, kk| s + ri[kk] * rj[kk]);
+            orow[j] = (0..n)
+                .step_by(block)
+                .fold(0.0, |s, k0| s + dot(k0..(k0 + block).min(n)));
             j += 1;
         }
     }
@@ -389,6 +412,7 @@ pub(crate) fn ew_matrix_scalar(op: BinOp, a: &DenseMatrix, s: f64) -> DenseMatri
         BinOp::Sub => un_map(ad, |x| x - s),
         BinOp::Mul => un_map(ad, |x| x * s),
         BinOp::Div => un_map(ad, |x| x / s),
+        BinOp::Pow if s == 2.0 => un_map(ad, |x| x * x),
         op => un_map(ad, move |x| op.apply(x, s)),
     };
     with_shape(a, data)

@@ -160,28 +160,6 @@ pub fn seq(from: f64, to: f64, by: f64) -> Result<DenseMatrix> {
     Ok(DenseMatrix::from_fn(n, 1, |i, _| from + by * i as f64))
 }
 
-/// `table(seq, idx)`-style contingency/permutation matrix used by PCA's eigen
-/// reordering: builds a `n × n` selection matrix with `out[i, idx[i]-1] = 1`.
-pub fn permutation_from_index(idx: &DenseMatrix) -> Result<DenseMatrix> {
-    if idx.cols() != 1 {
-        return Err(MatrixError::InvalidArgument(
-            "table: index must be a column vector".into(),
-        ));
-    }
-    let n = idx.rows();
-    let mut out = DenseMatrix::zeros(n, n);
-    for i in 0..n {
-        let j = idx.get(i, 0);
-        if j < 1.0 || j > n as f64 || j.fract() != 0.0 {
-            return Err(MatrixError::InvalidArgument(format!(
-                "table: index value {j} out of range 1..={n}"
-            )));
-        }
-        out.set(i, j as usize - 1, 1.0);
-    }
-    Ok(out)
-}
-
 /// General 2-arg `table(a, b)` contingency matrix: counts co-occurrences of
 /// the (1-based, integral) codes in `a` and `b`. Used by one-hot encoding.
 pub fn table2(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
@@ -329,17 +307,6 @@ mod tests {
         assert_eq!(seq(5.0, 1.0, -2.0).unwrap().data(), &[5.0, 3.0, 1.0]);
         assert_eq!(seq(1.0, 0.0, 1.0).unwrap().rows(), 0);
         assert!(seq(0.0, 1.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn permutation_from_index_builds_selection_matrix() {
-        let idx = m(3, 1, &[2.0, 3.0, 1.0]);
-        let p = permutation_from_index(&idx).unwrap();
-        assert_eq!(p.get(0, 1), 1.0);
-        assert_eq!(p.get(1, 2), 1.0);
-        assert_eq!(p.get(2, 0), 1.0);
-        assert!(permutation_from_index(&m(1, 1, &[0.0])).is_err());
-        assert!(permutation_from_index(&m(1, 1, &[1.5])).is_err());
     }
 
     #[test]

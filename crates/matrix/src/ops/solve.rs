@@ -3,7 +3,6 @@
 
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
-use crate::ops::matmult::matmult;
 
 /// Solves `A X = B` for square `A`. Tries Cholesky first (the common case in
 /// the paper's workloads where `A = XᵀX + λI` is SPD), falling back to LU
@@ -144,26 +143,21 @@ pub fn lu_solve(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
     Ok(x)
 }
 
-/// Matrix inverse via `solve(A, I)` — used sparingly by tests.
-pub fn inverse(a: &DenseMatrix) -> Result<DenseMatrix> {
-    solve(a, &DenseMatrix::identity(a.rows()))
-}
-
-/// Residual norm `‖A X − B‖_F`, a test helper.
-pub fn residual_norm(a: &DenseMatrix, x: &DenseMatrix, b: &DenseMatrix) -> Result<f64> {
-    let ax = matmult(a, x)?;
-    Ok(ax
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(p, q)| (p - q) * (p - q))
-        .sum::<f64>()
-        .sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::matmult::matmult;
+
+    /// Residual norm `‖A X − B‖_F`.
+    fn residual_norm(a: &DenseMatrix, x: &DenseMatrix, b: &DenseMatrix) -> Result<f64> {
+        let ax = matmult(a, x)?;
+        let squares = ax
+            .data()
+            .iter()
+            .zip(b.data())
+            .map(|(p, q)| (p - q) * (p - q));
+        Ok(squares.sum::<f64>().sqrt())
+    }
 
     fn m(rows: usize, cols: usize, v: &[f64]) -> DenseMatrix {
         DenseMatrix::new(rows, cols, v.to_vec()).unwrap()
@@ -215,7 +209,7 @@ mod tests {
     #[test]
     fn inverse_times_matrix_is_identity() {
         let a = m(3, 3, &[4.0, 1.0, 2.0, 1.0, 5.0, 1.0, 2.0, 1.0, 6.0]);
-        let inv = inverse(&a).unwrap();
+        let inv = solve(&a, &DenseMatrix::identity(3)).unwrap();
         let prod = matmult(&a, &inv).unwrap();
         assert!(prod.approx_eq(&DenseMatrix::identity(3), 1e-10));
     }

@@ -70,24 +70,41 @@ proptest! {
         assert_bits_eq(&got, &want, &format!("gemm {m}x{k}x{n} density {density}"));
     }
 
-    /// Both `tsmm` sides. Shapes stay under the parallel partial-sum
-    /// threshold, where the contract is bit-exactness (above it, Reference's
-    /// right-side split over the shared dimension reassociates and the
-    /// backends are only approximately equal — documented divergence).
+    /// Both `tsmm` sides on small shapes, at any thread count. The only
+    /// divergence left is the one every kernel shares: Reference skips zero
+    /// terms, so a `0·inf` or `0·NaN` it drops the Optimized kernels add.
+    /// Parallel shapes are in
+    /// `parallel_kernels_agree_across_backends_and_thread_counts`.
     #[test]
     fn tsmm_bit_exact((m, n) in (0usize..33, 0usize..33),
                       seed in 0u64..1_000,
-                      density in prop_oneof![Just(0u64), Just(30), Just(1000)]) {
+                      density in prop_oneof![Just(0u64), Just(30), Just(1000)],
+                      threads in 1usize..9) {
+        let x = det(m, n, seed, density);
+        assert_bits_eq(
+            &OPT.tsmm_left_threads(&x, threads).unwrap(),
+            &REF.tsmm_left(&x).unwrap(),
+            &format!("tsmm_left {m}x{n}"),
+        );
+        assert_bits_eq(
+            &OPT.tsmm_right_threads(&x, threads).unwrap(),
+            &REF.tsmm_right(&x).unwrap(),
+            &format!("tsmm_right {m}x{n}"),
+        );
+    }
+
+    /// `tsmm` left over row counts around its block edges (blocks of at
+    /// least 256 rows, at most 16 of them) and the rank-4 kernel's row tail.
+    #[test]
+    fn tsmm_bit_exact_across_row_blocks(m in 250usize..4_200,
+                                        n in 1usize..9,
+                                        seed in 0u64..1_000,
+                                        density in prop_oneof![Just(30u64), Just(1000)]) {
         let x = det(m, n, seed, density);
         assert_bits_eq(
             &OPT.tsmm_left(&x).unwrap(),
             &REF.tsmm_left(&x).unwrap(),
             &format!("tsmm_left {m}x{n}"),
-        );
-        assert_bits_eq(
-            &OPT.tsmm_right(&x).unwrap(),
-            &REF.tsmm_right(&x).unwrap(),
-            &format!("tsmm_right {m}x{n}"),
         );
     }
 
@@ -126,6 +143,17 @@ proptest! {
                 &format!("ew_scalar_matrix {op:?}"),
             );
         }
+        // `X^2` takes its own arm in the Optimized matrix-scalar map.
+        assert_bits_eq(
+            &OPT.ew_matrix_scalar(BinOp::Pow, &a, 2.0),
+            &REF.ew_matrix_scalar(BinOp::Pow, &a, 2.0),
+            "ew_matrix_scalar Pow 2",
+        );
+        assert_bits_eq(
+            &OPT.ew_matrix_scalar(BinOp::Pow, &a, 2.0),
+            &OPT.ew_binary(BinOp::Mul, &a, &a),
+            "X^2 = X*X",
+        );
         for op in [
             UnOp::Neg, UnOp::Abs, UnOp::Exp, UnOp::Log, UnOp::Sqrt,
             UnOp::Round, UnOp::Floor, UnOp::Ceil, UnOp::Sign,
@@ -219,9 +247,37 @@ fn gemm_bit_exact_above_parallel_threshold() {
     );
 }
 
-/// The worker count is resolved once per process: every call, on every
-/// thread, sees the same value (kernels on different threads must agree on
-/// the row-panel partition), within the cap.
+/// A value depends on its operands only, never on the host's core count:
+/// on shapes that cross the parallel thresholds, GEMM and both `tsmm` sides
+/// give Reference's single-threaded bits on both engines at 1, 2, 3 and 8
+/// threads. `tsmm` sums fixed row blocks whose size depends on the row count
+/// alone; the right side runs on the transposes, whose shared dimension is
+/// the long one.
+#[test]
+fn parallel_kernels_agree_across_backends_and_thread_counts() {
+    for (m, n) in [(8_200, 256), (20_000, 30), (4_500, 51)] {
+        let x = det(m, n, m as u64, 1000);
+        let xt = REF.transpose(&x);
+        let w = det(n, 16, 3, 1000);
+        let run = |name: &str, be: &dyn KernelBackend, threads: usize| match name {
+            "tsmm_left" => be.tsmm_left_threads(&x, threads).unwrap(),
+            "tsmm_right" => be.tsmm_right_threads(&xt, threads).unwrap(),
+            _ => be.gemm_threads(&x, &w, threads).unwrap(),
+        };
+        for name in ["tsmm_left", "tsmm_right", "gemm"] {
+            let want = run(name, REF, 1);
+            for threads in [1, 2, 3, 8] {
+                for (engine, be) in [("reference", REF), ("optimized", OPT)] {
+                    let what = format!("{name} {m}x{n} {engine} at {threads} threads");
+                    assert_bits_eq(&run(name, be, threads), &want, &what);
+                }
+            }
+        }
+    }
+}
+
+/// The default worker count is resolved once per process: every call, on
+/// every thread, sees the same value, within the cap.
 #[test]
 fn kernel_threads_is_stable_across_calls_and_threads() {
     use lima_matrix::ops::kernel_threads;
