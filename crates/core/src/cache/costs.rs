@@ -10,6 +10,8 @@ const DEFAULT_WRITE_BW: f64 = 1.0e9;
 const DEFAULT_READ_BW: f64 = 2.0e9;
 /// EMA smoothing factor for bandwidth and booking-time adaptation.
 const EMA_ALPHA: f64 = 0.3;
+/// Largest multiple of the booking-time average one sample counts as.
+const BOOK_SAMPLE_CAP: f64 = 8.0;
 
 /// Adaptive I/O bandwidth and booking-cost estimator. Each estimate is one
 /// `f64` in an atomic: readers under the cache lock take no second lock, and
@@ -77,6 +79,11 @@ impl IoCostModel {
         recurred == 0 || compute_ns as f64 * recurred as f64 > load(&self.book_ns) * keys as f64
     }
 
+    /// The measured nanoseconds one booking costs (0 before the first).
+    pub fn book_ns(&self) -> f64 {
+        load(&self.book_ns)
+    }
+
     /// Folds a measured write into the bandwidth EMA.
     pub fn observe_write(&self, bytes: usize, elapsed_ns: u64) {
         if elapsed_ns > 0 && bytes > 0 {
@@ -92,10 +99,18 @@ impl IoCostModel {
     }
 
     /// Folds the measured time of one booking (install plus forced
-    /// evictions) into its EMA.
+    /// evictions) into its EMA, at most [`BOOK_SAMPLE_CAP`] times the
+    /// average: a booking descheduled midway measures milliseconds against
+    /// the microseconds bookings take, and as its value refused first
+    /// sightings, which add no samples, it would go on refusing them.
     pub fn observe_booking(&self, elapsed_ns: u64) {
         if elapsed_ns > 0 {
-            fold(&self.book_ns, elapsed_ns as f64);
+            let cap = load(&self.book_ns) * BOOK_SAMPLE_CAP;
+            let sample = elapsed_ns as f64;
+            fold(
+                &self.book_ns,
+                if cap > 0.0 { sample.min(cap) } else { sample },
+            );
         }
     }
 }
@@ -117,6 +132,22 @@ mod tests {
         let one = m.est_write_ns(1_000_000);
         let ten = m.est_write_ns(10_000_000);
         assert!((ten as f64 / one as f64 - 10.0).abs() < 0.01);
+    }
+
+    /// One descheduled booking cannot turn admission against values that
+    /// pay: it moves the average by at most `0.3 × 8`, while a lasting rise
+    /// is still followed, that factor per booking.
+    #[test]
+    fn one_slow_booking_moves_the_booking_cost_a_bounded_step() {
+        let m = IoCostModel::new();
+        m.observe_booking(2_000);
+        m.observe_booking(8_000_000);
+        assert!(m.book_ns() < 2_000.0 * 3.2, "{}", m.book_ns());
+        assert!(m.worth_booking(1_000_000_000, 1, 1_076));
+        for _ in 0..12 {
+            m.observe_booking(8_000_000);
+        }
+        assert!(m.book_ns() > 4_000_000.0, "{}", m.book_ns());
     }
 
     #[test]

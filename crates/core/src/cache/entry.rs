@@ -3,10 +3,14 @@
 //! and the lineage-trace height used by the DAG-Height policy.
 
 use crate::cache::eviction::QueueKey;
-use crate::lineage::item::LinKey;
+use crate::lineage::item::{LinKey, LinRef};
 use lima_matrix::Value;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// The lineage of a composite entry's outputs, in output order: items shared
+/// with the DAG traced when the entry was computed.
+pub type OutputLineage = Arc<[LinRef]>;
 
 /// Address of an entry in the cache's slab (`cache::books`): a slot number
 /// and the generation of the slot's tenant. A slot is reused
@@ -99,6 +103,10 @@ pub struct CacheEntry {
     /// Nanoseconds this entry actually credited to `saved_compute_ns` when
     /// it was first hit (0 if never hit, or if a composite hit absorbed it).
     pub credited_ns: u64,
+    /// For composite (function/block) entries: the lineage of each output as
+    /// its body computed it, which a hit binds instead of the call item (the
+    /// key). `None` for an entry offered without it, such as a bare put.
+    pub outputs: Option<OutputLineage>,
     /// For composite (function/block) entries: the entries fulfilled within
     /// this entry's computation window on the same thread. Their compute
     /// time is a subset of this entry's `compute_ns`, which is what lets a
@@ -128,6 +136,7 @@ impl CacheEntry {
             from_persist: false,
             credited: false,
             credited_ns: 0,
+            outputs: None,
             children: Vec::new(),
         }
     }

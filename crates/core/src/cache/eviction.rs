@@ -94,6 +94,7 @@ mod tests {
             from_persist: false,
             credited: false,
             credited_ns: 0,
+            outputs: None,
             children: Vec::new(),
         }
     }

@@ -20,7 +20,7 @@ use crate::resilience::{Attempt, CircuitBreaker, RetryPolicy};
 use crate::stats::LimaStats;
 use books::{Books, Sighting, Sightings};
 use costs::IoCostModel;
-use entry::{CacheEntry, DiskCopy, EntryId, EntryState};
+use entry::{CacheEntry, DiskCopy, EntryId, EntryState, OutputLineage};
 use lima_matrix::Value;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use persist::PersistentCacheStore;
@@ -68,8 +68,9 @@ thread_local! {
 
 /// Outcome of a full-reuse probe.
 pub enum Probe<'a> {
-    /// The value was reused from the cache.
-    Hit(Value),
+    /// The value was reused from the cache, with the lineage of its outputs
+    /// when it was fulfilled with one (composites).
+    Hit(Value, Option<OutputLineage>),
     /// The caller must compute the value and fulfil (or abort) the
     /// reservation; concurrent probes for the same trace block meanwhile.
     Reserved(Reservation<'a>),
@@ -84,6 +85,8 @@ pub struct Reservation<'a> {
     cache: &'a LineageCache,
     hold: Hold,
     done: bool,
+    /// For a composite: the lineage of its outputs, stored with the value.
+    outputs: Option<OutputLineage>,
 }
 
 /// What a reservation holds its placeholder by.
@@ -98,8 +101,16 @@ impl Reservation<'_> {
     /// Stores the computed value with its measured computation time.
     pub fn fulfill(mut self, value: &Value, compute_ns: u64) {
         self.done = true;
+        let outputs = self.outputs.take();
         self.cache
-            .fulfill(Admission::Reserved(&self.hold), value, compute_ns);
+            .fulfill(Admission::Reserved(&self.hold), value, outputs, compute_ns);
+    }
+
+    /// For a composite: the lineage its outputs were computed with, which
+    /// [`Self::fulfill`] stores beside the value and every hit hands back.
+    pub fn with_outputs(mut self, outputs: Option<OutputLineage>) -> Self {
+        self.outputs = outputs;
+        self
     }
 
     /// Abandons the placeholder (e.g. the computation failed): what dropping
@@ -207,12 +218,12 @@ enum Verdict {
 /// // First probe misses: compute and fulfil the reservation.
 /// match cache.acquire(&gram).expect("tsmm is cacheable") {
 ///     Probe::Reserved(r) => r.fulfill(&Value::matrix(DenseMatrix::identity(3)), 1_000),
-///     Probe::Hit(_) => unreachable!("fresh cache"),
+///     Probe::Hit(..) => unreachable!("fresh cache"),
 /// }
 /// // A structurally equal trace hits, even though it is a different object.
 /// let x2 = LineageItem::op_with_data("read", "X.csv", vec![]);
 /// let gram2 = LineageItem::op_with_data("tsmm", "LEFT", vec![x2]);
-/// assert!(matches!(cache.acquire(&gram2), Some(Probe::Hit(_))));
+/// assert!(matches!(cache.acquire(&gram2), Some(Probe::Hit(..))));
 /// ```
 pub struct LineageCache {
     config: LimaConfig,
@@ -255,10 +266,11 @@ impl std::fmt::Debug for LineageCache {
         let st = self.state.lock();
         write!(
             f,
-            "LineageCache {{ entries: {}, live: {}, resident_bytes: {} }}",
+            "LineageCache {{ entries: {}, live: {}, resident_bytes: {}, book_ns: {:.0} }}",
             st.books.len(),
             st.books.live_entries(),
-            st.books.resident_bytes()
+            st.books.resident_bytes(),
+            self.io.book_ns()
         )
     }
 }
@@ -511,6 +523,7 @@ impl LineageCache {
             cache: self,
             hold,
             done: false,
+            outputs: None,
         })
     }
 
@@ -630,6 +643,7 @@ impl LineageCache {
                 match &e.state {
                     EntryState::Cached(v) => {
                         let (value, from_persist) = (v.clone(), e.from_persist);
+                        let outputs = e.outputs.clone();
                         st.books.touch(id, |e| {
                             e.hits += 1;
                             e.last_access = now;
@@ -638,7 +652,7 @@ impl LineageCache {
                         let credit = hit_credit(&mut st.books, id);
                         drop(guard);
                         self.count_hit(item, credit, from_persist);
-                        return Ok(Some(Probe::Hit(value)));
+                        return Ok(Some(Probe::Hit(value, outputs)));
                     }
                     EntryState::Spilled { .. } => {
                         st.books.seen_again(id);
@@ -652,11 +666,14 @@ impl LineageCache {
                             }
                             continue;
                         };
-                        let from_persist = guard.books.get(id).is_some_and(|e| e.from_persist);
+                        let (from_persist, outputs) = match guard.books.get(id) {
+                            Some(e) => (e.from_persist, e.outputs.clone()),
+                            None => (false, None),
+                        };
                         let credit = hit_credit(&mut guard.books, id);
                         self.unlock_and_wake(guard);
                         self.count_hit(item, credit, from_persist);
-                        return Ok(Some(Probe::Hit(value)));
+                        return Ok(Some(Probe::Hit(value, outputs)));
                     }
                     // Waiting is wanting the value: the holder books it.
                     EntryState::Computing => st.books.seen_again(id),
@@ -890,7 +907,7 @@ impl LineageCache {
             LimaStats::bump(&self.stats.rejected_puts);
             return;
         }
-        self.fulfill(Admission::Put { item, watched }, value, compute_ns);
+        self.fulfill(Admission::Put { item, watched }, value, None, compute_ns);
     }
 
     /// Installs (or clears) the observer of offered values. Replaces any
@@ -971,7 +988,13 @@ impl LineageCache {
     /// worth booking ([`IoCostModel::worth_booking`] as the counts stand):
     /// then it leaves no entry, bytes, eviction or disk write, only a ghost —
     /// without the lock if nobody waits for it and no put watcher is set.
-    fn fulfill(&self, how: Admission<'_>, value: &Value, compute_ns: u64) {
+    fn fulfill(
+        &self,
+        how: Admission<'_>,
+        value: &Value,
+        outputs: Option<OutputLineage>,
+        compute_ns: u64,
+    ) {
         let size = value.size_in_bytes();
         let fits = size <= self.effective_budget() && self.governor_admits(size);
         if let Admission::Reserved(Hold::Sighting(sightings, key)) = how {
@@ -1046,6 +1069,7 @@ impl LineageCache {
                     self.discard_scratch(&e.state);
                     e.compute_ns = e.compute_ns.max(compute_ns);
                     e.last_access = now;
+                    e.outputs = outputs;
                     for c in children {
                         if !e.children.contains(&c) {
                             e.children.push(c);
@@ -1492,19 +1516,54 @@ mod tests {
         Value::matrix(DenseMatrix::filled(n, n, 1.0))
     }
 
+    /// A composite fulfilled with its outputs' lineage hands the same items
+    /// back on every hit, a probe that waited on its placeholder included;
+    /// a bare put stores none.
+    #[test]
+    fn composite_hits_hand_back_the_lineage_they_were_fulfilled_with() {
+        let cache = LineageCache::new(cfg(1 << 20));
+        let call = mk_item("fcall:f", "X");
+        let body: OutputLineage = Arc::from([mk_item("tsmm", "X"), mk_item("r'", "X")]);
+        let Some(Probe::Reserved(r)) = cache.acquire(&call) else {
+            panic!("a new composite misses");
+        };
+        let c2 = Arc::clone(&cache);
+        let probe = Arc::clone(&call);
+        let waiter = std::thread::spawn(move || match c2.acquire(&probe) {
+            Some(Probe::Hit(_, outputs)) => outputs,
+            _ => panic!("the waiter must be served"),
+        });
+        while LimaStats::get(&cache.stats().placeholder_waits) == 0 {
+            std::thread::yield_now();
+        }
+        let r = r.with_outputs(Some(Arc::clone(&body)));
+        r.fulfill(&Value::list(vec![mat(2), mat(3)]), 1_000);
+        let same = |got: Option<OutputLineage>| {
+            got.is_some_and(|got| got.iter().zip(body.iter()).all(|(a, b)| Arc::ptr_eq(a, b)))
+        };
+        assert!(same(waiter.join().unwrap()), "the waiter's lineage");
+        let Some(Probe::Hit(_, outputs)) = cache.acquire(&call) else {
+            panic!("a fulfilled composite hits");
+        };
+        assert!(same(outputs), "a later probe's lineage");
+        let put = mk_item("fcall:g", "X");
+        cache.put(&put, &mat(2), 1_000);
+        assert!(matches!(cache.acquire(&put), Some(Probe::Hit(_, None))));
+    }
+
     #[test]
     fn miss_then_hit_round_trip() {
         let cache = LineageCache::new(cfg(1 << 20));
         let item = mk_item("ba+*", "X");
         let v = mat(10);
         match cache.acquire(&item).unwrap() {
-            Probe::Hit(_) => panic!("expected miss"),
+            Probe::Hit(..) => panic!("expected miss"),
             Probe::Reserved(r) => r.fulfill(&v, 1_000),
         }
         // Structurally equal item probes hit.
         let item2 = mk_item("ba+*", "X");
         match cache.acquire(&item2).unwrap() {
-            Probe::Hit(got) => assert!(got.approx_eq(&v, 0.0)),
+            Probe::Hit(got, _) => assert!(got.approx_eq(&v, 0.0)),
             Probe::Reserved(_) => panic!("expected hit"),
         }
         assert_eq!(LimaStats::get(&cache.stats().full_hits), 1);
@@ -1533,7 +1592,7 @@ mod tests {
             Probe::Reserved(r) => r.fulfill(&mat(2), 10),
             _ => panic!("expected reservation after abort"),
         }
-        assert!(matches!(cache.acquire(&item).unwrap(), Probe::Hit(_)));
+        assert!(matches!(cache.acquire(&item).unwrap(), Probe::Hit(..)));
     }
 
     #[test]
@@ -1595,7 +1654,7 @@ mod tests {
         let c2 = Arc::clone(&cache);
         let item2 = mk_item("ba+*", "X");
         let waiter = std::thread::spawn(move || match c2.acquire(&item2).unwrap() {
-            Probe::Hit(v) => v,
+            Probe::Hit(v, _) => v,
             Probe::Reserved(_) => panic!("waiter should get the computed value"),
         });
         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -1627,7 +1686,7 @@ mod tests {
         }
         assert!(LimaStats::get(&cache.stats().spills) >= 1);
         match cache.acquire(&mk_item("ba+*", "hot")).unwrap() {
-            Probe::Hit(v) => assert!(v.approx_eq(&mat(100), 0.0)),
+            Probe::Hit(v, _) => assert!(v.approx_eq(&mat(100), 0.0)),
             Probe::Reserved(_) => panic!("expected restore hit"),
         }
         assert_eq!(LimaStats::get(&cache.stats().restores), 1);
@@ -1671,7 +1730,7 @@ mod tests {
             Probe::Reserved(r) => r.fulfill(&mat(100), 100_000),
             _ => panic!(),
         }
-        assert!(matches!(cache.acquire(&a).unwrap(), Probe::Hit(_)));
+        assert!(matches!(cache.acquire(&a).unwrap(), Probe::Hit(..)));
         assert!(matches!(cache.acquire(&b).unwrap(), Probe::Reserved(_)));
     }
 
@@ -1689,7 +1748,7 @@ mod tests {
                 let c = Arc::clone(&cache);
                 let it = mk_item("ba+*", "X");
                 std::thread::spawn(move || match c.acquire(&it).unwrap() {
-                    Probe::Hit(_) => "hit",
+                    Probe::Hit(..) => "hit",
                     Probe::Reserved(r) => {
                         r.fulfill(&mat(4), 10);
                         "reserved"
@@ -1729,7 +1788,7 @@ mod tests {
                 r.fulfill(&mat(3), 10);
                 true
             }
-            Probe::Hit(_) => false,
+            Probe::Hit(..) => false,
         });
         assert!(
             waiter.join().unwrap(),
@@ -1737,7 +1796,7 @@ mod tests {
         );
         assert!(LimaStats::get(&cache.stats().placeholder_timeouts) >= 1);
         // The takeover's value is now served normally.
-        assert!(matches!(cache.acquire(&item).unwrap(), Probe::Hit(_)));
+        assert!(matches!(cache.acquire(&item).unwrap(), Probe::Hit(..)));
     }
 
     #[test]
@@ -1825,7 +1884,7 @@ mod tests {
         // The corrupted file fails its checksum on restore: graceful miss.
         match cache.acquire(&mk_item("ba+*", "hot")).unwrap() {
             Probe::Reserved(r) => r.fulfill(&mat(100), 60_000_000_000),
-            Probe::Hit(_) => panic!("corrupt restore must not produce a value"),
+            Probe::Hit(..) => panic!("corrupt restore must not produce a value"),
         }
         assert!(LimaStats::get(&cache.stats().restore_failures) >= 1);
         assert_eq!(LimaStats::get(&cache.stats().restores), 0);
@@ -1899,7 +1958,7 @@ mod tests {
         // The second probe times out on the placeholder and takes over.
         match cache.acquire(&item).unwrap() {
             Probe::Reserved(r) => r.fulfill(&mat(8), 10),
-            Probe::Hit(_) => panic!("placeholder cannot hit"),
+            Probe::Hit(..) => panic!("placeholder cannot hit"),
         }
         assert_eq!(LimaStats::get(&cache.stats().placeholder_timeouts), 1);
         // The presumed-dead fulfiller finishes after all.
@@ -1991,7 +2050,7 @@ mod tests {
         // A hit reads `values/v<id>.val` and leaves it in place.
         let value_file = dir.join("values").join(format!("v{id}.val"));
         match cache.acquire(&hot).unwrap() {
-            Probe::Hit(v) => assert!(v.approx_eq(&mat(100), 0.0)),
+            Probe::Hit(v, _) => assert!(v.approx_eq(&mat(100), 0.0)),
             Probe::Reserved(_) => panic!("expected a restore hit"),
         }
         assert_eq!(LimaStats::get(&cache.stats().restores), 1);
@@ -2012,7 +2071,7 @@ mod tests {
         assert_eq!(spill_dir_files(&cache), 0);
         for (tag, n) in [("hot", 100), ("filler", 90)] {
             match cache.acquire(&mk_item("ba+*", tag)).unwrap() {
-                Probe::Hit(v) => assert!(v.approx_eq(&mat(n), 0.0)),
+                Probe::Hit(v, _) => assert!(v.approx_eq(&mat(n), 0.0)),
                 Probe::Reserved(_) => panic!("{tag} must hit after the restart"),
             }
         }
@@ -2049,7 +2108,7 @@ mod tests {
             };
             match cache.acquire(&hot).unwrap() {
                 Probe::Reserved(r) => r.fulfill(&mat(100), 60_000_000_000),
-                Probe::Hit(_) => panic!("{damage}: a lost copy must not produce a value"),
+                Probe::Hit(..) => panic!("{damage}: a lost copy must not produce a value"),
             }
             assert_eq!(
                 LimaStats::get(&cache.stats().restore_failures),
@@ -2111,7 +2170,7 @@ mod tests {
         assert_eq!(cache.state.lock().waiters, 0);
         let c2 = Arc::clone(&cache);
         let it = mk_item("ba+*", "X");
-        let waiter = std::thread::spawn(move || matches!(c2.acquire(&it), Some(Probe::Hit(_))));
+        let waiter = std::thread::spawn(move || matches!(c2.acquire(&it), Some(Probe::Hit(..))));
         // The waiter registers under the lock before it parks.
         while cache.state.lock().waiters == 0 {
             std::thread::yield_now();
@@ -2141,7 +2200,7 @@ mod tests {
             let cache = LineageCache::new(mkcfg());
             match cache.acquire(&mk_item("ba+*", "X")).unwrap() {
                 Probe::Reserved(r) => r.fulfill(&v, 7_000),
-                Probe::Hit(_) => panic!("fresh cache"),
+                Probe::Hit(..) => panic!("fresh cache"),
             }
             assert_eq!(LimaStats::get(&cache.stats().persist_writes), 1);
             assert!(LimaStats::get(&cache.stats().persist_bytes) > 0);
@@ -2151,7 +2210,7 @@ mod tests {
         let cache = LineageCache::new(mkcfg());
         assert_eq!(LimaStats::get(&cache.stats().persist_recovered), 1);
         match cache.acquire(&mk_item("ba+*", "X")).unwrap() {
-            Probe::Hit(got) => {
+            Probe::Hit(got, _) => {
                 assert!(got.approx_eq(&v, 0.0));
             }
             Probe::Reserved(_) => panic!("expected warm-restart hit"),
@@ -2243,7 +2302,7 @@ mod tests {
         // Existing entries still serve hits at L3+.
         assert!(matches!(
             cache.acquire(&mk_item("ba+*", "A")).unwrap(),
-            Probe::Hit(_)
+            Probe::Hit(..)
         ));
         // Pressure release re-arms every level and counts the recoveries.
         cache.clear();
@@ -2355,7 +2414,7 @@ mod tests {
         // exactly once even as later fulfills skip persistence.
         assert!(matches!(
             cache.acquire(&mk_item("ba+*", "X")).unwrap(),
-            Probe::Hit(_)
+            Probe::Hit(..)
         ));
         match cache.acquire(&mk_item("ba+*", "Y")).unwrap() {
             Probe::Reserved(r) => r.fulfill(&mat(4), 100),
@@ -2415,7 +2474,7 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(5));
         // The placeholder is still owned by `r`; fulfilling works normally.
         r.fulfill(&mat(3), 10);
-        assert!(matches!(cache.acquire(&item).unwrap(), Probe::Hit(_)));
+        assert!(matches!(cache.acquire(&item).unwrap(), Probe::Hit(..)));
     }
 
     #[test]
@@ -2508,13 +2567,13 @@ mod tests {
         let op = mk_item("tsmm", "X");
         fulfill_composite_with_child(&cache, &f, &op, 2_000, 5_000);
         assert_eq!(LimaStats::get(&cache.stats().saved_compute_ns), 0);
-        assert!(matches!(cache.acquire(&f), Some(Probe::Hit(_))));
+        assert!(matches!(cache.acquire(&f), Some(Probe::Hit(..))));
         assert_eq!(LimaStats::get(&cache.stats().saved_compute_ns), 5_000);
-        assert!(matches!(cache.acquire(&op), Some(Probe::Hit(_))));
+        assert!(matches!(cache.acquire(&op), Some(Probe::Hit(..))));
         assert_eq!(LimaStats::get(&cache.stats().saved_compute_ns), 5_000);
         // Repeat hits stay flat (first-hit-only crediting).
-        assert!(matches!(cache.acquire(&f), Some(Probe::Hit(_))));
-        assert!(matches!(cache.acquire(&op), Some(Probe::Hit(_))));
+        assert!(matches!(cache.acquire(&f), Some(Probe::Hit(..))));
+        assert!(matches!(cache.acquire(&op), Some(Probe::Hit(..))));
         assert_eq!(LimaStats::get(&cache.stats().saved_compute_ns), 5_000);
         // Hit-kind counters still classify by level.
         assert_eq!(LimaStats::get(&cache.stats().multilevel_hits), 2);
@@ -2528,10 +2587,10 @@ mod tests {
         let op = mk_item("tsmm", "X");
         fulfill_composite_with_child(&cache, &f, &op, 2_000, 5_000);
         // Constituent hit first: credits its own 2µs...
-        assert!(matches!(cache.acquire(&op), Some(Probe::Hit(_))));
+        assert!(matches!(cache.acquire(&op), Some(Probe::Hit(..))));
         assert_eq!(LimaStats::get(&cache.stats().saved_compute_ns), 2_000);
         // ...and the composite then credits only the 3µs remainder.
-        assert!(matches!(cache.acquire(&f), Some(Probe::Hit(_))));
+        assert!(matches!(cache.acquire(&f), Some(Probe::Hit(..))));
         assert_eq!(LimaStats::get(&cache.stats().saved_compute_ns), 5_000);
     }
 
@@ -2558,10 +2617,10 @@ mod tests {
         ro.fulfill(&mat(4), 1_000);
         rg.fulfill(&mat(4), 3_000);
         rf.fulfill(&mat(4), 9_000);
-        assert!(matches!(cache.acquire(&f), Some(Probe::Hit(_))));
+        assert!(matches!(cache.acquire(&f), Some(Probe::Hit(..))));
         assert_eq!(LimaStats::get(&cache.stats().saved_compute_ns), 9_000);
-        assert!(matches!(cache.acquire(&g), Some(Probe::Hit(_))));
-        assert!(matches!(cache.acquire(&op), Some(Probe::Hit(_))));
+        assert!(matches!(cache.acquire(&g), Some(Probe::Hit(..))));
+        assert!(matches!(cache.acquire(&op), Some(Probe::Hit(..))));
         assert_eq!(LimaStats::get(&cache.stats().saved_compute_ns), 9_000);
     }
 
@@ -2583,8 +2642,8 @@ mod tests {
         };
         ro.fulfill(&mat(4), 2_000);
         rf.abort();
-        assert!(matches!(cache.acquire(&op), Some(Probe::Hit(_))));
-        assert!(matches!(cache.acquire(&op), Some(Probe::Hit(_))));
+        assert!(matches!(cache.acquire(&op), Some(Probe::Hit(..))));
+        assert!(matches!(cache.acquire(&op), Some(Probe::Hit(..))));
         assert_eq!(LimaStats::get(&cache.stats().saved_compute_ns), 2_000);
     }
 
@@ -2599,7 +2658,7 @@ mod tests {
                 _ => panic!(),
             }
         }
-        assert!(matches!(cache.acquire(&costly), Some(Probe::Hit(_))));
+        assert!(matches!(cache.acquire(&costly), Some(Probe::Hit(..))));
         let report = cache.cost_report(10);
         // read leaves are not cached, so exactly the two op entries appear.
         assert_eq!(report.len(), 2);
@@ -2620,7 +2679,7 @@ mod tests {
     fn fulfil(cache: &LineageCache, item: &LinRef, value: &Value, compute_ns: u64) {
         match cache.acquire(item).unwrap() {
             Probe::Reserved(r) => r.fulfill(value, compute_ns),
-            Probe::Hit(_) => panic!("{} should miss", item.opcode()),
+            Probe::Hit(..) => panic!("{} should miss", item.opcode()),
         }
     }
 
@@ -2631,7 +2690,7 @@ mod tests {
         let cache = LineageCache::new(config);
         let seen = mk_item("ba+*", "seen");
         fulfil(&cache, &seen, &mat(4), 1_000);
-        assert!(matches!(cache.acquire(&seen), Some(Probe::Hit(_))));
+        assert!(matches!(cache.acquire(&seen), Some(Probe::Hit(..))));
         cache
     }
 
@@ -2646,7 +2705,7 @@ mod tests {
         // X0 recurs: from now on a free value is not worth its booking.
         assert!(matches!(
             cache.acquire(&mk_item("ba+*", "X0")),
-            Some(Probe::Hit(_))
+            Some(Probe::Hit(..))
         ));
         fulfil(&cache, &mk_item("ba+*", "Y"), &mat(4), 0);
         assert_eq!(LimaStats::get(&cache.stats().puts), 20);
@@ -2695,7 +2754,7 @@ mod tests {
         assert_eq!(LimaStats::get(&cache.stats().puts), 2);
         assert!(cache.contains(&item));
         assert_eq!(entry_of(&cache, &item).map(|e| e.misses), Some(2));
-        assert!(matches!(cache.acquire(&item), Some(Probe::Hit(_))));
+        assert!(matches!(cache.acquire(&item), Some(Probe::Hit(..))));
         assert_eq!(offered.load(Ordering::Relaxed), 2);
         assert_eq!(admitted(), [0, 1]);
         cache.verify_index().unwrap();
@@ -2737,7 +2796,7 @@ mod tests {
         cache.clear();
         let seen = mk_item("ba+*", "seen");
         fulfil(&cache, &seen, &mat(4), 1_000);
-        assert!(matches!(cache.acquire(&seen), Some(Probe::Hit(_))));
+        assert!(matches!(cache.acquire(&seen), Some(Probe::Hit(..))));
         let Some(Probe::Reserved(fresh)) = cache.acquire(&item) else {
             panic!("the cleared key misses again");
         };
@@ -2760,7 +2819,7 @@ mod tests {
         };
         let c2 = Arc::clone(&cache);
         let it = mk_item("ba+*", "waited");
-        let waiter = std::thread::spawn(move || matches!(c2.acquire(&it), Some(Probe::Hit(_))));
+        let waiter = std::thread::spawn(move || matches!(c2.acquire(&it), Some(Probe::Hit(..))));
         while cache.state.lock().waiters == 0 {
             std::thread::yield_now();
         }
@@ -2824,7 +2883,7 @@ mod tests {
             Probe::Reserved(r) => r.fulfill(&mat(4), 7_000),
             _ => panic!(),
         }
-        assert!(matches!(cache.acquire(&item), Some(Probe::Hit(_))));
+        assert!(matches!(cache.acquire(&item), Some(Probe::Hit(..))));
         let events = obs.events();
         let kinds: Vec<EventKind> = events.iter().map(|(_, e)| e.kind).collect();
         assert!(kinds.contains(&EventKind::CacheMiss));

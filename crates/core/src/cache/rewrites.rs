@@ -7,23 +7,24 @@
 //! matrix kernels (semantically the paper's "compile and execute actual
 //! runtime instructions").
 //!
-//! Implemented meta-rewrites (each with internal variants):
+//! Implemented meta-rewrites, keeping the numbers of the earlier, longer list:
 //!
-//! 1.  `rbind(X,ΔX) %*% Y            → rbind(X%*%Y, ΔX%*%Y)`
 //! 2.  `X %*% cbind(Y,ΔY)            → cbind(X%*%Y, X%*%ΔY)`
 //! 3.  `X %*% cbind(Y,1)             → cbind(X%*%Y, rowSums(X))` (variant of 2)
-//! 4.  `X %*% Y[,1:k]                → (X%*%Y)[,1:k]`
-//! 5.  `tsmm(rbind(X,ΔX))            → tsmm(X) + tsmm(ΔX)`
 //! 6.  `tsmm(cbind(X,ΔX))            → [[tsmm(X), XᵀΔX],[ΔXᵀX, tsmm(ΔX)]]`
 //! 7.  `tsmm(cbind(X,1))             → augment with colSums(X), nrow(X)` (variant of 6)
-//! 8.  `cbind(X,ΔX) ⊙ cbind(Y,ΔY)    → cbind(X⊙Y, ΔX⊙ΔY)`
-//! 9.  `colAgg(cbind(X,ΔX))          → cbind(colAgg(X), colAgg(ΔX))`
 //! 10. `t(rbind(Xa,Xb)) %*% rbind(Ya,Yb) → t(Xa)%*%Ya + t(Xb)%*%Yb`
-//! 11. `rowAgg(rbind(X,ΔX))          → rbind(rowAgg(X), rowAgg(ΔX))`
-//! 12. `t(cbind(X,ΔX))               → rbind(t(X), t(ΔX))`
-//! 13. `fullAgg(cbind/rbind(X,ΔX))   → combine(fullAgg(X), fullAgg(ΔX))`
-//!     (sum/sumsq/min/max)
-//! 14. `rbind(X,ΔX) ⊙ rbind(Y,ΔY)    → rbind(X⊙Y, ΔX⊙ΔY)`
+//!
+//! 6 and 7 are what stepLm's `tsmm(cbind(X, Y[,i]))` (Fig 7(a)) and the
+//! intercept column of `lm` hit; 2, 3 and 10 serve a product whose left
+//! operand is the fused `t(A)`, which hands them the value of `A`: their
+//! compensations read it as `t(A)` without making it. The others of the set
+//! (`rbind` products, indexing push-down, `tsmm(rbind)`, element-wise and
+//! aggregate splits) fired on no benchmark workload and no `lima-algos`
+//! pipeline, and were removed. 3 and 7 give the bits of the instruction they
+//! replace (for finite values; 3's `rowSums` keeps the sign of a row of
+//! `-0.0`s, the product's does not), and so does 2; 6 and 10 reassociate a
+//! sum.
 //!
 //! Shapes needed to size the compensations come from the shape metadata the
 //! runtime registers on lineage items, or from cached component shapes.
@@ -33,8 +34,8 @@ use crate::lineage::item::{LinRef, LineageItem};
 use crate::opcodes as op;
 use crate::stats::LimaStats;
 use lima_matrix::ops::{
-    agg, cbind, col_agg, ew_matrix_matrix, matmult, rbind, row_agg, slice, transpose, tsmm, AggFn,
-    BinOp, TsmmSide,
+    cbind, ew_matrix_matrix, matmult, matmult_tn, rbind, row_agg, slice, transpose, tsmm,
+    tsmm_block_rows, AggFn, BinOp, TsmmSide,
 };
 use lima_matrix::{DenseMatrix, MatrixRef, Value};
 
@@ -48,33 +49,34 @@ pub struct PartialHit {
 }
 
 /// Attempts all partial-reuse rewrites for `item`, whose immediate input
-/// values are `input_values` (same order as `item.inputs()`). The caller
-/// times a rewrite that fires (`compensation_ns`) from the clock reading its
-/// miss started with, which also times the kernel when none fires.
+/// values are `input_values` (same order as `item.inputs()`), except that
+/// with `fused_t` the item is `ba+*(r'(A), B)` computed without `t(A)` and
+/// the first value is `A`. The caller times a rewrite that fires
+/// (`compensation_ns`) from the clock reading its miss started with, which
+/// also times the kernel when none fires.
 pub fn try_partial_reuse(
     cache: &LineageCache,
     item: &LinRef,
     input_values: &[Value],
+    fused_t: bool,
 ) -> Option<PartialHit> {
     if !cache.partial_reuse() {
         return None;
     }
-    let hit = dispatch(cache, item, input_values)?;
+    let hit = dispatch(cache, item, input_values, fused_t)?;
     LimaStats::bump(&cache.stats().partial_hits);
     Some(hit)
 }
 
-fn dispatch(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Option<PartialHit> {
+fn dispatch(
+    cache: &LineageCache,
+    item: &LinRef,
+    vals: &[Value],
+    fused_t: bool,
+) -> Option<PartialHit> {
     match item.opcode() {
-        op::MATMULT => try_mm_rewrites(cache, item, vals),
+        op::MATMULT => try_mm_rewrites(cache, item, vals, fused_t),
         op::TSMM => try_tsmm_rewrites(cache, item, vals),
-        op::TRANSPOSE => try_transpose_cbind(cache, item, vals),
-        o if BinOp::from_opcode(o).is_some() => {
-            try_ew_cbind(cache, item, vals).or_else(|| try_ew_rbind(cache, item, vals))
-        }
-        o if o.starts_with(op::COL_AGG_PREFIX) => try_colagg_cbind(cache, item, vals),
-        o if o.starts_with(op::ROW_AGG_PREFIX) => try_rowagg_rbind(cache, item, vals),
-        o if o.starts_with(op::FULL_AGG_PREFIX) => try_fullagg_concat(cache, item, vals),
         _ => None,
     }
 }
@@ -123,13 +125,55 @@ fn probe_tsmm(x: &LinRef) -> LinRef {
     LineageItem::op_with_data(op::TSMM, "LEFT", [x.clone()])
 }
 
-/// Rewrites 1–4 and 10: matrix-multiply patterns.
-fn try_mm_rewrites(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Option<PartialHit> {
+/// The left operand of a product: its value, or with `.1` (the fused
+/// `t(A) %*% B`) the value of `A`, so that `t(A)` is never made. Each
+/// compensation gives the same bits either way.
+struct Left<'a>(&'a DenseMatrix, bool);
+
+impl Left<'_> {
+    fn shape(&self) -> (usize, usize) {
+        let (m, n) = self.0.shape();
+        if self.1 {
+            (n, m)
+        } else {
+            (m, n)
+        }
+    }
+
+    fn times(&self, b: &DenseMatrix) -> Option<DenseMatrix> {
+        let product = if self.1 { matmult_tn } else { matmult };
+        product(self.0, b).ok()
+    }
+
+    /// `rowSums`; of `t(A)` the column sums of `A`, each one chain in
+    /// ascending rows from `-0.0`, where `row_agg`'s sum starts.
+    fn row_sums(&self) -> DenseMatrix {
+        if !self.1 {
+            return row_agg(self.0, AggFn::Sum);
+        }
+        let mut sums = vec![-0.0; self.0.cols()];
+        for i in 0..self.0.rows() {
+            sums.iter_mut()
+                .zip(self.0.row(i))
+                .for_each(|(s, v)| *s += v);
+        }
+        DenseMatrix::from_fn(sums.len(), 1, |j, _| sums[j])
+    }
+}
+
+/// Rewrites 2, 3 and 10: matrix-multiply patterns.
+fn try_mm_rewrites(
+    cache: &LineageCache,
+    item: &LinRef,
+    vals: &[Value],
+    fused_t: bool,
+) -> Option<PartialHit> {
     let [a_lin, b_lin] = item.inputs() else {
         return None;
     };
     let av = as_matrix(vals.first()?)?;
     let bv = as_matrix(vals.get(1)?)?;
+    let left = Left(av, fused_t);
 
     // (10) t(rbind(Xa,Xb)) %*% rbind(Ya,Yb) → t(Xa)%*%Ya + t(Xb)%*%Yb
     if a_lin.opcode() == op::TRANSPOSE && b_lin.opcode() == op::RBIND {
@@ -144,11 +188,16 @@ fn try_mm_rewrites(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Optio
                 let probe = probe_mm(&LineageItem::op(op::TRANSPOSE, [xa.clone()]), &ya.clone());
                 if let Some(head) = peek_matrix(cache, &probe) {
                     let na = xa.shape().map(|(r, _)| r).or(ya.shape().map(|(r, _)| r))?;
-                    if na < bv.rows() && na < av.cols() {
-                        // av is already t(rbind(Xa,Xb)): k × (na+nb)
-                        let t_tail = slice(av, 0, av.rows() - 1, na, av.cols() - 1).ok()?;
+                    if na < bv.rows() && na < left.shape().1 {
+                        // The left operand is t(rbind(Xa,Xb)), k × (na+nb):
+                        // its tail is t(Xb), or Xb's rows of rbind(Xa,Xb).
+                        let (m, n) = av.shape();
+                        let tail = match fused_t {
+                            true => slice(av, na, m - 1, 0, n - 1),
+                            false => slice(av, 0, m - 1, na, n - 1),
+                        };
                         let y_tail = slice(bv, na, bv.rows() - 1, 0, bv.cols() - 1).ok()?;
-                        let comp = matmult(&t_tail, &y_tail).ok()?;
+                        let comp = Left(&tail.ok()?, fused_t).times(&y_tail)?;
                         let sum = ew_matrix_matrix(BinOp::Add, &head, &comp).ok()?;
                         return Some(PartialHit {
                             value: Value::matrix(sum),
@@ -160,36 +209,17 @@ fn try_mm_rewrites(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Optio
         }
     }
 
-    // (1) rbind(X,ΔX) %*% Y → rbind(X%*%Y, ΔX%*%Y)
-    if a_lin.opcode() == op::RBIND {
-        let [x, _dx] = a_lin.inputs() else {
-            return None;
-        };
-        if let Some(xy) = peek_matrix(cache, &probe_mm(x, b_lin)) {
-            let nx = xy.rows();
-            if nx < av.rows() && xy.cols() == bv.cols() {
-                let dxv = slice(av, nx, av.rows() - 1, 0, av.cols() - 1).ok()?;
-                let comp = matmult(&dxv, bv).ok()?;
-                let out = rbind(&xy, &comp).ok()?;
-                return Some(PartialHit {
-                    value: Value::matrix(out),
-                    rewrite: "mm-rbind-left",
-                });
-            }
-        }
-    }
-
     // (2)/(3) X %*% cbind(Y,ΔY) → cbind(X%*%Y, X%*%ΔY | rowSums(X))
     if b_lin.opcode() == op::CBIND {
         let [y, dy] = b_lin.inputs() else { return None };
         if let Some(xy) = peek_matrix(cache, &probe_mm(a_lin, y)) {
             let ky = xy.cols();
-            if ky < bv.cols() && xy.rows() == av.rows() {
+            if ky < bv.cols() && xy.rows() == left.shape().0 {
                 let comp = if is_const_col(dy, 1.0) && bv.cols() - ky == 1 {
-                    row_agg(av, AggFn::Sum)
+                    left.row_sums()
                 } else {
                     let dyv = slice(bv, 0, bv.rows() - 1, ky, bv.cols() - 1).ok()?;
-                    matmult(av, &dyv).ok()?
+                    left.times(&dyv)?
                 };
                 let out = cbind(&xy, &comp).ok()?;
                 return Some(PartialHit {
@@ -204,61 +234,16 @@ fn try_mm_rewrites(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Optio
         }
     }
 
-    // (4) X %*% (Y[,1:k]) → (X%*%Y)[,1:k]
-    if b_lin.opcode() == op::RIGHT_INDEX {
-        let [y] = b_lin.inputs() else { return None };
-        let bounds: Vec<usize> = b_lin
-            .data()?
-            .split(' ')
-            .filter_map(|s| s.parse().ok())
-            .collect();
-        let [rl, ru, cl, cu] = bounds[..] else {
-            return None;
-        };
-        // Full row range required.
-        let (y_rows, _) = y.shape()?;
-        if rl == 0 && ru == y_rows - 1 {
-            if let Some(xy) = peek_matrix(cache, &probe_mm(a_lin, y)) {
-                if cu < xy.cols() {
-                    let out = slice(&xy, 0, xy.rows() - 1, cl, cu).ok()?;
-                    return Some(PartialHit {
-                        value: Value::matrix(out),
-                        rewrite: "mm-indexed-right",
-                    });
-                }
-            }
-        }
-    }
-
     None
 }
 
-/// Rewrites 5–7: tsmm patterns (`dsyrk` in the paper's notation).
+/// Rewrites 6 and 7: tsmm patterns (`dsyrk` in the paper's notation).
 fn try_tsmm_rewrites(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Option<PartialHit> {
     if item.data() != Some("LEFT") {
         return None;
     }
     let [c_lin] = item.inputs() else { return None };
     let cv = as_matrix(vals.first()?)?;
-
-    // (5) tsmm(rbind(X,ΔX)) → tsmm(X) + tsmm(ΔX)
-    if c_lin.opcode() == op::RBIND {
-        let [x, _dx] = c_lin.inputs() else {
-            return None;
-        };
-        if let Some(ts) = peek_matrix(cache, &probe_tsmm(x)) {
-            let nx = x.shape().map(|(r, _)| r)?;
-            if nx < cv.rows() && ts.cols() == cv.cols() {
-                let dxv = slice(cv, nx, cv.rows() - 1, 0, cv.cols() - 1).ok()?;
-                let comp = tsmm(&dxv, TsmmSide::Left).ok()?;
-                let out = ew_matrix_matrix(BinOp::Add, &ts, &comp).ok()?;
-                return Some(PartialHit {
-                    value: Value::matrix(out),
-                    rewrite: "tsmm-rbind",
-                });
-            }
-        }
-    }
 
     // (6)/(7) tsmm(cbind(X,ΔX)) → blocked assembly
     if c_lin.opcode() == op::CBIND {
@@ -268,12 +253,27 @@ fn try_tsmm_rewrites(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Opt
             if kx >= cv.cols() {
                 return None;
             }
-            let xv = slice(cv, 0, cv.rows() - 1, 0, kx - 1).ok()?;
+            let m = cv.rows();
             if is_const_col(dx, 1.0) && cv.cols() - kx == 1 {
-                // tsmm(cbind(X,1)) = [[XᵀX, colSums(X)ᵀ],[colSums(X), n]]
-                let cs = col_agg(&xv, AggFn::Sum); // 1 × kx
+                // tsmm(cbind(X,1)) = [[XᵀX, colSums(X)ᵀ],[colSums(X), n]],
+                // with tsmm's bits: the column sums are summed in its row
+                // blocks, each from zero, folded in block order, and XᵀX is
+                // reused only where its blocks are the same.
+                let rows = tsmm_block_rows(m, kx + 1);
+                if rows != tsmm_block_rows(m, kx) {
+                    return None;
+                }
+                let mut sums = vec![0.0; kx];
+                for r0 in (0..m).step_by(rows) {
+                    let mut part = vec![0.0; kx];
+                    for r in r0..(r0 + rows).min(m) {
+                        part.iter_mut().zip(cv.row(r)).for_each(|(p, v)| *p += v);
+                    }
+                    sums.iter_mut().zip(part).for_each(|(s, p)| *s += p);
+                }
+                let cs = DenseMatrix::from_fn(1, kx, |_, j| sums[j]);
                 let cs_t = transpose(&cs); // kx × 1
-                let n = DenseMatrix::filled(1, 1, cv.rows() as f64);
+                let n = DenseMatrix::filled(1, 1, m as f64);
                 let top = cbind(&ts, &cs_t).ok()?;
                 let bottom = cbind(&cs, &n).ok()?;
                 let out = rbind(&top, &bottom).ok()?;
@@ -282,8 +282,9 @@ fn try_tsmm_rewrites(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Opt
                     rewrite: "tsmm-cbind-ones",
                 });
             }
-            let dxv = slice(cv, 0, cv.rows() - 1, kx, cv.cols() - 1).ok()?;
-            let xtdx = matmult(&transpose(&xv), &dxv).ok()?;
+            let xv = slice(cv, 0, m - 1, 0, kx - 1).ok()?;
+            let dxv = slice(cv, 0, m - 1, kx, cv.cols() - 1).ok()?;
+            let xtdx = matmult_tn(&xv, &dxv).ok()?;
             let dxtx = transpose(&xtdx);
             let dxtdx = tsmm(&dxv, TsmmSide::Left).ok()?;
             let top = cbind(&ts, &xtdx).ok()?;
@@ -297,211 +298,6 @@ fn try_tsmm_rewrites(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Opt
     }
 
     None
-}
-
-/// Rewrite 8: `cbind(X,ΔX) ⊙ cbind(Y,ΔY) → cbind(X⊙Y, ΔX⊙ΔY)`.
-fn try_ew_cbind(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Option<PartialHit> {
-    let bin = BinOp::from_opcode(item.opcode())?;
-    let [a_lin, b_lin] = item.inputs() else {
-        return None;
-    };
-    if a_lin.opcode() != op::CBIND || b_lin.opcode() != op::CBIND {
-        return None;
-    }
-    let av = as_matrix(vals.first()?)?;
-    let bv = as_matrix(vals.get(1)?)?;
-    if av.shape() != bv.shape() {
-        return None;
-    }
-    let [x, _dx] = a_lin.inputs() else {
-        return None;
-    };
-    let [y, _dy] = b_lin.inputs() else {
-        return None;
-    };
-    let probe = LineageItem::op(item.opcode_shared(), [x.clone(), y.clone()]);
-    let head = peek_matrix(cache, &probe)?;
-    let k = head.cols();
-    // The splits must align for the rewrite to be sound.
-    let kx = x.shape().map(|(_, c)| c)?;
-    let ky = y.shape().map(|(_, c)| c)?;
-    if kx != ky || kx != k || k >= av.cols() || head.rows() != av.rows() {
-        return None;
-    }
-    let dxv = slice(av, 0, av.rows() - 1, k, av.cols() - 1).ok()?;
-    let dyv = slice(bv, 0, bv.rows() - 1, k, bv.cols() - 1).ok()?;
-    let comp = ew_matrix_matrix(bin, &dxv, &dyv).ok()?;
-    let out = cbind(&head, &comp).ok()?;
-    Some(PartialHit {
-        value: Value::matrix(out),
-        rewrite: "ew-cbind-pair",
-    })
-}
-
-/// Rewrite 9: `colAgg(cbind(X,ΔX)) → cbind(colAgg(X), colAgg(ΔX))`.
-/// Sound for sum/min/max/mean/sumsq/var — column aggregates are per-column.
-fn try_colagg_cbind(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Option<PartialHit> {
-    let fname = item.opcode().strip_prefix(op::COL_AGG_PREFIX)?;
-    let f = AggFn::from_name(fname)?;
-    let [c_lin] = item.inputs() else { return None };
-    if c_lin.opcode() != op::CBIND {
-        return None;
-    }
-    let cv = as_matrix(vals.first()?)?;
-    let [x, _dx] = c_lin.inputs() else {
-        return None;
-    };
-    let probe = LineageItem::op(item.opcode_shared(), [x.clone()]);
-    let head = peek_matrix(cache, &probe)?;
-    let k = head.cols();
-    if k >= cv.cols() || head.rows() != 1 {
-        return None;
-    }
-    let dxv = slice(cv, 0, cv.rows() - 1, k, cv.cols() - 1).ok()?;
-    let comp = col_agg(&dxv, f);
-    let out = cbind(&head, &comp).ok()?;
-    Some(PartialHit {
-        value: Value::matrix(out),
-        rewrite: "colagg-cbind",
-    })
-}
-
-/// Row-aggregate variant of rewrite 9 for `rbind`:
-/// `rowAgg(rbind(X,ΔX)) → rbind(rowAgg(X), rowAgg(ΔX))`.
-fn try_rowagg_rbind(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Option<PartialHit> {
-    let fname = item.opcode().strip_prefix(op::ROW_AGG_PREFIX)?;
-    let f = AggFn::from_name(fname)?;
-    let [r_lin] = item.inputs() else { return None };
-    if r_lin.opcode() != op::RBIND {
-        return None;
-    }
-    let rv = as_matrix(vals.first()?)?;
-    let [x, _dx] = r_lin.inputs() else {
-        return None;
-    };
-    let probe = LineageItem::op(item.opcode_shared(), [x.clone()]);
-    let head = peek_matrix(cache, &probe)?;
-    let n = head.rows();
-    if n >= rv.rows() || head.cols() != 1 {
-        return None;
-    }
-    let dxv = slice(rv, n, rv.rows() - 1, 0, rv.cols() - 1).ok()?;
-    let comp = agg::row_agg(&dxv, f);
-    let out = rbind(&head, &comp).ok()?;
-    Some(PartialHit {
-        value: Value::matrix(out),
-        rewrite: "rowagg-rbind",
-    })
-}
-
-/// Rewrite 12: `t(cbind(X,ΔX)) → rbind(t(X), t(ΔX))` with cached `t(X)`.
-fn try_transpose_cbind(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Option<PartialHit> {
-    let [c_lin] = item.inputs() else { return None };
-    if c_lin.opcode() != op::CBIND {
-        return None;
-    }
-    let cv = as_matrix(vals.first()?)?;
-    let [x, _dx] = c_lin.inputs() else {
-        return None;
-    };
-    let head = peek_matrix(cache, &LineageItem::op(op::TRANSPOSE, [x.clone()]))?;
-    let k = head.rows(); // t(X) is k × m
-    if k >= cv.cols() || head.cols() != cv.rows() {
-        return None;
-    }
-    let dxv = slice(cv, 0, cv.rows() - 1, k, cv.cols() - 1).ok()?;
-    let out = rbind(&head, &transpose(&dxv)).ok()?;
-    Some(PartialHit {
-        value: Value::matrix(out),
-        rewrite: "transpose-cbind",
-    })
-}
-
-/// Rewrite 14: `rbind(X,ΔX) ⊙ rbind(Y,ΔY) → rbind(X⊙Y, ΔX⊙ΔY)`.
-fn try_ew_rbind(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Option<PartialHit> {
-    let bin = BinOp::from_opcode(item.opcode())?;
-    let [a_lin, b_lin] = item.inputs() else {
-        return None;
-    };
-    if a_lin.opcode() != op::RBIND || b_lin.opcode() != op::RBIND {
-        return None;
-    }
-    let av = as_matrix(vals.first()?)?;
-    let bv = as_matrix(vals.get(1)?)?;
-    if av.shape() != bv.shape() {
-        return None;
-    }
-    let [x, _dx] = a_lin.inputs() else {
-        return None;
-    };
-    let [y, _dy] = b_lin.inputs() else {
-        return None;
-    };
-    let probe = LineageItem::op(item.opcode_shared(), [x.clone(), y.clone()]);
-    let head = peek_matrix(cache, &probe)?;
-    let n = head.rows();
-    let nx = x.shape().map(|(r, _)| r)?;
-    let ny = y.shape().map(|(r, _)| r)?;
-    if nx != ny || nx != n || n >= av.rows() || head.cols() != av.cols() {
-        return None;
-    }
-    let dxv = slice(av, n, av.rows() - 1, 0, av.cols() - 1).ok()?;
-    let dyv = slice(bv, n, bv.rows() - 1, 0, bv.cols() - 1).ok()?;
-    let comp = ew_matrix_matrix(bin, &dxv, &dyv).ok()?;
-    let out = rbind(&head, &comp).ok()?;
-    Some(PartialHit {
-        value: Value::matrix(out),
-        rewrite: "ew-rbind-pair",
-    })
-}
-
-/// Rewrite 13: decomposable full aggregates over concatenations —
-/// `sum(cbind(X,ΔX)) = sum(X) + sum(ΔX)`, `min/max` via the combiner.
-fn try_fullagg_concat(cache: &LineageCache, item: &LinRef, vals: &[Value]) -> Option<PartialHit> {
-    let fname = item.opcode().strip_prefix(op::FULL_AGG_PREFIX)?;
-    let f = AggFn::from_name(fname)?;
-    // Mean/variance do not decompose without cardinality bookkeeping.
-    if !matches!(f, AggFn::Sum | AggFn::SumSq | AggFn::Min | AggFn::Max) {
-        return None;
-    }
-    let [c_lin] = item.inputs() else { return None };
-    let concat_cols = match c_lin.opcode() {
-        o if o == op::CBIND => true,
-        o if o == op::RBIND => false,
-        _ => return None,
-    };
-    let cv = as_matrix(vals.first()?)?;
-    let [x, _dx] = c_lin.inputs() else {
-        return None;
-    };
-    let probe = LineageItem::op(item.opcode_shared(), [x.clone()]);
-    let head = match cache.peek(&probe) {
-        Some(Value::Scalar(s)) => s.as_f64().ok()?,
-        _ => return None,
-    };
-    let (xr, xc) = x.shape()?;
-    let delta = if concat_cols {
-        if xr != cv.rows() || xc >= cv.cols() {
-            return None;
-        }
-        slice(cv, 0, cv.rows() - 1, xc, cv.cols() - 1).ok()?
-    } else {
-        if xc != cv.cols() || xr >= cv.rows() {
-            return None;
-        }
-        slice(cv, xr, cv.rows() - 1, 0, cv.cols() - 1).ok()?
-    };
-    let tail = agg::full_agg(&delta, f);
-    let combined = match f {
-        AggFn::Sum | AggFn::SumSq => head + tail,
-        AggFn::Min => head.min(tail),
-        AggFn::Max => head.max(tail),
-        _ => unreachable!("filtered above"),
-    };
-    Some(PartialHit {
-        value: Value::f64(combined),
-        rewrite: "fullagg-concat",
-    })
 }
 
 #[cfg(test)]
@@ -527,30 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn mm_rbind_left_assembles_from_cached_head() {
-        let c = cache();
-        let (x, dx, y) = (leaf("X", 6, 4), leaf("dX", 2, 4), leaf("Y", 4, 3));
-        let (xv, dxv, yv) = (mat(6, 4, 1), mat(2, 4, 2), mat(4, 3, 3));
-        let xy = matmult(&xv, &yv).unwrap();
-        c.put(&probe_mm(&x, &y), &Value::matrix(xy), 1_000);
-
-        let rb = LineageItem::op(op::RBIND, vec![x, dx]);
-        rb.set_shape(8, 4);
-        let item = probe_mm(&rb, &y);
-        let rv = rbind(&xv, &dxv).unwrap();
-        let hit = try_partial_reuse(
-            &c,
-            &item,
-            &[Value::matrix(rv.clone()), Value::matrix(yv.clone())],
-        )
-        .expect("rewrite fires");
-        assert_eq!(hit.rewrite, "mm-rbind-left");
-        let expect = matmult(&rv, &yv).unwrap();
-        assert!(hit.value.as_matrix().unwrap().rel_eq(&expect, 1e-12));
-        assert_eq!(LimaStats::get(&c.stats().partial_hits), 1);
-    }
-
-    #[test]
     fn mm_cbind_right_and_ones_variant() {
         let c = cache();
         let (x, y) = (leaf("X", 5, 4), leaf("Y", 4, 3));
@@ -568,6 +340,7 @@ mod tests {
             &c,
             &item,
             &[Value::matrix(xv.clone()), Value::matrix(cv.clone())],
+            false,
         )
         .expect("rewrite fires");
         assert_eq!(hit.rewrite, "mm-cbind-right");
@@ -585,48 +358,11 @@ mod tests {
             &c,
             &item,
             &[Value::matrix(xv.clone()), Value::matrix(cv1.clone())],
+            false,
         )
         .expect("ones rewrite fires");
         assert_eq!(hit.rewrite, "mm-cbind-ones");
         let expect = matmult(&xv, &cv1).unwrap();
-        assert!(hit.value.as_matrix().unwrap().rel_eq(&expect, 1e-12));
-    }
-
-    #[test]
-    fn mm_indexed_right_slices_cached_product() {
-        let c = cache();
-        let (x, y) = (leaf("X", 5, 4), leaf("Y", 4, 6));
-        let (xv, yv) = (mat(5, 4, 1), mat(4, 6, 2));
-        let xy = matmult(&xv, &yv).unwrap();
-        c.put(&probe_mm(&x, &y), &Value::matrix(xy.clone()), 1_000);
-
-        let sl = LineageItem::op_with_data(op::RIGHT_INDEX, "0 3 0 2", vec![y.clone()]);
-        let item = probe_mm(&x, &sl);
-        let yk = slice(&yv, 0, 3, 0, 2).unwrap();
-        let hit = try_partial_reuse(&c, &item, &[Value::matrix(xv), Value::matrix(yk.clone())])
-            .expect("rewrite fires");
-        assert_eq!(hit.rewrite, "mm-indexed-right");
-        let expect = slice(&xy, 0, 4, 0, 2).unwrap();
-        assert!(hit.value.as_matrix().unwrap().rel_eq(&expect, 1e-12));
-    }
-
-    #[test]
-    fn tsmm_rbind_adds_delta_gram() {
-        let c = cache();
-        let (x, dx) = (leaf("X", 6, 3), leaf("dX", 2, 3));
-        let (xv, dxv) = (mat(6, 3, 1), mat(2, 3, 2));
-        c.put(
-            &probe_tsmm(&x),
-            &Value::matrix(tsmm(&xv, TsmmSide::Left).unwrap()),
-            1_000,
-        );
-
-        let rb = LineageItem::op(op::RBIND, vec![x, dx]);
-        let item = probe_tsmm(&rb);
-        let rv = rbind(&xv, &dxv).unwrap();
-        let hit = try_partial_reuse(&c, &item, &[Value::matrix(rv.clone())]).expect("fires");
-        assert_eq!(hit.rewrite, "tsmm-rbind");
-        let expect = tsmm(&rv, TsmmSide::Left).unwrap();
         assert!(hit.value.as_matrix().unwrap().rel_eq(&expect, 1e-12));
     }
 
@@ -644,7 +380,7 @@ mod tests {
         let cb = LineageItem::op(op::CBIND, vec![x, dx]);
         let item = probe_tsmm(&cb);
         let cv = cbind(&xv, &dxv).unwrap();
-        let hit = try_partial_reuse(&c, &item, &[Value::matrix(cv.clone())]).expect("fires");
+        let hit = try_partial_reuse(&c, &item, &[Value::matrix(cv.clone())], false).expect("fires");
         assert_eq!(hit.rewrite, "tsmm-cbind");
         let expect = tsmm(&cv, TsmmSide::Left).unwrap();
         assert!(hit.value.as_matrix().unwrap().rel_eq(&expect, 1e-12));
@@ -666,75 +402,109 @@ mod tests {
         let cb = LineageItem::op(op::CBIND, vec![x, ones_lin]);
         let item = probe_tsmm(&cb);
         let cv = cbind(&xv, &DenseMatrix::filled(9, 1, 1.0)).unwrap();
-        let hit = try_partial_reuse(&c, &item, &[Value::matrix(cv.clone())]).expect("fires");
+        let hit = try_partial_reuse(&c, &item, &[Value::matrix(cv.clone())], false).expect("fires");
         assert_eq!(hit.rewrite, "tsmm-cbind-ones");
         let expect = tsmm(&cv, TsmmSide::Left).unwrap();
         assert!(hit.value.as_matrix().unwrap().rel_eq(&expect, 1e-12));
     }
 
+    /// Rewrite 7 keeps `tsmm`'s bits: its column sums run in `tsmm`'s row
+    /// blocks, and where `XᵀX` and `tsmm(cbind(X,1))` are cut into different
+    /// blocks it does not fire.
     #[test]
-    fn ew_cbind_pair_splits_elementwise_ops() {
-        let c = cache();
-        let (x, y) = (leaf("X", 4, 3), leaf("Y", 4, 3));
-        let (xv, yv) = (mat(4, 3, 1), mat(4, 3, 2));
-        let head = ew_matrix_matrix(BinOp::Mul, &xv, &yv).unwrap();
-        let probe = LineageItem::op("*", vec![x.clone(), y.clone()]);
-        c.put(&probe, &Value::matrix(head), 1_000);
-
-        let (dx, dy) = (leaf("dX", 4, 2), leaf("dY", 4, 2));
-        let (dxv, dyv) = (mat(4, 2, 3), mat(4, 2, 4));
-        let ca = LineageItem::op(op::CBIND, vec![x, dx]);
-        let cb = LineageItem::op(op::CBIND, vec![y, dy]);
-        let item = LineageItem::op("*", vec![ca, cb]);
-        let av = cbind(&xv, &dxv).unwrap();
-        let bv = cbind(&yv, &dyv).unwrap();
-        let hit = try_partial_reuse(
-            &c,
-            &item,
-            &[Value::matrix(av.clone()), Value::matrix(bv.clone())],
-        )
-        .expect("fires");
-        assert_eq!(hit.rewrite, "ew-cbind-pair");
-        let expect = ew_matrix_matrix(BinOp::Mul, &av, &bv).unwrap();
-        assert!(hit.value.as_matrix().unwrap().rel_eq(&expect, 1e-12));
+    fn tsmm_cbind_ones_keeps_tsmm_bits_across_row_blocks() {
+        for (m, k, fires) in [(5_000, 4, true), (700, 4, true), (600, 256, false)] {
+            let c = cache();
+            let x = leaf("X", m, k);
+            let xv =
+                DenseMatrix::from_fn(m, k, |i, j| ((i * 37 + j * 11) % 101) as f64 * 0.013 - 0.6);
+            let ts = tsmm(&xv, TsmmSide::Left).unwrap();
+            c.put(&probe_tsmm(&x), &Value::matrix(ts), 1_000);
+            let ones_lin = LineageItem::op_with_data(op::MATRIX_FILL, format!("1 {m} 1"), vec![]);
+            ones_lin.set_shape(m, 1);
+            let item = probe_tsmm(&LineageItem::op(op::CBIND, vec![x, ones_lin]));
+            let cv = cbind(&xv, &DenseMatrix::filled(m, 1, 1.0)).unwrap();
+            let hit = try_partial_reuse(&c, &item, &[Value::matrix(cv.clone())], false);
+            assert_eq!(hit.is_some(), fires, "{m}x{k}");
+            if let Some(hit) = hit {
+                let want = tsmm(&cv, TsmmSide::Left).unwrap();
+                assert_bits(hit.value.as_matrix().unwrap(), &want, &format!("{m}x{k}"));
+            }
+        }
     }
 
-    #[test]
-    fn colagg_cbind_appends_delta_aggregate() {
-        let c = cache();
-        let x = leaf("X", 5, 3);
-        let xv = mat(5, 3, 1);
-        let probe = LineageItem::op(op::col_agg("sum"), vec![x.clone()]);
-        c.put(&probe, &Value::matrix(col_agg(&xv, AggFn::Sum)), 1_000);
-
-        let dx = leaf("dX", 5, 2);
-        let dxv = mat(5, 2, 2);
-        let cb = LineageItem::op(op::CBIND, vec![x, dx]);
-        let item = LineageItem::op(op::col_agg("sum"), vec![cb]);
-        let cv = cbind(&xv, &dxv).unwrap();
-        let hit = try_partial_reuse(&c, &item, &[Value::matrix(cv.clone())]).expect("fires");
-        assert_eq!(hit.rewrite, "colagg-cbind");
-        let expect = col_agg(&cv, AggFn::Sum);
-        assert!(hit.value.as_matrix().unwrap().rel_eq(&expect, 1e-12));
+    fn assert_bits(got: &DenseMatrix, want: &DenseMatrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        let same = got
+            .data()
+            .iter()
+            .zip(want.data())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same, "{what}: bits differ");
     }
 
+    /// A fused `t(A) %*% B` hands rewrites 2, 3 and 10 the value of `A`, not
+    /// of `t(A)`: each gives the bits it gives on the unfused operands, for a
+    /// dense and a sparse `A` and a column of `-0.0` (the sign `rowSums`
+    /// keeps).
     #[test]
-    fn rowagg_rbind_appends_delta_aggregate() {
-        let c = cache();
-        let x = leaf("X", 4, 3);
-        let xv = mat(4, 3, 1);
-        let probe = LineageItem::op(op::row_agg("sum"), vec![x.clone()]);
-        c.put(&probe, &Value::matrix(agg::row_agg(&xv, AggFn::Sum)), 1_000);
+    fn fused_left_operand_gives_the_unfused_bits() {
+        for (m, p, density) in [(9usize, 5usize, 1.0), (80, 70, 0.05)] {
+            let av = DenseMatrix::from_fn(m, p, |i, j| match (i * 7 + j * 3) % 100 {
+                _ if j == 1 => -0.0,
+                r if (r as f64) < density * 100.0 => r as f64 * 0.37 - 9.0,
+                _ => 0.0,
+            });
+            let tv = transpose(&av);
+            let a = leaf("A", m, p);
+            let at = LineageItem::op(op::TRANSPOSE, vec![a.clone()]);
+            at.set_shape(p, m);
+            let both = |c: &LineageCache, item: &LinRef, b: &DenseMatrix, name: &str| {
+                let unfused = [Value::matrix(tv.clone()), Value::matrix(b.clone())];
+                let fused = [Value::matrix(av.clone()), Value::matrix(b.clone())];
+                let want = try_partial_reuse(c, item, &unfused, false).expect("unfused fires");
+                let got = try_partial_reuse(c, item, &fused, true).expect("fused fires");
+                assert_eq!((got.rewrite, want.rewrite), (name, name));
+                let what = format!("{name} with A {m}x{p}");
+                assert_bits(
+                    got.value.as_matrix().unwrap(),
+                    want.value.as_matrix().unwrap(),
+                    &what,
+                );
+            };
 
-        let dx = leaf("dX", 2, 3);
-        let dxv = mat(2, 3, 2);
-        let rb = LineageItem::op(op::RBIND, vec![x, dx]);
-        let item = LineageItem::op(op::row_agg("sum"), vec![rb]);
-        let rv = rbind(&xv, &dxv).unwrap();
-        let hit = try_partial_reuse(&c, &item, &[Value::matrix(rv.clone())]).expect("fires");
-        assert_eq!(hit.rewrite, "rowagg-rbind");
-        let expect = agg::row_agg(&rv, AggFn::Sum);
-        assert!(hit.value.as_matrix().unwrap().rel_eq(&expect, 1e-12));
+            // (2) and (3): t(A) %*% cbind(Y, dY | 1).
+            let c = cache();
+            let (y, yv) = (leaf("Y", m, 3), mat(m, 3, 2));
+            c.put(
+                &probe_mm(&at, &y),
+                &Value::matrix(matmult(&tv, &yv).unwrap()),
+                1_000,
+            );
+            let (dy, dyv) = (leaf("dY", m, 2), mat(m, 2, 3));
+            let item = probe_mm(&at, &LineageItem::op(op::CBIND, vec![y.clone(), dy]));
+            both(&c, &item, &cbind(&yv, &dyv).unwrap(), "mm-cbind-right");
+            let ones = LineageItem::op_with_data(op::MATRIX_FILL, format!("1 {m} 1"), vec![]);
+            ones.set_shape(m, 1);
+            let item = probe_mm(&at, &LineageItem::op(op::CBIND, vec![y, ones]));
+            let cv1 = cbind(&yv, &DenseMatrix::filled(m, 1, 1.0)).unwrap();
+            both(&c, &item, &cv1, "mm-cbind-ones");
+
+            // (10): t(rbind(Xa, Xb)) %*% rbind(ya, yb), with A = rbind(Xa, Xb).
+            let c = cache();
+            let na = m / 2;
+            let (xa, ya) = (leaf("Xa", na, p), leaf("ya", na, 1));
+            let yv = mat(m, 1, 4);
+            let xav = slice(&av, 0, na - 1, 0, p - 1).unwrap();
+            let yav = slice(&yv, 0, na - 1, 0, 0).unwrap();
+            let head = matmult(&transpose(&xav), &yav).unwrap();
+            let xat = LineageItem::op(op::TRANSPOSE, vec![xa.clone()]);
+            c.put(&probe_mm(&xat, &ya), &Value::matrix(head), 1_000);
+            let rx = LineageItem::op(op::RBIND, vec![xa, leaf("Xb", m - na, p)]);
+            let ry = LineageItem::op(op::RBIND, vec![ya, leaf("yb", m - na, 1)]);
+            let item = probe_mm(&LineageItem::op(op::TRANSPOSE, vec![rx]), &ry);
+            both(&c, &item, &yv, "mm-t-rbind-pair");
+        }
     }
 
     #[test]
@@ -759,6 +529,7 @@ mod tests {
             &c,
             &item,
             &[Value::matrix(tv.clone()), Value::matrix(yv.clone())],
+            false,
         )
         .expect("fires");
         assert_eq!(hit.rewrite, "mm-t-rbind-pair");
@@ -767,97 +538,14 @@ mod tests {
     }
 
     #[test]
-    fn transpose_cbind_reuses_cached_transpose() {
-        let c = cache();
-        let x = leaf("X", 6, 3);
-        let xv = mat(6, 3, 1);
-        let probe = LineageItem::op(op::TRANSPOSE, vec![x.clone()]);
-        c.put(&probe, &Value::matrix(transpose(&xv)), 1_000);
-
-        let dx = leaf("dX", 6, 2);
-        let dxv = mat(6, 2, 2);
-        let cb = LineageItem::op(op::CBIND, vec![x, dx]);
-        let item = LineageItem::op(op::TRANSPOSE, vec![cb]);
-        let cv = cbind(&xv, &dxv).unwrap();
-        let hit = try_partial_reuse(&c, &item, &[Value::matrix(cv.clone())]).expect("fires");
-        assert_eq!(hit.rewrite, "transpose-cbind");
-        assert!(hit
-            .value
-            .as_matrix()
-            .unwrap()
-            .rel_eq(&transpose(&cv), 1e-12));
-    }
-
-    #[test]
-    fn ew_rbind_pair_splits_elementwise_ops() {
-        let c = cache();
-        let (x, y) = (leaf("X", 3, 4), leaf("Y", 3, 4));
-        let (xv, yv) = (mat(3, 4, 1), mat(3, 4, 2));
-        let head = ew_matrix_matrix(BinOp::Add, &xv, &yv).unwrap();
-        let probe = LineageItem::op("+", vec![x.clone(), y.clone()]);
-        c.put(&probe, &Value::matrix(head), 1_000);
-
-        let (dx, dy) = (leaf("dX", 2, 4), leaf("dY", 2, 4));
-        let (dxv, dyv) = (mat(2, 4, 3), mat(2, 4, 4));
-        let ra = LineageItem::op(op::RBIND, vec![x, dx]);
-        let rb2 = LineageItem::op(op::RBIND, vec![y, dy]);
-        let item = LineageItem::op("+", vec![ra, rb2]);
-        let av = rbind(&xv, &dxv).unwrap();
-        let bv = rbind(&yv, &dyv).unwrap();
-        let hit = try_partial_reuse(
-            &c,
-            &item,
-            &[Value::matrix(av.clone()), Value::matrix(bv.clone())],
-        )
-        .expect("fires");
-        assert_eq!(hit.rewrite, "ew-rbind-pair");
-        let expect = ew_matrix_matrix(BinOp::Add, &av, &bv).unwrap();
-        assert!(hit.value.as_matrix().unwrap().rel_eq(&expect, 1e-12));
-    }
-
-    #[test]
-    fn fullagg_concat_combines_scalars() {
-        let c = cache();
-        let x = leaf("X", 4, 3);
-        let xv = mat(4, 3, 1);
-        for (fname, f) in [
-            ("sum", AggFn::Sum),
-            ("max", AggFn::Max),
-            ("min", AggFn::Min),
-        ] {
-            let probe = LineageItem::op(op::full_agg(fname), vec![x.clone()]);
-            c.put(&probe, &Value::f64(agg::full_agg(&xv, f)), 1_000);
-        }
-        let dx = leaf("dX", 4, 2);
-        let dxv = mat(4, 2, 2);
-        let cb = LineageItem::op(op::CBIND, vec![x.clone(), dx]);
-        let cv = cbind(&xv, &dxv).unwrap();
-        for (fname, f) in [
-            ("sum", AggFn::Sum),
-            ("max", AggFn::Max),
-            ("min", AggFn::Min),
-        ] {
-            let item = LineageItem::op(op::full_agg(fname), vec![cb.clone()]);
-            let hit = try_partial_reuse(&c, &item, &[Value::matrix(cv.clone())])
-                .unwrap_or_else(|| panic!("{fname} fires"));
-            assert_eq!(hit.rewrite, "fullagg-concat");
-            let expect = agg::full_agg(&cv, f);
-            assert!((hit.value.as_f64().unwrap() - expect).abs() < 1e-9);
-        }
-        // Mean does not decompose: no rewrite.
-        let item = LineageItem::op(op::full_agg("mean"), vec![cb]);
-        assert!(try_partial_reuse(&c, &item, &[Value::matrix(cv)]).is_none());
-    }
-
-    #[test]
     fn no_rewrite_without_cached_component() {
         let c = cache();
-        let (x, dx, y) = (leaf("X", 6, 4), leaf("dX", 2, 4), leaf("Y", 4, 3));
-        let rb = LineageItem::op(op::RBIND, vec![x, dx]);
-        let item = probe_mm(&rb, &y);
-        let rv = mat(8, 4, 1);
-        let yv = mat(4, 3, 2);
-        assert!(try_partial_reuse(&c, &item, &[Value::matrix(rv), Value::matrix(yv)]).is_none());
+        let (x, y, dy) = (leaf("X", 5, 4), leaf("Y", 4, 3), leaf("dY", 4, 2));
+        let item = probe_mm(&x, &LineageItem::op(op::CBIND, vec![y, dy]));
+        let (xv, cv) = (mat(5, 4, 1), mat(4, 5, 2));
+        assert!(
+            try_partial_reuse(&c, &item, &[Value::matrix(xv), Value::matrix(cv)], false).is_none()
+        );
     }
 
     #[test]
@@ -867,16 +555,15 @@ mod tests {
             ..LimaConfig::default()
         };
         let c = LineageCache::new(cfg);
-        let (x, dx) = (leaf("X", 6, 3), leaf("dX", 2, 3));
+        let (x, dx) = (leaf("X", 6, 3), leaf("dX", 6, 2));
         let xv = mat(6, 3, 1);
         c.put(
             &probe_tsmm(&x),
             &Value::matrix(tsmm(&xv, TsmmSide::Left).unwrap()),
             1_000,
         );
-        let rb = LineageItem::op(op::RBIND, vec![x, dx]);
-        let item = probe_tsmm(&rb);
-        let rv = mat(8, 3, 1);
-        assert!(try_partial_reuse(&c, &item, &[Value::matrix(rv)]).is_none());
+        let item = probe_tsmm(&LineageItem::op(op::CBIND, vec![x, dx]));
+        let cv = cbind(&xv, &mat(6, 2, 2)).unwrap();
+        assert!(try_partial_reuse(&c, &item, &[Value::matrix(cv)], false).is_none());
     }
 }

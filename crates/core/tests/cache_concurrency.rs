@@ -32,7 +32,7 @@ fn contended_key_computes_exactly_once() {
                 for round in 0..50 {
                     let key = item(&format!("k{}", round % 5));
                     match cache.acquire(&key).expect("cacheable") {
-                        Probe::Hit(v) => {
+                        Probe::Hit(v, _) => {
                             assert_eq!(v.as_matrix().unwrap().shape(), (8, 8));
                         }
                         Probe::Reserved(r) => {
@@ -65,7 +65,7 @@ fn aborts_under_contention_do_not_deadlock() {
                 for round in 0..40 {
                     let key = item(&format!("a{}", round % 3));
                     match cache.acquire(&key).expect("cacheable") {
-                        Probe::Hit(_) => {
+                        Probe::Hit(..) => {
                             successes.fetch_add(1, Ordering::SeqCst);
                         }
                         Probe::Reserved(r) => {
@@ -101,7 +101,7 @@ fn eviction_pressure_with_concurrent_probes_is_safe() {
                 for round in 0..100 {
                     let key = item(&format!("e{}-{}", t, round % 20));
                     match cache.acquire(&key).expect("cacheable") {
-                        Probe::Hit(v) => {
+                        Probe::Hit(v, _) => {
                             assert_eq!(v.as_matrix().unwrap().get(0, 0), 2.0);
                         }
                         Probe::Reserved(r) => {

@@ -158,7 +158,7 @@ fn arb_policy() -> impl Strategy<Value = EvictionPolicy> {
 fn seed_recurrence(cache: &LineageCache) {
     let seen = key(KEYS);
     cache.put(&seen, &Value::f64(1.0), 1_000);
-    assert!(matches!(cache.acquire(&seen), Some(Probe::Hit(_))));
+    assert!(matches!(cache.acquire(&seen), Some(Probe::Hit(..))));
 }
 
 #[test]
@@ -186,7 +186,7 @@ fn refusals_keep_the_books_in_step_under_every_policy() {
             for k in 0..KEYS {
                 let offer = |cost_class| match cache.acquire(&key(k)) {
                     Some(Probe::Reserved(r)) => r.fulfill(&value(k), cost(cost_class)),
-                    Some(Probe::Hit(_)) => {}
+                    Some(Probe::Hit(..)) => {}
                     None => panic!("exp is cacheable"),
                 };
                 // Round 0 is every key's first sighting: a free value is
@@ -312,7 +312,7 @@ proptest! {
                 Op::Probe { k, .. } | Op::Hold(k) if pending(k) => {}
                 Op::FirstSighting { k, .. } | Op::SecondSighting { k, .. } if pending(k) => {}
                 Op::Probe { k, size, cost: c, abort } => match cache.acquire(&key(k)) {
-                    Some(Probe::Hit(_)) => {}
+                    Some(Probe::Hit(..)) => {}
                     Some(Probe::Reserved(r)) if abort => r.abort(),
                     Some(Probe::Reserved(r)) => r.fulfill(&value(size), cost(c)),
                     None => prop_assert!(false, "exp is cacheable"),

@@ -80,7 +80,7 @@ fn every_waiter_wakes_whether_the_holder_fulfils_or_aborts() {
             std::thread::scope(|s| {
                 for _ in 0..WAITERS {
                     s.spawn(|| match cache.acquire(&item(&tag)) {
-                        Some(Probe::Hit(_)) => {}
+                        Some(Probe::Hit(..)) => {}
                         // After an abort exactly one waiter inherits the work.
                         Some(Probe::Reserved(r)) => {
                             takeovers.fetch_add(1, Ordering::SeqCst);
@@ -118,7 +118,7 @@ fn primed() -> std::sync::Arc<LineageCache> {
         ..LimaConfig::lima()
     });
     cache.put(&item("seen"), &value(), PAYS);
-    assert!(matches!(cache.acquire(&item("seen")), Some(Probe::Hit(_))));
+    assert!(matches!(cache.acquire(&item("seen")), Some(Probe::Hit(..))));
     cache
 }
 
@@ -151,7 +151,7 @@ fn a_probe_of_a_first_sighting_being_computed_waits_for_its_value() {
     let computed = Value::matrix(DenseMatrix::filled(3, 3, 7.0));
     std::thread::scope(|s| {
         let b = s.spawn(|| match cache.acquire(&item("K")) {
-            Some(Probe::Hit(v)) => v,
+            Some(Probe::Hit(v, _)) => v,
             _ => panic!("B must be served A's value"),
         });
         until_waits(&cache, 1);
@@ -209,7 +209,7 @@ fn a_first_sighting_whose_slots_compute_other_keys_gets_an_entry() {
     assert_eq!(entries(&cache), before + 1);
     // The entry is a placeholder like any other: a second probe waits on it.
     std::thread::scope(|s| {
-        let b = s.spawn(|| matches!(cache.acquire(&item(&tag)), Some(Probe::Hit(_))));
+        let b = s.spawn(|| matches!(cache.acquire(&item(&tag)), Some(Probe::Hit(..))));
         until_waits(&cache, 1);
         k.fulfill(&value(), PAYS);
         assert!(b.join().unwrap(), "B must be served K's value");
@@ -218,6 +218,9 @@ fn a_first_sighting_whose_slots_compute_other_keys_gets_an_entry() {
     for r in held {
         r.fulfill(&value(), PAYS);
     }
-    assert_eq!(LimaStats::get(&cache.stats().puts), others + 2);
+    let stats = cache.stats();
+    let (puts, rejected) = (&stats.puts, &stats.rejected_puts);
+    let (puts, rejected) = (LimaStats::get(puts), LimaStats::get(rejected));
+    assert_eq!(puts, others + 2, "rejected_puts {rejected}, {cache:?}");
     cache.verify_index().unwrap();
 }

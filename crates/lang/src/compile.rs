@@ -409,6 +409,14 @@ impl Lowerer {
                 return Ok(Operand::var(out));
             }
         }
+        // `t(A) %*% B` streams `A` instead of copying it into `t(A)`.
+        if let Some(inner) = transposed_of(a) {
+            let va = self.lower_expr(inner, instrs)?;
+            let vb = self.lower_expr(b, instrs)?;
+            let out = self.temp();
+            instrs.push(Instr::new(Op::TMatMult, vec![va, vb], &out).at(Some(span)));
+            return Ok(Operand::var(out));
+        }
         let va = self.lower_expr(a, instrs)?;
         let vb = self.lower_expr(b, instrs)?;
         let out = self.temp();
@@ -932,10 +940,21 @@ mod tests {
             }
             _ => panic!(),
         }
-        // Different operands: no peephole.
+        // Different operands: one `t(X) %*% Y` instruction, no transpose.
         let program = compile_script("G = t(X) %*% Y;", &LimaConfig::base()).unwrap();
         match &program.body[0] {
             Block::Basic { instrs, .. } => {
+                assert_eq!(instrs.len(), 1);
+                assert!(matches!(instrs[0].op, Op::TMatMult));
+                assert_eq!(instrs[0].inputs, [Operand::var("X"), Operand::var("Y")]);
+            }
+            _ => panic!(),
+        }
+        // A transposed right operand is still a transpose and a product.
+        let program = compile_script("G = X %*% t(Y);", &LimaConfig::base()).unwrap();
+        match &program.body[0] {
+            Block::Basic { instrs, .. } => {
+                assert!(instrs.iter().any(|i| matches!(i.op, Op::Transpose)));
                 assert!(instrs.iter().any(|i| matches!(i.op, Op::MatMult)));
             }
             _ => panic!(),

@@ -157,8 +157,19 @@ fn total(server: &Server, counter: fn(&LimaStats) -> &AtomicU64) -> u64 {
     shards.map(|s| LimaStats::get(counter(&s.stats()))).sum()
 }
 
+/// A Gram matrix of a constant `p`.
+fn gram(p: u64) -> String {
+    format!("X = matrix({p}, 60, 6);\nG = t(X) %*% X;\ns = sum(G);\n")
+}
+
+/// The same through a function call, with an argument its body never reads.
+fn called(p: u64) -> String {
+    let sq = "sq = function(X, k) return (Y) { Y = t(X) %*% X; }";
+    format!("{sq}\nX = matrix({p}, 60, 6);\nG = sq(X, {p});\ns = sum(G);\n")
+}
+
 /// Two lives of a 2-shard server over one persist root, each submitting four
-/// gram scripts whose constants vary with `seed`. The first runs under
+/// `script`s whose constants vary with `seed`. The first runs under
 /// `template`; `between` may damage the root and says how many files it hit;
 /// the second, fault-free, must start with a warm shard, answer every script
 /// as the first did and serve at least one hit from a recovered entry, and
@@ -166,6 +177,7 @@ fn total(server: &Server, counter: fn(&LimaStats) -> &AtomicU64) -> u64 {
 fn two_lives(
     seed: u64,
     template: LimaConfig,
+    script: fn(u64) -> String,
     between: impl FnOnce(&Path) -> usize,
     check: impl FnOnce(&Server, usize),
 ) {
@@ -181,8 +193,7 @@ fn two_lives(
         };
         Server::start(cfg).unwrap()
     };
-    let gram = |p| format!("X = matrix({p}, 60, 6);\nG = t(X) %*% X;\ns = sum(G);\n");
-    let scripts: Vec<_> = (0..4).map(|i| gram(1 + (seed + i) % 7)).collect();
+    let scripts: Vec<_> = (0..4).map(|i| script(1 + (seed + i) % 7)).collect();
     let answers = |server: &Server| -> Vec<_> {
         let mut c = common::client(server, "alice");
         let mut submit = |s: &String| c.submit(s, &outputs(&["s"])).unwrap().values;
@@ -215,29 +226,44 @@ fn warm_restart_recovers_persisted_entries() {
         let tear = FaultInjector::new(seed).fail_at(FaultSite::PersistWalAppend, &[1 + seed % 3]);
         let tear = Arc::new(tear);
         let template = LimaConfig::lima().with_faults(Arc::clone(&tear));
-        two_lives(seed, template, |_| 0, |_, _| {});
+        two_lives(seed, template, gram, |_| 0, |_, _| {});
         assert_eq!(tear.injected(FaultSite::PersistWalAppend), 1, "seed {seed}");
     }
 }
 
 /// Every committed value file is bit-flipped between lives: recovery verifies
-/// checksums eagerly and recomputes each flipped value from its lineage
-/// (multi-level reuse off, so every persisted lineage is replayable).
+/// checksums eagerly and recomputes each flipped value from its lineage.
 #[test]
 fn warm_restart_repairs_values_corrupted_between_lives() {
     for seed in common::seeds() {
         let mut template = LimaConfig::lima();
         template.multilevel = false;
-        two_lives(seed, template, common::flip_values, |second, flipped| {
-            assert!(flipped >= 1, "seed {seed}: no value file to corrupt");
-            let repairs = total(second, |s| &s.persist_repairs);
-            assert!(
-                repairs >= flipped as u64,
-                "seed {seed}: {repairs} < {flipped}"
-            );
-            let lost = total(second, |s| &s.persist_repair_failures);
-            let lost = lost + total(second, |s| &s.persist_dropped);
-            assert_eq!(lost, 0, "seed {seed}: repairs failed or entries dropped");
-        });
+        two_lives(seed, template, gram, common::flip_values, repaired(seed));
+    }
+}
+
+/// The same with multi-level reuse on and `G` computed by a call: values
+/// downstream of it (`s`) carry the lineage of the call's body, not the
+/// call item, so they are recomputed, not dropped.
+#[test]
+fn warm_restart_repairs_values_computed_through_a_call() {
+    for seed in common::seeds() {
+        let template = LimaConfig::lima();
+        two_lives(seed, template, called, common::flip_values, repaired(seed));
+    }
+}
+
+/// Checks that every flipped value file was repaired and none was lost.
+fn repaired(seed: u64) -> impl FnOnce(&Server, usize) {
+    move |second, flipped| {
+        assert!(flipped >= 1, "seed {seed}: no value file to corrupt");
+        let repairs = total(second, |s| &s.persist_repairs);
+        assert!(
+            repairs >= flipped as u64,
+            "seed {seed}: {repairs} < {flipped}"
+        );
+        let lost = total(second, |s| &s.persist_repair_failures);
+        let lost = lost + total(second, |s| &s.persist_dropped);
+        assert_eq!(lost, 0, "seed {seed}: repairs failed or entries dropped");
     }
 }

@@ -39,6 +39,14 @@ pub trait KernelBackend: Send + Sync {
     /// `a.cols() == b.rows()` is guaranteed. No bit depends on `threads`.
     fn gemm_threads(&self, a: &DenseMatrix, b: &DenseMatrix, threads: usize)
         -> Result<DenseMatrix>;
+    /// `Aᵀ B` (p×n from m×p and m×n) on up to `threads` workers, without
+    /// materialising `Aᵀ`: the bits of `gemm_threads(transpose(A), B)`.
+    fn gemm_tn_threads(
+        &self,
+        a: &DenseMatrix,
+        b: &DenseMatrix,
+        threads: usize,
+    ) -> Result<DenseMatrix>;
     /// `Xᵀ X` (n×n from m×n) on up to `threads` workers, the same bits at any.
     fn tsmm_left_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix>;
     /// `X Xᵀ` (m×m from m×n) on up to `threads` workers, the same bits at any.
@@ -46,6 +54,10 @@ pub trait KernelBackend: Send + Sync {
     /// [`Self::gemm_threads`] on [`kernel_threads`] workers.
     fn gemm(&self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
         self.gemm_threads(a, b, kernel_threads())
+    }
+    /// [`Self::gemm_tn_threads`] on [`kernel_threads`] workers.
+    fn gemm_tn(&self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+        self.gemm_tn_threads(a, b, kernel_threads())
     }
     /// [`Self::tsmm_left_threads`] on [`kernel_threads`] workers.
     fn tsmm_left(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
@@ -106,6 +118,9 @@ impl KernelBackend for ReferenceBackend {
     fn gemm_threads(&self, a: &DenseMatrix, b: &DenseMatrix, t: usize) -> Result<DenseMatrix> {
         matmult::ref_gemm(a, b, t)
     }
+    fn gemm_tn_threads(&self, a: &DenseMatrix, b: &DenseMatrix, t: usize) -> Result<DenseMatrix> {
+        matmult::gemm_tn_stream(a, b, t, true)
+    }
     fn tsmm_left_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
         matmult::ref_tsmm_left(x, threads)
     }
@@ -138,6 +153,9 @@ impl KernelBackend for OptimizedBackend {
     }
     fn gemm_threads(&self, a: &DenseMatrix, b: &DenseMatrix, t: usize) -> Result<DenseMatrix> {
         optimized::gemm(a, b, t)
+    }
+    fn gemm_tn_threads(&self, a: &DenseMatrix, b: &DenseMatrix, t: usize) -> Result<DenseMatrix> {
+        optimized::gemm_tn(a, b, t)
     }
     fn tsmm_left_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
         optimized::tsmm_left(x, threads)

@@ -1,4 +1,5 @@
-//! Matrix multiplication kernels: GEMM, transpose, and `tsmm` (Xᵀ X).
+//! Matrix multiplication kernels: GEMM, `t(A) %*% B`, transpose, and `tsmm`
+//! (Xᵀ X).
 //!
 //! The public functions in this module are thin dispatchers: they validate
 //! shapes, apply SystemDS-style dense/sparse dispatch, and then route the
@@ -71,6 +72,24 @@ pub fn matmult(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
     backend::active().gemm(a, b)
 }
 
+/// `t(A) %*% B` for `A` (m×p) and `B` (m×n), without materialising `t(A)`:
+/// the bits of `matmult(transpose(A), B)`, including its dispatch. `t(A)`
+/// has `A`'s non-zero count, so a sparse `A` takes the zero-skipping stream
+/// the CSR kernel's chains equal; a dense one the active backend's.
+pub fn matmult_tn(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+    if a.rows() != b.rows() {
+        return Err(MatrixError::DimensionMismatch {
+            op: "ba+*",
+            lhs: (a.cols(), a.rows()),
+            rhs: b.shape(),
+        });
+    }
+    if uses_sparse_dispatch(a) {
+        return gemm_tn_stream(a, b, kernel_threads(), true);
+    }
+    backend::active().gemm_tn(a, b)
+}
+
 /// Transpose, routed through the active backend.
 pub fn transpose(a: &DenseMatrix) -> DenseMatrix {
     backend::active().transpose(a)
@@ -141,7 +160,7 @@ where
 /// 16 blocks, and none shorter than 256 rows or than `n`, so the partials
 /// never outweigh `X`. It depends on the shape alone, never on the thread
 /// count, so neither does any value `tsmm` returns.
-pub(crate) fn tsmm_block_rows(m: usize, n: usize) -> usize {
+pub fn tsmm_block_rows(m: usize, n: usize) -> usize {
     m.div_ceil(16).max(256).max(n)
 }
 
@@ -233,6 +252,49 @@ fn gemm_panel(a: &DenseMatrix, b: &DenseMatrix, out_panel: &mut [f64], row0: usi
             }
         }
     }
+}
+
+/// `t(A) %*% B` by streaming the rows of `A`: `out[j,:] += A[i,j]·B[i,:]` in
+/// ascending `i`, so each element is the one chain GEMM over `t(A)` runs
+/// (the `A` value first in every product). `skip_zeros` drops the terms
+/// whose `A` value is zero, as Reference GEMM and CSR do; the Optimized
+/// engine adds them, as its GEMM does, and `0·inf` tells the two apart.
+/// Workers own whole output rows (columns of `A`), so no bit depends on the
+/// thread count.
+pub(crate) fn gemm_tn_stream(
+    a: &DenseMatrix,
+    b: &DenseMatrix,
+    threads: usize,
+    skip_zeros: bool,
+) -> Result<DenseMatrix> {
+    let (m, p) = a.shape();
+    let n = b.cols();
+    let mut out = DenseMatrix::zeros(p, n);
+    let parallel = gemm_parallel(p, n, m, threads);
+    run_row_panels(&mut out, parallel, threads, |panel, j0, rows| {
+        for i in 0..m {
+            let arow = &a.row(i)[j0..j0 + rows];
+            let brow = b.row(i);
+            if n == 1 {
+                let bi = brow[0];
+                for (o, &aij) in panel.iter_mut().zip(arow) {
+                    if !(skip_zeros && aij == 0.0) {
+                        *o += aij * bi;
+                    }
+                }
+                continue;
+            }
+            for (orow, &aij) in panel.chunks_exact_mut(n).zip(arow) {
+                if skip_zeros && aij == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += aij * bv;
+                }
+            }
+        }
+    })?;
+    Ok(out)
 }
 
 /// Reference transpose: tiled for cache friendliness.

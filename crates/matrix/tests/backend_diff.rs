@@ -15,7 +15,7 @@ use lima_matrix::backend::{
     backend_for, set_backend, tsmm_right_transposes, BackendKind, KernelBackend,
 };
 use lima_matrix::ops::elementwise::{BinOp, UnOp};
-use lima_matrix::ops::matmult::{matmult, uses_sparse_dispatch};
+use lima_matrix::ops::matmult::{matmult, matmult_tn, transpose, uses_sparse_dispatch};
 use lima_matrix::DenseMatrix;
 use proptest::prelude::*;
 
@@ -51,6 +51,21 @@ fn assert_bits_eq(got: &DenseMatrix, want: &DenseMatrix, what: &str) {
             w.to_bits()
         );
     }
+}
+
+/// [`assert_bits_eq`] where any `NaN` equals any `NaN`: Rust leaves the
+/// sign and payload of a `NaN` that arithmetic returns unspecified (the
+/// compiler may swap the operands of a product or a sum), so only whether a
+/// cell is `NaN` is part of a kernel's contract.
+fn assert_bits_eq_nan(got: &DenseMatrix, want: &DenseMatrix, what: &str) {
+    let canon = |m: &DenseMatrix| {
+        let data = m
+            .data()
+            .iter()
+            .map(|v| if v.is_nan() { f64::NAN } else { *v });
+        DenseMatrix::new(m.rows(), m.cols(), data.collect()).unwrap()
+    };
+    assert_bits_eq(&canon(got), &canon(want), what);
 }
 
 proptest! {
@@ -274,6 +289,79 @@ fn parallel_kernels_agree_across_backends_and_thread_counts() {
             }
         }
     }
+}
+
+/// Plants `NaN`, `±inf` and `-0.0` in a few cells of `m`, `salt` choosing
+/// which: the values a zero-skip changes (`0·inf`, `0·NaN`) and the one a
+/// sum's starting `+0.0` absorbs.
+fn with_specials(mut m: DenseMatrix, salt: usize) -> DenseMatrix {
+    let (rows, cols) = m.shape();
+    if rows == 0 || cols == 0 {
+        return m;
+    }
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+    for (k, v) in specials.into_iter().enumerate() {
+        let cell = (salt + k * 7919) % (rows * cols);
+        m.set(cell / cols, cell % cols, v);
+    }
+    m
+}
+
+/// `t(A) %*% B` without materialising `t(A)` has the bits of `transpose` +
+/// `gemm` on each engine, at 1, 2, 3 and 8 threads: for `B` one, two and 64
+/// columns wide (the Optimized engine streams a vector and runs its GEMM
+/// otherwise), on shapes below and above the parallel threshold, from an
+/// all-zero `A` through a dense one, with `NaN`, `±inf` and `-0.0` cells in
+/// either operand (a `NaN` cell must come out `NaN`, whatever its sign).
+/// The zero terms Reference skips the Optimized engine adds, in both forms
+/// alike.
+#[test]
+fn gemm_tn_is_transpose_then_gemm_on_both_engines() {
+    for (m, p) in [(37usize, 11usize), (300, 260), (8_000, 260), (5, 0), (0, 4)] {
+        for n in [1usize, 2, 64] {
+            if m * p * n > 5_000_000 {
+                continue;
+            }
+            for density in [0u64, 30, 1000] {
+                for specials in [false, true] {
+                    let (mut a, mut b) = (det(m, p, 61, density), det(m, n, 62, 1000));
+                    if specials {
+                        a = with_specials(a, m + n);
+                        b = with_specials(b, 3 * m);
+                    }
+                    for (engine, be) in [("reference", REF), ("optimized", OPT)] {
+                        let want = be.gemm_threads(&be.transpose(&a), &b, 1).unwrap();
+                        for threads in [1, 2, 3, 8] {
+                            let what = format!(
+                                "t(A) %*% B, A {m}x{p}, B {m}x{n}, density {density}, \
+                                 specials {specials}, {engine} at {threads} threads"
+                            );
+                            let got = be.gemm_tn_threads(&a, &b, threads).unwrap();
+                            assert_bits_eq_nan(&got, &want, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `matmult_tn` takes the route `matmult(t(A), B)` takes: `t(A)` has `A`'s
+/// cached non-zero count, and a left operand below the 0.15 density
+/// threshold goes the zero-skipping way of the CSR kernel on either engine,
+/// so `0·inf` terms are dropped on both sides.
+#[test]
+fn matmult_tn_takes_the_sparse_dispatch_of_the_transpose() {
+    for (m, p, n) in [(70usize, 70usize, 1usize), (90, 64, 2), (128, 40, 64)] {
+        let a = with_specials(det(m, p, 71, 20), 5);
+        assert!(uses_sparse_dispatch(&a) && uses_sparse_dispatch(&transpose(&a)));
+        let b = with_specials(det(m, n, 72, 1000), 11);
+        let want = matmult(&transpose(&a), &b).unwrap();
+        let what = format!("sparse t(A) %*% B, A {m}x{p}, B {m}x{n}");
+        assert_bits_eq_nan(&matmult_tn(&a, &b).unwrap(), &want, &what);
+    }
+    let (a, b) = (det(9, 4, 73, 1000), det(8, 2, 74, 1000));
+    assert!(matmult_tn(&a, &b).is_err(), "row counts must agree");
 }
 
 /// The default worker count is resolved once per process: every call, on

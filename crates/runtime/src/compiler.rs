@@ -739,8 +739,9 @@ fn apply_unmark(blocks: &mut [Block], tainted: &HashSet<String>, unmarked: &mut 
 /// Rewrites `Z = cbind(X, d); W = tsmm(Z)` inside loop bodies (with
 /// loop-invariant `X`, loop-local `Z`) into a compensation-style plan that
 /// avoids materializing the cbind entirely — the `LIMA-CA` behaviour of
-/// Fig 7(a). The split pieces (`tsmm(X)`, `t(X)`) become loop-invariant and
-/// are served from the lineage cache after the first iteration.
+/// Fig 7(a). The split piece `tsmm(X)` becomes loop-invariant and is served
+/// from the lineage cache after the first iteration; `t(X) %*% d` streams
+/// `X` without copying it into `t(X)`.
 fn rewrite_tsmm_cbind(program: &mut Program) {
     rewrite_blocks(&mut program.body);
     for f in program.functions.values_mut() {
@@ -794,8 +795,7 @@ fn rewrite_in_loop(blocks: &mut [Block], loop_writes: &HashSet<String>) {
                 let t = |s: &str| format!("__ca{id}_{s}");
                 let plan = vec![
                     Instr::new(Op::Tsmm(TsmmSide::Left), vec![x.clone()], t("xx")),
-                    Instr::new(Op::Transpose, vec![x.clone()], t("xt")),
-                    Instr::new(Op::MatMult, vec![Operand::var(t("xt")), d.clone()], t("xd")),
+                    Instr::new(Op::TMatMult, vec![x.clone(), d.clone()], t("xd")),
                     Instr::new(Op::Tsmm(TsmmSide::Left), vec![d.clone()], t("dd")),
                     Instr::new(
                         Op::Cbind,
@@ -814,8 +814,9 @@ fn rewrite_in_loop(blocks: &mut [Block], loop_writes: &HashSet<String>) {
                         w,
                     ),
                 ];
+                let n = plan.len();
                 instrs.splice(k..k + 2, plan);
-                k += 8;
+                k += n;
             } else {
                 k += 1;
             }
@@ -1120,8 +1121,14 @@ mod tests {
         match &p.body[0] {
             Block::For { body, .. } => match &body[0] {
                 Block::Basic { instrs, .. } => {
-                    assert_eq!(instrs.len(), 8, "cbind+tsmm replaced by 8-instr plan");
+                    assert_eq!(instrs.len(), 7, "cbind+tsmm replaced by 7-instr plan");
                     assert!(matches!(instrs[0].op, Op::Tsmm(_)));
+                    // `t(X) %*% d` is one instruction: `X` is never copied.
+                    assert!(matches!(instrs[1].op, Op::TMatMult));
+                    assert!(!instrs
+                        .iter()
+                        .any(|i| i.inputs.first() == Some(&Operand::var("X"))
+                            && matches!(i.op, Op::Transpose)));
                     assert!(matches!(instrs.last().unwrap().op, Op::Rbind));
                     assert_eq!(&*instrs.last().unwrap().outputs[0], "W");
                 }

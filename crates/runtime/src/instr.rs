@@ -94,6 +94,10 @@ pub enum Op {
     MatMult,
     /// Transpose-self multiply `[X]`.
     Tsmm(TsmmSide),
+    /// `t(A) %*% B` `[A, B]` without materialising `t(A)`: a fused operator
+    /// (paper §3.3) traced as `ba+*(r'(A), B)`, the two items the unfused
+    /// pair traces, so keys and rewrites see a matrix multiply.
+    TMatMult,
     /// Transpose `[X]`.
     Transpose,
     /// Column concatenation `[A, B]`.
@@ -209,7 +213,7 @@ impl Op {
         Cow::Borrowed(match self {
             Op::Binary(b) => b.opcode(),
             Op::Unary(u) => u.opcode(),
-            Op::MatMult => oc::MATMULT,
+            Op::MatMult | Op::TMatMult => oc::MATMULT,
             Op::Tsmm(_) => oc::TSMM,
             Op::Transpose => oc::TRANSPOSE,
             Op::Cbind => oc::CBIND,
@@ -340,6 +344,7 @@ mod tests {
     #[test]
     fn opcodes_match_core_constants() {
         assert_eq!(Op::MatMult.opcode(), lima_core::opcodes::MATMULT);
+        assert_eq!(Op::TMatMult.opcode(), lima_core::opcodes::MATMULT);
         assert_eq!(Op::Tsmm(TsmmSide::Left).opcode(), lima_core::opcodes::TSMM);
         assert_eq!(Op::ColAgg(AggFn::Sum).opcode(), "uacsum");
         assert_eq!(Op::RowAgg(AggFn::Max).opcode(), "uarmax");

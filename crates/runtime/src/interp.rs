@@ -459,11 +459,12 @@ fn try_block_reuse(
     let item = LineageItem::op_with_data(oc::BCALL, data, lin_inputs);
     let probe = cache_acquire(&cache, &item, ctx)?;
     let reused = match probe {
-        Some(Probe::Hit(Value::List(bundle))) if bundle.len() == 2 => {
+        Some(Probe::Hit(Value::List(bundle), outputs)) if bundle.len() == 2 => {
             let (names, values) = (&bundle[0], &bundle[1]);
             let (Value::List(names), Value::List(values)) = (names, values) else {
                 return Ok(false);
             };
+            let outputs = outputs.filter(|o| o.len() == names.len());
             if let Some(o) = obs_of(ctx) {
                 o.record_instant(
                     EventKind::BlockReuse,
@@ -478,8 +479,12 @@ fn try_block_reuse(
                     continue;
                 };
                 ctx.set(Arc::clone(name), value.clone());
-                let out_lin =
-                    LineageItem::op_with_data(oc::LIST_GET, i.to_string(), [item.clone()]);
+                // The lineage the block computed the value with; an entry
+                // without it binds the value's position in the bundle.
+                let out_lin = match &outputs {
+                    Some(lins) => lins[i].clone(),
+                    None => LineageItem::op_with_data(oc::LIST_GET, i.to_string(), [item.clone()]),
+                };
                 if let Value::Matrix(m) = value {
                     out_lin.set_shape(m.rows(), m.cols());
                 }
@@ -487,19 +492,22 @@ fn try_block_reuse(
             }
             Ok(true)
         }
-        Some(Probe::Hit(_)) => Ok(false),
+        Some(Probe::Hit(..)) => Ok(false),
         Some(Probe::Reserved(r)) => {
             let t0 = Instant::now();
             exec(ctx)?; // a failed body drops the reservation: an abort
             let mut names = Vec::new();
             let mut values = Vec::new();
+            let mut lineage = Vec::new();
             for var in &outputs {
                 if let Some(v) = ctx.symtab.get(var.as_str()) {
                     names.push(Value::str(var));
                     values.push(v.clone());
+                    lineage.push(ctx.lineage.get(var).cloned());
                 }
             }
             let bundle = Value::list(vec![Value::list(names), Value::list(values)]);
+            let r = r.with_outputs(lineage.into_iter().collect());
             r.fulfill(&bundle, t0.elapsed().as_nanos() as u64);
             Ok(true)
         }
@@ -606,17 +614,18 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
     let mut reservation = None;
     if let (Some(item), Some(cache)) = (&traced, ctx.cache.as_deref()) {
         let probing = !instr.no_cache && ctx.dedup_trace.is_none();
+        let fused_t = matches!(instr.op, Op::TMatMult);
         // Outputs served by the cache, with the instruction-span outcome.
         let mut reused = None;
         if probing && cache.full_reuse() && !instr.op.is_random() {
             match cache_acquire(cache, item, ctx)? {
-                Some(Probe::Hit(value)) => {
+                Some(Probe::Hit(value, _)) => {
                     reused = Some((unbundle(value, instr.outputs.len()), 1));
                 }
                 Some(Probe::Reserved(r)) => {
                     let t0 = Instant::now();
                     let faults = ctx.config.faults.as_ref();
-                    if let Some(hit) = try_partial_reuse(cache, item, &resolved) {
+                    if let Some(hit) = try_partial_reuse(cache, item, &resolved, fused_t) {
                         // The compensation time is the best available proxy
                         // for this entry's recompute cost.
                         r.fulfill(&hit.value, compensated(cache, t0));
@@ -637,7 +646,7 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
         } else if probing && cache.partial_reuse() {
             // Partial-only configurations still rewrite without reserving.
             let t0 = Instant::now();
-            reused = try_partial_reuse(cache, item, &resolved).map(|hit| {
+            reused = try_partial_reuse(cache, item, &resolved, fused_t).map(|hit| {
                 compensated(cache, t0);
                 (vec![hit.value], 2)
             });
@@ -797,6 +806,13 @@ fn trace_instr(
             };
             LineageItem::op_with_data(oc::TSMM, side, [operand_lin(0)])
         }
+        Op::TMatMult => {
+            let at = LineageItem::op(oc::TRANSPOSE, [operand_lin(0)]);
+            if let Value::Matrix(a) = &resolved[0] {
+                at.set_shape(a.cols(), a.rows());
+            }
+            LineageItem::op(oc::MATMULT, [at, operand_lin(1)])
+        }
         Op::Order => {
             let dec = resolved[1]
                 .as_scalar()
@@ -938,10 +954,18 @@ fn execute_fcall(
                 items.clone(),
             );
             match cache_acquire(cache, &item, ctx)? {
-                Some(Probe::Hit(bundle)) => {
-                    let outputs = unbundle(bundle, instr.outputs.len());
+                Some(Probe::Hit(bundle, outputs)) => {
+                    let values = unbundle(bundle, instr.outputs.len());
                     span(item.id(), 1);
-                    bind_outputs(instr, outputs, item, &mut ctx.lineage, &mut ctx.symtab);
+                    match outputs.filter(|o| o.len() == values.len()) {
+                        Some(lins) => {
+                            let lins = lins.iter().cloned().map(Some);
+                            bind_lineage(&instr.outputs, values, lins, ctx);
+                        }
+                        None => {
+                            bind_outputs(instr, values, item, &mut ctx.lineage, &mut ctx.symtab)
+                        }
+                    }
                     return Ok(());
                 }
                 Some(Probe::Reserved(r)) => {
@@ -982,17 +1006,28 @@ fn execute_fcall(
         out_values.push(v);
     }
 
-    if let (Some(r), Some(item)) = (reservation, fcall_item) {
-        let bundled = bundle(&out_values);
-        r.fulfill(&bundled, elapsed);
-        span(item.id(), 0);
-        bind_outputs(instr, out_values, item, &mut ctx.lineage, &mut ctx.symtab);
-        return Ok(());
+    // The outputs bind the lineage the body computed them with, and a
+    // function-level entry stores it beside their values for its hits: the
+    // call item is the entry's key, nothing else.
+    let id = fcall_item.map_or(0, |item| item.id());
+    if let Some(r) = reservation {
+        let r = r.with_outputs(out_lineage.iter().cloned().collect());
+        r.fulfill(&bundle(&out_values), elapsed);
     }
-    span(0, 0);
+    span(id, 0);
+    bind_lineage(&instr.outputs, out_values, out_lineage, ctx);
+    Ok(())
+}
 
-    // No function-level reuse: propagate precise op-level lineage.
-    for ((target, value), lin) in instr.outputs.iter().zip(out_values).zip(out_lineage) {
+/// Binds values to `targets` with the lineage each was computed with; a
+/// value without lineage (tracing off) binds its value only.
+fn bind_lineage(
+    targets: &[Arc<str>],
+    values: Vec<Value>,
+    lineage: impl IntoIterator<Item = Option<LinRef>>,
+    ctx: &mut ExecutionContext,
+) {
+    for ((target, value), lin) in targets.iter().zip(values).zip(lineage) {
         if let Some(l) = lin {
             if let Value::Matrix(m) = &value {
                 l.set_shape(m.rows(), m.cols());
@@ -1001,7 +1036,6 @@ fn execute_fcall(
         }
         ctx.set(Arc::clone(target), value);
     }
-    Ok(())
 }
 
 /// Executes a function body, driving function-level deduplication when the

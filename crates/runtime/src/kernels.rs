@@ -210,6 +210,18 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
                 vec![Value::matrix(ops::matmult(a, b)?)]
             }
         }
+        Op::TMatMult => {
+            need(inputs, 2, op)?;
+            let a = mat(&inputs[0], op)?;
+            let b = mat(&inputs[1], op)?;
+            if ctx.session.is_some() && a.cols() > KERNEL_CHUNK_ROWS && a.rows() > 0 {
+                // Checkpoints cut the rows of `t(A)`, as for the unfused pair.
+                let at = ops::transpose(a);
+                vec![Value::matrix(matmult_checkpointed(&at, b, ctx)?)]
+            } else {
+                vec![Value::matrix(ops::matmult_tn(a, b)?)]
+            }
+        }
         Op::Tsmm(side) => {
             need(inputs, 1, op)?;
             let x = mat(&inputs[0], op)?;

@@ -161,11 +161,14 @@ impl Emitter {
                 LineageKind::Placeholder(slot) => {
                     return Err(bad(format!("unresolved placeholder slot {slot}")))
                 }
-                LineageKind::Op => {
-                    let inputs = item.inputs().iter().map(|i| input_val(&vals, i));
-                    let ins = operands(&mut self.temps, self.instrs.len(), inputs)?;
-                    Val::Temp(self.emit_op(item, ins)?)
-                }
+                LineageKind::Op => match eigen_output(item, &vals) {
+                    Some(val) => val,
+                    None => {
+                        let inputs = item.inputs().iter().map(|i| input_val(&vals, i));
+                        let ins = operands(&mut self.temps, self.instrs.len(), inputs)?;
+                        Val::Temp(self.emit_op(item, ins)?)
+                    }
+                },
             };
             vals.insert(item.id(), val);
         }
@@ -260,6 +263,20 @@ fn operands(
         })
     })
     .collect()
+}
+
+/// `LIST_GET(eigen, i)`: `Eigen` binds its two outputs to consecutive
+/// temporaries, so output `i` is read from the `i`-th, not from a list.
+fn eigen_output(item: &LineageItem, vals: &Vals) -> Option<Val> {
+    let [input] = item.inputs() else { return None };
+    if item.opcode() != oc::LIST_GET || input.opcode() != oc::EIGEN {
+        return None;
+    }
+    let i: u32 = item.data()?.parse().ok().filter(|i| *i < 2)?;
+    match vals.get(&input.id())? {
+        Val::Temp(t) => Some(Val::Temp(t + i)),
+        Val::Lit(_) => None,
+    }
 }
 
 fn input_val(vals: &Vals, input: &LinRef) -> Result<Val> {
@@ -447,6 +464,7 @@ fn build_op(item: &LineageItem, mut ins: Vec<Operand>) -> Result<(Op, Vec<Operan
             (Op::Order, ins)
         }
         oc::MATMULT => (Op::MatMult, ins),
+        "assign" => (Op::Assign, ins),
         oc::TRANSPOSE => (Op::Transpose, ins),
         oc::CBIND => (Op::Cbind, ins),
         oc::RBIND => (Op::Rbind, ins),
@@ -477,10 +495,9 @@ fn build_op(item: &LineageItem, mut ins: Vec<Operand>) -> Result<(Op, Vec<Operan
             } else if let Some(f) = agg(oc::FULL_AGG_PREFIX) {
                 Op::FullAgg(f)
             } else {
-                return Err(bad(format!(
-                    "unsupported opcode '{other}' (multi-level items cannot be \
-                     reconstructed; re-trace with multi-level reuse disabled)"
-                )));
+                // A call item (`fcall:`/`bcall`) lands here too: calls bind
+                // their body's lineage, so only an old or forged log has one.
+                return Err(bad(format!("unsupported opcode '{other}'")));
             };
             (op, ins)
         }

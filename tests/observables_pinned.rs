@@ -12,6 +12,31 @@
 //! victims, they follow measured time. Everything the cache cannot change —
 //! items traced, probes, multi-level and partial hits — stays exact.
 //!
+//! Reuse changes no lineage: under `LIMA` and `LIMA-8K` the output's log,
+//! its length and its root hash are those `LT` traces for the same pipeline,
+//! and its DAG is no larger than `LT`'s, whatever the cache served. A reused
+//! or reserved function call binds the lineage its body computed, not the
+//! call item that keys its entry.
+//!
+//! Counters restated when `t(A) %*% B` became one instruction and calls
+//! began to bind their body's lineage (values and `LT`/`LTD` logs did not
+//! move):
+//! - hlm `LT`/`LTD` `items_traced` 248 → 240: eight `t(X) %*% y` products
+//!   trace their `r'` and `ba+*` items from one instruction.
+//! - hlm `LIMA`/`LIMA-8K` `items_traced` 212 → 188 and `probes` 184 → 156:
+//!   the same eight products, and `l2norm`'s chain now hits across `tol`,
+//!   which `lmDS` never reads, so fewer instructions run at all.
+//! - hlm `LIMA`/`LIMA-8K` `multilevel_hits` 4 → 8: those `l2norm` calls.
+//! - hlm `full_hits` ceiling 70 (`LIMA`) and 32 (`LIMA-8K`) → 64 for both.
+//!   `probes` is exact, so every run probes the same keys, and none hits
+//!   more often than when every value is booked and none evicted: 64, the
+//!   `LIMA` count with admission booking everything (30 when it books
+//!   nothing). The old `LIMA-8K` ceiling was an observed value; with calls
+//!   binding body lineage, a run whose admission refuses enough to evict
+//!   nothing reaches 38.
+//! - pagerank `LIMA`/`LIMA-8K` log 161 B → `LT`'s 823 B: its call used to
+//!   bind the `fcall` item even on a miss.
+//!
 //! `OBSERVABLES_PRINT=1 cargo test --test observables_pinned -- --nocapture`
 //! prints the table in the form `PINNED` holds.
 
@@ -148,13 +173,13 @@ const PINNED: &[(&str, &str, Observed)] = &[
     ("pagerank", "Base", Observed { value_fnv: 0xa264914c281d2c17, log_len: 0, log_fnv: 0x0, root_hash: 0x0, dag_bytes: 0, counters: [0, 0, 0, 0, 0, 0, 0, 0, 0] }),
     ("pagerank", "LT", Observed { value_fnv: 0xa264914c281d2c17, log_len: 823, log_fnv: 0x1905f797166dd5ab, root_hash: 0x8a86a109a392977d, dag_bytes: 6444, counters: [42, 0, 0, 0, 0, 0, 0, 0, 0] }),
     ("pagerank", "LTD", Observed { value_fnv: 0xa264914c281d2c17, log_len: 660, log_fnv: 0x5f3d8484da77416b, root_hash: 0x8a86a109a392977d, dag_bytes: 2704, counters: [7, 0, 0, 0, 0, 0, 0, 6, 1] }),
-    ("pagerank", "LIMA", Observed { value_fnv: 0xa264914c281d2c17, log_len: 161, log_fnv: 0xab310c4775bb0058, root_hash: 0x98131b7365590912, dag_bytes: 1070, counters: [42, 8, 5, 0, 0, 3, 0, 0, 0] }),
-    ("pagerank", "LIMA-8K", Observed { value_fnv: 0xa264914c281d2c17, log_len: 161, log_fnv: 0xab310c4775bb0058, root_hash: 0x98131b7365590912, dag_bytes: 1070, counters: [42, 8, 5, 0, 0, 3, 0, 0, 0] }),
+    ("pagerank", "LIMA", Observed { value_fnv: 0xa264914c281d2c17, log_len: 823, log_fnv: 0x1905f797166dd5ab, root_hash: 0x8a86a109a392977d, dag_bytes: 6444, counters: [42, 8, 5, 0, 0, 3, 0, 0, 0] }),
+    ("pagerank", "LIMA-8K", Observed { value_fnv: 0xa264914c281d2c17, log_len: 823, log_fnv: 0x1905f797166dd5ab, root_hash: 0x8a86a109a392977d, dag_bytes: 6444, counters: [42, 8, 5, 0, 0, 3, 0, 0, 0] }),
     ("hlm", "Base", Observed { value_fnv: 0x7faf4c4406a1bac, log_len: 0, log_fnv: 0x0, root_hash: 0x0, dag_bytes: 0, counters: [0, 0, 0, 0, 0, 0, 0, 0, 0] }),
-    ("hlm", "LT", Observed { value_fnv: 0x7faf4c4406a1bac, log_len: 541, log_fnv: 0x2a10590d37bb2611, root_hash: 0xe7a00ae80a1dfdba, dag_bytes: 3290, counters: [248, 0, 0, 0, 0, 0, 0, 0, 0] }),
-    ("hlm", "LTD", Observed { value_fnv: 0x7faf4c4406a1bac, log_len: 541, log_fnv: 0x2a10590d37bb2611, root_hash: 0xe7a00ae80a1dfdba, dag_bytes: 3290, counters: [248, 0, 0, 0, 0, 0, 0, 32, 2] }),
-    ("hlm", "LIMA", Observed { value_fnv: 0x7faf4c4406a1bac, log_len: 541, log_fnv: 0x2a10590d37bb2611, root_hash: 0xe7a00ae80a1dfdba, dag_bytes: 3290, counters: [212, 184, 70, 4, 0, 110, 0, 0, 0] }),
-    ("hlm", "LIMA-8K", Observed { value_fnv: 0x7faf4c4406a1bac, log_len: 541, log_fnv: 0x2a10590d37bb2611, root_hash: 0xe7a00ae80a1dfdba, dag_bytes: 3290, counters: [212, 184, 32, 4, 0, 148, 127, 0, 0] }),
+    ("hlm", "LT", Observed { value_fnv: 0x7faf4c4406a1bac, log_len: 541, log_fnv: 0x2a10590d37bb2611, root_hash: 0xe7a00ae80a1dfdba, dag_bytes: 3290, counters: [240, 0, 0, 0, 0, 0, 0, 0, 0] }),
+    ("hlm", "LTD", Observed { value_fnv: 0x7faf4c4406a1bac, log_len: 541, log_fnv: 0x2a10590d37bb2611, root_hash: 0xe7a00ae80a1dfdba, dag_bytes: 3290, counters: [240, 0, 0, 0, 0, 0, 0, 32, 2] }),
+    ("hlm", "LIMA", Observed { value_fnv: 0x7faf4c4406a1bac, log_len: 541, log_fnv: 0x2a10590d37bb2611, root_hash: 0xe7a00ae80a1dfdba, dag_bytes: 3290, counters: [188, 156, 64, 8, 0, 110, 0, 0, 0] }),
+    ("hlm", "LIMA-8K", Observed { value_fnv: 0x7faf4c4406a1bac, log_len: 541, log_fnv: 0x2a10590d37bb2611, root_hash: 0xe7a00ae80a1dfdba, dag_bytes: 3290, counters: [188, 156, 64, 8, 0, 148, 127, 0, 0] }),
 ];
 
 #[test]
@@ -170,8 +195,22 @@ fn observables_match_the_parent_commit() {
     let print = std::env::var_os("OBSERVABLES_PRINT").is_some();
     let mut seen = 0;
     for (pname, pipeline, output) in pipelines_under_test() {
+        let mut traced = None;
         for (cname, cfg) in configs() {
             let got = observe(&pipeline, &cfg, output);
+            // `configs()` runs `LT` before the `LIMA` rows it is their oracle for.
+            let lineage = |o: &Observed| (o.log_len, o.log_fnv, o.root_hash);
+            match (cname, &traced) {
+                ("LT", _) => traced = Some((lineage(&got), got.dag_bytes)),
+                (c, Some((log, dag_bytes))) if c.starts_with("LIMA") => {
+                    assert_eq!(lineage(&got), *log, "{pname}/{cname}: lineage is not LT's");
+                    assert!(
+                        got.dag_bytes <= *dag_bytes,
+                        "{pname}/{cname}: DAG above LT's"
+                    );
+                }
+                _ => {}
+            }
             if print {
                 println!(
                     "    (\"{pname}\", \"{cname}\", Observed {{ value_fnv: {:#x}, log_len: {}, \

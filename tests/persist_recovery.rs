@@ -63,21 +63,11 @@ fn assert_reconstructs_to_baseline(
             ctx.data.register(*name, v.clone());
             ctx.data.register(format!("var:{name}"), v.clone());
         }
+        // Values computed through a function call carry the lineage of the
+        // call's body, not the call item, so every one replays.
         let recomputed = match recompute(&e.root, &mut ctx) {
             Ok(v) => v,
-            Err(err) => {
-                // Lineage embedding opaque function-call items (traced with
-                // dedup off) persists and recovers fine but cannot be
-                // replayed; such entries are repair-ineligible by design and
-                // are exempt from the replay invariant. Anything else is a
-                // real recovery bug.
-                let msg = err.to_string();
-                assert!(
-                    msg.contains("unsupported opcode"),
-                    "{what}: recovered lineage must reconstruct: {msg}"
-                );
-                continue;
-            }
+            Err(err) => panic!("{what}: recovered lineage must reconstruct: {err}"),
         };
         assert!(
             recomputed.approx_eq(&e.value, 1e-9),
@@ -484,7 +474,7 @@ fn entry_tombstoned_by_the_disk_budget_persists_again_when_recomputed() {
         assert_eq!(LimaStats::get(&cache.stats().persist_tombstones), 2);
         match cache.acquire(&item("A")).expect("cacheable") {
             Probe::Reserved(r) => r.fulfill(&value, 100),
-            Probe::Hit(_) => panic!("A was evicted"),
+            Probe::Hit(..) => panic!("A was evicted"),
         }
         assert_eq!(
             LimaStats::get(&cache.stats().persist_writes),
@@ -495,7 +485,7 @@ fn entry_tombstoned_by_the_disk_budget_persists_again_when_recomputed() {
     let cache = LineageCache::new(config);
     assert_eq!(LimaStats::get(&cache.stats().persist_recovered), 2);
     match cache.acquire(&item("A")).expect("cacheable") {
-        Probe::Hit(v) => assert!(v.approx_eq(&value, 0.0)),
+        Probe::Hit(v, _) => assert!(v.approx_eq(&value, 0.0)),
         Probe::Reserved(_) => panic!("A must be recovered after the restart"),
     }
     assert_eq!(LimaStats::get(&cache.stats().persist_hits), 1);
