@@ -398,9 +398,9 @@ impl LimadClient {
     /// Cancels a running session; `Ok(false)` means it was not found (it may
     /// have already finished).
     pub fn cancel(&mut self, session: u64) -> Result<bool, ClientError> {
-        let deadline = self.deadline(None);
-        let resp = self.call(true, deadline, move |_| Request::Cancel { session })?;
-        match resp {
+        match self.call(true, self.deadline(None), move |_| Request::Cancel {
+            session,
+        })? {
             Response::Cancelled { found } => Ok(found),
             other => Err(unexpected(&other)),
         }
@@ -409,9 +409,7 @@ impl LimadClient {
     /// Fetches the aggregated Prometheus metrics text over the wire protocol
     /// (the server also exposes the same text as HTTP `GET /metrics`).
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        let deadline = self.deadline(None);
-        let resp = self.call(true, deadline, |_| Request::Metrics)?;
-        match resp {
+        match self.call(true, self.deadline(None), |_| Request::Metrics)? {
             Response::MetricsText(text) => Ok(text),
             other => Err(unexpected(&other)),
         }
@@ -422,9 +420,7 @@ impl LimadClient {
     /// repairs or quarantines, never invents state — so it retries like the
     /// other read-side calls.
     pub fn scrub(&mut self) -> Result<Vec<crate::proto::ShardScrub>, ClientError> {
-        let deadline = self.deadline(None);
-        let resp = self.call(true, deadline, |_| Request::Scrub)?;
-        match resp {
+        match self.call(true, self.deadline(None), |_| Request::Scrub)? {
             Response::Scrubbed(reports) => Ok(reports),
             other => Err(unexpected(&other)),
         }
@@ -432,9 +428,7 @@ impl LimadClient {
 
     /// Liveness check.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        let deadline = self.deadline(None);
-        let resp = self.call(true, deadline, |_| Request::Ping)?;
-        match resp {
+        match self.call(true, self.deadline(None), |_| Request::Ping)? {
             Response::Pong => Ok(()),
             other => Err(unexpected(&other)),
         }

@@ -22,7 +22,7 @@
 use bytes::{Buf, BufMut, BytesMut};
 use lima_core::{Diagnostic, Label, Severity, Span};
 pub use lima_matrix::codec::fnv1a;
-use lima_matrix::codec::{decode_body, encode_body};
+use lima_matrix::codec::{decode_body, encode_body, read_bytes, read_u32, read_u64, read_u8};
 use lima_matrix::Value;
 use std::io::{Read, Write};
 
@@ -40,9 +40,11 @@ pub const MAX_FRAME_BYTES: usize = 32 * 1024 * 1024;
 /// `limac`/`limad` process exit codes, so scripts and CI can distinguish a
 /// deadline from a cancellation from resource exhaustion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ErrorCode {
     /// Malformed frame or request payload (isolated to the connection).
-    BadRequest,
+    /// The wire byte of a code is its position from 1.
+    BadRequest = 1,
     /// The submitted script failed to compile.
     Compile,
     /// The script failed at runtime (kernel error, undefined variable, ...).
@@ -98,32 +100,15 @@ impl ErrorCode {
     }
 
     fn as_u8(self) -> u8 {
-        match self {
-            ErrorCode::BadRequest => 1,
-            ErrorCode::Compile => 2,
-            ErrorCode::Runtime => 3,
-            ErrorCode::DeadlineExceeded => 4,
-            ErrorCode::Cancelled => 5,
-            ErrorCode::ResourceExhausted => 6,
-            ErrorCode::Overloaded => 7,
-            ErrorCode::NotFound => 8,
-            ErrorCode::Internal => 9,
-        }
+        self as u8
     }
 
     fn from_u8(v: u8) -> Option<ErrorCode> {
-        Some(match v {
-            1 => ErrorCode::BadRequest,
-            2 => ErrorCode::Compile,
-            3 => ErrorCode::Runtime,
-            4 => ErrorCode::DeadlineExceeded,
-            5 => ErrorCode::Cancelled,
-            6 => ErrorCode::ResourceExhausted,
-            7 => ErrorCode::Overloaded,
-            8 => ErrorCode::NotFound,
-            9 => ErrorCode::Internal,
-            _ => return None,
-        })
+        use ErrorCode::*;
+        let mut all = [BadRequest, Compile, Runtime, DeadlineExceeded, Cancelled]
+            .into_iter()
+            .chain([ResourceExhausted, Overloaded, NotFound, Internal]);
+        all.find(|c| c.as_u8() == v)
     }
 }
 
@@ -372,17 +357,29 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
+/// A `u32` count, then each item as `put` writes it.
+fn put_vec<T>(buf: &mut BytesMut, items: &[T], mut put: impl FnMut(&mut BytesMut, &T)) {
+    buf.put_u32(items.len() as u32);
+    items.iter().for_each(|item| put(buf, item));
+}
+
 fn get_str(buf: &mut &[u8]) -> Option<String> {
-    if buf.remaining() < 4 {
-        return None;
+    let len = read_u32(buf)? as usize;
+    Some(std::str::from_utf8(read_bytes(buf, len)?).ok()?.to_string())
+}
+
+/// A `u32` count, then that many items (capacity capped at `cap` until the
+/// items are really there).
+fn get_vec<T>(
+    buf: &mut &[u8],
+    cap: usize,
+    mut item: impl FnMut(&mut &[u8]) -> Option<T>,
+) -> Option<Vec<T>> {
+    let n = read_u32(buf)? as usize;
+    let mut out = Vec::with_capacity(n.min(cap));
+    for _ in 0..n {
+        out.push(item(buf)?);
     }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return None;
-    }
-    let (s, rest) = buf.split_at(len);
-    let out = std::str::from_utf8(s).ok()?.to_string();
-    *buf = rest;
     Some(out)
 }
 
@@ -398,38 +395,23 @@ fn put_span(buf: &mut BytesMut, span: Option<Span>) {
 }
 
 fn get_span(buf: &mut &[u8]) -> Option<Option<Span>> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    match buf.get_u8() {
+    match read_u8(buf)? {
         0 => Some(None),
-        1 => {
-            if buf.remaining() < 8 {
-                return None;
-            }
-            let start = buf.get_u32();
-            let end = buf.get_u32();
-            Some(Some(Span::new(start, end)))
-        }
+        1 => Some(Some(Span::new(read_u32(buf)?, read_u32(buf)?))),
         _ => None,
     }
 }
 
 fn put_diag(buf: &mut BytesMut, d: &Diagnostic) {
-    buf.put_u8(match d.severity {
-        Severity::Error => 0,
-        Severity::Warning => 1,
-        Severity::Note => 2,
-    });
+    buf.put_u8(d.severity.as_u8());
     put_str(buf, &d.code);
     put_str(buf, &d.message);
     put_span(buf, d.primary);
-    buf.put_u32(d.labels.len() as u32);
-    for l in &d.labels {
+    put_vec(buf, &d.labels, |buf, l| {
         buf.put_u32(l.span.start);
         buf.put_u32(l.span.end);
         put_str(buf, &l.message);
-    }
+    });
     match &d.help {
         Some(h) => {
             buf.put_u8(1);
@@ -440,39 +422,16 @@ fn put_diag(buf: &mut BytesMut, d: &Diagnostic) {
 }
 
 fn get_diag(buf: &mut &[u8]) -> Option<Diagnostic> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    let severity = match buf.get_u8() {
-        0 => Severity::Error,
-        1 => Severity::Warning,
-        2 => Severity::Note,
-        _ => return None,
-    };
+    let severity = Severity::from_u8(read_u8(buf)?)?;
     let code = get_str(buf)?;
     let message = get_str(buf)?;
     let primary = get_span(buf)?;
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32() as usize;
-    let mut labels = Vec::with_capacity(n.min(16));
-    for _ in 0..n {
-        if buf.remaining() < 8 {
-            return None;
-        }
-        let start = buf.get_u32();
-        let end = buf.get_u32();
+    let labels = get_vec(buf, 16, |buf| {
+        let span = Span::new(read_u32(buf)?, read_u32(buf)?);
         let message = get_str(buf)?;
-        labels.push(Label {
-            span: Span::new(start, end),
-            message,
-        });
-    }
-    if buf.remaining() < 1 {
-        return None;
-    }
-    let help = match buf.get_u8() {
+        Some(Label { span, message })
+    })?;
+    let help = match read_u8(buf)? {
         0 => None,
         1 => Some(get_str(buf)?),
         _ => return None,
@@ -498,11 +457,8 @@ fn get_record(buf: &mut &[u8]) -> Option<ReplRecord> {
     let lineage = get_str(buf)?;
     // Tag-2 (list/absent) values never replicate: structural violation here.
     let value = decode_body(buf)??;
-    if buf.remaining() < 16 {
-        return None;
-    }
-    let compute_ns = buf.get_u64();
-    let check = buf.get_u64();
+    let compute_ns = read_u64(buf)?;
+    let check = read_u64(buf)?;
     Some(ReplRecord {
         lineage,
         value,
@@ -512,10 +468,7 @@ fn get_record(buf: &mut &[u8]) -> Option<ReplRecord> {
 }
 
 fn get_bucket_count(buf: &mut &[u8]) -> Option<u32> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32();
+    let n = read_u32(buf)?;
     (1..=MAX_REPL_BUCKETS).contains(&n).then_some(n)
 }
 
@@ -541,10 +494,7 @@ impl Request {
                     None => buf.put_u8(0),
                 }
                 put_str(&mut buf, script);
-                buf.put_u32(outputs.len() as u32);
-                for o in outputs {
-                    put_str(&mut buf, o);
-                }
+                put_vec(&mut buf, outputs, |b, x| put_str(b, x));
                 K_SUBMIT
             }
             Request::Probe {
@@ -575,10 +525,7 @@ impl Request {
             Request::Ping => K_PING,
             Request::Scrub => K_SCRUB,
             Request::ReplPut { records } => {
-                buf.put_u32(records.len() as u32);
-                for r in records {
-                    put_record(&mut buf, r);
-                }
+                put_vec(&mut buf, records, put_record);
                 K_REPL_PUT
             }
             Request::ReplDigest { buckets } => {
@@ -601,29 +548,14 @@ impl Request {
         let req = match kind {
             K_SUBMIT => {
                 let tenant = get_str(&mut p)?;
-                if p.remaining() < 9 {
-                    return None;
-                }
-                let deadline_ms = p.get_u64();
-                let seed = match p.get_u8() {
+                let deadline_ms = read_u64(&mut p)?;
+                let seed = match read_u8(&mut p)? {
                     0 => None,
-                    1 => {
-                        if p.remaining() < 8 {
-                            return None;
-                        }
-                        Some(p.get_u64())
-                    }
+                    1 => Some(read_u64(&mut p)?),
                     _ => return None,
                 };
                 let script = get_str(&mut p)?;
-                if p.remaining() < 4 {
-                    return None;
-                }
-                let n = p.get_u32() as usize;
-                let mut outputs = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    outputs.push(get_str(&mut p)?);
-                }
+                let outputs = get_vec(&mut p, 64, get_str)?;
                 Request::Submit {
                     tenant,
                     script,
@@ -634,10 +566,7 @@ impl Request {
             }
             K_PROBE | K_FETCH => {
                 let tenant = get_str(&mut p)?;
-                if p.remaining() < 8 {
-                    return None;
-                }
-                let deadline_ms = p.get_u64();
+                let deadline_ms = read_u64(&mut p)?;
                 let lineage = get_str(&mut p)?;
                 if kind == K_PROBE {
                     Request::Probe {
@@ -653,36 +582,20 @@ impl Request {
                     }
                 }
             }
-            K_CANCEL => {
-                if p.remaining() < 8 {
-                    return None;
-                }
-                Request::Cancel {
-                    session: p.get_u64(),
-                }
-            }
+            K_CANCEL => Request::Cancel {
+                session: read_u64(&mut p)?,
+            },
             K_METRICS => Request::Metrics,
             K_PING => Request::Ping,
             K_SCRUB => Request::Scrub,
-            K_REPL_PUT => {
-                if p.remaining() < 4 {
-                    return None;
-                }
-                let n = p.get_u32() as usize;
-                let mut records = Vec::with_capacity(n.min(256));
-                for _ in 0..n {
-                    records.push(get_record(&mut p)?);
-                }
-                Request::ReplPut { records }
-            }
+            K_REPL_PUT => Request::ReplPut {
+                records: get_vec(&mut p, 256, get_record)?,
+            },
             K_REPL_DIGEST => Request::ReplDigest {
                 buckets: get_bucket_count(&mut p)?,
             },
             K_REPL_PULL => {
-                if p.remaining() < 8 {
-                    return None;
-                }
-                let bucket = p.get_u32();
+                let bucket = read_u32(&mut p)?;
                 let buckets = get_bucket_count(&mut p)?;
                 if bucket >= buckets {
                     return None;
@@ -706,15 +619,11 @@ impl Response {
                 stdout,
             } => {
                 buf.put_u64(*session);
-                buf.put_u32(values.len() as u32);
-                for (name, value) in values {
-                    put_str(&mut buf, name);
-                    encode_body(&mut buf, value);
-                }
-                buf.put_u32(stdout.len() as u32);
-                for line in stdout {
-                    put_str(&mut buf, line);
-                }
+                put_vec(&mut buf, values, |buf, (name, value)| {
+                    put_str(buf, name);
+                    encode_body(buf, value);
+                });
+                put_vec(&mut buf, stdout, |b, x| put_str(b, x));
                 K_RESP | K_SUBMIT
             }
             Response::Probed { hit } => {
@@ -768,20 +677,14 @@ impl Response {
                 K_RESP | K_REPL_DIGEST
             }
             Response::ReplEntries(records) => {
-                buf.put_u32(records.len() as u32);
-                for r in records {
-                    put_record(&mut buf, r);
-                }
+                put_vec(&mut buf, records, put_record);
                 K_RESP | K_REPL_PULL
             }
             Response::Error(e) => {
                 buf.put_u8(e.code.as_u8());
                 buf.put_u64(e.retry_after_ms);
                 put_str(&mut buf, &e.msg);
-                buf.put_u32(e.diagnostics.len() as u32);
-                for d in &e.diagnostics {
-                    put_diag(&mut buf, d);
-                }
+                put_vec(&mut buf, &e.diagnostics, put_diag);
                 K_ERROR
             }
         };
@@ -793,140 +696,68 @@ impl Response {
         let mut p = payload;
         let resp = match kind {
             k if k == K_RESP | K_SUBMIT => {
-                if p.remaining() < 12 {
-                    return None;
-                }
-                let session = p.get_u64();
-                let n = p.get_u32() as usize;
-                let mut values = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    let name = get_str(&mut p)?;
-                    // Tag-2 (non-transportable) outputs decode as absent and
-                    // are skipped rather than failing the whole response.
-                    if let Some(v) = decode_body(&mut p)? {
-                        values.push((name, v));
-                    }
-                }
-                if p.remaining() < 4 {
-                    return None;
-                }
-                let n = p.get_u32() as usize;
-                let mut stdout = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    stdout.push(get_str(&mut p)?);
-                }
+                let session = read_u64(&mut p)?;
+                let values = get_vec(&mut p, 64, |p| Some((get_str(p)?, decode_body(p)?)))?;
+                // Tag-2 (non-transportable) outputs decode as absent and are
+                // skipped rather than failing the whole response.
+                let values = values
+                    .into_iter()
+                    .filter_map(|(name, v)| Some((name, v?)))
+                    .collect();
+                let stdout = get_vec(&mut p, 64, get_str)?;
                 Response::Submitted {
                     session,
                     values,
                     stdout,
                 }
             }
-            k if k == K_RESP | K_PROBE => {
-                if p.remaining() < 1 {
-                    return None;
-                }
-                Response::Probed {
-                    hit: p.get_u8() != 0,
-                }
-            }
-            k if k == K_RESP | K_FETCH => {
-                if p.remaining() < 1 {
-                    return None;
-                }
-                match p.get_u8() {
-                    0 => Response::Fetched(None),
-                    1 => Response::Fetched(decode_body(&mut p)?),
-                    _ => return None,
-                }
-            }
-            k if k == K_RESP | K_CANCEL => {
-                if p.remaining() < 1 {
-                    return None;
-                }
-                Response::Cancelled {
-                    found: p.get_u8() != 0,
-                }
-            }
+            k if k == K_RESP | K_PROBE => Response::Probed {
+                hit: read_u8(&mut p)? != 0,
+            },
+            k if k == K_RESP | K_FETCH => match read_u8(&mut p)? {
+                0 => Response::Fetched(None),
+                1 => Response::Fetched(decode_body(&mut p)?),
+                _ => return None,
+            },
+            k if k == K_RESP | K_CANCEL => Response::Cancelled {
+                found: read_u8(&mut p)? != 0,
+            },
             k if k == K_RESP | K_METRICS => Response::MetricsText(get_str(&mut p)?),
             k if k == K_RESP | K_PING => Response::Pong,
-            k if k == K_RESP | K_SCRUB => {
-                if p.remaining() < 4 {
-                    return None;
-                }
-                let n = p.get_u32() as usize;
-                let mut reports = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    if p.remaining() < 4 + 6 * 8 + 1 {
-                        return None;
-                    }
-                    reports.push(ShardScrub {
-                        shard: p.get_u32(),
-                        bytes: p.get_u64(),
-                        entries: p.get_u64(),
-                        corrupt: p.get_u64(),
-                        repaired: p.get_u64(),
-                        repair_failures: p.get_u64(),
-                        quarantined: p.get_u64(),
-                        completed: p.get_u8() != 0,
-                    });
-                }
-                Response::Scrubbed(reports)
-            }
-            k if k == K_RESP | K_REPL_PUT => {
-                if p.remaining() < 8 {
-                    return None;
-                }
-                Response::ReplAck {
-                    applied: p.get_u32(),
-                    rejected: p.get_u32(),
-                }
-            }
+            k if k == K_RESP | K_SCRUB => Response::Scrubbed(get_vec(&mut p, 64, |p| {
+                Some(ShardScrub {
+                    shard: read_u32(p)?,
+                    bytes: read_u64(p)?,
+                    entries: read_u64(p)?,
+                    corrupt: read_u64(p)?,
+                    repaired: read_u64(p)?,
+                    repair_failures: read_u64(p)?,
+                    quarantined: read_u64(p)?,
+                    completed: read_u8(p)? != 0,
+                })
+            })?),
+            k if k == K_RESP | K_REPL_PUT => Response::ReplAck {
+                applied: read_u32(&mut p)?,
+                rejected: read_u32(&mut p)?,
+            },
             k if k == K_RESP | K_REPL_DIGEST => {
-                if p.remaining() < 4 {
+                let mut head = p;
+                if read_u32(&mut head)? > MAX_REPL_BUCKETS {
                     return None;
                 }
-                let n = p.get_u32() as usize;
-                if n > MAX_REPL_BUCKETS as usize {
-                    return None;
-                }
-                let mut digests = Vec::with_capacity(n.min(256));
-                for _ in 0..n {
-                    if p.remaining() < 16 {
-                        return None;
-                    }
-                    digests.push(BucketDigest {
-                        count: p.get_u64(),
-                        xor: p.get_u64(),
-                    });
-                }
-                Response::ReplDigests(digests)
+                Response::ReplDigests(get_vec(&mut p, 256, |p| {
+                    let (count, xor) = (read_u64(p)?, read_u64(p)?);
+                    Some(BucketDigest { count, xor })
+                })?)
             }
             k if k == K_RESP | K_REPL_PULL => {
-                if p.remaining() < 4 {
-                    return None;
-                }
-                let n = p.get_u32() as usize;
-                let mut records = Vec::with_capacity(n.min(256));
-                for _ in 0..n {
-                    records.push(get_record(&mut p)?);
-                }
-                Response::ReplEntries(records)
+                Response::ReplEntries(get_vec(&mut p, 256, get_record)?)
             }
             K_ERROR => {
-                if p.remaining() < 9 {
-                    return None;
-                }
-                let code = ErrorCode::from_u8(p.get_u8())?;
-                let retry_after_ms = p.get_u64();
+                let code = ErrorCode::from_u8(read_u8(&mut p)?)?;
+                let retry_after_ms = read_u64(&mut p)?;
                 let msg = get_str(&mut p)?;
-                if p.remaining() < 4 {
-                    return None;
-                }
-                let n = p.get_u32() as usize;
-                let mut diagnostics = Vec::with_capacity(n.min(16));
-                for _ in 0..n {
-                    diagnostics.push(get_diag(&mut p)?);
-                }
+                let diagnostics = get_vec(&mut p, 16, get_diag)?;
                 Response::Error(ServiceError {
                     code,
                     retry_after_ms,

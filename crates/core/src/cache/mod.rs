@@ -831,7 +831,7 @@ impl LineageCache {
 
     /// True when this item's output qualifies for cache interaction.
     pub fn reusable(&self, item: &LinRef) -> bool {
-        self.config.reuse.any() && crate::opcodes::opcode_info(item.opcode()).cacheable
+        self.config.reuse.any() && item.cacheable()
     }
 
     /// Whether full (operation-level) reuse is active.

@@ -70,7 +70,7 @@ use crate::lineage::item::LinRef;
 use crate::lineage::serialize::{deserialize_lineage, serialize_lineage};
 use crate::resilience::{RetryBudget, RetryPolicy};
 use bytes::{Buf, BufMut, BytesMut};
-use lima_matrix::codec::{self, fnv1a};
+use lima_matrix::codec::{self, fnv1a, read_u32, read_u64, read_u8};
 use lima_matrix::Value;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -1068,20 +1068,14 @@ enum Record {
 }
 
 fn parse_payload(mut p: &[u8]) -> Option<Record> {
-    if p.remaining() < 9 {
-        return None;
-    }
-    let kind = p.get_u8();
-    let id = p.get_u64();
+    let kind = read_u8(&mut p)?;
+    let id = read_u64(&mut p)?;
     match kind {
         REC_PUT => {
-            if p.remaining() < 20 {
-                return None;
-            }
-            let compute_ns = p.get_u64();
-            let value_bytes = p.get_u64();
-            let lin_len = p.get_u32() as usize;
-            if p.remaining() != lin_len {
+            let compute_ns = read_u64(&mut p)?;
+            let value_bytes = read_u64(&mut p)?;
+            let lin_len = read_u32(&mut p)? as usize;
+            if p.len() != lin_len {
                 return None;
             }
             let lineage = String::from_utf8(p.to_vec()).ok()?;

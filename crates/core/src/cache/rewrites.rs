@@ -118,11 +118,11 @@ fn is_const_col(lin: &LinRef, value: f64) -> bool {
 }
 
 fn probe_mm(a: &LinRef, b: &LinRef) -> LinRef {
-    LineageItem::op(op::MATMULT, [a.clone(), b.clone()])
+    LineageItem::resolved(op::MATMULT.into(), op::DC, None, [a.clone(), b.clone()])
 }
 
 fn probe_tsmm(x: &LinRef) -> LinRef {
-    LineageItem::op_with_data(op::TSMM, "LEFT", [x.clone()])
+    LineageItem::resolved(op::TSMM.into(), op::DC, Some("LEFT".into()), [x.clone()])
 }
 
 /// The left operand of a product: its value, or with `.1` (the fused
@@ -185,7 +185,8 @@ fn try_mm_rewrites(
                 let [ya, _yb] = b_lin.inputs() else {
                     return None;
                 };
-                let probe = probe_mm(&LineageItem::op(op::TRANSPOSE, [xa.clone()]), &ya.clone());
+                let t = LineageItem::resolved(op::TRANSPOSE.into(), op::DC, None, [xa.clone()]);
+                let probe = probe_mm(&t, &ya.clone());
                 if let Some(head) = peek_matrix(cache, &probe) {
                     let na = xa.shape().map(|(r, _)| r).or(ya.shape().map(|(r, _)| r))?;
                     if na < bv.rows() && na < left.shape().1 {

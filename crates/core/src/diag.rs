@@ -95,6 +95,8 @@ pub enum Severity {
 }
 
 impl Severity {
+    const ALL: [Severity; 3] = [Severity::Error, Severity::Warning, Severity::Note];
+
     /// Stable lowercase name (used in rendered output and JSON).
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -106,31 +108,17 @@ impl Severity {
 
     /// Parses the stable name back; `None` for anything else.
     pub fn from_name(s: &str) -> Option<Severity> {
-        match s {
-            "error" => Some(Severity::Error),
-            "warning" => Some(Severity::Warning),
-            "note" => Some(Severity::Note),
-            _ => None,
-        }
+        Severity::ALL.into_iter().find(|v| v.as_str() == s)
     }
 
     /// Stable wire encoding.
     pub fn as_u8(&self) -> u8 {
-        match self {
-            Severity::Error => 0,
-            Severity::Warning => 1,
-            Severity::Note => 2,
-        }
+        *self as u8
     }
 
     /// Decodes the wire byte; `None` for unknown values.
     pub fn from_u8(v: u8) -> Option<Severity> {
-        match v {
-            0 => Some(Severity::Error),
-            1 => Some(Severity::Warning),
-            2 => Some(Severity::Note),
-            _ => None,
-        }
+        Severity::ALL.into_iter().find(|s| s.as_u8() == v)
     }
 }
 
@@ -401,26 +389,14 @@ pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
 
 /// Encodes a slice of diagnostics as a JSON array.
 pub fn diagnostics_to_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&d.to_json());
-    }
-    out.push(']');
-    out
+    let items: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
+    format!("[{}]", items.join(","))
 }
 
 /// Decodes a JSON array of diagnostics; `None` on malformed input.
 pub fn diagnostics_from_json(src: &str) -> Option<Vec<Diagnostic>> {
     let v = json::parse(src).ok()?;
-    let arr = v.as_arr()?;
-    let mut out = Vec::with_capacity(arr.len());
-    for d in arr {
-        out.push(Diagnostic::from_value(d)?);
-    }
-    Some(out)
+    v.as_arr()?.iter().map(Diagnostic::from_value).collect()
 }
 
 // ------------------------------------------------------------ line mapping

@@ -16,6 +16,7 @@ pub mod cache;
 pub mod config;
 pub mod diag;
 pub mod faults;
+pub mod frame;
 pub mod governor;
 pub mod interrupt;
 pub mod json;
@@ -36,6 +37,7 @@ pub use diag::{
     Severity, Span,
 };
 pub use faults::{FaultInjector, FaultSite};
+pub use frame::{Frame, Slots};
 pub use governor::{PressureLevel, ResourceGovernor};
 pub use interrupt::{CancelToken, Interrupt, InterruptKind};
 pub use lineage::{LinRef, LineageItem, LineageMap};

@@ -372,8 +372,10 @@ impl DedupPatch {
             let item = &node.item;
             Some(match (item.kind(), item.data()) {
                 (LineageKind::Literal, _) => Arc::clone(item),
-                (_, Some(d)) => LineageItem::op_with_data(item.opcode_shared(), d, ins.flatten()),
-                (_, None) => LineageItem::op(item.opcode_shared(), ins.flatten()),
+                (_, data) => {
+                    let (opcode, info) = (item.opcode_shared(), item.info());
+                    LineageItem::resolved(opcode, info, data.map(Into::into), ins.flatten())
+                }
             })
         });
         // `eval` yields a bound slot or a node it just built; `None` would

@@ -18,6 +18,7 @@
 //!   (paper §3.2, "Operations on Deduplicated Graphs").
 
 use crate::lineage::dedup::DedupPatch;
+use crate::opcodes::{opcode_info, OpcodeInfo};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -36,8 +37,10 @@ pub enum LineageKind {
     /// A literal constant; `data` holds the type-tagged encoding.
     Literal,
     /// A regular operation (including creation ops like `read`/`rand`, whose
-    /// parameters — notably system-generated seeds — live in `data`).
-    Op,
+    /// parameters — notably system-generated seeds — live in `data`), with
+    /// its opcode's classification, resolved once as the item is built so a
+    /// cache probe or put does not look the opcode up again.
+    Op(OpcodeInfo),
     /// A placeholder leaf inside a dedup or fused-operator patch; the payload
     /// is the input slot index.
     Placeholder(u32),
@@ -211,14 +214,15 @@ impl LineageItem {
 
     /// Creates a regular operation node. A static opcode is borrowed, not
     /// copied; text read at run time goes through
-    /// [`crate::opcodes::intern`] first. Inputs come as a `Vec` or, without
+    /// [`crate::opcodes::resolve`] first. Inputs come as a `Vec` or, without
     /// that allocation, as an array or any other iterator.
     pub fn op(
         opcode: impl Into<Cow<'static, str>>,
         inputs: impl IntoIterator<Item = LinRef>,
     ) -> LinRef {
-        let inputs = inputs.into_iter().collect();
-        Self::alloc(opcode.into(), None, inputs, LineageKind::Op)
+        let opcode = opcode.into();
+        let info = opcode_info(&opcode);
+        Self::resolved(opcode, info, None, inputs)
     }
 
     /// Creates a regular operation node with a data payload (creation
@@ -228,8 +232,22 @@ impl LineageItem {
         data: impl Into<Box<str>>,
         inputs: impl IntoIterator<Item = LinRef>,
     ) -> LinRef {
+        let opcode = opcode.into();
+        let info = opcode_info(&opcode);
+        Self::resolved(opcode, info, Some(data.into()), inputs)
+    }
+
+    /// [`Self::op`] / [`Self::op_with_data`] for an opcode whose table entry
+    /// the caller already holds (an instruction's compile-time
+    /// [`OpcodeInfo`], a parsed opcode): nothing is looked up.
+    pub fn resolved(
+        opcode: Cow<'static, str>,
+        info: OpcodeInfo,
+        data: Option<Box<str>>,
+        inputs: impl IntoIterator<Item = LinRef>,
+    ) -> LinRef {
         let inputs = inputs.into_iter().collect();
-        Self::alloc(opcode.into(), Some(data.into()), inputs, LineageKind::Op)
+        Self::alloc(opcode, data, inputs, LineageKind::Op(info))
     }
 
     /// Creates a placeholder leaf for patch input slot `slot`.
@@ -286,6 +304,22 @@ impl LineageItem {
     /// Node kind.
     pub fn kind(&self) -> &LineageKind {
         &self.kind
+    }
+
+    /// True when the opcode's output may enter a reuse cache (an operation
+    /// whose table entry says so; never a literal, placeholder or dedup item).
+    #[inline]
+    pub fn cacheable(&self) -> bool {
+        matches!(self.kind, LineageKind::Op(info) if info.cacheable)
+    }
+
+    /// The opcode's classification: the one the item carries, or for a
+    /// literal, placeholder or dedup item the table's.
+    pub fn info(&self) -> OpcodeInfo {
+        match self.kind {
+            LineageKind::Op(info) => info,
+            _ => opcode_info(self.opcode()),
+        }
     }
 
     /// True for leaves (literals, placeholders, and zero-input creations).
@@ -522,7 +556,9 @@ pub fn hash_batch(roots: &[LinRef]) -> usize {
 /// looking below.
 fn same_node_over_same_inputs(a: &LineageItem, b: &LineageItem) -> bool {
     let same_kind = match (&a.kind, &b.kind) {
-        (LineageKind::Op, LineageKind::Op) | (LineageKind::Literal, LineageKind::Literal) => true,
+        (LineageKind::Op(_), LineageKind::Op(_)) | (LineageKind::Literal, LineageKind::Literal) => {
+            true
+        }
         (LineageKind::Placeholder(x), LineageKind::Placeholder(y)) => x == y,
         (LineageKind::Dedup(p), LineageKind::Dedup(q)) => Arc::ptr_eq(p, q),
         _ => false,

@@ -1,7 +1,8 @@
-//! The `LineageMap`: live-variable-name → lineage-item mapping maintained per
-//! execution context (paper §3.1). Thread- and function-local by
+//! The `LineageMap`: the lineage of each live variable, by slot, maintained
+//! per execution context (paper §3.1). Thread- and function-local by
 //! construction: every interpreter context owns one.
 
+use crate::frame::{Frame, Slots};
 use crate::lineage::item::{FxBuildHasher, LinRef, LineageItem};
 use lima_matrix::ScalarValue;
 use std::collections::HashMap;
@@ -18,52 +19,69 @@ enum LiteralKey {
     Str(Arc<str>),
 }
 
-/// Maps live variable names to the lineage of their current values, and
-/// caches literal lineage items (the paper's `LineageMap`). Both maps sit on
-/// the per-instruction path (every traced output re-binds a variable), so
-/// they use the same Fx hasher as lineage hashing instead of SipHash, and
-/// variable names are shared with the instructions that carry them: binding
-/// a name the program already holds copies no text.
+/// Maps live variables to the lineage of their current values, and caches
+/// literal lineage items (the paper's `LineageMap`). Variables are bound by
+/// the slot the compiler gave them in the frame; a name is resolved through
+/// the frame only by the name API ([`Self::get`], [`Self::bindings`]).
 #[derive(Debug, Default)]
 pub struct LineageMap {
-    vars: HashMap<Arc<str>, LinRef, FxBuildHasher>,
+    vars: Slots<LinRef>,
     literals: HashMap<LiteralKey, LinRef, FxBuildHasher>,
 }
 
 impl LineageMap {
-    /// Empty map.
+    /// Empty map on an empty frame.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Lineage of a live variable.
-    pub fn get(&self, var: &str) -> Option<&LinRef> {
-        self.vars.get(var)
-    }
-
-    /// Binds a variable to a lineage item (tracing an instruction output).
-    pub fn set(&mut self, var: impl Into<Arc<str>>, item: LinRef) {
-        self.vars.insert(var.into(), item);
-    }
-
-    /// The live bindings under their shared names, for a worker context
-    /// (literals are re-made on first use: their identity does not matter).
-    pub fn fork(&self) -> Self {
+    /// Empty map with a cell for every slot of `frame`.
+    pub fn with_frame(frame: Arc<Frame>) -> Self {
         LineageMap {
-            vars: self.vars.clone(),
+            vars: Slots::new(frame),
             literals: HashMap::default(),
         }
     }
 
-    /// `rmvar`: drops the mapping of a removed variable.
-    pub fn remove(&mut self, var: &str) -> Option<LinRef> {
-        self.vars.remove(var)
+    /// The bindings by slot.
+    pub fn vars(&self) -> &Slots<LinRef> {
+        &self.vars
     }
 
-    /// `mvvar`: renames a variable, moving its lineage.
-    pub fn rename(&mut self, from: &str, to: impl Into<Arc<str>>) {
-        if let Some(item) = self.vars.remove(from) {
-            self.vars.insert(to.into(), item);
+    /// The bindings by slot, mutably (entering a frame).
+    pub fn vars_mut(&mut self) -> &mut Slots<LinRef> {
+        &mut self.vars
+    }
+
+    /// Lineage of a live variable, by name.
+    pub fn get(&self, var: &str) -> Option<&LinRef> {
+        self.vars.get(var)
+    }
+
+    /// Lineage of the variable in `slot`.
+    #[inline]
+    pub fn at(&self, slot: u32) -> Option<&LinRef> {
+        self.vars.at(slot)
+    }
+
+    /// Binds the variable in `slot` to a lineage item (tracing an output).
+    #[inline]
+    pub fn put(&mut self, slot: u32, item: LinRef) {
+        self.vars.put(slot, item);
+    }
+
+    /// `rmvar`: drops the lineage of the variable in `slot`.
+    #[inline]
+    pub fn take(&mut self, slot: u32) -> Option<LinRef> {
+        self.vars.take(slot)
+    }
+
+    /// The live bindings on the same frame, for a worker context (literals
+    /// are re-made on first use: their identity does not matter).
+    pub fn fork(&self) -> Self {
+        LineageMap {
+            vars: self.vars.clone(),
+            literals: HashMap::default(),
         }
     }
 
@@ -82,24 +100,9 @@ impl LineageMap {
             .clone()
     }
 
-    /// All live variable bindings (used when merging parfor worker results).
+    /// All live variable bindings under their names.
     pub fn bindings(&self) -> impl Iterator<Item = (&str, &LinRef)> {
-        self.vars.iter().map(|(k, v)| (&**k, v))
-    }
-
-    /// Number of live bindings.
-    pub fn len(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// True when no variable is bound.
-    pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
-    }
-
-    /// Clears all bindings (literal cache survives — literals are immutable).
-    pub fn clear(&mut self) {
-        self.vars.clear();
+        self.vars.iter()
     }
 }
 
@@ -108,29 +111,22 @@ mod tests {
     use super::*;
     use crate::lineage::item::lineage_eq;
 
-    #[test]
-    fn set_get_remove() {
-        let mut m = LineageMap::new();
-        let x = LineageItem::op_with_data("read", "X", vec![]);
-        m.set("X", x.clone());
-        assert!(lineage_eq(m.get("X").unwrap(), &x));
-        assert!(m.get("Y").is_none());
-        assert!(m.remove("X").is_some());
-        assert!(m.get("X").is_none());
-        assert!(m.remove("X").is_none());
+    fn map(names: &[&str]) -> LineageMap {
+        LineageMap::with_frame(Arc::new(names.iter().map(|n| Arc::from(*n)).collect()))
     }
 
     #[test]
-    fn rename_moves_lineage() {
-        let mut m = LineageMap::new();
+    fn put_get_take() {
+        let mut m = map(&["X", "Y"]);
         let x = LineageItem::op_with_data("read", "X", vec![]);
-        m.set("tmp7", x.clone());
-        m.rename("tmp7", "beta");
-        assert!(m.get("tmp7").is_none());
-        assert!(Arc::ptr_eq(m.get("beta").unwrap(), &x));
-        // renaming a missing variable is a no-op
-        m.rename("missing", "other");
-        assert!(m.get("other").is_none());
+        m.put(0, x.clone());
+        assert!(lineage_eq(m.get("X").unwrap(), &x));
+        assert!(Arc::ptr_eq(m.at(0).unwrap(), &x));
+        assert!(m.get("Y").is_none());
+        assert!(m.get("Z").is_none());
+        assert!(m.take(0).is_some());
+        assert!(m.get("X").is_none());
+        assert!(m.take(0).is_none());
     }
 
     #[test]
@@ -150,23 +146,14 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_literal_cache() {
-        let mut m = LineageMap::new();
-        let lit = m.literal(&ScalarValue::I64(7));
-        m.set("X", lit.clone());
-        m.clear();
-        assert!(m.is_empty());
-        assert!(Arc::ptr_eq(&m.literal(&ScalarValue::I64(7)), &lit));
-    }
-
-    #[test]
     fn bindings_iterates_live_vars() {
-        let mut m = LineageMap::new();
-        m.set("a", LineageItem::literal("i:1"));
-        m.set("b", LineageItem::literal("i:2"));
-        let mut names: Vec<&str> = m.bindings().map(|(k, _)| k).collect();
-        names.sort_unstable();
+        let mut m = map(&["a", "b", "c"]);
+        m.put(0, LineageItem::literal("i:1"));
+        m.put(1, LineageItem::literal("i:2"));
+        let names: Vec<&str> = m.bindings().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["a", "b"]);
-        assert_eq!(m.len(), 2);
+        let w = m.fork();
+        assert!(Arc::ptr_eq(w.vars().frame(), m.vars().frame()));
+        assert_eq!(w.bindings().count(), 2);
     }
 }

@@ -122,7 +122,7 @@ fn write_item_line(
                 push_ref(out, " (", i.id());
             }
         }
-        LineageKind::Op => {
+        LineageKind::Op(_) => {
             out.push_str(" I ");
             push_escaped(out, item.opcode());
             for i in item.inputs() {
@@ -417,7 +417,7 @@ pub fn deserialize_lineage(log: &str) -> Result<LinRef, LineageParseError> {
                     "I" => {
                         let opcode = toks.next().ok_or_else(|| err("malformed op item"))?;
                         let opcode = unescape(opcode).map_err(|e| err(&e))?;
-                        let opcode = crate::opcodes::intern(&opcode);
+                        let (opcode, info) = crate::opcodes::resolve(&opcode);
                         let mut ins = Vec::new();
                         let mut data: Option<Cow<'_, str>> = None;
                         for tok in toks {
@@ -426,10 +426,7 @@ pub fn deserialize_lineage(log: &str) -> Result<LinRef, LineageParseError> {
                                 None => ins.push(input(tok)?),
                             }
                         }
-                        match data {
-                            Some(d) => LineageItem::op_with_data(opcode, d, ins),
-                            None => LineageItem::op(opcode, ins),
-                        }
+                        LineageItem::resolved(opcode, info, data.map(Into::into), ins)
                     }
                     other => return Err(err(&format!("unknown item kind '{other}'"))),
                 };

@@ -168,7 +168,7 @@ impl Verifier {
                     Some(_) => {}
                 },
                 LineageKind::Dedup(patch) => self.check_dedup_node(node, patch)?,
-                LineageKind::Literal | LineageKind::Op => {}
+                LineageKind::Literal | LineageKind::Op(_) => {}
             }
             // Last input first, as popping the whole list off a stack would.
             if let Some((last, rest)) = node.inputs().split_last() {

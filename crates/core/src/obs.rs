@@ -104,14 +104,7 @@ impl EventKind {
     /// [`Obs::set_sample_every`] so long runs can trade resolution for
     /// ring lifetime. Rare structural events are always recorded.
     pub fn high_freq(self) -> bool {
-        matches!(
-            self,
-            EventKind::Instr
-                | EventKind::Kernel
-                | EventKind::CacheHit
-                | EventKind::CacheMiss
-                | EventKind::CacheFulfill
-        )
+        matches!(self.cat(), "instr" | "kernel" | "cache")
     }
 }
 
@@ -496,22 +489,16 @@ impl Obs {
             }
             out.push_str("{\"name\":");
             json::write_str(&mut out, ev.name.as_str());
-            out.push_str(",\"cat\":\"");
-            out.push_str(ev.kind.cat());
-            out.push_str("\",\"ph\":\"");
-            if ev.dur_ns > 0 {
-                out.push('X');
-            } else {
-                out.push('i');
-            }
-            out.push_str("\",\"pid\":1,\"tid\":");
-            out.push_str(&tid.to_string());
-            out.push_str(&format!(",\"ts\":{:.3}", ev.ts_ns as f64 / 1000.0));
-            if ev.dur_ns > 0 {
-                out.push_str(&format!(",\"dur\":{:.3}", ev.dur_ns as f64 / 1000.0));
-            } else {
-                out.push_str(",\"s\":\"t\"");
-            }
+            let ph = if ev.dur_ns > 0 { 'X' } else { 'i' };
+            let ts = ev.ts_ns as f64 / 1000.0;
+            let tail = match ev.dur_ns {
+                0 => ",\"s\":\"t\"".to_string(),
+                d => format!(",\"dur\":{:.3}", d as f64 / 1000.0),
+            };
+            let cat = ev.kind.cat();
+            out.push_str(&format!(
+                ",\"cat\":\"{cat}\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{tid},\"ts\":{ts:.3}{tail}"
+            ));
             out.push_str(&format!(
                 ",\"args\":{{\"lineage_id\":{},\"a\":{},\"b\":{}}}}}",
                 ev.lineage_id, ev.a, ev.b
@@ -578,26 +565,14 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let mut tids = std::collections::HashSet::new();
     for (i, ev) in events.iter().enumerate() {
         let field = |k: &str| ev.get(k).ok_or_else(|| format!("event {i}: missing '{k}'"));
-        let name = field("name")?
-            .as_str()
-            .ok_or_else(|| format!("event {i}: 'name' not a string"))?
-            .to_string();
-        let cat = field("cat")?
-            .as_str()
-            .ok_or_else(|| format!("event {i}: 'cat' not a string"))?
-            .to_string();
-        let ph = field("ph")?
-            .as_str()
-            .ok_or_else(|| format!("event {i}: 'ph' not a string"))?;
-        field("pid")?
-            .as_f64()
-            .ok_or_else(|| format!("event {i}: 'pid' not a number"))?;
-        let tid = field("tid")?
-            .as_f64()
-            .ok_or_else(|| format!("event {i}: 'tid' not a number"))? as u64;
-        let ts = field("ts")?
-            .as_f64()
-            .ok_or_else(|| format!("event {i}: 'ts' not a number"))?;
+        let not_a = |k: &str, what: &str| format!("event {i}: '{k}' not a {what}");
+        let text = |k: &'static str| field(k)?.as_str().ok_or_else(|| not_a(k, "string"));
+        let num = |k: &'static str| field(k)?.as_f64().ok_or_else(|| not_a(k, "number"));
+        let (name, cat) = (text("name")?.to_string(), text("cat")?.to_string());
+        let ph = text("ph")?;
+        num("pid")?;
+        let tid = num("tid")? as u64;
+        let ts = num("ts")?;
         if ts < 0.0 {
             return Err(format!("event {i}: negative ts"));
         }
@@ -612,9 +587,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
         }
         match ph {
             "X" => {
-                let dur = field("dur")?
-                    .as_f64()
-                    .ok_or_else(|| format!("event {i}: 'dur' not a number"))?;
+                let dur = num("dur")?;
                 if dur < 0.0 {
                     return Err(format!("event {i}: negative dur"));
                 }

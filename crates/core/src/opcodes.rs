@@ -68,6 +68,8 @@ pub const CAST_SCALAR: &str = "castdts";
 pub const CAST_MATRIX: &str = "castdtm";
 /// String concatenation / formatting (non-cacheable).
 pub const CONCAT: &str = "concat";
+/// A parfor's merged result: the value before the loop, then each worker's.
+pub const RMERGE: &str = "rmerge";
 /// Multi-level lineage item bundling a deterministic function call.
 pub const FCALL: &str = "fcall";
 /// Multi-level lineage item bundling a deterministic program block.
@@ -141,19 +143,23 @@ pub struct OpcodeInfo {
     pub cacheable: bool,
 }
 
+/// Deterministic and cacheable: the compute-bearing ops. Code building an
+/// item of such a static opcode passes it to `LineageItem::resolved`.
+pub const DC: OpcodeInfo = OpcodeInfo {
+    class: OpClass::Deterministic,
+    cacheable: true,
+};
+/// Deterministic and never cached (`read`, `listget`, `rmerge`, ...).
+pub const DN: OpcodeInfo = OpcodeInfo {
+    class: OpClass::Deterministic,
+    cacheable: false,
+};
+
 /// The single classification table shared by the tracer, the compiler's
 /// unmarking pass, and `lima-analysis`. Every opcode the runtime can emit
 /// appears here; prefixed families (`spoof*`, `fcall:*`, `bcall*`) are
 /// resolved by [`opcode_info`].
 pub const OPCODE_TABLE: &[(&str, OpcodeInfo)] = &{
-    const DC: OpcodeInfo = OpcodeInfo {
-        class: OpClass::Deterministic,
-        cacheable: true,
-    };
-    const DN: OpcodeInfo = OpcodeInfo {
-        class: OpClass::Deterministic,
-        cacheable: false,
-    };
     const SEED: OpcodeInfo = OpcodeInfo {
         class: OpClass::Seeded,
         cacheable: false,
@@ -238,6 +244,7 @@ pub const OPCODE_TABLE: &[(&str, OpcodeInfo)] = &{
         (LIST, DN),
         (LIST_GET, DN),
         (CONCAT, DN),
+        (RMERGE, DN),
         ("assign", DN),
         ("mvvar", DN),
         ("rmvar", DN),
@@ -258,7 +265,8 @@ fn table_lookup(op: &str) -> Option<(&'static str, OpcodeInfo)> {
     use crate::lineage::item::FxBuildHasher;
     use std::collections::HashMap;
     use std::sync::OnceLock;
-    // On every cache probe and put: a word-at-a-time hash of a short,
+    // Once per instruction as it is built, and per item as a log is parsed
+    // or an item is built from text: a word-at-a-time hash of a short,
     // program-internal string, not SipHash.
     static INDEX: OnceLock<HashMap<&'static str, OpcodeInfo, FxBuildHasher>> = OnceLock::new();
     INDEX
@@ -267,15 +275,15 @@ fn table_lookup(op: &str) -> Option<(&'static str, OpcodeInfo)> {
         .map(|(op, info)| (*op, *info))
 }
 
-/// The opcode as a lineage item holds it: the table's own static text for
-/// every opcode listed there, a copy only for the open families
-/// (`fcall:<name>`, `spoof<N>`) and opcodes of foreign logs. For text that
-/// arrives at run time (a parsed log); code that names an opcode constant
-/// passes the constant itself.
-pub fn intern(op: &str) -> std::borrow::Cow<'static, str> {
+/// The opcode as a lineage item holds it, with its classification, in one
+/// look-up: the table's own static text for every opcode listed there, a
+/// copy only for the open families (`fcall:<name>`, `spoof<N>`) and opcodes
+/// of foreign logs. For text that arrives at run time (a parsed log); code
+/// that names an opcode constant passes the constant itself.
+pub fn resolve(op: &str) -> (std::borrow::Cow<'static, str>, OpcodeInfo) {
     match table_lookup(op) {
-        Some((known, _)) => std::borrow::Cow::Borrowed(known),
-        None => std::borrow::Cow::Owned(op.to_string()),
+        Some((known, info)) => (std::borrow::Cow::Borrowed(known), info),
+        None => (std::borrow::Cow::Owned(op.to_string()), family_info(op)),
     }
 }
 
@@ -285,9 +293,14 @@ pub fn intern(op: &str) -> std::borrow::Cow<'static, str> {
 /// compiler already proved deterministic). Unknown opcodes conservatively
 /// classify as non-deterministic and non-cacheable.
 pub fn opcode_info(op: &str) -> OpcodeInfo {
-    if let Some((_, info)) = table_lookup(op) {
-        return info;
+    match table_lookup(op) {
+        Some((_, info)) => info,
+        None => family_info(op),
     }
+}
+
+/// [`opcode_info`] of an opcode the table does not list.
+fn family_info(op: &str) -> OpcodeInfo {
     if op.starts_with(FUSED_PREFIX) || op.starts_with(FCALL) || op.starts_with(BCALL) {
         return OpcodeInfo {
             class: OpClass::Deterministic,
@@ -355,6 +368,14 @@ mod tests {
         assert!(OpClass::Seeded.reuse_eligible());
         assert!(!OpClass::NonDeterministic.reuse_eligible());
         assert!(!OpClass::SideEffecting.reuse_eligible());
+    }
+
+    #[test]
+    fn resolve_agrees_with_the_table() {
+        for (op, info) in OPCODE_TABLE {
+            assert_eq!(resolve(op), (std::borrow::Cow::Borrowed(*op), *info));
+        }
+        assert_eq!(resolve("fcall:lm").1, opcode_info("fcall:lm"));
     }
 
     #[test]

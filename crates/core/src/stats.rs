@@ -249,14 +249,8 @@ impl LimaStats {
     pub fn prometheus(&self) -> String {
         let helps = Self::helps();
         let mut out = String::with_capacity(helps.len() * 160);
-        for (i, (name, counter)) in self.counters().into_iter().enumerate() {
-            let help = helps
-                .get(i)
-                .map(|(_, h)| *h)
-                .unwrap_or("")
-                .split_whitespace()
-                .collect::<Vec<_>>()
-                .join(" ");
+        for ((name, counter), (_, help)) in self.counters().into_iter().zip(helps) {
+            let help = help.split_whitespace().collect::<Vec<_>>().join(" ");
             out.push_str(&format!(
                 "# HELP lima_{name} {help}\n# TYPE lima_{name} counter\nlima_{name} {}\n",
                 Self::get(counter)

@@ -207,6 +207,22 @@ impl Lowerer {
         format!("_t{}", self.next_temp)
     }
 
+    /// Lowers each of `exprs`, in order.
+    fn lower_exprs(
+        &mut self,
+        exprs: &[&Expr],
+        instrs: &mut Vec<Instr>,
+    ) -> Result<Vec<Operand>, CompileError> {
+        exprs.iter().map(|e| self.lower_expr(e, instrs)).collect()
+    }
+
+    /// Appends `op(ins)` binding a fresh temporary, and returns it.
+    fn emit(&mut self, op: Op, ins: Vec<Operand>, span: Span, instrs: &mut Vec<Instr>) -> Operand {
+        let out = self.temp();
+        instrs.push(Instr::new(op, ins, &out).at(Some(span)));
+        Operand::var(out)
+    }
+
     fn lower_stmts(&mut self, stmts: &[Stmt]) -> Result<Vec<Block>, CompileError> {
         let mut blocks = Vec::new();
         let mut current: Vec<Instr> = Vec::new();
@@ -349,22 +365,16 @@ impl Lowerer {
             ExprKind::Var(v) => Operand::var(v),
             ExprKind::Neg(inner) => {
                 let v = self.lower_expr(inner, instrs)?;
-                let out = self.temp();
-                instrs.push(Instr::new(Op::Unary(UnOp::Neg), vec![v], &out).at(Some(span)));
-                Operand::var(out)
+                self.emit(Op::Unary(UnOp::Neg), vec![v], span, instrs)
             }
             ExprKind::Not(inner) => {
                 let v = self.lower_expr(inner, instrs)?;
-                let out = self.temp();
-                instrs.push(Instr::new(Op::Unary(UnOp::Not), vec![v], &out).at(Some(span)));
-                Operand::var(out)
+                self.emit(Op::Unary(UnOp::Not), vec![v], span, instrs)
             }
             ExprKind::Binary(op, a, b) => {
                 let va = self.lower_expr(a, instrs)?;
                 let vb = self.lower_expr(b, instrs)?;
-                let out = self.temp();
-                instrs.push(Instr::new(Op::Binary(*op), vec![va, vb], &out).at(Some(span)));
-                Operand::var(out)
+                self.emit(Op::Binary(*op), vec![va, vb], span, instrs)
             }
             ExprKind::MatMul(a, b) => self.lower_matmul(a, b, span, instrs)?,
             ExprKind::Call { name, args } => self.lower_call(name, args, span, instrs)?,
@@ -396,32 +406,24 @@ impl Lowerer {
         if let Some(inner) = transposed_of(a) {
             if same_expr(inner, b) {
                 let v = self.lower_expr(inner, instrs)?;
-                let out = self.temp();
-                instrs.push(Instr::new(Op::Tsmm(TsmmSide::Left), vec![v], &out).at(Some(span)));
-                return Ok(Operand::var(out));
+                return Ok(self.emit(Op::Tsmm(TsmmSide::Left), vec![v], span, instrs));
             }
         }
         if let Some(inner) = transposed_of(b) {
             if same_expr(inner, a) {
                 let v = self.lower_expr(inner, instrs)?;
-                let out = self.temp();
-                instrs.push(Instr::new(Op::Tsmm(TsmmSide::Right), vec![v], &out).at(Some(span)));
-                return Ok(Operand::var(out));
+                return Ok(self.emit(Op::Tsmm(TsmmSide::Right), vec![v], span, instrs));
             }
         }
         // `t(A) %*% B` streams `A` instead of copying it into `t(A)`.
         if let Some(inner) = transposed_of(a) {
             let va = self.lower_expr(inner, instrs)?;
             let vb = self.lower_expr(b, instrs)?;
-            let out = self.temp();
-            instrs.push(Instr::new(Op::TMatMult, vec![va, vb], &out).at(Some(span)));
-            return Ok(Operand::var(out));
+            return Ok(self.emit(Op::TMatMult, vec![va, vb], span, instrs));
         }
         let va = self.lower_expr(a, instrs)?;
         let vb = self.lower_expr(b, instrs)?;
-        let out = self.temp();
-        instrs.push(Instr::new(Op::MatMult, vec![va, vb], &out).at(Some(span)));
-        Ok(Operand::var(out))
+        Ok(self.emit(Op::MatMult, vec![va, vb], span, instrs))
     }
 
     /// The 1-based start position of an index selector (for left-indexing).
@@ -450,9 +452,7 @@ impl Lowerer {
         if range_bounds(rows) && range_bounds(cols) {
             let (rl, ru) = self.range_ops(rows, instrs)?;
             let (cl, cu) = self.range_ops(cols, instrs)?;
-            let out = self.temp();
-            instrs.push(Instr::new(Op::RightIndex, vec![cur, rl, ru, cl, cu], &out).at(Some(span)));
-            return Ok(Operand::var(out));
+            return Ok(self.emit(Op::RightIndex, vec![cur, rl, ru, cl, cu], span, instrs));
         }
         // Single selectors use select-rows/cols (scalar positions and
         // 1-based index vectors share the same syntax in DML).
@@ -460,46 +460,34 @@ impl Lowerer {
             IndexSel::All => {}
             IndexSel::Single(e) => {
                 let idx = self.lower_expr(e, instrs)?;
-                let out = self.temp();
-                instrs.push(Instr::new(Op::SelectRows, vec![cur, idx], &out).at(Some(span)));
-                cur = Operand::var(out);
+                cur = self.emit(Op::SelectRows, vec![cur, idx], span, instrs);
             }
             IndexSel::Range(a, b) => {
                 let rl = self.lower_expr(a, instrs)?;
                 let ru = self.lower_expr(b, instrs)?;
-                let out = self.temp();
-                instrs.push(
-                    Instr::new(
-                        Op::RightIndex,
-                        vec![cur, rl, ru, Operand::i64(1), Operand::i64(0)],
-                        &out,
-                    )
-                    .at(Some(span)),
+                cur = self.emit(
+                    Op::RightIndex,
+                    vec![cur, rl, ru, Operand::i64(1), Operand::i64(0)],
+                    span,
+                    instrs,
                 );
-                cur = Operand::var(out);
             }
         }
         match cols {
             IndexSel::All => {}
             IndexSel::Single(e) => {
                 let idx = self.lower_expr(e, instrs)?;
-                let out = self.temp();
-                instrs.push(Instr::new(Op::SelectCols, vec![cur, idx], &out).at(Some(span)));
-                cur = Operand::var(out);
+                cur = self.emit(Op::SelectCols, vec![cur, idx], span, instrs);
             }
             IndexSel::Range(a, b) => {
                 let cl = self.lower_expr(a, instrs)?;
                 let cu = self.lower_expr(b, instrs)?;
-                let out = self.temp();
-                instrs.push(
-                    Instr::new(
-                        Op::RightIndex,
-                        vec![cur, Operand::i64(1), Operand::i64(0), cl, cu],
-                        &out,
-                    )
-                    .at(Some(span)),
+                cur = self.emit(
+                    Op::RightIndex,
+                    vec![cur, Operand::i64(1), Operand::i64(0), cl, cu],
+                    span,
+                    instrs,
                 );
-                cur = Operand::var(out);
             }
         }
         Ok(cur)
@@ -638,81 +626,46 @@ impl Lowerer {
         }
         let named = |n: &str| args.iter().find(|a| a.name.as_deref() == Some(n));
 
-        macro_rules! one {
-            ($op:expr) => {{
-                if positional.len() != 1 || args.len() != 1 {
-                    return err(span, format!("'{name}' takes one argument"));
+        // A builtin of `$n` positional arguments.
+        macro_rules! fixed {
+            ($n:literal, $op:expr) => {{
+                if positional.len() != $n || args.len() != $n {
+                    let count = ["one argument", "two arguments"][$n - 1];
+                    return err(span, format!("'{name}' takes {count}"));
                 }
-                let v = self.lower_expr(positional[0], instrs)?;
-                let out = self.temp();
-                instrs.push(Instr::new($op, vec![v], &out).at(Some(span)));
-                Ok(Operand::var(out))
-            }};
-        }
-        macro_rules! two {
-            ($op:expr) => {{
-                if positional.len() != 2 || args.len() != 2 {
-                    return err(span, format!("'{name}' takes two arguments"));
-                }
-                let a = self.lower_expr(positional[0], instrs)?;
-                let b = self.lower_expr(positional[1], instrs)?;
-                let out = self.temp();
-                instrs.push(Instr::new($op, vec![a, b], &out).at(Some(span)));
-                Ok(Operand::var(out))
+                let ins = self.lower_exprs(&positional, instrs)?;
+                Ok(self.emit($op, ins, span, instrs))
             }};
         }
 
+        // `sum`, `colMeans`, `rowMaxs`, `exp`, ...: a name that spells its
+        // aggregate or cell-wise function.
+        let agg = |f: &str| AggFn::from_name(f).filter(|f| *f != AggFn::SumSq);
+        let by = |dim: &str| agg(&name.strip_prefix(dim)?.strip_suffix('s')?.to_lowercase());
+        let unary = || UnOp::from_opcode(name).filter(|u| !matches!(u, UnOp::Neg | UnOp::Not));
+        let spelled = (agg(name).map(Op::FullAgg))
+            .or_else(|| by("col").map(Op::ColAgg))
+            .or_else(|| by("row").map(Op::RowAgg))
+            .or_else(|| unary().map(Op::Unary));
+        if let Some(op) = spelled {
+            return match (op, positional.len()) {
+                (Op::FullAgg(AggFn::Min), 2) => fixed!(2, Op::Binary(BinOp::Min)),
+                (Op::FullAgg(AggFn::Max), 2) => fixed!(2, Op::Binary(BinOp::Max)),
+                (op, _) => fixed!(1, op),
+            };
+        }
         match name {
-            "t" => one!(Op::Transpose),
-            "sum" => one!(Op::FullAgg(AggFn::Sum)),
-            "mean" => one!(Op::FullAgg(AggFn::Mean)),
-            "var" => one!(Op::FullAgg(AggFn::Var)),
-            "min" | "max" => {
-                let f = if name == "min" {
-                    AggFn::Min
-                } else {
-                    AggFn::Max
-                };
-                let b = if name == "min" {
-                    BinOp::Min
-                } else {
-                    BinOp::Max
-                };
-                match positional.len() {
-                    1 => one!(Op::FullAgg(f)),
-                    2 => two!(Op::Binary(b)),
-                    _ => err(span, format!("'{name}' takes one or two arguments")),
-                }
-            }
-            "colSums" => one!(Op::ColAgg(AggFn::Sum)),
-            "colMeans" => one!(Op::ColAgg(AggFn::Mean)),
-            "colMins" => one!(Op::ColAgg(AggFn::Min)),
-            "colMaxs" => one!(Op::ColAgg(AggFn::Max)),
-            "colVars" => one!(Op::ColAgg(AggFn::Var)),
-            "rowSums" => one!(Op::RowAgg(AggFn::Sum)),
-            "rowMeans" => one!(Op::RowAgg(AggFn::Mean)),
-            "rowMins" => one!(Op::RowAgg(AggFn::Min)),
-            "rowMaxs" => one!(Op::RowAgg(AggFn::Max)),
-            "rowVars" => one!(Op::RowAgg(AggFn::Var)),
-            "rowIndexMax" => one!(Op::RowIndexMax),
-            "nrow" => one!(Op::Nrow),
-            "ncol" => one!(Op::Ncol),
-            "exp" => one!(Op::Unary(UnOp::Exp)),
-            "log" => one!(Op::Unary(UnOp::Log)),
-            "sqrt" => one!(Op::Unary(UnOp::Sqrt)),
-            "abs" => one!(Op::Unary(UnOp::Abs)),
-            "round" => one!(Op::Unary(UnOp::Round)),
-            "floor" => one!(Op::Unary(UnOp::Floor)),
-            "ceil" => one!(Op::Unary(UnOp::Ceil)),
-            "sign" => one!(Op::Unary(UnOp::Sign)),
-            "sigmoid" => one!(Op::Unary(UnOp::Sigmoid)),
-            "as.scalar" => one!(Op::CastScalar),
-            "as.matrix" => one!(Op::CastMatrix),
-            "rev" => one!(Op::Rev),
-            "diag" => one!(Op::Diag),
-            "solve" => two!(Op::Solve),
-            "table" => two!(Op::Table),
-            "read" => one!(Op::Read),
+            "t" => fixed!(1, Op::Transpose),
+            "rowIndexMax" => fixed!(1, Op::RowIndexMax),
+            "nrow" => fixed!(1, Op::Nrow),
+            "ncol" => fixed!(1, Op::Ncol),
+            "as.scalar" => fixed!(1, Op::CastScalar),
+            "as.matrix" => fixed!(1, Op::CastMatrix),
+            "rev" => fixed!(1, Op::Rev),
+            "diag" => fixed!(1, Op::Diag),
+            "solve" => fixed!(2, Op::Solve),
+            "table" => fixed!(2, Op::Table),
+            "read" => fixed!(1, Op::Read),
             "cbind" | "rbind" => {
                 if positional.len() < 2 {
                     return err(span, format!("'{name}' takes at least two arguments"));
@@ -725,20 +678,14 @@ impl Lowerer {
                 let mut acc = self.lower_expr(positional[0], instrs)?;
                 for p in &positional[1..] {
                     let rhs = self.lower_expr(p, instrs)?;
-                    let out = self.temp();
-                    instrs.push(Instr::new(op.clone(), vec![acc, rhs], &out).at(Some(span)));
-                    acc = Operand::var(out);
+                    acc = self.emit(op.clone(), vec![acc, rhs], span, instrs);
                 }
                 Ok(acc)
             }
             "matrix" => {
                 if positional.len() == 3 {
-                    let v = self.lower_expr(positional[0], instrs)?;
-                    let r = self.lower_expr(positional[1], instrs)?;
-                    let c = self.lower_expr(positional[2], instrs)?;
-                    let out = self.temp();
-                    instrs.push(Instr::new(Op::Fill, vec![v, r, c], &out).at(Some(span)));
-                    Ok(Operand::var(out))
+                    let ins = self.lower_exprs(&positional, instrs)?;
+                    Ok(self.emit(Op::Fill, ins, span, instrs))
                 } else if positional.len() == 1 {
                     // matrix(X, rows=, cols=): reshape
                     let x = self.lower_expr(positional[0], instrs)?;
@@ -747,9 +694,7 @@ impl Lowerer {
                     };
                     let r = self.lower_expr(&r.value, instrs)?;
                     let c = self.lower_expr(&c.value, instrs)?;
-                    let out = self.temp();
-                    instrs.push(Instr::new(Op::Reshape, vec![x, r, c], &out).at(Some(span)));
-                    Ok(Operand::var(out))
+                    Ok(self.emit(Op::Reshape, vec![x, r, c], span, instrs))
                 } else {
                     err(span, "matrix() takes (v, rows, cols) or (X, rows=, cols=)")
                 }
@@ -776,18 +721,12 @@ impl Lowerer {
                         }
                     },
                 };
-                let p1 = get(if kind == RandDistKind::Uniform {
-                    "min"
-                } else {
-                    "mean"
-                })
-                .unwrap_or_else(|| lit(ExprKind::Float(0.0)));
-                let p2 = get(if kind == RandDistKind::Uniform {
-                    "max"
-                } else {
-                    "sd"
-                })
-                .unwrap_or_else(|| lit(ExprKind::Float(1.0)));
+                let (p1, p2) = match kind {
+                    RandDistKind::Uniform => ("min", "max"),
+                    RandDistKind::Normal => ("mean", "sd"),
+                };
+                let p1 = get(p1).unwrap_or_else(|| lit(ExprKind::Float(0.0)));
+                let p2 = get(p2).unwrap_or_else(|| lit(ExprKind::Float(1.0)));
                 let sparsity = get("sparsity").unwrap_or_else(|| lit(ExprKind::Float(1.0)));
                 let seed = get("seed").unwrap_or_else(|| lit(ExprKind::Int(-1)));
                 let ins = vec![
@@ -798,39 +737,25 @@ impl Lowerer {
                     self.lower_expr(&sparsity, instrs)?,
                     self.lower_expr(&seed, instrs)?,
                 ];
-                let out = self.temp();
-                instrs.push(Instr::new(Op::Rand(kind), ins, &out).at(Some(span)));
-                Ok(Operand::var(out))
+                Ok(self.emit(Op::Rand(kind), ins, span, instrs))
             }
-            "sample" => {
-                if positional.len() < 2 || positional.len() > 3 {
-                    return err(span, "sample takes (range, size[, seed])");
-                }
-                let range = self.lower_expr(positional[0], instrs)?;
-                let size = self.lower_expr(positional[1], instrs)?;
-                let seed = if positional.len() == 3 {
-                    self.lower_expr(positional[2], instrs)?
-                } else {
-                    Operand::i64(-1)
+            "sample" | "seq" => {
+                let (op, last, usage) = match name {
+                    "sample" => (
+                        Op::Sample,
+                        Operand::i64(-1),
+                        "sample takes (range, size[, seed])",
+                    ),
+                    _ => (Op::Seq, Operand::f64(1.0), "seq takes (from, to[, by])"),
                 };
-                let out = self.temp();
-                instrs.push(Instr::new(Op::Sample, vec![range, size, seed], &out).at(Some(span)));
-                Ok(Operand::var(out))
-            }
-            "seq" => {
-                if positional.len() < 2 || positional.len() > 3 {
-                    return err(span, "seq takes (from, to[, by])");
+                if !(2..=3).contains(&positional.len()) {
+                    return err(span, usage);
                 }
-                let f = self.lower_expr(positional[0], instrs)?;
-                let t = self.lower_expr(positional[1], instrs)?;
-                let b = if positional.len() == 3 {
-                    self.lower_expr(positional[2], instrs)?
-                } else {
-                    Operand::f64(1.0)
-                };
-                let out = self.temp();
-                instrs.push(Instr::new(Op::Seq, vec![f, t, b], &out).at(Some(span)));
-                Ok(Operand::var(out))
+                let mut ins = self.lower_exprs(&positional, instrs)?;
+                if ins.len() == 2 {
+                    ins.push(last);
+                }
+                Ok(self.emit(op, ins, span, instrs))
             }
             "order" => {
                 if positional.is_empty() {
@@ -842,28 +767,19 @@ impl Lowerer {
                     None if positional.len() > 1 => self.lower_expr(positional[1], instrs)?,
                     None => Operand::bool(false),
                 };
-                let out = self.temp();
-                instrs.push(Instr::new(Op::Order, vec![v, dec], &out).at(Some(span)));
-                Ok(Operand::var(out))
+                Ok(self.emit(Op::Order, vec![v, dec], span, instrs))
             }
             "list" => {
-                let mut ins = Vec::new();
-                for p in &positional {
-                    ins.push(self.lower_expr(p, instrs)?);
-                }
-                let out = self.temp();
-                instrs.push(Instr::new(Op::ListNew, ins, &out).at(Some(span)));
-                Ok(Operand::var(out))
+                let ins = self.lower_exprs(&positional, instrs)?;
+                Ok(self.emit(Op::ListNew, ins, span, instrs))
             }
-            "getElement" => two!(Op::ListGet),
+            "getElement" => fixed!(2, Op::ListGet),
             "toString" => {
                 if positional.len() != 1 {
                     return err(span, "toString takes one argument");
                 }
                 let v = self.lower_expr(positional[0], instrs)?;
-                let out = self.temp();
-                instrs.push(Instr::new(Op::Concat, vec![Operand::str(""), v], &out).at(Some(span)));
-                Ok(Operand::var(out))
+                Ok(self.emit(Op::Concat, vec![Operand::str(""), v], span, instrs))
             }
             "lineage" => {
                 if positional.len() != 1 {
@@ -875,9 +791,7 @@ impl Lowerer {
                         "lineage() requires a variable, not an expression",
                     );
                 };
-                let out = self.temp();
-                instrs.push(Instr::new(Op::LineageOf, vec![Operand::var(v)], &out).at(Some(span)));
-                Ok(Operand::var(out))
+                Ok(self.emit(Op::LineageOf, vec![Operand::var(v)], span, instrs))
             }
             "eigen" => err(span, "eigen must be used as [evals, evects] = eigen(C)"),
             other => err(span, format!("unknown function '{other}'")),
@@ -946,7 +860,7 @@ mod tests {
             Block::Basic { instrs, .. } => {
                 assert_eq!(instrs.len(), 1);
                 assert!(matches!(instrs[0].op, Op::TMatMult));
-                assert_eq!(instrs[0].inputs, [Operand::var("X"), Operand::var("Y")]);
+                assert_eq!(instrs[0].reads().collect::<Vec<_>>(), ["X", "Y"]);
             }
             _ => panic!(),
         }

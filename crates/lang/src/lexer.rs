@@ -92,6 +92,12 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
     let mut i = 0;
     let mut line = 1;
     let err = |line: usize, msg: String, span: Span| LexError { line, msg, span };
+    // The token of chars `a..b`.
+    let tok = |kind, line, a: usize, b: usize| Token {
+        kind,
+        line,
+        span: Span::of(offs[a], offs[b]),
+    };
     while i < chars.len() {
         let c = chars[i];
         match c {
@@ -141,7 +147,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
                             .map_err(|_| err(line, format!("bad integer '{text}'"), span))?,
                     )
                 };
-                tokens.push(Token { kind, line, span });
+                tokens.push(tok(kind, line, start, i));
             }
             'a'..='z' | 'A'..='Z' | '_' => {
                 let start = i;
@@ -164,50 +170,29 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
                     "return" => TokenKind::Return,
                     _ => TokenKind::Ident(text),
                 };
-                tokens.push(Token {
-                    kind,
-                    line,
-                    span: Span::of(offs[start], offs[i]),
-                });
+                tokens.push(tok(kind, line, start, i));
             }
             '\'' | '"' => {
                 let quote = c;
                 let open = i;
                 i += 1;
                 let start = i;
-                while i < chars.len() && chars[i] != quote {
-                    if chars[i] == '\n' {
-                        return Err(err(
-                            line,
-                            "unterminated string".into(),
-                            Span::of(offs[open], offs[i]),
-                        ));
-                    }
+                while i < chars.len() && chars[i] != quote && chars[i] != '\n' {
                     i += 1;
                 }
-                if i >= chars.len() {
-                    return Err(err(
-                        line,
-                        "unterminated string".into(),
-                        Span::of(offs[open], src.len()),
-                    ));
+                // A string ends on its line (`offs[i]` is `src.len()` at the end).
+                if chars.get(i) != Some(&quote) {
+                    let span = Span::of(offs[open], offs[i]);
+                    return Err(err(line, "unterminated string".into(), span));
                 }
                 let text: String = chars[start..i].iter().collect();
                 i += 1;
-                tokens.push(Token {
-                    kind: TokenKind::Str(text),
-                    line,
-                    span: Span::of(offs[open], offs[i]),
-                });
+                tokens.push(tok(TokenKind::Str(text), line, open, i));
             }
             '%' => {
                 // only %*% supported
                 if chars.get(i + 1) == Some(&'*') && chars.get(i + 2) == Some(&'%') {
-                    tokens.push(Token {
-                        kind: TokenKind::MatMul,
-                        line,
-                        span: Span::of(offs[i], offs[i + 3]),
-                    });
+                    tokens.push(tok(TokenKind::MatMul, line, i, i + 3));
                     i += 3;
                 } else {
                     return Err(err(
@@ -253,11 +238,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
                         ))
                     }
                 };
-                tokens.push(Token {
-                    kind,
-                    line,
-                    span: Span::of(offs[i], offs[i + len]),
-                });
+                tokens.push(tok(kind, line, i, i + len));
                 i += len;
             }
         }

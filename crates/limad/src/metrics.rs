@@ -23,23 +23,12 @@ use std::time::Duration;
 /// The aggregated Prometheus text for the whole server.
 pub(crate) fn metrics_text(inner: &Inner) -> String {
     let agg = LimaStats::new();
-    let mut blocks: Vec<Arc<LimaStats>> = inner.shards.iter().map(|s| s.stats()).collect();
-    // Count the server's own block too (srv_* counters live there).
-    let sums: Vec<u64> = {
-        let mut sums = vec![0u64; agg.counters().len()];
-        let server_counters = inner.stats.counters();
-        for (i, (_, c)) in server_counters.iter().enumerate() {
-            sums[i] += LimaStats::get(c);
+    // The server's own block (srv_* counters) and every shard's.
+    let shards = inner.shards.iter().map(|s| s.stats());
+    for block in std::iter::once(Arc::clone(&inner.stats)).chain(shards) {
+        for ((_, sum), (_, c)) in agg.counters().into_iter().zip(block.counters()) {
+            sum.fetch_add(LimaStats::get(c), Ordering::Relaxed);
         }
-        for block in blocks.drain(..) {
-            for (i, (_, c)) in block.counters().iter().enumerate() {
-                sums[i] += LimaStats::get(c);
-            }
-        }
-        sums
-    };
-    for ((_, counter), sum) in agg.counters().into_iter().zip(&sums) {
-        counter.store(*sum, Ordering::Relaxed);
     }
 
     let mut out = agg.prometheus();

@@ -194,29 +194,22 @@ impl Inner {
                 outputs,
                 deadline_ms,
             } => self.submit(&tenant, &script, seed, &outputs, deadline_ms),
-            Request::Probe { lineage, .. } => {
-                match lima_core::lineage::deserialize_lineage(&lineage) {
-                    Ok(root) => Response::Probed {
-                        hit: self.lookup(&root).is_some(),
+            Request::Probe { ref lineage, .. } | Request::Fetch { ref lineage, .. } => {
+                match lima_core::lineage::deserialize_lineage(lineage) {
+                    Err(e) => err(ErrorCode::BadRequest, format!("unparseable lineage: {e}")),
+                    Ok(root) => match (self.lookup(&root), req) {
+                        (found, Request::Probe { .. }) => Response::Probed {
+                            hit: found.is_some(),
+                        },
+                        (found, _) => Response::Fetched(found),
                     },
-                    Err(e) => err(ErrorCode::BadRequest, format!("unparseable lineage: {e}")),
-                }
-            }
-            Request::Fetch { lineage, .. } => {
-                match lima_core::lineage::deserialize_lineage(&lineage) {
-                    Ok(root) => Response::Fetched(self.lookup(&root)),
-                    Err(e) => err(ErrorCode::BadRequest, format!("unparseable lineage: {e}")),
                 }
             }
             Request::Cancel { session } => {
-                let found = match self.sessions.lock().get(&session) {
-                    Some(token) => {
-                        token.cancel();
-                        true
-                    }
-                    None => false,
-                };
-                Response::Cancelled { found }
+                let found = self.sessions.lock().get(&session).map(|t| t.cancel());
+                Response::Cancelled {
+                    found: found.is_some(),
+                }
             }
             Request::Metrics => Response::MetricsText(metrics_text(self)),
             Request::Ping => Response::Pong,
@@ -225,15 +218,11 @@ impl Inner {
             // replicator of its own: a standalone member can always be read
             // from (digest/pull) or written to (put) by a peer.
             Request::ReplPut { records } => {
-                let mut applied = 0u32;
-                let mut rejected = 0u32;
-                for rec in &records {
-                    if crate::repl::apply_record(self, rec, false) {
-                        applied += 1;
-                    } else {
-                        rejected += 1;
-                    }
-                }
+                let applied = records
+                    .iter()
+                    .filter(|rec| crate::repl::apply_record(self, rec, false))
+                    .count() as u32;
+                let rejected = records.len() as u32 - applied;
                 Response::ReplAck { applied, rejected }
             }
             Request::ReplDigest { buckets } => {

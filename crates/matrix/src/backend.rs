@@ -47,8 +47,12 @@ pub trait KernelBackend: Send + Sync {
         b: &DenseMatrix,
         threads: usize,
     ) -> Result<DenseMatrix>;
+    /// The block kernel of `Xᵀ X`, which the shared driver runs.
+    fn gram_kernel(&self) -> matmult::GramKernel;
     /// `Xᵀ X` (n×n from m×n) on up to `threads` workers, the same bits at any.
-    fn tsmm_left_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix>;
+    fn tsmm_left_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
+        matmult::tsmm_left_with(x, threads, self.gram_kernel(), || Ok(()))
+    }
     /// `X Xᵀ` (m×m from m×n) on up to `threads` workers, the same bits at any.
     fn tsmm_right_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix>;
     /// [`Self::gemm_threads`] on [`kernel_threads`] workers.
@@ -121,8 +125,8 @@ impl KernelBackend for ReferenceBackend {
     fn gemm_tn_threads(&self, a: &DenseMatrix, b: &DenseMatrix, t: usize) -> Result<DenseMatrix> {
         matmult::gemm_tn_stream(a, b, t, true)
     }
-    fn tsmm_left_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        matmult::ref_tsmm_left(x, threads)
+    fn gram_kernel(&self) -> matmult::GramKernel {
+        matmult::gram_upper
     }
     fn tsmm_right_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
         matmult::ref_tsmm_right(x, threads)
@@ -157,8 +161,8 @@ impl KernelBackend for OptimizedBackend {
     fn gemm_tn_threads(&self, a: &DenseMatrix, b: &DenseMatrix, t: usize) -> Result<DenseMatrix> {
         optimized::gemm_tn(a, b, t)
     }
-    fn tsmm_left_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        optimized::tsmm_left(x, threads)
+    fn gram_kernel(&self) -> matmult::GramKernel {
+        optimized::gram_upper_rank4
     }
     fn tsmm_right_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
         optimized::tsmm_right(x, threads)

@@ -41,6 +41,30 @@ pub fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
+/// The next byte, or `None` at the end of `buf`. With [`read_u32`],
+/// [`read_u64`] and [`read_bytes`], the checked reads of every decoder: a
+/// truncated or forged input yields `None`, never a panic.
+pub fn read_u8(buf: &mut &[u8]) -> Option<u8> {
+    (!buf.is_empty()).then(|| buf.get_u8())
+}
+
+/// The next big-endian `u32`, or `None` when fewer than 4 bytes remain.
+pub fn read_u32(buf: &mut &[u8]) -> Option<u32> {
+    (buf.len() >= 4).then(|| buf.get_u32())
+}
+
+/// The next big-endian `u64`, or `None` when fewer than 8 bytes remain.
+pub fn read_u64(buf: &mut &[u8]) -> Option<u64> {
+    (buf.len() >= 8).then(|| buf.get_u64())
+}
+
+/// The next `len` bytes, or `None` when fewer remain.
+pub fn read_bytes<'a>(buf: &mut &'a [u8], len: usize) -> Option<&'a [u8]> {
+    let (head, rest) = buf.split_at_checked(len)?;
+    *buf = rest;
+    Some(head)
+}
+
 /// Appends `value` as a tagged body. Lists encode as the bare absent tag.
 pub fn encode_body(buf: &mut impl BufMut, value: &Value) {
     match value {
@@ -66,16 +90,10 @@ pub fn encode_body(buf: &mut impl BufMut, value: &Value) {
 /// absent tag; `None` is a malformed or truncated body (lengths are checked
 /// against the bytes present before anything is allocated).
 pub fn decode_body(buf: &mut &[u8]) -> Option<Option<Value>> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    match buf.get_u8() {
+    match read_u8(buf)? {
         TAG_MATRIX => {
-            if buf.remaining() < 16 {
-                return None;
-            }
-            let rows = usize::try_from(buf.get_u64()).ok()?;
-            let cols = usize::try_from(buf.get_u64()).ok()?;
+            let rows = usize::try_from(read_u64(buf)?).ok()?;
+            let cols = usize::try_from(read_u64(buf)?).ok()?;
             let n = rows.checked_mul(cols)?;
             if buf.remaining() < n.checked_mul(8)? {
                 return None;
@@ -85,14 +103,8 @@ pub fn decode_body(buf: &mut &[u8]) -> Option<Option<Value>> {
             Some(Some(Value::matrix(m)))
         }
         TAG_SCALAR => {
-            if buf.remaining() < 4 {
-                return None;
-            }
-            let len = buf.get_u32() as usize;
-            if buf.remaining() < len {
-                return None;
-            }
-            let lit = std::str::from_utf8(buf.take_bytes(len)).ok()?;
+            let len = read_u32(buf)? as usize;
+            let lit = std::str::from_utf8(read_bytes(buf, len)?).ok()?;
             ScalarValue::from_lineage_literal(lit).map(|s| Some(Value::Scalar(s)))
         }
         TAG_ABSENT => Some(None),

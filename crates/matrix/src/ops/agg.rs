@@ -29,15 +29,10 @@ impl AggFn {
 
     /// Parses the aggregate name back.
     pub fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "sum" => AggFn::Sum,
-            "mean" => AggFn::Mean,
-            "min" => AggFn::Min,
-            "max" => AggFn::Max,
-            "sumsq" => AggFn::SumSq,
-            "var" => AggFn::Var,
-            _ => return None,
-        })
+        use AggFn::*;
+        [Sum, Mean, Min, Max, SumSq, Var]
+            .into_iter()
+            .find(|f| f.name() == s)
     }
 }
 

@@ -50,24 +50,11 @@ impl BinOp {
 
     /// Parses the opcode string back into an operator.
     pub fn from_opcode(op: &str) -> Option<Self> {
-        Some(match op {
-            "+" => BinOp::Add,
-            "-" => BinOp::Sub,
-            "*" => BinOp::Mul,
-            "/" => BinOp::Div,
-            "^" => BinOp::Pow,
-            "min" => BinOp::Min,
-            "max" => BinOp::Max,
-            "==" => BinOp::Eq,
-            "!=" => BinOp::Neq,
-            "<" => BinOp::Lt,
-            "<=" => BinOp::Le,
-            ">" => BinOp::Gt,
-            ">=" => BinOp::Ge,
-            "&" => BinOp::And,
-            "|" => BinOp::Or,
-            _ => return None,
-        })
+        use BinOp::*;
+        let all = [
+            Add, Sub, Mul, Div, Pow, Min, Max, Eq, Neq, Lt, Le, Gt, Ge, And, Or,
+        ];
+        all.into_iter().find(|b| b.opcode() == op)
     }
 
     /// Applies the operator to a pair of scalars.
@@ -133,20 +120,11 @@ impl UnOp {
 
     /// Parses the opcode string back into an operator.
     pub fn from_opcode(op: &str) -> Option<Self> {
-        Some(match op {
-            "uneg" => UnOp::Neg,
-            "abs" => UnOp::Abs,
-            "exp" => UnOp::Exp,
-            "log" => UnOp::Log,
-            "sqrt" => UnOp::Sqrt,
-            "round" => UnOp::Round,
-            "floor" => UnOp::Floor,
-            "ceil" => UnOp::Ceil,
-            "sign" => UnOp::Sign,
-            "sigmoid" => UnOp::Sigmoid,
-            "!" => UnOp::Not,
-            _ => return None,
-        })
+        use UnOp::*;
+        let all = [
+            Neg, Abs, Exp, Log, Sqrt, Round, Floor, Ceil, Sign, Sigmoid, Not,
+        ];
+        all.into_iter().find(|u| u.opcode() == op)
     }
 
     /// Applies the operator to a scalar.

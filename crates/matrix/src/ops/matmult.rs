@@ -164,41 +164,61 @@ pub fn tsmm_block_rows(m: usize, n: usize) -> usize {
     m.div_ceil(16).max(256).max(n)
 }
 
+/// A `tsmm` block kernel: `gram(x, lo, hi, acc)` accumulates the upper
+/// triangle of `X[lo..hi,:]ᵀ X[lo..hi,:]` into `acc`.
+pub type GramKernel = fn(&DenseMatrix, usize, usize, &mut [f64]);
+
 /// Shared `tsmm` left-side driver. The rows of `X` are cut into blocks of
-/// [`tsmm_block_rows`]; `gram(x, lo, hi, acc)` accumulates one block's upper
-/// triangle into a partial that starts from zero, and the partials fold into
-/// the output in block order before the upper triangle is mirrored. The
-/// `threads` workers only decide who computes which blocks (contiguous runs
-/// of them), so the result is the same at any thread count; both backends
-/// run this driver with their own per-block kernel.
-pub(crate) fn tsmm_left_with<G>(x: &DenseMatrix, threads: usize, gram: G) -> Result<DenseMatrix>
-where
-    G: Fn(&DenseMatrix, usize, usize, &mut [f64]) + Sync,
-{
+/// [`tsmm_block_rows`]; `gram` accumulates one block's upper triangle into a
+/// partial that starts from zero, and the partials fold into the output in
+/// block order before the upper triangle is mirrored. The `threads` workers
+/// only decide who computes which blocks (contiguous runs of them), so the
+/// result is the same at any thread count; both backends run this driver
+/// with their own block kernel. On one thread `between` runs before each
+/// block, and an error from it (a cancelled session) stops the product.
+pub(crate) fn tsmm_left_with<E: From<MatrixError>>(
+    x: &DenseMatrix,
+    threads: usize,
+    gram: GramKernel,
+    mut between: impl FnMut() -> std::result::Result<(), E>,
+) -> std::result::Result<DenseMatrix, E> {
     let (m, n) = x.shape();
     let rows = tsmm_block_rows(m, n);
     let blocks = m.div_ceil(rows);
-    let serial = m * n * n < PAR_FLOP_THRESHOLD;
-    let per = blocks.div_ceil(if serial { 1 } else { threads.max(1) });
+    let serial = threads <= 1 || m * n * n < PAR_FLOP_THRESHOLD;
     let partial = |b: usize| {
         let mut acc = vec![0.0f64; n * n];
         gram(x, b * rows, ((b + 1) * rows).min(m), &mut acc);
         acc
     };
-    let run = &|b0: usize| Vec::from_iter((b0..blocks.min(b0 + per)).map(partial));
-    let runs = if per < blocks {
-        fork_join((0..blocks).step_by(per).map(|b0| move || run(b0)))
-    } else {
-        vec![Ok(run(0))]
-    };
     let mut out = DenseMatrix::zeros(n, n);
-    for run in runs {
-        for p in run.map_err(MatrixError::WorkerPanic)? {
-            out.data_mut().iter_mut().zip(p).for_each(|(o, v)| *o += v);
+    let mut fold = |p: Vec<f64>| out.data_mut().iter_mut().zip(p).for_each(|(o, v)| *o += v);
+    if serial {
+        for b in 0..blocks {
+            between()?;
+            fold(partial(b));
+        }
+    } else {
+        let per = blocks.div_ceil(threads);
+        let run = &|b0: usize| Vec::from_iter((b0..blocks.min(b0 + per)).map(partial));
+        for run in fork_join((0..blocks).step_by(per).map(|b0| move || run(b0))) {
+            run.map_err(MatrixError::WorkerPanic)?
+                .into_iter()
+                .for_each(&mut fold);
         }
     }
     mirror_upper(&mut out);
     Ok(out)
+}
+
+/// [`tsmm`]`(X, Left)` on the calling thread, calling `between` before each
+/// of the driver's blocks: the active backend's bits, and an error from
+/// `between` stops it there.
+pub fn tsmm_left_checked<E: From<MatrixError>>(
+    x: &DenseMatrix,
+    between: impl FnMut() -> std::result::Result<(), E>,
+) -> std::result::Result<DenseMatrix, E> {
+    tsmm_left_with(x, 1, backend::active().gram_kernel(), between)
 }
 
 /// Mirrors the upper triangle of a square matrix into the lower.
@@ -314,18 +334,13 @@ pub(crate) fn ref_transpose(a: &DenseMatrix) -> DenseMatrix {
     out
 }
 
-/// Reference `tsmm` left side.
-pub(crate) fn ref_tsmm_left(x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-    tsmm_left_with(x, threads, gram_upper)
-}
-
 /// Reference `tsmm` right side: materializes `Xᵀ` and reuses the left-side
 /// kernel. This doubles peak memory — the Optimized backend computes `X·Xᵀ`
 /// directly; the transpose counter lets tests pin that difference.
 pub(crate) fn ref_tsmm_right(x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
     backend::note_tsmm_right_transpose();
     let xt = ref_transpose(x);
-    ref_tsmm_left(&xt, threads)
+    tsmm_left_with(&xt, threads, gram_upper, || Ok::<_, MatrixError>(()))
 }
 
 /// Accumulates the upper triangle of `X[lo..hi,:]ᵀ X[lo..hi,:]` into `acc`,
@@ -493,14 +508,36 @@ mod tests {
     }
 
     #[test]
+    fn tsmm_checked_stops_between_blocks() {
+        let x = DenseMatrix::from_fn(2_000, 4, |i, j| (i + j) as f64);
+        let mut calls = 0;
+        let whole = tsmm_left_checked(&x, || {
+            calls += 1;
+            Ok::<_, MatrixError>(())
+        });
+        assert_eq!(calls, 2_000usize.div_ceil(tsmm_block_rows(2_000, 4)));
+        assert_eq!(whole.unwrap(), tsmm(&x, TsmmSide::Left).unwrap());
+        let mut left = 2;
+        let stopped = tsmm_left_checked(&x, || {
+            left -= 1;
+            if left < 0 {
+                return Err(MatrixError::InvalidArgument("cancelled".into()));
+            }
+            Ok(())
+        });
+        assert!(stopped.is_err());
+    }
+
+    #[test]
     fn tsmm_worker_panic_surfaces_as_typed_error() {
         // Large enough to take the parallel block path.
         let x = DenseMatrix::from_fn(2_000, 40, |i, j| (i + j) as f64);
-        let r = tsmm_left_with(&x, 2, |_x, lo, _hi, _acc| {
+        let gram: GramKernel = |_x, lo, _hi, _acc| {
             if lo > 0 {
                 panic!("injected tsmm fault");
             }
-        });
+        };
+        let r = tsmm_left_with(&x, 2, gram, || Ok::<_, MatrixError>(()));
         match r {
             Err(MatrixError::WorkerPanic(msg)) => assert!(msg.contains("injected")),
             other => panic!("expected WorkerPanic, got {other:?}"),

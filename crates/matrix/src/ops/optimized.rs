@@ -26,7 +26,7 @@ use crate::error::Result;
 use crate::ops::elementwise::{BinOp, UnOp};
 use crate::ops::matmult::tsmm_block_rows;
 use crate::ops::matmult::{gemm_parallel, gemm_tn_stream, gram_upper, run_row_panels};
-use crate::ops::matmult::{mirror_upper, tsmm_left_with, PAR_FLOP_THRESHOLD};
+use crate::ops::matmult::{mirror_upper, PAR_FLOP_THRESHOLD};
 
 /// Micro-kernel register block: MR output rows × NR output columns live in
 /// registers for the whole k loop (4×8 f64 = 8 AVX2 accumulators, leaving
@@ -250,18 +250,12 @@ fn gemm_panel(
     }
 }
 
-/// Optimized `tsmm` left side: the shared block driver over a rank-4 Gram
-/// kernel.
-pub(crate) fn tsmm_left(x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-    tsmm_left_with(x, threads, gram_upper_rank4)
-}
-
 /// Accumulates the upper triangle of `X[lo..hi,:]ᵀ X[lo..hi,:]` into `acc`
 /// four rows at a time: each output element loads and stores once per four
 /// rows instead of once per row. The four terms are added left to right,
 /// unfused, so every element is Reference's [`gram_upper`] chain over
 /// ascending rows, bit for bit; the last `< 4` rows run that kernel itself.
-fn gram_upper_rank4(x: &DenseMatrix, lo: usize, hi: usize, acc: &mut [f64]) {
+pub(crate) fn gram_upper_rank4(x: &DenseMatrix, lo: usize, hi: usize, acc: &mut [f64]) {
     let n = x.cols();
     let mut r = lo;
     while r + 4 <= hi {

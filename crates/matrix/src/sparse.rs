@@ -15,63 +15,6 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix from `(row, col, value)` triplets; duplicate
-    /// coordinates are summed.
-    pub fn from_triplets(
-        rows: usize,
-        cols: usize,
-        mut triplets: Vec<(usize, usize, f64)>,
-    ) -> Result<Self> {
-        for &(r, c, _) in &triplets {
-            if r >= rows {
-                return Err(MatrixError::IndexOutOfBounds {
-                    op: "csr",
-                    index: r,
-                    bound: rows,
-                });
-            }
-            if c >= cols {
-                return Err(MatrixError::IndexOutOfBounds {
-                    op: "csr",
-                    index: c,
-                    bound: cols,
-                });
-            }
-        }
-        triplets.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        let mut row_ptr = vec![0usize; rows + 1];
-        let mut col_idx = Vec::with_capacity(triplets.len());
-        let mut values = Vec::with_capacity(triplets.len());
-        for (r, c, v) in triplets {
-            if v == 0.0 {
-                continue;
-            }
-            if let (Some(&last_c), true) = (col_idx.last(), row_ptr[r + 1] > row_ptr[r]) {
-                if last_c == c && col_idx.len() > row_ptr[r] {
-                    // Duplicate coordinate within this row: accumulate.
-                    *values.last_mut().expect("values non-empty") += v;
-                    continue;
-                }
-            }
-            col_idx.push(c);
-            values.push(v);
-            row_ptr[r + 1] = col_idx.len();
-        }
-        // Fix up empty rows: make row_ptr monotone.
-        for r in 0..rows {
-            if row_ptr[r + 1] < row_ptr[r] {
-                row_ptr[r + 1] = row_ptr[r];
-            }
-        }
-        Ok(Self {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
     /// Converts a dense matrix into CSR form.
     pub fn from_dense(d: &DenseMatrix) -> Self {
         let mut row_ptr = Vec::with_capacity(d.rows() + 1);
@@ -153,29 +96,14 @@ mod tests {
     use crate::ops::matmult::matmult;
 
     #[test]
-    fn triplets_round_trip_through_dense() {
-        let m =
-            CsrMatrix::from_triplets(3, 3, vec![(0, 1, 2.0), (2, 0, 5.0), (1, 1, -1.0)]).unwrap();
-        let d = m.to_dense();
-        assert_eq!(d.get(0, 1), 2.0);
-        assert_eq!(d.get(2, 0), 5.0);
-        assert_eq!(d.get(1, 1), -1.0);
+    fn dense_round_trips_through_csr() {
+        let mut d = DenseMatrix::zeros(3, 3);
+        for (r, c, v) in [(0, 1, 2.0), (2, 0, 5.0), (1, 1, -1.0)] {
+            d.set(r, c, v);
+        }
+        let m = CsrMatrix::from_dense(&d);
         assert_eq!(m.nnz(), 3);
-        let back = CsrMatrix::from_dense(&d);
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn duplicate_triplets_accumulate() {
-        let m = CsrMatrix::from_triplets(2, 2, vec![(0, 0, 1.0), (0, 0, 2.0)]).unwrap();
-        assert_eq!(m.to_dense().get(0, 0), 3.0);
-        assert_eq!(m.nnz(), 1);
-    }
-
-    #[test]
-    fn out_of_bounds_triplets_rejected() {
-        assert!(CsrMatrix::from_triplets(2, 2, vec![(2, 0, 1.0)]).is_err());
-        assert!(CsrMatrix::from_triplets(2, 2, vec![(0, 2, 1.0)]).is_err());
+        assert_eq!(m.to_dense(), d);
     }
 
     #[test]
@@ -197,7 +125,9 @@ mod tests {
 
     #[test]
     fn empty_rows_are_handled() {
-        let m = CsrMatrix::from_triplets(4, 2, vec![(3, 1, 7.0)]).unwrap();
+        let mut d = DenseMatrix::zeros(4, 2);
+        d.set(3, 1, 7.0);
+        let m = CsrMatrix::from_dense(&d);
         let d = m.to_dense();
         assert_eq!(d.get(3, 1), 7.0);
         assert_eq!(d.get(0, 0), 0.0);

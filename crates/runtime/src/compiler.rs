@@ -17,14 +17,14 @@
 //!    `tsmm(cbind(X, d))` inside loops to avoid materializing the cbind
 //!    (the `LIMA-CA` configuration of Fig 7(a)).
 
-use crate::instr::{Instr, Op, Operand};
-use crate::lva;
-use crate::program::{walk_blocks, walk_blocks_mut, Block, ExprProg, Program};
+use crate::instr::{Instr, Op, Operand, Var};
+use crate::lva::{self, SlotSet};
+use crate::program::{walk_blocks, walk_blocks_mut, Block, ExprProg, Function, Program};
 use lima_analysis::{
     check_parfor_writes, solve_call_graph, Affine, ClassSource, ParforViolation, ResultWrite,
 };
 use lima_core::opcodes::{classify_opcode, OpClass};
-use lima_core::LimaConfig;
+use lima_core::{Frame, LimaConfig};
 use lima_matrix::ops::{BinOp, TsmmSide};
 use lima_matrix::ScalarValue;
 use std::collections::{HashMap, HashSet};
@@ -78,6 +78,7 @@ pub struct CompileReport {
 /// Runs all compilation passes in place. Fails when the parfor dependence
 /// check cannot prove result-variable writes disjoint across iterations.
 pub fn compile(program: &mut Program, config: &LimaConfig) -> Result<CompileReport, CompileError> {
+    program.number_frames();
     assign_ids(program);
     let funcs_reuse_ineligible = analyze_determinism(program);
     check_parfor_dependences(program)?;
@@ -89,6 +90,8 @@ pub fn compile(program: &mut Program, config: &LimaConfig) -> Result<CompileRepo
         if config.reuse.any() {
             rewrite_tsmm_cbind(program);
             rewrite_speculative_projection(program);
+            // The plans bind temporaries of their own.
+            program.number_frames();
         }
     }
     let report = CompileReport {
@@ -195,9 +198,9 @@ fn analyze_determinism(program: &mut Program) -> u64 {
             ineligible += 1;
         }
     }
-    mark_block_determinism(&mut program.body, &classes);
+    mark_block_determinism(&mut program.body, &classes, &program.frame);
     for f in program.functions.values_mut() {
-        mark_block_determinism(&mut f.body, &classes);
+        mark_block_determinism(&mut f.body, &classes, &f.frame);
     }
     ineligible
 }
@@ -235,7 +238,7 @@ fn functions_on_call_cycles(bodies: &HashMap<String, Vec<ClassSource>>) -> HashS
     on_cycle
 }
 
-fn mark_block_determinism(blocks: &mut [Block], classes: &HashMap<String, OpClass>) {
+fn mark_block_determinism(blocks: &mut [Block], classes: &HashMap<String, OpClass>, frame: &Frame) {
     walk_blocks_mut(blocks, &mut |b| match b {
         Block::For {
             body,
@@ -250,17 +253,24 @@ fn mark_block_determinism(blocks: &mut [Block], classes: &HashMap<String, OpClas
         // Also fill parfor result variables: variables written in the body
         // that exist before the loop — approximated as writes that are also
         // live-in (carried) or left-indexed results.
-        Block::ParFor { body, results, .. } => *results = parfor_results(body),
+        Block::ParFor { body, results, .. } => *results = parfor_results(body, frame),
         Block::Basic { .. } | Block::If { .. } => {}
     });
 }
 
 /// Result variables of a parfor body: variables updated via left-indexing or
 /// read-then-written (carried) — these must be merged across workers.
-fn parfor_results(body: &[Block]) -> Vec<String> {
-    let live_in = lva::live_in(body);
-    let writes = lva::writes(body);
-    writes.into_iter().filter(|w| live_in.contains(w)).collect()
+fn parfor_results(body: &[Block], frame: &Frame) -> Vec<Var> {
+    let live_in: SlotSet = lva::live_in(body).into_iter().collect();
+    let writes = lva::writes(body)
+        .into_iter()
+        .filter(|w| live_in.contains(w));
+    writes.map(|w| Var::of_slot(frame, w)).collect()
+}
+
+/// The names of `slots` in `frame`.
+fn names(frame: &Frame, slots: Vec<u32>) -> impl Iterator<Item = String> + '_ {
+    slots.into_iter().map(|s| frame[s as usize].to_string())
 }
 
 // ------------------------------------------------------ parfor dependences
@@ -270,14 +280,14 @@ fn parfor_results(body: &[Block]) -> Vec<String> {
 /// iterations touch distinct cells). Runs after `analyze_determinism`, which
 /// fills each parfor's `results` field.
 fn check_parfor_dependences(program: &Program) -> Result<(), CompileError> {
-    check_parfor_blocks(&program.body)?;
+    check_parfor_blocks(&program.body, &program.frame)?;
     for f in program.functions.values() {
-        check_parfor_blocks(&f.body)?;
+        check_parfor_blocks(&f.body, &f.frame)?;
     }
     Ok(())
 }
 
-fn check_parfor_blocks(blocks: &[Block]) -> Result<(), CompileError> {
+fn check_parfor_blocks(blocks: &[Block], frame: &Frame) -> Result<(), CompileError> {
     for b in blocks {
         match b {
             Block::ParFor {
@@ -291,8 +301,8 @@ fn check_parfor_blocks(blocks: &[Block]) -> Result<(), CompileError> {
                 span,
                 ..
             } => {
-                let result_set: HashSet<String> = results.iter().cloned().collect();
-                let writes = lower_parfor_writes(var, body, &result_set);
+                let result_set: HashSet<String> = results.iter().map(|r| r.to_string()).collect();
+                let writes = lower_parfor_writes(var, body, &result_set, frame);
                 check_parfor_writes(&writes, trip_at_most_one(from, to, by)).map_err(
                     |violation| {
                         // Anchor on the offending write when a span is known;
@@ -308,17 +318,19 @@ fn check_parfor_blocks(blocks: &[Block]) -> Result<(), CompileError> {
                         }
                     },
                 )?;
-                check_parfor_blocks(body)?;
+                check_parfor_blocks(body, frame)?;
             }
             Block::If {
                 then_body,
                 else_body,
                 ..
             } => {
-                check_parfor_blocks(then_body)?;
-                check_parfor_blocks(else_body)?;
+                check_parfor_blocks(then_body, frame)?;
+                check_parfor_blocks(else_body, frame)?;
             }
-            Block::For { body, .. } | Block::While { body, .. } => check_parfor_blocks(body)?,
+            Block::For { body, .. } | Block::While { body, .. } => {
+                check_parfor_blocks(body, frame)?
+            }
             Block::Basic { .. } => {}
         }
     }
@@ -373,12 +385,26 @@ fn lower_parfor_writes(
     loop_var: &str,
     body: &[Block],
     results: &HashSet<String>,
+    frame: &Frame,
 ) -> Vec<ResultWrite> {
-    let body_writes: HashSet<String> = lva::writes(body).into_iter().collect();
+    let body_writes: HashSet<String> = names(frame, lva::writes(body)).collect();
     let mut env: AffEnv = HashMap::new();
     let mut out = Vec::new();
-    walk_parfor_body(loop_var, body, results, &body_writes, &mut env, &mut out);
+    let sets = ParforSets {
+        results,
+        body_writes: &body_writes,
+        frame,
+    };
+    walk_parfor_body(loop_var, body, &sets, &mut env, &mut out);
     out
+}
+
+/// What the walk over one parfor body consults: its result variables, every
+/// variable it writes, and the frame naming its slots.
+struct ParforSets<'a> {
+    results: &'a HashSet<String>,
+    body_writes: &'a HashSet<String>,
+    frame: &'a Frame,
 }
 
 fn operand_affine(
@@ -412,11 +438,11 @@ fn operand_affine(
 fn walk_parfor_body(
     loop_var: &str,
     blocks: &[Block],
-    results: &HashSet<String>,
-    body_writes: &HashSet<String>,
+    sets: &ParforSets<'_>,
     env: &mut AffEnv,
     out: &mut Vec<ResultWrite>,
 ) {
+    let (results, body_writes) = (sets.results, sets.body_writes);
     for b in blocks {
         match b {
             Block::Basic { instrs, .. } => {
@@ -434,29 +460,15 @@ fn walk_parfor_body(
                     visit_parfor_instr(loop_var, i, results, body_writes, env, out);
                 }
                 let mut then_env = env.clone();
-                walk_parfor_body(
-                    loop_var,
-                    then_body,
-                    results,
-                    body_writes,
-                    &mut then_env,
-                    out,
-                );
+                walk_parfor_body(loop_var, then_body, sets, &mut then_env, out);
                 let mut else_env = env.clone();
-                walk_parfor_body(
-                    loop_var,
-                    else_body,
-                    results,
-                    body_writes,
-                    &mut else_env,
-                    out,
-                );
+                walk_parfor_body(loop_var, else_body, sets, &mut else_env, out);
                 // A variable assigned under a condition has no single affine
                 // value afterwards.
-                for w in lva::writes(then_body)
+                let written = lva::writes(then_body)
                     .into_iter()
-                    .chain(lva::writes(else_body))
-                {
+                    .chain(lva::writes(else_body));
+                for w in names(sets.frame, written.collect()) {
                     env.insert(w, None);
                 }
             }
@@ -466,7 +478,7 @@ fn walk_parfor_body(
                 // variable. Treat every result variable touched inside as a
                 // whole-variable write and poison everything it assigns
                 // (including its own loop variable and bound temporaries).
-                for w in lva::writes(std::slice::from_ref(b)) {
+                for w in names(sets.frame, lva::writes(std::slice::from_ref(b))) {
                     if results.contains(&w) {
                         out.push(ResultWrite::whole(w.clone()));
                     }
@@ -595,25 +607,32 @@ fn clear_branch_ids(blocks: &mut [Block]) {
 /// next iteration or possibly read after the loop; dead temporaries get no
 /// dedup items and drop out of the patches entirely.
 fn compute_dedup_outputs(program: &mut Program) {
-    dedup_outputs_pass(&mut program.body, &std::collections::BTreeSet::new());
+    dedup_outputs_pass(&mut program.body, &SlotSet::default(), &program.frame);
     for f in program.functions.values_mut() {
-        let outs: std::collections::BTreeSet<String> = f.outputs.iter().cloned().collect();
-        if f.dedup_ok {
-            let li: std::collections::BTreeSet<String> =
-                lva::live_in(&f.body).into_iter().collect();
-            f.dedup_outputs = lva::writes(&f.body)
+        let Function {
+            outputs,
+            body,
+            dedup_ok,
+            dedup_outputs,
+            frame,
+            ..
+        } = f;
+        let outs: SlotSet = outputs.iter().map(|v| v.slot).collect();
+        if *dedup_ok {
+            let li: SlotSet = lva::live_in(body).into_iter().collect();
+            let live_out = lva::writes(body)
                 .into_iter()
-                .filter(|w| outs.contains(w) || li.contains(w))
-                .collect();
+                .filter(|w| outs.contains(w) || li.contains(w));
+            *dedup_outputs = live_out.map(|w| Var::of_slot(frame, w)).collect();
         }
-        dedup_outputs_pass(&mut f.body, &outs);
+        dedup_outputs_pass(body, &outs, frame);
     }
 }
 
-fn dedup_outputs_pass(blocks: &mut [Block], after: &std::collections::BTreeSet<String>) {
-    // suffix[i] = variables read by blocks[i..] plus `after`.
+fn dedup_outputs_pass(blocks: &mut [Block], after: &SlotSet, frame: &Frame) {
+    // suffix[i] = slots read by blocks[i..] plus `after`.
     let n = blocks.len();
-    let mut suffix: Vec<std::collections::BTreeSet<String>> = vec![after.clone(); n + 1];
+    let mut suffix: Vec<SlotSet> = vec![after.clone(); n + 1];
     for i in (0..n).rev() {
         let mut s = suffix[i + 1].clone();
         s.extend(lva::collect_reads(std::slice::from_ref(&blocks[i])));
@@ -634,33 +653,27 @@ fn dedup_outputs_pass(blocks: &mut [Block], after: &std::collections::BTreeSet<S
                 ..
             } => {
                 if *dedup_ok {
-                    let li: std::collections::BTreeSet<String> =
-                        lva::live_in(body).into_iter().collect();
+                    let li: SlotSet = lva::live_in(body).into_iter().collect();
                     let live_after = &suffix[i + 1];
-                    *dedup_outputs = lva::writes(body)
+                    let live_out = lva::writes(body)
                         .into_iter()
-                        .filter(|w| li.contains(w) || live_after.contains(w))
-                        .collect();
+                        .filter(|w| li.contains(w) || live_after.contains(w));
+                    *dedup_outputs = live_out.map(|w| Var::of_slot(frame, w)).collect();
                 }
                 // suffix[i] includes this loop's own body reads — the
                 // conservative live-after for anything nested (a next
                 // iteration may read it).
-                let inner = suffix[i].clone();
-                dedup_outputs_pass(body, &inner);
+                dedup_outputs_pass(body, &suffix[i], frame);
             }
             Block::If {
                 then_body,
                 else_body,
                 ..
             } => {
-                let inner = suffix[i].clone();
-                dedup_outputs_pass(then_body, &inner);
-                dedup_outputs_pass(else_body, &inner);
+                dedup_outputs_pass(then_body, &suffix[i], frame);
+                dedup_outputs_pass(else_body, &suffix[i], frame);
             }
-            Block::ParFor { body, .. } => {
-                let inner = suffix[i].clone();
-                dedup_outputs_pass(body, &inner);
-            }
+            Block::ParFor { body, .. } => dedup_outputs_pass(body, &suffix[i], frame),
             Block::Basic { .. } => {}
         }
     }
@@ -679,12 +692,11 @@ fn unmark_blocks(blocks: &mut [Block], unmarked: &mut u64) {
     walk_blocks_mut(blocks, &mut |b| {
         if let Block::For { body, .. } | Block::While { body, .. } | Block::ParFor { body, .. } = b
         {
-            let carried: HashSet<String> = {
-                let li = lva::live_in(body);
-                let ws = lva::writes(body);
-                li.into_iter().filter(|v| ws.contains(v)).collect()
-            };
-            unmark_tainted(body, &carried, unmarked);
+            let writes: SlotSet = lva::writes(body).into_iter().collect();
+            let carried = lva::live_in(body)
+                .into_iter()
+                .filter(|v| writes.contains(v));
+            unmark_tainted(body, carried.collect(), unmarked);
         }
     });
 }
@@ -692,8 +704,8 @@ fn unmark_blocks(blocks: &mut [Block], unmarked: &mut u64) {
 /// Unmarks instructions (transitively) depending on loop-carried variables:
 /// their lineage differs in every iteration, so caching them only pollutes
 /// the cache (paper §4.4, "Unmarking Intermediates").
-fn unmark_tainted(blocks: &mut [Block], carried: &HashSet<String>, unmarked: &mut u64) {
-    let mut tainted: HashSet<String> = carried.clone();
+fn unmark_tainted(blocks: &mut [Block], carried: SlotSet, unmarked: &mut u64) {
+    let mut tainted = carried;
     // Two passes propagate taint through straight-line code and one level of
     // back-edges (the carried set itself covers the loop back-edge).
     for _ in 0..2 {
@@ -702,30 +714,28 @@ fn unmark_tainted(blocks: &mut [Block], carried: &HashSet<String>, unmarked: &mu
     apply_unmark(blocks, &tainted, unmarked);
 }
 
-fn taint_pass(blocks: &[Block], tainted: &mut HashSet<String>) {
+fn taint_pass(blocks: &[Block], tainted: &mut SlotSet) {
     walk_blocks(blocks, &mut |b| {
         let Block::Basic { instrs, .. } = b else {
             return;
         };
         for i in instrs {
-            if i.reads().any(|r| tainted.contains(r)) {
-                for w in i.writes() {
-                    tainted.insert(w.to_string());
-                }
+            if i.read_slots().any(|r| tainted.contains(&r)) {
+                tainted.extend(i.write_slots());
             }
         }
     });
 }
 
-fn apply_unmark(blocks: &mut [Block], tainted: &HashSet<String>, unmarked: &mut u64) {
+fn apply_unmark(blocks: &mut [Block], tainted: &SlotSet, unmarked: &mut u64) {
     walk_blocks_mut(blocks, &mut |b| {
         let Block::Basic { instrs, .. } = b else {
             return;
         };
         for i in instrs {
             if !i.no_cache
-                && (i.reads().any(|r| tainted.contains(r))
-                    || i.writes().any(|w| tainted.contains(w)))
+                && (i.read_slots().any(|r| tainted.contains(&r))
+                    || i.write_slots().any(|w| tainted.contains(&w)))
             {
                 i.no_cache = true;
                 *unmarked += 1;
@@ -753,13 +763,13 @@ fn rewrite_blocks(blocks: &mut [Block]) {
     walk_blocks_mut(blocks, &mut |b| {
         if let Block::For { body, .. } | Block::While { body, .. } | Block::ParFor { body, .. } = b
         {
-            let writes: HashSet<String> = lva::writes(body).into_iter().collect();
+            let writes: SlotSet = lva::writes(body).into_iter().collect();
             rewrite_in_loop(body, &writes);
         }
     });
 }
 
-fn rewrite_in_loop(blocks: &mut [Block], loop_writes: &HashSet<String>) {
+fn rewrite_in_loop(blocks: &mut [Block], loop_writes: &SlotSet) {
     for b in blocks {
         let Block::Basic { id, instrs } = b else {
             continue;
@@ -778,10 +788,10 @@ fn rewrite_in_loop(blocks: &mut [Block], loop_writes: &HashSet<String>) {
                 match (&a.op, &b.op) {
                     (Op::Cbind, Op::Tsmm(TsmmSide::Left)) => {
                         let z = &a.outputs[0];
-                        let x = a.inputs[0].as_var();
+                        let x = a.inputs[0].var_ref();
                         b.inputs.first().and_then(Operand::as_var) == Some(&**z)
                             && read_counts.get(&**z).copied().unwrap_or(0) == 1
-                            && x.is_some_and(|x| !loop_writes.contains(x))
+                            && x.is_some_and(|x| !loop_writes.contains(&x.slot))
                     }
                     _ => false,
                 }
@@ -811,7 +821,7 @@ fn rewrite_in_loop(blocks: &mut [Block], loop_writes: &HashSet<String>) {
                     Instr::new(
                         Op::Rbind,
                         vec![Operand::var(t("top")), Operand::var(t("bot"))],
-                        w,
+                        &*w,
                     ),
                 ];
                 let n = plan.len();
@@ -900,7 +910,7 @@ fn rewrite_projection_in_block(id: u64, instrs: &mut Vec<Instr>) {
                         slice_i.inputs[3].clone(),
                         slice_i.inputs[4].clone(),
                     ],
-                    mm_i.outputs[0].clone(),
+                    &*mm_i.outputs[0],
                 ),
             ];
             instrs.splice(k..k + 2, plan);

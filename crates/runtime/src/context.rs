@@ -7,8 +7,9 @@ use crate::governor::SessionUsage;
 use crate::session::SessionCtl;
 use lima_core::interrupt::{CancelToken, Interrupt};
 use lima_core::lineage::dedup::{DedupRegistry, PathTracer};
-use lima_core::lineage::item::{FxBuildHasher, LinRef, LineageItem};
-use lima_core::{LimaConfig, LimaStats, LineageCache, LineageMap};
+use lima_core::lineage::item::{LinRef, LineageItem};
+use lima_core::opcodes as oc;
+use lima_core::{Frame, LimaConfig, LimaStats, LineageCache, LineageMap, Slots};
 use lima_matrix::Value;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -49,9 +50,9 @@ pub struct DedupTrace {
     pub next_seed_slot: u32,
 }
 
-/// Live variables, under names shared with the instructions that bind them
-/// (binding an instruction's output copies no text). Looked up by `&str`.
-pub type Symtab = HashMap<Arc<str>, Value, FxBuildHasher>;
+/// Live variables of the current frame, by slot; `symtab["x"]` and
+/// `symtab.get("x")` resolve the name through the frame.
+pub type Symtab = Slots<Value>;
 
 /// Per-thread execution context.
 pub struct ExecutionContext {
@@ -80,6 +81,9 @@ pub struct ExecutionContext {
     pub suppress_tracing: bool,
     /// Collected `print` output.
     pub stdout: Vec<String>,
+    /// Operand values of the instruction executing now (empty between
+    /// instructions; kept so an instruction allocates no operand list).
+    pub(crate) operands: Vec<Value>,
     /// Script fingerprint (stable cache keys for block-level reuse).
     pub fingerprint: u64,
     /// Recursion depth guard for function calls.
@@ -123,7 +127,7 @@ impl ExecutionContext {
             None => Arc::new(LimaStats::new()),
         };
         ExecutionContext {
-            symtab: HashMap::default(),
+            symtab: Symtab::default(),
             lineage: LineageMap::new(),
             config,
             cache,
@@ -135,6 +139,7 @@ impl ExecutionContext {
             path_tracer: None,
             suppress_tracing: false,
             stdout: Vec::new(),
+            operands: Vec::new(),
             fingerprint: 0,
             call_depth: 0,
             session: None,
@@ -153,9 +158,45 @@ impl ExecutionContext {
     }
 
     /// A callee context for a function call: same shared infrastructure,
-    /// fresh symbol table and lineage map.
-    pub fn fork_function(&self) -> Self {
-        self.fork(Symtab::default(), LineageMap::new(), self.call_depth + 1)
+    /// fresh symbol table and lineage map on the function's frame.
+    pub fn fork_function(&self, frame: &Arc<Frame>) -> Self {
+        let lineage = LineageMap::with_frame(Arc::clone(frame));
+        self.fork(Symtab::new(Arc::clone(frame)), lineage, self.call_depth + 1)
+    }
+
+    /// Enters a program's frame: the symbol table and the lineage map move
+    /// onto it together, every binding into its slot by name (inputs bound
+    /// before the program runs), and a name the program does not mention
+    /// keeps a slot after the program's. Free when the context's frame
+    /// starts with `frame`'s names already.
+    pub fn enter_frame(&mut self, frame: &Arc<Frame>) {
+        let old = Arc::clone(self.symtab.frame());
+        let keep = old
+            .iter()
+            .zip(frame.iter())
+            .take_while(|(a, b)| a == b)
+            .count();
+        if keep == frame.len() {
+            return;
+        }
+        let mut next = Frame::clone(frame);
+        let mut moves = Vec::new();
+        for (slot, name) in (keep as u32..).zip(&old[keep..]) {
+            if self.symtab.at(slot).is_none() && self.lineage.at(slot).is_none() {
+                continue;
+            }
+            let to = next.iter().position(|n| n == name).unwrap_or_else(|| {
+                next.push(Arc::clone(name));
+                next.len() - 1
+            });
+            moves.push((slot, to as u32));
+        }
+        let next = match next.len() == frame.len() {
+            true => Arc::clone(frame),
+            false => Arc::new(next),
+        };
+        self.symtab.move_to(&next, keep, &moves);
+        self.lineage.vars_mut().move_to(&next, keep, &moves);
     }
 
     fn fork(&self, symtab: Symtab, lineage: LineageMap, call_depth: usize) -> Self {
@@ -172,6 +213,7 @@ impl ExecutionContext {
             path_tracer: None,
             suppress_tracing: self.suppress_tracing,
             stdout: Vec::new(),
+            operands: Vec::new(),
             fingerprint: self.fingerprint,
             call_depth,
             session: self.session.clone(),
@@ -231,29 +273,34 @@ impl ExecutionContext {
         self.seed_counter.store(base, Ordering::Relaxed);
     }
 
-    /// Reads a variable value.
-    pub fn get(&self, var: &str) -> Result<&Value> {
-        self.symtab
-            .get(var)
-            .ok_or_else(|| RuntimeError::UndefinedVariable(var.to_string()))
+    /// Binds a variable value by name (an input bound before the program
+    /// runs, a test); the interpreter binds by slot. A name the frame lacks
+    /// gets a slot after the frame's.
+    pub fn set(&mut self, var: impl AsRef<str>, value: Value) {
+        let var = var.as_ref();
+        let slot = self.symtab.slot(var).unwrap_or_else(|| {
+            let mut frame = Frame::clone(self.symtab.frame());
+            frame.push(var.into());
+            self.enter_frame(&Arc::new(frame));
+            self.symtab.slot_count() as u32 - 1
+        });
+        self.symtab.put(slot, value);
     }
 
-    /// Binds a variable value.
-    pub fn set(&mut self, var: impl Into<Arc<str>>, value: Value) {
-        self.symtab.insert(var.into(), value);
-    }
-
-    /// Lineage of a live variable, synthesizing a `read`-style leaf for
-    /// externally bound inputs (e.g. matrices preloaded by a harness).
-    pub fn lineage_of_var(&mut self, var: &str) -> LinRef {
-        if let Some(item) = self.lineage.get(var) {
+    /// Lineage of the variable in `slot`, synthesizing a `read var:<name>`
+    /// leaf for externally bound inputs (e.g. matrices preloaded by a
+    /// harness).
+    pub fn lineage_of_slot(&mut self, slot: u32) -> LinRef {
+        if let Some(item) = self.lineage.at(slot) {
             return item.clone();
         }
-        let leaf = LineageItem::op_with_data(lima_core::opcodes::READ, format!("var:{var}"), []);
-        if let Some(Value::Matrix(m)) = self.symtab.get(var) {
+        let name = &self.symtab.frame()[slot as usize];
+        let data = Some(format!("var:{name}").into());
+        let leaf = LineageItem::resolved(oc::READ.into(), oc::DN, data, []);
+        if let Some(Value::Matrix(m)) = self.symtab.at(slot) {
             leaf.set_shape(m.rows(), m.cols());
         }
-        self.lineage.set(var, leaf.clone());
+        self.lineage.put(slot, leaf.clone());
         leaf
     }
 
@@ -302,18 +349,21 @@ mod tests {
     fn lineage_of_external_input_synthesizes_leaf_with_shape() {
         let mut ctx = ExecutionContext::new(LimaConfig::lima());
         ctx.set("X", Value::matrix(DenseMatrix::zeros(3, 4)));
-        let lin = ctx.lineage_of_var("X");
+        let slot = ctx.symtab.slot("X").unwrap();
+        let lin = ctx.lineage_of_slot(slot);
         assert_eq!(lin.opcode(), "read");
+        assert_eq!(lin.data(), Some("var:X"));
         assert_eq!(lin.shape(), Some((3, 4)));
         // Stable across calls.
-        assert!(std::sync::Arc::ptr_eq(&ctx.lineage_of_var("X"), &lin));
+        assert!(std::sync::Arc::ptr_eq(&ctx.lineage_of_slot(slot), &lin));
+        assert!(ctx.symtab.slot("nope").is_none());
     }
 
     #[test]
     fn fork_worker_shares_cache_and_seeds() {
         let mut ctx = ExecutionContext::new(LimaConfig::lima());
         ctx.set("X", Value::f64(1.0));
-        ctx.lineage_of_var("X");
+        ctx.lineage_of_slot(0);
         let w = ctx.fork_worker();
         assert!(w.symtab.contains_key("X"));
         assert!(w.lineage.get("X").is_some());
@@ -331,8 +381,11 @@ mod tests {
     fn fork_function_starts_clean() {
         let mut ctx = ExecutionContext::new(LimaConfig::lima());
         ctx.set("X", Value::f64(1.0));
-        let f = ctx.fork_function();
+        let frame: Arc<Frame> = Arc::new(vec!["a".into(), "b".into()]);
+        let f = ctx.fork_function(&frame);
         assert!(f.symtab.is_empty());
+        assert_eq!(f.symtab.slot_count(), 2);
+        assert_eq!(f.lineage.vars().slot_count(), 2);
         assert_eq!(f.call_depth, 1);
     }
 

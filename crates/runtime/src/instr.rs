@@ -3,18 +3,60 @@
 //! their outputs back — the interpreter traces lineage around them.
 
 use crate::fused::FusedSpec;
+use lima_core::opcodes::{opcode_info, OpcodeInfo};
 use lima_matrix::ops::{AggFn, BinOp, TsmmSide, UnOp};
 use lima_matrix::rand_gen::RandDist;
 use lima_matrix::ScalarValue;
 use std::borrow::Cow;
 use std::sync::Arc;
 
+/// A variable as an instruction names it: its slot in the enclosing frame,
+/// which the interpreter indexes, and its name, kept for the frame's
+/// registry and diagnostics. The slot is [`Var::UNNUMBERED`] until the
+/// frame is numbered (`Program::new`, `Function::new`, `compile`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Var {
+    /// Index into the frame's symbol table and lineage map.
+    pub slot: u32,
+    /// The source name.
+    pub name: Arc<str>,
+}
+
+impl Var {
+    /// Slot of a variable not numbered yet.
+    pub const UNNUMBERED: u32 = u32::MAX;
+
+    /// The variable in `slot` of a numbered frame.
+    pub fn of_slot(frame: &lima_core::Frame, slot: u32) -> Self {
+        let name = Arc::clone(&frame[slot as usize]);
+        Var { slot, name }
+    }
+}
+
+impl std::ops::Deref for Var {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.name
+    }
+}
+
+impl<S: AsRef<str>> From<S> for Var {
+    /// An unnumbered variable.
+    fn from(name: S) -> Self {
+        let name = Arc::from(name.as_ref());
+        Var {
+            slot: Var::UNNUMBERED,
+            name,
+        }
+    }
+}
+
 /// An instruction operand: a live variable or an inline literal.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Operand {
-    /// A symbol-table variable. The name is shared with the symbol table and
-    /// the lineage map, which bind it on every execution without copying it.
-    Var(Arc<str>),
+    /// A symbol-table variable, read by its slot.
+    Var(Var),
     /// An inline literal.
     Lit(ScalarValue),
 }
@@ -22,7 +64,7 @@ pub enum Operand {
 impl Operand {
     /// Variable operand.
     pub fn var(name: impl AsRef<str>) -> Self {
-        Operand::Var(Arc::from(name.as_ref()))
+        Operand::Var(Var::from(name))
     }
 
     /// Float literal.
@@ -47,6 +89,19 @@ impl Operand {
 
     /// The variable name, if this is a variable operand.
     pub fn as_var(&self) -> Option<&str> {
+        self.var_ref().map(|v| &*v.name)
+    }
+
+    /// The variable, if this is a variable operand.
+    pub fn var_ref(&self) -> Option<&Var> {
+        match self {
+            Operand::Var(v) => Some(v),
+            Operand::Lit(_) => None,
+        }
+    }
+
+    /// [`Self::var_ref`], mutably.
+    pub fn var_mut(&mut self) -> Option<&mut Var> {
         match self {
             Operand::Var(v) => Some(v),
             Operand::Lit(_) => None,
@@ -167,6 +222,9 @@ pub enum Op {
     Print,
     /// String concatenation `[a, b]`.
     Concat,
+    /// A parfor's result merge `[init, worker values...]`, as replay
+    /// recomputes it (the loop itself merges in place).
+    ResultMerge,
     /// Remove variables (bookkeeping; `inputs` name the variables).
     Rmvar,
     /// Rename variable `[old]` → output (bookkeeping).
@@ -248,6 +306,7 @@ impl Op {
             Op::Assign => "assign",
             Op::Print => "print",
             Op::Concat => oc::CONCAT,
+            Op::ResultMerge => oc::RMERGE,
             Op::Rmvar => "rmvar",
             Op::Mvvar => "mvvar",
             Op::LineageOf => "lineage",
@@ -276,48 +335,46 @@ pub struct Instr {
     pub op: Op,
     /// Ordered operands.
     pub inputs: Vec<Operand>,
-    /// Output variable names (usually one; `Eigen` and `FCall` bind several).
-    pub outputs: Vec<Arc<str>>,
+    /// Output variables (usually one; `Eigen` and `FCall` bind several).
+    pub outputs: Vec<Var>,
     /// Set by the compiler's *unmarking* rewrite (paper §4.4): this instance
     /// never interacts with the reuse cache even if its opcode qualifies.
     pub no_cache: bool,
     /// Byte span of the source construct this instruction was lowered from
     /// (`None` for synthesized instructions, e.g. rewrite plans).
     pub span: Option<lima_core::Span>,
+    /// The opcode's classification, resolved as the instruction is built:
+    /// the lineage items it traces carry it to the cache.
+    pub info: OpcodeInfo,
 }
 
 impl Instr {
-    /// Single-output instruction.
-    pub fn new(op: Op, inputs: Vec<Operand>, output: impl AsRef<str>) -> Self {
+    /// Instruction binding `outputs`.
+    fn build(op: Op, inputs: Vec<Operand>, outputs: Vec<Var>) -> Self {
+        let info = opcode_info(&op.opcode());
         Instr {
             op,
             inputs,
-            outputs: vec![Arc::from(output.as_ref())],
+            outputs,
             no_cache: false,
             span: None,
+            info,
         }
+    }
+
+    /// Single-output instruction.
+    pub fn new(op: Op, inputs: Vec<Operand>, output: impl AsRef<str>) -> Self {
+        Self::build(op, inputs, vec![Var::from(output)])
     }
 
     /// Multi-output instruction.
     pub fn multi(op: Op, inputs: Vec<Operand>, outputs: Vec<String>) -> Self {
-        Instr {
-            op,
-            inputs,
-            outputs: outputs.into_iter().map(Arc::from).collect(),
-            no_cache: false,
-            span: None,
-        }
+        Self::build(op, inputs, outputs.into_iter().map(Var::from).collect())
     }
 
     /// Output-less instruction (print, rmvar, write).
     pub fn effect(op: Op, inputs: Vec<Operand>) -> Self {
-        Instr {
-            op,
-            inputs,
-            outputs: Vec::new(),
-            no_cache: false,
-            span: None,
-        }
+        Self::build(op, inputs, Vec::new())
     }
 
     /// Attaches a source span (builder style, used by the lowering).
@@ -333,7 +390,27 @@ impl Instr {
 
     /// Variables written by this instruction.
     pub fn writes(&self) -> impl Iterator<Item = &str> {
-        self.outputs.iter().map(|o| &**o)
+        self.outputs.iter().map(|o| &*o.name)
+    }
+
+    /// Slots read by this instruction.
+    pub fn read_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.inputs
+            .iter()
+            .filter_map(Operand::var_ref)
+            .map(|v| v.slot)
+    }
+
+    /// Slots written by this instruction.
+    pub fn write_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.outputs.iter().map(|v| v.slot)
+    }
+
+    /// Every variable the instruction names, operands first, mutably (the
+    /// numbering pass).
+    pub fn vars_mut(&mut self) -> impl Iterator<Item = &mut Var> {
+        let reads = self.inputs.iter_mut().filter_map(Operand::var_mut);
+        reads.chain(self.outputs.iter_mut())
     }
 }
 

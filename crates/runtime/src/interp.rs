@@ -4,7 +4,7 @@
 
 use crate::context::{DedupTrace, ExecutionContext, Symtab};
 use crate::error::{Result, RuntimeError};
-use crate::instr::{Instr, Op, Operand};
+use crate::instr::{Instr, Op, Operand, Var};
 use crate::kernels::{display, execute_kernel, resolve_bounds};
 use crate::lva;
 use crate::parfor;
@@ -27,6 +27,7 @@ const MAX_CALL_DEPTH: usize = 64;
 /// Executes a compiled program in the given context.
 pub fn execute_program(program: &Program, ctx: &mut ExecutionContext) -> Result<()> {
     ctx.fingerprint = program.fingerprint;
+    ctx.enter_frame(&program.frame);
     LimaStats::add(&ctx.stats.ops_unmarked, program.analysis.ops_unmarked);
     LimaStats::add(
         &ctx.stats.funcs_reuse_ineligible,
@@ -204,10 +205,10 @@ fn execute_block(block: &Block, program: &Program, ctx: &mut ExecutionContext) -
 /// when the compiler found it eligible.
 fn run_for_iterations(
     id: u64,
-    var: &str,
+    var: &Var,
     (from, to, by): (i64, i64, i64),
     body: &[Block],
-    dedup: Option<&[String]>,
+    dedup: Option<&[Var]>,
     program: &Program,
     ctx: &mut ExecutionContext,
 ) -> Result<()> {
@@ -216,12 +217,11 @@ fn run_for_iterations(
         let key = format!("{}:for{}", ctx.fingerprint, id);
         DedupBody::enter(key, body, outputs, ctx)
     });
-    let var: Arc<str> = Arc::from(var);
     let mut i = from;
     while (by > 0 && i <= to) || (by < 0 && i >= to) {
-        ctx.set(Arc::clone(&var), Value::i64(i));
+        ctx.symtab.put(var.slot, Value::i64(i));
         match &dedup {
-            Some(dedup) => run_dedup_iteration(dedup, Some((&var, i)), program, ctx)?,
+            Some(dedup) => run_dedup_iteration(dedup, Some((var.slot, i)), program, ctx)?,
             None => execute_blocks(body, program, ctx)?,
         }
         i += by;
@@ -264,7 +264,10 @@ fn eval_scalar_i64(e: &ExprProg, program: &Program, ctx: &mut ExecutionContext) 
 
 fn resolve_operand(op: &Operand, ctx: &ExecutionContext) -> Result<Value> {
     match op {
-        Operand::Var(v) => ctx.get(v).cloned(),
+        Operand::Var(v) => match ctx.symtab.at(v.slot) {
+            Some(value) => Ok(value.clone()),
+            None => Err(RuntimeError::UndefinedVariable(v.name.to_string())),
+        },
         Operand::Lit(s) => Ok(Value::Scalar(s.clone())),
     }
 }
@@ -276,17 +279,18 @@ struct DedupBody<'p> {
     block_key: String,
     /// Patches of this body by taken path, shared across contexts.
     registry: Arc<DedupRegistry>,
-    /// Live-in variables in sorted order (stable placeholder slots).
-    live_in: Vec<String>,
+    /// Live-in slots in ascending order, which is the names' sorted order
+    /// (stable placeholder slots).
+    live_in: Vec<u32>,
     body: &'p [Block],
-    outputs: &'p [String],
+    outputs: &'p [Var],
 }
 
 impl<'p> DedupBody<'p> {
     fn enter(
         block_key: String,
         body: &'p [Block],
-        outputs: &'p [String],
+        outputs: &'p [Var],
         ctx: &ExecutionContext,
     ) -> Self {
         let registry = ctx.dedup_registry(&block_key, count_branches(body));
@@ -304,16 +308,16 @@ impl<'p> DedupBody<'p> {
 /// in `lima_core::lineage::dedup` for the protocol.
 fn run_dedup_iteration(
     dedup: &DedupBody<'_>,
-    idx: Option<(&str, i64)>,
+    idx: Option<(u32, i64)>,
     program: &Program,
     ctx: &mut ExecutionContext,
 ) -> Result<()> {
     let (block_key, registry, body) = (&dedup.block_key, &dedup.registry, dedup.body);
     // Inputs present in the symbol table, with their current (outer) lineage.
-    let mut bound_inputs: Vec<(&str, LinRef)> = Vec::new();
-    for v in &dedup.live_in {
-        if ctx.symtab.contains_key(v.as_str()) && Some(v.as_str()) != idx.map(|(n, _)| n) {
-            let lin = ctx.lineage_of_var(v);
+    let mut bound_inputs: Vec<(u32, LinRef)> = Vec::new();
+    for &v in &dedup.live_in {
+        if ctx.symtab.at(v).is_some() && Some(v) != idx.map(|(s, _)| s) {
+            let lin = ctx.lineage_of_slot(v);
             bound_inputs.push((v, lin));
         }
     }
@@ -330,12 +334,12 @@ fn run_dedup_iteration(
         r
     } else {
         // Tracing mode: swap in a temporary lineage map with placeholders.
-        let mut temp = lima_core::LineageMap::new();
+        let mut temp = LineageMap::with_frame(Arc::clone(ctx.lineage.vars().frame()));
         for (slot, (var, _)) in bound_inputs.iter().enumerate() {
-            temp.set(*var, LineageItem::placeholder(slot as u32));
+            temp.put(*var, LineageItem::placeholder(slot as u32));
         }
         if let Some((ivar, _)) = idx {
-            temp.set(ivar, LineageItem::placeholder(bound_inputs.len() as u32));
+            temp.put(ivar, LineageItem::placeholder(bound_inputs.len() as u32));
         }
         let saved = std::mem::replace(&mut ctx.lineage, temp);
         ctx.dedup_trace = Some(DedupTrace {
@@ -354,7 +358,7 @@ fn run_dedup_iteration(
                 let roots: Vec<(String, LinRef)> = dedup
                     .outputs
                     .iter()
-                    .filter_map(|v| temp.get(v).map(|l| (v.clone(), l.clone())))
+                    .filter_map(|v| temp.at(v.slot).map(|l| (v.name.to_string(), l.clone())))
                     .collect();
                 let num_inputs = base_inputs as usize + tracer.seeds().len();
                 registry.insert(DedupPatch::new(block_key.as_str(), bits, num_inputs, roots));
@@ -386,11 +390,15 @@ fn run_dedup_iteration(
         dedup_inputs.push(ctx.lineage.literal(&ScalarValue::I64(seed)));
     }
     for (name, _) in patch.roots() {
+        // A patch's roots are outputs of this body.
+        let Some(out) = dedup.outputs.iter().find(|o| *o.name == **name) else {
+            continue;
+        };
         let item = LineageItem::dedup(patch.clone(), name, dedup_inputs.clone());
-        if let Some(Value::Matrix(m)) = ctx.symtab.get(name.as_str()) {
+        if let Some(Value::Matrix(m)) = ctx.symtab.at(out.slot) {
             item.set_shape(m.rows(), m.cols());
         }
-        ctx.lineage.set(name.as_str(), item);
+        ctx.lineage.put(out.slot, item);
         LimaStats::bump(&ctx.stats.dedup_items);
     }
     Ok(())
@@ -444,19 +452,22 @@ fn try_block_reuse(
         return Ok(false);
     }
     let live_in = lva::live_in(body);
-    let outputs = lva::writes(body);
+    let written = lva::writes(body);
+    let frame = Arc::clone(ctx.symtab.frame());
     // All live-ins must be bound; scalar live-ins fold into the key by value.
     let mut lin_inputs = Vec::new();
     let mut scalar_key = String::new();
-    for var in &live_in {
-        match ctx.symtab.get(var.as_str()) {
-            Some(Value::Scalar(s)) => scalar_key += &format!("|{var}={}", s.lineage_literal()),
-            Some(_) => lin_inputs.push(ctx.lineage_of_var(var)),
+    for &var in &live_in {
+        match ctx.symtab.at(var) {
+            Some(Value::Scalar(s)) => {
+                scalar_key += &format!("|{}={}", frame[var as usize], s.lineage_literal());
+            }
+            Some(_) => lin_inputs.push(ctx.lineage_of_slot(var)),
             None => return Ok(false),
         }
     }
     let data = format!("{}:{block_id}:{extra}{scalar_key}", ctx.fingerprint);
-    let item = LineageItem::op_with_data(oc::BCALL, data, lin_inputs);
+    let item = LineageItem::resolved(oc::BCALL.into(), oc::DC, Some(data.into()), lin_inputs);
     let probe = cache_acquire(&cache, &item, ctx)?;
     let reused = match probe {
         Some(Probe::Hit(Value::List(bundle), outputs)) if bundle.len() == 2 => {
@@ -478,17 +489,21 @@ fn try_block_reuse(
                 let Value::Scalar(ScalarValue::Str(name)) = name else {
                     continue;
                 };
-                ctx.set(Arc::clone(name), value.clone());
+                // The bundle names outputs of this body.
+                let Some(&slot) = written.iter().find(|&&s| *frame[s as usize] == **name) else {
+                    continue;
+                };
+                ctx.symtab.put(slot, value.clone());
                 // The lineage the block computed the value with; an entry
                 // without it binds the value's position in the bundle.
                 let out_lin = match &outputs {
                     Some(lins) => lins[i].clone(),
-                    None => LineageItem::op_with_data(oc::LIST_GET, i.to_string(), [item.clone()]),
+                    None => list_get(&item, i),
                 };
                 if let Value::Matrix(m) = value {
                     out_lin.set_shape(m.rows(), m.cols());
                 }
-                ctx.lineage.set(Arc::clone(name), out_lin);
+                ctx.lineage.put(slot, out_lin);
             }
             Ok(true)
         }
@@ -499,11 +514,11 @@ fn try_block_reuse(
             let mut names = Vec::new();
             let mut values = Vec::new();
             let mut lineage = Vec::new();
-            for var in &outputs {
-                if let Some(v) = ctx.symtab.get(var.as_str()) {
-                    names.push(Value::str(var));
+            for &var in &written {
+                if let Some(v) = ctx.symtab.at(var) {
+                    names.push(Value::str(&frame[var as usize]));
                     values.push(v.clone());
-                    lineage.push(ctx.lineage.get(var).cloned());
+                    lineage.push(ctx.lineage.at(var).cloned());
                 }
             }
             let bundle = Value::list(vec![Value::list(names), Value::list(values)]);
@@ -521,23 +536,23 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
     ctx.check_interrupt()?;
     match &instr.op {
         Op::Rmvar => {
-            for o in &instr.inputs {
-                if let Some(v) = o.as_var() {
-                    ctx.symtab.remove(v);
-                    ctx.lineage.remove(v);
-                }
+            for v in instr.inputs.iter().filter_map(Operand::var_ref) {
+                ctx.symtab.take(v.slot);
+                ctx.lineage.take(v.slot);
             }
             return Ok(());
         }
         Op::Mvvar => {
             let from = instr.inputs[0]
-                .as_var()
+                .var_ref()
                 .ok_or_else(|| RuntimeError::TypeError("mvvar needs a variable".into()))?;
-            let to = &instr.outputs[0];
-            if let Some(v) = ctx.symtab.remove(from) {
-                ctx.symtab.insert(Arc::clone(to), v);
+            let to = instr.outputs[0].slot;
+            if let Some(v) = ctx.symtab.take(from.slot) {
+                ctx.symtab.put(to, v);
             }
-            ctx.lineage.rename(from, Arc::clone(to));
+            if let Some(l) = ctx.lineage.take(from.slot) {
+                ctx.lineage.put(to, l);
+            }
             return Ok(());
         }
         Op::Print => {
@@ -548,27 +563,41 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
         Op::Write => return execute_write(instr, ctx),
         Op::LineageOf => {
             let var = instr.inputs[0]
-                .as_var()
+                .var_ref()
                 .ok_or_else(|| RuntimeError::TypeError("lineage() requires a variable".into()))?;
             if !ctx.config.tracing {
                 return Err(RuntimeError::TypeError(
                     "lineage() requires lineage tracing to be enabled".into(),
                 ));
             }
-            let lin = ctx.lineage_of_var(var);
+            let lin = ctx.lineage_of_slot(var.slot);
             let log = lima_core::lineage::serialize::serialize_lineage(&lin);
-            ctx.set(Arc::clone(&instr.outputs[0]), Value::str(&log));
+            ctx.symtab.put(instr.outputs[0].slot, Value::str(&log));
             return Ok(());
         }
         Op::FCall(name) => return execute_fcall(name, instr, program, ctx),
         _ => {}
     }
+    // The operand buffer is the context's, lent to one instruction at a time
+    // and handed back empty.
+    let mut resolved = std::mem::take(&mut ctx.operands);
+    let done = execute_computation(instr, &mut resolved, ctx);
+    resolved.clear();
+    ctx.operands = resolved;
+    done
+}
 
+/// [`execute_instr`] for an instruction that computes its outputs: traced,
+/// probed, executed and bound.
+fn execute_computation(
+    instr: &Instr,
+    resolved: &mut Vec<Value>,
+    ctx: &mut ExecutionContext,
+) -> Result<()> {
     let obs = obs_of(ctx);
     let obs_t0 = obs.as_ref().map(|o| o.now_ns());
 
     // 1. Resolve operand values; generate system seeds where requested.
-    let mut resolved: Vec<Value> = Vec::with_capacity(instr.inputs.len());
     for o in &instr.inputs {
         resolved.push(resolve_operand(o, ctx)?);
     }
@@ -594,7 +623,7 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
     // 2. Trace lineage before execution (paper §3.1 footnote: tracing before
     //    execution facilitates reuse).
     let traced = if ctx.tracing() {
-        Some(trace_instr(instr, &resolved, seed, ctx)?)
+        Some(trace_instr(instr, resolved, seed, ctx)?)
     } else {
         None
     };
@@ -625,7 +654,7 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
                 Some(Probe::Reserved(r)) => {
                     let t0 = Instant::now();
                     let faults = ctx.config.faults.as_ref();
-                    if let Some(hit) = try_partial_reuse(cache, item, &resolved, fused_t) {
+                    if let Some(hit) = try_partial_reuse(cache, item, resolved, fused_t) {
                         // The compensation time is the best available proxy
                         // for this entry's recompute cost.
                         r.fulfill(&hit.value, compensated(cache, t0));
@@ -646,7 +675,7 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
         } else if probing && cache.partial_reuse() {
             // Partial-only configurations still rewrite without reserving.
             let t0 = Instant::now();
-            reused = try_partial_reuse(cache, item, &resolved, fused_t).map(|hit| {
+            reused = try_partial_reuse(cache, item, resolved, fused_t).map(|hit| {
                 compensated(cache, t0);
                 (vec![hit.value], 2)
             });
@@ -664,7 +693,7 @@ pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContex
 
     // 4. Execute the kernel; 5. register the output in the cache, if this
     //    instruction holds a reservation (an error drops it: an abort).
-    let out = execute_kernel(&instr.op, &resolved, ctx)?;
+    let out = execute_kernel(&instr.op, resolved, ctx)?;
     if let Some((r, t0)) = reservation {
         r.fulfill(&bundle(&out), t0.elapsed().as_nanos() as u64);
     }
@@ -693,6 +722,12 @@ fn bundle(out: &[Value]) -> Value {
 }
 
 /// Reverses [`bundle`] for a cache hit.
+/// Item `i` of a multi-output item.
+fn list_get(base: &LinRef, i: usize) -> LinRef {
+    let data = Some(i.to_string().into());
+    LineageItem::resolved(oc::LIST_GET.into(), oc::DN, data, [base.clone()])
+}
+
 fn unbundle(v: Value, n: usize) -> Vec<Value> {
     match v {
         Value::List(items) if n > 1 => items.as_ref().clone(),
@@ -712,19 +747,19 @@ fn bind_outputs(
 ) {
     let item = item.into();
     let multi = instr.outputs.len() > 1;
-    for (i, (name, value)) in instr.outputs.iter().zip(values).enumerate() {
+    for (i, (out, value)) in instr.outputs.iter().zip(values).enumerate() {
         if let Some(base) = &item {
             let out_lin = if multi {
-                LineageItem::op_with_data(oc::LIST_GET, i.to_string(), [base.clone()])
+                list_get(base, i)
             } else {
                 base.clone()
             };
             if let Value::Matrix(m) = &value {
                 out_lin.set_shape(m.rows(), m.cols());
             }
-            lineage.set(Arc::clone(name), out_lin);
+            lineage.put(out.slot, out_lin);
         }
-        symtab.insert(Arc::clone(name), value);
+        symtab.put(out.slot, value);
     }
 }
 
@@ -745,6 +780,15 @@ fn trace_instr(
     LimaStats::bump(&ctx.stats.items_traced);
     let mut operand_lin = |k: usize| operand_lineage(&instr.inputs[k], &resolved[k], ctx);
     let int = |k: usize| resolved[k].as_f64().unwrap_or(0.0) as i64;
+    // Items carry the opcode's table entry the instruction was built with.
+    macro_rules! item {
+        ($op:expr, $data:expr, $inputs:expr) => {
+            LineageItem::resolved($op.into(), instr.info, Some($data.into()), $inputs)
+        };
+        ($op:expr, $inputs:expr) => {
+            LineageItem::resolved($op.into(), instr.info, None, $inputs)
+        };
+    }
     Ok(match &instr.op {
         Op::RightIndex => {
             let x = operand_lin(0);
@@ -762,17 +806,17 @@ fn trace_instr(
                 _ => -1,
             };
             let (rl, ru, cl, cu) = resolve_bounds(shape, b(1), b(2), b(3), b(4))?;
-            LineageItem::op_with_data(oc::RIGHT_INDEX, format!("{rl} {ru} {cl} {cu}"), [x])
+            item!(oc::RIGHT_INDEX, format!("{rl} {ru} {cl} {cu}"), [x])
         }
         Op::LeftIndex => {
             let (x, s) = (operand_lin(0), operand_lin(1));
             let data = format!("{} {}", int(2) - 1, int(3) - 1);
-            LineageItem::op_with_data(oc::LEFT_INDEX, data, [x, s])
+            item!(oc::LEFT_INDEX, data, [x, s])
         }
         Op::Fill => {
             let v = resolved[0].as_f64().unwrap_or(f64::NAN);
             let data = format!("{v} {} {}", int(1), int(2));
-            LineageItem::op_with_data(oc::MATRIX_FILL, data, [])
+            item!(oc::MATRIX_FILL, data, [])
         }
         Op::Rand(kind) => {
             let p1 = resolved[2].as_f64().unwrap_or(0.0);
@@ -780,38 +824,39 @@ fn trace_instr(
             let sp = resolved[4].as_f64().unwrap_or(1.0);
             let data = format!("{} {} {} {p1} {p2} {sp}", int(0), int(1), kind.name());
             let seed_item = seed_lineage(seed.unwrap_or(-1), ctx);
-            LineageItem::op_with_data(oc::RAND, data, [seed_item])
+            item!(oc::RAND, data, [seed_item])
         }
         Op::Sample => {
             let data = format!("{} {}", int(0), int(1));
             let seed_item = seed_lineage(seed.unwrap_or(-1), ctx);
-            LineageItem::op_with_data(oc::SAMPLE, data, [seed_item])
+            item!(oc::SAMPLE, data, [seed_item])
         }
         Op::Seq => {
             let num = |k: usize| resolved[k].as_f64().unwrap_or(f64::NAN);
             let data = format!("{} {} {}", num(0), num(1), num(2));
-            LineageItem::op_with_data(oc::SEQ, data, [])
+            item!(oc::SEQ, data, [])
         }
         Op::Read => {
             let path = match &resolved[0] {
                 Value::Scalar(ScalarValue::Str(s)) => &**s,
                 _ => "?",
             };
-            LineageItem::op_with_data(oc::READ, path, [])
+            item!(oc::READ, path, [])
         }
         Op::Tsmm(side) => {
             let side = match side {
                 lima_matrix::ops::TsmmSide::Left => "LEFT",
                 lima_matrix::ops::TsmmSide::Right => "RIGHT",
             };
-            LineageItem::op_with_data(oc::TSMM, side, [operand_lin(0)])
+            item!(oc::TSMM, side, [operand_lin(0)])
         }
         Op::TMatMult => {
-            let at = LineageItem::op(oc::TRANSPOSE, [operand_lin(0)]);
+            // `r'` is classified as `ba+*` is: deterministic, cacheable.
+            let at = item!(oc::TRANSPOSE, [operand_lin(0)]);
             if let Value::Matrix(a) = &resolved[0] {
                 at.set_shape(a.cols(), a.rows());
             }
-            LineageItem::op(oc::MATMULT, [at, operand_lin(1)])
+            item!(oc::MATMULT, [at, operand_lin(1)])
         }
         Op::Order => {
             let dec = resolved[1]
@@ -820,20 +865,20 @@ fn trace_instr(
                 .and_then(|s| s.as_bool().ok())
                 .unwrap_or(false);
             let data = if dec { "desc" } else { "asc" };
-            LineageItem::op_with_data(oc::ORDER, data, [operand_lin(0)])
+            item!(oc::ORDER, data, [operand_lin(0)])
         }
         Op::Reshape => {
             let data = format!("{} {}", int(1), int(2));
-            LineageItem::op_with_data(oc::RESHAPE, data, [operand_lin(0)])
+            item!(oc::RESHAPE, data, [operand_lin(0)])
         }
         Op::ListGet => {
-            LineageItem::op_with_data(oc::LIST_GET, int(1).to_string(), [operand_lin(0)])
+            item!(oc::LIST_GET, int(1).to_string(), [operand_lin(0)])
         }
         Op::Fused(spec) => {
             let inputs: Vec<LinRef> = (0..instr.inputs.len()).map(operand_lin).collect();
             spec.expand_lineage(&inputs)
         }
-        op => LineageItem::op(op.opcode(), (0..instr.inputs.len()).map(operand_lin)),
+        op => item!(op.opcode(), (0..instr.inputs.len()).map(operand_lin)),
     })
 }
 
@@ -842,7 +887,7 @@ fn trace_instr(
 fn operand_lineage(operand: &Operand, value: &Value, ctx: &mut ExecutionContext) -> LinRef {
     match (value, operand) {
         (Value::Scalar(s), _) | (_, Operand::Lit(s)) => ctx.lineage.literal(s),
-        (_, Operand::Var(v)) => ctx.lineage_of_var(v),
+        (_, Operand::Var(v)) => ctx.lineage_of_slot(v.slot),
     }
 }
 
@@ -881,8 +926,8 @@ fn execute_write(instr: &Instr, ctx: &mut ExecutionContext) -> Result<()> {
     }
     // For every write, also write the lineage log (paper §3.1).
     if ctx.tracing() {
-        if let Some(var) = instr.inputs[0].as_var() {
-            let lin = ctx.lineage_of_var(var);
+        if let Some(var) = instr.inputs[0].var_ref() {
+            let lin = ctx.lineage_of_slot(var.slot);
             let log = lima_core::lineage::serialize::serialize_lineage(&lin);
             std::fs::write(format!("{path}.lineage"), log)?;
         }
@@ -948,11 +993,8 @@ fn execute_fcall(
             && func.deterministic
             && ctx.dedup_trace.is_none()
         {
-            let item = LineageItem::op_with_data(
-                format!("{}:{name}", oc::FCALL),
-                name.to_string(),
-                items.clone(),
-            );
+            let opcode = format!("{}:{name}", oc::FCALL).into();
+            let item = LineageItem::resolved(opcode, oc::DC, Some(name.into()), items.clone());
             match cache_acquire(cache, &item, ctx)? {
                 Some(Probe::Hit(bundle, outputs)) => {
                     let values = unbundle(bundle, instr.outputs.len());
@@ -979,13 +1021,13 @@ fn execute_fcall(
 
     // Execute the function body in a fresh context, timed for a reservation.
     let t0 = reservation.as_ref().map(|_| Instant::now());
-    let mut callee = ctx.fork_function();
-    for (param, value) in func.params.iter().zip(args.iter()) {
-        callee.set(param.as_str(), value.clone());
+    let mut callee = ctx.fork_function(&func.frame);
+    for (param, value) in func.params.iter().zip(args) {
+        callee.symtab.put(param.slot, value);
     }
     if let Some(items) = &arg_items {
         for (param, item) in func.params.iter().zip(items.iter()) {
-            callee.lineage.set(param.as_str(), item.clone());
+            callee.lineage.put(param.slot, item.clone());
         }
     }
     let res = execute_function_body(func, program, &mut callee);
@@ -997,12 +1039,10 @@ fn execute_fcall(
     let mut out_values = Vec::with_capacity(func.outputs.len());
     let mut out_lineage = Vec::with_capacity(func.outputs.len());
     for out in &func.outputs {
-        let v = callee
-            .symtab
-            .get(out.as_str())
-            .cloned()
-            .ok_or_else(|| RuntimeError::UndefinedVariable(format!("{name} output '{out}'")))?;
-        out_lineage.push(callee.lineage.get(out).cloned());
+        let v = callee.symtab.at(out.slot).cloned().ok_or_else(|| {
+            RuntimeError::UndefinedVariable(format!("{name} output '{}'", out.name))
+        })?;
+        out_lineage.push(callee.lineage.at(out.slot).cloned());
         out_values.push(v);
     }
 
@@ -1022,7 +1062,7 @@ fn execute_fcall(
 /// Binds values to `targets` with the lineage each was computed with; a
 /// value without lineage (tracing off) binds its value only.
 fn bind_lineage(
-    targets: &[Arc<str>],
+    targets: &[Var],
     values: Vec<Value>,
     lineage: impl IntoIterator<Item = Option<LinRef>>,
     ctx: &mut ExecutionContext,
@@ -1032,9 +1072,9 @@ fn bind_lineage(
             if let Value::Matrix(m) = &value {
                 l.set_shape(m.rows(), m.cols());
             }
-            ctx.lineage.set(Arc::clone(target), l);
+            ctx.lineage.put(target.slot, l);
         }
-        ctx.set(Arc::clone(target), value);
+        ctx.symtab.put(target.slot, value);
     }
 }
 

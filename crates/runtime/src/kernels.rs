@@ -15,24 +15,35 @@ fn bad(op: &Op, msg: impl Into<String>) -> RuntimeError {
     }
 }
 
+/// `op` expected a `what` operand and got `got`.
+fn expected(op: &Op, what: &str, got: &Value) -> RuntimeError {
+    bad(op, format!("expected {what}, got {}", got.type_name()))
+}
+
 fn need(inputs: &[Value], n: usize, op: &Op) -> Result<()> {
-    if inputs.len() != n {
-        return Err(bad(
-            op,
-            format!("expected {n} operands, got {}", inputs.len()),
-        ));
+    match inputs.len() {
+        got if got != n => Err(bad(op, format!("expected {n} operands, got {got}"))),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 fn mat<'a>(v: &'a Value, op: &Op) -> Result<&'a DenseMatrix> {
     match v {
         Value::Matrix(m) => Ok(m),
-        other => Err(bad(
-            op,
-            format!("expected matrix, got {}", other.type_name()),
-        )),
+        other => Err(expected(op, "matrix", other)),
     }
+}
+
+/// The one operand of `op`, a matrix.
+fn mat1<'a>(inputs: &'a [Value], op: &Op) -> Result<&'a DenseMatrix> {
+    need(inputs, 1, op)?;
+    mat(&inputs[0], op)
+}
+
+/// The two operands of `op`, matrices.
+fn mat2<'a>(inputs: &'a [Value], op: &Op) -> Result<(&'a DenseMatrix, &'a DenseMatrix)> {
+    need(inputs, 2, op)?;
+    Ok((mat(&inputs[0], op)?, mat(&inputs[1], op)?))
 }
 
 fn num(v: &Value, op: &Op) -> Result<f64> {
@@ -50,10 +61,7 @@ fn int(v: &Value, op: &Op) -> Result<i64> {
                 Err(bad(op, format!("{f} is not an integer")))
             }
         }
-        other => Err(bad(
-            op,
-            format!("expected integer, got {}", other.type_name()),
-        )),
+        other => Err(expected(op, "integer", other)),
     }
 }
 
@@ -83,10 +91,7 @@ fn index_vector(v: &Value, op: &Op) -> Result<Vec<usize>> {
             let x = s.as_f64().map_err(|e| bad(op, e.to_string()))?;
             Ok(vec![conv(x)?])
         }
-        other => Err(bad(
-            op,
-            format!("expected index, got {}", other.type_name()),
-        )),
+        other => Err(expected(op, "index", other)),
     }
 }
 
@@ -152,26 +157,6 @@ fn matmult_checkpointed(
     Ok(DenseMatrix::new(m, n, data)?)
 }
 
-/// Row-chunked `t(X) %*% X` with interrupt checkpoints: the Gram matrices of
-/// row stripes sum to the full Gram matrix. The stripe-sum order differs
-/// from the fused kernel's accumulation, so results agree to FP tolerance
-/// rather than bit-exactly (the parallel tsmm kernel already reorders the
-/// same way).
-fn tsmm_left_checkpointed(x: &DenseMatrix, ctx: &ExecutionContext) -> Result<DenseMatrix> {
-    let n = x.cols();
-    let mut acc = DenseMatrix::zeros(n, n);
-    let mut r0 = 0;
-    while r0 < x.rows() {
-        ctx.check_interrupt()?;
-        let r1 = (r0 + KERNEL_CHUNK_ROWS).min(x.rows());
-        let stripe = ops::slice(x, r0, r1 - 1, 0, n - 1)?;
-        let partial = ops::tsmm(&stripe, ops::TsmmSide::Left)?;
-        acc = ops::ew_matrix_matrix(BinOp::Add, &acc, &partial)?;
-        r0 = r1;
-    }
-    Ok(acc)
-}
-
 /// Executes a pure instruction kernel. `Rand`/`Sample` expect their seed
 /// operand already resolved to a concrete value by the interpreter.
 ///
@@ -201,9 +186,7 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
             }
         }
         Op::MatMult => {
-            need(inputs, 2, op)?;
-            let a = mat(&inputs[0], op)?;
-            let b = mat(&inputs[1], op)?;
+            let (a, b) = mat2(inputs, op)?;
             if ctx.session.is_some() && a.rows() > KERNEL_CHUNK_ROWS && a.cols() > 0 {
                 vec![Value::matrix(matmult_checkpointed(a, b, ctx)?)]
             } else {
@@ -211,9 +194,7 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
             }
         }
         Op::TMatMult => {
-            need(inputs, 2, op)?;
-            let a = mat(&inputs[0], op)?;
-            let b = mat(&inputs[1], op)?;
+            let (a, b) = mat2(inputs, op)?;
             if ctx.session.is_some() && a.cols() > KERNEL_CHUNK_ROWS && a.rows() > 0 {
                 // Checkpoints cut the rows of `t(A)`, as for the unfused pair.
                 let at = ops::transpose(a);
@@ -223,35 +204,27 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
             }
         }
         Op::Tsmm(side) => {
-            need(inputs, 1, op)?;
-            let x = mat(&inputs[0], op)?;
+            let x = mat1(inputs, op)?;
             if ctx.session.is_some()
                 && *side == ops::TsmmSide::Left
                 && x.rows() > KERNEL_CHUNK_ROWS
                 && x.cols() > 0
             {
-                vec![Value::matrix(tsmm_left_checkpointed(x, ctx)?)]
+                // The fixed blocks `tsmm` folds, with a checkpoint before each.
+                let gram = ops::tsmm_left_checked(x, || ctx.check_interrupt())?;
+                vec![Value::matrix(gram)]
             } else {
                 vec![Value::matrix(ops::tsmm(x, *side)?)]
             }
         }
-        Op::Transpose => {
-            need(inputs, 1, op)?;
-            vec![Value::matrix(ops::transpose(mat(&inputs[0], op)?))]
-        }
+        Op::Transpose => vec![Value::matrix(ops::transpose(mat1(inputs, op)?))],
         Op::Cbind => {
-            need(inputs, 2, op)?;
-            vec![Value::matrix(ops::cbind(
-                mat(&inputs[0], op)?,
-                mat(&inputs[1], op)?,
-            )?)]
+            let (a, b) = mat2(inputs, op)?;
+            vec![Value::matrix(ops::cbind(a, b)?)]
         }
         Op::Rbind => {
-            need(inputs, 2, op)?;
-            vec![Value::matrix(ops::rbind(
-                mat(&inputs[0], op)?,
-                mat(&inputs[1], op)?,
-            )?)]
+            let (a, b) = mat2(inputs, op)?;
+            vec![Value::matrix(ops::rbind(a, b)?)]
         }
         Op::RightIndex => {
             need(inputs, 5, op)?;
@@ -332,7 +305,7 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
             need(inputs, 1, op)?;
             let path = match &inputs[0] {
                 Value::Scalar(ScalarValue::Str(s)) => s.to_string(),
-                other => return Err(bad(op, format!("expected path, got {}", other.type_name()))),
+                other => return Err(expected(op, "path", other)),
             };
             match ctx.data.get(&path) {
                 Some(v) => vec![v],
@@ -351,36 +324,17 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
                 }
             }
         }
-        Op::FullAgg(f) => {
-            need(inputs, 1, op)?;
-            vec![Value::f64(ops::full_agg(mat(&inputs[0], op)?, *f))]
-        }
-        Op::ColAgg(f) => {
-            need(inputs, 1, op)?;
-            vec![Value::matrix(ops::col_agg(mat(&inputs[0], op)?, *f))]
-        }
-        Op::RowAgg(f) => {
-            need(inputs, 1, op)?;
-            vec![Value::matrix(ops::row_agg(mat(&inputs[0], op)?, *f))]
-        }
-        Op::RowIndexMax => {
-            need(inputs, 1, op)?;
-            vec![Value::matrix(ops::row_index_max(mat(&inputs[0], op)?)?)]
-        }
+        Op::FullAgg(f) => vec![Value::f64(ops::full_agg(mat1(inputs, op)?, *f))],
+        Op::ColAgg(f) => vec![Value::matrix(ops::col_agg(mat1(inputs, op)?, *f))],
+        Op::RowAgg(f) => vec![Value::matrix(ops::row_agg(mat1(inputs, op)?, *f))],
+        Op::RowIndexMax => vec![Value::matrix(ops::row_index_max(mat1(inputs, op)?)?)],
         Op::Solve => {
-            need(inputs, 2, op)?;
-            vec![Value::matrix(ops::solve(
-                mat(&inputs[0], op)?,
-                mat(&inputs[1], op)?,
-            )?)]
+            let (a, b) = mat2(inputs, op)?;
+            vec![Value::matrix(ops::solve(a, b)?)]
         }
-        Op::Diag => {
-            need(inputs, 1, op)?;
-            vec![Value::matrix(ops::diag(mat(&inputs[0], op)?)?)]
-        }
+        Op::Diag => vec![Value::matrix(ops::diag(mat1(inputs, op)?)?)],
         Op::Eigen => {
-            need(inputs, 1, op)?;
-            let r = ops::eigen_symmetric(mat(&inputs[0], op)?)?;
+            let r = ops::eigen_symmetric(mat1(inputs, op)?)?;
             vec![Value::matrix(r.values), Value::matrix(r.vectors)]
         }
         Op::Order => {
@@ -388,57 +342,40 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
             let v = mat(&inputs[0], op)?;
             let dec = match &inputs[1] {
                 Value::Scalar(s) => s.as_bool().map_err(|e| bad(op, e.to_string()))?,
-                other => return Err(bad(op, format!("expected bool, got {}", other.type_name()))),
+                other => return Err(expected(op, "bool", other)),
             };
             vec![Value::matrix(ops::order_index(v, dec)?)]
         }
-        Op::Rev => {
-            need(inputs, 1, op)?;
-            vec![Value::matrix(ops::rev(mat(&inputs[0], op)?))]
-        }
+        Op::Rev => vec![Value::matrix(ops::rev(mat1(inputs, op)?))],
         Op::Table => {
-            need(inputs, 2, op)?;
-            vec![Value::matrix(ops::table2(
-                mat(&inputs[0], op)?,
-                mat(&inputs[1], op)?,
-            )?)]
+            let (a, b) = mat2(inputs, op)?;
+            vec![Value::matrix(ops::table2(a, b)?)]
         }
-        Op::Nrow => {
-            need(inputs, 1, op)?;
-            vec![Value::i64(mat(&inputs[0], op)?.rows() as i64)]
-        }
-        Op::Ncol => {
-            need(inputs, 1, op)?;
-            vec![Value::i64(mat(&inputs[0], op)?.cols() as i64)]
-        }
+        Op::Nrow => vec![Value::i64(mat1(inputs, op)?.rows() as i64)],
+        Op::Ncol => vec![Value::i64(mat1(inputs, op)?.cols() as i64)],
         Op::CastScalar => {
-            need(inputs, 1, op)?;
-            let m = mat(&inputs[0], op)?;
-            if m.shape() != (1, 1) {
-                return Err(bad(
-                    op,
-                    format!("as.scalar on {}x{} matrix", m.rows(), m.cols()),
-                ));
+            let m = mat1(inputs, op)?;
+            let (r, c) = m.shape();
+            if (r, c) != (1, 1) {
+                return Err(bad(op, format!("as.scalar on {r}x{c} matrix")));
             }
             vec![Value::f64(m.get(0, 0))]
         }
         Op::CastMatrix => {
             need(inputs, 1, op)?;
-            vec![Value::matrix(DenseMatrix::filled(
-                1,
-                1,
-                num(&inputs[0], op)?,
-            ))]
+            let v = num(&inputs[0], op)?;
+            vec![Value::matrix(DenseMatrix::filled(1, 1, v))]
         }
         Op::Reshape => {
             need(inputs, 3, op)?;
             let x = mat(&inputs[0], op)?;
             let rows = usize_arg(&inputs[1], op)?;
             let cols = usize_arg(&inputs[2], op)?;
-            if rows * cols != x.len() {
+            let n = x.len();
+            if rows * cols != n {
                 return Err(bad(
                     op,
-                    format!("cannot reshape {} cells to {rows}x{cols}", x.len()),
+                    format!("cannot reshape {n} cells to {rows}x{cols}"),
                 ));
             }
             vec![Value::matrix(DenseMatrix::new(
@@ -454,11 +391,9 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
             need(inputs, 2, op)?;
             let list = inputs[0].as_list().map_err(|e| bad(op, e.to_string()))?;
             let idx = usize_arg(&inputs[1], op)?;
-            if idx == 0 || idx > list.len() {
-                return Err(bad(
-                    op,
-                    format!("list index {idx} out of 1..={}", list.len()),
-                ));
+            let n = list.len();
+            if idx == 0 || idx > n {
+                return Err(bad(op, format!("list index {idx} out of 1..={n}")));
             }
             vec![list[idx - 1].clone()]
         }
@@ -473,6 +408,15 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
         }
         Op::Fused(spec) => {
             vec![Value::matrix(spec.execute(inputs)?)]
+        }
+        Op::ResultMerge => {
+            let Some((init, workers)) = inputs.split_first() else {
+                return Err(bad(op, "needs the value before the loop"));
+            };
+            match crate::parfor::merge_results(Some(init), workers) {
+                Some(merged) => vec![merged],
+                None => return Err(bad(op, "nothing to merge")),
+            }
         }
         Op::Print | Op::Write | Op::Rmvar | Op::Mvvar | Op::FCall(_) | Op::LineageOf => {
             return Err(bad(op, "handled by the interpreter, not a kernel"));

@@ -2,58 +2,64 @@
 //! outputs are obtained from live-variable analysis).
 //!
 //! `live_in` is conservative: a variable counts as an input if any execution
-//! path may read it before the block definitely writes it.
+//! path may read it before the block definitely writes it. It works on the
+//! slots of a numbered frame, whose names are numbered in sorted order: so
+//! are ascending slots.
 
-use crate::program::{walk_blocks, Block};
+use crate::instr::Instr;
+use crate::program::{walk_blocks, Block, ExprProg};
 use std::collections::BTreeSet;
 
-/// Variables possibly read before being definitely written in `blocks`,
-/// given the set of variables already definitely written (`written`).
-/// Returns inputs in sorted order (stable placeholder slots for dedup).
-pub fn live_in(blocks: &[Block]) -> Vec<String> {
-    let mut inputs = BTreeSet::new();
-    let mut written = BTreeSet::new();
-    scan(blocks, &mut written, &mut inputs);
-    inputs.into_iter().map(str::to_string).collect()
+/// A set of slots of one frame; it iterates in ascending order.
+pub type SlotSet = BTreeSet<u32>;
+
+/// Slots possibly read before being definitely written in `blocks`, in
+/// ascending order (stable placeholder slots for dedup).
+pub fn live_in(blocks: &[Block]) -> Vec<u32> {
+    let mut inputs = SlotSet::default();
+    scan(blocks, &mut SlotSet::default(), &mut inputs);
+    inputs.into_iter().collect()
 }
 
-/// All variables read anywhere in `blocks` (regardless of prior writes),
-/// sorted. Used by the dedup live-out pass: a loop-carried next-iteration
-/// read counts as "read after" for nested loops.
-pub fn collect_reads(blocks: &[Block]) -> std::collections::BTreeSet<String> {
-    let mut out = std::collections::BTreeSet::new();
-    collect_reads_into(blocks, &mut out);
+/// All slots read anywhere in `blocks` (regardless of prior writes). Used by
+/// the dedup live-out pass: a loop-carried next-iteration read counts as
+/// "read after" for nested loops.
+pub fn collect_reads(blocks: &[Block]) -> SlotSet {
+    let mut out = SlotSet::default();
+    walk_blocks(blocks, &mut |b| {
+        out.extend(b.own_instrs().flat_map(Instr::read_slots));
+        out.extend(b.header().filter_map(|e| Some(e.result.var_ref()?.slot)));
+    });
     out
 }
 
-fn collect_reads_into(blocks: &[Block], out: &mut std::collections::BTreeSet<String>) {
+/// All slots possibly written by `blocks`, in ascending order.
+pub fn writes(blocks: &[Block]) -> Vec<u32> {
+    let mut out = SlotSet::default();
     walk_blocks(blocks, &mut |b| {
-        out.extend(b.own_instrs().flat_map(|i| i.reads()).map(str::to_string));
-        let results = b.header().filter_map(|e| e.result.as_var());
-        out.extend(results.map(str::to_string));
+        if let Block::For { var, .. } | Block::ParFor { var, .. } = b {
+            out.insert(var.slot);
+        }
+        out.extend(b.own_instrs().flat_map(Instr::write_slots));
     });
+    out.into_iter().collect()
 }
 
-/// All variables possibly written by `blocks`, sorted.
-pub fn writes(blocks: &[Block]) -> Vec<String> {
-    let mut out = BTreeSet::new();
-    collect_writes(blocks, &mut out);
-    out.into_iter().map(str::to_string).collect()
+fn scan_instr(i: &Instr, written: &mut SlotSet, inputs: &mut SlotSet) {
+    for r in i.read_slots() {
+        if !written.contains(&r) {
+            inputs.insert(r);
+        }
+    }
+    written.extend(i.write_slots());
 }
 
-/// The working sets borrow the names from the program: a loop entry that
-/// asks for its body's live-ins copies only the answer.
-fn scan<'p>(blocks: &'p [Block], written: &mut BTreeSet<&'p str>, inputs: &mut BTreeSet<&'p str>) {
+fn scan(blocks: &[Block], written: &mut SlotSet, inputs: &mut SlotSet) {
     for block in blocks {
         match block {
             Block::Basic { instrs, .. } => {
                 for i in instrs {
-                    for r in i.reads() {
-                        if !written.contains(r) {
-                            inputs.insert(r);
-                        }
-                    }
-                    written.extend(i.writes());
+                    scan_instr(i, written, inputs);
                 }
             }
             Block::If {
@@ -69,7 +75,8 @@ fn scan<'p>(blocks: &'p [Block], written: &mut BTreeSet<&'p str>, inputs: &mut B
                 scan(else_body, &mut else_written, inputs);
                 // Only variables written on *both* paths are definitely
                 // written after the conditional.
-                *written = then_written.intersection(&else_written).copied().collect();
+                then_written.retain(|s| else_written.contains(s));
+                *written = then_written;
             }
             Block::For {
                 var,
@@ -94,7 +101,7 @@ fn scan<'p>(blocks: &'p [Block], written: &mut BTreeSet<&'p str>, inputs: &mut B
                 // the current written set (plus the index variable), but body
                 // writes are not definite.
                 let mut body_written = written.clone();
-                body_written.insert(var);
+                body_written.insert(var.slot);
                 scan(body, &mut body_written, inputs);
             }
             Block::While { pred, body, .. } => {
@@ -106,41 +113,41 @@ fn scan<'p>(blocks: &'p [Block], written: &mut BTreeSet<&'p str>, inputs: &mut B
     }
 }
 
-fn scan_expr<'p>(
-    e: &'p crate::program::ExprProg,
-    written: &mut BTreeSet<&'p str>,
-    inputs: &mut BTreeSet<&'p str>,
-) {
+fn scan_expr(e: &ExprProg, written: &mut SlotSet, inputs: &mut SlotSet) {
     for i in &e.instrs {
-        for r in i.reads() {
-            if !written.contains(r) {
-                inputs.insert(r);
-            }
-        }
-        written.extend(i.writes());
+        scan_instr(i, written, inputs);
     }
-    if let Some(v) = e.result.as_var() {
-        if !written.contains(v) {
-            inputs.insert(v);
+    if let Some(v) = e.result.var_ref() {
+        if !written.contains(&v.slot) {
+            inputs.insert(v.slot);
         }
     }
-}
-
-fn collect_writes<'p>(blocks: &'p [Block], out: &mut BTreeSet<&'p str>) {
-    walk_blocks(blocks, &mut |b| {
-        if let Block::For { var, .. } | Block::ParFor { var, .. } = b {
-            out.insert(var);
-        }
-        out.extend(b.own_instrs().flat_map(|i| i.writes()));
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instr::{Instr, Op, Operand};
-    use crate::program::ExprProg;
+    use crate::program::{ExprProg, Program};
     use lima_matrix::ops::BinOp;
+
+    /// Names of `slots` in the frame of a program over `blocks`.
+    fn named(p: &Program, slots: Vec<u32>) -> Vec<String> {
+        slots
+            .into_iter()
+            .map(|s| p.frame[s as usize].to_string())
+            .collect()
+    }
+
+    fn live_in_of(blocks: Vec<Block>) -> Vec<String> {
+        let p = Program::new(blocks);
+        named(&p, live_in(&p.body))
+    }
+
+    fn writes_of(blocks: Vec<Block>) -> Vec<String> {
+        let p = Program::new(blocks);
+        named(&p, writes(&p.body))
+    }
 
     fn add(a: &str, b: &str, out: &str) -> Instr {
         Instr::new(
@@ -153,14 +160,14 @@ mod tests {
     #[test]
     fn read_before_write_is_input() {
         let b = Block::basic(vec![add("x", "y", "z"), add("z", "x", "w")]);
-        assert_eq!(live_in(std::slice::from_ref(&b)), vec!["x", "y"]);
-        assert_eq!(writes(&[b]), vec!["w", "z"]);
+        assert_eq!(live_in_of(vec![b.clone()]), vec!["x", "y"]);
+        assert_eq!(writes_of(vec![b]), vec!["w", "z"]);
     }
 
     #[test]
     fn write_then_read_is_not_input() {
         let b = Block::basic(vec![add("x", "x", "t"), add("t", "t", "u")]);
-        assert_eq!(live_in(&[b]), vec!["x"]);
+        assert_eq!(live_in_of(vec![b]), vec!["x"]);
     }
 
     #[test]
@@ -174,8 +181,8 @@ mod tests {
             ExprProg::lit(Operand::i64(1)),
             vec![body],
         );
-        assert_eq!(live_in(std::slice::from_ref(&f)), vec!["G", "p"]);
-        let w = writes(&[f]);
+        assert_eq!(live_in_of(vec![f.clone()]), vec!["G", "p"]);
+        let w = writes_of(vec![f]);
         assert!(w.contains(&"p".to_string()));
         assert!(w.contains(&"i".to_string()));
     }
@@ -189,7 +196,7 @@ mod tests {
             vec![],
         );
         let after = Block::basic(vec![add("x", "x", "y")]);
-        assert_eq!(live_in(&[cond, after]), vec!["a", "c", "x"]);
+        assert_eq!(live_in_of(vec![cond, after]), vec!["a", "c", "x"]);
     }
 
     #[test]
@@ -200,7 +207,7 @@ mod tests {
             vec![Block::basic(vec![add("b", "b", "x")])],
         );
         let after = Block::basic(vec![add("x", "x", "y")]);
-        assert_eq!(live_in(&[cond, after]), vec!["a", "b", "c"]);
+        assert_eq!(live_in_of(vec![cond, after]), vec!["a", "b", "c"]);
     }
 
     #[test]
@@ -213,12 +220,12 @@ mod tests {
             ExprProg::lit(Operand::i64(1)),
             vec![body],
         );
-        assert_eq!(live_in(&[f]), vec!["n"]);
+        assert_eq!(live_in_of(vec![f]), vec!["n"]);
     }
 
     #[test]
     fn predicate_reads_count() {
         let w = Block::while_loop(ExprProg::var("cond"), vec![Block::basic(vec![])]);
-        assert_eq!(live_in(&[w]), vec!["cond"]);
+        assert_eq!(live_in_of(vec![w]), vec!["cond"]);
     }
 }

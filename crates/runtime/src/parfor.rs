@@ -6,7 +6,8 @@
 //! entries prevent redundant computation across the first wave of
 //! iterations). Results are merged back by comparing against the initial
 //! value of each result variable, and result lineage is linearized with a
-//! merge item.
+//! merge item over the initial value's lineage and the workers' (so a merged
+//! result replays: `reconstruct` applies the same merge).
 //!
 //! Failure semantics: a panicking worker is isolated with `catch_unwind` and
 //! surfaces as [`RuntimeError::WorkerPanic`] instead of aborting the process.
@@ -19,10 +20,12 @@
 
 use crate::context::ExecutionContext;
 use crate::error::{Result, RuntimeError};
+use crate::instr::Var;
 use crate::interp::execute_blocks;
 use crate::program::{Block, Program};
 use lima_core::faults::FaultSite;
 use lima_core::lineage::item::{LinRef, LineageItem};
+use lima_core::opcodes::{DN, RMERGE};
 use lima_core::{EventKind, LimaStats};
 use lima_matrix::forkjoin::{fork_join, panic_message};
 use lima_matrix::{DenseMatrix, Value};
@@ -31,12 +34,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_parfor(
-    var: &str,
+    var: &Var,
     from: i64,
     to: i64,
     by: i64,
     body: &[Block],
-    results: &[String],
+    results: &[Var],
     degree: Option<usize>,
     program: &Program,
     ctx: &mut ExecutionContext,
@@ -62,9 +65,9 @@ pub(crate) fn execute_parfor(
         .min(iterations.len());
 
     // Snapshot initial result values for the merge.
-    let initial: Vec<(String, Option<Value>)> = results
+    let initial: Vec<Option<Value>> = results
         .iter()
-        .map(|r| (r.clone(), ctx.symtab.get(r.as_str()).cloned()))
+        .map(|r| ctx.symtab.at(r.slot).cloned())
         .collect();
 
     if workers == 1 {
@@ -77,7 +80,7 @@ pub(crate) fn execute_parfor(
             for i in iterations {
                 ctx.check_interrupt()?;
                 maybe_inject_panic(ctx, i);
-                ctx.set(var, Value::i64(i));
+                ctx.symtab.put(var.slot, Value::i64(i));
                 execute_blocks(body, program, ctx)?;
             }
             Ok(())
@@ -88,8 +91,8 @@ pub(crate) fn execute_parfor(
         // The loop variable does not survive the parfor (body-local scope),
         // matching the threaded path where it never enters the parent
         // context at all.
-        ctx.symtab.remove(var);
-        ctx.lineage.remove(var);
+        ctx.symtab.take(var.slot);
+        ctx.lineage.take(var.slot);
         return match outcome {
             Ok(r) => r,
             Err(payload) => {
@@ -103,7 +106,7 @@ pub(crate) fn execute_parfor(
     // choose; contiguous chunks preserve per-worker temporal locality).
     let chunk = iterations.len().div_ceil(workers);
     struct WorkerOut {
-        results: Vec<(String, Option<Value>, Option<LinRef>)>,
+        results: Vec<(Option<Value>, Option<LinRef>)>,
         stdout: Vec<String>,
     }
     // Set by the first failing worker; siblings stop at their next iteration
@@ -114,8 +117,6 @@ pub(crate) fn execute_parfor(
         let iters = iters.to_vec();
         let mut wctx = ctx.fork_worker();
         let stats = std::sync::Arc::clone(&wctx.stats);
-        let var = var.to_string();
-        let results = results.to_vec();
         move || -> Result<WorkerOut> {
             let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<WorkerOut> {
                 let n_iters = iters.len() as u64;
@@ -130,20 +131,23 @@ pub(crate) fn execute_parfor(
                     // through the sibling-cancel path below.
                     wctx.check_interrupt()?;
                     maybe_inject_panic(&wctx, i);
-                    wctx.set(var.clone(), Value::i64(i));
+                    wctx.symtab.put(var.slot, Value::i64(i));
                     execute_blocks(body, program, &mut wctx)?;
                 }
                 if let (Some(o), Some(t0)) = (&obs, obs_t0) {
                     o.record_span(EventKind::ParforWorker, "parfor", 0, t0, w as u64, n_iters);
                 }
+                // Every result a worker holds has lineage when tracing (an
+                // input bound before the loop gets its `read` leaf), so the
+                // merge item has one input per merged value.
+                let tracing = wctx.tracing();
                 let results = results
                     .iter()
                     .map(|r| {
-                        (
-                            r.clone(),
-                            wctx.symtab.get(r.as_str()).cloned(),
-                            wctx.lineage.get(r).cloned(),
-                        )
+                        let value = wctx.symtab.at(r.slot).cloned();
+                        let lin =
+                            (tracing && value.is_some()).then(|| wctx.lineage_of_slot(r.slot));
+                        (value, lin)
                     })
                     .collect();
                 Ok(WorkerOut {
@@ -177,43 +181,45 @@ pub(crate) fn execute_parfor(
     }
 
     // Merge results: cells differing from the initial value win (SystemDS'
-    // result-merge-with-compare); scalars take the last differing worker.
-    for (idx, (rvar, init)) in initial.iter().enumerate() {
-        let mut merged = init.clone();
-        let mut lineage_roots: Vec<LinRef> = Vec::new();
-        for w in &worker_outs {
-            let (_, val, lin) = &w.results[idx];
-            if let Some(l) = lin {
-                lineage_roots.push(l.clone());
-            }
-            let Some(val) = val else { continue };
-            merged = Some(match (&merged, init, val) {
-                (Some(Value::Matrix(acc)), Some(Value::Matrix(init_m)), Value::Matrix(wm))
-                    if acc.shape() == wm.shape() && init_m.shape() == wm.shape() =>
-                {
-                    let mut out = acc.as_ref().clone();
-                    merge_noninitial(&mut out, init_m, wm);
-                    Value::matrix(out)
-                }
-                _ => val.clone(),
-            });
-        }
-        if let Some(m) = merged {
-            ctx.set(rvar.as_str(), m);
-        }
-        if !lineage_roots.is_empty() && ctx.tracing() {
+    // result-merge-with-compare); scalars take the last worker's value.
+    for (idx, (rvar, init)) in results.iter().zip(&initial).enumerate() {
+        let values = worker_outs.iter().filter_map(|w| w.results[idx].0.as_ref());
+        let Some(merged) = merge_results(init.as_ref(), values) else {
+            continue;
+        };
+        let mut roots = worker_outs.iter().filter_map(|w| w.results[idx].1.clone());
+        let lineage = match init {
+            _ if !ctx.tracing() => None,
             // Linearized merged lineage (paper §3.3: "worker results are
-            // merged by taking their lineage roots").
-            let item = LineageItem::op_with_data("rmerge", rvar.clone(), lineage_roots);
-            if let Some(Value::Matrix(m)) = ctx.symtab.get(rvar.as_str()) {
+            // merged by taking their lineage roots"), after the lineage of
+            // the value the merge compares against.
+            // The data names the variable and counts the workers' inputs.
+            Some(_) => {
+                let roots: Vec<LinRef> = roots.collect();
+                let data = format!("{} {}", rvar.name, roots.len());
+                let init_lin = ctx.lineage_of_slot(rvar.slot);
+                let inputs = std::iter::once(init_lin).chain(roots);
+                Some(LineageItem::resolved(
+                    RMERGE.into(),
+                    DN,
+                    Some(data.into()),
+                    inputs,
+                ))
+            }
+            // Nothing to compare against: the value is the last worker's.
+            None => roots.next_back(),
+        };
+        if let Some(item) = lineage {
+            if let Value::Matrix(m) = &merged {
                 item.set_shape(m.rows(), m.cols());
             }
-            ctx.lineage.set(rvar.as_str(), item);
+            ctx.lineage.put(rvar.slot, item);
         }
+        ctx.symtab.put(rvar.slot, merged);
     }
     // The loop variable does not survive the parfor (body-local scope).
-    ctx.symtab.remove(var);
-    ctx.lineage.remove(var);
+    ctx.symtab.take(var.slot);
+    ctx.lineage.take(var.slot);
     for w in &mut worker_outs {
         ctx.stdout.append(&mut w.stdout);
     }
@@ -229,6 +235,31 @@ fn maybe_inject_panic(ctx: &ExecutionContext, iteration: i64) {
             panic!("injected fault: parfor worker panic at iteration {iteration}");
         }
     }
+}
+
+/// The merged value of one result variable: `init` (its value before the
+/// loop, if bound) with the workers' values folded in, in worker order. A
+/// matrix worker value of `init`'s shape contributes the cells it changed;
+/// anything else replaces the result. Execution and replay (`rmerge`) share
+/// it, so a replayed merge has the same bits.
+pub(crate) fn merge_results<'v>(
+    init: Option<&Value>,
+    workers: impl IntoIterator<Item = &'v Value>,
+) -> Option<Value> {
+    let mut merged = init.cloned();
+    for val in workers {
+        merged = Some(match (&merged, init, val) {
+            (Some(Value::Matrix(acc)), Some(Value::Matrix(init_m)), Value::Matrix(wm))
+                if acc.shape() == wm.shape() && init_m.shape() == wm.shape() =>
+            {
+                let mut out = acc.as_ref().clone();
+                merge_noninitial(&mut out, init_m, wm);
+                Value::matrix(out)
+            }
+            _ => val.clone(),
+        });
+    }
+    merged
 }
 
 /// Copies every cell of `worker` that differs from `init` into `acc`.

@@ -3,8 +3,10 @@
 //! registry. Control flow and variable scoping are handled by the runtime
 //! itself, not a host language.
 
-use crate::instr::{Instr, Op, Operand};
+use crate::instr::{Instr, Op, Operand, Var};
+use lima_core::Frame;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// A tiny straight-line expression program: instructions plus the operand
 /// holding the result. Used for `if`/`while` predicates and loop bounds,
@@ -35,6 +37,11 @@ impl ExprProg {
     pub fn new(instrs: Vec<Instr>, result: Operand) -> Self {
         ExprProg { instrs, result }
     }
+
+    fn vars_mut(&mut self) -> impl Iterator<Item = &mut Var> {
+        let instrs = self.instrs.iter_mut().flat_map(Instr::vars_mut);
+        instrs.chain(self.result.var_mut())
+    }
 }
 
 /// A program block (paper Fig 1: operations, control-flow blocks, functions).
@@ -59,7 +66,7 @@ pub enum Block {
     /// Counted loop.
     For {
         id: u64,
-        var: String,
+        var: Var,
         from: ExprProg,
         to: ExprProg,
         by: ExprProg,
@@ -72,7 +79,7 @@ pub enum Block {
         /// Live-out variables of the body (written and possibly read after
         /// the loop or carried into the next iteration); only these receive
         /// dedup items — dead temporaries are dropped from the trace.
-        dedup_outputs: Vec<String>,
+        dedup_outputs: Vec<Var>,
     },
     /// Condition-controlled loop.
     While {
@@ -81,20 +88,20 @@ pub enum Block {
         body: Vec<Block>,
         dedup_ok: bool,
         deterministic: bool,
-        dedup_outputs: Vec<String>,
+        dedup_outputs: Vec<Var>,
     },
     /// Task-parallel counted loop (paper §3.3): iterations execute on worker
     /// threads with worker-local lineage and a result merge.
     ParFor {
         id: u64,
-        var: String,
+        var: Var,
         from: ExprProg,
         to: ExprProg,
         by: ExprProg,
         body: Vec<Block>,
         /// Result variables merged across workers (filled by the compiler:
         /// variables that exist before the loop and are updated inside).
-        results: Vec<String>,
+        results: Vec<Var>,
         /// Worker threads; `None` picks a default.
         degree: Option<usize>,
         /// Byte span of the `parfor` header in the original script (set by
@@ -122,7 +129,7 @@ impl Block {
 
     /// For-loop constructor.
     pub fn for_loop(
-        var: impl Into<String>,
+        var: impl Into<Var>,
         from: ExprProg,
         to: ExprProg,
         by: ExprProg,
@@ -155,7 +162,7 @@ impl Block {
 
     /// ParFor constructor.
     pub fn parfor(
-        var: impl Into<String>,
+        var: impl Into<Var>,
         from: ExprProg,
         to: ExprProg,
         by: ExprProg,
@@ -269,14 +276,76 @@ pub fn walk_blocks_mut(blocks: &mut [Block], visit: &mut impl FnMut(&mut Block))
     }
 }
 
+/// What a walk over a frame's variables calls on each.
+type VarVisitor<'a> = &'a mut dyn FnMut(&mut Var);
+
+/// Calls `f` on every variable `blocks` name: instruction operands and
+/// outputs, header results, loop indices, parfor results, dedup outputs.
+fn for_each_var_mut(blocks: &mut [Block], f: VarVisitor<'_>) {
+    walk_blocks_mut(blocks, &mut |b| match b {
+        Block::Basic { instrs, .. } => instrs
+            .iter_mut()
+            .flat_map(Instr::vars_mut)
+            .for_each(&mut *f),
+        Block::If { pred, .. } => pred.vars_mut().for_each(&mut *f),
+        Block::While {
+            pred,
+            dedup_outputs: vars,
+            ..
+        } => {
+            pred.vars_mut().chain(vars).for_each(&mut *f);
+        }
+        Block::For {
+            var,
+            from,
+            to,
+            by,
+            dedup_outputs: vars,
+            ..
+        }
+        | Block::ParFor {
+            var,
+            from,
+            to,
+            by,
+            results: vars,
+            ..
+        } => {
+            let exprs = [from, to, by].into_iter().flat_map(ExprProg::vars_mut);
+            std::iter::once(var)
+                .chain(vars)
+                .chain(exprs)
+                .for_each(&mut *f);
+        }
+    });
+}
+
+/// Numbers one frame: each distinct name `visit` reaches gets the slot of its
+/// rank in sorted order, so a set of slots iterates in name order (the
+/// placeholder order of dedup patches), and every variable of the name shares
+/// one copy of it. Returns the frame's registry.
+fn number_frame(visit: &mut dyn FnMut(VarVisitor<'_>)) -> Arc<Frame> {
+    let mut names: Vec<Arc<str>> = Vec::new();
+    visit(&mut |v| names.push(Arc::clone(&v.name)));
+    names.sort_unstable();
+    names.dedup();
+    visit(&mut |v| {
+        if let Ok(k) = names.binary_search(&v.name) {
+            v.slot = k as u32;
+            v.name = Arc::clone(&names[k]);
+        }
+    });
+    Arc::new(names)
+}
+
 /// A script-level function (paper Example 1: `gridSearch`, `lm`, `lmDS`, ...).
 #[derive(Debug, Clone)]
 pub struct Function {
     pub name: String,
-    /// Parameter names, bound positionally at call sites.
-    pub params: Vec<String>,
-    /// Output variable names returned to the caller.
-    pub outputs: Vec<String>,
+    /// Parameters, bound positionally at call sites.
+    pub params: Vec<Var>,
+    /// Output variables returned to the caller.
+    pub outputs: Vec<Var>,
     pub body: Vec<Block>,
     /// Set by the compiler: no non-deterministic ops or calls, no side
     /// effects — the function qualifies for multi-level reuse (memoization).
@@ -285,26 +354,48 @@ pub struct Function {
     /// deduplication (no loops or nested calls, ≤63 branches).
     pub dedup_ok: bool,
     /// Live-out variables of the body for function dedup (outputs + carried).
-    pub dedup_outputs: Vec<String>,
+    pub dedup_outputs: Vec<Var>,
+    /// The body's frame: a call binds its own symbol table and lineage map
+    /// with one cell per slot.
+    pub frame: Arc<Frame>,
 }
 
 impl Function {
-    /// New function; analysis flags are filled in by the compiler.
+    /// New function, its frame numbered; analysis flags are filled in by
+    /// the compiler.
     pub fn new(
         name: impl Into<String>,
         params: Vec<String>,
         outputs: Vec<String>,
         body: Vec<Block>,
     ) -> Self {
-        Function {
+        let mut f = Function {
             name: name.into(),
-            params,
-            outputs,
+            params: params.into_iter().map(Var::from).collect(),
+            outputs: outputs.into_iter().map(Var::from).collect(),
             body,
             deterministic: false,
             dedup_ok: false,
             dedup_outputs: Vec::new(),
-        }
+            frame: Arc::default(),
+        };
+        f.number_frame();
+        f
+    }
+
+    /// Numbers the body's frame, parameters and outputs included.
+    pub fn number_frame(&mut self) {
+        let (params, outputs, dedup) =
+            (&mut self.params, &mut self.outputs, &mut self.dedup_outputs);
+        let body = &mut self.body;
+        self.frame = number_frame(&mut |f| {
+            params
+                .iter_mut()
+                .chain(outputs.iter_mut())
+                .chain(dedup.iter_mut())
+                .for_each(&mut *f);
+            for_each_var_mut(body, f);
+        });
     }
 }
 
@@ -313,6 +404,8 @@ impl Function {
 pub struct Program {
     pub body: Vec<Block>,
     pub functions: HashMap<String, Function>,
+    /// The body's frame (its loops included; each function has its own).
+    pub frame: Arc<Frame>,
     /// Script fingerprint making block IDs stable across compilations of the
     /// same source (used in block-level cache keys).
     pub fingerprint: u64,
@@ -322,14 +415,28 @@ pub struct Program {
 }
 
 impl Program {
-    /// Program from top-level blocks.
+    /// Program from top-level blocks, its frame numbered.
     pub fn new(body: Vec<Block>) -> Self {
-        Program {
+        let mut program = Program {
             body,
             functions: HashMap::new(),
+            frame: Arc::default(),
             fingerprint: 0,
             analysis: crate::compiler::CompileReport::default(),
-        }
+        };
+        program.number_body();
+        program
+    }
+
+    /// Numbers the body's frame and every function's.
+    pub fn number_frames(&mut self) {
+        self.number_body();
+        self.functions.values_mut().for_each(Function::number_frame);
+    }
+
+    fn number_body(&mut self) {
+        let body = &mut self.body;
+        self.frame = number_frame(&mut |f| for_each_var_mut(body, f));
     }
 
     /// Registers a function.
@@ -391,7 +498,7 @@ mod tests {
         );
         match &f {
             Block::For { var, dedup_ok, .. } => {
-                assert_eq!(var, "i");
+                assert_eq!(&*var.name, "i");
                 assert!(!dedup_ok);
             }
             _ => panic!(),
@@ -426,7 +533,7 @@ mod tests {
             vec![],
         ));
         assert!(p.functions.contains_key("lm"));
-        assert_eq!(p.functions["lm"].params, vec!["X"]);
+        assert_eq!(&*p.functions["lm"].params[0].name, "X");
         assert!(!p.functions["lm"].deterministic);
     }
 }

@@ -8,31 +8,35 @@
 //! ([`PatchPlan`]) with a memo of the plan nodes already emitted, so the
 //! outputs of one loop iteration share their common body, and only what the
 //! requested item depends on is visited at all (an output nobody reads, and
-//! the inputs only it uses, cost nothing). Temporaries are numbered densely
-//! (`t0`, `t1`, ...) and removed right after their last use, so a replay
-//! holds its live set rather than every intermediate of the trace.
+//! the inputs only it uses, cost nothing). Each temporary is removed right
+//! after its last use and its slot of the program's own frame taken by the
+//! next one defined, so a replay holds its live set, in a frame as long as
+//! that set at its largest, rather than every intermediate of the trace.
 
-use crate::context::ExecutionContext;
+use crate::context::{ExecutionContext, Symtab};
 use crate::error::{Result, RuntimeError};
-use crate::instr::{Instr, Op, Operand, RandDistKind};
+use crate::instr::{Instr, Op, Operand, RandDistKind, Var};
 use crate::interp::execute_instr;
 use crate::program::Program;
 use lima_core::lineage::dedup::{DedupPatch, PatchPlan, PlanRef, PlanRoot};
 use lima_core::lineage::item::{FxBuildHasher, LinRef, LineageItem, LineageKind};
 use lima_core::lineage::serialize::{push_u64, take_exact};
 use lima_core::opcodes as oc;
+use lima_core::{Frame, LineageMap};
 use lima_matrix::ops::{AggFn, BinOp, TsmmSide, UnOp};
 use lima_matrix::{ScalarValue, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A program reconstructed from lineage: instructions plus the variable
-/// holding the final result. Every other variable the program binds it also
-/// removes (`rmvar`) after the last instruction that reads it.
+/// A program reconstructed from lineage: instructions, the frame of their
+/// temporaries, and the variable holding the final result. Every other
+/// variable the program binds it also removes (`rmvar`) after the last
+/// instruction that reads it.
 #[derive(Debug)]
 pub struct ReconstructedProgram {
     pub instrs: Vec<Instr>,
-    pub result_var: String,
+    pub frame: Arc<Frame>,
+    pub result: Var,
 }
 
 /// Generates a runtime program from a lineage DAG. In contrast to the
@@ -50,24 +54,30 @@ pub fn reconstruct(root: &LinRef) -> Result<ReconstructedProgram> {
 
 /// Executes a reconstructed program against a context (whose data registry
 /// must serve the original `read` paths and external inputs) and returns the
-/// recomputed value. A replay that succeeds leaves none of the program's
-/// variables in the context.
+/// recomputed value. The program runs on its own frame, so the context's
+/// variables are neither read nor touched.
 pub fn recompute(root: &LinRef, ctx: &mut ExecutionContext) -> Result<Value> {
     let prog = reconstruct(root)?;
     let empty = Program::default();
-    for i in &prog.instrs {
-        execute_instr(i, &empty, ctx)?;
-    }
-    ctx.lineage.remove(&prog.result_var);
-    ctx.symtab
-        .remove(prog.result_var.as_str())
-        .ok_or(RuntimeError::UndefinedVariable(prog.result_var))
+    let symtab = std::mem::replace(&mut ctx.symtab, Symtab::new(Arc::clone(&prog.frame)));
+    let lineage = std::mem::replace(&mut ctx.lineage, LineageMap::with_frame(prog.frame));
+    let ran = prog
+        .instrs
+        .iter()
+        .try_for_each(|i| execute_instr(i, &empty, ctx));
+    let value = ctx.symtab.take(prog.result.slot);
+    ctx.symtab = symtab;
+    ctx.lineage = lineage;
+    ran?;
+    value.ok_or(RuntimeError::UndefinedVariable(
+        prog.result.name.to_string(),
+    ))
 }
 
 /// What a lineage item or plan node evaluates to in the emitted program.
 #[derive(Debug, Clone)]
 enum Val {
-    /// Temporary `t<n>`.
+    /// Temporary number `n`, in order of definition.
     Temp(u32),
     /// A literal, inlined as an operand of every instruction that reads it.
     Lit(ScalarValue),
@@ -98,11 +108,11 @@ type Vals = HashMap<u64, Val, FxBuildHasher>;
 /// The instruction list under construction.
 #[derive(Default)]
 struct Emitter {
+    /// Instructions whose variables hold temporary numbers, not slots yet.
     instrs: Vec<Instr>,
-    /// Per temporary: its name (shared by every instruction that mentions
-    /// it) and the index of the last instruction reading it so far (of its
-    /// defining instruction while nothing does).
-    temps: Vec<(Arc<str>, usize)>,
+    /// Per temporary: the index of the last instruction reading it so far
+    /// (of its defining instruction while nothing does).
+    temps: Vec<usize>,
     /// Plan-node memos of all patch instances, `UNSET` or a temporary each;
     /// an instance owns `plan.len()` cells from its offset.
     memos: Vec<u32>,
@@ -116,11 +126,9 @@ impl Emitter {
     fn push_instr(&mut self, op: Op, inputs: Vec<Operand>, outputs: u32) -> u32 {
         let first = self.temps.len() as u32;
         let at = self.instrs.len();
-        let names: Vec<Arc<str>> = (first..first + outputs).map(temp_name).collect();
-        self.temps
-            .extend(names.iter().map(|name| (name.clone(), at)));
+        self.temps.extend(std::iter::repeat_n(at, outputs as usize));
         let mut instr = Instr::effect(op, inputs);
-        instr.outputs = names;
+        instr.outputs = (first..first + outputs).map(temp).collect();
         self.instrs.push(instr);
         first
     }
@@ -161,7 +169,7 @@ impl Emitter {
                 LineageKind::Placeholder(slot) => {
                     return Err(bad(format!("unresolved placeholder slot {slot}")))
                 }
-                LineageKind::Op => match eigen_output(item, &vals) {
+                LineageKind::Op(_) => match eigen_output(item, &vals) {
                     Some(val) => val,
                     None => {
                         let inputs = item.inputs().iter().map(|i| input_val(&vals, i));
@@ -222,42 +230,65 @@ impl Emitter {
     }
 
     /// Interleaves the removal of every temporary but `result` after the
-    /// last instruction that reads it.
+    /// last instruction that reads it, and gives each temporary a slot: a
+    /// free one where it is defined, free again once it is removed.
     fn finish(self, result: u32) -> ReconstructedProgram {
-        let mut dead: Vec<Vec<Operand>> = vec![Vec::new(); self.instrs.len()];
-        for (t, (name, at)) in (0u32..).zip(&self.temps) {
-            if let (true, Some(after)) = (t != result, dead.get_mut(*at)) {
-                after.push(Operand::Var(name.clone()));
+        let mut dying: Vec<Vec<u32>> = vec![Vec::new(); self.instrs.len()];
+        for (t, &at) in (0u32..).zip(&self.temps) {
+            if let (true, Some(after)) = (t != result, dying.get_mut(at)) {
+                after.push(t);
             }
         }
+        let (mut slot_of, mut free) = (vec![0u32; self.temps.len()], Vec::new());
+        let mut names: Vec<Arc<str>> = Vec::new();
         let mut instrs = Vec::with_capacity(2 * self.instrs.len());
-        for (instr, dead) in self.instrs.into_iter().zip(dead) {
+        for (mut instr, dying) in self.instrs.into_iter().zip(dying) {
+            for v in &instr.outputs {
+                let slot = free.pop().unwrap_or_else(|| {
+                    names.push(temp_name(names.len() as u32));
+                    names.len() as u32 - 1
+                });
+                slot_of[v.slot as usize] = slot;
+            }
+            let var = |t: u32| Var::of_slot(&names, slot_of[t as usize]);
+            instr.vars_mut().for_each(|v| *v = var(v.slot));
+            let removed: Vec<Operand> = dying.iter().map(|&t| Operand::Var(var(t))).collect();
+            free.extend(dying.iter().map(|&t| slot_of[t as usize]));
             instrs.push(instr);
-            if !dead.is_empty() {
-                instrs.push(Instr::effect(Op::Rmvar, dead));
+            if !removed.is_empty() {
+                instrs.push(Instr::effect(Op::Rmvar, removed));
             }
         }
         ReconstructedProgram {
             instrs,
-            result_var: temp_name(result).to_string(),
+            result: Var::of_slot(&names, slot_of[result as usize]),
+            frame: Arc::new(names),
         }
+    }
+}
+
+/// Temporary `t` as an emitted instruction names it until `finish`.
+fn temp(t: u32) -> Var {
+    Var {
+        slot: t,
+        name: Arc::default(),
     }
 }
 
 /// The operands reading `vals` in instruction number `at`.
 fn operands(
-    temps: &mut [(Arc<str>, usize)],
+    temps: &mut [usize],
     at: usize,
     vals: impl Iterator<Item = Result<Val>>,
 ) -> Result<Vec<Operand>> {
     vals.map(|val| {
         Ok(match val? {
             Val::Temp(t) => match temps.get_mut(t as usize) {
-                Some((name, last)) => {
+                Some(last) => {
                     *last = at;
-                    Operand::Var(name.clone())
+                    Operand::Var(temp(t))
                 }
-                None => Operand::Var(temp_name(t)),
+                None => return Err(bad(format!("temporary t{t} read before it is bound"))),
             },
             Val::Lit(s) => Operand::Lit(s),
         })
@@ -482,6 +513,16 @@ fn build_op(item: &LineageItem, mut ins: Vec<Operand>) -> Result<(Op, Vec<Operan
         oc::SELECT_COLS => (Op::SelectCols, ins),
         oc::SELECT_ROWS => (Op::SelectRows, ins),
         oc::CONCAT => (Op::Concat, ins),
+        oc::RMERGE => {
+            // "<var> <workers>": the value before the loop, then each
+            // worker's. A log without the count predates the first input.
+            let workers = data.split(' ').nth(1).and_then(|n| n.parse::<usize>().ok());
+            let Some(workers) = workers else {
+                return Err(bad(format!("rmerge '{data}' names no worker count")));
+            };
+            arity(&ins, workers + 1)?;
+            (Op::ResultMerge, ins)
+        }
         other => {
             let agg = |prefix: &str| other.strip_prefix(prefix).and_then(AggFn::from_name);
             let op = if let Some(b) = BinOp::from_opcode(other) {
@@ -712,6 +753,6 @@ mod tests {
                 ("rmvar".to_string(), s(&["t0", "t1"])),
             ]
         );
-        assert_eq!(prog.result_var, "t2");
+        assert_eq!(&*prog.result.name, "t2");
     }
 }

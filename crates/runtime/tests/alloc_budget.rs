@@ -1,8 +1,9 @@
 //! Allocation budget of the per-instruction LIMA path (paper §3.1:
 //! "negligible tracing overhead"). A counting global allocator runs
 //! `minibatch_micro(64, 12, 8, _)` under `Base`, `LT` and `LIMA` and bounds
-//! what tracing adds per traced item and what the cache adds per probe. The
-//! three counts are printed, so a regression names itself:
+//! what an instruction costs under `Base`, what tracing adds per traced item
+//! and what the cache adds per probe. The counts are printed, so a
+//! regression names itself:
 //! `cargo test -p lima-runtime --test alloc_budget -- --nocapture`.
 //!
 //! One test function only: the counter is process-wide, and a second test
@@ -72,14 +73,27 @@ fn tracing_and_probing_stay_inside_their_allocation_budget() {
     let (lima, _, probes) = count(&p, &LimaConfig::lima());
     let per_item = (lt as f64 - base as f64) / items as f64;
     let per_probe = (lima as f64 - lt as f64) / probes as f64;
+    // Every instruction that traces an item under `LT` runs under `Base`
+    // too: the items count the instructions that compute something.
+    let per_instr = base as f64 / items as f64;
     println!(
         "allocations: Base {base}, LT {lt}, LIMA {lima}; {items} items traced, {probes} probes; \
-         LT - Base = {per_item:.2} per item, LIMA - LT = {per_probe:.2} per probe"
+         Base = {per_instr:.2} per instruction, LT - Base = {per_item:.2} per item, \
+         LIMA - LT = {per_probe:.2} per probe"
     );
     assert!(items > 400 && probes > 400, "the script stopped tracing");
+    // The kernel's output matrix and list; the operand list and the bound
+    // names cost nothing.
     assert!(
-        per_item <= 2.0,
-        "tracing allocates {per_item:.2} times per item (budget 2)"
+        per_instr <= 2.5,
+        "Base allocates {per_instr:.2} times per instruction (budget 2.5)"
+    );
+    // One item, and a data payload for some; debug builds also verify the
+    // lineage DAG after every block.
+    let item_budget = if cfg!(debug_assertions) { 1.85 } else { 1.4 };
+    assert!(
+        per_item <= item_budget,
+        "tracing allocates {per_item:.2} times per item (budget {item_budget})"
     );
     assert!(
         per_probe <= 0.35,

@@ -186,4 +186,12 @@ fn replay_holds_its_live_set_not_the_whole_trace() {
     }
     assert_eq!(live, 1, "only the result survives the program");
     assert!(peak <= 5, "peak live temporaries: {peak}");
+    // A removed temporary's slot is the next one's: the program's frame is
+    // as long as its live set at its largest.
+    assert_eq!(
+        prog.frame.len(),
+        peak,
+        "frame of {} slots",
+        prog.frame.len()
+    );
 }

@@ -174,3 +174,31 @@ fn a_panicking_session_returns_worker_panic_to_its_caller() {
     assert_eq!(LimaStats::get(&stats.sessions_started), 2);
     assert_eq!(LimaStats::get(&stats.sessions_completed), 1);
 }
+
+/// A session computes `t(X) %*% X` in the bits a plain run does: its
+/// interruptible kernel folds the fixed row blocks `tsmm` folds, with a
+/// cancellation checkpoint between them.
+#[test]
+fn session_gram_has_the_bits_of_a_plain_run() {
+    let config = LimaConfig::base();
+    let pool = SessionPool::new(config.clone());
+    for rows in [2_000, 20_000] {
+        let src = format!("X = rand(rows={rows}, cols=30, seed=3); G = t(X) %*% X;");
+        let session = pool
+            .run(&compile(&src, &config), SessionOptions::new())
+            .unwrap();
+        let plain = lima_algos::runner::run_script(&src, &config, &[]).expect("script runs");
+        let bits = |v: &Value| -> Vec<u64> {
+            let m = v.as_matrix().expect("G is a matrix");
+            m.data().iter().map(|x| x.to_bits()).collect()
+        };
+        let (got, want) = (bits(session.value("G")), bits(plain.value("G")));
+        let differ = got.iter().zip(&want).filter(|(a, b)| a != b).count();
+        assert_eq!(
+            differ,
+            0,
+            "{rows}x30: {differ} of {} cells differ",
+            want.len()
+        );
+    }
+}

@@ -97,23 +97,26 @@ const USAGE: &str = "usage:\n  limac run <script> [--config base|lt|ltd|lima] [-
 limac stats <script> [run options] [--format prom|text]\n  \
 limac lineage-diff <a.lineage> <b.lineage>\n  limac recompute <trace.lineage>\n";
 
+/// The value after the flag `args[*i]`, parsed; `i` moves onto it.
+fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, String> {
+    let flag = &args[*i];
+    *i += 1;
+    let v = args
+        .get(*i)
+        .ok_or_else(|| format!("{flag} requires a value"))?;
+    v.parse().map_err(|_| format!("bad value '{v}' for {flag}"))
+}
+
 /// Parses the `run` option list into a configuration.
 fn parse_run_options(args: &[String]) -> Result<(String, LimaConfig, RunFlags), String> {
     let mut script_path = None;
     let mut config = LimaConfig::lima();
     let mut flags = RunFlags::default();
     let mut i = 0;
-    let take_value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
     while i < args.len() {
         match args[i].as_str() {
             "--config" => {
-                let v = take_value(args, &mut i, "--config")?;
-                config = match v.as_str() {
+                config = match flag_value::<String>(args, &mut i)?.as_str() {
                     "base" => LimaConfig::base(),
                     "lt" => LimaConfig::tracing_only(),
                     "ltd" => LimaConfig::tracing_dedup(),
@@ -122,40 +125,23 @@ fn parse_run_options(args: &[String]) -> Result<(String, LimaConfig, RunFlags), 
                 };
             }
             "--policy" => {
-                let v = take_value(args, &mut i, "--policy")?;
-                config.policy = match v.as_str() {
+                config.policy = match flag_value::<String>(args, &mut i)?.as_str() {
                     "lru" => EvictionPolicy::Lru,
                     "dag-height" => EvictionPolicy::DagHeight,
                     "cost-size" => EvictionPolicy::CostSize,
                     other => return Err(format!("unknown policy '{other}'")),
                 };
             }
-            "--budget-mb" => {
-                let v = take_value(args, &mut i, "--budget-mb")?;
-                let mb: usize = v.parse().map_err(|_| format!("bad budget '{v}'"))?;
-                config.budget_bytes = mb * 1024 * 1024;
-            }
+            "--budget-mb" => config.budget_bytes = flag_value::<usize>(args, &mut i)? << 20,
             "--dedup" => config.dedup = true,
             "--no-compiler-assist" => config.compiler_assist = false,
             "--stats" => flags.stats = true,
-            "--lineage" => flags.lineage_var = Some(take_value(args, &mut i, "--lineage")?),
-            "--seed" => {
-                let v = take_value(args, &mut i, "--seed")?;
-                flags.seed = Some(v.parse().map_err(|_| format!("bad seed '{v}'"))?);
-            }
-            "--timeout-ms" => {
-                let v = take_value(args, &mut i, "--timeout-ms")?;
-                flags.timeout_ms = Some(v.parse().map_err(|_| format!("bad timeout '{v}'"))?);
-            }
-            "--trace-out" => flags.trace_out = Some(take_value(args, &mut i, "--trace-out")?),
-            "--trace-sample" => {
-                let v = take_value(args, &mut i, "--trace-sample")?;
-                flags.trace_sample = Some(v.parse().map_err(|_| format!("bad sample rate '{v}'"))?);
-            }
-            "--cost-top" => {
-                let v = take_value(args, &mut i, "--cost-top")?;
-                flags.cost_top = Some(v.parse().map_err(|_| format!("bad top-K '{v}'"))?);
-            }
+            "--lineage" => flags.lineage_var = Some(flag_value(args, &mut i)?),
+            "--seed" => flags.seed = Some(flag_value(args, &mut i)?),
+            "--timeout-ms" => flags.timeout_ms = Some(flag_value(args, &mut i)?),
+            "--trace-out" => flags.trace_out = Some(flag_value(args, &mut i)?),
+            "--trace-sample" => flags.trace_sample = Some(flag_value(args, &mut i)?),
+            "--cost-top" => flags.cost_top = Some(flag_value(args, &mut i)?),
             "--quiet" => flags.quiet = true,
             other if other.starts_with("--") => return Err(format!("unknown option '{other}'")),
             path => {

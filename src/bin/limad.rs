@@ -28,6 +28,16 @@ const USAGE: &str = "usage: limad [--listen ADDR] [--metrics ADDR] [--shards N] 
 [--persist-dir DIR] [--budget-mb N] [--governor-mb N] [--tenant-quota N] [--deadline-ms N] \
 [--scrub-interval-ms N] [--scrub-chunk-kb N] [--replicas R]\n";
 
+/// The value after the flag `args[*i]`, parsed; `i` moves onto it.
+fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, String> {
+    let flag = &args[*i];
+    *i += 1;
+    let v = args
+        .get(*i)
+        .ok_or_else(|| format!("{flag} requires a value"))?;
+    v.parse().map_err(|_| format!("bad value '{v}' for {flag}"))
+}
+
 fn parse_args(args: &[String]) -> Result<(LimadConfig, usize), String> {
     let mut replicas = 1usize;
     let mut cfg = LimadConfig {
@@ -37,53 +47,22 @@ fn parse_args(args: &[String]) -> Result<(LimadConfig, usize), String> {
     };
     let mut template = LimaConfig::lima();
     let mut i = 0;
-    let take = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
     while i < args.len() {
         match args[i].as_str() {
-            "--listen" => cfg.listen = take(args, &mut i, "--listen")?,
-            "--metrics" => cfg.metrics_listen = take(args, &mut i, "--metrics")?,
-            "--shards" => {
-                let v = take(args, &mut i, "--shards")?;
-                cfg.shards = v.parse().map_err(|_| format!("bad shard count '{v}'"))?;
-            }
-            "--persist-dir" => {
-                cfg.persist_root = Some(take(args, &mut i, "--persist-dir")?.into());
-            }
-            "--budget-mb" => {
-                let v = take(args, &mut i, "--budget-mb")?;
-                let mb: usize = v.parse().map_err(|_| format!("bad budget '{v}'"))?;
-                template.budget_bytes = mb * 1024 * 1024;
-            }
+            "--listen" => cfg.listen = flag_value(args, &mut i)?,
+            "--metrics" => cfg.metrics_listen = flag_value(args, &mut i)?,
+            "--shards" => cfg.shards = flag_value(args, &mut i)?,
+            "--persist-dir" => cfg.persist_root = Some(flag_value::<String>(args, &mut i)?.into()),
+            "--budget-mb" => template.budget_bytes = flag_value::<usize>(args, &mut i)? << 20,
             "--governor-mb" => {
-                let v = take(args, &mut i, "--governor-mb")?;
-                let mb: usize = v.parse().map_err(|_| format!("bad budget '{v}'"))?;
-                template.governor_budget_bytes = mb * 1024 * 1024;
+                template.governor_budget_bytes = flag_value::<usize>(args, &mut i)? << 20;
             }
-            "--tenant-quota" => {
-                let v = take(args, &mut i, "--tenant-quota")?;
-                cfg.tenant_max_sessions = v.parse().map_err(|_| format!("bad quota '{v}'"))?;
-            }
-            "--deadline-ms" => {
-                let v = take(args, &mut i, "--deadline-ms")?;
-                cfg.default_deadline_ms = v.parse().map_err(|_| format!("bad deadline '{v}'"))?;
-            }
-            "--scrub-interval-ms" => {
-                let v = take(args, &mut i, "--scrub-interval-ms")?;
-                cfg.scrub_interval_ms = v.parse().map_err(|_| format!("bad interval '{v}'"))?;
-            }
-            "--scrub-chunk-kb" => {
-                let v = take(args, &mut i, "--scrub-chunk-kb")?;
-                let kb: u64 = v.parse().map_err(|_| format!("bad chunk size '{v}'"))?;
-                cfg.scrub_chunk_bytes = kb * 1024;
-            }
+            "--tenant-quota" => cfg.tenant_max_sessions = flag_value(args, &mut i)?,
+            "--deadline-ms" => cfg.default_deadline_ms = flag_value(args, &mut i)?,
+            "--scrub-interval-ms" => cfg.scrub_interval_ms = flag_value(args, &mut i)?,
+            "--scrub-chunk-kb" => cfg.scrub_chunk_bytes = flag_value::<u64>(args, &mut i)? << 10,
             "--replicas" => {
-                let v = take(args, &mut i, "--replicas")?;
-                replicas = v.parse().map_err(|_| format!("bad replica count '{v}'"))?;
+                replicas = flag_value(args, &mut i)?;
                 if replicas == 0 {
                     return Err("--replicas must be at least 1".into());
                 }

@@ -63,15 +63,17 @@ fn same_bits(a: &Value, b: &Value) -> bool {
 
 /// Each pipeline's matrix variables traced under `LIMA` go through the
 /// lineage log (serialize, deserialize), are reconstructed into a program
-/// and executed under `Base`: the result has the bits `Base` computed. The
-/// one exception is pinned: a parfor's merged result is refused.
+/// and executed under `Base`: the result has the bits `Base` computed. A
+/// parfor's merged result (`rmerge` over the value before the loop and the
+/// workers') is among them.
 #[test]
 fn every_pipeline_output_traced_under_lima_replays_to_base_bits() {
+    let mut merged = Vec::new();
     for p in all_pipelines() {
         let base = run(&p, &LimaConfig::base());
         let lima = run(&p, &LimaConfig::lima());
         let inputs: Vec<&str> = p.inputs.iter().map(|(n, _)| n.as_str()).collect();
-        let mut outputs: Vec<&str> = lima.ctx.symtab.keys().map(|k| &**k).collect();
+        let mut outputs: Vec<&str> = lima.ctx.symtab.keys().collect();
         // Script variables, not the compiler's `_`-prefixed temporaries.
         outputs.retain(|v| {
             !v.starts_with('_') && !inputs.contains(v) && matches!(lima.value(v), Value::Matrix(_))
@@ -90,13 +92,8 @@ fn every_pipeline_output_traced_under_lima_replays_to_base_bits() {
                 ctx.data.register(format!("var:{name}"), value.clone());
             }
             let replayed = recompute(&parsed, &mut ctx);
-            // A parfor's merged result is traced as `rmerge` over the
-            // workers' results, without the value they started from: it is
-            // not replayable yet, and replay says so.
             if parsed.topo_order().iter().any(|n| n.opcode() == "rmerge") {
-                let refused = matches!(&replayed, Err(e) if e.to_string().contains("'rmerge'"));
-                assert!(refused, "{}/{var}: a merged parfor result replayed", p.name);
-                continue;
+                merged.push(format!("{}/{var}", p.name));
             }
             match replayed {
                 Ok(v) => assert!(
@@ -107,6 +104,14 @@ fn every_pipeline_output_traced_under_lima_replays_to_base_bits() {
                 Err(e) => panic!("{}/{var}: replay failed: {e}", p.name),
             }
         }
+    }
+    for want in [
+        "HLM-P/L", "HCV-P/F", "ENS/S", "ENS/W1", "ENS/W2", "ENS/W3", "ENS/pred",
+    ] {
+        assert!(
+            merged.iter().any(|m| m == want),
+            "{want} is not a merged parfor result: {merged:?}"
+        );
     }
 }
 
