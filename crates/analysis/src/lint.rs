@@ -132,11 +132,6 @@ impl LintRegistry {
         self.passes.push(pass);
     }
 
-    /// Registered pass names, in order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
     /// Runs every pass and returns the findings in stable source order.
     pub fn run(&self, model: &LintModel) -> Vec<Diagnostic> {
         let mut out = Vec::new();
@@ -777,7 +772,7 @@ mod tests {
     fn registry_reports_pass_names_and_sorts_output() {
         let r = LintRegistry::with_default_passes();
         assert_eq!(
-            r.pass_names(),
+            r.passes.iter().map(|p| p.name()).collect::<Vec<_>>(),
             vec![
                 "reuse-eligibility",
                 "unused-result",

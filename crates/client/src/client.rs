@@ -300,11 +300,6 @@ impl LimadClient {
         }
     }
 
-    /// Retry tokens left in the client-wide budget (observability hook).
-    pub fn retry_tokens(&self) -> u64 {
-        self.budget.remaining()
-    }
-
     /// Pins the initially tried member for subsequent calls (clamped to the
     /// member list). Chaos harnesses use this to steer load.
     pub fn set_preferred(&mut self, member: usize) {
@@ -934,7 +929,10 @@ mod tests {
         });
         let mut client = LimadClient::new(&addr, "t", options(3));
         assert!(!client.probe("(1) L f:1").unwrap());
-        assert!(client.retry_tokens() < 64, "retries should spend budget");
+        assert!(
+            client.budget.remaining() < 64,
+            "retries should spend budget"
+        );
         assert_eq!(client.stats().retries, 2);
     }
 
@@ -1039,7 +1037,11 @@ mod tests {
         let stats = client.stats();
         assert!(stats.failovers >= 1, "stats: {stats:?}");
         assert_eq!(stats.retries, 0, "failover must not spend retries");
-        assert_eq!(client.retry_tokens(), 64, "failover must not spend budget");
+        assert_eq!(
+            client.budget.remaining(),
+            64,
+            "failover must not spend budget"
+        );
         assert!(stats.members[0].transport_failures >= 1);
         assert_eq!(stats.members[1].transport_failures, 0);
     }

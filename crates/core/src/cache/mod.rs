@@ -1227,12 +1227,6 @@ impl LineageCache {
         self.persist_store.as_ref().is_some_and(|s| s.usable())
     }
 
-    /// Why the durable store degraded to memory-only, if it has (ENOSPC or
-    /// a failed fsync); see [`persist::DegradeReason`].
-    pub fn persist_degrade_reason(&self) -> Option<persist::DegradeReason> {
-        self.persist_store.as_ref().and_then(|s| s.degrade_reason())
-    }
-
     /// Rewrites the persistent manifest WAL into a fresh generation,
     /// reclaiming tombstone and superseded-put space. Returns `None` without
     /// a usable store (or when the compaction itself failed — the store then
@@ -1424,14 +1418,6 @@ impl LineageCache {
                 return;
             }
         }
-    }
-
-    /// True while the spill circuit breaker is open (or probing): after
-    /// `config.spill_failure_limit` consecutive write failures, evictions
-    /// stop attempting to spill until a half-open probe succeeds (0 disables
-    /// the breaker; `config.breaker_cooldown_ms == 0` latches open forever).
-    pub fn spill_disabled(&self) -> bool {
-        self.spill_breaker.is_open()
     }
 
     /// Drops every entry (tests and phase boundaries in benchmarks). With
@@ -1853,7 +1839,7 @@ mod tests {
         }
         // Two consecutive failures opened the breaker; later evictions never
         // reached the spill store again.
-        assert!(cache.spill_disabled());
+        assert!(cache.spill_breaker.is_open());
         assert_eq!(inj.occurrences(FaultSite::SpillWrite), 2);
         assert_eq!(LimaStats::get(&cache.stats().spill_failures), 2);
         assert!(LimaStats::get(&cache.stats().evictions) >= 4);
@@ -2407,7 +2393,10 @@ mod tests {
         assert_eq!(LimaStats::get(&cache.stats().persist_disk_full), 1);
         assert!(!cache.persist_active());
         assert_eq!(
-            cache.persist_degrade_reason(),
+            cache
+                .persist_store
+                .as_ref()
+                .and_then(|s| s.degrade_reason()),
             Some(persist::DegradeReason::DiskFull)
         );
         // The cache keeps serving from memory, and the degrade is counted
@@ -2521,13 +2510,13 @@ mod tests {
         // post-cooldown probe.
         fill("a", 60_000_000_000);
         fill("b", 120_000_000_000); // evicts "a" → injected failure → open
-        assert!(cache.spill_disabled());
+        assert!(cache.spill_breaker.is_open());
         assert_eq!(LimaStats::get(&cache.stats().spill_failures), 1);
         // After the cooldown the next eviction is allowed through as a probe
         // and succeeds, closing the breaker again.
         std::thread::sleep(Duration::from_millis(60));
         fill("c", 240_000_000_000);
-        assert!(!cache.spill_disabled());
+        assert!(!cache.spill_breaker.is_open());
         assert!(LimaStats::get(&cache.stats().breaker_probes) >= 1);
         assert!(LimaStats::get(&cache.stats().spills) >= 1);
         assert!(inj.occurrences(FaultSite::SpillWrite) >= 2);

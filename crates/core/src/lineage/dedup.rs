@@ -307,27 +307,9 @@ impl DedupPatch {
         self.plan.get_or_init(|| PatchPlan::compile(&self.roots))
     }
 
-    /// Total number of nodes across all patch roots (patch dictionary size).
-    pub fn body_size(&self) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack: Vec<LinRef> = self.roots.iter().map(|(_, r)| r.clone()).collect();
-        while let Some(n) = stack.pop() {
-            if seen.insert(n.id()) {
-                stack.extend(n.inputs().iter().cloned());
-            }
-        }
-        seen.len()
-    }
-
-    /// Hash of the `output` root with placeholder slot `i` bound to `env[i]`.
+    /// Hash of the `output` root with placeholder slot `i` bound to `env(i)`.
     /// This makes a dedup item hash identically to its expansion, which is
     /// what lets deduplicated and plain traces match (paper §3.2).
-    pub fn parametric_hash(&self, output: &str, env: &[u64]) -> u64 {
-        self.hash_output(output, |slot| env.get(slot).copied())
-    }
-
-    /// [`Self::parametric_hash`] with the environment given as a lookup, so
-    /// a dedup item hashes straight off its inputs.
     pub(crate) fn hash_output(&self, output: &str, env: impl Fn(usize) -> Option<u64>) -> u64 {
         let plan = self.plan();
         let Some(root) = self.root_index(output).and_then(|i| plan.root(i)) else {
@@ -690,19 +672,26 @@ mod tests {
         let item = LineageItem::dedup(patch.clone(), "r", short.clone());
         assert_eq!(
             item.hash_value(),
-            patch.parametric_hash("r", &[short[0].hash_value(), short[1].hash_value()])
+            patch.hash_output("r", |i| short.get(i).map(|s| s.hash_value()))
         );
         assert_eq!(patch.expand("r", &short).dag_size(), 5);
         assert_eq!(patch.expand("nope", &short).opcode(), "dedup-miss");
         assert_ne!(
-            patch.parametric_hash("nope", &[1, 2]),
-            patch.parametric_hash("none", &[1, 2])
+            patch.hash_output("nope", |i| Some(i as u64)),
+            patch.hash_output("none", |i| Some(i as u64))
         );
     }
 
     #[test]
     fn body_size_counts_unique_nodes() {
         let patch = sample_patch();
-        assert_eq!(patch.body_size(), 4); // 2 placeholders + "+" + "*"
+        let mut seen = std::collections::HashSet::new();
+        let mut stack: Vec<LinRef> = patch.roots.iter().map(|(_, r)| r.clone()).collect();
+        while let Some(n) = stack.pop() {
+            if seen.insert(n.id()) {
+                stack.extend(n.inputs().iter().cloned());
+            }
+        }
+        assert_eq!(seen.len(), 4); // 2 placeholders + "+" + "*"
     }
 }

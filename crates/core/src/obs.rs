@@ -46,10 +46,11 @@ pub const MAX_NAME_BYTES: usize = 23;
 
 /// What an [`Event`] describes. Kinds map onto Chrome trace categories via
 /// [`EventKind::cat`]; high-frequency kinds are subject to sampling.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 #[repr(u8)]
 pub enum EventKind {
     /// One interpreted instruction (span; resolve→probe→execute→bind).
+    #[default]
     Instr,
     /// Kernel execution proper, nested inside its instruction span.
     Kernel,
@@ -110,7 +111,7 @@ impl EventKind {
 
 /// Fixed-capacity inline string so [`Event`] stays `Copy` and ring writes
 /// never allocate. Construction truncates at a character boundary.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub struct SmallName {
     len: u8,
     buf: [u8; MAX_NAME_BYTES],
@@ -152,7 +153,7 @@ impl fmt::Display for SmallName {
 
 /// One trace event. `Copy` + fixed-size by construction so seqlock slots
 /// can be written without allocation or drop glue.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Event {
     /// What happened.
     pub kind: EventKind,
@@ -168,20 +169,6 @@ pub struct Event {
     pub a: u64,
     /// Second kind-specific payload.
     pub b: u64,
-}
-
-impl Default for Event {
-    fn default() -> Self {
-        Event {
-            kind: EventKind::Instr,
-            name: SmallName::new(""),
-            ts_ns: 0,
-            dur_ns: 0,
-            lineage_id: 0,
-            a: 0,
-            b: 0,
-        }
-    }
 }
 
 struct Slot {
@@ -391,6 +378,9 @@ impl Obs {
             let idx = match rings.iter().position(|e| e.obs_id == self.id) {
                 Some(i) => i,
                 None => {
+                    // A thread can outlive many hubs (the worker pool's
+                    // threads never exit): drop the rings of hubs gone since.
+                    rings.retain(|e| Arc::strong_count(&e.ring) > 1);
                     rings.push(TlsEntry {
                         obs_id: self.id,
                         ring: self.ring_for_current_thread(),

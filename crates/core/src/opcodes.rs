@@ -318,18 +318,6 @@ pub fn classify_opcode(op: &str) -> OpClass {
     opcode_info(op).class
 }
 
-/// The default set of opcodes whose outputs qualify for the lineage cache.
-/// Mirrors the paper's "set of reusable instruction opcodes" configuration;
-/// derived from [`OPCODE_TABLE`] so cacheability and determinism cannot
-/// drift apart.
-pub fn default_cacheable() -> Vec<&'static str> {
-    OPCODE_TABLE
-        .iter()
-        .filter(|(_, info)| info.cacheable)
-        .map(|(op, _)| *op)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,7 +382,8 @@ mod tests {
 
     #[test]
     fn default_cacheable_contains_compute_ops_not_bookkeeping() {
-        let set = default_cacheable();
+        let cacheable = OPCODE_TABLE.iter().filter(|(_, info)| info.cacheable);
+        let set: Vec<&str> = cacheable.map(|(op, _)| *op).collect();
         assert!(set.contains(&MATMULT));
         assert!(set.contains(&TSMM));
         assert!(!set.contains(&READ));

@@ -26,7 +26,8 @@
 use crate::dense::DenseMatrix;
 use crate::error::Result;
 use crate::ops::elementwise::{BinOp, UnOp};
-use crate::ops::{kernel_threads, matmult, optimized};
+use crate::ops::matmult::{self, Split};
+use crate::ops::{kernel_threads, optimized};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A dense compute engine. All entry points receive shape-validated inputs —
@@ -35,41 +36,32 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub trait KernelBackend: Send + Sync {
     /// Engine name, used in bench artifacts and logs.
     fn name(&self) -> &'static str;
-    /// Dense GEMM `A (m×k) · B (k×n)` on up to `threads` workers;
-    /// `a.cols() == b.rows()` is guaranteed. No bit depends on `threads`.
-    fn gemm_threads(&self, a: &DenseMatrix, b: &DenseMatrix, threads: usize)
+    /// Dense GEMM `A (m×k) · B (k×n)`, split as `split` says;
+    /// `a.cols() == b.rows()` is guaranteed. No bit depends on the split.
+    fn gemm_split(&self, a: &DenseMatrix, b: &DenseMatrix, split: &Split) -> Result<DenseMatrix>;
+    /// `Aᵀ B` (p×n from m×p and m×n) without materialising `Aᵀ`: the bits
+    /// of `gemm_split(transpose(A), B)`.
+    fn gemm_tn_split(&self, a: &DenseMatrix, b: &DenseMatrix, split: &Split)
         -> Result<DenseMatrix>;
-    /// `Aᵀ B` (p×n from m×p and m×n) on up to `threads` workers, without
-    /// materialising `Aᵀ`: the bits of `gemm_threads(transpose(A), B)`.
-    fn gemm_tn_threads(
-        &self,
-        a: &DenseMatrix,
-        b: &DenseMatrix,
-        threads: usize,
-    ) -> Result<DenseMatrix>;
     /// The block kernel of `Xᵀ X`, which the shared driver runs.
     fn gram_kernel(&self) -> matmult::GramKernel;
-    /// `Xᵀ X` (n×n from m×n) on up to `threads` workers, the same bits at any.
-    fn tsmm_left_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        matmult::tsmm_left_with(x, threads, self.gram_kernel(), || Ok(()))
+    /// `Xᵀ X` (n×n from m×n), the same bits at any split.
+    fn tsmm_left_split(&self, x: &DenseMatrix, split: &Split) -> Result<DenseMatrix> {
+        matmult::tsmm_left_with(x, split, self.gram_kernel())
     }
-    /// `X Xᵀ` (m×m from m×n) on up to `threads` workers, the same bits at any.
-    fn tsmm_right_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix>;
-    /// [`Self::gemm_threads`] on [`kernel_threads`] workers.
+    /// `X Xᵀ` (m×m from m×n), the same bits at any split.
+    fn tsmm_right_split(&self, x: &DenseMatrix, split: &Split) -> Result<DenseMatrix>;
+    /// [`Self::gemm_split`] on [`kernel_threads`] threads.
     fn gemm(&self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-        self.gemm_threads(a, b, kernel_threads())
+        self.gemm_split(a, b, &Split::Threads(kernel_threads()))
     }
-    /// [`Self::gemm_tn_threads`] on [`kernel_threads`] workers.
-    fn gemm_tn(&self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-        self.gemm_tn_threads(a, b, kernel_threads())
-    }
-    /// [`Self::tsmm_left_threads`] on [`kernel_threads`] workers.
+    /// [`Self::tsmm_left_split`] on [`kernel_threads`] threads.
     fn tsmm_left(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        self.tsmm_left_threads(x, kernel_threads())
+        self.tsmm_left_split(x, &Split::Threads(kernel_threads()))
     }
-    /// [`Self::tsmm_right_threads`] on [`kernel_threads`] workers.
+    /// [`Self::tsmm_right_split`] on [`kernel_threads`] threads.
     fn tsmm_right(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        self.tsmm_right_threads(x, kernel_threads())
+        self.tsmm_right_split(x, &Split::Threads(kernel_threads()))
     }
     /// Transpose.
     fn transpose(&self, a: &DenseMatrix) -> DenseMatrix;
@@ -119,17 +111,17 @@ impl KernelBackend for ReferenceBackend {
     fn name(&self) -> &'static str {
         "reference"
     }
-    fn gemm_threads(&self, a: &DenseMatrix, b: &DenseMatrix, t: usize) -> Result<DenseMatrix> {
-        matmult::ref_gemm(a, b, t)
+    fn gemm_split(&self, a: &DenseMatrix, b: &DenseMatrix, s: &Split) -> Result<DenseMatrix> {
+        matmult::ref_gemm(a, b, s)
     }
-    fn gemm_tn_threads(&self, a: &DenseMatrix, b: &DenseMatrix, t: usize) -> Result<DenseMatrix> {
-        matmult::gemm_tn_stream(a, b, t, true)
+    fn gemm_tn_split(&self, a: &DenseMatrix, b: &DenseMatrix, s: &Split) -> Result<DenseMatrix> {
+        matmult::gemm_tn_stream(a, b, s, true)
     }
     fn gram_kernel(&self) -> matmult::GramKernel {
         matmult::gram_upper
     }
-    fn tsmm_right_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        matmult::ref_tsmm_right(x, threads)
+    fn tsmm_right_split(&self, x: &DenseMatrix, split: &Split) -> Result<DenseMatrix> {
+        matmult::ref_tsmm_right(x, split)
     }
     fn transpose(&self, a: &DenseMatrix) -> DenseMatrix {
         matmult::ref_transpose(a)
@@ -155,17 +147,17 @@ impl KernelBackend for OptimizedBackend {
     fn name(&self) -> &'static str {
         "optimized"
     }
-    fn gemm_threads(&self, a: &DenseMatrix, b: &DenseMatrix, t: usize) -> Result<DenseMatrix> {
-        optimized::gemm(a, b, t)
+    fn gemm_split(&self, a: &DenseMatrix, b: &DenseMatrix, s: &Split) -> Result<DenseMatrix> {
+        optimized::gemm(a, b, s)
     }
-    fn gemm_tn_threads(&self, a: &DenseMatrix, b: &DenseMatrix, t: usize) -> Result<DenseMatrix> {
-        optimized::gemm_tn(a, b, t)
+    fn gemm_tn_split(&self, a: &DenseMatrix, b: &DenseMatrix, s: &Split) -> Result<DenseMatrix> {
+        optimized::gemm_tn(a, b, s)
     }
     fn gram_kernel(&self) -> matmult::GramKernel {
         optimized::gram_upper_rank4
     }
-    fn tsmm_right_threads(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        optimized::tsmm_right(x, threads)
+    fn tsmm_right_split(&self, x: &DenseMatrix, split: &Split) -> Result<DenseMatrix> {
+        optimized::tsmm_right(x, split)
     }
     fn transpose(&self, a: &DenseMatrix) -> DenseMatrix {
         optimized::transpose(a)

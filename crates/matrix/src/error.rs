@@ -33,6 +33,23 @@ pub enum MatrixError {
     WorkerPanic(String),
 }
 
+impl MatrixError {
+    /// `op` got operands of shapes `lhs` and `rhs` that do not fit.
+    pub fn mismatch(op: &'static str, lhs: (usize, usize), rhs: (usize, usize)) -> Self {
+        MatrixError::DimensionMismatch { op, lhs, rhs }
+    }
+
+    /// An argument the kernel cannot take, as `msg` says.
+    pub fn invalid(msg: impl Into<String>) -> Self {
+        MatrixError::InvalidArgument(msg.into())
+    }
+
+    /// `op` got an `index` that is not below `bound`.
+    pub fn out_of_bounds(op: &'static str, index: usize, bound: usize) -> Self {
+        MatrixError::IndexOutOfBounds { op, index, bound }
+    }
+}
+
 impl fmt::Display for MatrixError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -14,9 +14,9 @@ pub mod backend;
 pub mod codec;
 pub mod dense;
 pub mod error;
-pub mod forkjoin;
 pub mod io;
 pub mod ops;
+pub mod pool;
 pub mod rand_gen;
 pub mod sparse;
 pub mod value;

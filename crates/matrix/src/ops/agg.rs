@@ -109,9 +109,7 @@ pub fn row_agg(a: &DenseMatrix, f: AggFn) -> DenseMatrix {
 /// (SystemDS `rowIndexMax`).
 pub fn row_index_max(a: &DenseMatrix) -> Result<DenseMatrix> {
     if a.cols() == 0 {
-        return Err(MatrixError::InvalidArgument(
-            "rowIndexMax of empty matrix".into(),
-        ));
+        return Err(MatrixError::invalid("rowIndexMax of empty matrix"));
     }
     Ok(DenseMatrix::from_fn(a.rows(), 1, |i, _| {
         let row = a.row(i);
@@ -128,11 +126,7 @@ pub fn row_index_max(a: &DenseMatrix) -> Result<DenseMatrix> {
 /// Trace of a square matrix.
 pub fn trace(a: &DenseMatrix) -> Result<f64> {
     if a.rows() != a.cols() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "trace",
-            lhs: a.shape(),
-            rhs: a.shape(),
-        });
+        return Err(MatrixError::mismatch("trace", a.shape(), a.shape()));
     }
     Ok((0..a.rows()).map(|i| a.get(i, i)).sum())
 }

@@ -21,20 +21,14 @@ pub struct EigenResult {
 pub fn eigen_symmetric(a: &DenseMatrix) -> Result<EigenResult> {
     let n = a.rows();
     if n != a.cols() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "eigen",
-            lhs: a.shape(),
-            rhs: a.shape(),
-        });
+        return Err(MatrixError::mismatch("eigen", a.shape(), a.shape()));
     }
     // Verify symmetry within a loose tolerance relative to the matrix scale.
     let scale = a.data().iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
     for i in 0..n {
         for j in (i + 1)..n {
             if (a.get(i, j) - a.get(j, i)).abs() > 1e-8 * scale {
-                return Err(MatrixError::InvalidArgument(
-                    "eigen: matrix is not symmetric".into(),
-                ));
+                return Err(MatrixError::invalid("eigen: matrix is not symmetric"));
             }
         }
     }

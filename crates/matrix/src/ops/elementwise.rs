@@ -160,11 +160,7 @@ impl UnOp {
 /// cell-wise work routes to the active backend.
 pub fn ew_matrix_matrix(op: BinOp, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
     let (m, n) = a.shape();
-    let mismatch = || MatrixError::DimensionMismatch {
-        op: "ew-binary",
-        lhs: a.shape(),
-        rhs: b.shape(),
-    };
+    let mismatch = || MatrixError::mismatch("ew-binary", a.shape(), b.shape());
     if b.shape() == (m, n) {
         return Ok(crate::backend::active().ew_binary(op, a, b));
     }

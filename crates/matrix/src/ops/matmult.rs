@@ -17,13 +17,21 @@
 use crate::backend;
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
-use crate::forkjoin::fork_join;
+use crate::pool;
+use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// Rows per parallel panel; below this GEMM stays single-threaded.
+/// Output rows below which GEMM stays single-threaded.
 pub(crate) const PAR_ROW_THRESHOLD: usize = 256;
-/// Minimum FLOP count (m*n*k) before threads are spawned.
+/// Minimum FLOP count (m*n*k) before a compute-bound kernel uses the pool.
 pub(crate) const PAR_FLOP_THRESHOLD: usize = 2_000_000;
+/// Minimum cells a memory-bound kernel moves before it uses the pool: the
+/// output of a copy (`slice`, `cbind`, ...), `A` of a matrix–vector product.
+/// Below it a worker's wake-up costs more than the half it takes (measured in
+/// DESIGN.md §16); every `trace_dense`, `serve_zipf` and `lineage_replay`
+/// shape stays below it.
+pub(crate) const PAR_CELLS: usize = 128 * 1024;
 /// Cache-blocking tile edge for the k dimension.
 const BLOCK_K: usize = 64;
 
@@ -59,17 +67,18 @@ pub fn uses_sparse_dispatch(a: &DenseMatrix) -> bool {
 /// sparse left operands (e.g. PageRank link matrices) take a CSR kernel,
 /// dense operands the active backend's GEMM.
 pub fn matmult(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+    matmult_split(a, b, &Split::Threads(kernel_threads()))
+}
+
+/// [`matmult`] with the dense work split as `split` says.
+pub fn matmult_split(a: &DenseMatrix, b: &DenseMatrix, split: &Split) -> Result<DenseMatrix> {
     if a.cols() != b.rows() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "ba+*",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
+        return Err(MatrixError::mismatch("ba+*", a.shape(), b.shape()));
     }
     if uses_sparse_dispatch(a) {
         return crate::sparse::CsrMatrix::from_dense(a).matmult_dense(b);
     }
-    backend::active().gemm(a, b)
+    backend::active().gemm_split(a, b, split)
 }
 
 /// `t(A) %*% B` for `A` (m×p) and `B` (m×n), without materialising `t(A)`:
@@ -77,17 +86,19 @@ pub fn matmult(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
 /// has `A`'s non-zero count, so a sparse `A` takes the zero-skipping stream
 /// the CSR kernel's chains equal; a dense one the active backend's.
 pub fn matmult_tn(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+    matmult_tn_split(a, b, &Split::Threads(kernel_threads()))
+}
+
+/// [`matmult_tn`] with the dense work split as `split` says.
+pub fn matmult_tn_split(a: &DenseMatrix, b: &DenseMatrix, split: &Split) -> Result<DenseMatrix> {
     if a.rows() != b.rows() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "ba+*",
-            lhs: (a.cols(), a.rows()),
-            rhs: b.shape(),
-        });
+        let lhs = (a.cols(), a.rows());
+        return Err(MatrixError::mismatch("ba+*", lhs, b.shape()));
     }
     if uses_sparse_dispatch(a) {
-        return gemm_tn_stream(a, b, kernel_threads(), true);
+        return gemm_tn_stream(a, b, split, true);
     }
-    backend::active().gemm_tn(a, b)
+    backend::active().gemm_tn_split(a, b, split)
 }
 
 /// Transpose, routed through the active backend.
@@ -108,9 +119,14 @@ pub enum TsmmSide {
 /// `tsmm(X)`: symmetric rank-k update via the active backend. Returns a
 /// `Result` because parallel kernels surface worker panics as typed errors.
 pub fn tsmm(x: &DenseMatrix, side: TsmmSide) -> Result<DenseMatrix> {
+    tsmm_split(x, side, &Split::Threads(kernel_threads()))
+}
+
+/// [`tsmm`] with the work split as `split` says.
+pub fn tsmm_split(x: &DenseMatrix, side: TsmmSide, split: &Split) -> Result<DenseMatrix> {
     match side {
-        TsmmSide::Left => backend::active().tsmm_left(x),
-        TsmmSide::Right => backend::active().tsmm_right(x),
+        TsmmSide::Left => backend::active().tsmm_left_split(x, split),
+        TsmmSide::Right => backend::active().tsmm_right_split(x, split),
     }
 }
 
@@ -118,42 +134,89 @@ pub fn tsmm(x: &DenseMatrix, side: TsmmSide) -> Result<DenseMatrix> {
 // Shared parallel scaffolding (both backends)
 // ---------------------------------------------------------------------------
 
-/// Shared GEMM parallelization decision: whether both backends split the
-/// output rows into panels (no partition changes a value).
-pub(crate) fn gemm_parallel(m: usize, n: usize, k: usize, threads: usize) -> bool {
-    m >= PAR_ROW_THRESHOLD && m * n * k >= PAR_FLOP_THRESHOLD && threads > 1
+/// Who runs a kernel's row panels (or `tsmm` blocks): the calling thread and
+/// up to `n - 1` pool workers, each checking a stop hook (a session's cancel
+/// or deadline) before each part it claims when the split is checked. A stop
+/// ends the kernel with an error, the remaining parts unrun. No value
+/// depends on the split.
+pub enum Split<'a> {
+    Threads(usize),
+    Checked(usize, &'a (dyn Fn() -> bool + Sync)),
 }
 
-/// Runs `panel(out_chunk, row0, rows)` over row panels of `out`, on up to
-/// `threads` workers when requested. Each output row is written by exactly
-/// one worker, so the partition never changes the computed values. A worker
-/// panic surfaces as [`MatrixError::WorkerPanic`] (the first one, by panel
-/// order).
-pub(crate) fn run_row_panels<F>(
-    out: &mut DenseMatrix,
+impl Split<'_> {
+    /// Runs `f(i, &mut parts[i])` for every part, on the pool as wide as the
+    /// split allows. The first panic by part order is a `WorkerPanic`.
+    fn run<T: Send>(&self, parts: &mut [T], f: impl Fn(usize, &mut T) + Sync) -> Result<()> {
+        let (threads, stop) = match *self {
+            Split::Threads(t) => (t, None),
+            Split::Checked(t, stop) => (t, Some(stop)),
+        };
+        let stopped = AtomicBool::new(false);
+        pool::for_each_part(parts, threads, |i, part| {
+            if stopped.load(Ordering::Relaxed) || stop.is_some_and(|stop| stop()) {
+                stopped.store(true, Ordering::Relaxed);
+            } else {
+                f(i, part);
+            }
+        })
+        .map_err(MatrixError::WorkerPanic)?;
+        match stopped.into_inner() {
+            true => Err(MatrixError::InvalidArgument("kernel stopped".into())),
+            false => Ok(()),
+        }
+    }
+}
+
+/// Shared GEMM parallelization decision: whether both backends split the
+/// output rows into panels (no partition changes a value). A matrix–vector
+/// product is memory-bound: it goes parallel from [`PAR_CELLS`] cells of `A`.
+pub(crate) fn gemm_parallel(m: usize, n: usize, k: usize) -> bool {
+    m >= PAR_ROW_THRESHOLD && (m * n * k >= PAR_FLOP_THRESHOLD || n == 1 && m * k >= PAR_CELLS)
+}
+
+/// Runs `panel(out_chunk, row0, rows)` over the row panels of the `n`-column
+/// row-major `out`: when `parallel`, 16 panels of whole 8-row blocks, each
+/// run by the one thread of the split that claims it; else in one call.
+/// Each output row is written by exactly one call, and the cut depends on
+/// the shape alone, so neither the partition nor the thread count changes a
+/// value.
+pub(crate) fn run_row_panels<T: Send>(
+    out: &mut [T],
+    n: usize,
     parallel: bool,
-    threads: usize,
-    panel: F,
-) -> Result<()>
-where
-    F: Fn(&mut [f64], usize, usize) + Sync,
-{
-    let (m, n) = out.shape();
-    if !parallel || threads <= 1 || m == 0 || n == 0 {
-        panel(out.data_mut(), 0, m);
+    split: &Split,
+    panel: impl Fn(&mut [T], usize, usize) + Sync,
+) -> Result<()> {
+    let m = out.len() / n.max(1);
+    if !parallel || m == 0 {
+        panel(out, 0, m);
         return Ok(());
     }
-    let chunk = m.div_ceil(threads);
-    let panel = &panel;
-    fork_join(
-        out.data_mut()
-            .chunks_mut(chunk * n)
-            .enumerate()
-            .map(|(t, out_chunk)| move || panel(out_chunk, t * chunk, out_chunk.len() / n)),
-    )
-    .into_iter()
-    .collect::<std::result::Result<(), String>>()
-    .map_err(MatrixError::WorkerPanic)
+    let rows = m.div_ceil(16).next_multiple_of(8);
+    let mut panels: Vec<_> = out.chunks_mut(rows * n).collect();
+    split.run(&mut panels, |p, chunk| {
+        panel(chunk, p * rows, chunk.len() / n)
+    })
+}
+
+/// An `m×n` matrix built by [`run_row_panels`] from panels that
+/// `fill(panel, row0)` writes in full: no cell is zeroed first.
+pub(crate) fn fill_rows(
+    (m, n): (usize, usize),
+    parallel: bool,
+    split: &Split,
+    fill: impl Fn(&mut [MaybeUninit<f64>], usize) + Sync,
+) -> Result<DenseMatrix> {
+    let mut data = Vec::with_capacity(m * n);
+    let cells = &mut data.spare_capacity_mut()[..m * n];
+    run_row_panels(cells, n, parallel, split, |p, row0, _| fill(p, row0))?;
+    // SAFETY: the driver returned `Ok`, so it handed every row of the first
+    // `m·n` cells to `fill` once and every call returned, and every `fill`
+    // in this crate writes all of its panel (a `write_copy_of_slice` of the
+    // wrong length panics).
+    unsafe { data.set_len(m * n) };
+    DenseMatrix::new(m, n, data)
 }
 
 /// Rows per block of `tsmm`'s shared dimension when `X` is `m×n`: at most
@@ -171,54 +234,35 @@ pub type GramKernel = fn(&DenseMatrix, usize, usize, &mut [f64]);
 /// Shared `tsmm` left-side driver. The rows of `X` are cut into blocks of
 /// [`tsmm_block_rows`]; `gram` accumulates one block's upper triangle into a
 /// partial that starts from zero, and the partials fold into the output in
-/// block order before the upper triangle is mirrored. The `threads` workers
-/// only decide who computes which blocks (contiguous runs of them), so the
-/// result is the same at any thread count; both backends run this driver
-/// with their own block kernel. On one thread `between` runs before each
-/// block, and an error from it (a cancelled session) stops the product.
-pub(crate) fn tsmm_left_with<E: From<MatrixError>>(
+/// block order before the upper triangle is mirrored. The split only decides
+/// who computes which block, so the result is the same at any thread count;
+/// both backends run this driver with their own block kernel.
+pub(crate) fn tsmm_left_with(
     x: &DenseMatrix,
-    threads: usize,
+    split: &Split,
     gram: GramKernel,
-    mut between: impl FnMut() -> std::result::Result<(), E>,
-) -> std::result::Result<DenseMatrix, E> {
+) -> Result<DenseMatrix> {
     let (m, n) = x.shape();
     let rows = tsmm_block_rows(m, n);
-    let blocks = m.div_ceil(rows);
-    let serial = threads <= 1 || m * n * n < PAR_FLOP_THRESHOLD;
-    let partial = |b: usize| {
-        let mut acc = vec![0.0f64; n * n];
-        gram(x, b * rows, ((b + 1) * rows).min(m), &mut acc);
-        acc
+    let mut partials = vec![Vec::new(); m.div_ceil(rows)];
+    let partial = |b: usize, acc: &mut Vec<f64>| {
+        *acc = vec![0.0f64; n * n];
+        gram(x, b * rows, ((b + 1) * rows).min(m), acc);
     };
-    let mut out = DenseMatrix::zeros(n, n);
-    let mut fold = |p: Vec<f64>| out.data_mut().iter_mut().zip(p).for_each(|(o, v)| *o += v);
-    if serial {
-        for b in 0..blocks {
-            between()?;
-            fold(partial(b));
-        }
+    if m * n * n >= PAR_FLOP_THRESHOLD {
+        split.run(&mut partials, partial)?;
     } else {
-        let per = blocks.div_ceil(threads);
-        let run = &|b0: usize| Vec::from_iter((b0..blocks.min(b0 + per)).map(partial));
-        for run in fork_join((0..blocks).step_by(per).map(|b0| move || run(b0))) {
-            run.map_err(MatrixError::WorkerPanic)?
-                .into_iter()
-                .for_each(&mut fold);
-        }
+        partials
+            .iter_mut()
+            .enumerate()
+            .for_each(|(b, acc)| partial(b, acc));
+    }
+    let mut out = DenseMatrix::zeros(n, n);
+    for p in &partials {
+        out.data_mut().iter_mut().zip(p).for_each(|(o, v)| *o += v);
     }
     mirror_upper(&mut out);
     Ok(out)
-}
-
-/// [`tsmm`]`(X, Left)` on the calling thread, calling `between` before each
-/// of the driver's blocks: the active backend's bits, and an error from
-/// `between` stops it there.
-pub fn tsmm_left_checked<E: From<MatrixError>>(
-    x: &DenseMatrix,
-    between: impl FnMut() -> std::result::Result<(), E>,
-) -> std::result::Result<DenseMatrix, E> {
-    tsmm_left_with(x, 1, backend::active().gram_kernel(), between)
 }
 
 /// Mirrors the upper triangle of a square matrix into the lower.
@@ -238,12 +282,12 @@ pub(crate) fn mirror_upper(out: &mut DenseMatrix) {
 
 /// Reference GEMM: cache-blocked i-k-j loops, optionally parallel over row
 /// panels.
-pub(crate) fn ref_gemm(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
+pub(crate) fn ref_gemm(a: &DenseMatrix, b: &DenseMatrix, split: &Split) -> Result<DenseMatrix> {
     let (m, k) = a.shape();
     let n = b.cols();
     let mut out = DenseMatrix::zeros(m, n);
-    let parallel = gemm_parallel(m, n, k, threads);
-    run_row_panels(&mut out, parallel, threads, |panel, row0, rows| {
+    let parallel = gemm_parallel(m, n, k);
+    run_row_panels(out.data_mut(), n, parallel, split, |panel, row0, rows| {
         gemm_panel(a, b, panel, row0, rows)
     })?;
     Ok(out)
@@ -284,14 +328,14 @@ fn gemm_panel(a: &DenseMatrix, b: &DenseMatrix, out_panel: &mut [f64], row0: usi
 pub(crate) fn gemm_tn_stream(
     a: &DenseMatrix,
     b: &DenseMatrix,
-    threads: usize,
+    split: &Split,
     skip_zeros: bool,
 ) -> Result<DenseMatrix> {
     let (m, p) = a.shape();
     let n = b.cols();
     let mut out = DenseMatrix::zeros(p, n);
-    let parallel = gemm_parallel(p, n, m, threads);
-    run_row_panels(&mut out, parallel, threads, |panel, j0, rows| {
+    let parallel = gemm_parallel(p, n, m);
+    run_row_panels(out.data_mut(), n, parallel, split, |panel, j0, rows| {
         for i in 0..m {
             let arow = &a.row(i)[j0..j0 + rows];
             let brow = b.row(i);
@@ -337,10 +381,9 @@ pub(crate) fn ref_transpose(a: &DenseMatrix) -> DenseMatrix {
 /// Reference `tsmm` right side: materializes `Xᵀ` and reuses the left-side
 /// kernel. This doubles peak memory — the Optimized backend computes `X·Xᵀ`
 /// directly; the transpose counter lets tests pin that difference.
-pub(crate) fn ref_tsmm_right(x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
+pub(crate) fn ref_tsmm_right(x: &DenseMatrix, split: &Split) -> Result<DenseMatrix> {
     backend::note_tsmm_right_transpose();
-    let xt = ref_transpose(x);
-    tsmm_left_with(&xt, threads, gram_upper, || Ok::<_, MatrixError>(()))
+    tsmm_left_with(&ref_transpose(x), split, gram_upper)
 }
 
 /// Accumulates the upper triangle of `X[lo..hi,:]ᵀ X[lo..hi,:]` into `acc`,
@@ -367,6 +410,7 @@ pub(crate) fn gram_upper(x: &DenseMatrix, lo: usize, hi: usize, acc: &mut [f64])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     fn m(rows: usize, cols: usize, v: &[f64]) -> DenseMatrix {
         DenseMatrix::new(rows, cols, v.to_vec()).unwrap()
@@ -479,53 +523,58 @@ mod tests {
 
     #[test]
     fn worker_panic_surfaces_as_typed_error_not_abort() {
-        if kernel_threads() <= 1 {
-            return; // parallel path unreachable on a single-core runner
-        }
-        // Drive run_row_panels directly with a panicking panel across the
-        // parallel path; the panic must come back as MatrixError::WorkerPanic.
-        let mut out = DenseMatrix::zeros(512, 8);
-        let r = run_row_panels(&mut out, true, kernel_threads(), |panel, row0, _rows| {
-            if row0 > 0 {
+        // A panicking panel on the pooled path comes back as the first
+        // MatrixError::WorkerPanic by panel order (48-row panels of 768 rows),
+        // whether the caller or a worker ran it; the other panels are written.
+        let mut out = DenseMatrix::zeros(768, 8);
+        let r = run_row_panels(out.data_mut(), 8, true, &Split::Threads(2), |p, row0, _| {
+            if row0 == 96 || row0 == 480 {
                 panic!("injected kernel fault at row {row0}");
             }
-            panel.fill(1.0);
+            p.fill(1.0);
         });
-        // The first panic by panel order, payload text intact.
-        let chunk = 512usize.div_ceil(kernel_threads());
         match r {
             Err(MatrixError::WorkerPanic(msg)) => {
-                assert_eq!(msg, format!("injected kernel fault at row {chunk}"))
+                assert_eq!(msg, "injected kernel fault at row 96")
             }
             other => panic!("expected WorkerPanic, got {other:?}"),
         }
-        // The healthy sibling was joined, not abandoned: its panel is written.
-        assert!(out.data()[..chunk * 8].iter().all(|v| *v == 1.0));
-        assert!(out.data()[chunk * 8..].iter().all(|v| *v == 0.0));
-        // Serial path with a healthy panel still succeeds.
-        let mut out = DenseMatrix::zeros(4, 4);
-        assert!(run_row_panels(&mut out, false, 1, |_p, _r0, _rs| {}).is_ok());
+        assert_eq!(out.data().iter().sum::<f64>(), (768.0 - 96.0) * 8.0);
+        // A checked split runs its hook before each panel; once it says
+        // stop, the kernel ends with an error and no further panel runs.
+        let calls = AtomicUsize::new(0);
+        let hook = || calls.fetch_add(1, Ordering::Relaxed) >= 3;
+        let r = run_row_panels(
+            out.data_mut(),
+            8,
+            true,
+            &Split::Checked(1, &hook),
+            |p, _, _| p.fill(2.0),
+        );
+        assert!(r.is_err());
+        assert_eq!(out.data().iter().filter(|v| **v == 2.0).count(), 3 * 48 * 8);
     }
 
     #[test]
     fn tsmm_checked_stops_between_blocks() {
-        let x = DenseMatrix::from_fn(2_000, 4, |i, j| (i + j) as f64);
-        let mut calls = 0;
-        let whole = tsmm_left_checked(&x, || {
-            calls += 1;
-            Ok::<_, MatrixError>(())
-        });
-        assert_eq!(calls, 2_000usize.div_ceil(tsmm_block_rows(2_000, 4)));
-        assert_eq!(whole.unwrap(), tsmm(&x, TsmmSide::Left).unwrap());
-        let mut left = 2;
-        let stopped = tsmm_left_checked(&x, || {
-            left -= 1;
-            if left < 0 {
-                return Err(MatrixError::InvalidArgument("cancelled".into()));
-            }
-            Ok(())
-        });
-        assert!(stopped.is_err());
+        // Large enough to take the block path the split runs.
+        let x = DenseMatrix::from_fn(2_000, 40, |i, j| (i + j) as f64);
+        let calls = AtomicUsize::new(0);
+        let count = || {
+            calls.fetch_add(1, Ordering::Relaxed);
+            false
+        };
+        for threads in [1, 2] {
+            let whole = tsmm_split(&x, TsmmSide::Left, &Split::Checked(threads, &count));
+            assert_eq!(whole.unwrap(), tsmm(&x, TsmmSide::Left).unwrap());
+        }
+        assert_eq!(
+            calls.into_inner(),
+            2 * 2_000usize.div_ceil(tsmm_block_rows(2_000, 40))
+        );
+        let left = AtomicUsize::new(2);
+        let stop = || left.fetch_sub(1, Ordering::Relaxed) == 0;
+        assert!(tsmm_split(&x, TsmmSide::Left, &Split::Checked(1, &stop)).is_err());
     }
 
     #[test]
@@ -537,7 +586,7 @@ mod tests {
                 panic!("injected tsmm fault");
             }
         };
-        let r = tsmm_left_with(&x, 2, gram, || Ok::<_, MatrixError>(()));
+        let r = tsmm_left_with(&x, &Split::Threads(2), gram);
         match r {
             Err(MatrixError::WorkerPanic(msg)) => assert!(msg.contains("injected")),
             other => panic!("expected WorkerPanic, got {other:?}"),

@@ -24,9 +24,9 @@
 use crate::dense::DenseMatrix;
 use crate::error::Result;
 use crate::ops::elementwise::{BinOp, UnOp};
-use crate::ops::matmult::tsmm_block_rows;
-use crate::ops::matmult::{gemm_parallel, gemm_tn_stream, gram_upper, run_row_panels};
-use crate::ops::matmult::{mirror_upper, PAR_FLOP_THRESHOLD};
+use crate::ops::matmult::{fill_rows, gemm_parallel, gemm_tn_stream, gram_upper, run_row_panels};
+use crate::ops::matmult::{mirror_upper, tsmm_block_rows, Split, PAR_FLOP_THRESHOLD};
+use std::mem::MaybeUninit;
 
 /// Micro-kernel register block: MR output rows × NR output columns live in
 /// registers for the whole k loop (4×8 f64 = 8 AVX2 accumulators, leaving
@@ -41,19 +41,19 @@ const NR: usize = 8;
 /// output. Accumulators *reload* from the output between blocks, so every
 /// element is still one sequential ascending-k chain — the blocking changes
 /// cache traffic, never associativity. Parallel over the same row panels as
-/// Reference.
-pub(crate) fn gemm(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
+/// Reference. A single column writes every cell once, so its output is not
+/// zeroed first.
+pub(crate) fn gemm(a: &DenseMatrix, b: &DenseMatrix, split: &Split) -> Result<DenseMatrix> {
     let (m, k) = a.shape();
     let n = b.cols();
+    let parallel = gemm_parallel(m, n, k);
+    if n == 1 {
+        return fill_rows((m, 1), parallel, split, |panel, row0| {
+            gemv_panel(a, b.data(), panel, row0)
+        });
+    }
     let mut out = DenseMatrix::zeros(m, n);
     if m == 0 || n == 0 {
-        return Ok(out);
-    }
-    let parallel = gemm_parallel(m, n, k, threads);
-    if n == 1 {
-        run_row_panels(&mut out, parallel, threads, |panel, row0, _| {
-            gemv_panel(a, b.data(), panel, row0)
-        })?;
         return Ok(out);
     }
     let kc = kc_block(n, k);
@@ -62,7 +62,7 @@ pub(crate) fn gemm(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<D
         let kb = kc.min(k - k0);
         // Pack before partitioning: workers share one read-only packed image.
         let pack = pack_b_block(b, k0, kb);
-        run_row_panels(&mut out, parallel, threads, |panel, row0, rows| {
+        run_row_panels(out.data_mut(), n, parallel, split, |panel, row0, rows| {
             gemm_panel(a, &pack, k0..k0 + kb, n, panel, row0, rows)
         })?;
         k0 += kb;
@@ -76,11 +76,11 @@ pub(crate) fn gemm(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<D
 /// 50 000 × 10–200, the stream took 19–60 % of their time for one column of
 /// `B`; from two columns on they were faster or within 15 % (1.8× faster at
 /// 64 columns and `A` of 100–200; only a 10-column `A` favoured the stream).
-pub(crate) fn gemm_tn(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
+pub(crate) fn gemm_tn(a: &DenseMatrix, b: &DenseMatrix, split: &Split) -> Result<DenseMatrix> {
     if b.cols() > 1 {
-        return gemm(&transpose(a), b, threads);
+        return gemm(&transpose(a), b, split);
     }
-    gemm_tn_stream(a, b, threads, false)
+    gemm_tn_stream(a, b, split, false)
 }
 
 /// Matrix–vector product for output rows `row0..row0 + out_panel.len()`. For
@@ -89,7 +89,7 @@ pub(crate) fn gemm_tn(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Resul
 /// each output element is one dot product over ascending k (Reference's
 /// order), with eight rows' chains interleaved — then four, two, one for the
 /// tail — so the adds of one row do not wait on each other's latency.
-fn gemv_panel(a: &DenseMatrix, x: &[f64], out_panel: &mut [f64], row0: usize) {
+fn gemv_panel(a: &DenseMatrix, x: &[f64], out_panel: &mut [MaybeUninit<f64>], row0: usize) {
     let (head, tail) = gemv_rows::<8>(a, x, out_panel, row0);
     let (head, tail) = gemv_rows::<4>(a, x, tail, head);
     let (head, tail) = gemv_rows::<2>(a, x, tail, head);
@@ -101,9 +101,9 @@ fn gemv_panel(a: &DenseMatrix, x: &[f64], out_panel: &mut [f64], row0: usize) {
 fn gemv_rows<'o, const R: usize>(
     a: &DenseMatrix,
     x: &[f64],
-    out: &'o mut [f64],
+    out: &'o mut [MaybeUninit<f64>],
     row0: usize,
-) -> (usize, &'o mut [f64]) {
+) -> (usize, &'o mut [MaybeUninit<f64>]) {
     let mut i = row0;
     let mut blocks = out.chunks_exact_mut(R);
     for block in &mut blocks {
@@ -115,7 +115,7 @@ fn gemv_rows<'o, const R: usize>(
                 *s += row[kk] * xv;
             }
         }
-        block.copy_from_slice(&acc);
+        block.write_copy_of_slice(&acc);
         i += R;
     }
     (i, blocks.into_remainder())
@@ -278,11 +278,11 @@ pub(crate) fn gram_upper_rank4(x: &DenseMatrix, lo: usize, hi: usize, acc: &mut 
 /// chain per fixed block of the shared dimension, folded in block order.
 /// Threading stripes whole output rows, so the result is identical at any
 /// thread count.
-pub(crate) fn tsmm_right(x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
+pub(crate) fn tsmm_right(x: &DenseMatrix, split: &Split) -> Result<DenseMatrix> {
     let (m, n) = x.shape();
     let mut out = DenseMatrix::zeros(m, m);
-    let parallel = m * m * n >= PAR_FLOP_THRESHOLD && m >= threads;
-    run_row_panels(&mut out, parallel, threads, |panel, row0, rows| {
+    let parallel = m * m * n >= PAR_FLOP_THRESHOLD;
+    run_row_panels(out.data_mut(), m, parallel, split, |panel, row0, rows| {
         gram_right_panel(x, panel, row0, rows)
     })?;
     mirror_upper(&mut out);

@@ -5,116 +5,109 @@
 
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
+use crate::ops::matmult::{fill_rows, kernel_threads, Split, PAR_CELLS};
+use std::mem::MaybeUninit;
+
+/// The copy kernels' driver: every output cell is written once, without a
+/// zero-fill first, on the pool from [`PAR_CELLS`] cells on. A copy is
+/// bit-exact whoever writes which row.
+fn copy_rows(
+    shape: (usize, usize),
+    fill: impl Fn(&mut [MaybeUninit<f64>], usize) + Sync,
+) -> Result<DenseMatrix> {
+    let parallel = shape.0 * shape.1 >= PAR_CELLS;
+    fill_rows(shape, parallel, &Split::Threads(kernel_threads()), fill)
+}
 
 /// Horizontal concatenation `cbind(A, B)`.
 pub fn cbind(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
     if a.rows() != b.rows() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "cbind",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
+        return Err(MatrixError::mismatch("cbind", a.shape(), b.shape()));
     }
-    let (m, na, nb) = (a.rows(), a.cols(), b.cols());
-    let mut data = Vec::with_capacity(m * (na + nb));
-    for i in 0..m {
-        data.extend_from_slice(a.row(i));
-        data.extend_from_slice(b.row(i));
-    }
-    DenseMatrix::new(m, na + nb, data)
+    let (na, n) = (a.cols(), a.cols() + b.cols());
+    copy_rows((a.rows(), n), |panel, row0| {
+        for (i, row) in panel.chunks_exact_mut(n).enumerate() {
+            let (left, right) = row.split_at_mut(na);
+            left.write_copy_of_slice(a.row(row0 + i));
+            right.write_copy_of_slice(b.row(row0 + i));
+        }
+    })
 }
 
 /// Vertical concatenation `rbind(A, B)`.
 pub fn rbind(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
     if a.cols() != b.cols() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "rbind",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
+        return Err(MatrixError::mismatch("rbind", a.shape(), b.shape()));
     }
-    let mut data = Vec::with_capacity((a.rows() + b.rows()) * a.cols());
-    data.extend_from_slice(a.data());
-    data.extend_from_slice(b.data());
-    DenseMatrix::new(a.rows() + b.rows(), a.cols(), data)
+    let (a_cells, n) = (a.len(), a.cols());
+    copy_rows((a.rows() + b.rows(), n), |panel, row0| {
+        // The panel's cells `c0..c0 + len` of the output: those below
+        // `a_cells` come from A, the rest from B.
+        let c0 = row0 * n;
+        let (top, bottom) = panel.split_at_mut(a_cells.saturating_sub(c0).min(panel.len()));
+        top.write_copy_of_slice(&a.data()[c0.min(a_cells)..][..top.len()]);
+        let b0 = (c0 + top.len()).saturating_sub(a_cells);
+        bottom.write_copy_of_slice(&b.data()[b0..b0 + bottom.len()]);
+    })
 }
 
 /// Right-indexing `X[rl:ru, cl:cu]` with *inclusive*, 0-based bounds
 /// (the language front-end converts from 1-based script indices).
 pub fn slice(a: &DenseMatrix, rl: usize, ru: usize, cl: usize, cu: usize) -> Result<DenseMatrix> {
     if ru >= a.rows() || rl > ru {
-        return Err(MatrixError::IndexOutOfBounds {
-            op: "rightIndex",
-            index: ru,
-            bound: a.rows(),
-        });
+        return Err(MatrixError::out_of_bounds("rightIndex", ru, a.rows()));
     }
     if cu >= a.cols() || cl > cu {
-        return Err(MatrixError::IndexOutOfBounds {
-            op: "rightIndex",
-            index: cu,
-            bound: a.cols(),
-        });
+        return Err(MatrixError::out_of_bounds("rightIndex", cu, a.cols()));
     }
-    let (m, n) = (ru - rl + 1, cu - cl + 1);
-    let mut data = Vec::with_capacity(m * n);
-    for i in rl..=ru {
-        let row = a.row(i);
-        data.extend_from_slice(&row[cl..=cu]);
-    }
-    DenseMatrix::new(m, n, data)
+    let n = cu - cl + 1;
+    copy_rows((ru - rl + 1, n), |panel, row0| {
+        if n == a.cols() {
+            // Whole rows: one contiguous run of A.
+            let c0 = (rl + row0) * n;
+            panel.write_copy_of_slice(&a.data()[c0..c0 + panel.len()]);
+            return;
+        }
+        for (i, row) in panel.chunks_exact_mut(n).enumerate() {
+            row.write_copy_of_slice(&a.row(rl + row0 + i)[cl..=cu]);
+        }
+    })
 }
 
 /// Column projection by an explicit 0-based column index list
 /// (`X[, s]` with a vector of column positions, as in Example 1's `sample`).
 pub fn select_cols(a: &DenseMatrix, cols: &[usize]) -> Result<DenseMatrix> {
-    for &c in cols {
-        if c >= a.cols() {
-            return Err(MatrixError::IndexOutOfBounds {
-                op: "selectCols",
-                index: c,
-                bound: a.cols(),
-            });
-        }
+    if let Some(&c) = cols.iter().find(|&&c| c >= a.cols()) {
+        return Err(MatrixError::out_of_bounds("selectCols", c, a.cols()));
     }
-    let m = a.rows();
-    let mut data = Vec::with_capacity(m * cols.len());
-    for i in 0..m {
-        let row = a.row(i);
-        for &c in cols {
-            data.push(row[c]);
+    copy_rows((a.rows(), cols.len()), |panel, row0| {
+        for (i, row) in panel.chunks_exact_mut(cols.len()).enumerate() {
+            let src = a.row(row0 + i);
+            for (cell, &c) in row.iter_mut().zip(cols) {
+                cell.write(src[c]);
+            }
         }
-    }
-    DenseMatrix::new(m, cols.len(), data)
+    })
 }
 
 /// Row projection by an explicit 0-based row index list.
 pub fn select_rows(a: &DenseMatrix, rows: &[usize]) -> Result<DenseMatrix> {
-    for &r in rows {
-        if r >= a.rows() {
-            return Err(MatrixError::IndexOutOfBounds {
-                op: "selectRows",
-                index: r,
-                bound: a.rows(),
-            });
+    if let Some(&r) = rows.iter().find(|&&r| r >= a.rows()) {
+        return Err(MatrixError::out_of_bounds("selectRows", r, a.rows()));
+    }
+    let n = a.cols();
+    copy_rows((rows.len(), n), |panel, row0| {
+        for (row, &r) in panel.chunks_exact_mut(n).zip(&rows[row0..]) {
+            row.write_copy_of_slice(a.row(r));
         }
-    }
-    let mut data = Vec::with_capacity(rows.len() * a.cols());
-    for &r in rows {
-        data.extend_from_slice(a.row(r));
-    }
-    DenseMatrix::new(rows.len(), a.cols(), data)
+    })
 }
 
 /// Left-indexing `X[rl:ru, cl:cu] = S`: returns a fresh matrix with the
 /// sub-block replaced (inputs stay immutable, preserving lineage semantics).
 pub fn left_index(a: &DenseMatrix, s: &DenseMatrix, rl: usize, cl: usize) -> Result<DenseMatrix> {
     if rl + s.rows() > a.rows() || cl + s.cols() > a.cols() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "leftIndex",
-            lhs: a.shape(),
-            rhs: s.shape(),
-        });
+        return Err(MatrixError::mismatch("leftIndex", a.shape(), s.shape()));
     }
     let mut out = a.clone();
     for i in 0..s.rows() {
@@ -137,20 +130,14 @@ pub fn diag(a: &DenseMatrix) -> Result<DenseMatrix> {
     } else if a.rows() == a.cols() {
         Ok(DenseMatrix::from_fn(a.rows(), 1, |i, _| a.get(i, i)))
     } else {
-        Err(MatrixError::DimensionMismatch {
-            op: "rdiag",
-            lhs: a.shape(),
-            rhs: a.shape(),
-        })
+        Err(MatrixError::mismatch("rdiag", a.shape(), a.shape()))
     }
 }
 
 /// `seq(from, to, by)` as a column vector.
 pub fn seq(from: f64, to: f64, by: f64) -> Result<DenseMatrix> {
     if by == 0.0 {
-        return Err(MatrixError::InvalidArgument(
-            "seq step must be nonzero".into(),
-        ));
+        return Err(MatrixError::invalid("seq step must be nonzero"));
     }
     let n = if (by > 0.0 && from > to) || (by < 0.0 && from < to) {
         0
@@ -164,15 +151,11 @@ pub fn seq(from: f64, to: f64, by: f64) -> Result<DenseMatrix> {
 /// the (1-based, integral) codes in `a` and `b`. Used by one-hot encoding.
 pub fn table2(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
     if a.shape() != b.shape() || a.cols() != 1 {
-        return Err(MatrixError::DimensionMismatch {
-            op: "table",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
+        return Err(MatrixError::mismatch("table", a.shape(), b.shape()));
     }
     let to_idx = |v: f64, what: &str| -> Result<usize> {
         if v < 1.0 || v.fract() != 0.0 {
-            return Err(MatrixError::InvalidArgument(format!(
+            return Err(MatrixError::invalid(format!(
                 "table: {what} value {v} is not a positive integer"
             )));
         }
@@ -197,9 +180,7 @@ pub fn table2(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
 /// (`order(V, decreasing, index.return=TRUE)` in DML).
 pub fn order_index(v: &DenseMatrix, decreasing: bool) -> Result<DenseMatrix> {
     if v.cols() != 1 {
-        return Err(MatrixError::InvalidArgument(
-            "order: expected a column vector".into(),
-        ));
+        return Err(MatrixError::invalid("order: expected a column vector"));
     }
     let mut idx: Vec<usize> = (0..v.rows()).collect();
     idx.sort_by(|&a, &b| {

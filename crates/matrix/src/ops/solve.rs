@@ -9,18 +9,10 @@ use crate::error::{MatrixError, Result};
 /// with partial pivoting.
 pub fn solve(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
     if a.rows() != a.cols() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "solve",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
+        return Err(MatrixError::mismatch("solve", a.shape(), b.shape()));
     }
     if a.rows() != b.rows() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "solve",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
+        return Err(MatrixError::mismatch("solve", a.shape(), b.shape()));
     }
     match cholesky(a) {
         Ok(l) => cholesky_solve(&l, b),
@@ -33,11 +25,7 @@ pub fn solve(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
 pub fn cholesky(a: &DenseMatrix) -> Result<DenseMatrix> {
     let n = a.rows();
     if n != a.cols() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "cholesky",
-            lhs: a.shape(),
-            rhs: a.shape(),
-        });
+        return Err(MatrixError::mismatch("cholesky", a.shape(), a.shape()));
     }
     let mut l = DenseMatrix::zeros(n, n);
     for i in 0..n {

@@ -30,7 +30,7 @@ pub fn rand_matrix(
     seed: u64,
 ) -> Result<DenseMatrix> {
     if !(0.0..=1.0).contains(&sparsity) {
-        return Err(MatrixError::InvalidArgument(format!(
+        return Err(MatrixError::invalid(format!(
             "sparsity {sparsity} not in [0,1]"
         )));
     }
@@ -39,7 +39,7 @@ pub fn rand_matrix(
     match dist {
         RandDist::Uniform { min, max } => {
             if max < min {
-                return Err(MatrixError::InvalidArgument(format!(
+                return Err(MatrixError::invalid(format!(
                     "uniform bounds inverted: [{min}, {max})"
                 )));
             }
@@ -80,7 +80,7 @@ pub fn rand_matrix(
 /// (without replacement), as a column vector — DML's `sample`.
 pub fn sample_without_replacement(range: usize, size: usize, seed: u64) -> Result<DenseMatrix> {
     if size > range {
-        return Err(MatrixError::InvalidArgument(format!(
+        return Err(MatrixError::invalid(format!(
             "sample: size {size} exceeds range {range}"
         )));
     }
@@ -92,12 +92,6 @@ pub fn sample_without_replacement(range: usize, size: usize, seed: u64) -> Resul
         pool.swap(i, j);
     }
     Ok(DenseMatrix::from_fn(size, 1, |i, _| pool[i] as f64))
-}
-
-/// A random permutation of `1..=n` as a column vector (used for reshuffling
-/// in mini-batch training and CV fold assignment).
-pub fn permutation(n: usize, seed: u64) -> DenseMatrix {
-    sample_without_replacement(n, n, seed).expect("size == range")
 }
 
 #[cfg(test)]
@@ -168,7 +162,7 @@ mod tests {
 
     #[test]
     fn permutation_covers_all_values() {
-        let p = permutation(50, 3);
+        let p = sample_without_replacement(50, 50, 3).unwrap();
         let mut vals: Vec<i64> = p.data().iter().map(|v| *v as i64).collect();
         vals.sort_unstable();
         assert_eq!(vals, (1..=50).collect::<Vec<i64>>());

@@ -68,11 +68,8 @@ impl CsrMatrix {
     /// Sparse-matrix × dense-matrix product.
     pub fn matmult_dense(&self, b: &DenseMatrix) -> Result<DenseMatrix> {
         if self.cols != b.rows() {
-            return Err(MatrixError::DimensionMismatch {
-                op: "spmm",
-                lhs: (self.rows, self.cols),
-                rhs: b.shape(),
-            });
+            let lhs = (self.rows, self.cols);
+            return Err(MatrixError::mismatch("spmm", lhs, b.shape()));
         }
         let n = b.cols();
         let mut out = DenseMatrix::zeros(self.rows, n);

@@ -21,9 +21,9 @@ impl ScalarValue {
             ScalarValue::F64(v) => Ok(*v),
             ScalarValue::I64(v) => Ok(*v as f64),
             ScalarValue::Bool(b) => Ok(f64::from(*b)),
-            ScalarValue::Str(s) => Err(MatrixError::InvalidArgument(format!(
-                "string '{s}' is not numeric"
-            ))),
+            ScalarValue::Str(s) => {
+                Err(MatrixError::invalid(format!("string '{s}' is not numeric")))
+            }
         }
     }
 
@@ -33,9 +33,7 @@ impl ScalarValue {
             ScalarValue::I64(v) => Ok(*v),
             ScalarValue::F64(v) if v.fract() == 0.0 => Ok(*v as i64),
             ScalarValue::Bool(b) => Ok(i64::from(*b)),
-            other => Err(MatrixError::InvalidArgument(format!(
-                "{other:?} is not an integer"
-            ))),
+            other => Err(MatrixError::invalid(format!("{other:?} is not an integer"))),
         }
     }
 
@@ -45,9 +43,9 @@ impl ScalarValue {
             ScalarValue::Bool(b) => Ok(*b),
             ScalarValue::F64(v) => Ok(*v != 0.0),
             ScalarValue::I64(v) => Ok(*v != 0),
-            ScalarValue::Str(s) => Err(MatrixError::InvalidArgument(format!(
-                "string '{s}' is not boolean"
-            ))),
+            ScalarValue::Str(s) => {
+                Err(MatrixError::invalid(format!("string '{s}' is not boolean")))
+            }
         }
     }
 
@@ -150,10 +148,7 @@ impl Value {
     pub fn as_matrix(&self) -> Result<&Arc<DenseMatrix>> {
         match self {
             Value::Matrix(m) => Ok(m),
-            other => Err(MatrixError::InvalidArgument(format!(
-                "expected matrix, got {}",
-                other.type_name()
-            ))),
+            other => Err(other.expected("matrix")),
         }
     }
 
@@ -161,10 +156,7 @@ impl Value {
     pub fn as_scalar(&self) -> Result<&ScalarValue> {
         match self {
             Value::Scalar(s) => Ok(s),
-            other => Err(MatrixError::InvalidArgument(format!(
-                "expected scalar, got {}",
-                other.type_name()
-            ))),
+            other => Err(other.expected("scalar")),
         }
     }
 
@@ -172,10 +164,7 @@ impl Value {
     pub fn as_list(&self) -> Result<&Arc<Vec<Value>>> {
         match self {
             Value::List(l) => Ok(l),
-            other => Err(MatrixError::InvalidArgument(format!(
-                "expected list, got {}",
-                other.type_name()
-            ))),
+            other => Err(other.expected("list")),
         }
     }
 
@@ -184,11 +173,13 @@ impl Value {
         match self {
             Value::Scalar(s) => s.as_f64(),
             Value::Matrix(m) if m.shape() == (1, 1) => Ok(m.get(0, 0)),
-            other => Err(MatrixError::InvalidArgument(format!(
-                "expected numeric scalar, got {}",
-                other.type_name()
-            ))),
+            other => Err(other.expected("numeric scalar")),
         }
+    }
+
+    /// The error of a view that wanted `what` and found this value.
+    fn expected(&self, what: &str) -> MatrixError {
+        MatrixError::invalid(format!("expected {what}, got {}", self.type_name()))
     }
 
     /// Human-readable type tag.

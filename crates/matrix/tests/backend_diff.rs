@@ -15,7 +15,8 @@ use lima_matrix::backend::{
     backend_for, set_backend, tsmm_right_transposes, BackendKind, KernelBackend,
 };
 use lima_matrix::ops::elementwise::{BinOp, UnOp};
-use lima_matrix::ops::matmult::{matmult, matmult_tn, transpose, uses_sparse_dispatch};
+use lima_matrix::ops::matmult::{matmult, matmult_tn, transpose, uses_sparse_dispatch, Split};
+use lima_matrix::ops::reorg;
 use lima_matrix::DenseMatrix;
 use proptest::prelude::*;
 
@@ -97,12 +98,12 @@ proptest! {
                       threads in 1usize..9) {
         let x = det(m, n, seed, density);
         assert_bits_eq(
-            &OPT.tsmm_left_threads(&x, threads).unwrap(),
+            &OPT.tsmm_left_split(&x, &Split::Threads(threads)).unwrap(),
             &REF.tsmm_left(&x).unwrap(),
             &format!("tsmm_left {m}x{n}"),
         );
         assert_bits_eq(
-            &OPT.tsmm_right_threads(&x, threads).unwrap(),
+            &OPT.tsmm_right_split(&x, &Split::Threads(threads)).unwrap(),
             &REF.tsmm_right(&x).unwrap(),
             &format!("tsmm_right {m}x{n}"),
         );
@@ -275,9 +276,9 @@ fn parallel_kernels_agree_across_backends_and_thread_counts() {
         let xt = REF.transpose(&x);
         let w = det(n, 16, 3, 1000);
         let run = |name: &str, be: &dyn KernelBackend, threads: usize| match name {
-            "tsmm_left" => be.tsmm_left_threads(&x, threads).unwrap(),
-            "tsmm_right" => be.tsmm_right_threads(&xt, threads).unwrap(),
-            _ => be.gemm_threads(&x, &w, threads).unwrap(),
+            "tsmm_left" => be.tsmm_left_split(&x, &Split::Threads(threads)).unwrap(),
+            "tsmm_right" => be.tsmm_right_split(&xt, &Split::Threads(threads)).unwrap(),
+            _ => be.gemm_split(&x, &w, &Split::Threads(threads)).unwrap(),
         };
         for name in ["tsmm_left", "tsmm_right", "gemm"] {
             let want = run(name, REF, 1);
@@ -286,6 +287,92 @@ fn parallel_kernels_agree_across_backends_and_thread_counts() {
                     let what = format!("{name} {m}x{n} {engine} at {threads} threads");
                     assert_bits_eq(&run(name, be, threads), &want, &what);
                 }
+            }
+        }
+    }
+}
+
+/// The copy kernels and the single-column GEMM write each output cell once,
+/// uninitialised memory first. Below and above the pool threshold (128 K
+/// cells; for the GEMM, cells of `A`) every copy kernel gives a plain
+/// gather's bits (above it, through 16 row panels, a cut that depends on the
+/// shape alone), and the GEMM gives the same bits in both engines at 1, 2, 3
+/// and 8 threads.
+#[test]
+fn copy_kernels_and_gemv_agree_across_thread_counts() {
+    for (m, n) in [
+        (7, 5),
+        (1_300, 100),
+        (1_320, 100),
+        (4_800, 50),
+        (10_000, 21),
+    ] {
+        let x = det(m, n, (m * n) as u64, 700);
+        let y = det(m, 3, 5, 1000);
+        let z = det(m / 3 + 1, n, 3, 500);
+        let (rl, ru, cl, cu) = (m / 7, m - 1 - m / 9, 1, n - 2);
+        let cols: Vec<usize> = (0..n).rev().step_by(2).chain([0, 0]).collect();
+        let rows: Vec<usize> = (0..m).map(|i| (i * 7 + 3) % m).collect();
+        let (all_rows, all_cols): (Vec<usize>, Vec<usize>) = ((0..m).collect(), (0..n).collect());
+        let sliced: Vec<usize> = (rl..=ru).collect();
+        let gather = |rows: &[usize], cols: &[usize]| {
+            DenseMatrix::from_fn(rows.len(), cols.len(), |i, j| x.get(rows[i], cols[j]))
+        };
+        let cases =
+            [
+                (
+                    "cbind",
+                    reorg::cbind(&x, &y).unwrap(),
+                    DenseMatrix::from_fn(m, n + 3, |i, j| {
+                        if j < n {
+                            x.get(i, j)
+                        } else {
+                            y.get(i, j - n)
+                        }
+                    }),
+                ),
+                (
+                    "rbind",
+                    reorg::rbind(&x, &z).unwrap(),
+                    DenseMatrix::from_fn(m + z.rows(), n, |i, j| {
+                        if i < m {
+                            x.get(i, j)
+                        } else {
+                            z.get(i - m, j)
+                        }
+                    }),
+                ),
+                (
+                    "slice",
+                    reorg::slice(&x, rl, ru, cl, cu).unwrap(),
+                    gather(&sliced, &(cl..=cu).collect::<Vec<_>>()),
+                ),
+                (
+                    "slice rows",
+                    reorg::slice(&x, rl, ru, 0, n - 1).unwrap(),
+                    gather(&sliced, &all_cols),
+                ),
+                (
+                    "select_cols",
+                    reorg::select_cols(&x, &cols).unwrap(),
+                    gather(&all_rows, &cols),
+                ),
+                (
+                    "select_rows",
+                    reorg::select_rows(&x, &rows).unwrap(),
+                    gather(&rows, &all_cols),
+                ),
+            ];
+        for (name, got, want) in cases {
+            assert_bits_eq(&got, &want, &format!("{name} {m}x{n}"));
+        }
+        let v = det(n, 1, 9, 1000);
+        let want = REF.gemm_split(&x, &v, &Split::Threads(1)).unwrap();
+        for threads in [1, 2, 3, 8] {
+            for (engine, be) in [("reference", REF), ("optimized", OPT)] {
+                let got = be.gemm_split(&x, &v, &Split::Threads(threads)).unwrap();
+                let what = format!("gemv {m}x{n} {engine} at {threads} threads");
+                assert_bits_eq(&got, &want, &what);
             }
         }
     }
@@ -330,13 +417,15 @@ fn gemm_tn_is_transpose_then_gemm_on_both_engines() {
                         b = with_specials(b, 3 * m);
                     }
                     for (engine, be) in [("reference", REF), ("optimized", OPT)] {
-                        let want = be.gemm_threads(&be.transpose(&a), &b, 1).unwrap();
+                        let want = be
+                            .gemm_split(&be.transpose(&a), &b, &Split::Threads(1))
+                            .unwrap();
                         for threads in [1, 2, 3, 8] {
                             let what = format!(
                                 "t(A) %*% B, A {m}x{p}, B {m}x{n}, density {density}, \
                                  specials {specials}, {engine} at {threads} threads"
                             );
-                            let got = be.gemm_tn_threads(&a, &b, threads).unwrap();
+                            let got = be.gemm_tn_split(&a, &b, &Split::Threads(threads)).unwrap();
                             assert_bits_eq_nan(&got, &want, &what);
                         }
                     }

@@ -38,6 +38,16 @@ pub enum RuntimeError {
     ResourceExhausted(String),
 }
 
+impl RuntimeError {
+    /// `op` got operands it cannot run on.
+    pub fn bad_operands(op: impl Into<String>, msg: impl Into<String>) -> Self {
+        RuntimeError::BadOperands {
+            op: op.into(),
+            msg: msg.into(),
+        }
+    }
+}
+
 impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -52,37 +52,19 @@ impl FusedSpec {
     /// Compiles a fused cell-wise chain. The first step must not reference
     /// `Acc`; later steps usually do.
     pub fn cellwise(name: &str, num_inputs: usize, steps: Vec<FusedStep>) -> Result<Arc<Self>> {
-        if steps.is_empty() {
-            return Err(RuntimeError::BadOperands {
-                op: "fused".into(),
-                msg: "empty step chain".into(),
-            });
-        }
-        if steps[0].lhs == FusedArg::Acc || steps[0].rhs == FusedArg::Acc {
-            return Err(RuntimeError::BadOperands {
-                op: "fused".into(),
-                msg: "first step cannot reference the accumulator".into(),
-            });
-        }
-        // Build the lineage patch mirroring the step chain.
+        // Build the lineage patch mirroring the step chain: an empty chain,
+        // or a first step that reads the accumulator, has no root.
         let placeholders: Vec<LinRef> = (0..num_inputs as u32)
             .map(LineageItem::placeholder)
             .collect();
         let arg_item = |arg: &FusedArg, acc: &Option<LinRef>| -> Result<LinRef> {
             match arg {
-                FusedArg::Acc => acc.clone().ok_or_else(|| RuntimeError::BadOperands {
-                    op: "fused".into(),
-                    msg: "accumulator used before defined".into(),
+                FusedArg::Acc => acc.clone().ok_or_else(|| {
+                    RuntimeError::bad_operands("fused", "accumulator used before defined")
                 }),
-                FusedArg::Input(k) => {
-                    placeholders
-                        .get(*k)
-                        .cloned()
-                        .ok_or_else(|| RuntimeError::BadOperands {
-                            op: "fused".into(),
-                            msg: format!("input {k} out of range"),
-                        })
-                }
+                FusedArg::Input(k) => placeholders.get(*k).cloned().ok_or_else(|| {
+                    RuntimeError::bad_operands("fused", format!("input {k} out of range"))
+                }),
                 FusedArg::Const(c) => Ok(LineageItem::literal(format!("f:{c}"))),
             }
         };
@@ -92,10 +74,7 @@ impl FusedSpec {
             let rhs = arg_item(&step.rhs, &acc)?;
             acc = Some(LineageItem::op(step.op.opcode(), vec![lhs, rhs]));
         }
-        let root = acc.ok_or_else(|| RuntimeError::BadOperands {
-            op: "fused".into(),
-            msg: "empty step chain".into(),
-        })?;
+        let root = acc.ok_or_else(|| RuntimeError::bad_operands("fused", "empty step chain"))?;
         let patch = DedupPatch::new(
             format!("spoof:{name}"),
             0,
@@ -120,10 +99,10 @@ impl FusedSpec {
     /// Executes the fused chain in one pass over the cells.
     pub fn execute(&self, inputs: &[Value]) -> Result<DenseMatrix> {
         if inputs.len() != self.num_inputs {
-            return Err(RuntimeError::BadOperands {
-                op: self.opcode.clone(),
-                msg: format!("expected {} inputs, got {}", self.num_inputs, inputs.len()),
-            });
+            return Err(RuntimeError::bad_operands(
+                self.opcode.clone(),
+                format!("expected {} inputs, got {}", self.num_inputs, inputs.len()),
+            ));
         }
         // Resolve inputs: matrices must agree on shape; scalars broadcast.
         let mut shape: Option<(usize, usize)> = None;
@@ -140,10 +119,10 @@ impl FusedSpec {
                         None => shape = Some(m.shape()),
                         Some(s) if s == m.shape() => {}
                         Some(s) => {
-                            return Err(RuntimeError::BadOperands {
-                                op: self.opcode.clone(),
-                                msg: format!("shape mismatch {:?} vs {:?}", s, m.shape()),
-                            })
+                            return Err(RuntimeError::bad_operands(
+                                self.opcode.clone(),
+                                format!("shape mismatch {:?} vs {:?}", s, m.shape()),
+                            ))
                         }
                     }
                     resolved.push(In::Mat(m));
@@ -151,9 +130,11 @@ impl FusedSpec {
                 other => resolved.push(In::Scalar(other.as_f64().map_err(RuntimeError::Kernel)?)),
             }
         }
-        let (rows, cols) = shape.ok_or_else(|| RuntimeError::BadOperands {
-            op: self.opcode.clone(),
-            msg: "fused chain needs at least one matrix input".into(),
+        let (rows, cols) = shape.ok_or_else(|| {
+            RuntimeError::bad_operands(
+                self.opcode.clone(),
+                "fused chain needs at least one matrix input",
+            )
         })?;
         let mut out = DenseMatrix::zeros(rows, cols);
         let data = out.data_mut();

@@ -805,7 +805,7 @@ fn trace_instr(
                 Value::Scalar(s) => s.as_i64().unwrap_or(-1),
                 _ => -1,
             };
-            let (rl, ru, cl, cu) = resolve_bounds(shape, b(1), b(2), b(3), b(4))?;
+            let (rl, ru, cl, cu) = resolve_bounds(shape, [b(1), b(2), b(3), b(4)])?;
             item!(oc::RIGHT_INDEX, format!("{rl} {ru} {cl} {cu}"), [x])
         }
         Op::LeftIndex => {
@@ -951,14 +951,14 @@ fn execute_fcall(
         )));
     }
     if instr.inputs.len() != func.params.len() {
-        return Err(RuntimeError::BadOperands {
-            op: format!("fcall:{name}"),
-            msg: format!(
+        return Err(RuntimeError::bad_operands(
+            format!("fcall:{name}"),
+            format!(
                 "expected {} arguments, got {}",
                 func.params.len(),
                 instr.inputs.len()
             ),
-        });
+        ));
     }
     let obs = obs_of(ctx).map(|o| (o.now_ns(), o));
     // The call's span: `id` of its lineage item (0 without function-level

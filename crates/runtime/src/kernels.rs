@@ -5,14 +5,11 @@
 use crate::context::ExecutionContext;
 use crate::error::{Result, RuntimeError};
 use crate::instr::Op;
-use lima_matrix::ops::{self, BinOp};
+use lima_matrix::ops::{self, BinOp, Split};
 use lima_matrix::{DenseMatrix, ScalarValue, Value};
 
 fn bad(op: &Op, msg: impl Into<String>) -> RuntimeError {
-    RuntimeError::BadOperands {
-        op: op.opcode().into_owned(),
-        msg: msg.into(),
-    }
+    RuntimeError::bad_operands(op.opcode(), msg)
 }
 
 /// `op` expected a `what` operand and got `got`.
@@ -53,14 +50,10 @@ fn num(v: &Value, op: &Op) -> Result<f64> {
 fn int(v: &Value, op: &Op) -> Result<i64> {
     match v {
         Value::Scalar(s) => s.as_i64().map_err(|e| bad(op, e.to_string())),
-        Value::Matrix(m) if m.shape() == (1, 1) => {
-            let f = m.get(0, 0);
-            if f.fract() == 0.0 {
-                Ok(f as i64)
-            } else {
-                Err(bad(op, format!("{f} is not an integer")))
-            }
-        }
+        Value::Matrix(m) if m.shape() == (1, 1) => match m.get(0, 0) {
+            f if f.fract() == 0.0 => Ok(f as i64),
+            f => Err(bad(op, format!("{f} is not an integer"))),
+        },
         other => Err(expected(op, "integer", other)),
     }
 }
@@ -73,12 +66,9 @@ fn usize_arg(v: &Value, op: &Op) -> Result<usize> {
 /// Converts a 1-based index (scalar position or column vector of positions,
 /// as DML's `X[, s]` syntax covers both) into 0-based usize indices.
 fn index_vector(v: &Value, op: &Op) -> Result<Vec<usize>> {
-    let conv = |x: f64| -> Result<usize> {
-        if x >= 1.0 && x.fract() == 0.0 {
-            Ok(x as usize - 1)
-        } else {
-            Err(bad(op, format!("bad 1-based index {x}")))
-        }
+    let conv = |x: f64| match x {
+        x if x >= 1.0 && x.fract() == 0.0 => Ok(x as usize - 1),
+        x => Err(bad(op, format!("bad 1-based index {x}"))),
     };
     match v {
         Value::Matrix(m) => {
@@ -99,24 +89,16 @@ fn index_vector(v: &Value, op: &Op) -> Result<Vec<usize>> {
 /// 0-based inclusive bounds. Shared by the kernel and the lineage tracer so
 /// the traced data string matches the executed slice.
 pub fn resolve_bounds(
-    shape: (usize, usize),
-    rl: i64,
-    ru: i64,
-    cl: i64,
-    cu: i64,
+    (rows, cols): (usize, usize),
+    [rl, ru, cl, cu]: [i64; 4],
 ) -> Result<(usize, usize, usize, usize)> {
-    let (rows, cols) = shape;
-    let conv = |v: i64, max: usize, name: &str| -> Result<usize> {
-        if v == 0 {
-            Ok(max)
-        } else if v >= 1 && (v as usize) <= max {
-            Ok(v as usize)
-        } else {
-            Err(RuntimeError::BadOperands {
-                op: "rightIndex".into(),
-                msg: format!("{name} bound {v} out of 1..={max}"),
-            })
-        }
+    let conv = |v: i64, max: usize, name: &str| match v {
+        0 => Ok(max),
+        1.. if v as usize <= max => Ok(v as usize),
+        _ => Err(RuntimeError::bad_operands(
+            "rightIndex",
+            format!("{name} bound {v} out of 1..={max}"),
+        )),
     };
     let rl = conv(rl.max(1), rows, "row")?;
     let ru = conv(ru, rows, "row")?;
@@ -125,36 +107,23 @@ pub fn resolve_bounds(
     Ok((rl - 1, ru - 1, cl - 1, cu - 1))
 }
 
-/// Rows per chunk in session-interruptible kernels: a deadline or
-/// cancellation lands within one chunk's worth of work even inside a single
-/// large matrix multiply.
-const KERNEL_CHUNK_ROWS: usize = 128;
-
-/// Row-chunked matrix multiply with a cooperative interrupt checkpoint
-/// between chunks. Bit-exact with `ops::matmult`: the row partition leaves
-/// every output element's k-ascending accumulation order unchanged (the
-/// parallel kernel splits rows the same way).
-fn matmult_checkpointed(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
+/// Runs a row-panel kernel (GEMM, `t(A) %*% B`, `tsmm`) on the pool; in a
+/// session each thread checks for a cancel or a deadline before each panel
+/// it takes. No bit depends on the split. Kept out of line: inlined three
+/// times, it grew the dispatch of every cell-wise instruction.
+#[inline(never)]
+fn split_kernel(
     ctx: &ExecutionContext,
-) -> Result<DenseMatrix> {
-    if a.cols() != b.rows() {
-        // Canonical dimension error from the uncut kernel.
-        return Ok(ops::matmult(a, b)?);
-    }
-    let (m, n) = (a.rows(), b.cols());
-    let mut data = Vec::with_capacity(m * n);
-    let mut r0 = 0;
-    while r0 < m {
-        ctx.check_interrupt()?;
-        let r1 = (r0 + KERNEL_CHUNK_ROWS).min(m);
-        let chunk = ops::slice(a, r0, r1 - 1, 0, a.cols() - 1)?;
-        let out = ops::matmult(&chunk, b)?;
-        data.extend_from_slice(out.data());
-        r0 = r1;
-    }
-    Ok(DenseMatrix::new(m, n, data)?)
+    kernel: impl FnOnce(&Split) -> lima_matrix::Result<DenseMatrix>,
+) -> Result<Vec<Value>> {
+    let threads = ops::kernel_threads();
+    let out = match ctx.interrupt() {
+        None => kernel(&Split::Threads(threads)),
+        Some(interrupt) => kernel(&Split::Checked(threads, &|| interrupt.check().is_err())),
+    };
+    // A cancel or a deadline that stopped the kernel is still set.
+    ctx.check_interrupt()?;
+    Ok(vec![Value::matrix(out?)])
 }
 
 /// Executes a pure instruction kernel. `Rand`/`Sample` expect their seed
@@ -187,119 +156,77 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
         }
         Op::MatMult => {
             let (a, b) = mat2(inputs, op)?;
-            if ctx.session.is_some() && a.rows() > KERNEL_CHUNK_ROWS && a.cols() > 0 {
-                vec![Value::matrix(matmult_checkpointed(a, b, ctx)?)]
-            } else {
-                vec![Value::matrix(ops::matmult(a, b)?)]
-            }
+            split_kernel(ctx, |s| ops::matmult_split(a, b, s))?
         }
         Op::TMatMult => {
             let (a, b) = mat2(inputs, op)?;
-            if ctx.session.is_some() && a.cols() > KERNEL_CHUNK_ROWS && a.rows() > 0 {
-                // Checkpoints cut the rows of `t(A)`, as for the unfused pair.
-                let at = ops::transpose(a);
-                vec![Value::matrix(matmult_checkpointed(&at, b, ctx)?)]
-            } else {
-                vec![Value::matrix(ops::matmult_tn(a, b)?)]
-            }
+            split_kernel(ctx, |s| ops::matmult_tn_split(a, b, s))?
         }
         Op::Tsmm(side) => {
             let x = mat1(inputs, op)?;
-            if ctx.session.is_some()
-                && *side == ops::TsmmSide::Left
-                && x.rows() > KERNEL_CHUNK_ROWS
-                && x.cols() > 0
-            {
-                // The fixed blocks `tsmm` folds, with a checkpoint before each.
-                let gram = ops::tsmm_left_checked(x, || ctx.check_interrupt())?;
-                vec![Value::matrix(gram)]
-            } else {
-                vec![Value::matrix(ops::tsmm(x, *side)?)]
-            }
+            split_kernel(ctx, |s| ops::tsmm_split(x, *side, s))?
         }
         Op::Transpose => vec![Value::matrix(ops::transpose(mat1(inputs, op)?))],
-        Op::Cbind => {
+        Op::Cbind | Op::Rbind | Op::Solve | Op::Table => {
             let (a, b) = mat2(inputs, op)?;
-            vec![Value::matrix(ops::cbind(a, b)?)]
-        }
-        Op::Rbind => {
-            let (a, b) = mat2(inputs, op)?;
-            vec![Value::matrix(ops::rbind(a, b)?)]
+            let kernel = match op {
+                Op::Cbind => ops::cbind,
+                Op::Rbind => ops::rbind,
+                Op::Solve => ops::solve,
+                _ => ops::table2,
+            };
+            vec![Value::matrix(kernel(a, b)?)]
         }
         Op::RightIndex => {
             need(inputs, 5, op)?;
             let x = mat(&inputs[0], op)?;
-            let (rl, ru, cl, cu) = resolve_bounds(
-                x.shape(),
-                int(&inputs[1], op)?,
-                int(&inputs[2], op)?,
-                int(&inputs[3], op)?,
-                int(&inputs[4], op)?,
-            )?;
+            let b = |k: usize| int(&inputs[k], op);
+            let (rl, ru, cl, cu) = resolve_bounds(x.shape(), [b(1)?, b(2)?, b(3)?, b(4)?])?;
             vec![Value::matrix(ops::slice(x, rl, ru, cl, cu)?)]
         }
         Op::LeftIndex => {
             need(inputs, 4, op)?;
-            let x = mat(&inputs[0], op)?;
-            let s = mat(&inputs[1], op)?;
-            let rl = usize_arg(&inputs[2], op)?;
-            let cl = usize_arg(&inputs[3], op)?;
+            let (x, s) = (mat(&inputs[0], op)?, mat(&inputs[1], op)?);
+            let (rl, cl) = (usize_arg(&inputs[2], op)?, usize_arg(&inputs[3], op)?);
             if rl == 0 || cl == 0 {
                 return Err(bad(op, "leftIndex offsets are 1-based"));
             }
             vec![Value::matrix(ops::left_index(x, s, rl - 1, cl - 1)?)]
         }
-        Op::SelectCols => {
+        Op::SelectCols | Op::SelectRows => {
             need(inputs, 2, op)?;
-            let x = mat(&inputs[0], op)?;
-            let idx = index_vector(&inputs[1], op)?;
-            vec![Value::matrix(ops::select_cols(x, &idx)?)]
-        }
-        Op::SelectRows => {
-            need(inputs, 2, op)?;
-            let x = mat(&inputs[0], op)?;
-            let idx = index_vector(&inputs[1], op)?;
-            vec![Value::matrix(ops::select_rows(x, &idx)?)]
+            let (x, idx) = (mat(&inputs[0], op)?, index_vector(&inputs[1], op)?);
+            let select = match op {
+                Op::SelectCols => ops::select_cols,
+                _ => ops::select_rows,
+            };
+            vec![Value::matrix(select(x, &idx)?)]
         }
         Op::Fill => {
             need(inputs, 3, op)?;
+            let (rows, cols) = (usize_arg(&inputs[1], op)?, usize_arg(&inputs[2], op)?);
             let v = num(&inputs[0], op)?;
-            let rows = usize_arg(&inputs[1], op)?;
-            let cols = usize_arg(&inputs[2], op)?;
             vec![Value::matrix(DenseMatrix::filled(rows, cols, v))]
         }
         Op::Rand(kind) => {
             need(inputs, 6, op)?;
-            let rows = usize_arg(&inputs[0], op)?;
-            let cols = usize_arg(&inputs[1], op)?;
-            let p1 = num(&inputs[2], op)?;
-            let p2 = num(&inputs[3], op)?;
-            let sparsity = num(&inputs[4], op)?;
-            let seed = int(&inputs[5], op)?;
-            vec![Value::matrix(lima_matrix::rand_gen::rand_matrix(
-                rows,
-                cols,
-                kind.dist(p1, p2),
-                sparsity,
-                seed as u64,
-            )?)]
+            let (rows, cols) = (usize_arg(&inputs[0], op)?, usize_arg(&inputs[1], op)?);
+            let dist = kind.dist(num(&inputs[2], op)?, num(&inputs[3], op)?);
+            let (sparsity, seed) = (num(&inputs[4], op)?, int(&inputs[5], op)? as u64);
+            let out = lima_matrix::rand_gen::rand_matrix(rows, cols, dist, sparsity, seed)?;
+            vec![Value::matrix(out)]
         }
         Op::Sample => {
             need(inputs, 3, op)?;
-            let range = usize_arg(&inputs[0], op)?;
-            let size = usize_arg(&inputs[1], op)?;
-            let seed = int(&inputs[2], op)?;
-            vec![Value::matrix(
-                lima_matrix::rand_gen::sample_without_replacement(range, size, seed as u64)?,
-            )]
+            let (range, size) = (usize_arg(&inputs[0], op)?, usize_arg(&inputs[1], op)?);
+            let seed = int(&inputs[2], op)? as u64;
+            let out = lima_matrix::rand_gen::sample_without_replacement(range, size, seed)?;
+            vec![Value::matrix(out)]
         }
         Op::Seq => {
             need(inputs, 3, op)?;
-            vec![Value::matrix(ops::seq(
-                num(&inputs[0], op)?,
-                num(&inputs[1], op)?,
-                num(&inputs[2], op)?,
-            )?)]
+            let (from, to) = (num(&inputs[0], op)?, num(&inputs[1], op)?);
+            vec![Value::matrix(ops::seq(from, to, num(&inputs[2], op)?)?)]
         }
         Op::Read => {
             need(inputs, 1, op)?;
@@ -328,10 +255,6 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
         Op::ColAgg(f) => vec![Value::matrix(ops::col_agg(mat1(inputs, op)?, *f))],
         Op::RowAgg(f) => vec![Value::matrix(ops::row_agg(mat1(inputs, op)?, *f))],
         Op::RowIndexMax => vec![Value::matrix(ops::row_index_max(mat1(inputs, op)?)?)],
-        Op::Solve => {
-            let (a, b) = mat2(inputs, op)?;
-            vec![Value::matrix(ops::solve(a, b)?)]
-        }
         Op::Diag => vec![Value::matrix(ops::diag(mat1(inputs, op)?)?)],
         Op::Eigen => {
             let r = ops::eigen_symmetric(mat1(inputs, op)?)?;
@@ -347,10 +270,6 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
             vec![Value::matrix(ops::order_index(v, dec)?)]
         }
         Op::Rev => vec![Value::matrix(ops::rev(mat1(inputs, op)?))],
-        Op::Table => {
-            let (a, b) = mat2(inputs, op)?;
-            vec![Value::matrix(ops::table2(a, b)?)]
-        }
         Op::Nrow => vec![Value::i64(mat1(inputs, op)?.rows() as i64)],
         Op::Ncol => vec![Value::i64(mat1(inputs, op)?.cols() as i64)],
         Op::CastScalar => {
@@ -369,24 +288,15 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
         Op::Reshape => {
             need(inputs, 3, op)?;
             let x = mat(&inputs[0], op)?;
-            let rows = usize_arg(&inputs[1], op)?;
-            let cols = usize_arg(&inputs[2], op)?;
-            let n = x.len();
-            if rows * cols != n {
-                return Err(bad(
-                    op,
-                    format!("cannot reshape {n} cells to {rows}x{cols}"),
-                ));
+            let (rows, cols) = (usize_arg(&inputs[1], op)?, usize_arg(&inputs[2], op)?);
+            if rows * cols != x.len() {
+                let msg = format!("cannot reshape {} cells to {rows}x{cols}", x.len());
+                return Err(bad(op, msg));
             }
-            vec![Value::matrix(DenseMatrix::new(
-                rows,
-                cols,
-                x.data().to_vec(),
-            )?)]
+            let out = DenseMatrix::new(rows, cols, x.data().to_vec())?;
+            vec![Value::matrix(out)]
         }
-        Op::ListNew => {
-            vec![Value::list(inputs.to_vec())]
-        }
+        Op::ListNew => vec![Value::list(inputs.to_vec())],
         Op::ListGet => {
             need(inputs, 2, op)?;
             let list = inputs[0].as_list().map_err(|e| bad(op, e.to_string()))?;
@@ -406,9 +316,7 @@ fn execute_kernel_inner(op: &Op, inputs: &[Value], ctx: &ExecutionContext) -> Re
             let s = format!("{}{}", display(&inputs[0]), display(&inputs[1]));
             vec![Value::str(&s)]
         }
-        Op::Fused(spec) => {
-            vec![Value::matrix(spec.execute(inputs)?)]
-        }
+        Op::Fused(spec) => vec![Value::matrix(spec.execute(inputs)?)],
         Op::ResultMerge => {
             let Some((init, workers)) = inputs.split_first() else {
                 return Err(bad(op, "needs the value before the loop"));

@@ -27,7 +27,7 @@ use lima_core::faults::FaultSite;
 use lima_core::lineage::item::{LinRef, LineageItem};
 use lima_core::opcodes::{DN, RMERGE};
 use lima_core::{EventKind, LimaStats};
-use lima_matrix::forkjoin::{fork_join, panic_message};
+use lima_matrix::pool::{fork_join, panic_message};
 use lima_matrix::{DenseMatrix, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -397,15 +397,9 @@ fn build_op(item: &LineageItem, mut ins: Vec<Operand>) -> Result<(Op, Vec<Operan
     let data = item.data().unwrap_or("");
     // Operations whose parameters travel in the data payload name their
     // lineage inputs by position, so the count is checked first.
-    let arity = |ins: &[Operand], n: usize| -> Result<()> {
-        if ins.len() == n {
-            Ok(())
-        } else {
-            Err(bad(format!(
-                "{opcode}: expected {n} inputs, found {}",
-                ins.len()
-            )))
-        }
+    let arity = |ins: &[Operand], n: usize| match ins.len() {
+        got if got == n => Ok(()),
+        got => Err(bad(format!("{opcode}: expected {n} inputs, found {got}"))),
     };
     Ok(match opcode {
         oc::READ => {

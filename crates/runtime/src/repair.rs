@@ -14,7 +14,7 @@ use crate::reconstruct::recompute;
 use lima_core::cache::persist::RepairHook;
 use lima_core::config::LimaConfig;
 use lima_core::lineage::LinRef;
-use lima_matrix::forkjoin::panic_message;
+use lima_matrix::pool::panic_message;
 use lima_matrix::Value;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;

@@ -37,7 +37,7 @@ use crate::interp::execute_program;
 use crate::program::Program;
 use lima_core::interrupt::{CancelToken, Interrupt, InterruptKind};
 use lima_core::{EventKind, LimaConfig, LimaStats, LineageCache, ResourceGovernor};
-use lima_matrix::forkjoin::panic_message;
+use lima_matrix::pool::panic_message;
 use lima_matrix::Value;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -178,12 +178,25 @@ fn a_panicking_session_returns_worker_panic_to_its_caller() {
 /// A session computes `t(X) %*% X` in the bits a plain run does: its
 /// interruptible kernel folds the fixed row blocks `tsmm` folds, with a
 /// cancellation checkpoint between them.
+/// A session runs `tsmm` and GEMM on its own thread, checking for a cancel
+/// before each row panel or block; a plain run splits the same panels over
+/// the pool. The bits are the same.
 #[test]
-fn session_gram_has_the_bits_of_a_plain_run() {
+fn session_products_have_the_bits_of_a_plain_run() {
     let config = LimaConfig::base();
     let pool = SessionPool::new(config.clone());
-    for rows in [2_000, 20_000] {
-        let src = format!("X = rand(rows={rows}, cols=30, seed=3); G = t(X) %*% X;");
+    let products = [
+        (2_000, "G = t(X) %*% X;"),
+        (20_000, "G = t(X) %*% X;"),
+        (2_000, "B = rand(rows=30, cols=7, seed=4); G = X %*% B;"),
+        (2_000, "B = rand(rows=30, cols=1, seed=4); G = X %*% B;"),
+        (
+            2_000,
+            "B = rand(rows=2000, cols=7, seed=4); G = t(X) %*% B;",
+        ),
+    ];
+    for (rows, product) in products {
+        let src = format!("X = rand(rows={rows}, cols=30, seed=3); {product}");
         let session = pool
             .run(&compile(&src, &config), SessionOptions::new())
             .unwrap();
@@ -197,7 +210,7 @@ fn session_gram_has_the_bits_of_a_plain_run() {
         assert_eq!(
             differ,
             0,
-            "{rows}x30: {differ} of {} cells differ",
+            "{rows}x30 {product}: {differ} of {} cells differ",
             want.len()
         );
     }
