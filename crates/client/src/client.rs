@@ -433,31 +433,27 @@ impl LimadClient {
         Instant::now() + per_call.unwrap_or(self.opts.default_deadline)
     }
 
+    /// First member from `start` on, other than `not`, whose breaker admits
+    /// an attempt.
+    fn admitted_from(&self, start: usize, not: Option<usize>) -> Option<usize> {
+        let n = self.members.len();
+        let admits = |&idx: &usize| {
+            Some(idx) != not && self.members[idx].shared.breaker.allow() != Attempt::Rejected
+        };
+        (0..n).map(|off| (start + off) % n).find(admits)
+    }
+
     /// First member from `start` whose breaker admits an attempt; falls back
     /// to `start` itself when every breaker is open (some member must be
     /// tried, and a rejected breaker only means "probably down").
     fn pick_member(&self, start: usize) -> usize {
-        let n = self.members.len();
-        let start = start % n;
-        for off in 0..n {
-            let idx = (start + off) % n;
-            if self.members[idx].shared.breaker.allow() != Attempt::Rejected {
-                return idx;
-            }
-        }
-        start
+        let start = start % self.members.len();
+        self.admitted_from(start, None).unwrap_or(start)
     }
 
     /// A healthy member other than `not`, scanning from the preferred one.
     fn sibling_of(&self, not: usize) -> Option<usize> {
-        let n = self.members.len();
-        for off in 0..n {
-            let idx = (self.preferred + off) % n;
-            if idx != not && self.members[idx].shared.breaker.allow() != Attempt::Rejected {
-                return Some(idx);
-            }
-        }
-        None
+        self.admitted_from(self.preferred, Some(not))
     }
 
     /// The retry loop: re-encodes the request each attempt with the shrunken
@@ -564,45 +560,21 @@ impl LimadClient {
         req: &Request,
         remaining: Duration,
     ) -> Result<Response, ClientError> {
-        let timeout = (remaining + SOCKET_GRACE).max(MIN_SOCKET_TIMEOUT);
-        let connect_timeout = self.opts.connect_timeout;
         let member = &mut self.members[idx];
         if member.conn.is_none() {
-            let addr = member
-                .shared
-                .addr
-                .to_socket_addrs()
-                .map_err(ClientError::Io)?
-                .next()
-                .ok_or_else(|| {
-                    ClientError::Protocol(format!("unresolvable addr {}", member.shared.addr))
-                })?;
-            let stream =
-                TcpStream::connect_timeout(&addr, connect_timeout).map_err(ClientError::Io)?;
-            stream.set_nodelay(true).map_err(ClientError::Io)?;
-            member.conn = Some(stream);
+            member.conn = Some(connect(&member.shared.addr, self.opts.connect_timeout)?);
         }
         let stream = member.conn.as_mut().ok_or_else(|| {
             ClientError::Protocol("connection vanished between connect and use".into())
         })?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .and_then(|()| stream.set_write_timeout(Some(timeout)))
-            .map_err(ClientError::Io)?;
-
         self.next_id += 1;
-        let id = self.next_id;
-        let (kind, payload) = req.encode();
-        write_frame(stream, kind, id, &payload).map_err(|e| map_io(e, remaining))?;
-        let (rkind, rid, rpayload) =
-            read_frame(stream, self.opts.max_frame_bytes).map_err(|e| map_io(e, remaining))?;
-        if rid != id {
-            return Err(ClientError::Protocol(format!(
-                "response id {rid} does not match request id {id}"
-            )));
-        }
-        Response::decode(rkind, &rpayload)
-            .ok_or_else(|| ClientError::Protocol(format!("undecodable response kind {rkind:#x}")))
+        exchange(
+            stream,
+            req,
+            self.next_id,
+            remaining,
+            self.opts.max_frame_bytes,
+        )
     }
 
     fn fetch_plain(
@@ -722,77 +694,62 @@ impl LimadClient {
         tx: mpsc::Sender<(usize, Result<Response, ClientError>)>,
     ) {
         let shared = Arc::clone(&self.members[idx].shared);
-        let tenant = self.tenant.clone();
-        let lineage = lineage.to_string();
-        let connect_timeout = self.opts.connect_timeout;
-        let max_frame = self.opts.max_frame_bytes;
+        let (connect_timeout, max_frame) = (self.opts.connect_timeout, self.opts.max_frame_bytes);
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        let req = Request::Fetch {
+            tenant: self.tenant.clone(),
+            lineage: lineage.to_string(),
+            deadline_ms: (remaining.as_millis() as u64).max(1),
+        };
+        // One self-contained fetch on a fresh connection.
         std::thread::spawn(move || {
-            let res = leg_fetch(
-                &shared,
-                &tenant,
-                &lineage,
-                deadline,
-                connect_timeout,
-                max_frame,
-            );
+            let res = if remaining.is_zero() {
+                Err(deadline_error("deadline elapsed before the hedged fetch"))
+            } else {
+                connect(&shared.addr, connect_timeout)
+                    .and_then(|mut stream| exchange(&mut stream, &req, 1, remaining, max_frame))
+            };
+            match &res {
+                Ok(_) => shared.breaker.record_success(),
+                Err(ClientError::Io(_)) => shared.note_failure(),
+                Err(_) => {}
+            }
             let _ = tx.send((leg, res));
         });
     }
 }
 
-/// One self-contained fetch round-trip on a fresh connection (hedge leg).
-fn leg_fetch(
-    shared: &MemberShared,
-    tenant: &str,
-    lineage: &str,
-    deadline: Instant,
-    connect_timeout: Duration,
+/// A no-delay connection to `addr`.
+fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, ClientError> {
+    let mut socks = addr.to_socket_addrs().map_err(ClientError::Io)?;
+    let unresolvable = || ClientError::Protocol(format!("unresolvable addr {addr}"));
+    let sock = socks.next().ok_or_else(unresolvable)?;
+    let stream = TcpStream::connect_timeout(&sock, timeout).map_err(ClientError::Io)?;
+    stream.set_nodelay(true).map_err(ClientError::Io)?;
+    Ok(stream)
+}
+
+/// One request as frame `id` and its response, within `remaining` time.
+fn exchange(
+    stream: &mut TcpStream,
+    req: &Request,
+    id: u64,
+    remaining: Duration,
     max_frame: usize,
 ) -> Result<Response, ClientError> {
-    let now = Instant::now();
-    if now >= deadline {
-        return Err(deadline_error("deadline elapsed before the hedged fetch"));
+    let timeout = Some((remaining + SOCKET_GRACE).max(MIN_SOCKET_TIMEOUT));
+    stream.set_read_timeout(timeout).map_err(ClientError::Io)?;
+    stream.set_write_timeout(timeout).map_err(ClientError::Io)?;
+    let (kind, payload) = req.encode();
+    write_frame(stream, kind, id, &payload).map_err(|e| map_io(e, remaining))?;
+    let (rkind, rid, rpayload) = read_frame(stream, max_frame).map_err(|e| map_io(e, remaining))?;
+    if rid != id {
+        return Err(ClientError::Protocol(format!(
+            "response id {rid} does not match request id {id}"
+        )));
     }
-    let remaining = deadline - now;
-    let timeout = (remaining + SOCKET_GRACE).max(MIN_SOCKET_TIMEOUT);
-    let run = || -> Result<Response, ClientError> {
-        let addr = shared
-            .addr
-            .to_socket_addrs()
-            .map_err(ClientError::Io)?
-            .next()
-            .ok_or_else(|| ClientError::Protocol(format!("unresolvable addr {}", shared.addr)))?;
-        let mut stream =
-            TcpStream::connect_timeout(&addr, connect_timeout).map_err(ClientError::Io)?;
-        stream.set_nodelay(true).map_err(ClientError::Io)?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .and_then(|()| stream.set_write_timeout(Some(timeout)))
-            .map_err(ClientError::Io)?;
-        let req = Request::Fetch {
-            tenant: tenant.to_string(),
-            lineage: lineage.to_string(),
-            deadline_ms: (remaining.as_millis() as u64).max(1),
-        };
-        let (kind, payload) = req.encode();
-        write_frame(&mut stream, kind, 1, &payload).map_err(|e| map_io(e, remaining))?;
-        let (rkind, rid, rpayload) =
-            read_frame(&mut stream, max_frame).map_err(|e| map_io(e, remaining))?;
-        if rid != 1 {
-            return Err(ClientError::Protocol(format!(
-                "response id {rid} does not match request id 1"
-            )));
-        }
-        Response::decode(rkind, &rpayload)
-            .ok_or_else(|| ClientError::Protocol(format!("undecodable response kind {rkind:#x}")))
-    };
-    let res = run();
-    match &res {
-        Ok(_) => shared.breaker.record_success(),
-        Err(ClientError::Io(_)) => shared.note_failure(),
-        Err(_) => {}
-    }
-    res
+    Response::decode(rkind, &rpayload)
+        .ok_or_else(|| ClientError::Protocol(format!("undecodable response kind {rkind:#x}")))
 }
 
 /// A socket timeout while the deadline budget is gone is a deadline, not a

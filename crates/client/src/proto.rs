@@ -9,25 +9,29 @@
 //! +-------+------+--------+-------------+---------+----------+
 //! ```
 //!
-//! The trailing FNV-1a-64 checksum covers everything before it, so a torn or
-//! bit-flipped frame is always detected at the receiver and isolates to that
-//! one connection — never the shard behind it. Payloads larger than the
-//! receiver's frame cap are rejected *before* allocation.
+//! The trailing [`checksum`] (word-parallel, `lima_matrix::codec`) covers
+//! everything before it: a change inside any one aligned 8-byte word of the
+//! frame, so any single-byte flip, is always detected at the receiver, which
+//! checks header and payload in place. A torn or damaged frame isolates to
+//! that one connection — never the shard behind it. The magic names the
+//! checksum: `LMD1` peers (FNV-1a frames) are refused by it. Payloads larger
+//! than the receiver's frame cap are rejected *before* allocation.
 //!
 //! Every request carries a relative deadline (`deadline_ms`, 0 = server
 //! default) and every response is a typed result: either the
 //! request-specific success variant or a [`ServiceError`] with a machine
 //! [`ErrorCode`] and an optional retry-after hint.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use lima_core::{Diagnostic, Label, Severity, Span};
 pub use lima_matrix::codec::fnv1a;
-use lima_matrix::codec::{decode_body, encode_body, read_bytes, read_u32, read_u64, read_u8};
+use lima_matrix::codec::{checksum, decode_body, encode_body, read_bytes, read_u32, read_u64};
+use lima_matrix::codec::{read_u8, Checksum};
 use lima_matrix::Value;
 use std::io::{Read, Write};
 
-/// Frame magic: `"LMD1"`.
-pub const MAGIC: u32 = 0x4C4D_4431;
+/// Frame magic: `"LMD2"` (frames guarded by [`checksum`]).
+pub const MAGIC: u32 = 0x4C4D_4432;
 /// Fixed frame header size (magic + kind + request id + payload length).
 pub const HEADER_BYTES: usize = 4 + 1 + 8 + 4;
 /// Trailing checksum size.
@@ -229,7 +233,7 @@ pub const MAX_REPL_BUCKETS: u32 = 4096;
 
 /// One replicated cache record: a serialized lineage trace, the value it
 /// names, and the measured compute cost (for eviction scoring on the
-/// receiver). `check` is an end-to-end FNV-1a over the canonical encoding of
+/// receiver). `check` is an end-to-end [`checksum`] over the canonical encoding of
 /// `(lineage, value)` — it survives beyond the frame checksum so a receiver
 /// can detect payload corruption introduced *before* framing (a buggy peer,
 /// a bit flip in the replication queue) and fall back to lineage-driven
@@ -242,7 +246,7 @@ pub struct ReplRecord {
     pub value: Value,
     /// Nanoseconds the value originally took to compute.
     pub compute_ns: u64,
-    /// FNV-1a-64 over the encoded `(lineage, value)` pair.
+    /// [`checksum`] over the encoded `(lineage, value)` pair.
     pub check: u64,
 }
 
@@ -260,10 +264,10 @@ impl ReplRecord {
 
     /// The canonical content checksum a receiver re-derives to verify bytes.
     pub fn checksum(lineage: &str, value: &Value) -> u64 {
-        let mut buf = BytesMut::new();
-        put_str(&mut buf, lineage);
-        encode_body(&mut buf, value);
-        fnv1a(&buf)
+        let mut sum = Checksum::default();
+        put_str(&mut sum, lineage);
+        encode_body(&mut sum, value);
+        sum.finish()
     }
 
     /// True when the carried bytes still match their checksum.
@@ -352,13 +356,13 @@ pub enum Response {
     Error(ServiceError),
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
 /// A `u32` count, then each item as `put` writes it.
-fn put_vec<T>(buf: &mut BytesMut, items: &[T], mut put: impl FnMut(&mut BytesMut, &T)) {
+fn put_vec<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
     buf.put_u32(items.len() as u32);
     items.iter().for_each(|item| put(buf, item));
 }
@@ -383,7 +387,7 @@ fn get_vec<T>(
     Some(out)
 }
 
-fn put_span(buf: &mut BytesMut, span: Option<Span>) {
+fn put_span(buf: &mut Vec<u8>, span: Option<Span>) {
     match span {
         Some(s) => {
             buf.put_u8(1);
@@ -402,7 +406,7 @@ fn get_span(buf: &mut &[u8]) -> Option<Option<Span>> {
     }
 }
 
-fn put_diag(buf: &mut BytesMut, d: &Diagnostic) {
+fn put_diag(buf: &mut Vec<u8>, d: &Diagnostic) {
     buf.put_u8(d.severity.as_u8());
     put_str(buf, &d.code);
     put_str(buf, &d.message);
@@ -446,7 +450,7 @@ fn get_diag(buf: &mut &[u8]) -> Option<Diagnostic> {
     })
 }
 
-fn put_record(buf: &mut BytesMut, r: &ReplRecord) {
+fn put_record(buf: &mut Vec<u8>, r: &ReplRecord) {
     put_str(buf, &r.lineage);
     encode_body(buf, &r.value);
     buf.put_u64(r.compute_ns);
@@ -472,10 +476,20 @@ fn get_bucket_count(buf: &mut &[u8]) -> Option<u32> {
     (1..=MAX_REPL_BUCKETS).contains(&n).then_some(n)
 }
 
+/// Bytes `records` take on the wire, near enough to size a buffer.
+fn records_hint(records: &[ReplRecord]) -> usize {
+    let record = |r: &ReplRecord| r.lineage.len() + r.value.size_in_bytes() + 32;
+    records.iter().map(record).sum()
+}
+
 impl Request {
     /// Frame kind byte plus encoded payload.
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::with_capacity(match self {
+            Request::Submit { script, .. } => 64 + script.len(),
+            Request::ReplPut { records } => 64 + records_hint(records),
+            _ => 64,
+        });
         let kind = match self {
             Request::Submit {
                 tenant,
@@ -538,7 +552,7 @@ impl Request {
                 K_REPL_PULL
             }
         };
-        (kind, buf.to_vec())
+        (kind, buf)
     }
 
     /// Decodes a request payload; `None` on any structural violation (the
@@ -611,7 +625,15 @@ impl Request {
 impl Response {
     /// Frame kind byte plus encoded payload.
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut buf = BytesMut::new();
+        let hint = match self {
+            Response::Submitted { values, .. } => {
+                values.iter().map(|(_, v)| v.size_in_bytes()).sum()
+            }
+            Response::Fetched(Some(v)) => v.size_in_bytes(),
+            Response::ReplEntries(records) => records_hint(records),
+            _ => 0,
+        };
+        let mut buf = Vec::with_capacity(256 + hint);
         let kind = match self {
             Response::Submitted {
                 session,
@@ -650,8 +672,7 @@ impl Response {
             }
             Response::Pong => K_RESP | K_PING,
             Response::Scrubbed(reports) => {
-                buf.put_u32(reports.len() as u32);
-                for r in reports {
+                put_vec(&mut buf, reports, |buf, r| {
                     buf.put_u32(r.shard);
                     buf.put_u64(r.bytes);
                     buf.put_u64(r.entries);
@@ -660,7 +681,7 @@ impl Response {
                     buf.put_u64(r.repair_failures);
                     buf.put_u64(r.quarantined);
                     buf.put_u8(u8::from(r.completed));
-                }
+                });
                 K_RESP | K_SCRUB
             }
             Response::ReplAck { applied, rejected } => {
@@ -669,11 +690,10 @@ impl Response {
                 K_RESP | K_REPL_PUT
             }
             Response::ReplDigests(digests) => {
-                buf.put_u32(digests.len() as u32);
-                for d in digests {
+                put_vec(&mut buf, digests, |buf, d| {
                     buf.put_u64(d.count);
                     buf.put_u64(d.xor);
-                }
+                });
                 K_RESP | K_REPL_DIGEST
             }
             Response::ReplEntries(records) => {
@@ -688,7 +708,7 @@ impl Response {
                 K_ERROR
             }
         };
-        (kind, buf.to_vec())
+        (kind, buf)
     }
 
     /// Decodes a response payload; `None` on any structural violation.
@@ -778,14 +798,13 @@ pub fn write_frame(
     req_id: u64,
     payload: &[u8],
 ) -> std::io::Result<()> {
-    let mut buf = BytesMut::with_capacity(HEADER_BYTES + payload.len() + TRAILER_BYTES);
+    let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len() + TRAILER_BYTES);
     buf.put_u32(MAGIC);
     buf.put_u8(kind);
     buf.put_u64(req_id);
     buf.put_u32(payload.len() as u32);
     buf.put_slice(payload);
-    let checksum = fnv1a(&buf);
-    buf.put_u64(checksum);
+    buf.put_u64(checksum(&buf));
     w.write_all(&buf)?;
     w.flush()
 }
@@ -813,10 +832,10 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> std::io::Result<(u8,
     r.read_exact(&mut payload)?;
     let mut trailer = [0u8; TRAILER_BYTES];
     r.read_exact(&mut trailer)?;
-    let mut whole = Vec::with_capacity(HEADER_BYTES + len);
-    whole.extend_from_slice(&header);
-    whole.extend_from_slice(&payload);
-    if fnv1a(&whole) != (&trailer[..]).get_u64() {
+    let mut sum = Checksum::default();
+    sum.put_slice(&header);
+    sum.put_slice(&payload);
+    if sum.finish() != u64::from_be_bytes(trailer) {
         return Err(bad("frame checksum mismatch"));
     }
     Ok((kind, req_id, payload))
@@ -965,26 +984,110 @@ mod tests {
         }));
     }
 
-    #[test]
-    fn frames_round_trip_and_detect_corruption() {
-        let (kind, payload) = Request::Probe {
-            tenant: "t".into(),
-            lineage: "(1) L f:1".into(),
-            deadline_ms: 100,
-        }
-        .encode();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, kind, 77, &payload).unwrap();
-        let (k, id, p) = read_frame(&mut &wire[..], MAX_FRAME_BYTES).unwrap();
-        assert_eq!((k, id), (kind, 77));
-        assert_eq!(p, payload);
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
-        // Any single-byte flip is caught by the checksum (or the magic).
+    fn unhex(text: &str) -> Vec<u8> {
+        let digit = |i: usize| u8::from_str_radix(&text[i..i + 2], 16).unwrap();
+        (0..text.len()).step_by(2).map(digit).collect()
+    }
+
+    fn frame(kind: u8, req_id: u64, payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, kind, req_id, payload).unwrap();
+        wire
+    }
+
+    fn golden_submit() -> Request {
+        Request::Submit {
+            tenant: "t0".into(),
+            script: "s = sum(X);".into(),
+            seed: Some(7),
+            outputs: vec!["s".into()],
+            deadline_ms: 1500,
+        }
+    }
+
+    /// 7×5 cells: 280 payload bytes, so the frame spans two checksum blocks
+    /// and a tail. Holds −0.0, a NaN with a payload and a subnormal.
+    fn golden_matrix() -> DenseMatrix {
+        let mut cells: Vec<f64> = (0..35).map(|k| k as f64 * 0.75 - 9.0).collect();
+        cells[3] = -0.0;
+        cells[17] = f64::from_bits(0x7ff4_dead_beef_0001);
+        cells[29] = f64::from_bits(1);
+        DenseMatrix::new(7, 5, cells).unwrap()
+    }
+
+    /// `golden_submit()` as frame 41, byte for byte.
+    const GOLDEN_SUBMIT: &str = concat!(
+        "4c4d4432",                       // magic "LMD2"
+        "01",                             // kind: submit
+        "0000000000000029",               // request id 41
+        "0000002f",                       // payload length 47
+        "000000027430",                   // tenant "t0"
+        "00000000000005dc",               // deadline 1500 ms
+        "010000000000000007",             // seed 7
+        "0000000b73203d2073756d2858293b", // script "s = sum(X);"
+        "000000010000000173",             // outputs ["s"]
+        "f2acd889af89ac08",               // checksum
+    );
+
+    /// `Response::Fetched(Some(golden_matrix()))` as frame 42.
+    const GOLDEN_FETCHED: &str = concat!(
+        "4c4d4432",         // magic "LMD2"
+        "83",               // kind: fetch response
+        "000000000000002a", // request id 42
+        "0000012a",         // payload length 298
+        "01",               // present
+        "00",               // tag: matrix
+        "0000000000000007", // rows 7
+        "0000000000000005", // cols 5
+        "c022000000000000c020800000000000c01e0000000000008000000000000000c018000000000000", // row 0
+        "c015000000000000c012000000000000c00e000000000000c008000000000000c002000000000000", // row 1
+        "bff8000000000000bfe800000000000000000000000000003fe80000000000003ff8000000000000", // row 2
+        "400200000000000040080000000000007ff4deadbeef000140120000000000004015000000000000", // row 3
+        "4018000000000000401b000000000000401e00000000000040208000000000004022000000000000", // row 4
+        "40238000000000004025000000000000402680000000000040280000000000000000000000000001", // row 5
+        "402b000000000000402c800000000000402e000000000000402f8000000000004030800000000000", // row 6
+        "3a819be2c1b5eb89", // checksum
+    );
+
+    #[test]
+    fn golden_frames_pin_the_wire_bytes() {
+        let (kind, payload) = golden_submit().encode();
+        assert_eq!(hex(&frame(kind, 41, &payload)), GOLDEN_SUBMIT);
+        let (kind, payload) = Response::Fetched(Some(Value::matrix(golden_matrix()))).encode();
+        assert_eq!(hex(&frame(kind, 42, &payload)), GOLDEN_FETCHED);
+
+        // The committed bytes read back to the same request, bit for bit.
+        let wire = unhex(GOLDEN_SUBMIT);
+        let (kind, id, payload) = read_frame(&mut &wire[..], MAX_FRAME_BYTES).unwrap();
+        assert_eq!(id, 41);
+        assert_eq!(Request::decode(kind, &payload), Some(golden_submit()));
+        let wire = unhex(GOLDEN_FETCHED);
+        let (kind, id, payload) = read_frame(&mut &wire[..], MAX_FRAME_BYTES).unwrap();
+        assert_eq!(id, 42);
+        let Some(Response::Fetched(Some(Value::Matrix(m)))) = Response::decode(kind, &payload)
+        else {
+            panic!("the golden frame is a fetched matrix");
+        };
+        let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(m.shape(), (7, 5));
+        assert_eq!(bits(&m), bits(&golden_matrix()));
+    }
+
+    #[test]
+    fn every_byte_flip_of_a_frame_is_detected() {
+        let wire = unhex(GOLDEN_FETCHED);
+        assert!(read_frame(&mut &wire[..], MAX_FRAME_BYTES).is_ok());
         for i in 0..wire.len() {
-            let mut bent = wire.clone();
-            bent[i] ^= 0x40;
-            let r = read_frame(&mut &bent[..], MAX_FRAME_BYTES);
-            assert!(r.is_err(), "flip at byte {i} went undetected");
+            for mask in 1..=255u8 {
+                let mut bent = wire.clone();
+                bent[i] ^= mask;
+                let r = read_frame(&mut &bent[..], MAX_FRAME_BYTES);
+                assert!(r.is_err(), "flip {mask:#04x} at byte {i} went undetected");
+            }
         }
     }
 
@@ -1042,7 +1145,7 @@ mod tests {
         padded.push(0);
         assert_eq!(Request::decode(kind, &padded), None);
         // A record carrying a non-transportable (tag-2) value is malformed.
-        let mut listy = BytesMut::new();
+        let mut listy = Vec::new();
         listy.put_u32(1);
         put_str(&mut listy, "(1) L f:1");
         listy.put_u8(2); // list tag

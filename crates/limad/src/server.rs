@@ -415,85 +415,15 @@ pub struct Server {
     repl_threads: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Binds a TCP listener with `SO_REUSEADDR`, so a replica member restarted
-/// after a kill can rebind its advertised port immediately even while
-/// connections from its previous life still sit in TIME_WAIT. The std
-/// binder does not set the option, and the workspace vendors no socket
-/// crate, so the option is set through libc directly (std already links
-/// it); non-Linux targets fall back to the plain binder.
-#[cfg(target_os = "linux")]
-fn bind_listener(addr: &str) -> std::io::Result<TcpListener> {
-    use std::net::ToSocketAddrs;
-    use std::os::fd::FromRawFd;
-
-    let resolved = addr.to_socket_addrs()?.next();
-    let Some(SocketAddr::V4(v4)) = resolved else {
-        return TcpListener::bind(addr);
-    };
-
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-    const AF_INET: i32 = 2;
-    const SOCK_STREAM: i32 = 1;
-    const SOCK_CLOEXEC: i32 = 0x8_0000;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-    /// `struct sockaddr_in`; port and addr in network byte order.
-    #[repr(C)]
-    struct SockaddrIn {
-        family: u16,
-        port: u16,
-        addr: u32,
-        zero: [u8; 8],
-    }
-
-    unsafe {
-        let fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        let fail = |fd: i32| {
-            let e = std::io::Error::last_os_error();
-            close(fd);
-            Err(e)
-        };
-        let one: i32 = 1;
-        if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4) != 0 {
-            return fail(fd);
-        }
-        let sa = SockaddrIn {
-            family: AF_INET as u16,
-            port: v4.port().to_be(),
-            addr: u32::from(*v4.ip()).to_be(),
-            zero: [0; 8],
-        };
-        if bind(fd, &sa, std::mem::size_of::<SockaddrIn>() as u32) != 0 {
-            return fail(fd);
-        }
-        if listen(fd, 128) != 0 {
-            return fail(fd);
-        }
-        Ok(TcpListener::from_raw_fd(fd))
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn bind_listener(addr: &str) -> std::io::Result<TcpListener> {
-    TcpListener::bind(addr)
-}
-
 impl Server {
     /// Binds both listeners and starts serving.
     pub fn start(cfg: LimadConfig) -> std::io::Result<Server> {
-        let listener = bind_listener(&cfg.listen)?;
+        // std sets `SO_REUSEADDR` on Unix, so a restarted replica member
+        // rebinds its port while its old connections sit in TIME_WAIT.
+        let listener = TcpListener::bind(&cfg.listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let metrics_listener = bind_listener(&cfg.metrics_listen)?;
+        let metrics_listener = TcpListener::bind(&cfg.metrics_listen)?;
         metrics_listener.set_nonblocking(true)?;
         let metrics_addr = metrics_listener.local_addr()?;
 

@@ -1,6 +1,6 @@
 //! Properties of the one value codec (`lima_matrix::codec`): the tagged body
 //! shared by the `limad` wire and the file form shared by the persistent
-//! store and the spill store.
+//! store and the spill store, and the word-parallel wire checksum.
 //!
 //! The golden byte strings were produced by the three hand-written encoders
 //! this module replaced (`persist.rs::encode_value`, `proto.rs::put_value`)
@@ -8,8 +8,10 @@
 //! and wire peers of either side of that commit keep understanding each
 //! other.
 
+use bytes::BufMut;
 use lima_matrix::codec::{
-    decode_body, decode_file, encode_body, encode_file, fnv1a, VALUE_MAGIC, VALUE_VERSION,
+    checksum, decode_body, decode_file, encode_body, encode_file, fnv1a, Checksum, VALUE_MAGIC,
+    VALUE_VERSION,
 };
 use lima_matrix::{DenseMatrix, ScalarValue, Value};
 use proptest::collection::vec;
@@ -195,4 +197,145 @@ fn well_checksummed_but_malformed_files_are_rejected() {
     // Another format version names itself in the error.
     let err = decode_file(&framed(VALUE_VERSION + 1, &good)).unwrap_err();
     assert!(err.to_string().contains("version"), "got: {err}");
+}
+
+/// `len` bytes of a fixed pseudo-random stream.
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn checksum_catches_every_single_byte_change() {
+    // 0..=300 crosses the 128-byte block boundary twice and every tail length.
+    for len in 0..=300 {
+        let clean = noise(len, len as u64);
+        let sum = checksum(&clean);
+        for pos in 0..len {
+            let mut bent = clean.clone();
+            for mask in 1..=255u8 {
+                bent[pos] = clean[pos] ^ mask;
+                assert_ne!(
+                    checksum(&bent),
+                    sum,
+                    "len {len}, byte {pos}, mask {mask:#04x}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn checksum_bits_are_pinned() {
+    // The same bits on every host: frames written here verify anywhere.
+    assert_eq!(checksum(b""), 0x9497_44d1_8fdd_c9b5);
+    assert_eq!(checksum(b"a"), 0x79b7_e2c2_cbff_a789);
+    assert_eq!(checksum(&noise(300, 1)), 0xca2e_32a1_58bb_7195);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn checksum_catches_any_change_to_one_aligned_word(
+        len in 1usize..=300,
+        seed in any::<u64>(),
+        word in any::<usize>(),
+        mask in any::<u64>(),
+    ) {
+        let clean = noise(len, seed);
+        // The word's bytes that exist (the last word of a tail may be short).
+        let start = (word % len.div_ceil(8)) * 8;
+        let mut bent = clean.clone();
+        for (b, m) in bent[start..].iter_mut().zip(mask.to_le_bytes()) {
+            *b ^= m;
+        }
+        if bent == clean {
+            bent[start] ^= 1;
+        }
+        prop_assert_ne!(checksum(&bent), checksum(&clean));
+    }
+
+    #[test]
+    fn streamed_pieces_sum_like_one_slice_and_catch_a_change_on_either_side(
+        head_len in 0usize..=40,
+        len in 0usize..=300,
+        seed in any::<u64>(),
+        at in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        let data = noise(head_len + len, seed);
+        let (head, payload) = data.split_at(head_len);
+        let streamed = |head: &[u8], payload: &[u8]| {
+            let mut sum = Checksum::default();
+            sum.put_slice(head);
+            sum.put_slice(payload);
+            sum.finish()
+        };
+        prop_assert_eq!(streamed(head, payload), checksum(&data));
+        if !data.is_empty() {
+            let mut bent = data.clone();
+            bent[at % data.len()] ^= mask;
+            let (bent_head, bent_payload) = bent.split_at(head_len);
+            prop_assert_ne!(streamed(bent_head, bent_payload), checksum(&data));
+        }
+    }
+}
+
+/// The per-element encoder the bulk one replaced: the reference layout.
+fn body_cell_by_cell(m: &DenseMatrix) -> Vec<u8> {
+    let mut want = vec![0u8];
+    want.extend_from_slice(&(m.rows() as u64).to_be_bytes());
+    want.extend_from_slice(&(m.cols() as u64).to_be_bytes());
+    for v in m.data() {
+        want.extend_from_slice(&v.to_bits().to_be_bytes());
+    }
+    want
+}
+
+#[test]
+fn bulk_bodies_match_the_per_element_encoder() {
+    for (rows, cols) in [(0, 0), (1, 1), (1, 511), (1, 512), (1, 513), (400, 50)] {
+        let raw = noise(rows * cols * 8, (rows * 1000 + cols) as u64);
+        let m = DenseMatrix::from_fn(rows, cols, |i, j| {
+            let k = (i * cols + j) * 8;
+            f64::from_bits(u64::from_le_bytes(raw[k..k + 8].try_into().unwrap()))
+        });
+        let value = Value::matrix(m.clone());
+        let wire = body(&value);
+        assert_eq!(wire, body_cell_by_cell(&m), "{rows}x{cols}");
+        let mut rest = &wire[..];
+        let back = decode_body(&mut rest).flatten().expect("decodes");
+        assert!(same(&back, &value) && rest.is_empty(), "{rows}x{cols}");
+        // Cut anywhere inside the cells, the body is refused.
+        for cut in (17..wire.len()).step_by(509) {
+            assert!(
+                decode_body(&mut &wire[..cut]).is_none(),
+                "{rows}x{cols} cut at {cut}"
+            );
+        }
+    }
+}
+
+#[test]
+fn forged_matrix_headers_decode_to_none() {
+    let forged = |rows: u64, cols: u64, cells: usize| {
+        let mut b = vec![0u8];
+        b.extend_from_slice(&rows.to_be_bytes());
+        b.extend_from_slice(&cols.to_be_bytes());
+        b.extend(std::iter::repeat_n(0x3f, cells * 8));
+        decode_body(&mut &b[..])
+    };
+    assert!(forged(2, 3, 6).is_some());
+    assert!(forged(2, 3, 5).is_none());
+    assert!(forged(1, 1 << 61, 4).is_none()); // 8 × cells overflows
+    assert!(forged(u64::MAX, 2, 0).is_none());
+    assert!(forged(1 << 32, 1 << 32, 0).is_none());
 }
