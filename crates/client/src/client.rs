@@ -31,9 +31,7 @@
 //! hedges fired/won, per-member breaker state) so harnesses can assert the
 //! behavior instead of inferring it from timing.
 
-use crate::proto::{
-    read_frame, write_frame, ErrorCode, Request, Response, ServiceError, MAX_FRAME_BYTES,
-};
+use crate::proto::{read_frame, write_frame, ErrorCode, Request, Response, ServiceError};
 use lima_core::resilience::{Attempt, CircuitBreaker, LatencyWindow, RetryBudget, RetryPolicy};
 use lima_matrix::Value;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -54,6 +52,12 @@ const DEFAULT_HEDGE_DELAY_MS: u64 = 25;
 
 /// Samples retained by the adaptive hedge-delay estimator.
 const LATENCY_WINDOW: usize = 256;
+
+/// TCP connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Cap of the client-wide retry token bucket.
+const RETRY_BUDGET_CAP: u64 = 64;
 
 /// Client-side failure taxonomy.
 #[derive(Debug)]
@@ -103,23 +107,16 @@ fn deadline_error(msg: &str) -> ClientError {
 /// Tunables for a [`LimadClient`].
 #[derive(Debug, Clone)]
 pub struct ClientOptions {
-    /// TCP connect timeout.
-    pub connect_timeout: Duration,
     /// Deadline applied when a call does not specify one.
     pub default_deadline: Duration,
     /// Backoff schedule shared by transport retries and overload retries.
     pub retry: RetryPolicy,
-    /// Cap of the client-wide retry token bucket.
-    pub retry_budget_cap: u64,
     /// Retry submits on transport failure. Off by default: a torn connection
     /// after the request was written may mean the script already ran.
     pub retry_submits: bool,
-    /// Largest response frame this client will accept.
-    pub max_frame_bytes: usize,
-    /// Hedge fetches against a second replica (no effect with one member).
-    pub hedge_reads: bool,
-    /// Fixed hedge delay; `None` adapts to the observed fetch p99 (falling
-    /// back to [`DEFAULT_HEDGE_DELAY_MS`] until samples accumulate).
+    /// Fixed delay before a fetch hedges against a second replica; `None`
+    /// adapts to the observed fetch p99 (falling back to
+    /// [`DEFAULT_HEDGE_DELAY_MS`] until samples accumulate).
     pub hedge_delay: Option<Duration>,
     /// Consecutive transport failures before a member's breaker opens
     /// (0 disables per-member health gating).
@@ -131,13 +128,9 @@ pub struct ClientOptions {
 impl Default for ClientOptions {
     fn default() -> Self {
         ClientOptions {
-            connect_timeout: Duration::from_secs(2),
             default_deadline: Duration::from_secs(30),
             retry: RetryPolicy::new(4, 10, 0x11AD),
-            retry_budget_cap: 64,
             retry_submits: false,
-            max_frame_bytes: MAX_FRAME_BYTES,
-            hedge_reads: true,
             hedge_delay: None,
             breaker_failures: 3,
             breaker_cooldown_ms: 200,
@@ -264,7 +257,7 @@ impl LimadClient {
     /// members. An empty list is treated as a single unresolvable member so
     /// every call fails with a clear error instead of panicking.
     pub fn new_replicated(addrs: &[String], tenant: &str, opts: ClientOptions) -> Self {
-        let budget = RetryBudget::new(opts.retry_budget_cap);
+        let budget = RetryBudget::new(RETRY_BUDGET_CAP);
         let mut members: Vec<Member> = addrs
             .iter()
             .map(|addr| Member {
@@ -378,7 +371,7 @@ impl LimadClient {
     pub fn fetch(&mut self, lineage: &str) -> Result<Option<Value>, ClientError> {
         let deadline = self.deadline(None);
         let started = Instant::now();
-        let res = if self.opts.hedge_reads && self.members.len() > 1 {
+        let res = if self.members.len() > 1 {
             self.fetch_hedged(lineage, deadline)
         } else {
             self.fetch_plain(lineage, deadline)
@@ -562,19 +555,13 @@ impl LimadClient {
     ) -> Result<Response, ClientError> {
         let member = &mut self.members[idx];
         if member.conn.is_none() {
-            member.conn = Some(connect(&member.shared.addr, self.opts.connect_timeout)?);
+            member.conn = Some(connect(&member.shared.addr)?);
         }
         let stream = member.conn.as_mut().ok_or_else(|| {
             ClientError::Protocol("connection vanished between connect and use".into())
         })?;
         self.next_id += 1;
-        exchange(
-            stream,
-            req,
-            self.next_id,
-            remaining,
-            self.opts.max_frame_bytes,
-        )
+        exchange(stream, req, self.next_id, remaining)
     }
 
     fn fetch_plain(
@@ -694,7 +681,6 @@ impl LimadClient {
         tx: mpsc::Sender<(usize, Result<Response, ClientError>)>,
     ) {
         let shared = Arc::clone(&self.members[idx].shared);
-        let (connect_timeout, max_frame) = (self.opts.connect_timeout, self.opts.max_frame_bytes);
         let remaining = deadline.saturating_duration_since(Instant::now());
         let req = Request::Fetch {
             tenant: self.tenant.clone(),
@@ -706,8 +692,8 @@ impl LimadClient {
             let res = if remaining.is_zero() {
                 Err(deadline_error("deadline elapsed before the hedged fetch"))
             } else {
-                connect(&shared.addr, connect_timeout)
-                    .and_then(|mut stream| exchange(&mut stream, &req, 1, remaining, max_frame))
+                connect(&shared.addr)
+                    .and_then(|mut stream| exchange(&mut stream, &req, 1, remaining))
             };
             match &res {
                 Ok(_) => shared.breaker.record_success(),
@@ -720,11 +706,11 @@ impl LimadClient {
 }
 
 /// A no-delay connection to `addr`.
-fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, ClientError> {
+fn connect(addr: &str) -> Result<TcpStream, ClientError> {
     let mut socks = addr.to_socket_addrs().map_err(ClientError::Io)?;
     let unresolvable = || ClientError::Protocol(format!("unresolvable addr {addr}"));
     let sock = socks.next().ok_or_else(unresolvable)?;
-    let stream = TcpStream::connect_timeout(&sock, timeout).map_err(ClientError::Io)?;
+    let stream = TcpStream::connect_timeout(&sock, CONNECT_TIMEOUT).map_err(ClientError::Io)?;
     stream.set_nodelay(true).map_err(ClientError::Io)?;
     Ok(stream)
 }
@@ -735,14 +721,13 @@ fn exchange(
     req: &Request,
     id: u64,
     remaining: Duration,
-    max_frame: usize,
 ) -> Result<Response, ClientError> {
     let timeout = Some((remaining + SOCKET_GRACE).max(MIN_SOCKET_TIMEOUT));
     stream.set_read_timeout(timeout).map_err(ClientError::Io)?;
     stream.set_write_timeout(timeout).map_err(ClientError::Io)?;
     let (kind, payload) = req.encode();
     write_frame(stream, kind, id, &payload).map_err(|e| map_io(e, remaining))?;
-    let (rkind, rid, rpayload) = read_frame(stream, max_frame).map_err(|e| map_io(e, remaining))?;
+    let (rkind, rid, rpayload) = read_frame(stream).map_err(|e| map_io(e, remaining))?;
     if rid != id {
         return Err(ClientError::Protocol(format!(
             "response id {rid} does not match request id {id}"
@@ -804,7 +789,7 @@ mod tests {
     }
 
     fn answer(mut stream: TcpStream, resp: &Response) {
-        let (kind, id, _payload) = read_frame(&mut stream, MAX_FRAME_BYTES).unwrap();
+        let (kind, id, _payload) = read_frame(&mut stream).unwrap();
         assert!(Request::decode(kind, &_payload).is_some());
         let (rkind, rpayload) = resp.encode();
         write_frame(&mut stream, rkind, id, &rpayload).unwrap();
@@ -873,7 +858,7 @@ mod tests {
         serve(listener, 1, move |_, mut stream| {
             // Same connection: shed twice, then accept.
             for round in 0..3 {
-                let (kind, id, payload) = read_frame(&mut stream, MAX_FRAME_BYTES).unwrap();
+                let (kind, id, payload) = read_frame(&mut stream).unwrap();
                 assert!(Request::decode(kind, &payload).is_some());
                 let resp = if round < 2 {
                     overloaded.clone()
@@ -914,7 +899,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         serve(listener, 1, |_, mut stream| {
-            let (_, _, _) = read_frame(&mut stream, MAX_FRAME_BYTES).unwrap();
+            let (_, _, _) = read_frame(&mut stream).unwrap();
             let _ = stream.write_all(b"this is not a frame at all, sorry!!!");
         });
         let mut client = LimadClient::new(&addr, "t", options(0));
@@ -1036,7 +1021,7 @@ mod tests {
         let slow_addr = slow.local_addr().unwrap().to_string();
         let slow_resp = fetched.clone();
         serve_each(slow, move |mut stream| {
-            let Ok((_, id, _)) = read_frame(&mut stream, MAX_FRAME_BYTES) else {
+            let Ok((_, id, _)) = read_frame(&mut stream) else {
                 return;
             };
             std::thread::sleep(Duration::from_millis(600));
@@ -1048,7 +1033,7 @@ mod tests {
         let fast_addr = fast.local_addr().unwrap().to_string();
         let fast_resp = fetched.clone();
         serve_each(fast, move |mut stream| {
-            let Ok((_, id, _)) = read_frame(&mut stream, MAX_FRAME_BYTES) else {
+            let Ok((_, id, _)) = read_frame(&mut stream) else {
                 return;
             };
             let (rkind, rpayload) = fast_resp.encode();

@@ -36,8 +36,8 @@ pub const MAGIC: u32 = 0x4C4D_4432;
 pub const HEADER_BYTES: usize = 4 + 1 + 8 + 4;
 /// Trailing checksum size.
 pub const TRAILER_BYTES: usize = 8;
-/// Default cap on a frame payload; oversized frames are rejected with a
-/// typed error before any allocation happens.
+/// Cap on a frame payload; an oversized frame is refused with a typed error
+/// on its header alone, before any allocation or read of its body.
 pub const MAX_FRAME_BYTES: usize = 32 * 1024 * 1024;
 
 /// Typed failure classes carried in error responses. The same codes drive
@@ -809,10 +809,10 @@ pub fn write_frame(
     w.flush()
 }
 
-/// Reads one frame, enforcing `max_payload` *before* allocating the body.
-/// Malformed frames (bad magic, oversized, checksum mismatch) return
+/// Reads one frame, enforcing [`MAX_FRAME_BYTES`] *before* allocating the
+/// body. Malformed frames (bad magic, oversized, checksum mismatch) return
 /// `InvalidData`; a cleanly closed peer returns `UnexpectedEof`.
-pub fn read_frame(r: &mut impl Read, max_payload: usize) -> std::io::Result<(u8, u64, Vec<u8>)> {
+pub fn read_frame(r: &mut impl Read) -> std::io::Result<(u8, u64, Vec<u8>)> {
     let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
     let mut header = [0u8; HEADER_BYTES];
     r.read_exact(&mut header)?;
@@ -823,9 +823,9 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> std::io::Result<(u8,
     let kind = h.get_u8();
     let req_id = h.get_u64();
     let len = h.get_u32() as usize;
-    if len > max_payload {
+    if len > MAX_FRAME_BYTES {
         return Err(bad(&format!(
-            "frame payload {len} exceeds cap {max_payload}"
+            "frame payload {len} exceeds cap {MAX_FRAME_BYTES}"
         )));
     }
     let mut payload = vec![0u8; len];
@@ -1062,11 +1062,11 @@ mod tests {
 
         // The committed bytes read back to the same request, bit for bit.
         let wire = unhex(GOLDEN_SUBMIT);
-        let (kind, id, payload) = read_frame(&mut &wire[..], MAX_FRAME_BYTES).unwrap();
+        let (kind, id, payload) = read_frame(&mut &wire[..]).unwrap();
         assert_eq!(id, 41);
         assert_eq!(Request::decode(kind, &payload), Some(golden_submit()));
         let wire = unhex(GOLDEN_FETCHED);
-        let (kind, id, payload) = read_frame(&mut &wire[..], MAX_FRAME_BYTES).unwrap();
+        let (kind, id, payload) = read_frame(&mut &wire[..]).unwrap();
         assert_eq!(id, 42);
         let Some(Response::Fetched(Some(Value::Matrix(m)))) = Response::decode(kind, &payload)
         else {
@@ -1080,12 +1080,12 @@ mod tests {
     #[test]
     fn every_byte_flip_of_a_frame_is_detected() {
         let wire = unhex(GOLDEN_FETCHED);
-        assert!(read_frame(&mut &wire[..], MAX_FRAME_BYTES).is_ok());
+        assert!(read_frame(&mut &wire[..]).is_ok());
         for i in 0..wire.len() {
             for mask in 1..=255u8 {
                 let mut bent = wire.clone();
                 bent[i] ^= mask;
-                let r = read_frame(&mut &bent[..], MAX_FRAME_BYTES);
+                let r = read_frame(&mut &bent[..]);
                 assert!(r.is_err(), "flip {mask:#04x} at byte {i} went undetected");
             }
         }
@@ -1093,9 +1093,17 @@ mod tests {
 
     #[test]
     fn oversized_frames_rejected_before_allocation() {
+        // The cap leaves room for the values the tests and harness move.
+        const { assert!(MAX_FRAME_BYTES >= 1024 * 1024) };
+        // A bare header announcing one byte over the cap, with no payload:
+        // the refusal comes from the header alone, never from a short read.
         let mut wire = Vec::new();
-        write_frame(&mut wire, K_PING, 1, &vec![0u8; 256]).unwrap();
-        let err = read_frame(&mut &wire[..], 64).unwrap_err();
+        wire.put_u32(MAGIC);
+        wire.put_u8(K_PING);
+        wire.put_u64(1);
+        wire.put_u32(MAX_FRAME_BYTES as u32 + 1);
+        assert_eq!(wire.len(), HEADER_BYTES);
+        let err = read_frame(&mut &wire[..]).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("exceeds cap"));
     }
@@ -1105,7 +1113,7 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, K_PING, 1, b"abc").unwrap();
         wire.truncate(wire.len() - 3);
-        let err = read_frame(&mut &wire[..], MAX_FRAME_BYTES).unwrap_err();
+        let err = read_frame(&mut &wire[..]).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 

@@ -36,6 +36,13 @@ use std::time::{Duration, Instant};
 const PERSIST_RETRY_ATTEMPTS: u32 = 2;
 const PERSIST_RETRY_BASE_MS: u64 = 1;
 
+/// The spill and persist circuit breakers open after this many
+/// *consecutive* write failures (evictions then degrade to deletes, durable
+/// writes are skipped) and, once open, let one probe attempt through per
+/// [`BREAKER_COOLDOWN_MS`] window; a successful probe closes them again.
+const BREAKER_FAILURES: u32 = 3;
+const BREAKER_COOLDOWN_MS: u64 = 5_000;
+
 /// Wait-slice granularity while blocked on a placeholder with an interrupt
 /// armed: cancellation/deadline is noticed within this bound even when no
 /// notify arrives.
@@ -233,15 +240,12 @@ pub struct LineageCache {
     state: Mutex<CacheState>,
     cond: Condvar,
     clock: AtomicU64,
-    /// Half-open circuit breaker over spill writes: opens after
-    /// `config.spill_failure_limit` consecutive failures, probes once per
-    /// `config.breaker_cooldown_ms` window.
+    /// Half-open circuit breaker over spill writes (see [`BREAKER_FAILURES`]).
     spill_breaker: CircuitBreaker,
-    /// Crash-safe durable store; present when `config.persist_dir` is set
-    /// and the directory was usable.
+    /// Crash-safe durable store; present when `config.persist` is set and
+    /// the directory was usable.
     persist_store: Option<PersistentCacheStore>,
-    /// Half-open breaker over durable writes; shares the spill limit and
-    /// cooldown.
+    /// Half-open breaker over durable writes.
     persist_breaker: CircuitBreaker,
     /// Latch so a disk-full/fsync degrade is counted exactly once.
     disk_full_noted: AtomicBool,
@@ -286,22 +290,13 @@ impl LineageCache {
             false => None,
         };
         let mut recovered = Vec::new();
-        let persist_store = config.persist_dir.as_ref().and_then(|dir| {
-            PersistentCacheStore::open_with(
-                dir,
-                persist::PersistOptions {
-                    budget_bytes: config.persist_budget_bytes,
-                    compact_min_bytes: config.persist_compact_min_bytes,
-                    compact_factor: config.persist_compact_factor,
-                    repair: config.repair.clone(),
-                    faults: config.faults.clone(),
-                    ..persist::PersistOptions::default()
+        let persist_store = config.persist.as_ref().and_then(|opts| {
+            PersistentCacheStore::open_with(&opts.dir, opts.clone()).map(
+                |(store, entries, report)| {
+                    recovered = entries;
+                    (store.with_faults(config.faults.clone()), report)
                 },
             )
-            .map(|(store, entries, report)| {
-                recovered = entries;
-                (store, report)
-            })
         });
         let stats = Arc::new(LimaStats::new());
         let governor = (config.governor_budget_bytes > 0).then(|| {
@@ -315,7 +310,6 @@ impl LineageCache {
             }
             g
         });
-        let (limit, cooldown) = (config.spill_failure_limit, config.breaker_cooldown_ms);
         let books = Books::new(config.policy);
         let mut cache = LineageCache {
             config,
@@ -329,9 +323,9 @@ impl LineageCache {
             }),
             cond: Condvar::new(),
             clock: AtomicU64::new(1),
-            spill_breaker: CircuitBreaker::new(limit, cooldown),
+            spill_breaker: CircuitBreaker::new(BREAKER_FAILURES, BREAKER_COOLDOWN_MS),
             persist_store: None,
-            persist_breaker: CircuitBreaker::new(limit, cooldown),
+            persist_breaker: CircuitBreaker::new(BREAKER_FAILURES, BREAKER_COOLDOWN_MS),
             disk_full_noted: AtomicBool::new(false),
             watched: AtomicBool::new(false),
             governor,
@@ -1792,7 +1786,6 @@ mod tests {
         let config = LimaConfig {
             budget_bytes: 100_000,
             spill: true,
-            spill_failure_limit: 0, // breaker off: every eviction tries
             faults: Some(Arc::clone(&inj)),
             ..LimaConfig::default()
         };
@@ -1825,24 +1818,24 @@ mod tests {
         let config = LimaConfig {
             budget_bytes: 100_000,
             spill: true,
-            spill_failure_limit: 2,
             faults: Some(Arc::clone(&inj)),
             ..LimaConfig::default()
         };
         let cache = LineageCache::new(config);
-        for i in 0..6 {
+        for i in 0..7 {
             let item = mk_item("ba+*", &format!("X{i}"));
             match cache.acquire(&item).unwrap() {
                 Probe::Reserved(r) => r.fulfill(&mat(100), 60_000_000_000),
                 _ => panic!(),
             }
         }
-        // Two consecutive failures opened the breaker; later evictions never
-        // reached the spill store again.
+        // Three consecutive failures opened the breaker; later evictions
+        // never reached the spill store again.
         assert!(cache.spill_breaker.is_open());
-        assert_eq!(inj.occurrences(FaultSite::SpillWrite), 2);
-        assert_eq!(LimaStats::get(&cache.stats().spill_failures), 2);
-        assert!(LimaStats::get(&cache.stats().evictions) >= 4);
+        let limit = u64::from(BREAKER_FAILURES);
+        assert_eq!(inj.occurrences(FaultSite::SpillWrite), limit);
+        assert_eq!(LimaStats::get(&cache.stats().spill_failures), limit);
+        assert!(LimaStats::get(&cache.stats().evictions) >= 5);
     }
 
     #[test]
@@ -2488,17 +2481,19 @@ mod tests {
     #[test]
     fn spill_breaker_half_opens_and_recovers_after_cooldown() {
         use crate::faults::{FaultInjector, FaultSite};
-        // Only the very first spill write fails; breaker limit 1 opens it.
-        let inj = Arc::new(FaultInjector::new(0).fail_at(FaultSite::SpillWrite, &[0]));
+        // The first three spill writes fail, which opens the breaker.
+        let inj = Arc::new(FaultInjector::new(0).fail_at(FaultSite::SpillWrite, &[0, 1, 2]));
         let config = LimaConfig {
             budget_bytes: 100_000,
             spill: true,
-            spill_failure_limit: 1,
-            breaker_cooldown_ms: 50,
             faults: Some(Arc::clone(&inj)),
             ..LimaConfig::default()
         };
-        let cache = LineageCache::new(config);
+        let mut cache = LineageCache::new(config);
+        // The cache's own breaker limit with a 50 ms cooldown, so the test
+        // need not wait out the 5 s one.
+        Arc::get_mut(&mut cache).expect("sole owner").spill_breaker =
+            CircuitBreaker::new(BREAKER_FAILURES, 50);
         let fill = |tag: &str, ns: u64| {
             let item = mk_item("ba+*", tag);
             match cache.acquire(&item).unwrap() {
@@ -2506,20 +2501,22 @@ mod tests {
                 _ => panic!("fresh key"),
             }
         };
-        // Exactly one entry overflows per fill, so the second overflow is the
+        // Exactly one entry overflows per fill, so the fourth overflow is the
         // post-cooldown probe.
         fill("a", 60_000_000_000);
-        fill("b", 120_000_000_000); // evicts "a" → injected failure → open
+        fill("b", 120_000_000_000); // evicts "a" → injected failure
+        fill("c", 240_000_000_000); // evicts "b" → injected failure
+        fill("d", 480_000_000_000); // evicts "c" → injected failure → open
         assert!(cache.spill_breaker.is_open());
-        assert_eq!(LimaStats::get(&cache.stats().spill_failures), 1);
+        assert_eq!(LimaStats::get(&cache.stats().spill_failures), 3);
         // After the cooldown the next eviction is allowed through as a probe
         // and succeeds, closing the breaker again.
         std::thread::sleep(Duration::from_millis(60));
-        fill("c", 240_000_000_000);
+        fill("e", 960_000_000_000);
         assert!(!cache.spill_breaker.is_open());
         assert!(LimaStats::get(&cache.stats().breaker_probes) >= 1);
         assert!(LimaStats::get(&cache.stats().spills) >= 1);
-        assert!(inj.occurrences(FaultSite::SpillWrite) >= 2);
+        assert!(inj.occurrences(FaultSite::SpillWrite) >= 4);
     }
 
     /// Fulfils the composite-then-constituent shape of a function call:

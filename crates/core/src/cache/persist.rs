@@ -146,10 +146,21 @@ impl DegradeReason {
     }
 }
 
-/// Tuning knobs for [`PersistentCacheStore::open_with`].
+/// Retry schedule for one repair: 2 retries, 1 ms base backoff.
+const REPAIR_RETRY: RetryPolicy = RetryPolicy::new(2, 1, 0);
+
+/// Store-wide repair token budget (see [`RetryBudget`]); bounds how much
+/// recompute work a flaky disk can trigger.
+const REPAIR_BUDGET: u64 = 64;
+
+/// Settings of a [`PersistentCacheStore`]; as `LimaConfig::persist` they
+/// enable the persistent reuse cache.
 #[derive(Debug, Clone)]
 pub struct PersistOptions {
-    /// Disk budget for value files; 0 = unbounded.
+    /// Directory holding the manifest WAL and value files.
+    pub dir: PathBuf,
+    /// Disk budget for value files; the oldest entries are tombstoned once
+    /// the total exceeds it. 0 = unbounded.
     pub budget_bytes: u64,
     /// WAL size below which auto-compaction never triggers.
     pub compact_min_bytes: u64,
@@ -160,28 +171,20 @@ pub struct PersistOptions {
     /// forever.
     pub quarantine_max_age_secs: u64,
     /// Recomputes corrupt values from lineage; `None` disables repair
-    /// (corrupt entries are quarantined directly).
+    /// (corrupt entries are quarantined directly). The runtime installs its
+    /// reconstruction-based hook when it builds a context.
     pub repair: Option<RepairHook>,
-    /// Per-attempt retry schedule for one repair.
-    pub repair_retry: RetryPolicy,
-    /// Global repair token budget (see [`RetryBudget`]); bounds how much
-    /// recompute work a flaky disk can trigger.
-    pub repair_budget: u64,
-    /// Fault injector for crash-point and write-failure testing.
-    pub faults: Option<Arc<FaultInjector>>,
 }
 
 impl Default for PersistOptions {
     fn default() -> Self {
         PersistOptions {
-            budget_bytes: 0,
+            dir: PathBuf::new(),
+            budget_bytes: 1 << 30,
             compact_min_bytes: 64 * 1024,
             compact_factor: 4,
             quarantine_max_age_secs: 86_400,
             repair: None,
-            repair_retry: RetryPolicy::new(2, 1, 0),
-            repair_budget: 64,
-            faults: None,
         }
     }
 }
@@ -306,12 +309,14 @@ struct StoreState {
 /// Durable store for reuse-cache entries. All writes go through the commit
 /// protocols described in the module docs; all methods are thread-safe.
 pub struct PersistentCacheStore {
-    root: PathBuf,
     values_dir: PathBuf,
     quarantine_dir: PathBuf,
     state: Mutex<StoreState>,
     next_id: AtomicU64,
     opts: PersistOptions,
+    /// Crash-point and write-failure injection (see
+    /// [`PersistentCacheStore::with_faults`]).
+    faults: Option<Arc<FaultInjector>>,
     /// Token budget shared by all repair attempts (recovery + scrub).
     repair_budget: RetryBudget,
     /// Set when a crash point fires: the simulated process is dead and no
@@ -341,14 +346,19 @@ impl std::fmt::Debug for PersistentCacheStore {
 }
 
 impl PersistentCacheStore {
-    /// Opens (or creates) the store rooted at `dir`, running the recovery
-    /// pass: [`examine`] the directory read-only, then apply what it found.
-    /// Returns `None` when the directory is unusable — the caller degrades
-    /// to a memory-only cache, never an error.
+    /// Opens (or creates) the store rooted at `dir` (which replaces
+    /// `opts.dir`), running the recovery pass: [`examine`] the directory
+    /// read-only, then apply what it found. Returns `None` when the directory
+    /// is unusable — the caller degrades to a memory-only cache, never an
+    /// error.
     pub fn open_with(
         dir: &Path,
         opts: PersistOptions,
     ) -> Option<(Self, Vec<RecoveredEntry>, RecoveryReport)> {
+        let opts = PersistOptions {
+            dir: dir.to_path_buf(),
+            ..opts
+        };
         let values_dir = dir.join("values");
         let quarantine_dir = dir.join("quarantine");
         fs::create_dir_all(&values_dir).ok()?;
@@ -428,7 +438,7 @@ impl PersistentCacheStore {
         // value that fails verification is not lost — its lineage is the
         // replica, and the repair hook recomputes it; only unrepairable
         // entries are quarantined and tombstoned.
-        let repair_budget = RetryBudget::new(opts.repair_budget);
+        let repair_budget = RetryBudget::new(REPAIR_BUDGET);
         let mut recovered = Vec::new();
         let mut live: BTreeMap<u64, LiveRec> = BTreeMap::new();
         let mut total_bytes = 0u64;
@@ -492,7 +502,6 @@ impl PersistentCacheStore {
 
         Some((
             PersistentCacheStore {
-                root: dir.to_path_buf(),
                 values_dir,
                 quarantine_dir,
                 state: Mutex::new(StoreState {
@@ -506,6 +515,7 @@ impl PersistentCacheStore {
                 }),
                 next_id: AtomicU64::new(exam.max_id + 1),
                 opts,
+                faults: None,
                 repair_budget,
                 crashed: AtomicBool::new(false),
                 degraded: Mutex::new(None),
@@ -515,6 +525,13 @@ impl PersistentCacheStore {
             recovered,
             report,
         ))
+    }
+
+    /// Routes the store's crash points and write failures through `faults`
+    /// (the cache hands over its configured injector).
+    pub fn with_faults(mut self, faults: Option<Arc<FaultInjector>>) -> Self {
+        self.faults = faults;
+        self
     }
 
     /// True once a crash point has fired; every later write is refused.
@@ -561,7 +578,7 @@ impl PersistentCacheStore {
     }
 
     fn crash_here(&self, site: FaultSite) -> std::io::Result<()> {
-        if let Some(f) = &self.opts.faults {
+        if let Some(f) = &self.faults {
             if f.should_fail(site) {
                 self.crashed.store(true, Ordering::Relaxed);
                 return Err(std::io::Error::other(format!("injected crash: {site:?}")));
@@ -594,7 +611,7 @@ impl PersistentCacheStore {
     /// Writes through the disk-full fault site; a real or injected `ENOSPC`
     /// degrades the store.
     fn guarded_write(&self, f: &mut fs::File, buf: &[u8]) -> std::io::Result<()> {
-        if let Some(fi) = &self.opts.faults {
+        if let Some(fi) = &self.faults {
             if fi.should_fail(FaultSite::DiskFull) {
                 self.poison(DegradeReason::DiskFull);
                 return Err(std::io::Error::from_raw_os_error(28));
@@ -611,7 +628,7 @@ impl PersistentCacheStore {
     /// the durability of previously written pages is unknown (the kernel may
     /// have dropped them), so the store degrades rather than retrying.
     fn guarded_sync(&self, f: &fs::File, all: bool) -> std::io::Result<()> {
-        if let Some(fi) = &self.opts.faults {
+        if let Some(fi) = &self.faults {
             if fi.should_fail(FaultSite::FsyncFail) {
                 self.poison(DegradeReason::FsyncFailed);
                 return Err(std::io::Error::other("injected fsync failure"));
@@ -663,7 +680,7 @@ impl PersistentCacheStore {
 
         // Crash point: process dies mid-append — a prefix of the record
         // reaches disk; recovery truncates the torn tail.
-        if let Some(fi) = &self.opts.faults {
+        if let Some(fi) = &self.faults {
             if fi.should_fail(FaultSite::PersistWalAppend) {
                 self.crashed.store(true, Ordering::Relaxed);
                 let torn = &record[..record.len() / 2];
@@ -778,8 +795,8 @@ impl PersistentCacheStore {
     fn compact_locked(&self, st: &mut StoreState) -> std::io::Result<CompactOutcome> {
         let before = st.wal_bytes;
         let new_gen = st.generation + 1;
-        let tmp = self.root.join(format!("manifest.{new_gen}.wal.tmp"));
-        let fin = manifest_path(&self.root, new_gen);
+        let tmp = self.opts.dir.join(format!("manifest.{new_gen}.wal.tmp"));
+        let fin = manifest_path(&self.opts.dir, new_gen);
         let mut buf = Vec::with_capacity(st.live_record_bytes as usize);
         for (id, rec) in &st.live {
             buf.extend_from_slice(&put_record(
@@ -793,7 +810,7 @@ impl PersistentCacheStore {
         // Crash point: process dies mid-write of the compacted generation —
         // a torn `manifest.<gen>.wal.tmp` is left behind; recovery GCs it and
         // keeps serving the old generation.
-        if let Some(fi) = &self.opts.faults {
+        if let Some(fi) = &self.faults {
             if fi.should_fail(FaultSite::PersistCompactWrite) {
                 self.crashed.store(true, Ordering::Relaxed);
                 let _ = fs::write(&tmp, &buf[..buf.len() / 2]);
@@ -816,7 +833,7 @@ impl PersistentCacheStore {
         // the higher one and removes the stale file.
         self.crash_here(FaultSite::PersistCompactSwitch)?;
 
-        let _ = fs::remove_file(manifest_path(&self.root, st.generation));
+        let _ = fs::remove_file(manifest_path(&self.opts.dir, st.generation));
         st.wal = fs::OpenOptions::new().append(true).open(&fin)?;
         st.generation = new_gen;
         st.wal_bytes = buf.len() as u64;
@@ -886,7 +903,7 @@ impl PersistentCacheStore {
         // truncated at open, and appends are whole frames); every live
         // record is resident, so compacting into a fresh generation is a
         // full repair.
-        let scan = scan_manifest(&manifest_path(&self.root, st.generation));
+        let scan = scan_manifest(&manifest_path(&self.opts.dir, st.generation));
         out.bytes += scan.bytes;
         if scan.torn.is_some() {
             out.corrupt += 1;
@@ -929,8 +946,7 @@ fn attempt_repair(
 ) -> Option<(Value, u64)> {
     let hook = opts.repair.as_ref()?;
     let (res, _retries) =
-        opts.repair_retry
-            .run_budgeted(Some(budget), |_e: &String| true, || hook.repair(root));
+        REPAIR_RETRY.run_budgeted(Some(budget), |_e: &String| true, || hook.repair(root));
     let value = res.ok()?;
     let encoded = codec::encode_file(&value)?;
     write_value_atomic(path, &encoded).ok()?;
@@ -1487,11 +1503,8 @@ mod tests {
     }
 
     fn open_faulty(dir: &Path, faults: Arc<FaultInjector>) -> Opened {
-        let opts = PersistOptions {
-            faults: Some(faults),
-            ..PersistOptions::default()
-        };
-        open_opts(dir, opts)
+        let (store, entries, report) = open(dir);
+        (store.with_faults(Some(faults)), entries, report)
     }
 
     /// Flips one byte near the middle of a file.

@@ -1,5 +1,6 @@
 //! Configuration of lineage tracing and the reuse cache.
 
+use crate::cache::persist::{PersistOptions, RepairHook};
 use crate::faults::FaultInjector;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -71,41 +72,17 @@ pub struct LimaConfig {
     /// placeholder before assuming the fulfiller died and taking over the
     /// computation itself. 0 waits forever (the pre-hardening behaviour).
     pub placeholder_timeout_ms: u64,
-    /// Circuit breaker: after this many *consecutive* spill-write failures
-    /// the cache stops attempting to spill (evictions degrade to deletes).
-    /// The persistent cache store reuses the same limit for its own writes.
-    /// 0 disables the breaker.
-    pub spill_failure_limit: u32,
-    /// Half-open cooldown for the spill/persist circuit breakers: once open,
-    /// a single probe attempt is allowed through per window of this many
-    /// milliseconds (success closes the breaker again). 0 restores the old
-    /// latch-open-forever behaviour.
-    pub breaker_cooldown_ms: u64,
     /// Process-wide memory budget governed by the
     /// [`crate::governor::ResourceGovernor`] degradation ladder (resident
     /// cache bytes + session live variables + spill buffers). 0 disables
     /// governance entirely (no governor is constructed).
     pub governor_budget_bytes: usize,
-    /// Directory holding the persistent manifest WAL and value files;
-    /// reuse-cache entries are durably persisted there iff it is set. The
-    /// same directory can be reopened by a later process to warm-start the
-    /// cache. An unusable directory degrades to an empty cache, never an
-    /// error.
-    pub persist_dir: Option<PathBuf>,
-    /// Disk budget for persisted value files; the oldest entries are
-    /// tombstoned once the total exceeds it. 0 means unbounded.
-    pub persist_budget_bytes: u64,
-    /// Manifest WAL size below which auto-compaction never triggers.
-    pub persist_compact_min_bytes: u64,
-    /// Auto-compact the manifest WAL into a fresh generation when it exceeds
-    /// the live-record footprint by this factor; 0 disables auto-compaction.
-    pub persist_compact_factor: u64,
-    /// Recomputes corrupt persisted values from their serialized lineage
-    /// (scrub- and recovery-time repair). The runtime installs its
-    /// reconstruction-based hook automatically when persistence is enabled;
-    /// `None` here with no runtime in the loop means corrupt entries are
-    /// quarantined instead of repaired.
-    pub repair: Option<crate::cache::persist::RepairHook>,
+    /// The crash-safe persistent store (directory, disk budget, WAL
+    /// compaction, repair hook); reuse-cache entries are durably persisted
+    /// iff it is set. A later process reopening the same directory
+    /// warm-starts the cache; an unusable directory degrades to an empty
+    /// cache, never an error.
+    pub persist: Option<PersistOptions>,
     /// Deterministic fault-injection harness; `None` (the default) injects
     /// nothing and is the production configuration.
     pub faults: Option<Arc<FaultInjector>>,
@@ -113,12 +90,6 @@ pub struct LimaConfig {
     /// cache, governor, and runtime flow into its per-thread rings. `None`
     /// (the default) removes even the per-event gate check from most paths.
     pub obs: Option<Arc<crate::obs::Obs>>,
-    /// Kernel backend for dense matrix compute. `None` (the default) keeps
-    /// whatever the process already resolved (the `LIMA_BACKEND` env var, or
-    /// the Optimized engine); `Some(kind)` pins it when the runtime builds an
-    /// execution context from this config. Process-global, like the engine
-    /// registry itself.
-    pub backend: Option<lima_matrix::BackendKind>,
 }
 
 impl Default for LimaConfig {
@@ -133,17 +104,10 @@ impl Default for LimaConfig {
             spill: true,
             compiler_assist: true,
             placeholder_timeout_ms: 60_000,
-            spill_failure_limit: 3,
-            breaker_cooldown_ms: 5_000,
             governor_budget_bytes: 0,
-            persist_dir: None,
-            persist_budget_bytes: 1 << 30,
-            persist_compact_min_bytes: 64 * 1024,
-            persist_compact_factor: 4,
-            repair: None,
+            persist: None,
             faults: None,
             obs: None,
-            backend: None,
         }
     }
 }
@@ -205,35 +169,27 @@ impl LimaConfig {
         self
     }
 
-    /// Enables the crash-safe persistent cache store rooted at `dir`. A later
-    /// process pointing at the same directory recovers the surviving entries
-    /// on startup.
+    /// Enables the crash-safe persistent cache store rooted at `dir`, keeping
+    /// any other persistence settings already configured. A later process
+    /// pointing at the same directory recovers the surviving entries on
+    /// startup.
     pub fn with_persistence(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.persist_dir = Some(dir.into());
+        let opts = self.persist.take().unwrap_or_default();
+        self.persist = Some(PersistOptions {
+            dir: dir.into(),
+            ..opts
+        });
         self
     }
 
     /// Installs a lineage-driven repair hook for the persistent store; see
-    /// [`crate::cache::persist::RepairHook`].
-    pub fn with_repair(mut self, hook: crate::cache::persist::RepairHook) -> Self {
-        self.repair = Some(hook);
-        self
-    }
-
-    /// Pins the dense kernel backend (Reference for diff/debug runs,
-    /// Optimized for speed). Applied process-globally when a runtime context
-    /// is built from this config.
-    pub fn with_backend(mut self, kind: lima_matrix::BackendKind) -> Self {
-        self.backend = Some(kind);
-        self
-    }
-
-    /// Applies the backend selection, if any, to the process-global engine
-    /// registry. The runtime calls this when constructing execution contexts.
-    pub fn apply_backend(&self) {
-        if let Some(kind) = self.backend {
-            lima_matrix::backend::set_backend(kind);
+    /// [`RepairHook`]. Call it after [`LimaConfig::with_persistence`]: without
+    /// persistence there is no store to repair, and it does nothing.
+    pub fn with_repair(mut self, hook: RepairHook) -> Self {
+        if let Some(opts) = &mut self.persist {
+            opts.repair = Some(hook);
         }
+        self
     }
 }
 

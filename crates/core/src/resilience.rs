@@ -38,7 +38,7 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// A policy with `attempts` retries starting at `base_delay_ms`.
-    pub fn new(attempts: u32, base_delay_ms: u64, seed: u64) -> Self {
+    pub const fn new(attempts: u32, base_delay_ms: u64, seed: u64) -> Self {
         RetryPolicy {
             attempts,
             base_delay_ms,

@@ -52,6 +52,23 @@ const PULL_MAX_BYTES: usize = 4 * 1024 * 1024;
 /// How long the sender waits on an empty queue before re-checking shutdown.
 const SENDER_IDLE: Duration = Duration::from_millis(50);
 
+/// Max records batched into one `ReplPut` frame.
+const BATCH: usize = 64;
+
+/// Anti-entropy round interval.
+const AE_INTERVAL: Duration = Duration::from_millis(250);
+
+/// Digest buckets exchanged per anti-entropy round (`1..=MAX_REPL_BUCKETS`).
+const AE_BUCKETS: u32 = 64;
+
+/// TCP connect timeout towards peers.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// A peer's breaker opens after this many consecutive failures and grants a
+/// half-open probe after [`PEER_BREAKER_COOLDOWN_MS`].
+const PEER_BREAKER_FAILURES: u32 = 3;
+const PEER_BREAKER_COOLDOWN_MS: u64 = 500;
+
 /// Replication tuning for one member.
 #[derive(Debug, Clone)]
 pub struct ReplOptions {
@@ -59,21 +76,8 @@ pub struct ReplOptions {
     pub member: usize,
     /// Bounded replication queue length; overflow drops (and counts).
     pub queue_cap: usize,
-    /// Max records batched into one `ReplPut` frame.
-    pub batch: usize,
-    /// Anti-entropy round interval; 0 disables the AE loop (tests drive
-    /// convergence through the wire ops directly).
-    pub ae_interval_ms: u64,
-    /// Digest buckets exchanged per AE round (1..=`MAX_REPL_BUCKETS`).
-    pub buckets: u32,
-    /// TCP connect timeout towards peers.
-    pub connect_timeout_ms: u64,
     /// Read/write timeout for peer round-trips.
     pub io_timeout_ms: u64,
-    /// Consecutive failures before a peer's breaker opens (0 disables).
-    pub breaker_failures: u32,
-    /// Cooldown before an open peer breaker grants a half-open probe.
-    pub breaker_cooldown_ms: u64,
 }
 
 impl Default for ReplOptions {
@@ -81,13 +85,7 @@ impl Default for ReplOptions {
         ReplOptions {
             member: 0,
             queue_cap: 4096,
-            batch: 64,
-            ae_interval_ms: 250,
-            buckets: 64,
-            connect_timeout_ms: 500,
             io_timeout_ms: 2000,
-            breaker_failures: 3,
-            breaker_cooldown_ms: 500,
         }
     }
 }
@@ -146,10 +144,7 @@ impl Replicator {
             .map(|addr| {
                 Arc::new(Peer {
                     addr,
-                    breaker: CircuitBreaker::new(
-                        self.opts.breaker_failures,
-                        self.opts.breaker_cooldown_ms,
-                    ),
+                    breaker: CircuitBreaker::new(PEER_BREAKER_FAILURES, PEER_BREAKER_COOLDOWN_MS),
                     conn: Mutex::new(None),
                 })
             })
@@ -200,13 +195,13 @@ impl Replicator {
         self.queued.notify_one();
     }
 
-    /// Pops up to `batch` queued records, waiting up to `idle` when empty.
+    /// Pops up to [`BATCH`] queued records, waiting up to `idle` when empty.
     fn take_batch(&self, idle: Duration) -> Vec<QueuedRecord> {
         let mut queue = self.queue.lock();
         if queue.is_empty() {
             let _ = self.queued.wait_for(&mut queue, idle);
         }
-        let n = queue.len().min(self.opts.batch);
+        let n = queue.len().min(BATCH);
         queue.drain(..n).collect()
     }
 
@@ -236,10 +231,7 @@ fn peer_call(peer: &Peer, req: &Request, opts: &ReplOptions) -> std::io::Result<
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| std::io::Error::other(format!("unresolvable peer {}", peer.addr)))?;
-        let stream = TcpStream::connect_timeout(
-            &addr,
-            Duration::from_millis(opts.connect_timeout_ms.max(1)),
-        )?;
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
         stream.set_nodelay(true)?;
         *slot = Some(stream);
     }
@@ -250,7 +242,7 @@ fn peer_call(peer: &Peer, req: &Request, opts: &ReplOptions) -> std::io::Result<
         stream.set_write_timeout(Some(timeout))?;
         let (kind, payload) = req.encode();
         write_frame(stream, kind, 1, &payload)?;
-        let (rkind, _, rpayload) = read_frame(stream, lima_client::proto::MAX_FRAME_BYTES)?;
+        let (rkind, _, rpayload) = read_frame(stream)?;
         Response::decode(rkind, &rpayload)
             .ok_or_else(|| std::io::Error::other("undecodable peer response"))
     })();
@@ -267,8 +259,8 @@ fn peer_call(peer: &Peer, req: &Request, opts: &ReplOptions) -> std::io::Result<
 /// shared sub-lineages independently); digests are over the deduplicated
 /// *set* of hashes, since that is what the member can vouch for. Two
 /// members hold the same resident keyspace iff their digest vectors match.
+/// `buckets` is at least 1: the wire refuses 0, and AE uses [`AE_BUCKETS`].
 pub(crate) fn local_digests(shards: &ShardSet, buckets: u32) -> Vec<BucketDigest> {
-    let buckets = buckets.max(1) as u64;
     let mut out = vec![BucketDigest::default(); buckets as usize];
     let mut seen = std::collections::HashSet::new();
     for shard in shards.iter() {
@@ -278,7 +270,7 @@ pub(crate) fn local_digests(shards: &ShardSet, buckets: u32) -> Vec<BucketDigest
                     continue;
                 }
                 let m = mix(h);
-                let b = (m % buckets) as usize;
+                let b = (m % u64::from(buckets)) as usize;
                 out[b].count += 1;
                 out[b].xor ^= m;
             }
@@ -300,12 +292,9 @@ pub(crate) fn export_entries(shards: &ShardSet, bucket: u32, buckets: u32) -> Ve
             break;
         }
         let Some(cache) = shard.cache() else { continue };
-        for (root, value, compute_ns) in cache.export_bucket(
-            bucket as u64,
-            buckets.max(1) as u64,
-            budget_entries,
-            budget_bytes,
-        ) {
+        for (root, value, compute_ns) in
+            cache.export_bucket(bucket as u64, buckets as u64, budget_entries, budget_bytes)
+        {
             // A lineage resident in several shards exports once.
             if !seen.insert(root.hash_value()) {
                 continue;
@@ -430,11 +419,10 @@ pub(crate) fn ae_loop(inner: &Arc<Inner>) {
     let Some(repl) = inner.repl.as_ref() else {
         return;
     };
-    let interval = Duration::from_millis(repl.opts.ae_interval_ms.max(1));
     let tick = Duration::from_millis(25);
     while !inner.shutdown.load(Ordering::SeqCst) {
         let mut waited = Duration::ZERO;
-        while waited < interval && !inner.shutdown.load(Ordering::SeqCst) {
+        while waited < AE_INTERVAL && !inner.shutdown.load(Ordering::SeqCst) {
             std::thread::sleep(tick);
             waited += tick;
         }
@@ -461,7 +449,7 @@ pub(crate) fn ae_loop(inner: &Arc<Inner>) {
 /// One digest exchange + pull pass against one peer. Returns false on any
 /// transport or protocol failure (the caller feeds the peer's breaker).
 fn ae_round(inner: &Arc<Inner>, repl: &Replicator, peer: &Peer) -> bool {
-    let buckets = repl.opts.buckets.max(1);
+    let buckets = AE_BUCKETS;
     let local = local_digests(&inner.shards, buckets);
     let remote = match peer_call(peer, &Request::ReplDigest { buckets }, &repl.opts) {
         Ok(Response::ReplDigests(d)) if d.len() == buckets as usize => d,

@@ -31,7 +31,6 @@ use crate::repl::{ReplOptions, Replicator};
 use crate::shard::{CacheShard, ShardSet};
 use lima_client::proto::{
     read_frame, write_frame, ErrorCode, Request, Response, ServiceError, ShardScrub,
-    MAX_FRAME_BYTES,
 };
 use lima_core::faults::{FaultSite, SLOW_SHARD_DELAY_MS};
 use lima_core::interrupt::CancelToken;
@@ -53,6 +52,9 @@ const POLL: Duration = Duration::from_millis(25);
 /// has arrived; a peer stalling longer mid-frame is treated as torn.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Retry-after hint attached to `Overloaded` responses.
+const RETRY_AFTER_MS: u64 = 50;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct LimadConfig {
@@ -71,10 +73,6 @@ pub struct LimadConfig {
     pub tenant_max_sessions: usize,
     /// Deadline applied to submits that carry `deadline_ms == 0`.
     pub default_deadline_ms: u64,
-    /// Retry-after hint attached to `Overloaded` responses.
-    pub retry_after_ms: u64,
-    /// Largest request frame accepted before the typed `BadRequest` cutoff.
-    pub max_frame_bytes: usize,
     /// Delay between background integrity-scrub chunks per shard; 0 disables
     /// the background scrubber (admin `Scrub` requests still work).
     pub scrub_interval_ms: u64,
@@ -95,8 +93,6 @@ impl Default for LimadConfig {
             persist_root: None,
             tenant_max_sessions: 8,
             default_deadline_ms: 30_000,
-            retry_after_ms: 50,
-            max_frame_bytes: MAX_FRAME_BYTES,
             scrub_interval_ms: 500,
             scrub_chunk_bytes: 4 * 1024 * 1024,
             repl: None,
@@ -171,7 +167,7 @@ impl Inner {
     fn overloaded(&self, msg: impl Into<String>) -> Response {
         Response::Error(ServiceError::new(
             ErrorCode::Overloaded,
-            self.cfg.retry_after_ms,
+            RETRY_AFTER_MS,
             msg,
         ))
     }
@@ -496,25 +492,23 @@ impl Server {
             }
         }
 
-        // Replication background threads: the batch sender always runs (it
-        // also drains queue entries accumulated while peers are away); the
-        // anti-entropy loop runs only with a non-zero interval.
+        // Replication background threads: the batch sender (it also drains
+        // queue entries accumulated while peers are away) and the
+        // anti-entropy loop.
         let mut repl_threads = Vec::new();
-        if let Some(repl) = inner.repl.as_ref() {
+        if inner.repl.is_some() {
             let sender_inner = Arc::clone(&inner);
             repl_threads.push(
                 std::thread::Builder::new()
                     .name("limad-repl-send".into())
                     .spawn(move || crate::repl::sender_loop(&sender_inner))?,
             );
-            if repl.options().ae_interval_ms > 0 {
-                let ae_inner = Arc::clone(&inner);
-                repl_threads.push(
-                    std::thread::Builder::new()
-                        .name("limad-repl-ae".into())
-                        .spawn(move || crate::repl::ae_loop(&ae_inner))?,
-                );
-            }
+            let ae_inner = Arc::clone(&inner);
+            repl_threads.push(
+                std::thread::Builder::new()
+                    .name("limad-repl-ae".into())
+                    .spawn(move || crate::repl::ae_loop(&ae_inner))?,
+            );
         }
 
         Ok(Server {
@@ -688,7 +682,7 @@ fn handle_connection(stream: TcpStream, inner: &Arc<Inner>) {
         }
         let frame = {
             let mut chained = (&first[..]).chain(&stream);
-            read_frame(&mut chained, inner.cfg.max_frame_bytes)
+            read_frame(&mut chained)
         };
         let (kind, id, payload) = match frame {
             Ok(f) => f,

@@ -140,13 +140,13 @@ pub struct CacheShard {
 
 impl CacheShard {
     /// Builds shard `index` from the template. When `persist_root` is given
-    /// and the template enables persistence, the shard persists under its own
-    /// `shard-<index>` subdirectory; an unusable directory degrades the shard
-    /// to memory-only (observable via [`CacheShard::state`]), never an error.
+    /// the shard persists under its own `shard-<index>` subdirectory (with
+    /// the template's other persistence settings); an unusable directory
+    /// degrades the shard to memory-only (observable via [`CacheShard::state`]), never an error.
     pub fn new(index: usize, template: &LimaConfig, persist_root: Option<&Path>) -> Self {
         let mut config = template.clone();
         if let Some(root) = persist_root {
-            config.persist_dir = Some(root.join(format!("shard-{index}")));
+            config = config.with_persistence(root.join(format!("shard-{index}")));
         }
         let pool = SessionPool::new(config.clone());
         CacheShard {
@@ -230,7 +230,7 @@ impl CacheShard {
         let Some(cache) = self.cache() else {
             return ShardState::Cold;
         };
-        if self.config.persist_dir.is_none() {
+        if self.config.persist.is_none() {
             return ShardState::Cold;
         }
         if !cache.persist_active() {

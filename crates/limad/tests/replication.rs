@@ -3,7 +3,7 @@
 
 use common::{client, lineage_of, outputs, wait_until, GRAM_SCRIPT, GRAM_SUM};
 use lima_client::proto::{
-    fnv1a, read_frame, write_frame, ErrorCode, ReplRecord, Request, Response, MAX_FRAME_BYTES,
+    fnv1a, read_frame, write_frame, ErrorCode, ReplRecord, Request, Response, MAGIC,
 };
 use lima_client::{ClientOptions, LimadClient, SubmitOptions};
 use lima_core::{LimaConfig, LimaStats, PressureLevel};
@@ -116,7 +116,7 @@ fn anti_entropy_heals_entries_the_sender_dropped() {
 /// Hand-frames one raw request and reads the response.
 fn raw_call(stream: &mut TcpStream, kind: u8, id: u64, payload: &[u8]) -> Option<Response> {
     write_frame(stream, kind, id, payload).ok()?;
-    let (rkind, _, rpayload) = read_frame(stream, MAX_FRAME_BYTES).ok()?;
+    let (rkind, _, rpayload) = read_frame(stream).ok()?;
     Response::decode(rkind, &rpayload)
 }
 
@@ -139,7 +139,7 @@ fn malformed_repl_frames_isolate_to_their_connection() {
     // The server treats it as torn and closes without a response.
     let mut torn = TcpStream::connect(addr).unwrap();
     let mut frame = Vec::new();
-    frame.extend_from_slice(&u32::from_be_bytes(*b"LMD1").to_be_bytes());
+    frame.extend_from_slice(&MAGIC.to_be_bytes());
     frame.push(8); // K_REPL_PUT
     frame.extend_from_slice(&1u64.to_be_bytes());
     frame.extend_from_slice(&1024u32.to_be_bytes()); // promises 1 KiB
@@ -156,7 +156,7 @@ fn malformed_repl_frames_isolate_to_their_connection() {
     frame.extend_from_slice(&2u64.to_be_bytes());
     frame.extend_from_slice(&u32::MAX.to_be_bytes());
     oversized.write_all(&frame).unwrap();
-    let (rkind, _, rpayload) = read_frame(&mut oversized, MAX_FRAME_BYTES).unwrap();
+    let (rkind, _, rpayload) = read_frame(&mut oversized).unwrap();
     let Some(Response::Error(e)) = Response::decode(rkind, &rpayload) else {
         panic!("oversized frame was not answered with a typed error");
     };

@@ -2,7 +2,9 @@
 //! interrupt errors, malformed-frame isolation, quotas, shedding, metrics.
 
 use common::{client, lineage_of, outputs, run_locally, GRAM_SCRIPT, GRAM_SUM};
-use lima_client::proto::{read_frame, write_frame, ErrorCode, Request, Response, MAX_FRAME_BYTES};
+use lima_client::proto::{
+    read_frame, write_frame, ErrorCode, Request, Response, MAGIC, MAX_FRAME_BYTES,
+};
 use lima_client::{ClientOptions, LimadClient, SubmitOptions};
 use lima_core::resilience::RetryPolicy;
 use lima_core::{LimaConfig, LimaStats, PressureLevel};
@@ -163,7 +165,7 @@ fn cancel_interrupts_a_running_session() {
 fn roundtrip(stream: &mut TcpStream, id: u64, req: &Request) -> Response {
     let (kind, payload) = req.encode();
     write_frame(stream, kind, id, &payload).unwrap();
-    let (kind, got, payload) = read_frame(stream, MAX_FRAME_BYTES).unwrap();
+    let (kind, got, payload) = read_frame(stream).unwrap();
     assert_eq!(got, id, "response answers another request");
     Response::decode(kind, &payload).expect("decodable response")
 }
@@ -318,10 +320,7 @@ fn cached_programs_answer_the_same_bytes_as_fresh_compiles() {
 
 #[test]
 fn malformed_frames_isolate_to_their_connection() {
-    let server = start(LimadConfig {
-        max_frame_bytes: 4096,
-        ..LimadConfig::default()
-    });
+    let server = start(LimadConfig::default());
 
     // Garbage bytes: the server answers nothing useful to this socket but
     // must keep serving fresh connections.
@@ -331,12 +330,24 @@ fn malformed_frames_isolate_to_their_connection() {
     let _ = garbage.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = garbage.read_to_end(&mut sink); // server closes after typed error
 
-    // Oversized frame: length says 8 KiB against a 4 KiB cap.
+    // Oversized frame: a bare 17-byte header whose length is one byte over
+    // the cap, and no payload. The server must refuse it on the header
+    // alone, within the read timeout, not wait for a body that never comes.
     let mut oversized = TcpStream::connect(server.addr()).unwrap();
-    write_frame(&mut oversized, 6, 1, &vec![0u8; 8192]).unwrap();
-    let mut sink = Vec::new();
+    let mut header = Vec::new();
+    header.extend_from_slice(&MAGIC.to_be_bytes());
+    header.push(6);
+    header.extend_from_slice(&1u64.to_be_bytes());
+    header.extend_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_be_bytes());
+    assert_eq!(header.len(), 17);
+    oversized.write_all(&header).unwrap();
     let _ = oversized.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = oversized.read_to_end(&mut sink);
+    let (kind, _, payload) = read_frame(&mut oversized).expect("an answer within 2 s");
+    let Some(Response::Error(e)) = Response::decode(kind, &payload) else {
+        panic!("the oversized header was not answered with a typed error");
+    };
+    assert_eq!(e.code, ErrorCode::BadRequest, "got {}", e.msg);
+    assert!(e.msg.contains("exceeds cap"), "got {}", e.msg);
 
     // Torn frame: half a header, then hangup.
     let mut torn = TcpStream::connect(server.addr()).unwrap();
@@ -400,7 +411,6 @@ fn tenant_quotas_bound_concurrent_submits() {
 fn overload_sheds_with_retry_after_and_recovers() {
     let server = start(LimadConfig {
         template: LimaConfig::lima().with_governor(1024 * 1024),
-        retry_after_ms: 25,
         ..LimadConfig::default()
     });
     // Push every shard's governor to L4.
@@ -574,15 +584,6 @@ fn unparseable_lineage_is_bad_request() {
     // BadRequest closes the connection; the client reconnects transparently
     // for the next idempotent call.
     c.ping().unwrap();
-}
-
-#[test]
-fn frame_cap_default_is_sane() {
-    // Guards against someone shrinking the shared cap under the sizes the
-    // tests and harness rely on.
-    let cfg = LimadConfig::default();
-    assert_eq!(cfg.max_frame_bytes, MAX_FRAME_BYTES);
-    assert!(cfg.max_frame_bytes >= 1024 * 1024);
 }
 
 #[test]

@@ -19,9 +19,9 @@
 //! differ where Reference's zero-skip drops a `0·inf`/`0·NaN` term; kernels
 //! only ever see finite data from the runtime's rand/IO paths.)
 //!
-//! Selection: `LIMA_BACKEND=reference|optimized` in the environment, or
-//! programmatically via [`set_backend`] (wired to `LimaConfig` in
-//! `lima-core`). Default is Optimized.
+//! Selection is process-wide: `LIMA_BACKEND=reference|optimized` in the
+//! environment seeds it on first use, and [`set_backend`] switches it.
+//! Default is Optimized.
 
 use crate::dense::DenseMatrix;
 use crate::error::Result;
@@ -199,7 +199,7 @@ pub fn active_kind() -> BackendKind {
     }
 }
 
-/// Sets the process-wide active backend (config takes precedence over env).
+/// Sets the process-wide active backend; it overrides `LIMA_BACKEND`.
 pub fn set_backend(kind: BackendKind) {
     let tag = match kind {
         BackendKind::Reference => 1,

@@ -118,9 +118,6 @@ impl ExecutionContext {
 
     /// Context sharing an existing cache (parfor workers, multi-script reuse).
     pub fn with_cache(config: LimaConfig, cache: Option<Arc<LineageCache>>) -> Self {
-        // Pin the requested kernel backend (no-op when the config leaves the
-        // process default in place).
-        config.apply_backend();
         // Share the cache's stats when present so hits/puts land in one place.
         let stats = match &cache {
             Some(c) => c.stats_arc(),

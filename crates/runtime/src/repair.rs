@@ -60,7 +60,7 @@ fn repair_once(root: &LinRef, data: &Arc<DataRegistry>) -> Result<Value, String>
 /// is enabled and no hook was set explicitly. Returns the (possibly updated)
 /// config.
 pub fn with_default_repair(config: LimaConfig, data: &Arc<DataRegistry>) -> LimaConfig {
-    if config.persist_dir.is_some() && config.repair.is_none() {
+    if config.persist.as_ref().is_some_and(|p| p.repair.is_none()) {
         config.with_repair(registry_repairer(Arc::clone(data)))
     } else {
         config
@@ -94,10 +94,10 @@ mod tests {
     fn default_repair_installs_only_with_persistence() {
         let data = Arc::new(DataRegistry::new());
         let plain = with_default_repair(LimaConfig::lima(), &data);
-        assert!(plain.repair.is_none());
+        assert!(plain.persist.is_none());
         let dir = std::env::temp_dir().join(format!("lima-repair-{}", std::process::id()));
         let persisted = with_default_repair(LimaConfig::lima().with_persistence(&dir), &data);
-        assert!(persisted.repair.is_some());
+        assert!(persisted.persist.unwrap().repair.is_some());
     }
 
     #[test]

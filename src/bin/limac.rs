@@ -107,6 +107,14 @@ fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T,
     v.parse().map_err(|_| format!("bad value '{v}' for {flag}"))
 }
 
+/// The value after the flag `args[*i]` times `unit` (a size flag in MiB or
+/// KiB); a product that overflows is a bad value, like a non-number.
+fn scaled_flag(args: &[String], i: &mut usize, unit: usize) -> Result<usize, String> {
+    let n: usize = flag_value(args, i)?;
+    n.checked_mul(unit)
+        .ok_or_else(|| format!("bad value '{}' for {}", args[*i], args[*i - 1]))
+}
+
 /// Parses the `run` option list into a configuration.
 fn parse_run_options(args: &[String]) -> Result<(String, LimaConfig, RunFlags), String> {
     let mut script_path = None;
@@ -132,7 +140,7 @@ fn parse_run_options(args: &[String]) -> Result<(String, LimaConfig, RunFlags), 
                     other => return Err(format!("unknown policy '{other}'")),
                 };
             }
-            "--budget-mb" => config.budget_bytes = flag_value::<usize>(args, &mut i)? << 20,
+            "--budget-mb" => config.budget_bytes = scaled_flag(args, &mut i, 1 << 20)?,
             "--dedup" => config.dedup = true,
             "--no-compiler-assist" => config.compiler_assist = false,
             "--stats" => flags.stats = true,
@@ -410,6 +418,12 @@ mod tests {
         assert!(parse_run_options(&to_args(&["s", "--trace-sample", "often"])).is_err());
         assert!(parse_run_options(&to_args(&["s", "--trace-out"])).is_err());
         assert!(parse_run_options(&to_args(&["s", "--cost-top", "all"])).is_err());
+        // 2^44 MiB is 2^64 bytes: refused, not wrapped to a 0-byte cache.
+        let err = parse_run_options(&to_args(&["s", "--budget-mb", "17592186044416"]));
+        assert_eq!(
+            err.err().as_deref(),
+            Some("bad value '17592186044416' for --budget-mb")
+        );
         assert!(parse_run_options(&to_args(&["a", "b"])).is_err());
         assert!(parse_run_options(&to_args(&[])).is_err());
     }

@@ -38,6 +38,14 @@ fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T,
     v.parse().map_err(|_| format!("bad value '{v}' for {flag}"))
 }
 
+/// The value after the flag `args[*i]` times `unit` (a size flag in MiB or
+/// KiB); a product that overflows is a bad value, like a non-number.
+fn scaled_flag(args: &[String], i: &mut usize, unit: usize) -> Result<usize, String> {
+    let n: usize = flag_value(args, i)?;
+    n.checked_mul(unit)
+        .ok_or_else(|| format!("bad value '{}' for {}", args[*i], args[*i - 1]))
+}
+
 fn parse_args(args: &[String]) -> Result<(LimadConfig, usize), String> {
     let mut replicas = 1usize;
     let mut cfg = LimadConfig {
@@ -53,14 +61,14 @@ fn parse_args(args: &[String]) -> Result<(LimadConfig, usize), String> {
             "--metrics" => cfg.metrics_listen = flag_value(args, &mut i)?,
             "--shards" => cfg.shards = flag_value(args, &mut i)?,
             "--persist-dir" => cfg.persist_root = Some(flag_value::<String>(args, &mut i)?.into()),
-            "--budget-mb" => template.budget_bytes = flag_value::<usize>(args, &mut i)? << 20,
-            "--governor-mb" => {
-                template.governor_budget_bytes = flag_value::<usize>(args, &mut i)? << 20;
-            }
+            "--budget-mb" => template.budget_bytes = scaled_flag(args, &mut i, 1 << 20)?,
+            "--governor-mb" => template.governor_budget_bytes = scaled_flag(args, &mut i, 1 << 20)?,
             "--tenant-quota" => cfg.tenant_max_sessions = flag_value(args, &mut i)?,
             "--deadline-ms" => cfg.default_deadline_ms = flag_value(args, &mut i)?,
             "--scrub-interval-ms" => cfg.scrub_interval_ms = flag_value(args, &mut i)?,
-            "--scrub-chunk-kb" => cfg.scrub_chunk_bytes = flag_value::<u64>(args, &mut i)? << 10,
+            "--scrub-chunk-kb" => {
+                cfg.scrub_chunk_bytes = scaled_flag(args, &mut i, 1 << 10)? as u64
+            }
             "--replicas" => {
                 replicas = flag_value(args, &mut i)?;
                 if replicas == 0 {
@@ -188,5 +196,15 @@ mod tests {
         assert!(parse_args(&to_args(&["--frobnicate"])).is_err());
         assert!(parse_args(&to_args(&["--replicas", "0"])).is_err());
         assert!(parse_args(&to_args(&["--replicas", "two"])).is_err());
+        // A size whose byte count overflows is refused, not wrapped: 2^44 MiB
+        // and 2^54 KiB are both 2^64 bytes.
+        for (flag, v) in [
+            ("--budget-mb", "17592186044416"),
+            ("--governor-mb", "17592186044416"),
+            ("--scrub-chunk-kb", "18014398509481984"),
+        ] {
+            let err = parse_args(&to_args(&[flag, v])).err();
+            assert_eq!(err, Some(format!("bad value '{v}' for {flag}")));
+        }
     }
 }

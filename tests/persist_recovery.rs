@@ -191,9 +191,13 @@ fn compaction_crash_matrix_recovers_and_strictly_reclaims() {
         // then one explicit compaction — the WAL must strictly shrink.
         let dir = tmp_dir("compact-ctl");
         let ctl = LimaConfig {
-            persist_budget_bytes: PERSIST_BUDGET,
-            persist_compact_factor: 0,
-            ..LimaConfig::lima().with_persistence(&dir)
+            persist: Some(PersistOptions {
+                dir: dir.clone(),
+                budget_bytes: PERSIST_BUDGET,
+                compact_factor: 0,
+                ..PersistOptions::default()
+            }),
+            ..LimaConfig::lima()
         };
         let run = run_script(&p.script, &ctl, &inputs).unwrap();
         assert!(run.value("best").approx_eq(baseline.value("best"), 1e-9));
@@ -228,12 +232,14 @@ fn compaction_crash_matrix_recovers_and_strictly_reclaims() {
                 let dir = tmp_dir("compact-crash");
                 let inj = Arc::new(FaultInjector::new(seed).fail_at(site, &[occ]));
                 let config = LimaConfig {
-                    persist_budget_bytes: PERSIST_BUDGET,
-                    persist_compact_min_bytes: 1024,
-                    persist_compact_factor: 1,
-                    ..LimaConfig::lima()
-                        .with_persistence(&dir)
-                        .with_faults(Arc::clone(&inj))
+                    persist: Some(PersistOptions {
+                        dir: dir.clone(),
+                        budget_bytes: PERSIST_BUDGET,
+                        compact_min_bytes: 1024,
+                        compact_factor: 1,
+                        ..PersistOptions::default()
+                    }),
+                    ..LimaConfig::lima().with_faults(Arc::clone(&inj))
                 };
                 let run = run_script(&p.script, &config, &inputs).unwrap();
                 let tag = format!("seed={seed} site={site:?} occ={occ}");
@@ -439,7 +445,7 @@ fn probabilistic_crash_schedule_stays_consistent() {
 }
 
 /// Regression (stale durable id): when the store tombstones its oldest value
-/// files to fit `persist_budget_bytes`, the owning cache entries must forget
+/// files to fit `PersistOptions::budget_bytes`, the owning cache entries must forget
 /// their `persist_id` — otherwise, once evicted and recomputed, they are never
 /// written again and are missing after the next restart.
 #[test]
@@ -460,8 +466,12 @@ fn entry_tombstoned_by_the_disk_budget_persists_again_when_recomputed() {
         // two (an 8x8 value file is 545 bytes).
         policy: EvictionPolicy::Lru,
         budget_bytes: 3 * value.size_in_bytes(),
-        persist_budget_bytes: 1200,
-        ..LimaConfig::lima().with_persistence(&dir)
+        persist: Some(PersistOptions {
+            dir: dir.clone(),
+            budget_bytes: 1200,
+            ..PersistOptions::default()
+        }),
+        ..LimaConfig::lima()
     };
     {
         let cache = LineageCache::new(config.clone());

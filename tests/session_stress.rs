@@ -259,11 +259,11 @@ fn expired_session_mid_kernel_frees_placeholders_for_peers() {
 
     // Pin the scalar Reference backend so the 640³ multiply reliably outlasts
     // the 30ms deadline regardless of how fast the Optimized engine gets.
+    lima_matrix::backend::set_backend(BackendKind::Reference);
     let config = LimaConfig {
         placeholder_timeout_ms: 60_000,
         ..LimaConfig::lima()
-    }
-    .with_backend(BackendKind::Reference);
+    };
     let pool = SessionPool::new(config.clone());
     let program = compile(src, &config);
 
@@ -378,11 +378,11 @@ fn deadline_under_slow_spill_fails_typed_and_peers_complete() {
     let expect = baseline.value("s").as_f64().unwrap();
 
     let inj = Arc::new(FaultInjector::new(0).fail_every(FaultSite::SlowSpill, 1));
+    lima_matrix::backend::set_backend(BackendKind::Reference);
     let config = LimaConfig {
         budget_bytes: 1024 * 1024,
         ..LimaConfig::lima()
     }
-    .with_backend(BackendKind::Reference)
     .with_faults(Arc::clone(&inj));
     let pool = SessionPool::new(config.clone());
     let program = compile(src, &config);
