@@ -413,6 +413,106 @@ print(sum(R));";
     }
 
     #[test]
+    fn reuse_ineligibility_propagates_to_callers_only() {
+        let src = "noisy = function(n) return (Y) { Y = rand(rows=n, cols=1); }
+pure = function(X) return (Y) { Y = X * 2; }
+caller = function(n) return (Y) { Y = noisy(n); }
+A = caller(3);
+B = pure(A);
+print(sum(B));";
+        let ds = lint(src);
+        let l0201: Vec<_> = ds.iter().filter(|d| d.code == "L0201").collect();
+        assert_eq!(l0201.len(), 2, "noisy and caller flagged: {ds:?}");
+        assert!(l0201
+            .iter()
+            .all(|d| d.primary.is_some() && !d.labels.is_empty()));
+        assert!(l0201[1].message.contains("'caller'"));
+        assert!(l0201[1].labels[0].message.contains("call to 'noisy'"));
+    }
+
+    #[test]
+    fn unused_result_only_fires_in_functions() {
+        // A script-level assignment nobody reads is a result, not waste.
+        let ds = lint(
+            "f = function(X) return (Y) { Y = X * 2; }
+             final = f(matrix(1.0, 2, 2));",
+        );
+        assert!(!codes(&ds).contains(&"L0202"), "got {ds:?}");
+    }
+
+    #[test]
+    fn dead_store_requires_no_intervening_read() {
+        let src = "x = 1;
+x = 2;
+y = 3;
+y = y + 1;
+z = 4;
+print(z);
+z = 5;
+print(x + y + z);";
+        let ds = lint(src);
+        assert_eq!(codes(&ds), vec!["L0203"], "only x is dead: {ds:?}");
+        let span = ds[0].primary.expect("span");
+        assert_eq!(&src[span.start as usize..span.end as usize], "x = 1");
+        let label = ds[0].labels[0].span;
+        assert_eq!(&src[label.start as usize..label.end as usize], "x = 2");
+    }
+
+    #[test]
+    fn dead_store_barriers_on_loops_that_touch_the_var() {
+        let ds = lint(
+            "s = 0;
+             for (i in 1:10) { s = s + i; }
+             s = s * 2;
+             print(s);",
+        );
+        assert!(!codes(&ds).contains(&"L0203"), "the loop reads s: {ds:?}");
+    }
+
+    #[test]
+    fn shadowing_labels_the_first_definition() {
+        let src = "i = 7;
+for (i in 1:3) { print(i); }";
+        let ds = lint(src);
+        let d = ds.iter().find(|d| d.code == "L0204").expect("L0204");
+        assert_eq!(d.labels.len(), 1);
+        assert_eq!(d.labels[0].message, "first defined here");
+        let label = d.labels[0].span;
+        assert_eq!(&src[label.start as usize..label.end as usize], "i = 7");
+    }
+
+    #[test]
+    fn no_cache_redundancy_notes_only_effects() {
+        // Both loop-body instructions are unmarked as loop-carried; only the
+        // print, which could never be cached, is noted.
+        let src = "acc = 0;
+for (i in 1:3) {
+  acc = acc + i;
+  print(acc);
+}";
+        let ds = lint(src);
+        let notes: Vec<_> = ds.iter().filter(|d| d.code == "L0205").collect();
+        assert_eq!(notes.len(), 1, "got {ds:?}");
+        assert!(notes[0].message.contains("'print'"));
+        let span = notes[0].primary.expect("span");
+        assert_eq!(&src[span.start as usize..span.end as usize], "print(acc)");
+    }
+
+    #[test]
+    fn const_trip_notes_only_tiny_parfors() {
+        let ds = lint(
+            "R = matrix(0, 100, 1);
+             parfor (i in 1:2) { R[i, 1] = as.matrix(i); }
+             parfor (j in 1:100) { R[j, 1] = as.matrix(j); }
+             for (k in 1:1) { R[k, 1] = as.matrix(k); }
+             print(sum(R));",
+        );
+        let notes: Vec<_> = ds.iter().filter(|d| d.code == "L0206").collect();
+        assert_eq!(notes.len(), 1, "got {ds:?}");
+        assert!(notes[0].message.contains("trip count of 2"));
+    }
+
+    #[test]
     fn findings_are_sorted_by_source_position() {
         let ds = lint(
             "a = 1;

@@ -597,31 +597,16 @@ fn print_collects_output() {
     assert_eq!(ctx.stdout, vec!["x is 3.5"]);
 }
 
-#[test]
-fn block_level_reuse_memoizes_last_level_loops() {
-    // A deterministic last-level loop executed twice with identical live-in
-    // lineage: the second execution is served as a block-level (bcall) hit.
-    let body = vec![Block::basic(vec![
-        Instr::new(Op::Tsmm(TsmmSide::Left), vec![Operand::var("X")], "G"),
-        Instr::new(
-            Op::Binary(BinOp::Mul),
-            vec![Operand::var("G"), Operand::var("i")],
-            "Gi",
-        ),
-        Instr::new(
-            Op::Binary(BinOp::Add),
-            vec![Operand::var("acc"), Operand::var("Gi")],
-            "acc",
-        ),
-    ])];
-    // The same inner block re-executes across outer iterations with
-    // identical live-in lineage — that is what block-level reuse keys on.
+/// A program whose inner `for (i in 1:4)` loop runs `body` once per outer
+/// iteration (three of them), each time with the same live-in lineage: what
+/// block-level reuse keys on.
+fn repeated_inner_loop(body: Vec<Block>) -> Program {
     let inner = Block::for_loop(
         "i",
         ExprProg::lit(Operand::i64(1)),
         ExprProg::lit(Operand::i64(4)),
         ExprProg::lit(Operand::i64(1)),
-        body.clone(),
+        body,
     );
     let outer_body = vec![
         Block::basic(vec![Instr::new(
@@ -631,7 +616,7 @@ fn block_level_reuse_memoizes_last_level_loops() {
         )]),
         inner,
     ];
-    let mut p = Program::new(vec![
+    Program::new(vec![
         Block::basic(vec![read("X", "X")]),
         Block::for_loop(
             "r",
@@ -640,13 +625,101 @@ fn block_level_reuse_memoizes_last_level_loops() {
             ExprProg::lit(Operand::i64(1)),
             outer_body,
         ),
-    ]);
-    let mut config = LimaConfig::lima();
-    config.compiler_assist = false; // keep the loop body cacheable as-is
-    let ctx = run(&mut p, config, &[("X", Value::matrix(mk_matrix(10, 4, 3)))]);
+    ])
+}
+
+/// Runs `p` under `LIMA` (compiler assistance off, so the loop bodies stay
+/// cacheable as written) and counts its block-level (`bcall`) hits.
+fn block_hits(p: &mut Program) -> (u64, ExecutionContext) {
+    let obs = std::sync::Arc::new(lima_core::obs::Obs::new());
+    let mut config = LimaConfig::lima().with_obs(std::sync::Arc::clone(&obs));
+    config.compiler_assist = false;
+    let ctx = run(p, config, &[("X", Value::matrix(mk_matrix(10, 4, 3)))]);
+    let hits = obs
+        .events()
+        .iter()
+        .filter(|(_, e)| e.kind == lima_core::obs::EventKind::BlockReuse)
+        .count();
+    (hits as u64, ctx)
+}
+
+/// `acc = acc + G * i`: a body whose only live-ins are `acc`, `G` and `i`.
+fn accumulate(g: &str) -> Vec<Instr> {
+    vec![
+        Instr::new(
+            Op::Binary(BinOp::Mul),
+            vec![Operand::var(g), Operand::var("i")],
+            "Gi",
+        ),
+        Instr::new(
+            Op::Binary(BinOp::Add),
+            vec![Operand::var("acc"), Operand::var("Gi")],
+            "acc",
+        ),
+    ]
+}
+
+#[test]
+fn block_level_reuse_memoizes_last_level_loops() {
+    // A deterministic last-level loop executed twice with identical live-in
+    // lineage: the second execution is served as a block-level (bcall) hit.
+    let mut body = vec![Instr::new(
+        Op::Tsmm(TsmmSide::Left),
+        vec![Operand::var("X")],
+        "G",
+    )];
+    body.extend(accumulate("G"));
+    let (hits, ctx) = block_hits(&mut repeated_inner_loop(vec![Block::basic(body)]));
     assert!(
-        LimaStats::get(&ctx.stats.multilevel_hits) >= 1,
+        hits >= 1 && LimaStats::get(&ctx.stats.multilevel_hits) >= hits,
         "expected a block-level hit: {}",
         ctx.stats.report()
     );
+}
+
+#[test]
+fn block_level_reuse_skips_loops_that_are_not_deterministic_or_last_level() {
+    let unseeded_rand = Instr::new(
+        Op::Rand(lima_runtime::instr::RandDistKind::Uniform),
+        vec![
+            Operand::i64(4),
+            Operand::i64(4),
+            Operand::f64(0.0),
+            Operand::f64(1.0),
+            Operand::f64(1.0),
+            Operand::i64(-1),
+        ],
+        "G",
+    );
+    let gram = || Instr::new(Op::Tsmm(TsmmSide::Left), vec![Operand::var("X")], "G");
+    let print = Instr::effect(Op::Print, vec![Operand::var("i")]);
+    let call = Instr::multi(
+        Op::FCall("gram".into()),
+        vec![Operand::var("X")],
+        vec!["G".into()],
+    );
+    for (case, first) in [
+        ("unseeded rand", vec![unseeded_rand]),
+        ("print", vec![gram(), print]),
+        ("function call", vec![call]),
+    ] {
+        let mut body = first;
+        body.extend(accumulate("G"));
+        let mut p = repeated_inner_loop(vec![Block::basic(body)]);
+        p.add_function(Function::new(
+            "gram",
+            vec!["A".into()],
+            vec!["G".into()],
+            vec![Block::basic(vec![Instr::new(
+                Op::Tsmm(TsmmSide::Left),
+                vec![Operand::var("A")],
+                "G",
+            )])],
+        ));
+        let (hits, ctx) = block_hits(&mut p);
+        assert_eq!(hits, 0, "{case}: no block-level hit");
+        if case == "print" {
+            assert_eq!(ctx.stdout.len(), 12, "every iteration prints");
+        }
+    }
 }

@@ -57,7 +57,7 @@ fn broken_corpus_matches_golden_renders() {
             golden_path.display()
         );
     }
-    assert!(cases >= 4, "corpus should hold at least 4 broken scripts");
+    assert!(cases >= 8, "corpus should hold at least 8 broken scripts");
 }
 
 #[test]
@@ -67,6 +67,10 @@ fn broken_corpus_reports_expected_codes() {
         ("racy_parfor", "L0100"),
         ("reuse_ineligible", "L0201"),
         ("shadowing", "L0204"),
+        ("unused_result", "L0202"),
+        ("dead_store", "L0203"),
+        ("redundant_no_cache", "L0205"),
+        ("tiny_parfor", "L0206"),
     ] {
         let rel = format!("tests/corpus/{script}.dml");
         let out = lint(&["check", "--format", "json", &rel]);
