@@ -9,13 +9,10 @@
 
 pub mod affine;
 pub mod determinism;
-pub mod lint;
 pub mod parfor;
 pub mod verify;
 
 pub use affine::Affine;
 pub use determinism::{solve_call_graph, ClassSource};
-pub use lima_core::opcodes::{classify_opcode, opcode_info, OpClass};
-pub use lint::{LintEvent, LintFunction, LintModel, LintOp, LintPass, LintRegistry};
 pub use parfor::{check_parfor_writes, ParforViolation, ResultWrite};
 pub use verify::{lint_log, LintDiagnostic};

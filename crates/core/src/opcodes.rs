@@ -313,11 +313,6 @@ fn family_info(op: &str) -> OpcodeInfo {
     }
 }
 
-/// Determinism class of an opcode (see [`opcode_info`]).
-pub fn classify_opcode(op: &str) -> OpClass {
-    opcode_info(op).class
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,17 +326,17 @@ mod tests {
 
     #[test]
     fn classification_table_and_lattice() {
-        assert_eq!(classify_opcode(MATMULT), OpClass::Deterministic);
-        assert_eq!(classify_opcode(READ), OpClass::Deterministic);
-        assert_eq!(classify_opcode(RAND), OpClass::Seeded);
-        assert_eq!(classify_opcode(SAMPLE), OpClass::Seeded);
-        assert_eq!(classify_opcode("print"), OpClass::SideEffecting);
-        assert_eq!(classify_opcode("write"), OpClass::SideEffecting);
+        assert_eq!(opcode_info(MATMULT).class, OpClass::Deterministic);
+        assert_eq!(opcode_info(READ).class, OpClass::Deterministic);
+        assert_eq!(opcode_info(RAND).class, OpClass::Seeded);
+        assert_eq!(opcode_info(SAMPLE).class, OpClass::Seeded);
+        assert_eq!(opcode_info("print").class, OpClass::SideEffecting);
+        assert_eq!(opcode_info("write").class, OpClass::SideEffecting);
         // Prefixed families resolve; unknown opcodes are conservative.
-        assert_eq!(classify_opcode("spoof17"), OpClass::Deterministic);
+        assert_eq!(opcode_info("spoof17").class, OpClass::Deterministic);
         assert!(opcode_info("spoof17").cacheable);
-        assert_eq!(classify_opcode("fcall:lm"), OpClass::Deterministic);
-        assert_eq!(classify_opcode("no-such-op"), OpClass::NonDeterministic);
+        assert_eq!(opcode_info("fcall:lm").class, OpClass::Deterministic);
+        assert_eq!(opcode_info("no-such-op").class, OpClass::NonDeterministic);
         assert!(!opcode_info("no-such-op").cacheable);
         // Lattice: join is max, reuse eligibility cuts below NonDeterministic.
         assert_eq!(

@@ -115,14 +115,12 @@ pub fn lower_script(ast: &Script, src: &str) -> Result<Program, CompileError> {
     let mut program = Program::new(body);
     for fdef in &ast.functions {
         let fbody = lowerer.lower_stmts(&fdef.body)?;
-        let mut f = Function::new(
+        program.add_function(Function::new(
             fdef.name.clone(),
             fdef.params.iter().map(|(n, _)| n.clone()).collect(),
             fdef.outputs.clone(),
             fbody,
-        );
-        f.deterministic = false; // analysis pass fills this in
-        program.add_function(f);
+        ));
     }
     program.fingerprint = fingerprint(src);
     Ok(program)

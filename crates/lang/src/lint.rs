@@ -1,27 +1,35 @@
-//! Builds the IR-agnostic [`LintModel`] from a parsed script plus its
-//! lowered program, and drives the `lima-analysis` lint registry over it
-//! (DESIGN.md §14).
+//! Script lints (DESIGN.md §14): six plain passes over a parsed script and
+//! its compiled program, which [`lint_script`] runs in a fixed order.
 //!
-//! The split mirrors the determinism/parfor analyses: `lima-analysis` owns
-//! the decision procedures and knows nothing about the AST or the runtime
-//! IR; this module lowers both views (source-level events from the AST,
-//! determinism sources and cache marks from the compiled program) into the
-//! model the passes consume.
+//! The source-level passes walk a private event form of the AST
+//! (assignments, reads, loops and branches, each with its span). The
+//! program-level passes read what the compiler decided: each function's
+//! determinism class and each instruction's cache mark. Nothing here
+//! classifies an operation or solves the call graph again.
+//!
+//! | code    | severity | finding                                           |
+//! |---------|----------|---------------------------------------------------|
+//! | `L0201` | warning  | function ineligible for lineage reuse             |
+//! | `L0202` | warning  | assigned value never used inside a function       |
+//! | `L0203` | warning  | dead store (overwritten before any read)          |
+//! | `L0204` | warning  | loop variable shadows an existing variable        |
+//! | `L0205` | note     | redundant `no_cache` on a never-cached operation  |
+//! | `L0206` | note     | `parfor` with a tiny constant trip count          |
 
 use crate::ast::{Expr, ExprKind, IndexSel, Script, Stmt, StmtKind};
 use crate::compile::{lower_script, CompileError};
 use crate::parser::parse;
-use lima_analysis::lint::{LintEvent, LintFunction, LintModel, LintOp, LintRegistry};
 use lima_analysis::ClassSource;
-use lima_core::opcodes::{classify_opcode, OpClass};
+use lima_core::opcodes::OpClass;
 use lima_core::{sort_diagnostics, Diagnostic, LimaConfig, Span};
 use lima_runtime::compiler::instr_class_source;
 use lima_runtime::program::walk_blocks;
 use lima_runtime::{Block, Instr, Program};
+use std::collections::{HashMap, HashSet};
 
 /// Parses, lowers, compiles, and lints a script. Parse/lowering/analysis
 /// errors come back as diagnostics (`L0001`–`L0100`) alongside any lint
-/// findings; a clean script returns an empty vector.
+/// findings, in source order; a clean script returns an empty vector.
 pub fn lint_script(src: &str, config: &LimaConfig) -> Vec<Diagnostic> {
     let ast = match parse(src) {
         Ok(a) => a,
@@ -37,43 +45,76 @@ pub fn lint_script(src: &str, config: &LimaConfig) -> Vec<Diagnostic> {
         // (partially analyzed) program so one error doesn't hide the rest.
         diags.extend(CompileError::Analysis(e).diagnostics());
     }
-    let model = build_model(&ast, &program);
-    diags.extend(LintRegistry::with_default_passes().run(&model));
+    let input = Input {
+        ast: &ast,
+        program: &program,
+        body: events(&ast.body),
+        functions: ast.functions.iter().map(|f| events(&f.body)).collect(),
+    };
+    let passes: [fn(&Input, &mut Vec<Diagnostic>); 6] = [
+        reuse_eligibility,
+        unused_results,
+        dead_stores,
+        shadowing,
+        redundant_no_cache,
+        tiny_parfors,
+    ];
+    for pass in passes {
+        pass(&input, &mut diags);
+    }
     sort_diagnostics(&mut diags);
     diags
 }
 
-/// Lowers the AST + compiled program into the model the lint passes run on.
-pub fn build_model(ast: &Script, program: &Program) -> LintModel {
-    let mut functions = Vec::new();
-    for fdef in &ast.functions {
-        let mut sources = Vec::new();
-        if let Some(f) = program.functions.get(&fdef.name) {
-            collect_spanned_sources(&f.body, &mut sources);
-        }
-        functions.push(LintFunction {
-            name: fdef.name.clone(),
-            name_span: Some(fdef.name_span),
-            params: fdef.params.iter().map(|(n, _)| n.clone()).collect(),
-            outputs: fdef.outputs.clone(),
-            sources,
-            body: stmts_to_events(&fdef.body),
-        });
+/// What the passes read: the script, its compiled program, and the event
+/// form of the script body and of each function body (`functions[k]` is
+/// `ast.functions[k]`'s).
+struct Input<'a> {
+    ast: &'a Script,
+    program: &'a Program,
+    body: Vec<Event>,
+    functions: Vec<Vec<Event>>,
+}
+
+impl Input<'_> {
+    /// The script body's events, then each function body's.
+    fn scopes(&self) -> impl Iterator<Item = &[Event]> {
+        std::iter::once(&self.body)
+            .chain(&self.functions)
+            .map(Vec::as_slice)
     }
-    let mut ops = Vec::new();
-    collect_ops(&program.body, &mut ops);
-    // AST order keeps the model deterministic (the registry sorts findings,
-    // but stable input order makes label choices reproducible too).
-    for fdef in &ast.functions {
-        if let Some(f) = program.functions.get(&fdef.name) {
-            collect_ops(&f.body, &mut ops);
-        }
-    }
-    LintModel {
-        functions,
-        body: stmts_to_events(&ast.body),
-        ops,
-    }
+}
+
+/// One statement of a region, in source order.
+enum Event {
+    /// A whole or indexed assignment (an indexed write lists its target
+    /// among `reads`, since it keeps the cells it does not touch).
+    Assign {
+        var: String,
+        span: Span,
+        /// Variables read by the right-hand side and the indices.
+        reads: Vec<String>,
+    },
+    /// A `print` or `write`.
+    Read(Vec<String>),
+    /// A `for` or `parfor` loop.
+    Loop {
+        var: String,
+        /// The loop-variable name in the header.
+        var_span: Span,
+        /// The header, keyword through bounds.
+        header_span: Span,
+        parallel: bool,
+        /// Trip count when all bounds are integer literals.
+        const_trip: Option<i64>,
+        bound_reads: Vec<String>,
+        body: Vec<Event>,
+    },
+    /// An `if`/`else`, or a `while` loop as one arm whose events may repeat.
+    Branch {
+        cond_reads: Vec<String>,
+        arms: Vec<Vec<Event>>,
+    },
 }
 
 // -------------------------------------------------- AST → event lowering
@@ -141,25 +182,23 @@ fn const_trip(from: &Expr, to: &Expr, by: Option<&Expr>) -> Option<i64> {
     }
 }
 
-fn stmts_to_events(stmts: &[Stmt]) -> Vec<LintEvent> {
+fn events(stmts: &[Stmt]) -> Vec<Event> {
     let mut out = Vec::new();
     for stmt in stmts {
-        let span = Some(stmt.span);
+        let span = stmt.span;
         match &stmt.kind {
-            StmtKind::Assign { target, value, .. } => out.push(LintEvent::Assign {
+            StmtKind::Assign { target, value, .. } => out.push(Event::Assign {
                 var: target.clone(),
                 span,
                 reads: reads_of(value),
             }),
             StmtKind::MultiAssign { targets, call } => {
                 let reads = reads_of(call);
-                for t in targets {
-                    out.push(LintEvent::Assign {
-                        var: t.clone(),
-                        span,
-                        reads: reads.clone(),
-                    });
-                }
+                out.extend(targets.iter().map(|t| Event::Assign {
+                    var: t.clone(),
+                    span,
+                    reads: reads.clone(),
+                }));
             }
             StmtKind::IndexAssign {
                 target,
@@ -168,35 +207,33 @@ fn stmts_to_events(stmts: &[Stmt]) -> Vec<LintEvent> {
                 value,
                 ..
             } => {
-                // An indexed write preserves untouched cells, so it reads
-                // the target as well as the indices and the value.
                 let mut reads = vec![target.clone()];
                 sel_reads(rows, &mut reads);
                 sel_reads(cols, &mut reads);
                 expr_reads(value, &mut reads);
-                out.push(LintEvent::Assign {
+                out.push(Event::Assign {
                     var: target.clone(),
                     span,
                     reads,
                 });
             }
-            StmtKind::Print(e) => out.push(LintEvent::Read { vars: reads_of(e) }),
+            StmtKind::Print(e) => out.push(Event::Read(reads_of(e))),
             StmtKind::Write(e, p) => {
                 let mut vars = reads_of(e);
                 expr_reads(p, &mut vars);
-                out.push(LintEvent::Read { vars });
+                out.push(Event::Read(vars));
             }
             StmtKind::If {
                 cond,
                 then_body,
                 else_body,
-            } => out.push(LintEvent::Branch {
+            } => out.push(Event::Branch {
                 cond_reads: reads_of(cond),
-                arms: vec![stmts_to_events(then_body), stmts_to_events(else_body)],
+                arms: vec![events(then_body), events(else_body)],
             }),
-            StmtKind::While { cond, body } => out.push(LintEvent::Branch {
+            StmtKind::While { cond, body } => out.push(Event::Branch {
                 cond_reads: reads_of(cond),
-                arms: vec![stmts_to_events(body)],
+                arms: vec![events(body)],
             }),
             StmtKind::For {
                 var,
@@ -212,15 +249,15 @@ fn stmts_to_events(stmts: &[Stmt]) -> Vec<LintEvent> {
                 if let Some(b) = by {
                     expr_reads(b, &mut bound_reads);
                 }
-                let header_end = by.as_ref().map(|b| b.span.end).unwrap_or(to.span.end);
-                out.push(LintEvent::Loop {
+                let header_end = by.as_ref().map_or(to.span.end, |b| b.span.end);
+                out.push(Event::Loop {
                     var: var.clone(),
-                    var_span: Some(*var_span),
-                    header_span: Some(Span::new(stmt.span.start, header_end)),
+                    var_span: *var_span,
+                    header_span: Span::new(span.start, header_end),
                     parallel: *parallel,
                     const_trip: const_trip(from, to, by.as_ref()),
                     bound_reads,
-                    body: stmts_to_events(body),
+                    body: events(body),
                 });
             }
         }
@@ -228,36 +265,368 @@ fn stmts_to_events(stmts: &[Stmt]) -> Vec<LintEvent> {
     out
 }
 
-// ------------------------------------------- lowered program → model parts
+// ------------------------------------------------------------ event helpers
 
-fn collect_spanned_sources(blocks: &[Block], out: &mut Vec<(ClassSource, Option<Span>)>) {
-    walk_blocks(blocks, &mut |b| {
-        out.extend(b.own_instrs().map(|i| (instr_class_source(i), i.span)));
-    });
+/// True when any event in the region (recursively) reads *or writes* `var` —
+/// used as a conservative barrier for the dead-store scan.
+fn region_touches(events: &[Event], var: &str) -> bool {
+    events.iter().any(|e| match e {
+        Event::Assign { var: v, reads, .. } => v == var || reads.iter().any(|r| r == var),
+        Event::Read(vars) => vars.iter().any(|r| r == var),
+        Event::Loop {
+            var: lv,
+            bound_reads,
+            body,
+            ..
+        } => lv == var || bound_reads.iter().any(|r| r == var) || region_touches(body, var),
+        Event::Branch { cond_reads, arms } => {
+            cond_reads.iter().any(|r| r == var) || arms.iter().any(|a| region_touches(a, var))
+        }
+    })
 }
 
-fn op_of(i: &Instr) -> LintOp {
-    let opcode = i.op.opcode();
-    let class = match instr_class_source(i) {
-        ClassSource::Fixed(c) => c,
-        // A call's own frame is pure; its body is analyzed separately.
-        ClassSource::Call(_) => OpClass::Deterministic,
-    };
-    LintOp {
-        class: if i.op.has_side_effects() {
-            OpClass::SideEffecting
-        } else {
-            class.max(classify_opcode(&opcode))
-        },
-        opcode: opcode.into_owned(),
-        no_cache: i.no_cache,
-        has_outputs: !i.outputs.is_empty(),
-        span: i.span,
+/// Collects every variable read anywhere in the region.
+fn collect_reads<'a>(events: &'a [Event], out: &mut HashSet<&'a str>) {
+    for e in events {
+        match e {
+            Event::Assign { reads, .. } | Event::Read(reads) => {
+                out.extend(reads.iter().map(String::as_str))
+            }
+            Event::Loop {
+                bound_reads, body, ..
+            } => {
+                out.extend(bound_reads.iter().map(String::as_str));
+                collect_reads(body, out);
+            }
+            Event::Branch { cond_reads, arms } => {
+                out.extend(cond_reads.iter().map(String::as_str));
+                for a in arms {
+                    collect_reads(a, out);
+                }
+            }
+        }
     }
 }
 
-fn collect_ops(blocks: &[Block], out: &mut Vec<LintOp>) {
-    walk_blocks(blocks, &mut |b| out.extend(b.own_instrs().map(op_of)));
+/// Collects the first assignment site of every variable in the region.
+fn collect_first_assigns<'a>(events: &'a [Event], out: &mut Vec<(&'a str, Span)>) {
+    for e in events {
+        match e {
+            Event::Assign { var, span, .. } => {
+                if !out.iter().any(|(v, _)| v == var) {
+                    out.push((var, *span));
+                }
+            }
+            Event::Loop { body, .. } => collect_first_assigns(body, out),
+            Event::Branch { arms, .. } => {
+                for a in arms {
+                    collect_first_assigns(a, out);
+                }
+            }
+            Event::Read(_) => {}
+        }
+    }
+}
+
+/// Every instruction of `blocks`, in the order the compiler walks them.
+fn instrs(blocks: &[Block]) -> Vec<&Instr> {
+    let mut out = Vec::new();
+    walk_blocks(blocks, &mut |b| out.extend(b.own_instrs()));
+    out
+}
+
+fn class_phrase(c: OpClass) -> &'static str {
+    match c {
+        OpClass::Deterministic => "deterministic",
+        OpClass::Seeded => "seeded",
+        OpClass::NonDeterministic => "non-deterministic",
+        OpClass::SideEffecting => "side-effecting",
+    }
+}
+
+// ------------------------------------------------------------------- passes
+
+/// `L0201`: a function whose compiled class is not `Deterministic` is
+/// excluded from function-level lineage reuse (paper §4.1); warn at the
+/// definition with the first offending call or operation labeled.
+fn reuse_eligibility(input: &Input, out: &mut Vec<Diagnostic>) {
+    let functions = &input.program.functions;
+    let class_of = |source: &ClassSource| match source {
+        ClassSource::Fixed(c) => *c,
+        // An undefined callee fails at run time, before reuse matters.
+        ClassSource::Call(callee) => functions
+            .get(callee)
+            .map_or(OpClass::NonDeterministic, |f| f.class),
+    };
+    for fdef in &input.ast.functions {
+        let Some(f) = functions.get(&fdef.name) else {
+            continue;
+        };
+        if f.class == OpClass::Deterministic {
+            continue;
+        }
+        let mut d = Diagnostic::warning(
+            "L0201",
+            format!(
+                "function '{}' is {} and ineligible for lineage reuse",
+                fdef.name,
+                class_phrase(f.class)
+            ),
+        )
+        .with_span(fdef.name_span);
+        let offender = instrs(&f.body).into_iter().find_map(|i| {
+            let source = instr_class_source(i);
+            (class_of(&source) != OpClass::Deterministic).then_some((source, i.span))
+        });
+        if let Some((source, Some(span))) = offender {
+            let what = match &source {
+                ClassSource::Fixed(c) => format!("this {} operation", class_phrase(*c)),
+                ClassSource::Call(callee) => format!(
+                    "this call to '{callee}' ({})",
+                    class_phrase(class_of(&source))
+                ),
+            };
+            d = d.with_label(
+                span,
+                format!("{what} makes the enclosing function reuse-ineligible"),
+            );
+        }
+        out.push(d.with_help(
+            "function results are memoized by lineage only when the body is \
+             deterministic; pin seeds or hoist the effect out of the function",
+        ));
+    }
+}
+
+/// `L0202`: a variable assigned inside a function body that is never read
+/// and is not an output — the computation (and its lineage) is wasted.
+fn unused_results(input: &Input, out: &mut Vec<Diagnostic>) {
+    for (fdef, body) in input.ast.functions.iter().zip(&input.functions) {
+        let mut reads = HashSet::new();
+        collect_reads(body, &mut reads);
+        let mut assigns = Vec::new();
+        collect_first_assigns(body, &mut assigns);
+        for (var, span) in assigns {
+            if reads.contains(var) || fdef.outputs.iter().any(|o| o == var) {
+                continue;
+            }
+            out.push(
+                Diagnostic::warning(
+                    "L0202",
+                    format!(
+                        "value assigned to '{var}' in function '{}' is never used",
+                        fdef.name
+                    ),
+                )
+                .with_span(span)
+                .with_help(
+                    "the result is neither read nor returned; \
+                     remove the assignment or add it to the outputs",
+                ),
+            );
+        }
+    }
+}
+
+/// `L0203`: an assignment overwritten by a later same-scope assignment with
+/// no intervening read — the first store is dead.
+fn dead_stores(input: &Input, out: &mut Vec<Diagnostic>) {
+    for scope in input.scopes() {
+        scan_dead_stores(scope, out);
+    }
+}
+
+fn scan_dead_stores(events: &[Event], out: &mut Vec<Diagnostic>) {
+    for (i, e) in events.iter().enumerate() {
+        // Nested regions first.
+        match e {
+            Event::Loop { body, .. } => scan_dead_stores(body, out),
+            Event::Branch { arms, .. } => {
+                for a in arms {
+                    scan_dead_stores(a, out);
+                }
+            }
+            _ => {}
+        }
+        let Event::Assign { var, span, .. } = e else {
+            continue;
+        };
+        for later in &events[i + 1..] {
+            if let Event::Assign {
+                var: v2,
+                span: span2,
+                reads,
+            } = later
+            {
+                if v2 == var {
+                    if !reads.iter().any(|r| r == var) {
+                        out.push(
+                            Diagnostic::warning(
+                                "L0203",
+                                format!(
+                                    "value assigned to '{var}' is overwritten before it is read"
+                                ),
+                            )
+                            .with_span(*span)
+                            .with_label(*span2, "overwritten here")
+                            .with_help(
+                                "the first assignment is a dead store; \
+                                 its result (and lineage) is discarded",
+                            ),
+                        );
+                    }
+                    break;
+                }
+            }
+            // Any other touch of the variable (read, or a conditional /
+            // nested write we cannot order) ends the scan conservatively.
+            if region_touches(std::slice::from_ref(later), var) {
+                break;
+            }
+        }
+    }
+}
+
+/// `L0204`: a loop variable that shadows an existing variable. The outer
+/// value keeps its lineage, but reads inside the loop silently resolve to
+/// the iteration counter — a classic source of wrong-but-plausible results.
+fn shadowing(input: &Input, out: &mut Vec<Diagnostic>) {
+    walk_shadowing(&input.body, &mut HashMap::new(), out);
+    for (fdef, body) in input.ast.functions.iter().zip(&input.functions) {
+        // Parameters are defined, but have no assignment to point at.
+        let mut defined = fdef
+            .params
+            .iter()
+            .map(|(p, _)| (p.as_str(), None))
+            .collect();
+        walk_shadowing(body, &mut defined, out);
+    }
+}
+
+fn walk_shadowing<'a>(
+    events: &'a [Event],
+    defined: &mut HashMap<&'a str, Option<Span>>,
+    out: &mut Vec<Diagnostic>,
+) {
+    for e in events {
+        match e {
+            Event::Assign { var, span, .. } => {
+                defined.entry(var).or_insert(Some(*span));
+            }
+            Event::Loop {
+                var,
+                var_span,
+                body,
+                ..
+            } => {
+                if let Some(first) = defined.get(var.as_str()) {
+                    let mut d = Diagnostic::warning(
+                        "L0204",
+                        format!("loop variable '{var}' shadows an existing variable"),
+                    )
+                    .with_span(*var_span);
+                    if let Some(first) = first {
+                        d = d.with_label(*first, "first defined here");
+                    }
+                    out.push(d.with_help(format!(
+                        "inside the loop, '{var}' is the iteration counter; lineage \
+                         recorded for the outer value no longer describes what reads see"
+                    )));
+                }
+                walk_shadowing(body, defined, out);
+                defined.entry(var).or_insert(Some(*var_span));
+            }
+            Event::Branch { arms, .. } => {
+                for a in arms {
+                    walk_shadowing(a, defined, out);
+                }
+            }
+            Event::Read(_) => {}
+        }
+    }
+}
+
+/// `L0205`: `no_cache` on an instruction that could never be cached anyway:
+/// it has side effects or produces no value.
+fn redundant_no_cache(input: &Input, out: &mut Vec<Diagnostic>) {
+    let program = input.program;
+    let functions = input
+        .ast
+        .functions
+        .iter()
+        .filter_map(|fdef| program.functions.get(&fdef.name));
+    let bodies = std::iter::once(&program.body).chain(functions.map(|f| &f.body));
+    for i in bodies.flat_map(|body| instrs(body)) {
+        let has_outputs = !i.outputs.is_empty();
+        if !i.no_cache || (has_outputs && i.info.class != OpClass::SideEffecting) {
+            continue;
+        }
+        out.push(
+            Diagnostic::note(
+                "L0205",
+                format!(
+                    "redundant no_cache: '{}' is never cached ({})",
+                    i.op.opcode(),
+                    if has_outputs {
+                        "it has side effects"
+                    } else {
+                        "it produces no value"
+                    }
+                ),
+            )
+            .with_span_opt(i.span)
+            .with_help(
+                "the loop-carried taint pass unmarked this instruction, but \
+                 side-effecting operations never enter the lineage cache",
+            ),
+        );
+    }
+}
+
+/// `L0206`: a `parfor` whose trip count is a tiny constant — worker spawn
+/// and result-merge overhead likely dominates the parallel gain.
+fn tiny_parfors(input: &Input, out: &mut Vec<Diagnostic>) {
+    for scope in input.scopes() {
+        walk_tiny_parfors(scope, out);
+    }
+}
+
+fn walk_tiny_parfors(events: &[Event], out: &mut Vec<Diagnostic>) {
+    for e in events {
+        match e {
+            Event::Loop {
+                parallel,
+                const_trip,
+                header_span,
+                body,
+                ..
+            } => {
+                if let (true, Some(n @ ..=2)) = (*parallel, *const_trip) {
+                    out.push(
+                        Diagnostic::note(
+                            "L0206",
+                            format!(
+                                "parfor has a constant trip count of {n}; \
+                                 parallel execution gains little"
+                            ),
+                        )
+                        .with_span(*header_span)
+                        .with_help(format!(
+                            "worker spawn and result merging cost more than \
+                             {n} iteration(s) save; consider a plain for loop"
+                        )),
+                    );
+                }
+                walk_tiny_parfors(body, out);
+            }
+            Event::Branch { arms, .. } => {
+                for a in arms {
+                    walk_tiny_parfors(a, out);
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 #[cfg(test)]

@@ -50,6 +50,18 @@ impl From<crate::lexer::LexError> for ParseError {
     }
 }
 
+/// The deepest nesting a script may use. Parentheses, `-`, `!` and `^`
+/// chains, call and index argument lists, and blocks (`else if` included)
+/// each open one level; the token that would open one more is an `L0004`
+/// error. Parsing, lowering, compiling, running and dropping a script at
+/// this depth fits in [`SCRIPT_STACK_BYTES`] (DESIGN.md §14 has the
+/// per-level frame sizes this is derived from).
+pub const MAX_NESTING: u32 = 200;
+
+/// The stack a thread needs to parse, compile and run any script the parser
+/// accepts; `limad` starts its connection threads with it.
+pub const SCRIPT_STACK_BYTES: usize = 8 << 20;
+
 /// Parses a script into an AST.
 pub fn parse(src: &str) -> Result<Script, ParseError> {
     let tokens = tokenize(src)?;
@@ -57,6 +69,7 @@ pub fn parse(src: &str) -> Result<Script, ParseError> {
         tokens,
         pos: 0,
         last_end: 0,
+        depth: 0,
     };
     p.script()
 }
@@ -66,6 +79,8 @@ struct Parser {
     pos: usize,
     /// End offset of the most recently consumed token.
     last_end: u32,
+    /// Levels open at the current token (see [`MAX_NESTING`]).
+    depth: u32,
 }
 
 impl Parser {
@@ -115,7 +130,26 @@ impl Parser {
         })
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<(), ParseError> {
+    /// Runs `f`, which opens a level at the current token, one level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(ParseError {
+                line: self.line(),
+                msg: format!("script nests deeper than {MAX_NESTING} levels"),
+                span: self.cur_span(),
+                code: "L0004",
+            });
+        }
+        self.depth += 1;
+        let parsed = f(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    fn eat(&mut self, kind: &TokenKind, what: &str) -> Result<(), ParseError> {
         if self.peek() == kind {
             self.next();
             Ok(())
@@ -170,9 +204,9 @@ impl Parser {
 
     fn function_def(&mut self) -> Result<FunctionDef, ParseError> {
         let (name, name_span) = self.ident_spanned("function name")?;
-        self.expect(&TokenKind::Assign, "'='")?;
-        self.expect(&TokenKind::Function, "'function'")?;
-        self.expect(&TokenKind::LParen, "'('")?;
+        self.eat(&TokenKind::Assign, "'='")?;
+        self.eat(&TokenKind::Function, "'function'")?;
+        self.eat(&TokenKind::LParen, "'('")?;
         let mut params = Vec::new();
         while !matches!(self.peek(), TokenKind::RParen) {
             let pname = self.ident("parameter name")?;
@@ -188,8 +222,8 @@ impl Parser {
             }
         }
         self.next(); // )
-        self.expect(&TokenKind::Return, "'return'")?;
-        self.expect(&TokenKind::LParen, "'('")?;
+        self.eat(&TokenKind::Return, "'return'")?;
+        self.eat(&TokenKind::LParen, "'('")?;
         let mut outputs = Vec::new();
         while !matches!(self.peek(), TokenKind::RParen) {
             outputs.push(self.ident("output name")?);
@@ -209,20 +243,21 @@ impl Parser {
     }
 
     fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
-        if matches!(self.peek(), TokenKind::LBrace) {
-            self.next();
-            let mut body = Vec::new();
-            self.skip_semis();
-            while !matches!(self.peek(), TokenKind::RBrace | TokenKind::Eof) {
-                body.push(self.statement()?);
-                self.skip_semis();
+        self.nested(|p| {
+            if !matches!(p.peek(), TokenKind::LBrace) {
+                // single-statement body
+                return Ok(vec![p.statement()?]);
             }
-            self.expect(&TokenKind::RBrace, "'}'")?;
+            p.next();
+            let mut body = Vec::new();
+            p.skip_semis();
+            while !matches!(p.peek(), TokenKind::RBrace | TokenKind::Eof) {
+                body.push(p.statement()?);
+                p.skip_semis();
+            }
+            p.eat(&TokenKind::RBrace, "'}'")?;
             Ok(body)
-        } else {
-            // single-statement body
-            Ok(vec![self.statement()?])
-        }
+        })
     }
 
     fn statement(&mut self) -> Result<Stmt, ParseError> {
@@ -230,14 +265,14 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::If => {
                 self.next();
-                self.expect(&TokenKind::LParen, "'('")?;
+                self.eat(&TokenKind::LParen, "'('")?;
                 let cond = self.expr()?;
-                self.expect(&TokenKind::RParen, "')'")?;
+                self.eat(&TokenKind::RParen, "')'")?;
                 let then_body = self.block()?;
                 let else_body = if matches!(self.peek(), TokenKind::Else) {
                     self.next();
                     if matches!(self.peek(), TokenKind::If) {
-                        vec![self.statement()?]
+                        vec![self.nested(Self::statement)?]
                     } else {
                         self.block()?
                     }
@@ -256,11 +291,11 @@ impl Parser {
             TokenKind::For | TokenKind::ParFor => {
                 let parallel = matches!(self.peek(), TokenKind::ParFor);
                 self.next();
-                self.expect(&TokenKind::LParen, "'('")?;
+                self.eat(&TokenKind::LParen, "'('")?;
                 let (var, var_span) = self.ident_spanned("loop variable")?;
-                self.expect(&TokenKind::In, "'in'")?;
+                self.eat(&TokenKind::In, "'in'")?;
                 let from = self.expr()?;
-                self.expect(&TokenKind::Colon, "':'")?;
+                self.eat(&TokenKind::Colon, "':'")?;
                 let to = self.expr()?;
                 let by = if matches!(self.peek(), TokenKind::Comma) {
                     self.next();
@@ -268,7 +303,7 @@ impl Parser {
                 } else {
                     None
                 };
-                self.expect(&TokenKind::RParen, "')'")?;
+                self.eat(&TokenKind::RParen, "')'")?;
                 let body = self.block()?;
                 Ok(Stmt::new(
                     StmtKind::For {
@@ -285,9 +320,9 @@ impl Parser {
             }
             TokenKind::While => {
                 self.next();
-                self.expect(&TokenKind::LParen, "'('")?;
+                self.eat(&TokenKind::LParen, "'('")?;
                 let cond = self.expr()?;
-                self.expect(&TokenKind::RParen, "')'")?;
+                self.eat(&TokenKind::RParen, "')'")?;
                 let body = self.block()?;
                 Ok(Stmt::new(
                     StmtKind::While { cond, body },
@@ -305,7 +340,7 @@ impl Parser {
                     }
                 }
                 self.next(); // ]
-                self.expect(&TokenKind::Assign, "'='")?;
+                self.eat(&TokenKind::Assign, "'='")?;
                 let call = self.expr()?;
                 if !matches!(call.kind, ExprKind::Call { .. }) {
                     return self.err("multi-assignment requires a function call");
@@ -321,16 +356,16 @@ impl Parser {
                     self.next();
                     self.next();
                     let e = self.expr()?;
-                    self.expect(&TokenKind::RParen, "')'")?;
+                    self.eat(&TokenKind::RParen, "')'")?;
                     return Ok(Stmt::new(StmtKind::Print(e), self.span_from(start)));
                 }
                 if name == "write" && matches!(self.peek2(), TokenKind::LParen) {
                     self.next();
                     self.next();
                     let e = self.expr()?;
-                    self.expect(&TokenKind::Comma, "','")?;
+                    self.eat(&TokenKind::Comma, "','")?;
                     let path = self.expr()?;
-                    self.expect(&TokenKind::RParen, "')'")?;
+                    self.eat(&TokenKind::RParen, "')'")?;
                     return Ok(Stmt::new(StmtKind::Write(e, path), self.span_from(start)));
                 }
                 let target_span = self.cur_span();
@@ -351,7 +386,7 @@ impl Parser {
                     TokenKind::LBracket => {
                         self.next();
                         let (rows, cols) = self.index_selectors()?;
-                        self.expect(&TokenKind::Assign, "'='")?;
+                        self.eat(&TokenKind::Assign, "'='")?;
                         let value = self.expr()?;
                         Ok(Stmt::new(
                             StmtKind::IndexAssign {
@@ -390,7 +425,7 @@ impl Parser {
         } else {
             IndexSel::All
         };
-        self.expect(&TokenKind::RBracket, "']'")?;
+        self.eat(&TokenKind::RBracket, "']'")?;
         Ok((rows, cols))
     }
 
@@ -444,15 +479,16 @@ impl Parser {
     }
 
     fn not_expr(&mut self) -> Result<Expr, ParseError> {
-        if matches!(self.peek(), TokenKind::Not) {
-            let start = self.start();
-            self.next();
-            let inner = self.not_expr()?;
+        if !matches!(self.peek(), TokenKind::Not) {
+            return self.cmp_expr();
+        }
+        self.nested(|p| {
+            let start = p.start();
+            p.next();
+            let inner = p.not_expr()?;
             let span = Span::new(start, inner.span.end);
             Ok(Expr::new(ExprKind::Not(Box::new(inner)), span))
-        } else {
-            self.cmp_expr()
-        }
+        })
     }
 
     fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
@@ -513,37 +549,43 @@ impl Parser {
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        if matches!(self.peek(), TokenKind::Minus) {
-            let start = self.start();
-            self.next();
-            let inner = self.unary_expr()?;
+        if !matches!(self.peek(), TokenKind::Minus) {
+            return self.pow_expr();
+        }
+        self.nested(|p| {
+            let start = p.start();
+            p.next();
+            let inner = p.unary_expr()?;
             let span = Span::new(start, inner.span.end);
             // Fold negative literals.
-            return Ok(match inner.kind {
+            Ok(match inner.kind {
                 ExprKind::Int(v) => Expr::new(ExprKind::Int(-v), span),
                 ExprKind::Float(v) => Expr::new(ExprKind::Float(-v), span),
                 other => Expr::new(ExprKind::Neg(Box::new(Expr::new(other, inner.span))), span),
-            });
-        }
-        self.pow_expr()
+            })
+        })
     }
 
     fn pow_expr(&mut self) -> Result<Expr, ParseError> {
         let base = self.postfix_expr()?;
-        if matches!(self.peek(), TokenKind::Caret) {
-            self.next();
-            let exp = self.unary_expr()?; // right-assoc, allows -1 exponents
-            Ok(Self::binary(BinOp::Pow, base, exp))
-        } else {
-            Ok(base)
+        if !matches!(self.peek(), TokenKind::Caret) {
+            return Ok(base);
         }
+        // Right-associative, and allows -1 exponents.
+        let exp = self.nested(|p| {
+            p.next();
+            p.unary_expr()
+        })?;
+        Ok(Self::binary(BinOp::Pow, base, exp))
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.primary()?;
         while matches!(self.peek(), TokenKind::LBracket) {
-            self.next();
-            let (rows, cols) = self.index_selectors()?;
+            let (rows, cols) = self.nested(|p| {
+                p.next();
+                p.index_selectors()
+            })?;
             let span = self.span_from(e.span.start);
             e = Expr::new(
                 ExprKind::Index {
@@ -581,50 +623,49 @@ impl Parser {
                 self.next();
                 Ok(lit(self, ExprKind::Bool(false)))
             }
-            TokenKind::LParen => {
-                self.next();
-                let e = self.expr()?;
-                self.expect(&TokenKind::RParen, "')'")?;
+            TokenKind::LParen => self.nested(|p| {
+                p.next();
+                let e = p.expr()?;
+                p.eat(&TokenKind::RParen, "')'")?;
                 Ok(e)
-            }
+            }),
             TokenKind::Ident(name) => {
                 self.next();
-                if matches!(self.peek(), TokenKind::LParen) {
-                    self.next();
-                    let mut args = Vec::new();
-                    while !matches!(self.peek(), TokenKind::RParen) {
-                        // named argument: IDENT '=' expr (but not '==')
-                        let arg_name = if let TokenKind::Ident(n) = self.peek().clone() {
-                            if matches!(self.peek2(), TokenKind::Assign) {
-                                self.next();
-                                self.next();
-                                Some(n)
-                            } else {
-                                None
-                            }
-                        } else {
-                            None
-                        };
-                        let value = self.expr()?;
-                        args.push(Arg {
-                            name: arg_name,
-                            value,
-                        });
-                        if matches!(self.peek(), TokenKind::Comma) {
-                            self.next();
-                        }
-                    }
-                    self.next(); // )
-                    Ok(Expr::new(
-                        ExprKind::Call { name, args },
-                        self.span_from(start),
-                    ))
-                } else {
-                    Ok(Expr::new(ExprKind::Var(name), self.span_from(start)))
+                if !matches!(self.peek(), TokenKind::LParen) {
+                    return Ok(Expr::new(ExprKind::Var(name), self.span_from(start)));
                 }
+                let args = self.nested(Self::call_args)?;
+                Ok(Expr::new(
+                    ExprKind::Call { name, args },
+                    self.span_from(start),
+                ))
             }
             other => self.err(format!("unexpected token {other:?} in expression")),
         }
+    }
+
+    /// Parses `(args)` of a call, the parentheses included.
+    fn call_args(&mut self) -> Result<Vec<Arg>, ParseError> {
+        self.next(); // (
+        let mut args = Vec::new();
+        while !matches!(self.peek(), TokenKind::RParen) {
+            // named argument: IDENT '=' expr (but not '==')
+            let name = match self.peek().clone() {
+                TokenKind::Ident(n) if matches!(self.peek2(), TokenKind::Assign) => {
+                    self.next();
+                    self.next();
+                    Some(n)
+                }
+                _ => None,
+            };
+            let value = self.expr()?;
+            args.push(Arg { name, value });
+            if matches!(self.peek(), TokenKind::Comma) {
+                self.next();
+            }
+        }
+        self.next(); // )
+        Ok(args)
     }
 }
 

@@ -638,8 +638,11 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let conn_inner = Arc::clone(inner);
+                // A session runs on its connection's thread, which parses,
+                // compiles and runs whatever script a client sends.
                 let spawned = std::thread::Builder::new()
                     .name("limad-conn".into())
+                    .stack_size(lima_lang::SCRIPT_STACK_BYTES)
                     .spawn(move || handle_connection(stream, &conn_inner));
                 // Thread exhaustion sheds the connection, not the server.
                 drop(spawned);

@@ -576,6 +576,24 @@ fn compile_errors_carry_structured_diagnostics_over_the_wire() {
 }
 
 #[test]
+fn a_deeply_nested_submit_is_a_compile_error_not_an_abort() {
+    let server = start(LimadConfig::default());
+    let mut mallory = client(&server, "mallory");
+    let script = format!("s = {}1{};", "(".repeat(1000), ")".repeat(1000));
+    let err = mallory.submit(&script, &outputs(&["s"])).unwrap_err();
+    let lima_client::ClientError::Service(service) = err else {
+        panic!("expected a typed service error, got {err:?}");
+    };
+    assert_eq!(service.code, ErrorCode::Compile);
+    assert_eq!(service.diagnostics[0].code, "L0004");
+    // The server lives on: another tenant's submit succeeds.
+    let done = client(&server, "alice")
+        .submit(GRAM_SCRIPT, &outputs(&["s"]))
+        .unwrap();
+    assert_eq!(done.value("s"), Some(&Value::f64(GRAM_SUM)));
+}
+
+#[test]
 fn unparseable_lineage_is_bad_request() {
     let server = start(LimadConfig::default());
     let mut c = client(&server, "alice");

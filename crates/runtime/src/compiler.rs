@@ -4,8 +4,8 @@
 //!    and depth-first branch IDs for dedup path bitvectors.
 //! 2. **Determinism analysis** — every instruction is classified on the
 //!    `lima-analysis` [`OpClass`] lattice and classes propagate bottom-up
-//!    through the block hierarchy and call graph; only `Deterministic`
-//!    functions/blocks qualify for multi-level reuse.
+//!    through the call graph; each function keeps its class, and only
+//!    `Deterministic` ones qualify for function-level reuse.
 //! 3. **Parfor dependence check** — writes to parfor result variables must
 //!    be provably disjoint across iterations (affine index analysis on the
 //!    loop variable); racy scripts fail compilation.
@@ -16,6 +16,10 @@
 //! 6. **Reuse-aware rewrites** (compiler assistance) — e.g. splitting
 //!    `tsmm(cbind(X, d))` inside loops to avoid materializing the cbind
 //!    (the `LIMA-CA` configuration of Fig 7(a)).
+//! 7. **Block-reuse verdicts** — last, on the final bodies: a `for` loop
+//!    whose body is last-level and `Deterministic` qualifies for block-level
+//!    reuse. The interpreter and the linter read these verdicts; neither
+//!    classifies anything itself.
 
 use crate::instr::{Instr, Op, Operand, Var};
 use crate::lva::{self, SlotSet};
@@ -23,7 +27,7 @@ use crate::program::{walk_blocks, walk_blocks_mut, Block, ExprProg, Function, Pr
 use lima_analysis::{
     check_parfor_writes, solve_call_graph, Affine, ClassSource, ParforViolation, ResultWrite,
 };
-use lima_core::opcodes::{classify_opcode, OpClass};
+use lima_core::opcodes::OpClass;
 use lima_core::{Frame, LimaConfig};
 use lima_matrix::ops::{BinOp, TsmmSide};
 use lima_matrix::ScalarValue;
@@ -94,6 +98,12 @@ pub fn compile(program: &mut Program, config: &LimaConfig) -> Result<CompileRepo
             program.number_frames();
         }
     }
+    // Last, so the verdict describes the loop bodies the interpreter runs.
+    mark_block_reuse(&mut program.body);
+    program
+        .functions
+        .values_mut()
+        .for_each(|f| mark_block_reuse(&mut f.body));
     let report = CompileReport {
         ops_unmarked,
         funcs_reuse_ineligible,
@@ -131,19 +141,18 @@ fn assign_ids_blocks(blocks: &mut [Block], next: &mut u64) {
 // ------------------------------------------------------------- determinism
 
 /// The determinism contribution of one instruction: calls defer to the
-/// callee's class; everything else is looked up in the `lima-core` opcode
-/// classification table, refined by the explicit-seed rule.
+/// callee's class; everything else takes the class its opcode was given when
+/// the instruction was built, refined by the explicit-seed rule.
 pub fn instr_class_source(i: &Instr) -> ClassSource {
     if let Op::FCall(name) = &i.op {
         return ClassSource::Call(name.clone());
     }
-    let mut class = classify_opcode(&i.op.opcode());
     // Seeded randomness with an explicit non-negative literal seed is
     // reproducible across executions.
     if i.op.is_random() && has_explicit_seed(i) {
-        class = OpClass::Deterministic;
+        return ClassSource::Fixed(OpClass::Deterministic);
     }
-    ClassSource::Fixed(class)
+    ClassSource::Fixed(i.info.class)
 }
 
 fn has_explicit_seed(i: &Instr) -> bool {
@@ -160,19 +169,19 @@ fn collect_class_sources(blocks: &[Block], out: &mut Vec<ClassSource>) {
     });
 }
 
-/// Join of the classes of all instructions in `blocks`, given per-function
-/// classes (an empty map is conservative about calls).
-pub fn blocks_class(blocks: &[Block], classes: &HashMap<String, OpClass>) -> OpClass {
+/// Join of the classes of all instructions in `blocks`; a call counts as
+/// non-deterministic (its callee's class is not consulted).
+fn blocks_class(blocks: &[Block]) -> OpClass {
     let mut sources = Vec::new();
     collect_class_sources(blocks, &mut sources);
-    sources
-        .iter()
-        .fold(OpClass::Deterministic, |acc, s| acc.join(s.eval(classes)))
+    sources.iter().fold(OpClass::Deterministic, |acc, s| {
+        acc.join(s.eval(&HashMap::new()))
+    })
 }
 
-/// Solves per-function determinism classes over the call graph and marks
-/// functions and loop blocks. Returns the number of functions ineligible for
-/// function-level reuse.
+/// Solves per-function determinism classes over the call graph, stores each
+/// function's class and reuse verdict, and fills parfor result variables.
+/// Returns the number of functions ineligible for function-level reuse.
 fn analyze_determinism(program: &mut Program) -> u64 {
     let mut bodies: HashMap<String, Vec<ClassSource>> = HashMap::new();
     for (name, f) in &program.functions {
@@ -184,7 +193,7 @@ fn analyze_determinism(program: &mut Program) -> u64 {
     let recursive = functions_on_call_cycles(&bodies);
     let mut ineligible = 0u64;
     for (name, f) in program.functions.iter_mut() {
-        let class = classes
+        f.class = classes
             .get(name)
             .copied()
             .unwrap_or(OpClass::NonDeterministic);
@@ -193,14 +202,14 @@ fn analyze_determinism(program: &mut Program) -> u64 {
         // on call-graph cycles are additionally excluded — a recursive call
         // with identical arguments would re-probe its own pending cache
         // reservation.
-        f.deterministic = class == OpClass::Deterministic && !recursive.contains(name);
+        f.deterministic = f.class == OpClass::Deterministic && !recursive.contains(name);
         if !f.deterministic {
             ineligible += 1;
         }
     }
-    mark_block_determinism(&mut program.body, &classes, &program.frame);
+    fill_parfor_results(&mut program.body, &program.frame);
     for f in program.functions.values_mut() {
-        mark_block_determinism(&mut f.body, &classes, &f.frame);
+        fill_parfor_results(&mut f.body, &f.frame);
     }
     ineligible
 }
@@ -238,23 +247,26 @@ fn functions_on_call_cycles(bodies: &HashMap<String, Vec<ClassSource>>) -> HashS
     on_cycle
 }
 
-fn mark_block_determinism(blocks: &mut [Block], classes: &HashMap<String, OpClass>, frame: &Frame) {
-    walk_blocks_mut(blocks, &mut |b| match b {
-        Block::For {
-            body,
-            deterministic,
-            ..
+/// Fills parfor result variables: variables written in the body that exist
+/// before the loop — approximated as writes that are also live-in (carried)
+/// or left-indexed results.
+fn fill_parfor_results(blocks: &mut [Block], frame: &Frame) {
+    walk_blocks_mut(blocks, &mut |b| {
+        if let Block::ParFor { body, results, .. } = b {
+            *results = parfor_results(body, frame);
         }
-        | Block::While {
-            body,
-            deterministic,
-            ..
-        } => *deterministic = blocks_class(body, classes) == OpClass::Deterministic,
-        // Also fill parfor result variables: variables written in the body
-        // that exist before the loop — approximated as writes that are also
-        // live-in (carried) or left-indexed results.
-        Block::ParFor { body, results, .. } => *results = parfor_results(body, frame),
-        Block::Basic { .. } | Block::If { .. } => {}
+    });
+}
+
+/// Stores each `for` loop's block-level reuse verdict (paper §4.1,
+/// "Multi-level Reuse"): the body is last-level and deterministic. Bodies
+/// wrapping calls or nested loops would bundle large intermediate sets into
+/// single cache entries; calls are covered by function-level reuse instead.
+fn mark_block_reuse(blocks: &mut [Block]) {
+    walk_blocks_mut(blocks, &mut |b| {
+        if let Block::For { body, reuse_ok, .. } = b {
+            *reuse_ok = body_is_last_level(body) && blocks_class(body) == OpClass::Deterministic;
+        }
     });
 }
 
@@ -571,7 +583,7 @@ fn assign_dedup_branches(body: &mut [Block]) -> bool {
 /// Last-level body: only basic blocks and conditionals, and no function
 /// calls (paper: "functions that do not contain loops or other function
 /// calls", and last-level loops).
-pub fn body_is_last_level(blocks: &[Block]) -> bool {
+fn body_is_last_level(blocks: &[Block]) -> bool {
     let mut last_level = true;
     walk_blocks(blocks, &mut |b| {
         last_level &= matches!(b, Block::Basic { .. } | Block::If { .. })

@@ -137,8 +137,8 @@ fn execute_block(block: &Block, program: &Program, ctx: &mut ExecutionContext) -
             by,
             body,
             dedup_ok,
+            reuse_ok,
             dedup_outputs,
-            ..
         } => {
             let from = eval_scalar_i64(from, program, ctx)?;
             let to = eval_scalar_i64(to, program, ctx)?;
@@ -146,12 +146,11 @@ fn execute_block(block: &Block, program: &Program, ctx: &mut ExecutionContext) -
             if by == 0 {
                 return Err(RuntimeError::TypeError("for step must be nonzero".into()));
             }
-            let extra = format!("for:{from}:{to}:{by}");
             let run = |ctx: &mut ExecutionContext| {
                 let dedup = (*dedup_ok).then_some(dedup_outputs.as_slice());
                 run_for_iterations(*id, var, (from, to, by), body, dedup, program, ctx)
             };
-            if !try_block_reuse(*id, &extra, body, ctx, run)? {
+            if !(*reuse_ok && try_block_reuse(*id, (from, to, by), body, ctx, run)?) {
                 run(ctx)?;
             }
             Ok(())
@@ -419,12 +418,13 @@ fn count_branches(blocks: &[Block]) -> u32 {
     n
 }
 
-/// Attempts block-level (multi-level) reuse of a loop block. Returns true if
-/// the block was reused; false if the caller must execute it (paper §4.1,
+/// Attempts block-level (multi-level) reuse of a `for` loop the compiler
+/// marked `reuse_ok`, run over `(from, to, by)`. Returns true if the block
+/// was reused; false if the caller must execute it (paper §4.1,
 /// "Multi-level Reuse").
 fn try_block_reuse(
     block_id: u64,
-    extra: &str,
+    (from, to, by): (i64, i64, i64),
     body: &[Block],
     ctx: &mut ExecutionContext,
     exec: impl FnOnce(&mut ExecutionContext) -> Result<()>,
@@ -432,22 +432,14 @@ fn try_block_reuse(
     let Some(cache) = ctx.cache.clone() else {
         return Ok(false);
     };
-    // Determinism via the shared classification analysis; the empty class
-    // map is conservative about calls, which block-level reuse excludes
-    // anyway (calls are covered by function-level reuse instead).
     // `rewrites_enabled` pauses multilevel caching at governor level L2+
     // (block bundles are the largest speculative entries the cache admits).
-    // Only last-level loop bodies qualify: blocks wrapping function calls or
-    // nested loops would bundle large intermediate sets into single cache
-    // entries (pollution).
     let eligible = ctx.config.multilevel
         && ctx.tracing()
         && ctx.dedup_trace.is_none()
         && ctx.path_tracer.is_none()
         && cache.full_reuse()
-        && cache.rewrites_enabled()
-        && crate::compiler::body_is_last_level(body)
-        && crate::compiler::blocks_class(body, &Default::default()) == oc::OpClass::Deterministic;
+        && cache.rewrites_enabled();
     if !eligible {
         return Ok(false);
     }
@@ -466,7 +458,10 @@ fn try_block_reuse(
             None => return Ok(false),
         }
     }
-    let data = format!("{}:{block_id}:{extra}{scalar_key}", ctx.fingerprint);
+    let data = format!(
+        "{}:{block_id}:for:{from}:{to}:{by}{scalar_key}",
+        ctx.fingerprint
+    );
     let item = LineageItem::resolved(oc::BCALL.into(), oc::DC, Some(data.into()), lin_inputs);
     let probe = cache_acquire(&cache, &item, ctx)?;
     let reused = match probe {

@@ -4,6 +4,7 @@
 //! itself, not a host language.
 
 use crate::instr::{Instr, Op, Operand, Var};
+use lima_core::opcodes::OpClass;
 use lima_core::Frame;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -74,8 +75,9 @@ pub enum Block {
         /// Set by the compiler when the body qualifies for lineage
         /// deduplication (last-level, ≤63 branches).
         dedup_ok: bool,
-        /// True when the block is deterministic (multi-level reuse candidate).
-        deterministic: bool,
+        /// Set by the compiler: the body is last-level and deterministic, so
+        /// the loop qualifies for block-level (multi-level) reuse.
+        reuse_ok: bool,
         /// Live-out variables of the body (written and possibly read after
         /// the loop or carried into the next iteration); only these receive
         /// dedup items — dead temporaries are dropped from the trace.
@@ -87,7 +89,6 @@ pub enum Block {
         pred: ExprProg,
         body: Vec<Block>,
         dedup_ok: bool,
-        deterministic: bool,
         dedup_outputs: Vec<Var>,
     },
     /// Task-parallel counted loop (paper §3.3): iterations execute on worker
@@ -143,7 +144,7 @@ impl Block {
             by,
             body,
             dedup_ok: false,
-            deterministic: false,
+            reuse_ok: false,
             dedup_outputs: Vec::new(),
         }
     }
@@ -155,7 +156,6 @@ impl Block {
             pred,
             body,
             dedup_ok: false,
-            deterministic: false,
             dedup_outputs: Vec::new(),
         }
     }
@@ -350,6 +350,8 @@ pub struct Function {
     /// Set by the compiler: no non-deterministic ops or calls, no side
     /// effects — the function qualifies for multi-level reuse (memoization).
     pub deterministic: bool,
+    /// Set by the compiler: the body's class, joined over the call graph.
+    pub class: OpClass,
     /// Set by the compiler: body qualifies for function-level lineage
     /// deduplication (no loops or nested calls, ≤63 branches).
     pub dedup_ok: bool,
@@ -375,6 +377,7 @@ impl Function {
             outputs: outputs.into_iter().map(Var::from).collect(),
             body,
             deterministic: false,
+            class: OpClass::NonDeterministic,
             dedup_ok: false,
             dedup_outputs: Vec::new(),
             frame: Arc::default(),

@@ -253,13 +253,12 @@ fn worker_panics_fail_typed_and_leave_the_pool_usable() {
 #[test]
 fn expired_session_mid_kernel_frees_placeholders_for_peers() {
     let src = "Y = X %*% X; s = sum(Y);";
-    let x = input(640, 640, 3);
+    // The 1600³ multiply takes ≈ 0.4 s on two cores of a 2020s Xeon: more
+    // than ten times the 30ms deadline.
+    let x = input(1600, 1600, 3);
     let baseline = run_script(src, &LimaConfig::base(), &[("X", x.clone())]).unwrap();
     let expect = baseline.value("s").as_f64().unwrap();
 
-    // Pin the scalar Reference backend so the 640³ multiply reliably outlasts
-    // the 30ms deadline regardless of how fast the Optimized engine gets.
-    lima_matrix::backend::set_backend(BackendKind::Reference);
     let config = LimaConfig {
         placeholder_timeout_ms: 60_000,
         ..LimaConfig::lima()
@@ -283,7 +282,7 @@ fn expired_session_mid_kernel_frees_placeholders_for_peers() {
 
     match doomed {
         Err(RuntimeError::DeadlineExceeded) => {}
-        Ok(_) => panic!("the 30ms deadline must fire inside the 640x640 matmult"),
+        Ok(_) => panic!("the 30ms deadline must fire inside the 1600x1600 matmult"),
         Err(other) => panic!("expected DeadlineExceeded, got {other}"),
     }
     let out = peer.expect("peer session must complete");
@@ -365,22 +364,21 @@ fn governor_walks_the_ladder_down_and_back_up_under_alloc_faults() {
 /// results.
 #[test]
 fn deadline_under_slow_spill_fails_typed_and_peers_complete() {
-    // Each 320x320 matmult result is ~819KB and expensive to recompute: it
-    // fits the 1MB budget alone, but admitting the second one evicts the
-    // first, and for an entry that costly the I/O model must choose spill
+    // Each 480x480 matmult result is ~1.8MB and takes ≈ 13ms to compute, about
+    // five times what the I/O model expects writing and reading it back to
+    // cost: it fits the 2.5MB budget alone, but admitting the second one
+    // evicts the first, and for an entry that costly the model chooses spill
     // over delete — so the injected SlowSpill latency fires. The doomed
     // session's 20ms deadline fires inside the 25ms injected spill stall (or
-    // earlier, between kernel row chunks); the scalar Reference backend is
-    // pinned so kernel speedups cannot shrink the window.
+    // earlier, between kernel row chunks).
     let src = "B = X %*% X; C = X %*% t(X); s = sum(B) + sum(C);";
-    let x = input(320, 320, 5);
+    let x = input(480, 480, 5);
     let baseline = run_script(src, &LimaConfig::base(), &[("X", x.clone())]).unwrap();
     let expect = baseline.value("s").as_f64().unwrap();
 
     let inj = Arc::new(FaultInjector::new(0).fail_every(FaultSite::SlowSpill, 1));
-    lima_matrix::backend::set_backend(BackendKind::Reference);
     let config = LimaConfig {
-        budget_bytes: 1024 * 1024,
+        budget_bytes: 2560 * 1024,
         ..LimaConfig::lima()
     }
     .with_faults(Arc::clone(&inj));
