@@ -51,17 +51,12 @@ pub fn lint_script(src: &str, config: &LimaConfig) -> Vec<Diagnostic> {
         body: events(&ast.body),
         functions: ast.functions.iter().map(|f| events(&f.body)).collect(),
     };
-    let passes: [fn(&Input, &mut Vec<Diagnostic>); 6] = [
-        reuse_eligibility,
-        unused_results,
-        dead_stores,
-        shadowing,
-        redundant_no_cache,
-        tiny_parfors,
-    ];
-    for pass in passes {
-        pass(&input, &mut diags);
-    }
+    reuse_eligibility(&input, &mut diags);
+    unused_results(&input, &mut diags);
+    dead_stores(&input, &mut diags);
+    shadowing(&input, &mut diags);
+    redundant_no_cache(&input, &mut diags);
+    tiny_parfors(&input, &mut diags);
     sort_diagnostics(&mut diags);
     diags
 }
@@ -351,13 +346,10 @@ fn class_phrase(c: OpClass) -> &'static str {
 /// definition with the first offending call or operation labeled.
 fn reuse_eligibility(input: &Input, out: &mut Vec<Diagnostic>) {
     let functions = &input.program.functions;
-    let class_of = |source: &ClassSource| match source {
-        ClassSource::Fixed(c) => *c,
-        // An undefined callee fails at run time, before reuse matters.
-        ClassSource::Call(callee) => functions
-            .get(callee)
-            .map_or(OpClass::NonDeterministic, |f| f.class),
-    };
+    let classes: HashMap<String, OpClass> = functions
+        .iter()
+        .map(|(n, f)| (n.clone(), f.class))
+        .collect();
     for fdef in &input.ast.functions {
         let Some(f) = functions.get(&fdef.name) else {
             continue;
@@ -376,14 +368,14 @@ fn reuse_eligibility(input: &Input, out: &mut Vec<Diagnostic>) {
         .with_span(fdef.name_span);
         let offender = instrs(&f.body).into_iter().find_map(|i| {
             let source = instr_class_source(i);
-            (class_of(&source) != OpClass::Deterministic).then_some((source, i.span))
+            (source.eval(&classes) != OpClass::Deterministic).then_some((source, i.span))
         });
         if let Some((source, Some(span))) = offender {
             let what = match &source {
                 ClassSource::Fixed(c) => format!("this {} operation", class_phrase(*c)),
                 ClassSource::Call(callee) => format!(
                     "this call to '{callee}' ({})",
-                    class_phrase(class_of(&source))
+                    class_phrase(source.eval(&classes))
                 ),
             };
             d = d.with_label(

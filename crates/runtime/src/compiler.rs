@@ -169,16 +169,6 @@ fn collect_class_sources(blocks: &[Block], out: &mut Vec<ClassSource>) {
     });
 }
 
-/// Join of the classes of all instructions in `blocks`; a call counts as
-/// non-deterministic (its callee's class is not consulted).
-fn blocks_class(blocks: &[Block]) -> OpClass {
-    let mut sources = Vec::new();
-    collect_class_sources(blocks, &mut sources);
-    sources.iter().fold(OpClass::Deterministic, |acc, s| {
-        acc.join(s.eval(&HashMap::new()))
-    })
-}
-
 /// Solves per-function determinism classes over the call graph, stores each
 /// function's class and reuse verdict, and fills parfor result variables.
 /// Returns the number of functions ineligible for function-level reuse.
@@ -265,7 +255,12 @@ fn fill_parfor_results(blocks: &mut [Block], frame: &Frame) {
 fn mark_block_reuse(blocks: &mut [Block]) {
     walk_blocks_mut(blocks, &mut |b| {
         if let Block::For { body, reuse_ok, .. } = b {
-            *reuse_ok = body_is_last_level(body) && blocks_class(body) == OpClass::Deterministic;
+            let mut sources = Vec::new();
+            collect_class_sources(body, &mut sources);
+            *reuse_ok = body_is_last_level(body)
+                && sources
+                    .iter()
+                    .all(|s| *s == ClassSource::Fixed(OpClass::Deterministic));
         }
     });
 }
