@@ -107,6 +107,47 @@ fn identical_scripts_reuse_across_tenants() {
     assert!(hits >= 1, "second tenant's run should hit the shared cache");
 }
 
+/// `f` scripts that differ only in `f`'s body: one shard's cache must not
+/// serve one tenant's call result to the other.
+fn f_script(body: &str) -> String {
+    format!(
+        "f = function(X) return (Y) {{ {body} }}\n\
+         s = sum(f(rand(rows=20, cols=20, seed=7)));\n"
+    )
+}
+
+#[test]
+fn tenants_defining_one_function_name_differently_get_their_own_values() {
+    let server = start(LimadConfig {
+        shards: 1,
+        ..LimadConfig::default()
+    });
+    for (tenant, body) in [("alice", "Y = X + 1;"), ("bob", "Y = X * 2;")] {
+        let script = f_script(body);
+        let base = run_locally(&script, LimaConfig::base()).symtab["s"].clone();
+        let done = client(&server, tenant)
+            .submit(&script, &outputs(&["s"]))
+            .unwrap();
+        assert_eq!(done.value("s"), Some(&base), "{tenant}: Base's value");
+    }
+}
+
+#[test]
+fn a_resubmitted_script_reads_its_loop_index_after_the_loop() {
+    let server = start(LimadConfig {
+        shards: 1,
+        ..LimadConfig::default()
+    });
+    let script = "X = rand(rows=5, cols=5, seed=7);\nY = X;\n\
+                  for (i in 1:4) {\n  Y = Y + 1;\n}\ns = sum(Y) + i;\n";
+    let base = run_locally(script, LimaConfig::base()).symtab["s"].clone();
+    let mut c = client(&server, "alice");
+    for run in 0..2 {
+        let done = c.submit(script, &outputs(&["s"])).unwrap();
+        assert_eq!(done.value("s"), Some(&base), "submit {run}");
+    }
+}
+
 /// A script that runs long enough to interrupt but checks its deadline and
 /// token cooperatively at every instruction boundary.
 fn slow_script() -> String {

@@ -723,3 +723,60 @@ fn block_level_reuse_skips_loops_that_are_not_deterministic_or_last_level() {
         }
     }
 }
+
+/// Runs `scripts` in order on one shared `LIMA` cache, the way a `limad`
+/// shard runs its tenants' submits, and checks that `var` of every run has
+/// the bits a fresh `Base` run of the same script computes.
+fn shared_cache_matches_base(scripts: &[&str], var: &str) {
+    use lima_algos::runner::{run_script, run_script_with_cache};
+    let cache = lima_core::LineageCache::new(LimaConfig::lima());
+    for (k, src) in scripts.iter().enumerate() {
+        let base = run_script(src, &LimaConfig::base(), &[]).expect("Base runs");
+        let lima = run_script_with_cache(src, &LimaConfig::lima(), &[], Some(cache.clone()))
+            .unwrap_or_else(|e| panic!("run {k} under LIMA: {e}"));
+        let (want, got) = (base.value(var), lima.value(var));
+        let bits = |v: &Value| v.as_f64().expect("scalar").to_bits();
+        assert_eq!(
+            bits(got),
+            bits(want),
+            "run {k}: LIMA gives {got:?}, Base {want:?}\n{src}"
+        );
+    }
+}
+
+#[test]
+fn scripts_defining_one_function_name_differently_do_not_share_its_entries() {
+    let script = |body: &str| {
+        format!(
+            "f = function(X) return (Y) {{ {body} }}\n\
+             s = sum(f(rand(rows=20, cols=20, seed=7)));\n"
+        )
+    };
+    let (plus, times) = (script("Y = X + 1;"), script("Y = X * 2;"));
+    shared_cache_matches_base(&[&plus, &times], "s");
+}
+
+#[test]
+fn a_call_bound_to_fewer_targets_than_outputs_reuses_at_the_function_width() {
+    let src = "f = function(X) return (P, Q) { P = X + 1; Q = X * 2; }\n\
+               X = rand(rows=20, cols=20, seed=7);\n\
+               [P, Q] = f(X);\n\
+               R = f(X);\n\
+               s = sum(R) + sum(Q);\n";
+    shared_cache_matches_base(&[src], "s");
+}
+
+#[test]
+fn a_loop_that_runs_no_iteration_serves_no_stale_value() {
+    let src = "X = rand(rows=5, cols=5, seed=7);\nn = 0;\ns = 0;\n\
+               for (j in 1:2) {\n  Y = X * j;\n  for (i in 1:n) {\n    Y = X + 1;\n  }\n  \
+               s = s + sum(Y);\n}\n";
+    shared_cache_matches_base(&[src], "s");
+}
+
+#[test]
+fn a_reused_loop_binds_its_index() {
+    let src = "X = rand(rows=5, cols=5, seed=7);\nY = X;\n\
+               for (i in 1:4) {\n  Y = Y + 1;\n}\ns = sum(Y) + i;\n";
+    shared_cache_matches_base(&[src, src], "s");
+}

@@ -115,6 +115,41 @@ fn every_pipeline_output_traced_under_lima_replays_to_base_bits() {
     }
 }
 
+/// Every pipeline run in sequence through one `LIMA` cache, the way a
+/// `limad` shard runs its tenants' scripts, then again in reverse order:
+/// every script variable has the bits a `Base` run of its pipeline computes.
+/// A key that names less than the computation it stands for serves one
+/// pipeline another's value here, which a fresh cache per run cannot show.
+#[test]
+fn pipelines_sharing_one_cache_give_base_bits_in_either_order() {
+    let pipelines = all_pipelines();
+    let bases: Vec<RunResult> = pipelines
+        .iter()
+        .map(|p| run(p, &LimaConfig::base()))
+        .collect();
+    let cache = LineageCache::new(LimaConfig::lima());
+    let forward = (0..pipelines.len()).collect::<Vec<_>>();
+    let order = forward.iter().chain(forward.iter().rev());
+    for (pass, &k) in order.enumerate() {
+        let (p, base) = (&pipelines[k], &bases[k]);
+        let lima = run_script_with_cache(
+            &p.script,
+            &LimaConfig::lima(),
+            &p.input_refs(),
+            Some(cache.clone()),
+        )
+        .unwrap_or_else(|e| panic!("{} (run {pass}): {e}", p.name));
+        let vars = base.ctx.symtab.keys().filter(|v| !v.starts_with('_'));
+        for var in vars {
+            assert!(
+                same_bits(lima.value(var), base.value(var)),
+                "{}/{var} (run {pass}): LIMA is not Base",
+                p.name
+            );
+        }
+    }
+}
+
 /// The `hpo_reuse` pipelines at the benchmark's sizes give `Base`'s bits
 /// under `LIMA`: full, multi-level and partial reuse (HLM's intercept
 /// `tsmm(cbind(X, 1))` assembled from a cached `tsmm(X)`) all included.
