@@ -150,10 +150,44 @@ fn execute_block(block: &Block, program: &Program, ctx: &mut ExecutionContext) -
                 let dedup = (*dedup_ok).then_some(dedup_outputs.as_slice());
                 run_for_iterations(*id, var, (from, to, by), body, dedup, program, ctx)
             };
-            if !(*reuse_ok && try_block_reuse(*id, (from, to, by), body, ctx, run)?) {
+            // A loop that runs no iteration has nothing to save, and the old
+            // values of the slots it writes are not part of its key.
+            let trips = if by > 0 { from <= to } else { from >= to };
+            let Some(cache) = multilevel_cache(ctx, *reuse_ok && trips) else {
+                return run(ctx);
+            };
+            let frame = Arc::clone(ctx.symtab.frame());
+            let mut slots = lva::writes(body);
+            slots.push(var.slot);
+            slots.sort_unstable();
+            slots.dedup();
+            let targets: Vec<Var> = slots.iter().map(|&s| Var::of_slot(&frame, s)).collect();
+            // Live-ins by lineage, scalars by value; an unbound one runs the
+            // loop unprobed. A body that reads the index has it among them:
+            // its value before the loop is keyed.
+            let live_in = lva::live_in(body)
+                .into_iter()
+                .map(|s| match ctx.symtab.at(s)? {
+                    Value::Scalar(v) => Some(ctx.lineage.literal(v)),
+                    _ => Some(ctx.lineage_of_slot(s)),
+                });
+            let region = Region::Loop(*id, (from, to, by));
+            let key = live_in
+                .collect::<Option<_>>()
+                .map(|inputs| (cache, region.key(ctx, inputs)));
+            run_region(ctx, key, region, &targets, |ctx| {
                 run(ctx)?;
-            }
-            Ok(())
+                // The index has no lineage of its own: a scalar is its value.
+                let output = |&s: &u32| {
+                    let value = ctx.symtab.at(s)?.clone();
+                    let lin = match (ctx.lineage.at(s).cloned(), &value) {
+                        (None, Value::Scalar(v)) => Some(ctx.lineage.literal(v)),
+                        (lin, _) => lin,
+                    };
+                    Some((value, lin))
+                };
+                Ok(slots.iter().map(output).collect())
+            })
         }
         Block::While {
             id,
@@ -418,114 +452,6 @@ fn count_branches(blocks: &[Block]) -> u32 {
     n
 }
 
-/// Attempts block-level (multi-level) reuse of a `for` loop the compiler
-/// marked `reuse_ok`, run over `(from, to, by)`. Returns true if the block
-/// was reused; false if the caller must execute it (paper §4.1,
-/// "Multi-level Reuse").
-fn try_block_reuse(
-    block_id: u64,
-    (from, to, by): (i64, i64, i64),
-    body: &[Block],
-    ctx: &mut ExecutionContext,
-    exec: impl FnOnce(&mut ExecutionContext) -> Result<()>,
-) -> Result<bool> {
-    let Some(cache) = ctx.cache.clone() else {
-        return Ok(false);
-    };
-    // `rewrites_enabled` pauses multilevel caching at governor level L2+
-    // (block bundles are the largest speculative entries the cache admits).
-    let eligible = ctx.config.multilevel
-        && ctx.tracing()
-        && ctx.dedup_trace.is_none()
-        && ctx.path_tracer.is_none()
-        && cache.full_reuse()
-        && cache.rewrites_enabled();
-    if !eligible {
-        return Ok(false);
-    }
-    let live_in = lva::live_in(body);
-    let written = lva::writes(body);
-    let frame = Arc::clone(ctx.symtab.frame());
-    // All live-ins must be bound; scalar live-ins fold into the key by value.
-    let mut lin_inputs = Vec::new();
-    let mut scalar_key = String::new();
-    for &var in &live_in {
-        match ctx.symtab.at(var) {
-            Some(Value::Scalar(s)) => {
-                scalar_key += &format!("|{}={}", frame[var as usize], s.lineage_literal());
-            }
-            Some(_) => lin_inputs.push(ctx.lineage_of_slot(var)),
-            None => return Ok(false),
-        }
-    }
-    let data = format!(
-        "{}:{block_id}:for:{from}:{to}:{by}{scalar_key}",
-        ctx.fingerprint
-    );
-    let item = LineageItem::resolved(oc::BCALL.into(), oc::DC, Some(data.into()), lin_inputs);
-    let probe = cache_acquire(&cache, &item, ctx)?;
-    let reused = match probe {
-        Some(Probe::Hit(Value::List(bundle), outputs)) if bundle.len() == 2 => {
-            let (names, values) = (&bundle[0], &bundle[1]);
-            let (Value::List(names), Value::List(values)) = (names, values) else {
-                return Ok(false);
-            };
-            let outputs = outputs.filter(|o| o.len() == names.len());
-            if let Some(o) = obs_of(ctx) {
-                o.record_instant(
-                    EventKind::BlockReuse,
-                    oc::BCALL,
-                    item.id(),
-                    block_id,
-                    names.len() as u64,
-                );
-            }
-            for (i, (name, value)) in names.iter().zip(values.iter()).enumerate() {
-                let Value::Scalar(ScalarValue::Str(name)) = name else {
-                    continue;
-                };
-                // The bundle names outputs of this body.
-                let Some(&slot) = written.iter().find(|&&s| *frame[s as usize] == **name) else {
-                    continue;
-                };
-                ctx.symtab.put(slot, value.clone());
-                // The lineage the block computed the value with; an entry
-                // without it binds the value's position in the bundle.
-                let out_lin = match &outputs {
-                    Some(lins) => lins[i].clone(),
-                    None => list_get(&item, i),
-                };
-                if let Value::Matrix(m) = value {
-                    out_lin.set_shape(m.rows(), m.cols());
-                }
-                ctx.lineage.put(slot, out_lin);
-            }
-            Ok(true)
-        }
-        Some(Probe::Hit(..)) => Ok(false),
-        Some(Probe::Reserved(r)) => {
-            let t0 = Instant::now();
-            exec(ctx)?; // a failed body drops the reservation: an abort
-            let mut names = Vec::new();
-            let mut values = Vec::new();
-            let mut lineage = Vec::new();
-            for &var in &written {
-                if let Some(v) = ctx.symtab.at(var) {
-                    names.push(Value::str(&frame[var as usize]));
-                    values.push(v.clone());
-                    lineage.push(ctx.lineage.at(var).cloned());
-                }
-            }
-            let bundle = Value::list(vec![Value::list(names), Value::list(values)]);
-            let r = r.with_outputs(lineage.into_iter().collect());
-            r.fulfill(&bundle, t0.elapsed().as_nanos() as u64);
-            Ok(true)
-        }
-        None => Ok(false),
-    };
-    reused
-}
-
 /// Executes one instruction with LIMA pre/post-processing.
 pub fn execute_instr(instr: &Instr, program: &Program, ctx: &mut ExecutionContext) -> Result<()> {
     ctx.check_interrupt()?;
@@ -716,13 +642,13 @@ fn bundle(out: &[Value]) -> Value {
     }
 }
 
-/// Reverses [`bundle`] for a cache hit.
 /// Item `i` of a multi-output item.
 fn list_get(base: &LinRef, i: usize) -> LinRef {
     let data = Some(i.to_string().into());
     LineageItem::resolved(oc::LIST_GET.into(), oc::DN, data, [base.clone()])
 }
 
+/// Reverses [`bundle`] for a cache hit: `n` is the bundle's width.
 fn unbundle(v: Value, n: usize) -> Vec<Value> {
     match v {
         Value::List(items) if n > 1 => items.as_ref().clone(),
@@ -955,14 +881,6 @@ fn execute_fcall(
             ),
         ));
     }
-    let obs = obs_of(ctx).map(|o| (o.now_ns(), o));
-    // The call's span: `id` of its lineage item (0 without function-level
-    // reuse), `outcome` 1 when served from the cache.
-    let span = |id: u64, outcome: u64| {
-        if let Some((t0, o)) = &obs {
-            o.record_span(EventKind::FCall, name, id, *t0, outcome, 0);
-        }
-    };
     let args: Vec<Value> = instr
         .inputs
         .iter()
@@ -973,96 +891,152 @@ fn execute_fcall(
         let traced = instr.inputs.iter().zip(&args);
         traced.map(|(o, v)| operand_lineage(o, v, ctx)).collect()
     });
-
-    // Multi-level (function) reuse: probe before executing (paper §4.1). The
-    // cache handle is this call's own (one reference-count step per call, not
-    // per instruction): the reservation it lends is held while the context
-    // is mutated.
-    let cache = ctx.cache.clone();
-    let mut reservation = None;
-    let mut fcall_item = None;
-    if let (Some(items), Some(cache)) = (&arg_items, cache.as_deref()) {
-        if ctx.config.multilevel
-            && cache.full_reuse()
-            && cache.rewrites_enabled()
-            && func.deterministic
-            && ctx.dedup_trace.is_none()
-        {
-            let opcode = format!("{}:{name}", oc::FCALL).into();
-            let item = LineageItem::resolved(opcode, oc::DC, Some(name.into()), items.clone());
-            match cache_acquire(cache, &item, ctx)? {
-                Some(Probe::Hit(bundle, outputs)) => {
-                    let values = unbundle(bundle, instr.outputs.len());
-                    span(item.id(), 1);
-                    match outputs.filter(|o| o.len() == values.len()) {
-                        Some(lins) => {
-                            let lins = lins.iter().cloned().map(Some);
-                            bind_lineage(&instr.outputs, values, lins, ctx);
-                        }
-                        None => {
-                            bind_outputs(instr, values, item, &mut ctx.lineage, &mut ctx.symtab)
-                        }
-                    }
-                    return Ok(());
-                }
-                Some(Probe::Reserved(r)) => {
-                    reservation = Some(r);
-                    fcall_item = Some(item);
-                }
-                None => {}
-            }
+    // The body runs in a fresh context.
+    let call = |ctx: &mut ExecutionContext| {
+        let mut callee = ctx.fork_function(&func.frame);
+        for (param, value) in func.params.iter().zip(args) {
+            callee.symtab.put(param.slot, value);
         }
-    }
-
-    // Execute the function body in a fresh context, timed for a reservation.
-    let t0 = reservation.as_ref().map(|_| Instant::now());
-    let mut callee = ctx.fork_function(&func.frame);
-    for (param, value) in func.params.iter().zip(args) {
-        callee.symtab.put(param.slot, value);
-    }
-    if let Some(items) = &arg_items {
-        for (param, item) in func.params.iter().zip(items.iter()) {
+        for (param, item) in func.params.iter().zip(arg_items.iter().flatten()) {
             callee.lineage.put(param.slot, item.clone());
         }
-    }
-    let res = execute_function_body(func, program, &mut callee);
-    ctx.stdout.append(&mut callee.stdout);
-    res?; // an unfulfilled reservation aborts as it drops
-    let elapsed = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-
-    // Collect outputs.
-    let mut out_values = Vec::with_capacity(func.outputs.len());
-    let mut out_lineage = Vec::with_capacity(func.outputs.len());
-    for out in &func.outputs {
-        let v = callee.symtab.at(out.slot).cloned().ok_or_else(|| {
-            RuntimeError::UndefinedVariable(format!("{name} output '{}'", out.name))
-        })?;
-        out_lineage.push(callee.lineage.at(out.slot).cloned());
-        out_values.push(v);
-    }
-
-    // The outputs bind the lineage the body computed them with, and a
-    // function-level entry stores it beside their values for its hits: the
-    // call item is the entry's key, nothing else.
-    let id = fcall_item.map_or(0, |item| item.id());
-    if let Some(r) = reservation {
-        let r = r.with_outputs(out_lineage.iter().cloned().collect());
-        r.fulfill(&bundle(&out_values), elapsed);
-    }
-    span(id, 0);
-    bind_lineage(&instr.outputs, out_values, out_lineage, ctx);
-    Ok(())
+        let res = execute_function_body(func, program, &mut callee);
+        ctx.stdout.append(&mut callee.stdout);
+        res?;
+        let output = |out: &Var| match callee.symtab.at(out.slot) {
+            Some(v) => Ok(Some((v.clone(), callee.lineage.at(out.slot).cloned()))),
+            None => Err(RuntimeError::UndefinedVariable(format!(
+                "{name} output '{}'",
+                out.name
+            ))),
+        };
+        func.outputs.iter().map(output).collect()
+    };
+    let region = Region::Call(name, func.outputs.len());
+    let key = multilevel_cache(ctx, func.deterministic)
+        .and_then(|cache| Some((cache, region.key(ctx, arg_items.clone()?))));
+    run_region(ctx, key, region, &instr.outputs, call)
 }
 
-/// Binds values to `targets` with the lineage each was computed with; a
-/// value without lineage (tracing off) binds its value only.
-fn bind_lineage(
-    targets: &[Var],
-    values: Vec<Value>,
-    lineage: impl IntoIterator<Item = Option<LinRef>>,
+/// The cache multi-level reuse probes, or `None` where it is off: the
+/// compiler's `verdict` on the region (`Function::deterministic`, or a loop's
+/// `reuse_ok` and at least one iteration) and the context's own rule, which
+/// is the same for calls and loops: multi-level reuse on, tracing on with no
+/// dedup or path trace under way, full reuse on, and rewrites not paused by
+/// the governor (a region's bundle is the largest speculative entry the
+/// cache admits). The handle is the region's own: the reservation it lends
+/// is held while the context is mutated.
+fn multilevel_cache(ctx: &ExecutionContext, verdict: bool) -> Option<Arc<LineageCache>> {
+    let cache = ctx.cache.as_ref().filter(|cache| {
+        verdict
+            && ctx.config.multilevel
+            && ctx.tracing()
+            && ctx.dedup_trace.is_none()
+            && ctx.path_tracer.is_none()
+            && cache.full_reuse()
+            && cache.rewrites_enabled()
+    });
+    cache.cloned()
+}
+
+/// A region multi-level reuse memoizes as one cache entry (paper §4.1).
+#[derive(Clone, Copy)]
+enum Region<'a> {
+    /// A call of a function, by name and output count.
+    Call(&'a str, usize),
+    /// A `for` loop the compiler marked `reuse_ok`, by block id and bounds;
+    /// its outputs are the slots it writes and its index, ascending.
+    Loop(u64, (i64, i64, i64)),
+}
+
+impl Region<'_> {
+    /// The region's entry key: `fcall:<name>` or `bcall` over `inputs`
+    /// (argument or live-in lineage), with data naming the program and the
+    /// region in it, `"{fingerprint}:{name}"` or
+    /// `"{fingerprint}:{block_id}:for:{from}:{to}:{by}"`.
+    fn key(self, ctx: &ExecutionContext, inputs: Vec<LinRef>) -> LinRef {
+        let fp = ctx.fingerprint;
+        let (opcode, data) = match self {
+            Region::Call(name, _) => (format!("{}:{name}", oc::FCALL), format!("{fp}:{name}")),
+            Region::Loop(id, (from, to, by)) => {
+                (oc::BCALL.into(), format!("{fp}:{id}:for:{from}:{to}:{by}"))
+            }
+        };
+        LineageItem::resolved(opcode.into(), oc::DC, Some(data.into()), inputs)
+    }
+}
+
+/// An output of a region: its value and the lineage it was computed with.
+type Output = (Value, Option<LinRef>);
+
+/// Runs a function call or a last-level loop under multi-level reuse, the
+/// one place that decides a multi-level entry's value (DESIGN §3). `key` is
+/// [`multilevel_cache`]'s cache and [`Region::key`], `None` to run unprobed.
+///
+/// The value is [`bundle`] of all the region's outputs, in region order,
+/// which `exec` returns (`None` for one it left unbound). A hit unbundles
+/// them at the region's width and binds the first `targets.len()`, each to
+/// its stored lineage, or to the key's output when none was stored; a miss
+/// runs `exec`, fulfils the reservation only if every output is bound (else
+/// drops it: an abort) and binds the same way.
+fn run_region(
     ctx: &mut ExecutionContext,
-) {
-    for ((target, value), lin) in targets.iter().zip(values).zip(lineage) {
+    key: Option<(Arc<LineageCache>, LinRef)>,
+    region: Region<'_>,
+    targets: &[Var],
+    exec: impl FnOnce(&mut ExecutionContext) -> Result<Vec<Option<Output>>>,
+) -> Result<()> {
+    let obs = obs_of(ctx).map(|o| (o.now_ns(), o));
+    let width = match region {
+        Region::Call(_, width) => width,
+        Region::Loop(..) => targets.len(),
+    };
+    let (mut served, mut reservation) = (None, None);
+    if let Some((cache, item)) = &key {
+        match cache_acquire(cache, item, ctx)? {
+            Some(Probe::Hit(value, lineage)) => {
+                let lineage = lineage.filter(|l| l.len() == width);
+                let lin = |i: usize| match &lineage {
+                    Some(l) => l[i].clone(),
+                    None if width == 1 => item.clone(),
+                    None => list_get(item, i),
+                };
+                let values = unbundle(value, width).into_iter().enumerate();
+                let outputs: Vec<_> = values.map(|(i, v)| Some((v, Some(lin(i))))).collect();
+                served = (outputs.len() == width).then_some(outputs);
+            }
+            Some(Probe::Reserved(r)) => reservation = Some((r, Instant::now())),
+            None => {}
+        }
+    }
+    let hit = served.is_some();
+    let outputs = match served {
+        Some(outputs) => outputs,
+        None => {
+            let outputs = exec(ctx)?; // an unfulfilled reservation aborts as it drops
+            let complete: Option<Vec<&Output>> = outputs.iter().map(Option::as_ref).collect();
+            if let (Some((r, t0)), Some(complete)) = (reservation, complete) {
+                let values: Vec<Value> = complete.iter().map(|(v, _)| v.clone()).collect();
+                let r = r.with_outputs(complete.iter().map(|(_, l)| l.clone()).collect());
+                r.fulfill(&bundle(&values), t0.elapsed().as_nanos() as u64);
+            }
+            outputs
+        }
+    };
+    if let Some((t0, o)) = &obs {
+        let id = key.as_ref().map_or(0, |(_, item)| item.id());
+        match region {
+            Region::Call(name, _) => o.record_span(EventKind::FCall, name, id, *t0, hit.into(), 0),
+            Region::Loop(block, _) if hit => {
+                o.record_instant(EventKind::BlockReuse, oc::BCALL, id, block, width as u64)
+            }
+            Region::Loop(..) => {}
+        }
+    }
+    // Outputs bind the lineage they were computed with; a value without
+    // lineage (tracing off) binds its value only.
+    for (target, output) in targets.iter().zip(outputs) {
+        let Some((value, lin)) = output else { continue };
         if let Some(l) = lin {
             if let Value::Matrix(m) = &value {
                 l.set_shape(m.rows(), m.cols());
@@ -1071,6 +1045,7 @@ fn bind_lineage(
         }
         ctx.symtab.put(target.slot, value);
     }
+    Ok(())
 }
 
 /// Executes a function body, driving function-level deduplication when the

@@ -780,3 +780,22 @@ fn a_reused_loop_binds_its_index() {
                for (i in 1:4) {\n  Y = Y + 1;\n}\ns = sum(Y) + i;\n";
     shared_cache_matches_base(&[src, src], "s");
 }
+
+#[test]
+fn a_reused_loop_binds_the_lineage_its_body_computed() {
+    use lima_algos::runner::run_script_with_cache;
+    let src = "X = rand(rows=5, cols=5, seed=7);\nY = X;\n\
+               for (i in 1:4) {\n  Y = Y + 1;\n}\n";
+    let cache = lima_core::LineageCache::new(LimaConfig::lima());
+    let mut logs = Vec::new();
+    for _ in 0..2 {
+        let r = run_script_with_cache(src, &LimaConfig::lima(), &[], Some(cache.clone()))
+            .expect("LIMA runs");
+        logs.push(serialize_lineage(r.ctx.lineage.get("Y").expect("Y traced")));
+    }
+    assert_eq!(LimaStats::get(&cache.stats().multilevel_hits), 1);
+    assert_eq!(
+        logs[1], logs[0],
+        "a hit binds the stored lineage, not bcall"
+    );
+}

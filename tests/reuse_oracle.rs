@@ -120,6 +120,12 @@ fn every_pipeline_output_traced_under_lima_replays_to_base_bits() {
 /// every script variable has the bits a `Base` run of its pipeline computes.
 /// A key that names less than the computation it stands for serves one
 /// pipeline another's value here, which a fresh cache per run cannot show.
+///
+/// An input enters lineage as a `read var:<name>` leaf, and a dataset is
+/// assumed immutable while a cache lives (DESIGN §6), as a shard's scripts
+/// create or `read` their own data. So each pipeline binds its inputs under
+/// names of its own (`p<k>_X`) and a prologue copies them to the names its
+/// script reads.
 #[test]
 fn pipelines_sharing_one_cache_give_base_bits_in_either_order() {
     let pipelines = all_pipelines();
@@ -132,14 +138,29 @@ fn pipelines_sharing_one_cache_give_base_bits_in_either_order() {
     let order = forward.iter().chain(forward.iter().rev());
     for (pass, &k) in order.enumerate() {
         let (p, base) = (&pipelines[k], &bases[k]);
-        let lima = run_script_with_cache(
-            &p.script,
-            &LimaConfig::lima(),
-            &p.input_refs(),
-            Some(cache.clone()),
-        )
-        .unwrap_or_else(|e| panic!("{} (run {pass}): {e}", p.name));
-        let vars = base.ctx.symtab.keys().filter(|v| !v.starts_with('_'));
+        let own = |name: &str| format!("p{k}_{name}");
+        let mut script = String::new();
+        for (name, _) in &p.inputs {
+            script += &format!("{name} = {};\n", own(name));
+        }
+        script += &p.script;
+        let names: Vec<String> = p.inputs.iter().map(|(name, _)| own(name)).collect();
+        let inputs: Vec<(&str, Value)> = names
+            .iter()
+            .zip(&p.inputs)
+            .map(|(name, (_, v))| (name.as_str(), v.clone()))
+            .collect();
+        let lima =
+            run_script_with_cache(&script, &LimaConfig::lima(), &inputs, Some(cache.clone()))
+                .unwrap_or_else(|e| panic!("{} (run {pass}): {e}", p.name));
+        // The script's variables `LIMA` keeps (a compiler-assisted rewrite
+        // may fuse a dead temporary away), not its inputs.
+        let input = |v: &str| p.inputs.iter().any(|(name, _)| name == v || own(name) == v);
+        let vars = lima
+            .ctx
+            .symtab
+            .keys()
+            .filter(|v| !v.starts_with('_') && !input(v));
         for var in vars {
             assert!(
                 same_bits(lima.value(var), base.value(var)),
