@@ -30,4 +30,4 @@ pub mod parser;
 pub use compile::{compile_script, compile_script_uncompiled, lower_script, CompileError};
 pub use lexer::{tokenize, LexError, Token, TokenKind};
 pub use lint::lint_script;
-pub use parser::{parse, ParseError, MAX_NESTING, SCRIPT_STACK_BYTES};
+pub use parser::{parse, ParseError, MAX_CHAIN, MAX_NESTING, SCRIPT_STACK_BYTES};

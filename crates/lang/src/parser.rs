@@ -58,6 +58,15 @@ impl From<crate::lexer::LexError> for ParseError {
 /// per-level frame sizes this is derived from).
 pub const MAX_NESTING: u32 = 200;
 
+/// The most binary operators and index brackets one statement may chain.
+/// `1 + 1 + … + 1` parses in a loop, but its left-deep tree is lowered,
+/// linted and dropped recursively, one frame per link; the count runs over
+/// the whole statement because a chain inside parentheses stacks on the
+/// chain around it. The link past it is an `L0005` error. With
+/// [`MAX_NESTING`] levels open as well, a statement fits in
+/// [`SCRIPT_STACK_BYTES`] (DESIGN.md §14 has the per-link frame sizes).
+pub const MAX_CHAIN: u32 = 256;
+
 /// The stack a thread needs to parse, compile and run any script the parser
 /// accepts; `limad` starts its connection threads with it.
 pub const SCRIPT_STACK_BYTES: usize = 8 << 20;
@@ -70,6 +79,7 @@ pub fn parse(src: &str) -> Result<Script, ParseError> {
         pos: 0,
         last_end: 0,
         depth: 0,
+        links: 0,
     };
     p.script()
 }
@@ -81,6 +91,8 @@ struct Parser {
     last_end: u32,
     /// Levels open at the current token (see [`MAX_NESTING`]).
     depth: u32,
+    /// Links chained so far in the current statement (see [`MAX_CHAIN`]).
+    links: u32,
 }
 
 impl Parser {
@@ -149,6 +161,21 @@ impl Parser {
         parsed
     }
 
+    /// Counts the operator or `[` at the current token as one more link of
+    /// the current statement.
+    fn link(&mut self) -> Result<(), ParseError> {
+        if self.links >= MAX_CHAIN {
+            return Err(ParseError {
+                line: self.line(),
+                msg: format!("statement chains more than {MAX_CHAIN} operators"),
+                span: self.cur_span(),
+                code: "L0005",
+            });
+        }
+        self.links += 1;
+        Ok(())
+    }
+
     fn eat(&mut self, kind: &TokenKind, what: &str) -> Result<(), ParseError> {
         if self.peek() == kind {
             self.next();
@@ -203,6 +230,7 @@ impl Parser {
     }
 
     fn function_def(&mut self) -> Result<FunctionDef, ParseError> {
+        self.links = 0;
         let (name, name_span) = self.ident_spanned("function name")?;
         self.eat(&TokenKind::Assign, "'='")?;
         self.eat(&TokenKind::Function, "'function'")?;
@@ -261,6 +289,7 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<Stmt, ParseError> {
+        self.links = 0;
         let start = self.start();
         match self.peek().clone() {
             TokenKind::If => {
@@ -461,6 +490,7 @@ impl Parser {
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.and_expr()?;
         while matches!(self.peek(), TokenKind::Or) {
+            self.link()?;
             self.next();
             let rhs = self.and_expr()?;
             lhs = Self::binary(BinOp::Or, lhs, rhs);
@@ -471,6 +501,7 @@ impl Parser {
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.not_expr()?;
         while matches!(self.peek(), TokenKind::And) {
+            self.link()?;
             self.next();
             let rhs = self.not_expr()?;
             lhs = Self::binary(BinOp::And, lhs, rhs);
@@ -502,6 +533,7 @@ impl Parser {
             TokenKind::Ge => BinOp::Ge,
             _ => return Ok(lhs),
         };
+        self.link()?;
         self.next();
         let rhs = self.add_expr()?;
         Ok(Self::binary(op, lhs, rhs))
@@ -515,6 +547,7 @@ impl Parser {
                 TokenKind::Minus => BinOp::Sub,
                 _ => break,
             };
+            self.link()?;
             self.next();
             let rhs = self.mul_expr()?;
             lhs = Self::binary(op, lhs, rhs);
@@ -530,6 +563,7 @@ impl Parser {
                 TokenKind::Slash => BinOp::Div,
                 _ => break,
             };
+            self.link()?;
             self.next();
             let rhs = self.matmul_expr()?;
             lhs = Self::binary(op, lhs, rhs);
@@ -540,6 +574,7 @@ impl Parser {
     fn matmul_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.unary_expr()?;
         while matches!(self.peek(), TokenKind::MatMul) {
+            self.link()?;
             self.next();
             let rhs = self.unary_expr()?;
             let span = lhs.span.to(rhs.span);
@@ -572,6 +607,7 @@ impl Parser {
             return Ok(base);
         }
         // Right-associative, and allows -1 exponents.
+        self.link()?;
         let exp = self.nested(|p| {
             p.next();
             p.unary_expr()
@@ -582,6 +618,7 @@ impl Parser {
     fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.primary()?;
         while matches!(self.peek(), TokenKind::LBracket) {
+            self.link()?;
             let (rows, cols) = self.nested(|p| {
                 p.next();
                 p.index_selectors()

@@ -635,6 +635,23 @@ fn a_deeply_nested_submit_is_a_compile_error_not_an_abort() {
 }
 
 #[test]
+fn a_long_flat_chain_submit_is_a_compile_error_not_an_abort() {
+    let server = start(LimadConfig::default());
+    let mut mallory = client(&server, "mallory");
+    let script = format!("s = 1{};", " + 1".repeat(20_000));
+    let err = mallory.submit(&script, &outputs(&["s"])).unwrap_err();
+    let lima_client::ClientError::Service(service) = err else {
+        panic!("expected a typed service error, got {err:?}");
+    };
+    assert_eq!(service.code, ErrorCode::Compile);
+    assert_eq!(service.diagnostics[0].code, "L0005");
+    let done = client(&server, "alice")
+        .submit(GRAM_SCRIPT, &outputs(&["s"]))
+        .unwrap();
+    assert_eq!(done.value("s"), Some(&Value::f64(GRAM_SUM)));
+}
+
+#[test]
 fn unparseable_lineage_is_bad_request() {
     let server = start(LimadConfig::default());
     let mut c = client(&server, "alice");
