@@ -148,12 +148,8 @@ impl Parser {
         f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
         if self.depth >= MAX_NESTING {
-            return Err(ParseError {
-                line: self.line(),
-                msg: format!("script nests deeper than {MAX_NESTING} levels"),
-                span: self.cur_span(),
-                code: "L0004",
-            });
+            let msg = format!("script nests deeper than {MAX_NESTING} levels");
+            return self.err(msg).map_err(|e| ParseError { code: "L0004", ..e });
         }
         self.depth += 1;
         let parsed = f(self);
@@ -161,18 +157,15 @@ impl Parser {
         parsed
     }
 
-    /// Counts the operator or `[` at the current token as one more link of
+    /// Consumes the operator or `[` at the current token, one more link of
     /// the current statement.
     fn link(&mut self) -> Result<(), ParseError> {
         if self.links >= MAX_CHAIN {
-            return Err(ParseError {
-                line: self.line(),
-                msg: format!("statement chains more than {MAX_CHAIN} operators"),
-                span: self.cur_span(),
-                code: "L0005",
-            });
+            let msg = format!("statement chains more than {MAX_CHAIN} operators");
+            return self.err(msg).map_err(|e| ParseError { code: "L0005", ..e });
         }
         self.links += 1;
+        self.next();
         Ok(())
     }
 
@@ -491,7 +484,6 @@ impl Parser {
         let mut lhs = self.and_expr()?;
         while matches!(self.peek(), TokenKind::Or) {
             self.link()?;
-            self.next();
             let rhs = self.and_expr()?;
             lhs = Self::binary(BinOp::Or, lhs, rhs);
         }
@@ -502,7 +494,6 @@ impl Parser {
         let mut lhs = self.not_expr()?;
         while matches!(self.peek(), TokenKind::And) {
             self.link()?;
-            self.next();
             let rhs = self.not_expr()?;
             lhs = Self::binary(BinOp::And, lhs, rhs);
         }
@@ -534,7 +525,6 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.link()?;
-        self.next();
         let rhs = self.add_expr()?;
         Ok(Self::binary(op, lhs, rhs))
     }
@@ -548,7 +538,6 @@ impl Parser {
                 _ => break,
             };
             self.link()?;
-            self.next();
             let rhs = self.mul_expr()?;
             lhs = Self::binary(op, lhs, rhs);
         }
@@ -564,7 +553,6 @@ impl Parser {
                 _ => break,
             };
             self.link()?;
-            self.next();
             let rhs = self.matmul_expr()?;
             lhs = Self::binary(op, lhs, rhs);
         }
@@ -575,7 +563,6 @@ impl Parser {
         let mut lhs = self.unary_expr()?;
         while matches!(self.peek(), TokenKind::MatMul) {
             self.link()?;
-            self.next();
             let rhs = self.unary_expr()?;
             let span = lhs.span.to(rhs.span);
             lhs = Expr::new(ExprKind::MatMul(Box::new(lhs), Box::new(rhs)), span);
@@ -607,9 +594,8 @@ impl Parser {
             return Ok(base);
         }
         // Right-associative, and allows -1 exponents.
-        self.link()?;
         let exp = self.nested(|p| {
-            p.next();
+            p.link()?;
             p.unary_expr()
         })?;
         Ok(Self::binary(BinOp::Pow, base, exp))
@@ -618,9 +604,8 @@ impl Parser {
     fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.primary()?;
         while matches!(self.peek(), TokenKind::LBracket) {
-            self.link()?;
             let (rows, cols) = self.nested(|p| {
-                p.next();
+                p.link()?;
                 p.index_selectors()
             })?;
             let span = self.span_from(e.span.start);
